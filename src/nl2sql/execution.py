@@ -1,11 +1,16 @@
 """Sandboxed query execution and result-table equivalence.
 
 Queries run against the example's SQLite file through a read-only
-connection, with a wall-clock interrupt and a row cap so a runaway
-cartesian product cannot hang the harness. Outcomes are a tagged union:
-a table, an engine error (message kept verbatim: correction prompts quote
-it), or a timeout. A missing database file is a harness fault and raises
-instead.
+connection, with a deadline and a row cap so a runaway cartesian product
+cannot hang the harness. Each thread keeps one connection per database,
+cached on the ``DatabaseSchema`` and reopened when the file changes; the
+deadline is checked by SQLite's progress handler every ``PROGRESS_STEPS``
+VM steps, so no call opens a connection or starts a timer thread. Any
+statement that is not a plain read (a PRAGMA, a TEMP table, ATTACH, a
+transaction, a refused write) closes the connection afterwards, so no
+state reaches the next query. Outcomes are a tagged union: a table, an
+engine error (message kept verbatim: correction prompts quote it), or a
+timeout. A missing database file is a harness fault and raises instead.
 
 Equivalence compares cell contents only: column names are ignored (gold
 and predictions alias columns differently), rows compare as sequences when
@@ -18,10 +23,12 @@ so that equivalence is a true equivalence relation.
 from __future__ import annotations
 
 import math
+import os
 import sqlite3
-import threading
+import stat
+import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from urllib.parse import quote
 
@@ -34,6 +41,14 @@ Cell = None | int | float | str | bytes
 DEFAULT_TIMEOUT_SECONDS = 30.0
 DEFAULT_MAX_ROWS = 10_000
 SIGNIFICANT_DIGITS = 7
+# SQLite VM steps between two deadline checks.
+PROGRESS_STEPS = 10_000
+# Authorizer actions a plain query needs; any other leaves the connection
+# in a state the next query must not see, so it is closed after the call.
+_READ_ACTIONS = frozenset(
+    {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION,
+     sqlite3.SQLITE_RECURSIVE}
+)
 
 
 @dataclass(frozen=True)
@@ -95,24 +110,77 @@ def query_is_ordered(sql: str) -> bool:
     return False
 
 
+class _CachedConnection:
+    """A read-only connection and the identity of the file it was opened on."""
+
+    __slots__ = ("conn", "file_key", "other_actions")
+
+    def __init__(self, db_path: Path, file_key: tuple[int, ...]) -> None:
+        uri_path = quote(str(Path(db_path).resolve()))
+        self.conn = sqlite3.connect(f"file:{uri_path}?mode=ro", uri=True, isolation_level=None)
+        self.file_key = file_key
+        self.other_actions: set[int] = set()
+        # The authorizer allows everything; it only records what a statement
+        # does. It holds the set, not self, so no reference cycle keeps the
+        # connection open after its schema is gone.
+        self.conn.set_authorizer(_recorder(self.other_actions))
+
+
+def _recorder(other_actions: set[int]):
+    def authorize(action: int, *_args: object) -> int:
+        if action not in _READ_ACTIONS:
+            other_actions.add(action)
+        return sqlite3.SQLITE_OK
+
+    return authorize
+
+
+def _connection(schema: DatabaseSchema) -> _CachedConnection:
+    """This thread's connection to the schema's database, reopened if the file changed."""
+    cache = schema._connections
+    cached = getattr(cache, "entry", None)
+    try:
+        st = os.stat(schema.db_path) if schema.db_path is not None else None
+    except OSError:
+        st = None
+    if st is None or not stat.S_ISREG(st.st_mode):
+        if cached is not None:
+            _drop(schema)
+        raise DatabaseMissingError(
+            f"database file missing for {schema.db_id}: {schema.db_path}"
+        )
+    file_key = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+    if cached is not None:
+        if cached.file_key == file_key:
+            return cached
+        _drop(schema)
+    cache.entry = _CachedConnection(schema.db_path, file_key)
+    return cache.entry
+
+
+def _drop(schema: DatabaseSchema) -> None:
+    cache = schema._connections
+    cache.entry.conn.close()
+    del cache.entry
+
+
 def execute(sql: str, schema: DatabaseSchema, limits: ExecLimits = ExecLimits()) -> ExecOutcome:
     """Run one SELECT against the schema's database, read-only."""
-    db_path = schema.db_path
-    if db_path is None or not Path(db_path).is_file():
-        raise DatabaseMissingError(f"database file missing for {schema.db_id}: {db_path}")
+    cached = _connection(schema)
+    conn = cached.conn
     ordered = query_is_ordered(sql)
-    uri_path = quote(str(Path(db_path).resolve()))
-    conn = sqlite3.connect(f"file:{uri_path}?mode=ro", uri=True)
-    interrupted = threading.Event()
+    deadline = time.monotonic() + limits.timeout_seconds
+    timed_out = False
 
-    def interrupt() -> None:
-        interrupted.set()
-        conn.interrupt()
+    def past_deadline() -> bool:
+        nonlocal timed_out
+        timed_out = time.monotonic() > deadline
+        return timed_out
 
-    timer = threading.Timer(limits.timeout_seconds, interrupt)
-    timer.start()
+    conn.set_progress_handler(past_deadline, PROGRESS_STEPS)
+    cursor = conn.cursor()
     try:
-        cursor = conn.execute(sql)
+        cursor.execute(sql)
         rows = cursor.fetchmany(limits.max_rows + 1)
         columns = tuple(d[0] for d in cursor.description) if cursor.description else ()
         truncated = len(rows) > limits.max_rows
@@ -120,32 +188,33 @@ def execute(sql: str, schema: DatabaseSchema, limits: ExecLimits = ExecLimits())
             rows = rows[: limits.max_rows]
         table = ResultTable(
             columns=columns,
-            rows=tuple(tuple(row) for row in rows),
+            rows=tuple(rows),  # rows are tuples: no row_factory is set
             ordered=ordered,
             truncated=truncated,
             row_limit_applied=limits.max_rows if truncated else None,
         )
         return ExecOutcome(table=table)
     except sqlite3.Error as exc:
-        if interrupted.is_set():
+        if timed_out:
             return ExecOutcome(timed_out=True)
         return ExecOutcome(error=str(exc), error_class=type(exc).__name__)
     finally:
-        timer.cancel()
-        conn.close()
+        cursor.close()
+        conn.set_progress_handler(None, 0)
+        # Closing also rolls back a transaction the statement left open.
+        if cached.other_actions:
+            _drop(schema)
 
 
 def execute_for_comparison(
     sql: str, schema: DatabaseSchema, limits: ExecLimits = ExecLimits()
 ) -> ExecOutcome:
-    """Execute, retrying once with a 10x row cap if the table truncated."""
-    outcome = execute(sql, schema, limits)
-    if outcome.table is not None and outcome.table.truncated:
-        outcome = execute(
-            sql, schema, ExecLimits(timeout_seconds=limits.timeout_seconds,
-                                    max_rows=limits.max_rows * 10)
-        )
-    return outcome
+    """Execute with a 10x row cap, so comparison sees whole tables where it can.
+
+    The query runs once, under one ``timeout_seconds`` budget; the table is
+    ``truncated`` only past ``10 * limits.max_rows`` rows.
+    """
+    return execute(sql, schema, replace(limits, max_rows=limits.max_rows * 10))
 
 
 # --------------------------------------------------------------------------- equivalence

@@ -7,6 +7,7 @@ SQLite resolves identifiers.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -25,6 +26,11 @@ class DatabaseSchema:
     db_path: Path | None = None
     _lookup: dict[str, tuple[str, dict[str, str]]] = field(
         default=None, repr=False, compare=False, hash=False
+    )
+    # Each thread's cached connection to db_path, managed by execution.py;
+    # it closes when this schema is garbage-collected or the thread ends.
+    _connections: threading.local = field(
+        default_factory=threading.local, init=False, repr=False, compare=False, hash=False
     )
 
     def __post_init__(self) -> None:

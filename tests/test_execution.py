@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import sqlite3
+import sys
+import threading
 
 import pytest
 
@@ -106,6 +110,112 @@ def test_ordered_flag_follows_ast_not_data(schemas):
     )
     outcome = execute("SELECT name FROM ship ORDER BY id", schemas["battle_death"])
     assert outcome.table.ordered
+
+
+def test_execute_for_comparison_caps_at_ten_times_max_rows(schemas):
+    outcome = execute_for_comparison(
+        "SELECT * FROM cars_data", schemas["car_1"], ExecLimits(max_rows=10)
+    )
+    assert outcome.table.truncated
+    assert len(outcome.table.rows) == 100
+    assert outcome.table.row_limit_applied == 100
+
+
+ENDLESS_SQL = (
+    "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r) SELECT count(*) FROM r"
+)
+
+
+def test_timeout_error_and_refused_write_leave_the_connection_usable(schemas):
+    schema = schemas["battle_death"]
+    expected = execute("SELECT * FROM ship ORDER BY id", schema)
+    assert len(expected.table.rows) == 7
+    assert execute(ENDLESS_SQL, schema, ExecLimits(timeout_seconds=0.05)).kind == "timeout"
+    assert execute("SELECT * FROM ship ORDER BY id", schema) == expected
+    assert execute("SELECT * FROM no_such_table", schema).kind == "error"
+    assert execute("SELECT * FROM ship ORDER BY id", schema) == expected
+    assert execute("DELETE FROM ship", schema).kind == "error"
+    assert execute("SELECT * FROM ship ORDER BY id", schema) == expected
+
+
+def test_temp_table_does_not_shadow_the_database_for_the_next_query(schemas):
+    schema = schemas["battle_death"]
+    expected = execute("SELECT * FROM ship ORDER BY id", schema)
+    assert execute("CREATE TEMP TABLE ship (x)", schema).kind == "table"
+    assert execute("SELECT * FROM ship ORDER BY id", schema) == expected
+
+
+def _numbers_db(path, values):
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (n INTEGER)")
+    conn.executemany("INSERT INTO t VALUES (?)", [(v,) for v in values])
+    conn.commit()
+    conn.close()
+    return DatabaseSchema(db_id="numbers", tables=(("t", (("n", "number"),)),), db_path=path)
+
+
+def test_open_transaction_and_capped_fetch_hold_no_read_lock(tmp_path):
+    schema = _numbers_db(tmp_path / "n.sqlite", [1, 2, 3])
+    execute("BEGIN", schema)
+    assert execute("SELECT n FROM t", schema, ExecLimits(max_rows=1)).table.truncated
+    writer = sqlite3.connect(tmp_path / "n.sqlite", timeout=0)
+    writer.execute("INSERT INTO t VALUES (4)")
+    writer.commit()  # "database is locked" if a reader still held its lock
+    writer.close()
+    assert len(execute("SELECT n FROM t", schema).table.rows) == 4
+
+
+def test_replaced_database_file_is_reopened(tmp_path):
+    schema = _numbers_db(tmp_path / "n.sqlite", [1, 2])
+    assert execute("SELECT n FROM t ORDER BY n", schema).table.rows == ((1,), (2,))
+    _numbers_db(tmp_path / "other.sqlite", [7, 8, 9])
+    os.replace(tmp_path / "other.sqlite", tmp_path / "n.sqlite")
+    assert execute("SELECT n FROM t ORDER BY n", schema).table.rows == ((7,), (8,), (9,))
+
+
+def test_deleted_database_file_raises_after_connection_was_cached(tmp_path):
+    schema = _numbers_db(tmp_path / "n.sqlite", [1])
+    assert execute("SELECT n FROM t", schema).kind == "table"
+    os.remove(tmp_path / "n.sqlite")
+    with pytest.raises(DatabaseMissingError):
+        execute("SELECT n FROM t", schema)
+
+
+def test_threads_sharing_a_schema_each_get_correct_tables(schemas):
+    schema = schemas["car_1"]
+    queries = [BELOW_AVERAGE_CARS_SQL, "SELECT * FROM car_makers ORDER BY Id"]
+    expected = [execute(sql, schema) for sql in queries]
+    workers = 4
+    barrier = threading.Barrier(workers, timeout=30)
+    results: dict[int, list] = {}
+
+    def worker(idx: int) -> None:
+        barrier.wait()
+        results[idx] = [execute(queries[(i + idx) % 2], schema) for i in range(40)]
+
+    threads = [threading.Thread(target=worker, args=(idx,)) for idx in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for idx in range(workers):
+        assert results[idx] == [expected[(i + idx) % 2] for i in range(40)]
+
+
+def test_timeout_while_fetching_rows_reported_as_timeout(schemas):
+    # The first rows of this 67M-row product arrive at once; fetching all of
+    # them outlives the budget.
+    sql = "SELECT a.Id FROM cars_data AS a, cars_data AS b, cars_data AS c"
+    first = execute(sql, schemas["car_1"], ExecLimits(timeout_seconds=0.05, max_rows=5))
+    assert first.table.truncated
+    outcome = execute(sql, schemas["car_1"], ExecLimits(timeout_seconds=0.05, max_rows=10**8))
+    assert outcome.kind == "timeout"
 
 
 # --------------------------------------------------------------------------- equivalence
