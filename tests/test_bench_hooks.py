@@ -1,0 +1,57 @@
+"""The benchmark's hooks into the harness still resolve.
+
+``bench/tracing.py`` rebinds harness module attributes to time each layer,
+and ``bench/run.py`` rebinds ``nl2sql.evaluate._score_one`` to split the
+score phase. A refactor that drops one of those attributes only prints a
+warning there, so these tests make it fail here instead.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from nl2sql import evaluate
+from nl2sql.pipeline import Verdict
+
+from test_evaluate import GOLD, WRONG, ship_example, transcript
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_exists():
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+
+
+def test_score_resolves_score_one_once_per_non_fault_example(schemas, monkeypatch):
+    calls = []
+    original = evaluate._score_one
+
+    def counting(transcript, example, *args):
+        calls.append(example.id)
+        return original(transcript, example, *args)
+
+    monkeypatch.setattr(evaluate, "_score_one", counting)
+    examples = [ship_example(i) for i in range(5)]
+    transcripts = [
+        transcript(0, GOLD),
+        transcript(1, WRONG, Verdict.FAILED),
+        transcript(2, None, Verdict.FAULT),
+        transcript(3, "SELECT FROM", Verdict.FAILED),
+        transcript(4, GOLD, Verdict.CORRECTED_BY_EXAMPLE),
+    ]
+    report = evaluate.score(transcripts, examples, schemas)
+    assert calls == [0, 1, 3, 4]
+    assert report.faults == 1

@@ -1,0 +1,35 @@
+"""Execution oracle for the printer and the canonicaliser.
+
+Re-printing a parsed query, or printing its canonical form, must not change
+what the query returns. Every corpus query and every dev gold query is run
+on its fixture database next to both rewrites, and the result tables must
+be equivalent: the execution-based check of Zhong, Yu and Klein, "Semantic
+Evaluation for Text-to-SQL with Distilled Test Suites" (EMNLP 2020).
+"""
+
+from __future__ import annotations
+
+from nl2sql.execution import execute_for_comparison, tables_equivalent
+from nl2sql.sqlast import canonicalize, parse, to_sql
+
+from helpers import generate_corpus
+
+
+def test_printer_and_canonicaliser_preserve_results(loaded):
+    queries = generate_corpus(loaded.schemas) + [
+        (ex.db_id, ex.gold_sql) for ex in loaded.examples
+    ]
+    checks = 0
+    mismatches = []
+    for db_id, sql in queries:
+        schema = loaded.schemas[db_id]
+        expected = execute_for_comparison(sql, schema)
+        assert expected.table is not None, (sql, expected)
+        ast = parse(sql, schema)
+        for rewrite, text in (("to_sql", to_sql(ast)), ("canonicalize", canonicalize(ast).sql)):
+            got = execute_for_comparison(text, schema)
+            checks += 1
+            if got.table is None or not tables_equivalent(got.table, expected.table).equivalent:
+                mismatches.append((rewrite, sql, text, got.error))
+    assert mismatches == []
+    assert checks == 2 * len(queries) >= 680
