@@ -29,20 +29,18 @@ from .errors import (
     ReplayMissError,
     RetriesExhaustedError,
 )
-from .evaluate import (
-    EvalReport,
-    BucketScore,
-    render_report_markdown,
-    run_metadata,
-    score,
-    write_report,
-)
+from .evaluate import EvalReport, render_report_markdown, run_metadata, score, write_report
 from .execution import ExecLimits
 from .hardness import Hardness
 from .llm import HttpChatTransport, ModelEndpoint, RecordingTransport, ReplayTransport, Sampling
-from .pipeline import PipelineConfig, read_transcripts, run_many, write_transcripts
+from .pipeline import (
+    PipelineConfig,
+    PipelineTranscript,
+    read_transcripts,
+    run_many,
+    write_transcripts,
+)
 from .sqlast import canonicalize, diff, parse
-from .triage import Category, TriageVerdict, triage
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -257,24 +255,26 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def _score_transcripts(args, **options) -> tuple[list[PipelineTranscript], EvalReport]:
+    """Score the transcripts at ``--transcripts`` against the examples they name."""
     loaded = load_dataset(args.dataset, args.split)
     transcripts = read_transcripts(args.transcripts)
     ids = {t.example_id for t in transcripts}
     examples = [ex for ex in loaded.examples if ex.id in ids]
-    metadata = run_metadata(
+    report = score(
+        transcripts, examples, loaded.schemas, quarantined=len(loaded.quarantined), **options
+    )
+    return transcripts, report
+
+
+def cmd_evaluate(args) -> int:
+    transcripts, report = _score_transcripts(
+        args, with_triage=not args.no_triage, strict_ordering=args.strict_ordering
+    )
+    report.metadata = run_metadata(
         config=None,
         endpoints=sorted({s.model for t in transcripts for s in t.stages}),
         timestamp=not args.no_timestamp,
-    )
-    report = score(
-        transcripts,
-        examples,
-        loaded.schemas,
-        quarantined=len(loaded.quarantined),
-        with_triage=not args.no_triage,
-        strict_ordering=args.strict_ordering,
-        metadata=metadata,
     )
     if args.out:
         write_report(report, args.out)
@@ -285,66 +285,22 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_triage(args) -> int:
-    loaded = load_dataset(args.dataset, args.split)
-    by_id = {ex.id: ex for ex in loaded.examples}
-    transcripts = read_transcripts(args.transcripts)
-    written = 0
-    from .execution import execute_for_comparison, tables_equivalent
-
+    _, report = _score_transcripts(args)
     with args.out.open("w", encoding="utf-8") as fh:
-        for t in transcripts:
-            ex = by_id.get(t.example_id)
-            if ex is None or t.final_sql is None:
-                continue
-            schema = loaded.schemas[ex.db_id]
-            gold_outcome = execute_for_comparison(ex.gold_sql, schema)
-            pred_outcome = execute_for_comparison(t.final_sql, schema)
-            if gold_outcome.table is not None and pred_outcome.table is not None:
-                if tables_equivalent(pred_outcome.table, gold_outcome.table).equivalent:
-                    continue
-            try:
-                verdict = triage(
-                    parse(t.final_sql, schema),
-                    parse(ex.gold_sql, schema),
-                    pred_outcome.table,
-                    gold_outcome.table,
-                    schema,
-                )
-            except Nl2SqlError as exc:
-                verdict = TriageVerdict(
-                    category=Category.UNCLASSIFIABLE,
-                    subtag="ParseError",
-                    confidence="definite",
-                    evidence={"error": str(exc), "sql": t.final_sql},
-                )
-            record = {"example_id": t.example_id, **verdict.to_json()}
+        for example_id, verdict in report.verdicts.items():
+            record = {"example_id": example_id, **verdict.to_json()}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            written += 1
-    print(f"wrote {written} verdicts to {args.out}")
+    print(f"wrote {len(report.verdicts)} verdicts to {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    transcripts = read_transcripts(args.transcripts)
-    if not transcripts:
-        report = EvalReport(
-            buckets={h: BucketScore(0, 0) for h in Hardness},
-            overall=0.0,
-            quarantined=0,
-            verdict_distribution={},
-            triage_distribution={"total": 0, "categories": {}, "subtags": {}},
-            faults=0,
-            metadata={},
-        )
+    if args.dataset is not None:
+        _, report = _score_transcripts(args)
+    elif read_transcripts(args.transcripts):
+        raise DatasetError("--dataset is required to score non-empty transcripts")
     else:
-        if args.dataset is None:
-            raise DatasetError("--dataset is required to score non-empty transcripts")
-        loaded = load_dataset(args.dataset, args.split)
-        ids = {t.example_id for t in transcripts}
-        examples = [ex for ex in loaded.examples if ex.id in ids]
-        report = score(
-            transcripts, examples, loaded.schemas, quarantined=len(loaded.quarantined)
-        )
+        report = score([], [], {})
     if args.format == "markdown":
         text = render_report_markdown(report)
     else:

@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import DatasetError, Nl2SqlError, SchemaError
 from .hardness import Hardness, classify_hardness
 from .schema import DatabaseSchema, schema_from_tables_entry
-from .sqlast import Select, parse
+from .sqlast import parse
 
 logger = logging.getLogger(__name__)
 
@@ -65,9 +65,6 @@ class LoadedDataset:
     @property
     def raw_count(self) -> int:
         return len(self.examples) + len(self.quarantined)
-
-    def schema_for(self, example: SpiderExample) -> DatabaseSchema:
-        return self.schemas[example.db_id]
 
     def hardness_profile(self) -> HardnessProfile:
         counts = {h: 0 for h in Hardness}
@@ -152,8 +149,3 @@ def load_dataset(dataset_dir: Path | str, split: str) -> LoadedDataset:
     return LoadedDataset(
         examples=tuple(examples), schemas=schemas, quarantined=tuple(quarantined)
     )
-
-
-def parse_gold(example: SpiderExample, schema: DatabaseSchema) -> Select:
-    """Parse a loaded example's gold SQL (loading guarantees it parses)."""
-    return parse(example.gold_sql, schema)

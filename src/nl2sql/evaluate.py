@@ -49,9 +49,13 @@ class EvalReport:
     overall: float
     quarantined: int
     verdict_distribution: dict[str, int]
-    triage_distribution: dict
+    verdicts: dict[int, TriageVerdict]  # triage verdict per example id, in id order
     faults: int
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def triage_distribution(self) -> dict:
+        return triage_report(self.verdicts.values())
 
     def results_payload(self) -> dict:
         return {
@@ -104,7 +108,7 @@ def score(
 
     per_bucket: dict[Hardness, list[bool]] = {h: [] for h in Hardness}
     verdict_distribution: dict[str, int] = {}
-    triage_verdicts: list[TriageVerdict] = []
+    verdicts: dict[int, TriageVerdict] = {}
     faults = 0
 
     for ex in examples:
@@ -120,7 +124,7 @@ def score(
         correct, verdict = _score_one(transcript, ex, schema, limits, with_triage, strict_ordering)
         per_bucket[ex.hardness].append(correct)
         if verdict is not None:
-            triage_verdicts.append(verdict)
+            verdicts[ex.id] = verdict
 
     buckets = {
         h: BucketScore(count=len(flags), correct=sum(flags)) for h, flags in per_bucket.items()
@@ -133,7 +137,7 @@ def score(
         overall=overall,
         quarantined=quarantined,
         verdict_distribution=verdict_distribution,
-        triage_distribution=triage_report(triage_verdicts),
+        verdicts=dict(sorted(verdicts.items())),
         faults=faults,
         metadata=metadata or {},
     )

@@ -63,7 +63,6 @@ class ResultTable:
     rows: tuple[tuple[Cell, ...], ...]
     ordered: bool  # the producing query has a top-level ORDER BY
     truncated: bool = False
-    row_limit_applied: int | None = None
 
     def __post_init__(self) -> None:
         for row in self.rows:
@@ -191,7 +190,6 @@ def execute(sql: str, schema: DatabaseSchema, limits: ExecLimits = ExecLimits())
             rows=tuple(rows),  # rows are tuples: no row_factory is set
             ordered=ordered,
             truncated=truncated,
-            row_limit_applied=limits.max_rows if truncated else None,
         )
         return ExecOutcome(table=table)
     except sqlite3.Error as exc:

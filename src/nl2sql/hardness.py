@@ -25,7 +25,9 @@ from __future__ import annotations
 from enum import Enum
 
 from .sqlast.nodes import BoolOp, Comparison, Expr, FuncCall, Select
-from .sqlast.walk import iter_expr_nodes, subquery_nodes
+from .sqlast.walk import clause_exprs, iter_expr_nodes, subquery_nodes
+
+_CONDITION_CLAUSES = ("join", "where", "having")
 
 
 class Hardness(str, Enum):
@@ -40,8 +42,9 @@ class Hardness(str, Enum):
 
 def classify_hardness(ast: Select) -> Hardness:
     """Deterministic difficulty bucket; a pure function of the AST."""
-    comp1 = _count_component1(ast)
-    comp2 = _count_component2(ast)
+    conditions = _conditions(ast)
+    comp1 = _count_component1(ast, conditions)
+    comp2 = _count_component2(ast, conditions)
     others = _count_others(ast)
 
     if comp1 <= 1 and others == 0 and comp2 == 0:
@@ -71,32 +74,17 @@ def _boolean_spine(expr: Expr | None) -> list[Expr]:
     return [expr]
 
 
-def _condition_pools(ast: Select) -> list[Expr]:
-    """Join-ON, WHERE and HAVING predicates of the top scope, flattened."""
-    pools: list[Expr] = []
-    for item in ast.from_items:
-        if item.condition is not None:
-            pools.extend(_boolean_spine(item.condition))
-    pools.extend(_boolean_spine(ast.where))
-    pools.extend(_boolean_spine(ast.having))
-    return pools
+def _conditions(ast: Select) -> list[Expr]:
+    """Join-ON, WHERE and HAVING predicates of the top scope."""
+    return [
+        expr
+        for clause, exprs in clause_exprs(ast)
+        if clause in _CONDITION_CLAUSES
+        for expr in exprs
+    ]
 
 
-def _count_or_connectives(ast: Select) -> int:
-    count = 0
-    exprs = [fi.condition for fi in ast.from_items if fi.condition is not None]
-    if ast.where is not None:
-        exprs.append(ast.where)
-    if ast.having is not None:
-        exprs.append(ast.having)
-    for expr in exprs:
-        for node in iter_expr_nodes(expr):
-            if isinstance(node, BoolOp) and node.op == "or":
-                count += len(node.terms) - 1
-    return count
-
-
-def _count_component1(ast: Select) -> int:
+def _count_component1(ast: Select, conditions: list[Expr]) -> int:
     count = 0
     if ast.where is not None:
         count += 1
@@ -108,24 +96,18 @@ def _count_component1(ast: Select) -> int:
         count += 1
     if ast.from_items:
         count += len(ast.from_items) - 1
-    count += _count_or_connectives(ast)
-    count += sum(
-        1
-        for pred in _condition_pools(ast)
-        if isinstance(pred, Comparison) and pred.op == "like"
-    )
+    for expr in conditions:
+        for node in iter_expr_nodes(expr):
+            if isinstance(node, BoolOp) and node.op == "or":
+                count += len(node.terms) - 1
+        count += sum(
+            1 for pred in _boolean_spine(expr) if isinstance(pred, Comparison) and pred.op == "like"
+        )
     return count
 
 
-def _count_component2(ast: Select) -> int:
-    nested = 0
-    for item in ast.from_items:
-        if item.condition is not None:
-            nested += len(subquery_nodes(item.condition))
-    if ast.where is not None:
-        nested += len(subquery_nodes(ast.where))
-    if ast.having is not None:
-        nested += len(subquery_nodes(ast.having))
+def _count_component2(ast: Select, conditions: list[Expr]) -> int:
+    nested = sum(len(subquery_nodes(expr)) for expr in conditions)
     if ast.set_op is not None:
         nested += 1
     return nested

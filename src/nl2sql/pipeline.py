@@ -64,24 +64,15 @@ class Verdict(str, Enum):
         return self.value
 
 
-PROMPT_TEMPLATES = ("default",)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     max_example_correction_rounds: int = 1
     enable_error_correction: bool = True
     limits: ExecLimits = field(default_factory=ExecLimits)
-    prompt_template: str = "default"
 
     def __post_init__(self) -> None:
         if self.max_example_correction_rounds < 0:
             raise ValueError("max_example_correction_rounds must be >= 0")
-        if self.prompt_template not in PROMPT_TEMPLATES:
-            raise ValueError(
-                f"unknown prompt template {self.prompt_template!r}; "
-                f"available: {PROMPT_TEMPLATES}"
-            )
 
 
 @dataclass

@@ -16,27 +16,18 @@ from dataclasses import dataclass, replace
 
 from .nodes import (
     AliasRef,
-    Between,
-    Binary,
-    BoolOp,
     ColumnRef,
-    Comparison,
-    Exists,
     Expr,
     FromItem,
-    FuncCall,
-    InList,
-    InSubquery,
-    IsNull,
     Literal,
     OrderItem,
-    ScalarSubquery,
     Select,
     SelectItem,
     Star,
     SubquerySource,
     TableSource,
     Unary,
+    map_children,
 )
 from .printer import to_sql
 
@@ -143,53 +134,17 @@ def _canon_expr(e: Expr, mapping: dict[str, str], counter: _Counter, scope: Sele
             alias = mapping[e.source]
             return Star(table=alias, source=alias)
         return Star()
-    if isinstance(e, FuncCall):
-        return replace(e, args=tuple(_canon_expr(a, mapping, counter, scope) for a in e.args))
     if isinstance(e, Unary):
         folded = _fold_signed_number(e)
         if folded is not None:
             return folded
-        return replace(e, operand=_canon_expr(e.operand, mapping, counter, scope))
-    if isinstance(e, Binary):
-        return replace(
-            e,
-            left=_canon_expr(e.left, mapping, counter, scope),
-            right=_canon_expr(e.right, mapping, counter, scope),
-        )
-    if isinstance(e, Comparison):
-        return replace(
-            e,
-            left=_canon_expr(e.left, mapping, counter, scope),
-            right=_canon_expr(e.right, mapping, counter, scope),
-        )
-    if isinstance(e, Between):
-        return replace(
-            e,
-            expr=_canon_expr(e.expr, mapping, counter, scope),
-            low=_canon_expr(e.low, mapping, counter, scope),
-            high=_canon_expr(e.high, mapping, counter, scope),
-        )
-    if isinstance(e, InList):
-        return replace(
-            e,
-            expr=_canon_expr(e.expr, mapping, counter, scope),
-            items=tuple(_canon_expr(i, mapping, counter, scope) for i in e.items),
-        )
-    if isinstance(e, InSubquery):
-        return replace(
-            e,
-            expr=_canon_expr(e.expr, mapping, counter, scope),
-            query=_canon_select(e.query, mapping, counter),
-        )
-    if isinstance(e, Exists):
-        return replace(e, query=_canon_select(e.query, mapping, counter))
-    if isinstance(e, IsNull):
-        return replace(e, expr=_canon_expr(e.expr, mapping, counter, scope))
-    if isinstance(e, BoolOp):
-        return replace(e, terms=tuple(_canon_expr(t, mapping, counter, scope) for t in e.terms))
-    if isinstance(e, ScalarSubquery):
-        return replace(e, query=_canon_select(e.query, mapping, counter))
-    raise TypeError(f"cannot canonicalize {type(e).__name__}")
+
+    def canon_child(child):
+        if isinstance(child, Select):
+            return _canon_select(child, mapping, counter)
+        return _canon_expr(child, mapping, counter, scope)
+
+    return map_children(e, canon_child)
 
 
 def _canon_literal(lit: Literal) -> Literal:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nodes import ColumnRef, Comparison, Expr, Select, SubquerySource, TableSource
-from .walk import flatten_and, iter_expr_nodes
+from .nodes import ColumnRef, Comparison, Select, TableSource
+from .walk import flatten_and, subselects
 
 
 @dataclass(frozen=True)
@@ -24,16 +24,9 @@ class ConditionlessJoin:
 
 def detect_conditionless_join(select: Select) -> list[ConditionlessJoin]:
     """Flag condition-less joins in this query and any nested subquery."""
-    flags = list(_scan_scope(select))
-    for item in select.from_items:
-        if isinstance(item.source, SubquerySource):
-            flags.extend(detect_conditionless_join(item.source.query))
-    for expr in _predicate_exprs(select):
-        for node in iter_expr_nodes(expr):
-            if hasattr(node, "query"):
-                flags.extend(detect_conditionless_join(node.query))
-    if select.set_op is not None:
-        flags.extend(detect_conditionless_join(select.set_op[1]))
+    flags = _scan_scope(select)
+    for sub in subselects(select):
+        flags.extend(detect_conditionless_join(sub))
     return flags
 
 
@@ -69,15 +62,3 @@ def _where_linked_keys(select: Select) -> set[str]:
                 linked.add(left)
                 linked.add(right)
     return linked
-
-
-def _predicate_exprs(select: Select) -> list[Expr]:
-    out = [i.expr for i in select.items]
-    out.extend(fi.condition for fi in select.from_items if fi.condition is not None)
-    if select.where is not None:
-        out.append(select.where)
-    out.extend(select.group_by)
-    if select.having is not None:
-        out.append(select.having)
-    out.extend(o.expr for o in select.order_by)
-    return out

@@ -40,9 +40,10 @@ from .nodes import (
     Star,
     SubquerySource,
     TableSource,
+    map_children,
 )
 from .printer import expr_sql, to_sql
-from .walk import count_subqueries, flatten_and, iter_expr_nodes
+from .walk import clause_exprs, count_subqueries, flatten_and, iter_expr_nodes, subselects
 
 _AGG_CLAUSES = ("select", "group_by", "having", "order_by")
 
@@ -268,16 +269,11 @@ def _table_map(select: Select) -> dict[str, str]:
     out: dict[str, str] = {}
 
     def visit(s: Select, fn) -> None:
+        # Post-order: nested labels exist before outer ones.
+        for sub in subselects(s):
+            visit(sub, fn)
         for item in s.from_items:
-            if isinstance(item.source, SubquerySource):
-                visit(item.source.query, fn)
-            fn(item.source)  # post-order: nested labels exist before outer ones
-        for expr in _all_clause_exprs(s):
-            for node in iter_expr_nodes(expr):
-                if hasattr(node, "query"):
-                    visit(node.query, fn)
-        if s.set_op is not None:
-            visit(s.set_op[1], fn)
+            fn(item.source)
 
     def collect_tables(src) -> None:
         if isinstance(src, TableSource):
@@ -289,18 +285,6 @@ def _table_map(select: Select) -> dict[str, str]:
 
     visit(select, collect_tables)
     visit(select, label_subqueries)
-    return out
-
-
-def _all_clause_exprs(s: Select) -> list[Expr]:
-    out = [i.expr for i in s.items]
-    out.extend(fi.condition for fi in s.from_items if fi.condition is not None)
-    if s.where is not None:
-        out.append(s.where)
-    out.extend(s.group_by)
-    if s.having is not None:
-        out.append(s.having)
-    out.extend(o.expr for o in s.order_by)
     return out
 
 
@@ -316,29 +300,9 @@ def _requalify(expr: Expr, table_map: dict[str, str]) -> Expr:
             name = table_map[expr.source]
             return Star(table=name, source=name)
         return expr
-    if isinstance(expr, Select):  # pragma: no cover - guarded by callers
-        return expr
-    # Generic rebuild over child fields.
-    from dataclasses import fields as dc_fields, is_dataclass
-
-    if not is_dataclass(expr):
-        return expr
-    changes = {}
-    for f in dc_fields(expr):
-        value = getattr(expr, f.name)
-        if isinstance(value, tuple):
-            new = tuple(
-                _requalify(v, table_map) if _is_expr(v) else v for v in value
-            )
-            if new != value:
-                changes[f.name] = new
-        elif isinstance(value, Select):
-            changes[f.name] = _requalify_select(value, table_map)
-        elif _is_expr(value):
-            new_value = _requalify(value, table_map)
-            if new_value is not value:
-                changes[f.name] = new_value
-    return replace(expr, **changes) if changes else expr
+    if isinstance(expr, Select):
+        return _requalify_select(expr, table_map)
+    return map_children(expr, lambda child: _requalify(child, table_map))
 
 
 def _requalify_select(s: Select, table_map: dict[str, str]) -> Select:
@@ -363,31 +327,6 @@ def _requalify_select(s: Select, table_map: dict[str, str]) -> Select:
         having=_requalify(s.having, table_map) if s.having is not None else None,
         order_by=tuple(replace(o, expr=_requalify(o.expr, table_map)) for o in s.order_by),
         set_op=(s.set_op[0], _requalify_select(s.set_op[1], table_map)) if s.set_op else None,
-    )
-
-
-def _is_expr(value) -> bool:
-    from . import nodes
-
-    return isinstance(
-        value,
-        (
-            nodes.Literal,
-            nodes.ColumnRef,
-            nodes.AliasRef,
-            nodes.Star,
-            nodes.FuncCall,
-            nodes.Unary,
-            nodes.Binary,
-            nodes.Comparison,
-            nodes.Between,
-            nodes.InList,
-            nodes.InSubquery,
-            nodes.Exists,
-            nodes.IsNull,
-            nodes.BoolOp,
-            nodes.ScalarSubquery,
-        ),
     )
 
 
@@ -419,31 +358,28 @@ def _diff_group_by(pred: Select, gold: Select, pmap, gmap) -> GroupByDelta:
     return GroupByDelta(pred=tuple(pred_keys), gold=tuple(gold_keys))
 
 
-def _aggregates_in(select: Select, clause: str) -> list[str]:
-    exprs: list[Expr]
-    if clause == "select":
-        exprs = [i.expr for i in select.items]
-    elif clause == "group_by":
-        exprs = list(select.group_by)
-    elif clause == "having":
-        exprs = [select.having] if select.having is not None else []
-    else:
-        exprs = [o.expr for o in select.order_by]
-    out = []
-    for expr in exprs:
-        for node in iter_expr_nodes(expr):
-            if isinstance(node, FuncCall) and node.is_aggregate:
-                out.append(node.name)
-    return sorted(out)
+def _aggregates_by_clause(select: Select) -> dict[str, tuple[str, ...]]:
+    return {
+        clause: tuple(sorted(
+            node.name
+            for expr in exprs
+            for node in iter_expr_nodes(expr)
+            if isinstance(node, FuncCall) and node.is_aggregate
+        ))
+        for clause, exprs in clause_exprs(select)
+        if clause in _AGG_CLAUSES
+    }
 
 
 def _diff_aggregates(pred: Select, gold: Select) -> AggregateDelta:
+    pred_aggs = _aggregates_by_clause(pred)
+    gold_aggs = _aggregates_by_clause(gold)
     rows = []
     for clause in _AGG_CLAUSES:
-        p = _aggregates_in(pred, clause)
-        g = _aggregates_in(gold, clause)
+        p = pred_aggs.get(clause, ())
+        g = gold_aggs.get(clause, ())
         if p != g:
-            rows.append((clause, tuple(p), tuple(g)))
+            rows.append((clause, p, g))
     return AggregateDelta(clauses=tuple(rows))
 
 
@@ -521,24 +457,12 @@ def _diff_joins(pred: Select, gold: Select, pmap, gmap) -> tuple[JoinDelta, list
 
 
 def _mask_literals(expr: Expr) -> Expr:
+    """Replace every literal of this scope by ``?``; nested SELECTs are kept."""
     if isinstance(expr, Literal):
         return Literal(value="?", text="?")
-    from dataclasses import fields as dc_fields, is_dataclass
-
-    if not is_dataclass(expr) or isinstance(expr, Select):
+    if isinstance(expr, Select):
         return expr
-    changes = {}
-    for f in dc_fields(expr):
-        value = getattr(expr, f.name)
-        if isinstance(value, tuple):
-            new = tuple(_mask_literals(v) if _is_expr(v) else v for v in value)
-            if new != value:
-                changes[f.name] = new
-        elif _is_expr(value):
-            new_value = _mask_literals(value)
-            if new_value is not value:
-                changes[f.name] = new_value
-    return replace(expr, **changes) if changes else expr
+    return map_children(expr, _mask_literals)
 
 
 def _literals_of(expr: Expr) -> list[Literal]:

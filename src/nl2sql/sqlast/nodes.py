@@ -8,8 +8,9 @@ the reference resolved to, or None when the reference is ambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, replace
+from operator import is_not
+from typing import Callable, Union
 
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max", "total", "group_concat"})
 
@@ -143,6 +144,56 @@ Expr = Union[
     BoolOp,
     ScalarSubquery,
 ]
+
+
+# --------------------------------------------------------------------------- children
+
+# The child fields of every composite expression type, in the order walks and
+# rewrites visit them. Nested SELECTs are children like any other; the types
+# in LEAF_TYPES have none.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    FuncCall: ("args",),
+    Unary: ("operand",),
+    Binary: ("left", "right"),
+    Comparison: ("left", "right"),
+    Between: ("expr", "low", "high"),
+    InList: ("expr", "items"),
+    InSubquery: ("expr", "query"),
+    Exists: ("query",),
+    IsNull: ("expr",),
+    BoolOp: ("terms",),
+    ScalarSubquery: ("query",),
+}
+LEAF_TYPES = (Literal, ColumnRef, AliasRef, Star)
+
+
+def children(node: Expr) -> list:
+    """The direct children of an expression, nested SELECTs included."""
+    out: list = []
+    for name in CHILD_FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if isinstance(value, tuple):
+            out.extend(value)
+        else:
+            out.append(value)
+    return out
+
+
+def map_children(node: Expr, fn: Callable) -> Expr:
+    """``node`` with ``fn`` applied to every child, field by field; ``node``
+    itself when every call returned its argument."""
+    changes = {}
+    for name in CHILD_FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if isinstance(value, tuple):
+            new = tuple(map(fn, value))
+            if any(map(is_not, new, value)):
+                changes[name] = new
+        else:
+            new = fn(value)
+            if new is not value:
+                changes[name] = new
+    return replace(node, **changes) if changes else node
 
 
 # --------------------------------------------------------------------------- sources

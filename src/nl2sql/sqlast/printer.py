@@ -66,7 +66,8 @@ def _select_sql(s: Select) -> str:
     body = " ".join(parts)
     if s.set_op is not None:
         op, right = s.set_op
-        body = f"{body} {op.upper()} {_select_sql_core(right)}"
+        # Right-hand sides of set operations never carry ORDER BY / LIMIT.
+        body = f"{body} {op.upper()} {_select_sql(right)}"
     if s.order_by:
         keys = ", ".join(
             _expr(o.expr) + (" DESC" if o.descending else "") for o in s.order_by
@@ -75,11 +76,6 @@ def _select_sql(s: Select) -> str:
     if s.limit is not None:
         body = f"{body} LIMIT {s.limit}"
     return body
-
-
-def _select_sql_core(s: Select) -> str:
-    # Right-hand sides of set operations never carry ORDER BY / LIMIT.
-    return _select_sql(s)
 
 
 def _select_item(item: SelectItem) -> str:

@@ -4,22 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .nodes import (
-    Between,
-    Binary,
-    BoolOp,
-    Comparison,
-    Exists,
-    Expr,
-    FuncCall,
-    InList,
-    InSubquery,
-    IsNull,
-    ScalarSubquery,
-    Select,
-    SubquerySource,
-    Unary,
-)
+from .nodes import BoolOp, Expr, Select, SubquerySource, children
 
 
 def flatten_and(expr: Expr | None) -> list[Expr]:
@@ -31,50 +16,16 @@ def flatten_and(expr: Expr | None) -> list[Expr]:
     return [expr]
 
 
-def iter_expr_nodes(expr: Expr, enter_subqueries: bool = False) -> Iterator[Expr]:
-    """Depth-first walk over an expression tree.
-
-    With enter_subqueries=False the walk stays in the current scope: nested
-    SELECTs are yielded as leaves but not descended into.
-    """
+def iter_expr_nodes(expr: Expr) -> Iterator[Expr]:
+    """Depth-first walk over an expression tree that stays in the current
+    scope: subquery nodes are yielded, the SELECTs they hold are not entered."""
     stack: list[Expr] = [expr]
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, FuncCall):
-            stack.extend(node.args)
-        elif isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, (Binary, Comparison)):
-            stack.extend([node.left, node.right])
-        elif isinstance(node, Between):
-            stack.extend([node.expr, node.low, node.high])
-        elif isinstance(node, InList):
-            stack.append(node.expr)
-            stack.extend(node.items)
-        elif isinstance(node, InSubquery):
-            stack.append(node.expr)
-            if enter_subqueries:
-                yield from iter_select_exprs(node.query, enter_subqueries=True)
-        elif isinstance(node, IsNull):
-            stack.append(node.expr)
-        elif isinstance(node, BoolOp):
-            stack.extend(node.terms)
-        elif isinstance(node, (Exists, ScalarSubquery)) and enter_subqueries:
-            yield from iter_select_exprs(node.query, enter_subqueries=True)
-
-
-def iter_select_exprs(select: Select, enter_subqueries: bool = False) -> Iterator[Expr]:
-    """All expressions of a SELECT, clause by clause."""
-    for clause, exprs in clause_exprs(select):
-        for expr in exprs:
-            yield from iter_expr_nodes(expr, enter_subqueries)
-    if enter_subqueries:
-        for item in select.from_items:
-            if isinstance(item.source, SubquerySource):
-                yield from iter_select_exprs(item.source.query, enter_subqueries=True)
-        if select.set_op is not None:
-            yield from iter_select_exprs(select.set_op[1], enter_subqueries=True)
+        for child in children(node):
+            if not isinstance(child, Select):
+                stack.append(child)
 
 
 def clause_exprs(select: Select) -> list[tuple[str, list[Expr]]]:
@@ -94,25 +45,30 @@ def clause_exprs(select: Select) -> list[tuple[str, list[Expr]]]:
 
 
 def subquery_nodes(expr: Expr) -> list[Select]:
-    """Nested SELECTs appearing as operands of the given scope-level expression."""
+    """Nested SELECTs appearing as operands of the given scope-level expression,
+    in the order ``iter_expr_nodes`` reaches the nodes holding them."""
     out: list[Select] = []
-    for node in iter_expr_nodes(expr):
-        if isinstance(node, (InSubquery, Exists, ScalarSubquery)):
-            out.append(node.query)
+    stack: list[Expr] = [expr]
+    while stack:
+        for child in children(stack.pop()):
+            (out if isinstance(child, Select) else stack).append(child)
     return out
+
+
+def subselects(select: Select) -> Iterator[Select]:
+    """The SELECTs nested directly in this one: FROM sources, then expression
+    operands in clause order, then the set-operation branch."""
+    for item in select.from_items:
+        if isinstance(item.source, SubquerySource):
+            yield item.source.query
+    for _, exprs in clause_exprs(select):
+        for expr in exprs:
+            yield from subquery_nodes(expr)
+    if select.set_op is not None:
+        yield select.set_op[1]
 
 
 def count_subqueries(select: Select) -> int:
     """Subqueries anywhere in the statement: condition operands, FROM sources
     and set-operation branches, counted recursively."""
-    total = 0
-    for clause, exprs in clause_exprs(select):
-        for expr in exprs:
-            for sub in subquery_nodes(expr):
-                total += 1 + count_subqueries(sub)
-    for item in select.from_items:
-        if isinstance(item.source, SubquerySource):
-            total += 1 + count_subqueries(item.source.query)
-    if select.set_op is not None:
-        total += 1 + count_subqueries(select.set_op[1])
-    return total
+    return sum(1 + count_subqueries(sub) for sub in subselects(select))

@@ -23,7 +23,7 @@ ignores.
 
 from __future__ import annotations
 
-import random
+from collections.abc import Collection
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -348,7 +348,7 @@ def _qualifier(source: TableSource) -> str:
 
 # --------------------------------------------------------------------------- reporting
 
-def triage_report(verdicts: list[TriageVerdict]) -> dict:
+def triage_report(verdicts: Collection[TriageVerdict]) -> dict:
     """Counts and fractions per category and subtag."""
     total = len(verdicts)
     categories: dict[str, int] = {}
@@ -368,10 +368,3 @@ def triage_report(verdicts: list[TriageVerdict]) -> dict:
             for name, count in sorted(subtags.items())
         },
     }
-
-
-def sample_for_audit(items: list, n: int, seed: int) -> list:
-    """Draw n items for manual audit, reproducibly."""
-    if n >= len(items):
-        return list(items)
-    return random.Random(seed).sample(items, n)

@@ -200,3 +200,53 @@ def test_ast_canonical_and_diff(dataset_dir, capsys):
 def test_ast_unknown_db_exits_3(dataset_dir, capsys):
     code = main(["ast", "--dataset", str(dataset_dir), "--db", "nope", "SELECT 1"])
     assert code == 3
+
+
+def test_triage_and_evaluate_agree(dataset_dir, tmp_path, capsys):
+    loaded = load_dataset(dataset_dir, "dev")
+    by_question = {ex.question: ex.gold_sql for ex in loaded.examples}
+    replies = {
+        "How many ships ended up being sank?":
+            "SELECT count(*) FROM ship WHERE disposition_of_ship = 'lost'",
+        "What is the name of the stadium with the largest capacity?":
+            "SELECT name FROM stadium ORDER BY",
+        "Show stadium locations with a concert in 2014 or with capacity above 50000.":
+            by_question[
+                "Show stadium locations with a concert in 2014 or with capacity above 50000."
+            ].replace("2014", "2015"),
+    }
+
+    def reply(request):
+        first_user = next(m for m in request["messages"] if m["role"] == "user")
+        question = re.search(r"### Question: (.*)", first_user["content"]).group(1)
+        return replies.get(question, by_question[question])
+
+    generator = ModelEndpoint("generator", ScriptedTransport(reply), "generator")
+    corrector = ModelEndpoint("corrector", ScriptedTransport(reply), "corrector")
+    transcripts = run_many(
+        loaded.examples, loaded.schemas, PipelineConfig(), generator, corrector
+    )
+    from nl2sql.pipeline import write_transcripts
+
+    tfile = tmp_path / "t.jsonl"
+    write_transcripts(transcripts, tfile)
+    verdicts_out = tmp_path / "verdicts.jsonl"
+    report_out = tmp_path / "report.json"
+    dataset = ["--dataset", str(dataset_dir), "--transcripts", str(tfile)]
+    assert main(["triage", *dataset, "--out", str(verdicts_out)]) == 0
+    assert main(["evaluate", *dataset, "--no-timestamp", "--out", str(report_out)]) == 0
+
+    rows = [json.loads(line) for line in verdicts_out.read_text().splitlines()]
+    summary = json.loads(report_out.read_text())["results"]["triage"]
+    assert len(rows) == summary["total"] == 3
+    ids = [row["example_id"] for row in rows]
+    assert ids == sorted(ids)
+    categories: dict[str, int] = {}
+    subtags: dict[str, int] = {}
+    for row in rows:
+        categories[row["category"]] = categories.get(row["category"], 0) + 1
+        key = row["category"] + ("." + row["subtag"] if row["subtag"] else "")
+        subtags[key] = subtags.get(key, 0) + 1
+    assert categories == {k: v["count"] for k, v in summary["categories"].items()}
+    assert subtags == {k: v["count"] for k, v in summary["subtags"].items()}
+    assert subtags == {"PredictedValues": 2, "Unclassifiable.ParseError": 1}

@@ -92,9 +92,9 @@ def test_train_split_file_name(tmp_path):
 
 
 def test_recomputing_hardness_is_stable(loaded):
-    from nl2sql.dataset import parse_gold
     from nl2sql.hardness import classify_hardness
+    from nl2sql.sqlast import parse
 
     for ex in loaded.examples:
-        ast = parse_gold(ex, loaded.schema_for(ex))
+        ast = parse(ex.gold_sql, loaded.schemas[ex.db_id])
         assert classify_hardness(ast) is ex.hardness

@@ -81,7 +81,6 @@ def test_row_cap_marks_truncation(schemas):
     )
     assert outcome.table.truncated
     assert len(outcome.table.rows) == 10
-    assert outcome.table.row_limit_applied == 10
 
 
 def test_execute_for_comparison_raises_the_cap_once(schemas):
@@ -118,7 +117,6 @@ def test_execute_for_comparison_caps_at_ten_times_max_rows(schemas):
     )
     assert outcome.table.truncated
     assert len(outcome.table.rows) == 100
-    assert outcome.table.row_limit_applied == 100
 
 
 ENDLESS_SQL = (

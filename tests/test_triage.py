@@ -6,7 +6,6 @@ from nl2sql.execution import execute
 from nl2sql.sqlast import parse
 from nl2sql.triage import (
     Category,
-    sample_for_audit,
     suspect_gold_check,
     tie_ambiguity_test,
     triage,
@@ -269,12 +268,3 @@ def test_triage_report_uniform_across_categories():
         assert row["count"] == 1
         assert row["fraction"] == pytest.approx(1 / 7)
 
-
-def test_audit_sampler_is_seeded():
-    items = list(range(100))
-    a = sample_for_audit(items, 10, seed=42)
-    b = sample_for_audit(items, 10, seed=42)
-    c = sample_for_audit(items, 10, seed=43)
-    assert a == b
-    assert a != c
-    assert sample_for_audit(items, 200, seed=1) == items
