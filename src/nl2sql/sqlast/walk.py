@@ -45,14 +45,13 @@ def clause_exprs(select: Select) -> list[tuple[str, list[Expr]]]:
 
 
 def subquery_nodes(expr: Expr) -> list[Select]:
-    """Nested SELECTs appearing as operands of the given scope-level expression,
-    in the order ``iter_expr_nodes`` reaches the nodes holding them."""
-    out: list[Select] = []
-    stack: list[Expr] = [expr]
-    while stack:
-        for child in children(stack.pop()):
-            (out if isinstance(child, Select) else stack).append(child)
-    return out
+    """Nested SELECTs appearing as operands of the given scope-level expression."""
+    return [
+        child
+        for node in iter_expr_nodes(expr)
+        for child in children(node)
+        if isinstance(child, Select)
+    ]
 
 
 def subselects(select: Select) -> Iterator[Select]:

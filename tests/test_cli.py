@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 from nl2sql.cli import main
 from nl2sql.dataset import load_dataset
@@ -241,12 +242,10 @@ def test_triage_and_evaluate_agree(dataset_dir, tmp_path, capsys):
     assert len(rows) == summary["total"] == 3
     ids = [row["example_id"] for row in rows]
     assert ids == sorted(ids)
-    categories: dict[str, int] = {}
-    subtags: dict[str, int] = {}
-    for row in rows:
-        categories[row["category"]] = categories.get(row["category"], 0) + 1
-        key = row["category"] + ("." + row["subtag"] if row["subtag"] else "")
-        subtags[key] = subtags.get(key, 0) + 1
+    categories = Counter(row["category"] for row in rows)
+    subtags = Counter(
+        row["category"] + ("." + row["subtag"] if row["subtag"] else "") for row in rows
+    )
     assert categories == {k: v["count"] for k, v in summary["categories"].items()}
     assert subtags == {k: v["count"] for k, v in summary["subtags"].items()}
     assert subtags == {"PredictedValues": 2, "Unclassifiable.ParseError": 1}
