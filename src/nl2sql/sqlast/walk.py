@@ -45,13 +45,17 @@ def clause_exprs(select: Select) -> list[tuple[str, list[Expr]]]:
 
 
 def subquery_nodes(expr: Expr) -> list[Select]:
-    """Nested SELECTs appearing as operands of the given scope-level expression."""
-    return [
-        child
-        for node in iter_expr_nodes(expr)
-        for child in children(node)
-        if isinstance(child, Select)
-    ]
+    """Nested SELECTs appearing as operands of the given scope-level expression,
+    in the order ``iter_expr_nodes`` reaches the nodes holding them."""
+    out: list[Select] = []
+    stack: list[Expr] = [expr]
+    while stack:
+        for child in children(stack.pop()):
+            if isinstance(child, Select):
+                out.append(child)
+            else:
+                stack.append(child)
+    return out
 
 
 def subselects(select: Select) -> Iterator[Select]:
