@@ -81,9 +81,74 @@ def test_ambiguous_column_is_flagged_not_fatal(schemas):
     assert ast.items[0].expr.source is None
 
 
+# An unknown column in every position the binder descends into: select
+# items, ON/WHERE/GROUP BY/HAVING/ORDER BY, each composite child field and
+# the bodies of nested SELECTs, correlated ones included.
+UNKNOWN_COLUMN_SQL = {
+    "select_item": "SELECT nope FROM singer",
+    "join_condition": "SELECT name FROM singer JOIN singer_in_concert ON nope = 1",
+    "group_by": "SELECT count(*) FROM singer GROUP BY nope",
+    "having": "SELECT count(*) FROM singer GROUP BY country HAVING max(nope) > 1",
+    "order_by": "SELECT name FROM singer ORDER BY nope",
+    "function_arg": "SELECT max(age, nope) FROM singer",
+    "unary_operand": "SELECT -nope FROM singer",
+    "not_operand": "SELECT name FROM singer WHERE NOT nope",
+    "binary_left": "SELECT nope + age FROM singer",
+    "binary_right": "SELECT age * nope FROM singer",
+    "comparison_left": "SELECT name FROM singer WHERE nope = 1",
+    "comparison_right": "SELECT name FROM singer WHERE name LIKE nope",
+    "between_expr": "SELECT name FROM singer WHERE nope BETWEEN 20 AND 30",
+    "between_low": "SELECT name FROM singer WHERE age BETWEEN nope AND 30",
+    "between_high": "SELECT name FROM singer WHERE age NOT BETWEEN 20 AND nope",
+    "in_list_expr": "SELECT name FROM singer WHERE nope IN (1, 2)",
+    "in_list_item": "SELECT name FROM singer WHERE age IN (1, nope)",
+    "in_subquery_expr": "SELECT name FROM singer WHERE nope IN (SELECT singer_id FROM singer_in_concert)",
+    "in_subquery_body": "SELECT name FROM singer WHERE singer_id IN (SELECT nope FROM singer_in_concert)",
+    "is_null": "SELECT name FROM singer WHERE nope IS NOT NULL",
+    "bool_term": "SELECT name FROM singer WHERE age > 1 OR nope",
+    "correlated_exists_body": (
+        "SELECT name FROM singer WHERE EXISTS (SELECT 1 FROM singer_in_concert AS s "
+        "WHERE s.singer_id = singer.singer_id AND nope = 1)"
+    ),
+    "scalar_subquery_body": "SELECT name FROM singer WHERE age > (SELECT max(nope) FROM singer)",
+    "from_subquery_body": "SELECT x FROM (SELECT nope AS x FROM singer)",
+    "set_op_branch": "SELECT name FROM singer UNION SELECT nope FROM stadium",
+}
+
+
+def _parse_error(sql: str, schema) -> str | None:
+    try:
+        parse(sql, schema)
+    except ParseError as exc:
+        return str(exc)
+    return None
+
+
 def test_unknown_column_raises(schemas):
-    with pytest.raises(ParseError, match="no such column"):
-        parse("SELECT nope FROM singer", schemas["concert_singer"])
+    errors = {
+        case: _parse_error(sql, schemas["concert_singer"])
+        for case, sql in UNKNOWN_COLUMN_SQL.items()
+    }
+    assert errors == {case: "no such column: nope" for case in UNKNOWN_COLUMN_SQL}
+    assert _parse_error("SELECT singer.nope FROM singer", schemas["concert_singer"]) == (
+        "no such column: singer.nope"
+    )
+
+
+@pytest.mark.parametrize(
+    "sql, first",
+    [
+        ("SELECT name FROM singer WHERE age BETWEEN lo AND hi", "lo"),
+        ("SELECT name FROM singer WHERE age IN (a, b)", "a"),
+        ("SELECT max(a, b) FROM singer", "a"),
+        ("SELECT a FROM singer WHERE b = 1", "a"),
+        ("SELECT name FROM singer WHERE a = 1 AND b = 2", "a"),
+        ("SELECT name FROM singer WHERE a IN (SELECT b FROM stadium)", "a"),
+    ],
+)
+def test_first_unknown_column_in_visiting_order_is_reported(schemas, sql, first):
+    with pytest.raises(ParseError, match=rf"^no such column: {first}$"):
+        parse(sql, schemas["concert_singer"])
 
 
 def test_unknown_table_raises(schemas):
@@ -108,17 +173,54 @@ def test_negative_limit_rejected(schemas):
         parse("SELECT name FROM singer LIMIT -1", schemas["concert_singer"])
 
 
+# An aggregate in WHERE at every composite child position, with the
+# function the error names. With two aggregates the walk meets the
+# right-hand one first.
+AGGREGATE_IN_WHERE_SQL = {
+    "comparison_left": ("WHERE count(*) > 1", "count"),
+    "comparison_right": ("WHERE age = max(age)", "max"),
+    "two_aggregates": ("WHERE min(age) < max(age)", "max"),
+    "function_arg": ("WHERE abs(sum(age)) > 1", "sum"),
+    "unary_operand": ("WHERE -avg(age) < 0", "avg"),
+    "not_operand": ("WHERE NOT count(*)", "count"),
+    "binary": ("WHERE age + total(age) > 1", "total"),
+    "between_expr": ("WHERE count(*) BETWEEN 1 AND 2", "count"),
+    "between_low": ("WHERE age BETWEEN min(age) AND 30", "min"),
+    "between_high": ("WHERE age BETWEEN 20 AND max(age)", "max"),
+    "in_list_expr": ("WHERE max(age) IN (1, 2)", "max"),
+    "in_list_item": ("WHERE age IN (1, max(age))", "max"),
+    "in_subquery_expr": ("WHERE count(*) IN (SELECT singer_id FROM singer_in_concert)", "count"),
+    "is_null": ("WHERE sum(age) IS NULL", "sum"),
+    "bool_term": ("WHERE age > 1 OR group_concat(name) = 'x'", "group_concat"),
+    "correlated_exists_body": (
+        "WHERE EXISTS (SELECT 1 FROM singer_in_concert AS s "
+        "WHERE s.singer_id = singer.singer_id AND count(*) > 0)",
+        "count",
+    ),
+}
+
+
 def test_aggregate_in_where_rejected(schemas):
-    with pytest.raises(ParseError, match="aggregate"):
-        parse("SELECT name FROM singer WHERE count(*) > 1", schemas["concert_singer"])
+    errors = {
+        case: _parse_error(f"SELECT name FROM singer {where}", schemas["concert_singer"])
+        for case, (where, _) in AGGREGATE_IN_WHERE_SQL.items()
+    }
+    assert errors == {
+        case: f"aggregate function {name}() is not allowed in WHERE"
+        for case, (_, name) in AGGREGATE_IN_WHERE_SQL.items()
+    }
 
 
 def test_aggregate_inside_where_subquery_allowed(schemas):
-    ast = parse(
-        "SELECT name FROM stadium WHERE capacity > (SELECT avg(capacity) FROM stadium)",
-        schemas["concert_singer"],
-    )
-    assert ast.where is not None
+    for where in (
+        "capacity > (SELECT avg(capacity) FROM stadium)",
+        "stadium_id IN (SELECT max(stadium_id) FROM concert)",
+        "stadium_id NOT IN (SELECT stadium_id FROM concert GROUP BY stadium_id HAVING count(*) > 1)",
+        "EXISTS (SELECT count(*) FROM concert WHERE concert.stadium_id = stadium.stadium_id)",
+        "NOT EXISTS (SELECT 1 FROM concert GROUP BY year HAVING sum(stadium_id) > capacity)",
+    ):
+        ast = parse(f"SELECT name FROM stadium WHERE {where}", schemas["concert_singer"])
+        assert ast.where is not None, where
 
 
 def test_double_quoted_unknown_name_becomes_string_literal(schemas):
