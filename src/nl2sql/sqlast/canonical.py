@@ -29,7 +29,7 @@ from .nodes import (
     Unary,
     map_children,
 )
-from .printer import to_sql
+from .printer import _quote_string, to_sql
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def _canon_literal(lit: Literal) -> Literal:
             as_int = int(value)
             return Literal(value=as_int, text=str(as_int))
         return Literal(value=value, text=repr(value))
-    return Literal(value=lit.value, text="'" + lit.value.replace("'", "''") + "'")
+    return Literal(value=lit.value, text=_quote_string(lit.value))
 
 
 def _fold_signed_number(e: Unary) -> Literal | None:

@@ -40,8 +40,11 @@ from .nodes import (
     SubquerySource,
     TableSource,
     Unary,
+    map_children,
 )
+from .printer import _quote_string
 from .tokens import FORBIDDEN_LEADS, Token, tokenize
+from .walk import iter_expr_nodes
 
 _JOIN_INTRO = ("join", "inner", "left", "right", "full", "cross", "natural")
 _CLAUSE_BOUNDARY = ("from", "where", "group", "having", "order", "limit", "union",
@@ -166,17 +169,7 @@ class _Parser:
         )
 
     def parse_select_item(self) -> SelectItem:
-        expr = self.parse_expr()
-        if self.accept_keyword("as"):
-            tok = self.advance()
-            if tok.kind not in ("ident", "qident"):
-                raise ParseError(f"expected alias after AS, found {tok.text!r}", tok.pos)
-            return SelectItem(expr=expr, alias=tok.text)
-        tok = self.peek()
-        if tok.kind == "qident" or (tok.kind == "ident" and tok.keyword() is None):
-            self.advance()
-            return SelectItem(expr=expr, alias=tok.text)
-        return SelectItem(expr=expr)
+        return SelectItem(expr=self.parse_expr(), alias=self.parse_alias())
 
     def parse_order_by(self) -> tuple[OrderItem, ...]:
         if not self.accept_keyword("order"):
@@ -478,10 +471,6 @@ def _number_value(text: str) -> int | float:
     return float(text)
 
 
-def _quote_string(value: str) -> str:
-    return "'" + value.replace("'", "''") + "'"
-
-
 # --------------------------------------------------------------------------- binding
 
 class _SourceInfo:
@@ -572,66 +561,17 @@ class _Binder:
             except ParseError:
                 value = expr.ref.column
                 return Literal(value=value, text=_quote_string(value))
-        if isinstance(expr, Literal):
-            return expr
         if isinstance(expr, ColumnRef):
             return self._bind_column(expr, scope, select, alias_ok)
-        if isinstance(expr, Star):
-            if expr.table is not None:
-                info = self._find_source(expr.table.lower(), scope)
-                if info is None:
-                    raise ParseError(f"no such table: {expr.table}")
-                return replace(expr, source=info.key)
-            return expr
-        if isinstance(expr, FuncCall):
-            args = tuple(self.bind_expr(a, scope, select, alias_ok) for a in expr.args)
-            return replace(expr, args=args)
-        if isinstance(expr, Unary):
-            return replace(expr, operand=self.bind_expr(expr.operand, scope, select, alias_ok))
-        if isinstance(expr, Binary):
-            return replace(
-                expr,
-                left=self.bind_expr(expr.left, scope, select, alias_ok),
-                right=self.bind_expr(expr.right, scope, select, alias_ok),
-            )
-        if isinstance(expr, Comparison):
-            return replace(
-                expr,
-                left=self.bind_expr(expr.left, scope, select, alias_ok),
-                right=self.bind_expr(expr.right, scope, select, alias_ok),
-            )
-        if isinstance(expr, Between):
-            return replace(
-                expr,
-                expr=self.bind_expr(expr.expr, scope, select, alias_ok),
-                low=self.bind_expr(expr.low, scope, select, alias_ok),
-                high=self.bind_expr(expr.high, scope, select, alias_ok),
-            )
-        if isinstance(expr, InList):
-            return replace(
-                expr,
-                expr=self.bind_expr(expr.expr, scope, select, alias_ok),
-                items=tuple(self.bind_expr(i, scope, select, alias_ok) for i in expr.items),
-            )
-        if isinstance(expr, InSubquery):
-            return replace(
-                expr,
-                expr=self.bind_expr(expr.expr, scope, select, alias_ok),
-                query=self.bind_select(expr.query, parent=scope),
-            )
-        if isinstance(expr, Exists):
-            return replace(expr, query=self.bind_select(expr.query, parent=scope))
-        if isinstance(expr, IsNull):
-            return replace(expr, expr=self.bind_expr(expr.expr, scope, select, alias_ok))
-        if isinstance(expr, BoolOp):
-            return replace(
-                expr, terms=tuple(self.bind_expr(t, scope, select, alias_ok) for t in expr.terms)
-            )
-        if isinstance(expr, ScalarSubquery):
-            return replace(expr, query=self.bind_select(expr.query, parent=scope))
-        if isinstance(expr, AliasRef):
-            return expr
-        raise ParseError(f"cannot bind expression of type {type(expr).__name__}")
+        if isinstance(expr, Star) and expr.table is not None:
+            info = self._find_source(expr.table.lower(), scope)
+            if info is None:
+                raise ParseError(f"no such table: {expr.table}")
+            return replace(expr, source=info.key)
+        if isinstance(expr, Select):
+            # Subqueries in expressions may be correlated: they see this scope.
+            return self.bind_select(expr, parent=scope)
+        return map_children(expr, lambda child: self.bind_expr(child, scope, select, alias_ok))
 
     def _bind_column(self, ref: ColumnRef, scope: _Scope, select: Select, alias_ok: bool) -> Expr:
         if ref.table is not None:
@@ -692,29 +632,8 @@ def _output_columns(select: Select, schema: DatabaseSchema) -> tuple[str, ...]:
 
 
 def _reject_aggregates(expr, context: str) -> None:
-    """Aggregates directly inside WHERE are invalid SQL; subqueries are fine."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, FuncCall):
-            if node.is_aggregate:
-                raise ParseError(f"aggregate function {node.name}() is not allowed in {context}")
-            stack.extend(node.args)
-        elif isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, Binary):
-            stack.extend([node.left, node.right])
-        elif isinstance(node, Comparison):
-            stack.extend([node.left, node.right])
-        elif isinstance(node, Between):
-            stack.extend([node.expr, node.low, node.high])
-        elif isinstance(node, InList):
-            stack.append(node.expr)
-            stack.extend(node.items)
-        elif isinstance(node, (InSubquery,)):
-            stack.append(node.expr)
-        elif isinstance(node, IsNull):
-            stack.append(node.expr)
-        elif isinstance(node, BoolOp):
-            stack.extend(node.terms)
-        # Exists / ScalarSubquery open a new scope: do not descend.
+    """Aggregates directly inside WHERE are invalid SQL; subqueries are fine
+    (``iter_expr_nodes`` does not enter them)."""
+    for node in iter_expr_nodes(expr):
+        if isinstance(node, FuncCall) and node.is_aggregate:
+            raise ParseError(f"aggregate function {node.name}() is not allowed in {context}")

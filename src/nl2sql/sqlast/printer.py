@@ -50,6 +50,12 @@ def _name(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+def _quote_string(value: str) -> str:
+    """The SQL spelling of a string literal; the parser and the canonicaliser
+    give every string ``Literal`` this text."""
+    return "'" + value.replace("'", "''") + "'"
+
+
 def _select_sql(s: Select) -> str:
     parts = ["SELECT"]
     if s.distinct:
@@ -161,7 +167,10 @@ def _expr_prec(e: Expr) -> tuple[str, int]:
             prec = _PRECEDENCE["not"]
             return f"NOT {_expr(e.operand, prec)}", prec
         prec = _PRECEDENCE["neg"]
-        return f"{e.op}{_expr(e.operand, prec)}", prec
+        operand = _expr(e.operand, prec)
+        # "--" would start a comment: keep two minus signs apart.
+        sep = " " if e.op == "-" and operand.startswith("-") else ""
+        return f"{e.op}{sep}{operand}", prec
     if isinstance(e, Binary):
         prec = _PRECEDENCE[e.op]
         # Left-associative: the right child needs parens at equal precedence.

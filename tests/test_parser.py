@@ -263,8 +263,18 @@ def test_chained_set_operations_unsupported(schemas):
         )
 
 
+# Signs and right-nested operators the corpus lacks: a nested minus printed
+# as "--" would turn the rest of the line into a comment.
+SIGNED_SQL = [
+    "SELECT - -age FROM singer",
+    "SELECT -(-1), - - - 2, -(+3), +(-4)",
+    "SELECT name FROM singer WHERE - -30 < age AND age - -1 > 0",
+    "SELECT 10 - (3 - 2), 8 / (4 / 2), 2 * (3 * 4), -(5 - 1)",
+]
+
+
 def test_print_parse_round_trip_over_corpus(schemas):
-    for db_id, sql in generate_corpus(schemas):
+    for db_id, sql in generate_corpus(schemas) + [("concert_singer", q) for q in SIGNED_SQL]:
         ast = parse(sql, schemas[db_id])
         reprinted = to_sql(ast)
         assert parse(reprinted, schemas[db_id]) == ast, sql

@@ -15,8 +15,23 @@ from nl2sql.sqlast import canonicalize, parse, to_sql
 from helpers import generate_corpus
 
 
+# Queries whose results depend on what the corpus never exercises: a sign
+# the canonicaliser folds into a literal, right-nested "-" and "/", a
+# NOT IN list that excludes existing rows, and a nested minus that must not
+# print as the comment opener "--".
+EXTRA_QUERIES = [
+    ("concert_singer", "SELECT name FROM singer WHERE age - 40 > -12"),
+    ("concert_singer", "SELECT 10 - (3 - 2), 8 / (4 / 2), -5 + 10"),
+    ("concert_singer", "SELECT name FROM singer WHERE age - (age - 30) = 30"),
+    ("concert_singer", "SELECT name FROM stadium WHERE capacity / (capacity / 2) = 2"),
+    ("concert_singer", "SELECT name FROM singer WHERE country NOT IN ('fr', 'de')"),
+    ("concert_singer", "SELECT - -age FROM singer"),
+    ("concert_singer", "SELECT name FROM singer WHERE - -30 < age"),
+]
+
+
 def test_printer_and_canonicaliser_preserve_results(loaded):
-    queries = generate_corpus(loaded.schemas) + [
+    queries = generate_corpus(loaded.schemas) + EXTRA_QUERIES + [
         (ex.db_id, ex.gold_sql) for ex in loaded.examples
     ]
     checks = 0
