@@ -145,7 +145,10 @@ class ReplayTransport:
             if messages:
                 head = repr(messages[-1].get("content", ""))[:120]
             raise ReplayMissError(digest, hint=f"last message starts {head}")
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # truncated or not UTF-8
+            raise TransportError(f"corrupt replay fixture {path}: {exc}") from exc
 
 
 class RecordingTransport:

@@ -125,6 +125,21 @@ def test_run_replay_miss_exits_5(dataset_dir, tmp_path, capsys):
     assert code == 5
 
 
+def test_run_truncated_replay_fixture_exits_1(dataset_dir, tmp_path, capsys):
+    store = tmp_path / "store"
+    build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
+    for fixture in store.glob("*.json"):
+        fixture.write_bytes(fixture.read_bytes()[:20])
+    code = main([
+        "run", "--dataset", str(dataset_dir), "--replay", str(store),
+        "--limit", "1", "--out", str(tmp_path / "t.jsonl"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: corrupt replay fixture {store}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_report_on_empty_transcripts_zero_counts(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

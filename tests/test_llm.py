@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -49,6 +50,15 @@ def test_replay_miss_is_loud(tmp_path):
     with pytest.raises(ReplayMissError) as err:
         transport.send(_request("never stored"))
     assert "digest" in str(err.value)
+
+
+def test_truncated_replay_fixture_is_a_transport_error(tmp_path):
+    request = _request("stored")
+    digest = store_reply(tmp_path, request, "SELECT 1")
+    path = tmp_path / f"{digest}.json"
+    path.write_bytes(path.read_bytes()[:20])
+    with pytest.raises(TransportError, match=f"corrupt replay fixture {re.escape(str(path))}"):
+        ReplayTransport(tmp_path).send(request)
 
 
 def test_recording_produces_replayable_store(tmp_path):
