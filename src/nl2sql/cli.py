@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .corpus import emit_chat_corpus, emit_skeleton_corpus
@@ -50,22 +51,15 @@ EXIT_REPLAY = 5
 EXIT_FAULT = 6
 EXIT_OTHER = 1
 
+# The numbers come from the dataclasses they configure; ``_load_config``
+# starts every run from this table, so each key is always present.
 DEFAULT_CONFIG = {
-    "generator": {
-        "model": "generator",
-        "base_url": "https://api.openai.com/v1",
-        "temperature": 0.0,
-        "max_tokens": 512,
-    },
-    "corrector": {
-        "model": "corrector",
-        "base_url": "https://api.openai.com/v1",
-        "temperature": 0.0,
-        "max_tokens": 512,
-    },
-    "max_example_correction_rounds": 1,
-    "enable_error_correction": True,
-    "execution": {"timeout_seconds": 30.0, "max_rows": 10000},
+    role: {"model": role, "base_url": "https://api.openai.com/v1", **asdict(Sampling())}
+    for role in ("generator", "corrector")
+} | {
+    "max_example_correction_rounds": PipelineConfig.max_example_correction_rounds,
+    "enable_error_correction": PipelineConfig.enable_error_correction,
+    "execution": asdict(ExecLimits()),
     "workers": 1,
 }
 
@@ -212,8 +206,8 @@ def _load_config(path: Path | None) -> dict:
 
 def _endpoint(role: str, spec: dict, args) -> ModelEndpoint:
     sampling = Sampling(
-        temperature=float(spec.get("temperature", 0.0)),
-        max_tokens=int(spec.get("max_tokens", 512)),
+        temperature=float(spec["temperature"]),
+        max_tokens=int(spec["max_tokens"]),
     )
     if args.replay is not None:
         transport = ReplayTransport(args.replay)
@@ -243,7 +237,7 @@ def cmd_run(args) -> int:
         enable_error_correction=bool(config["enable_error_correction"]),
         limits=limits,
     )
-    workers = args.workers if args.workers is not None else int(config.get("workers", 1))
+    workers = args.workers if args.workers is not None else int(config["workers"])
     transcripts = run_many(
         examples, loaded.schemas, pipeline_config, generator, corrector, workers=workers
     )
