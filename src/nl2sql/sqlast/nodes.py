@@ -149,8 +149,9 @@ Expr = Union[
 # --------------------------------------------------------------------------- children
 
 # The child fields of every composite expression type, in the order walks and
-# rewrites visit them. Nested SELECTs are children like any other; the types
-# in LEAF_TYPES have none.
+# rewrites visit them. The order also decides which binding error ``parse``
+# reports first when a query has several. Nested SELECTs are children like
+# any other; the types in LEAF_TYPES have none.
 CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     FuncCall: ("args",),
     Unary: ("operand",),

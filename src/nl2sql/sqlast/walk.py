@@ -1,4 +1,9 @@
-"""Small tree-walking helpers shared by diffing, hardness and triage."""
+"""Small tree-walking helpers shared by the parser's WHERE aggregate check,
+diffing, hardness and triage.
+
+They reach children only through ``nodes.CHILD_FIELDS``, as do the parser's
+binder, ``canonicalize`` and the diff's rewrites.
+"""
 
 from __future__ import annotations
 

@@ -1,9 +1,9 @@
 """The child table in ``sqlast.nodes`` covers every expression type.
 
-Walks and rewrites (``iter_expr_nodes``, ``canonicalize``, the diff's
-re-qualification and literal masking) reach children only through that
-table, so a node type or child field missing from it would be skipped
-silently.
+Walks and rewrites (the parser's binder and WHERE aggregate check,
+``iter_expr_nodes``, ``canonicalize``, the diff's re-qualification and
+literal masking) reach children only through that table, so a node type or
+child field missing from it would be skipped silently.
 """
 
 from __future__ import annotations
