@@ -474,9 +474,8 @@ def _number_value(text: str) -> int | float:
 # --------------------------------------------------------------------------- binding
 
 class _SourceInfo:
-    def __init__(self, key: str, table_name: str | None, columns: tuple[str, ...]):
+    def __init__(self, key: str, columns: tuple[str, ...]):
         self.key = key
-        self.table_name = table_name  # None for subquery sources
         self.columns = {c.lower() for c in columns}
 
 
@@ -502,14 +501,14 @@ class _Binder:
                     raise ParseError(f"no such table: {source.table}")
                 key = (source.alias or source.table).lower()
                 bound_source: TableSource | SubquerySource = replace(source, key=key)
-                info = _SourceInfo(key, canonical, self.schema.columns_of(canonical))
+                info = _SourceInfo(key, self.schema.columns_of(canonical))
             else:
                 # FROM-clause subqueries are bound without the outer scope:
                 # they cannot be correlated.
                 inner = self.bind_select(source.query, parent=None)
                 key = (source.alias or f"subquery{len(sources) + 1}").lower()
                 bound_source = replace(source, query=inner, key=key)
-                info = _SourceInfo(key, None, _output_columns(inner, self.schema))
+                info = _SourceInfo(key, _output_columns(inner, self.schema))
             if any(s.key == key for s in sources):
                 raise ParseError(f"duplicate table name or alias in FROM: {key}")
             sources.append(info)
@@ -524,8 +523,6 @@ class _Binder:
 
         from_items = tuple(
             replace(fi, condition=self.bind_expr(fi.condition, scope, bound, alias_ok=False))
-            if fi.condition is not None
-            else fi
             for fi in from_items
         )
         where = self.bind_expr(bound.where, scope, bound, alias_ok=False)
