@@ -527,7 +527,7 @@ class _Binder:
         )
         where = self.bind_expr(bound.where, scope, bound, alias_ok=False)
         if where is not None:
-            _reject_aggregates(where, context="WHERE")
+            _reject_aggregates(where)
         group_by = tuple(self.bind_expr(e, scope, bound, alias_ok=True) for e in bound.group_by)
         having = self.bind_expr(bound.having, scope, bound, alias_ok=True)
         order_by = tuple(
@@ -628,9 +628,9 @@ def _output_columns(select: Select, schema: DatabaseSchema) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _reject_aggregates(expr, context: str) -> None:
+def _reject_aggregates(expr: Expr) -> None:
     """Aggregates directly inside WHERE are invalid SQL; subqueries are fine
     (``iter_expr_nodes`` does not enter them)."""
     for node in iter_expr_nodes(expr):
         if isinstance(node, FuncCall) and node.is_aggregate:
-            raise ParseError(f"aggregate function {node.name}() is not allowed in {context}")
+            raise ParseError(f"aggregate function {node.name}() is not allowed in WHERE")

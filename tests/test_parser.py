@@ -83,7 +83,8 @@ def test_ambiguous_column_is_flagged_not_fatal(schemas):
 
 # An unknown column in every position the binder descends into: select
 # items, ON/WHERE/GROUP BY/HAVING/ORDER BY, each composite child field and
-# the bodies of nested SELECTs, correlated ones included.
+# the bodies of nested SELECTs, correlated ones included. Where a second
+# unknown column ("later") follows, "nope" must be the one reported.
 UNKNOWN_COLUMN_SQL = {
     "select_item": "SELECT nope FROM singer",
     "join_condition": "SELECT name FROM singer JOIN singer_in_concert ON nope = 1",
@@ -113,6 +114,14 @@ UNKNOWN_COLUMN_SQL = {
     "scalar_subquery_body": "SELECT name FROM singer WHERE age > (SELECT max(nope) FROM singer)",
     "from_subquery_body": "SELECT x FROM (SELECT nope AS x FROM singer)",
     "set_op_branch": "SELECT name FROM singer UNION SELECT nope FROM stadium",
+    "select_before_where": "SELECT nope FROM singer WHERE later = 1",
+    "between_bounds_in_order": "SELECT name FROM singer WHERE age BETWEEN nope AND later",
+    "in_list_in_order": "SELECT name FROM singer WHERE age IN (nope, later)",
+    "args_in_order": "SELECT max(nope, later) FROM singer",
+    "terms_in_order": "SELECT name FROM singer WHERE nope = 1 AND later = 2",
+    "operand_before_subquery": (
+        "SELECT name FROM singer WHERE nope IN (SELECT later FROM stadium)"
+    ),
 }
 
 
@@ -133,22 +142,6 @@ def test_unknown_column_raises(schemas):
     assert _parse_error("SELECT singer.nope FROM singer", schemas["concert_singer"]) == (
         "no such column: singer.nope"
     )
-
-
-@pytest.mark.parametrize(
-    "sql, first",
-    [
-        ("SELECT name FROM singer WHERE age BETWEEN lo AND hi", "lo"),
-        ("SELECT name FROM singer WHERE age IN (a, b)", "a"),
-        ("SELECT max(a, b) FROM singer", "a"),
-        ("SELECT a FROM singer WHERE b = 1", "a"),
-        ("SELECT name FROM singer WHERE a = 1 AND b = 2", "a"),
-        ("SELECT name FROM singer WHERE a IN (SELECT b FROM stadium)", "a"),
-    ],
-)
-def test_first_unknown_column_in_visiting_order_is_reported(schemas, sql, first):
-    with pytest.raises(ParseError, match=rf"^no such column: {first}$"):
-        parse(sql, schemas["concert_singer"])
 
 
 def test_unknown_table_raises(schemas):
