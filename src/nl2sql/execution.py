@@ -14,10 +14,17 @@ timeout. A missing database file is a harness fault and raises instead.
 
 Equivalence compares cell contents only: column names are ignored (gold
 and predictions alias columns differently), rows compare as sequences when
-both queries are ordered and as multisets otherwise. Numeric cells are
-canonicalized (integral floats to int, others rounded to a configurable
-number of significant digits, default 7 ~ relative 1e-6) before comparison
-so that equivalence is a true equivalence relation.
+both queries are ordered and as multisets otherwise. Cells are compared in
+a canonical form, so that equivalence is a true equivalence relation: ints
+stay exact; an integral float of magnitude below 2**53 becomes the equal
+int; any other float is rounded to a configurable number of significant
+digits (default 7, ~ relative 1e-6), and becomes an int if the rounded value
+is integral and below 2**53 (NaN and infinities become their repr). So an
+int and a float that are equal but of magnitude >= 2**53 are not
+equivalent: the float is rounded, the int is not. Tables whose raw rows are
+already equal are decided without normalising, unless a column holds both
+ints and floats; otherwise only columns holding a float or bool are
+normalised.
 """
 
 from __future__ import annotations
@@ -65,9 +72,8 @@ class ResultTable:
     truncated: bool = False
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row arity differs from column count")
+        if not {len(self.columns)}.issuperset(map(len, self.rows)):
+            raise ValueError("row arity differs from column count")
 
 
 @dataclass(frozen=True)
@@ -243,8 +249,33 @@ def normalize_cell(cell: Cell, digits: int = SIGNIFICANT_DIGITS) -> Cell:
     return cell
 
 
-def _normalize_row(row: tuple[Cell, ...], digits: int) -> tuple[Cell, ...]:
-    return tuple(normalize_cell(c, digits) for c in row)
+# Types normalize_cell returns unchanged.
+_EXACT_TYPES = frozenset({int, str, bytes, type(None)})
+_INT_AND_FLOAT = frozenset({int, float})
+
+
+def _counts(rows) -> dict:
+    # A plain dict compares in C; Counter.__eq__ loops in Python.
+    return dict(Counter(rows))
+
+
+def _rows_equal(pred_rows, gold_rows, as_sequences: bool) -> bool:
+    if as_sequences:
+        return pred_rows == gold_rows
+    return _counts(pred_rows) == _counts(gold_rows)
+
+
+def _normalized_rows(columns: list[tuple[Cell, ...]], column_types: list[set], digits: int):
+    """The rows again, with normalize_cell applied to columns that need it.
+
+    Needs at least one column: with none, ``zip(*columns)`` loses the row
+    count. Tables without columns never get here, as their raw rows are equal.
+    """
+    columns = [
+        column if types <= _EXACT_TYPES else [normalize_cell(c, digits) for c in column]
+        for column, types in zip(columns, column_types)
+    ]
+    return list(zip(*columns))
 
 
 def tables_equivalent(
@@ -268,23 +299,40 @@ def tables_equivalent(
     if len(pred.rows) != len(gold.rows):
         return TableComparison("different", f"row count {len(pred.rows)} != {len(gold.rows)}")
 
-    pred_rows = [_normalize_row(r, digits) for r in pred.rows]
-    gold_rows = [_normalize_row(r, digits) for r in gold.rows]
-
     as_sequences = (pred.ordered and gold.ordered) or (
         strict_ordering and (pred.ordered or gold.ordered)
     )
-    if as_sequences:
-        for idx, (p, g) in enumerate(zip(pred_rows, gold_rows)):
-            if p != g:
-                return TableComparison("different", f"row {idx} differs: {p!r} != {g!r}")
-        return TableComparison("equivalent")
-
     note = ""
-    if pred.ordered != gold.ordered:
+    if not as_sequences and pred.ordered != gold.ordered:
         note = " (exactly one side is ordered; compared as multisets)"
-    pred_count = Counter(pred_rows)
-    gold_count = Counter(gold_rows)
+    pred_columns = list(zip(*pred.rows))
+    gold_columns = list(zip(*gold.rows))
+    column_types = [
+        set(map(type, p)).union(map(type, g)) for p, g in zip(pred_columns, gold_columns)
+    ]
+
+    pred_rows, gold_rows = pred.rows, gold.rows
+    if not all(types <= _EXACT_TYPES for types in column_types):
+        # Raw-equal cells normalise to equal cells, except an int and a float
+        # equal at magnitude >= 2**53, which stay apart: a column holding both
+        # types is only compared after normalisation.
+        if not any(_INT_AND_FLOAT <= types for types in column_types) and _rows_equal(
+            pred_rows, gold_rows, as_sequences
+        ):
+            return TableComparison("equivalent", detail=note.strip())
+        pred_rows = _normalized_rows(pred_columns, column_types, digits)
+        gold_rows = _normalized_rows(gold_columns, column_types, digits)
+
+    if as_sequences:
+        if pred_rows == gold_rows:
+            return TableComparison("equivalent")
+        idx, p, g = next(
+            (idx, p, g) for idx, (p, g) in enumerate(zip(pred_rows, gold_rows)) if p != g
+        )
+        return TableComparison("different", f"row {idx} differs: {p!r} != {g!r}")
+
+    pred_count = _counts(pred_rows)
+    gold_count = _counts(gold_rows)
     if pred_count == gold_count:
         return TableComparison("equivalent", detail=note.strip())
     for row, n in pred_count.items():

@@ -298,7 +298,6 @@ def run_pipeline(
         transcript.fault = f"gold execution unusable: {_execution_summary(gold_outcome)}"
         return transcript
     gold_table = gold_outcome.table
-    gold_markdown = render_markdown(gold_table, max_rows=MAX_PROMPT_ROWS)
 
     messages: list[Message] = [
         {"role": "system", "content": SYSTEM_PROMPT},
@@ -316,9 +315,12 @@ def run_pipeline(
 
     # Example-driven rounds continue the same conversation.
     last = stage
+    gold_markdown = None  # rendered on the first round, which most examples never reach
     for round_no in range(1, config.max_example_correction_rounds + 1):
         if last.sql is None:
             break  # nothing to revise in-conversation; fall through to error stage
+        if gold_markdown is None:
+            gold_markdown = render_markdown(gold_table, max_rows=MAX_PROMPT_ROWS)
         messages = messages + [
             {"role": "assistant", "content": last.record.reply},
             {"role": "user", "content": example_correction_prompt(gold_markdown)},

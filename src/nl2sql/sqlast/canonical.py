@@ -134,17 +134,19 @@ def _canon_expr(e: Expr, mapping: dict[str, str], counter: _Counter, scope: Sele
             alias = mapping[e.source]
             return Star(table=alias, source=alias)
         return Star()
-    if isinstance(e, Unary):
-        folded = _fold_signed_number(e)
-        if folded is not None:
-            return folded
 
     def canon_child(child):
         if isinstance(child, Select):
             return _canon_select(child, mapping, counter)
         return _canon_expr(child, mapping, counter, scope)
 
-    return map_children(e, canon_child)
+    canon = map_children(e, canon_child)
+    if isinstance(canon, Unary):
+        # Fold after the operand is canonical, so `- -30` folds twice.
+        folded = _fold_signed_number(canon)
+        if folded is not None:
+            return folded
+    return canon
 
 
 def _canon_literal(lit: Literal) -> Literal:

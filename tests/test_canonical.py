@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from nl2sql.sqlast import canonicalize, parse
+from nl2sql.sqlast import canonicalize, diff, parse
 
 from conftest import GROUPED_BY_NAME_SQL
 from helpers import alias_permuted_sql, generate_corpus
@@ -56,6 +56,21 @@ def test_numeric_literal_spellings_unify(schemas):
     a = canonicalize(parse("SELECT name FROM stadium WHERE capacity > 3", schema))
     b = canonicalize(parse("SELECT name FROM stadium WHERE capacity > 3.0", schema))
     assert a == b
+
+
+def test_nested_signs_fold_into_one_literal(schemas):
+    schema = schemas["concert_singer"]
+    plain = canonicalize(parse("SELECT name FROM singer WHERE age > 30", schema))
+    for sql in (
+        "SELECT name FROM singer WHERE age > - -30",
+        "SELECT name FROM singer WHERE age > + +30",
+        "SELECT name FROM singer WHERE age > - - - -30.0",
+    ):
+        canon = canonicalize(parse(sql, schema))
+        assert canon == plain, sql
+        assert diff(canon, plain).is_empty, sql
+    negative = canonicalize(parse("SELECT name FROM singer WHERE age > - - -30", schema))
+    assert negative.sql == "SELECT t1.name FROM singer AS t1 WHERE t1.age > -30"
 
 
 def test_string_literals_stay_case_sensitive(schemas):

@@ -12,6 +12,7 @@ from nl2sql.errors import DatabaseMissingError
 from nl2sql.execution import (
     ExecLimits,
     ResultTable,
+    TableComparison,
     execute,
     execute_for_comparison,
     normalize_cell,
@@ -297,6 +298,63 @@ def test_mismatch_report_names_first_divergence():
     b = table([[1], [7]])
     detail = tables_equivalent(a, b).detail
     assert "5" in detail and "appears" in detail
+
+
+def test_row_arity_must_match_column_count():
+    ResultTable(columns=("a", "b"), rows=((1, 2), (3, 4)), ordered=False)
+    ResultTable(columns=(), rows=((), ()), ordered=False)
+    for rows in (((1, 2), (3,)), ((1, 2, 3),), ((),)):
+        with pytest.raises(ValueError, match="row arity differs from column count"):
+            ResultTable(columns=("a", "b"), rows=rows, ordered=False)
+
+
+def test_equal_int_and_float_past_2_53_differ():
+    # Equal as Python numbers, but the float normalises to 7 significant
+    # digits while the int stays exact.
+    for ordered in (False, True):
+        result = tables_equivalent(
+            table([[2**53]], ordered=ordered), table([[2.0**53]], ordered=ordered)
+        )
+        assert result.status == "different"
+    result = tables_equivalent(table([["x", 2**60]]), table([["x", float(2**60)]]))
+    assert result.detail == (
+        "row ('x', 1152921504606846976) appears 1x in pred, 0x in gold"
+    )
+    assert tables_equivalent(table([[2**53 - 1]]), table([[2.0**53 - 1]])).equivalent
+
+
+def test_zero_column_tables_compare_by_row_count():
+    def empty(n, ordered=False):
+        return ResultTable(columns=(), rows=((),) * n, ordered=ordered)
+
+    assert tables_equivalent(empty(3), empty(3)) == TableComparison("equivalent")
+    assert tables_equivalent(empty(3, True), empty(3, True)) == TableComparison("equivalent")
+    assert tables_equivalent(empty(2), empty(3)) == TableComparison(
+        "different", "row count 2 != 3"
+    )
+
+
+def test_one_ordered_side_notes_multiset_comparison_on_every_path():
+    note = "(exactly one side is ordered; compared as multisets)"
+    # raw rows equal as multisets
+    same = tables_equivalent(table([[1], [2]], ordered=True), table([[2], [1]]))
+    assert same == TableComparison("equivalent", note)
+    # equal only after normalisation: an int and a float in one column
+    mixed = tables_equivalent(table([[1], [2.0]], ordered=True), table([[2], [1.0]]))
+    assert mixed == TableComparison("equivalent", note)
+    differ = tables_equivalent(table([[1], [2.5]], ordered=True), table([[2], [1.0]]))
+    assert differ == TableComparison(
+        "different", f"row (2.5,) appears 1x in pred, 0x in gold {note}"
+    )
+
+
+def test_sequence_mismatch_reports_normalised_rows():
+    a = table([[1, 2.0], [3, "x"]], ordered=True)
+    b = table([[1.0, 2], [3, "y"]], ordered=True)
+    assert tables_equivalent(a, b) == TableComparison(
+        "different", "row 1 differs: (3, 'x') != (3, 'y')"
+    )
+    assert tables_equivalent(a, table([[1, 2], [3.0, "x"]], ordered=True)).equivalent
 
 
 def test_normalize_cell_integral_floats():

@@ -225,6 +225,31 @@ def test_round_count_respected(schemas):
     assert transcript.model_calls == 4  # zero shot + three rounds
 
 
+def test_gold_markdown_rendered_only_for_example_rounds(schemas, monkeypatch):
+    import nl2sql.pipeline as pipeline
+
+    rendered = []
+
+    def counting_render(table, max_rows):
+        rendered.append(table)
+        return render_markdown(table, max_rows=max_rows)
+
+    monkeypatch.setattr(pipeline, "render_markdown", counting_render)
+    generator, corrector = scripted_endpoints({"zero_shot": GOLD})
+    run_pipeline(example(), schemas["battle_death"], PipelineConfig(), generator, corrector)
+    assert rendered == []
+
+    generator, corrector = scripted_endpoints(
+        {"zero_shot": WRONG, "example_1": WRONG, "example_2": WRONG, "example_3": GOLD}
+    )
+    config = PipelineConfig(max_example_correction_rounds=3)
+    transcript = run_pipeline(example(), schemas["battle_death"], config, generator, corrector)
+    assert len(rendered) == 1
+    expected_markdown = render_markdown(rendered[0], max_rows=50)
+    for stage in transcript.stages[1:]:
+        assert expected_markdown in stage.messages[-1]["content"]
+
+
 def test_zero_rounds_goes_straight_to_error_stage(schemas):
     generator, corrector = scripted_endpoints({"zero_shot": WRONG, "error": GOLD})
     config = PipelineConfig(max_example_correction_rounds=0)

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from nl2sql.execution import ResultTable, normalize_cell, tables_equivalent
+from nl2sql.execution import ResultTable, TableComparison, normalize_cell, tables_equivalent
 from nl2sql.mdtable import parse_markdown, render_markdown
 from nl2sql.sqlast import canonicalize, diff, parse
 
@@ -34,7 +35,100 @@ def tables(draw, min_cols=1, max_cols=3, max_rows=5, ordered=None):
 table_strategy = st.composite(tables)()
 
 
+# Cells where raw equality and equality after normalisation part ways: ints
+# and floats equal past 2**53, signed zero, NaN (equal to the text 'nan'
+# once normalised), infinities, bytes, bools, and ints equal to floats.
+edge_cells = st.one_of(
+    st.none(),
+    st.sampled_from(
+        [2**53, -(2**53), 2**60, 2**53 - 1, 2.0**53, -(2.0**53), 2.0**60, 2.0**53 - 1,
+         0, 0.0, -0.0, 3, 3.0, 1.00000001, 1.00000002, True, False,
+         "nan", "inf", b"", b"x", "x"]
+    ),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(width=16),
+    st.binary(max_size=2),
+)
+
+
+def _twin(cell, draw):
+    """A cell equal in value to ``cell`` that may differ in type or identity."""
+    if isinstance(cell, float) and cell.is_integer() and draw(st.booleans()):
+        return int(cell)
+    if isinstance(cell, int) and not isinstance(cell, bool) and draw(st.booleans()):
+        return float(cell)
+    if isinstance(cell, float):
+        return -cell if cell == 0 else float(repr(cell))  # signed zero, fresh NaN
+    return cell
+
+
+@st.composite
+def table_pairs(draw):
+    """Two tables of one shape: independent, or the second a retyped, shuffled
+    or slightly altered copy of the first, so both equal and unequal pairs
+    are common."""
+    n_cols = draw(st.integers(min_value=0, max_value=3))
+    n_rows = draw(st.integers(min_value=0, max_value=5))
+    rows = [tuple(draw(edge_cells) for _ in range(n_cols)) for _ in range(n_rows)]
+    kind = draw(st.sampled_from(["independent", "same", "twin", "twin-altered"]))
+    if kind == "independent":
+        other = [tuple(draw(edge_cells) for _ in range(n_cols)) for _ in range(n_rows)]
+    elif kind == "same":
+        other = list(rows)
+    else:
+        other = [tuple(_twin(c, draw) for c in row) for row in rows]
+        if kind == "twin-altered" and n_rows and n_cols:
+            i = draw(st.integers(min_value=0, max_value=n_rows - 1))
+            j = draw(st.integers(min_value=0, max_value=n_cols - 1))
+            cells = list(other[i])
+            cells[j] = draw(edge_cells)
+            other[i] = tuple(cells)
+    if draw(st.booleans()):
+        other = draw(st.permutations(other))
+    columns = tuple(f"c{i}" for i in range(n_cols))
+    return (
+        ResultTable(columns=columns, rows=tuple(rows), ordered=draw(st.booleans())),
+        ResultTable(columns=columns, rows=tuple(other), ordered=draw(st.booleans())),
+    )
+
+
 # --------------------------------------------------------------------------- oracles
+
+def reference_tables_equivalent(
+    pred: ResultTable, gold: ResultTable, strict_ordering: bool = False
+) -> TableComparison:
+    """tables_equivalent computed by normalising every cell, then comparing."""
+    if pred.truncated or gold.truncated:
+        return TableComparison("inconclusive", "a table was truncated by the row cap")
+    if len(pred.columns) != len(gold.columns):
+        return TableComparison(
+            "different", f"column count {len(pred.columns)} != {len(gold.columns)}"
+        )
+    if len(pred.rows) != len(gold.rows):
+        return TableComparison("different", f"row count {len(pred.rows)} != {len(gold.rows)}")
+    pred_rows = [tuple(normalize_cell(c) for c in row) for row in pred.rows]
+    gold_rows = [tuple(normalize_cell(c) for c in row) for row in gold.rows]
+    if (pred.ordered and gold.ordered) or (strict_ordering and (pred.ordered or gold.ordered)):
+        for idx, (p, g) in enumerate(zip(pred_rows, gold_rows)):
+            if p != g:
+                return TableComparison("different", f"row {idx} differs: {p!r} != {g!r}")
+        return TableComparison("equivalent")
+    note = ""
+    if pred.ordered != gold.ordered:
+        note = " (exactly one side is ordered; compared as multisets)"
+    pred_count, gold_count = Counter(pred_rows), Counter(gold_rows)
+    for row, n in pred_count.items():
+        if gold_count[row] != n:
+            return TableComparison(
+                "different", f"row {row!r} appears {n}x in pred, {gold_count[row]}x in gold{note}"
+            )
+    for row, n in gold_count.items():
+        if pred_count[row] != n:
+            return TableComparison(
+                "different", f"row {row!r} appears {pred_count[row]}x in pred, {n}x in gold{note}"
+            )
+    return TableComparison("equivalent", note.strip())
+
 
 def oracle_multiset_equal(a: ResultTable, b: ResultTable) -> bool:
     """Naive O(n^2) multiset matching over normalized rows."""
@@ -96,6 +190,14 @@ def test_ordered_comparison_matches_sequence_oracle(a, b):
     b_ordered = ResultTable(columns=b.columns, rows=b.rows, ordered=True)
     got = tables_equivalent(a_ordered, b_ordered).equivalent
     assert got == oracle_sequence_equal(a_ordered, b_ordered)
+
+
+@settings(max_examples=500, deadline=None)
+@given(table_pairs(), st.booleans())
+def test_comparison_matches_cell_by_cell_reference(pair, strict_ordering):
+    pred, gold = pair
+    expected = reference_tables_equivalent(pred, gold, strict_ordering)
+    assert tables_equivalent(pred, gold, strict_ordering) == expected
 
 
 @settings(max_examples=200, deadline=None)
