@@ -259,12 +259,6 @@ def _counts(rows) -> dict:
     return dict(Counter(rows))
 
 
-def _rows_equal(pred_rows, gold_rows, as_sequences: bool) -> bool:
-    if as_sequences:
-        return pred_rows == gold_rows
-    return _counts(pred_rows) == _counts(gold_rows)
-
-
 def _normalized_rows(columns: list[tuple[Cell, ...]], column_types: list[set], digits: int):
     """The rows again, with normalize_cell applied to columns that need it.
 
@@ -316,10 +310,13 @@ def tables_equivalent(
         # Raw-equal cells normalise to equal cells, except an int and a float
         # equal at magnitude >= 2**53, which stay apart: a column holding both
         # types is only compared after normalisation.
-        if not any(_INT_AND_FLOAT <= types for types in column_types) and _rows_equal(
-            pred_rows, gold_rows, as_sequences
-        ):
-            return TableComparison("equivalent", detail=note.strip())
+        if not any(_INT_AND_FLOAT <= types for types in column_types):
+            if as_sequences:
+                raw_equal = pred_rows == gold_rows
+            else:
+                raw_equal = _counts(pred_rows) == _counts(gold_rows)
+            if raw_equal:
+                return TableComparison("equivalent", detail=note.strip())
         pred_rows = _normalized_rows(pred_columns, column_types, digits)
         gold_rows = _normalized_rows(gold_columns, column_types, digits)
 
