@@ -336,9 +336,12 @@ def test_zero_column_tables_compare_by_row_count():
 
 def test_one_ordered_side_notes_multiset_comparison_on_every_path():
     note = "(exactly one side is ordered; compared as multisets)"
-    # raw rows equal as multisets
+    # only ints: nothing to normalise
     same = tables_equivalent(table([[1], [2]], ordered=True), table([[2], [1]]))
     assert same == TableComparison("equivalent", note)
+    # a float column whose raw rows are equal as multisets
+    raw = tables_equivalent(table([[1.5], [2.5]], ordered=True), table([[2.5], [1.5]]))
+    assert raw == TableComparison("equivalent", note)
     # equal only after normalisation: an int and a float in one column
     mixed = tables_equivalent(table([[1], [2.0]], ordered=True), table([[2], [1.0]]))
     assert mixed == TableComparison("equivalent", note)
