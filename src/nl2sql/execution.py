@@ -17,14 +17,15 @@ and predictions alias columns differently), rows compare as sequences when
 both queries are ordered and as multisets otherwise. Cells are compared in
 a canonical form, so that equivalence is a true equivalence relation: ints
 stay exact; an integral float of magnitude below 2**53 becomes the equal
-int; any other float is rounded to a configurable number of significant
-digits (default 7, ~ relative 1e-6), and becomes an int if the rounded value
-is integral and below 2**53 (NaN and infinities become their repr). So an
-int and a float that are equal but of magnitude >= 2**53 are not
-equivalent: the float is rounded, the int is not. Tables whose raw rows are
-already equal are decided without normalising, unless a column holds both
-ints and floats; otherwise only columns holding a float or bool are
-normalised.
+int; any other finite float is rounded to ``SIGNIFICANT_DIGITS`` (7)
+significant digits (~ relative 1e-6), and becomes an int if the rounded
+value is integral and below 2**53. So an int and a float that are equal
+but of magnitude >= 2**53 are not equivalent: the float is rounded, the int
+is not. A NaN and each infinity become a marker equal only to itself, so
+NaN equals NaN and no text, such as 'nan' or 'inf', equals either. Tables
+whose raw rows are already equal are decided without normalising, unless a
+column holds both ints and floats; otherwise only columns holding a float
+or bool are normalised.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import stat
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
 from urllib.parse import quote
 
@@ -233,16 +235,28 @@ class TableComparison:
         return self.status == "equivalent"
 
 
-def normalize_cell(cell: Cell, digits: int = SIGNIFICANT_DIGITS) -> Cell:
+class _NonFinite(Enum):
+    """The canonical form of a NaN or an infinity: equal only to itself, so
+    every NaN is one cell and no text cell matches it. Prints as the float."""
+
+    NAN = "nan"
+    INF = "inf"
+    NEG_INF = "-inf"
+
+    def __repr__(self) -> str:
+        return self.value
+
+
+def normalize_cell(cell: Cell) -> Cell | _NonFinite:
     """Canonical form under which cell equality is decided."""
     if isinstance(cell, bool):  # sqlite3 never returns bool, but be safe
         return int(cell)
     if isinstance(cell, float):
-        if math.isnan(cell) or math.isinf(cell):
-            return repr(cell)
+        if not math.isfinite(cell):
+            return _NonFinite(repr(cell))
         if cell == int(cell) and abs(cell) < 2**53:
             return int(cell)
-        rounded = float(f"%.{digits}g" % cell)
+        rounded = float(f"%.{SIGNIFICANT_DIGITS}g" % cell)
         if rounded == int(rounded) and abs(rounded) < 2**53:
             return int(rounded)
         return rounded
@@ -259,14 +273,14 @@ def _counts(rows) -> dict:
     return dict(Counter(rows))
 
 
-def _normalized_rows(columns: list[tuple[Cell, ...]], column_types: list[set], digits: int):
+def _normalized_rows(columns: list[tuple[Cell, ...]], column_types: list[set]):
     """The rows again, with normalize_cell applied to columns that need it.
 
     Needs at least one column: with none, ``zip(*columns)`` loses the row
     count. Tables without columns never get here, as their raw rows are equal.
     """
     columns = [
-        column if types <= _EXACT_TYPES else [normalize_cell(c, digits) for c in column]
+        column if types <= _EXACT_TYPES else [normalize_cell(c) for c in column]
         for column, types in zip(columns, column_types)
     ]
     return list(zip(*columns))
@@ -276,7 +290,6 @@ def tables_equivalent(
     pred: ResultTable,
     gold: ResultTable,
     strict_ordering: bool = False,
-    digits: int = SIGNIFICANT_DIGITS,
 ) -> TableComparison:
     """Decide result equivalence; the report names the first divergence.
 
@@ -317,8 +330,8 @@ def tables_equivalent(
                 raw_equal = _counts(pred_rows) == _counts(gold_rows)
             if raw_equal:
                 return TableComparison("equivalent", detail=note.strip())
-        pred_rows = _normalized_rows(pred_columns, column_types, digits)
-        gold_rows = _normalized_rows(gold_columns, column_types, digits)
+        pred_rows = _normalized_rows(pred_columns, column_types)
+        gold_rows = _normalized_rows(gold_columns, column_types)
 
     if as_sequences:
         if pred_rows == gold_rows:

@@ -8,9 +8,10 @@ Three stages, each gated on the previous one failing:
    gold result table in markdown, then asked to revise. Repeats up to the
    configured round count.
 3. error-driven correction: one fresh zero-shot request to the corrector
-   model carrying only the schema, the question, the failed SQL and (when
-   the failure was an engine error) the verbatim error text. No earlier
-   conversation content leaks into this prompt.
+   model carrying only the schema, the question, the failed SQL (the last
+   SQL an earlier stage produced) and, when executing that SQL raised an
+   engine error, that error's verbatim text. No earlier conversation
+   content leaks into this prompt.
 
 Every prompt, reply, extraction, execution and comparison is recorded in a
 PipelineTranscript. Transcripts contain no timestamps: a replay run is
@@ -24,6 +25,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Iterable
 
@@ -216,33 +218,22 @@ def _comparison_summary(comparison: TableComparison | None) -> dict | None:
     return {"status": comparison.status, "detail": comparison.detail}
 
 
-class _StageOutcome:
-    def __init__(
-        self,
-        record: StageRecord,
-        sql: str | None,
-        outcome: ExecOutcome | None,
-        comparison: TableComparison | None,
-    ):
-        self.record = record
-        self.sql = sql
-        self.outcome = outcome
-        self.comparison = comparison
-
-    @property
-    def equivalent(self) -> bool:
-        return self.comparison is not None and self.comparison.equivalent
-
-
 def _run_model_stage(
-    stage: str,
-    endpoint: ModelEndpoint,
-    messages: list[Message],
+    transcript: PipelineTranscript,
     schema: DatabaseSchema,
     gold_table: ResultTable,
     limits: ExecLimits,
-    strict_ordering: bool,
-) -> _StageOutcome:
+    stage: str,
+    success: Verdict,
+    endpoint: ModelEndpoint,
+    messages: list[Message],
+) -> StageRecord:
+    """Call the model, execute and judge its SQL, and record the stage.
+
+    The one place that appends a stage, moves ``final_sql`` to the stage's
+    SQL when it has any, and sets ``success`` as the verdict when that SQL's
+    table is equivalent to the gold.
+    """
     reply, digest = endpoint.complete(messages)
     sql: str | None = None
     extraction_error: str | None = None
@@ -255,7 +246,7 @@ def _run_model_stage(
     if sql is not None:
         outcome = execute_for_comparison(sql, schema, limits)
         if outcome.table is not None:
-            comparison = tables_equivalent(outcome.table, gold_table, strict_ordering)
+            comparison = tables_equivalent(outcome.table, gold_table)
     record = StageRecord(
         stage=stage,
         model=endpoint.model_name,
@@ -267,7 +258,12 @@ def _run_model_stage(
         execution=_execution_summary(outcome) if outcome is not None else None,
         comparison=_comparison_summary(comparison),
     )
-    return _StageOutcome(record, sql, outcome, comparison)
+    transcript.stages.append(record)
+    if sql is not None:
+        transcript.final_sql = sql
+    if comparison is not None and comparison.equivalent:
+        transcript.final_verdict = success
+    return record
 
 
 # --------------------------------------------------------------------------- pipeline
@@ -278,7 +274,6 @@ def run_pipeline(
     config: PipelineConfig,
     generator: ModelEndpoint,
     corrector: ModelEndpoint | None = None,
-    strict_ordering: bool = False,
 ) -> PipelineTranscript:
     """Run all stages for one example. Total model calls are bounded by
     1 + max_example_correction_rounds + 1."""
@@ -303,68 +298,43 @@ def run_pipeline(
         {"role": "system", "content": SYSTEM_PROMPT},
         {"role": "user", "content": zero_shot_user_prompt(example.question, schema)},
     ]
-    stage = _run_model_stage(
-        "zero_shot", generator, messages, schema, gold_table, config.limits, strict_ordering
-    )
-    transcript.stages.append(stage.record)
-    if stage.sql is not None:
-        transcript.final_sql = stage.sql
-    if stage.equivalent:
-        transcript.final_verdict = Verdict.CORRECT_FIRST_SHOT
-        return transcript
+    run_stage = partial(_run_model_stage, transcript, schema, gold_table, config.limits)
+    last = run_stage("zero_shot", Verdict.CORRECT_FIRST_SHOT, generator, messages)
 
     # Example-driven rounds continue the same conversation.
-    last = stage
     gold_markdown = None  # rendered on the first round, which most examples never reach
     for round_no in range(1, config.max_example_correction_rounds + 1):
-        if last.sql is None:
-            break  # nothing to revise in-conversation; fall through to error stage
+        if transcript.final_verdict is not Verdict.FAILED or last.sql is None:
+            break  # solved, or nothing to revise in-conversation
         if gold_markdown is None:
             gold_markdown = render_markdown(gold_table, max_rows=MAX_PROMPT_ROWS)
         messages = messages + [
-            {"role": "assistant", "content": last.record.reply},
+            {"role": "assistant", "content": last.reply},
             {"role": "user", "content": example_correction_prompt(gold_markdown)},
         ]
-        last = _run_model_stage(
-            f"example_correction_{round_no}",
-            generator,
-            messages,
-            schema,
-            gold_table,
-            config.limits,
-            strict_ordering,
+        last = run_stage(
+            f"example_correction_{round_no}", Verdict.CORRECTED_BY_EXAMPLE, generator, messages
         )
-        transcript.stages.append(last.record)
-        if last.sql is not None:
-            transcript.final_sql = last.sql
-        if last.equivalent:
-            transcript.final_verdict = Verdict.CORRECTED_BY_EXAMPLE
-            return transcript
 
+    if transcript.final_verdict is not Verdict.FAILED:
+        return transcript
     if not config.enable_error_correction or corrector is None:
         return transcript
-    if transcript.final_sql is None:
+    # Hand over final_sql with its own engine error: the stage that set it is
+    # the last one with SQL, and a later round may have replied without SQL.
+    failed = next((s for s in reversed(transcript.stages) if s.sql is not None), None)
+    if failed is None:
         return transcript  # no failed SQL to hand to the corrector
-
-    failed_sql = transcript.final_sql
-    error_text = None
-    if last.outcome is not None and last.outcome.kind == "error":
-        error_text = last.outcome.error
     fresh: list[Message] = [
         {"role": "system", "content": CORRECTOR_SYSTEM_PROMPT},
         {
             "role": "user",
-            "content": error_correction_prompt(example.question, schema, failed_sql, error_text),
+            "content": error_correction_prompt(
+                example.question, schema, failed.sql, failed.execution.get("error")
+            ),
         },
     ]
-    stage = _run_model_stage(
-        "error_correction", corrector, fresh, schema, gold_table, config.limits, strict_ordering
-    )
-    transcript.stages.append(stage.record)
-    if stage.sql is not None:
-        transcript.final_sql = stage.sql
-    if stage.equivalent:
-        transcript.final_verdict = Verdict.CORRECTED_BY_ERROR
+    run_stage("error_correction", Verdict.CORRECTED_BY_ERROR, corrector, fresh)
     return transcript
 
 
@@ -375,16 +345,13 @@ def run_many(
     generator: ModelEndpoint,
     corrector: ModelEndpoint | None = None,
     workers: int = 1,
-    strict_ordering: bool = False,
 ) -> list[PipelineTranscript]:
     """Run the pipeline over many examples; output order follows example id
     regardless of worker interleaving."""
     examples = list(examples)
 
     def one(example: SpiderExample) -> PipelineTranscript:
-        return run_pipeline(
-            example, schemas[example.db_id], config, generator, corrector, strict_ordering
-        )
+        return run_pipeline(example, schemas[example.db_id], config, generator, corrector)
 
     if workers <= 1:
         transcripts = [one(ex) for ex in examples]

@@ -70,12 +70,6 @@ class DatabaseSchema:
         entry = self._lookup.get(table.lower())
         return entry is not None and column.lower() in entry[1]
 
-    def column_name(self, table: str, column: str) -> str | None:
-        entry = self._lookup.get(table.lower())
-        if entry is None:
-            return None
-        return entry[1].get(column.lower())
-
     def foreign_keys_between(self, a: str, b: str) -> list[tuple[ColumnKey, ColumnKey]]:
         """Foreign keys linking tables a and b, in either direction."""
         pair = {a.lower(), b.lower()}

@@ -256,7 +256,3 @@ class Select:
     # order_by / limit on a compound query live on the left (this) node and
     # apply to the whole compound, mirroring SQLite.
     set_op: tuple[str, "Select"] | None = field(default=None)
-
-    @property
-    def has_top_level_order(self) -> bool:
-        return len(self.order_by) > 0

@@ -2,8 +2,10 @@
 
 ``bench/tracing.py`` rebinds harness module attributes to time each layer,
 and ``bench/run.py`` rebinds ``nl2sql.evaluate._score_one`` to split the
-score phase. A refactor that drops one of those attributes only prints a
-warning there, so these tests make it fail here instead.
+score phase and ``nl2sql.pipeline.run_pipeline`` to split set-up, where
+``run_many`` records the replay store. A refactor that drops one of those
+attributes only prints a warning there, so these tests make it fail here
+instead.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from nl2sql import evaluate
-from nl2sql.pipeline import Verdict
+from nl2sql import evaluate, pipeline
+from nl2sql.pipeline import PipelineConfig, Verdict
 
 from test_evaluate import GOLD, WRONG, ship_example, transcript
+from test_pipeline import scripted_endpoints
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -55,3 +58,21 @@ def test_score_resolves_score_one_once_per_non_fault_example(schemas, monkeypatc
     report = evaluate.score(transcripts, examples, schemas)
     assert calls == [0, 1, 3, 4]
     assert report.faults == 1
+
+
+def test_run_many_resolves_run_pipeline_once_per_example_in_id_order(schemas, monkeypatch):
+    calls = []
+    original = pipeline.run_pipeline
+
+    def counting(example, *args):
+        calls.append(example.id)
+        return original(example, *args)
+
+    monkeypatch.setattr(pipeline, "run_pipeline", counting)
+    generator, corrector = scripted_endpoints({"zero_shot": GOLD})
+    examples = [ship_example(i) for i in range(5)]
+    transcripts = pipeline.run_many(
+        examples, schemas, PipelineConfig(), generator, corrector, workers=1
+    )
+    assert calls == [0, 1, 2, 3, 4]
+    assert [t.example_id for t in transcripts] == [0, 1, 2, 3, 4]

@@ -323,6 +323,27 @@ def test_equal_int_and_float_past_2_53_differ():
     assert tables_equivalent(table([[2**53 - 1]]), table([[2.0**53 - 1]])).equivalent
 
 
+def test_non_finite_floats_equal_only_the_same_non_finite_value():
+    conn = sqlite3.connect(":memory:")
+    inf, minus_inf = conn.execute("SELECT 1e999, -1e999").fetchone()  # REAL infinities
+    assert (inf, minus_inf) == (float("inf"), float("-inf"))
+    nan = float("inf") - float("inf")
+    pairs = {
+        (inf, "inf"): "different",
+        (minus_inf, "-inf"): "different",
+        (nan, "nan"): "different",
+        (inf, minus_inf): "different",
+        (inf, float("inf")): "equivalent",
+        (nan, float("nan")): "equivalent",  # a fresh NaN object
+    }
+    for ordered in (False, True):
+        for (a, b), status in pairs.items():
+            result = tables_equivalent(table([[a]], ordered=ordered), table([[b]], ordered=ordered))
+            assert result.status == status, (a, b, ordered)
+    result = tables_equivalent(table([[inf]], ordered=True), table([["inf"]], ordered=True))
+    assert result == TableComparison("different", "row 0 differs: (inf,) != ('inf',)")
+
+
 def test_zero_column_tables_compare_by_row_count():
     def empty(n, ordered=False):
         return ResultTable(columns=(), rows=((),) * n, ordered=ordered)

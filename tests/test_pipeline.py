@@ -151,6 +151,25 @@ def test_error_prompt_carries_verbatim_engine_error(schemas):
     assert transcript.final_verdict is Verdict.CORRECTED_BY_ERROR
 
 
+def test_error_prompt_quotes_the_error_of_the_sql_it_hands_over(schemas):
+    # Round 1 replies without SQL, so the corrector gets zero-shot's SQL, and
+    # the error quoted with it must be zero-shot's, not round 1's (none).
+    generator, corrector = scripted_endpoints(
+        {"zero_shot": BROKEN, "example_1": "I cannot help with that.", "error": GOLD}
+    )
+    transcript = run_pipeline(
+        example(), schemas["battle_death"], PipelineConfig(), generator, corrector
+    )
+    assert [s.stage for s in transcript.stages] == [
+        "zero_shot", "example_correction_1", "error_correction"
+    ]
+    error_prompt = transcript.stages[-1].messages[-1]["content"]
+    assert BROKEN in error_prompt
+    assert execute(BROKEN, schemas["battle_death"]).error in error_prompt
+    assert "It executes" not in error_prompt
+    assert transcript.final_verdict is Verdict.CORRECTED_BY_ERROR
+
+
 def test_equivalence_failure_without_exec_error_has_no_error_text(schemas):
     generator, corrector = scripted_endpoints(
         {"zero_shot": WRONG, "example_1": WRONG, "error": WRONG}

@@ -36,8 +36,9 @@ table_strategy = st.composite(tables)()
 
 
 # Cells where raw equality and equality after normalisation part ways: ints
-# and floats equal past 2**53, signed zero, NaN (equal to the text 'nan'
-# once normalised), infinities, bytes, bools, and ints equal to floats.
+# and floats equal past 2**53, signed zero, NaN (equal to a fresh NaN once
+# normalised, never to the text 'nan'), infinities, bytes, bools, and ints
+# equal to floats.
 edge_cells = st.one_of(
     st.none(),
     st.sampled_from(
