@@ -31,7 +31,6 @@ from .errors import (
     RetriesExhaustedError,
 )
 from .evaluate import EvalReport, render_report_markdown, run_metadata, score, write_report
-from .execution import ExecLimits
 from .hardness import Hardness
 from .llm import HttpChatTransport, ModelEndpoint, RecordingTransport, ReplayTransport, Sampling
 from .pipeline import (
@@ -59,8 +58,6 @@ DEFAULT_CONFIG = {
 } | {
     "max_example_correction_rounds": PipelineConfig.max_example_correction_rounds,
     "enable_error_correction": PipelineConfig.enable_error_correction,
-    "execution": asdict(ExecLimits()),
-    "workers": 1,
 }
 
 
@@ -110,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", type=Path, help="replay store directory (no network)")
     p.add_argument("--record", type=Path, help="record live responses into this directory")
     p.add_argument("--limit", type=int, help="only the first N examples")
-    p.add_argument("--workers", type=int, help="parallel pipeline workers")
+    p.add_argument("--workers", type=int, default=1, help="parallel pipeline workers")
     p.add_argument("--out", type=Path, required=True, help="transcripts JSONL path")
     p.set_defaults(func=cmd_run)
 
@@ -121,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--markdown", type=Path, help="also write a markdown report")
     p.add_argument("--no-triage", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
-    p.add_argument("--strict-ordering", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("triage", help="classify every failed transcript")
@@ -228,18 +224,12 @@ def cmd_run(args) -> int:
         examples = examples[: args.limit]
     generator = _endpoint("generator", config["generator"], args)
     corrector = _endpoint("corrector", config["corrector"], args)
-    limits = ExecLimits(
-        timeout_seconds=float(config["execution"]["timeout_seconds"]),
-        max_rows=int(config["execution"]["max_rows"]),
-    )
     pipeline_config = PipelineConfig(
         max_example_correction_rounds=int(config["max_example_correction_rounds"]),
         enable_error_correction=bool(config["enable_error_correction"]),
-        limits=limits,
     )
-    workers = args.workers if args.workers is not None else int(config["workers"])
     transcripts = run_many(
-        examples, loaded.schemas, pipeline_config, generator, corrector, workers=workers
+        examples, loaded.schemas, pipeline_config, generator, corrector, workers=args.workers
     )
     write_transcripts(transcripts, args.out)
     counts: dict[str, int] = {}
@@ -262,11 +252,8 @@ def _score_transcripts(args, **options) -> tuple[list[PipelineTranscript], EvalR
 
 
 def cmd_evaluate(args) -> int:
-    transcripts, report = _score_transcripts(
-        args, with_triage=not args.no_triage, strict_ordering=args.strict_ordering
-    )
+    transcripts, report = _score_transcripts(args, with_triage=not args.no_triage)
     report.metadata = run_metadata(
-        config=None,
         endpoints=sorted({s.model for t in transcripts for s in t.stages}),
         timestamp=not args.no_timestamp,
     )

@@ -9,13 +9,12 @@ overall number as the count-weighted average
 
 which is recomputed verbatim in reports so the identity is checkable.
 Report payloads split into a deterministic ``results`` section and a
-``metadata`` section (timestamps, config digest, endpoints); regenerating a
+``metadata`` section (timestamp, endpoints); regenerating a
 report from the same transcripts yields byte-identical results bytes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -23,7 +22,7 @@ from pathlib import Path
 
 from .dataset import SpiderExample
 from .errors import DatasetError, Nl2SqlError
-from .execution import ExecLimits, execute_for_comparison, tables_equivalent
+from .execution import execute_for_comparison, tables_equivalent
 from .hardness import Hardness
 from .pipeline import PipelineTranscript, Verdict
 from .schema import DatabaseSchema
@@ -90,10 +89,8 @@ def score(
     transcripts: list[PipelineTranscript],
     examples: list[SpiderExample],
     schemas: dict[str, DatabaseSchema],
-    limits: ExecLimits = ExecLimits(),
     quarantined: int = 0,
     with_triage: bool = True,
-    strict_ordering: bool = False,
     metadata: dict | None = None,
 ) -> EvalReport:
     """Score transcripts against their examples.
@@ -121,7 +118,7 @@ def score(
             per_bucket[ex.hardness].append(False)
             continue
         schema = schemas[ex.db_id]
-        correct, verdict = _score_one(transcript, ex, schema, limits, with_triage, strict_ordering)
+        correct, verdict = _score_one(transcript, ex, schema, with_triage)
         per_bucket[ex.hardness].append(correct)
         if verdict is not None:
             verdicts[ex.id] = verdict
@@ -147,20 +144,18 @@ def _score_one(
     transcript: PipelineTranscript,
     example: SpiderExample,
     schema: DatabaseSchema,
-    limits: ExecLimits,
     with_triage: bool,
-    strict_ordering: bool,
 ) -> tuple[bool, TriageVerdict | None]:
-    gold_outcome = execute_for_comparison(example.gold_sql, schema, limits)
+    gold_outcome = execute_for_comparison(example.gold_sql, schema)
     if gold_outcome.table is None:
         return False, None
     if transcript.final_sql is None:
         return False, None
-    pred_outcome = execute_for_comparison(transcript.final_sql, schema, limits)
+    pred_outcome = execute_for_comparison(transcript.final_sql, schema)
     pred_table = pred_outcome.table
     correct = False
     if pred_table is not None:
-        correct = tables_equivalent(pred_table, gold_outcome.table, strict_ordering).equivalent
+        correct = tables_equivalent(pred_table, gold_outcome.table).equivalent
     if correct or not with_triage:
         return correct, None
     try:
@@ -174,24 +169,13 @@ def _score_one(
             evidence={"error": str(exc), "sql": transcript.final_sql},
         )
         return False, verdict
-    verdict = triage(
-        pred_ast, gold_ast, pred_table, gold_outcome.table, schema, limits, strict_ordering
-    )
-    return False, verdict
+    return False, triage(pred_ast, gold_ast, pred_table, gold_outcome.table, schema)
 
 
 # --------------------------------------------------------------------------- rendering
 
-def config_digest(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def run_metadata(config: dict | None, endpoints: list[str], timestamp: bool = True) -> dict:
-    meta = {
-        "config_digest": config_digest(config or {}),
-        "endpoints": endpoints,
-    }
+def run_metadata(endpoints: list[str], timestamp: bool = True) -> dict:
+    meta: dict = {"endpoints": endpoints}
     if timestamp:
         meta["generated_at"] = datetime.now(timezone.utc).isoformat()
     return meta

@@ -286,16 +286,11 @@ def _normalized_rows(columns: list[tuple[Cell, ...]], column_types: list[set]):
     return list(zip(*columns))
 
 
-def tables_equivalent(
-    pred: ResultTable,
-    gold: ResultTable,
-    strict_ordering: bool = False,
-) -> TableComparison:
+def tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
     """Decide result equivalence; the report names the first divergence.
 
     Ordered (sequence) comparison applies when both tables came from
-    ORDER BY queries; with ``strict_ordering`` it applies when either did.
-    Truncated inputs are inconclusive by construction.
+    ORDER BY queries. Truncated inputs are inconclusive by construction.
     """
     if pred.truncated or gold.truncated:
         return TableComparison("inconclusive", "a table was truncated by the row cap")
@@ -306,9 +301,7 @@ def tables_equivalent(
     if len(pred.rows) != len(gold.rows):
         return TableComparison("different", f"row count {len(pred.rows)} != {len(gold.rows)}")
 
-    as_sequences = (pred.ordered and gold.ordered) or (
-        strict_ordering and (pred.ordered or gold.ordered)
-    )
+    as_sequences = pred.ordered and gold.ordered
     note = ""
     if not as_sequences and pred.ordered != gold.ordered:
         note = " (exactly one side is ordered; compared as multisets)"

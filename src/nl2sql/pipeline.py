@@ -10,8 +10,9 @@ Three stages, each gated on the previous one failing:
 3. error-driven correction: one fresh zero-shot request to the corrector
    model carrying only the schema, the question, the failed SQL (the last
    SQL an earlier stage produced) and, when executing that SQL raised an
-   engine error, that error's verbatim text. No earlier conversation
-   content leaks into this prompt.
+   engine error, that error's verbatim text, or, when it ran out of time,
+   a note saying so. No earlier conversation content leaks into this
+   prompt.
 
 Every prompt, reply, extraction, execution and comparison is recorded in a
 PipelineTranscript. Transcripts contain no timestamps: a replay run is
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -32,7 +33,6 @@ from typing import Iterable
 from .dataset import SpiderExample
 from .errors import NoSqlFoundError
 from .execution import (
-    ExecLimits,
     ExecOutcome,
     ResultTable,
     TableComparison,
@@ -53,6 +53,9 @@ from .sqlast.tokens import tokenize
 
 _FENCE = re.compile(r"```(?:sql)?\s*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
 _SELECT_START = re.compile(r"\bselect\b", re.IGNORECASE)
+# A quoted string or identifier, matched whole so that a ';' inside it is
+# skipped, or a statement-ending ';'.
+_QUOTED_OR_SEMICOLON = re.compile(r"'[^']*'|\"[^\"]*\"|`[^`]*`|\[[^\]]*\]|;")
 
 
 class Verdict(str, Enum):
@@ -70,7 +73,6 @@ class Verdict(str, Enum):
 class PipelineConfig:
     max_example_correction_rounds: int = 1
     enable_error_correction: bool = True
-    limits: ExecLimits = field(default_factory=ExecLimits)
 
     def __post_init__(self) -> None:
         if self.max_example_correction_rounds < 0:
@@ -165,23 +167,25 @@ def extract_sql(model_reply: str) -> str:
     """Pull the first SQL statement out of a model reply.
 
     Handles fenced code blocks, skeleton-then-query replies (the text after
-    the last ``|||`` wins), and trailing prose after a semicolon.
+    the last ``|||`` wins), and trailing prose after a semicolon outside
+    quotes or, outside a fenced block, after a blank line.
     """
     candidate = model_reply
     if "|||" in candidate:
         candidate = candidate.rsplit("|||", 1)[1]
-    fenced = _FENCE.findall(candidate)
-    for block in fenced:
-        if _SELECT_START.search(block):
-            candidate = block
-            break
+    block = next((b for b in _FENCE.findall(candidate) if _SELECT_START.search(b)), None)
+    if block is not None:
+        candidate = block
     match = _SELECT_START.search(candidate)
     if match is None:
         raise NoSqlFoundError("reply contains no SELECT statement")
-    sql = candidate[match.start() :].strip()
-    if ";" in sql:
-        sql = sql.split(";", 1)[0].strip()
-    sql = _trim_trailing_prose(sql)
+    sql = candidate[match.start() :]
+    cut = next((m.start() for m in _QUOTED_OR_SEMICOLON.finditer(sql) if m.group() == ";"), None)
+    sql = sql[:cut]
+    if block is None:
+        # A blank line typically separates the statement from an explanation.
+        sql = re.split(r"\n\s*\n", sql, maxsplit=1)[0]
+    sql = sql.strip()
     try:
         tokens = tokenize(sql)
     except Exception as exc:
@@ -189,12 +193,6 @@ def extract_sql(model_reply: str) -> str:
     if not tokens or not tokens[0].is_keyword("select"):
         raise NoSqlFoundError("extracted text is not a SELECT statement")
     return sql
-
-
-def _trim_trailing_prose(sql: str) -> str:
-    # A blank line typically separates the statement from an explanation.
-    parts = re.split(r"\n\s*\n", sql, maxsplit=1)
-    return parts[0].strip()
 
 
 # --------------------------------------------------------------------------- stage helpers
@@ -222,7 +220,6 @@ def _run_model_stage(
     transcript: PipelineTranscript,
     schema: DatabaseSchema,
     gold_table: ResultTable,
-    limits: ExecLimits,
     stage: str,
     success: Verdict,
     endpoint: ModelEndpoint,
@@ -244,7 +241,7 @@ def _run_model_stage(
     except NoSqlFoundError as exc:
         extraction_error = str(exc)
     if sql is not None:
-        outcome = execute_for_comparison(sql, schema, limits)
+        outcome = execute_for_comparison(sql, schema)
         if outcome.table is not None:
             comparison = tables_equivalent(outcome.table, gold_table)
     record = StageRecord(
@@ -287,7 +284,7 @@ def run_pipeline(
         final_verdict=Verdict.FAILED,
     )
 
-    gold_outcome = execute_for_comparison(example.gold_sql, schema, config.limits)
+    gold_outcome = execute_for_comparison(example.gold_sql, schema)
     if gold_outcome.table is None or gold_outcome.table.truncated:
         transcript.final_verdict = Verdict.FAULT
         transcript.fault = f"gold execution unusable: {_execution_summary(gold_outcome)}"
@@ -298,7 +295,7 @@ def run_pipeline(
         {"role": "system", "content": SYSTEM_PROMPT},
         {"role": "user", "content": zero_shot_user_prompt(example.question, schema)},
     ]
-    run_stage = partial(_run_model_stage, transcript, schema, gold_table, config.limits)
+    run_stage = partial(_run_model_stage, transcript, schema, gold_table)
     last = run_stage("zero_shot", Verdict.CORRECT_FIRST_SHOT, generator, messages)
 
     # Example-driven rounds continue the same conversation.
@@ -330,7 +327,11 @@ def run_pipeline(
         {
             "role": "user",
             "content": error_correction_prompt(
-                example.question, schema, failed.sql, failed.execution.get("error")
+                example.question,
+                schema,
+                failed.sql,
+                failed.execution.get("error"),
+                timed_out=failed.execution["kind"] == "timeout",
             ),
         },
     ]

@@ -56,6 +56,7 @@ def error_correction_prompt(
     schema: DatabaseSchema,
     failed_sql: str,
     execution_error: str | None,
+    timed_out: bool = False,
 ) -> str:
     """A fresh prompt for the corrector model: no earlier conversation text
     is carried over except the failed SQL itself."""
@@ -68,6 +69,8 @@ def error_correction_prompt(
     if execution_error is not None:
         parts.append("### Executing it failed with this error:")
         parts.append(execution_error)
+    elif timed_out:
+        parts.append("### Executing it did not finish within the time limit.")
     else:
         parts.append("### It executes, but its result table does not answer the question correctly.")
     parts.append("### Write a corrected SQLite SELECT query. Reply with SQL only.")

@@ -27,13 +27,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .execution import (
-    ExecLimits,
-    ResultTable,
-    execute_for_comparison,
-    normalize_cell,
-    tables_equivalent,
-)
+from .execution import ResultTable, execute_for_comparison, normalize_cell, tables_equivalent
 from .schema import DatabaseSchema
 from .sqlast import (
     AliasRef,
@@ -100,8 +94,6 @@ def triage(
     pred_table: ResultTable | None,
     gold_table: ResultTable | None,
     schema: DatabaseSchema,
-    limits: ExecLimits = ExecLimits(),
-    strict_ordering: bool = False,
 ) -> TriageVerdict:
     """Assign the primary category for one prediction/gold pair.
 
@@ -121,7 +113,7 @@ def triage(
         )
 
     if pred_table is not None and gold_table is not None:
-        comparison = tables_equivalent(pred_table, gold_table, strict_ordering)
+        comparison = tables_equivalent(pred_table, gold_table)
         if comparison.equivalent:
             return TriageVerdict(
                 category=Category.DATASET_INCONSISTENCY,
@@ -132,7 +124,7 @@ def triage(
 
     has_db = schema.db_path is not None and schema.db_path.is_file()
     if has_db:
-        tie = tie_ambiguity_test(pred_ast, gold_ast, schema, limits)
+        tie = tie_ambiguity_test(pred_ast, gold_ast, schema)
         if tie is True:
             return TriageVerdict(
                 category=Category.DATASET_INCONSISTENCY,
@@ -141,7 +133,7 @@ def triage(
                 evidence={"tie": "ordering key ties at the LIMIT boundary", **facts},
             )
         if gold_table is not None:
-            suspect = suspect_gold_check(gold_ast, gold_table, schema, limits)
+            suspect = suspect_gold_check(gold_ast, gold_table, schema)
             if suspect is not None:
                 return TriageVerdict(
                     category=Category.DATASET_INCONSISTENCY,
@@ -214,12 +206,7 @@ def triage(
 
 # --------------------------------------------------------------------------- tie ambiguity
 
-def tie_ambiguity_test(
-    pred_ast: Select,
-    gold_ast: Select,
-    schema: DatabaseSchema,
-    limits: ExecLimits = ExecLimits(),
-) -> bool | None:
+def tie_ambiguity_test(pred_ast: Select, gold_ast: Select, schema: DatabaseSchema) -> bool | None:
     """Does LIMIT k cut through a tie in the ordering key?
 
     Applicable only when both queries end in ORDER BY ... LIMIT k. Both are
@@ -238,7 +225,7 @@ def tie_ambiguity_test(
 
     def ordering_values(ast: Select) -> list | None:
         probe = _without_limit_with_key(ast)
-        outcome = execute_for_comparison(to_sql(probe), schema, limits)
+        outcome = execute_for_comparison(to_sql(probe), schema)
         if outcome.table is None or outcome.table.truncated:
             return None
         return [normalize_cell(row[-1]) for row in outcome.table.rows]
@@ -272,10 +259,7 @@ def _without_limit_with_key(ast: Select) -> Select:
 # --------------------------------------------------------------------------- suspect gold
 
 def suspect_gold_check(
-    gold_ast: Select,
-    gold_table: ResultTable,
-    schema: DatabaseSchema,
-    limits: ExecLimits = ExecLimits(),
+    gold_ast: Select, gold_table: ResultTable, schema: DatabaseSchema
 ) -> dict | None:
     """Flag a gold query whose condition-less join balloons its result.
 
@@ -304,7 +288,7 @@ def suspect_gold_check(
         from_items[flag.index] = replace(item, condition=condition, join_type="join")
         repaired_tables.append(item.source.table)
     repaired = replace(gold_ast, from_items=tuple(from_items))
-    outcome = execute_for_comparison(to_sql(repaired), schema, limits)
+    outcome = execute_for_comparison(to_sql(repaired), schema)
     if outcome.table is None or outcome.table.truncated:
         return None
     gold_rows = len(gold_table.rows)

@@ -325,6 +325,22 @@ def test_criterion_5_replay_determinism(replay_setup):
                             assert line not in text
 
 
+def test_run_and_evaluate_agree(replay_setup):
+    # `run` and `evaluate` judge with one rule: every transcript the pipeline
+    # marked correct scores correct, and only failed transcripts are triaged.
+    dataset, store, _ = replay_setup
+    loaded = load_dataset(dataset, "dev")
+    generator = ModelEndpoint("generator", ReplayTransport(store), "gen-model")
+    corrector = ModelEndpoint("corrector", ReplayTransport(store), "fix-model")
+    transcripts = run_many(loaded.examples, loaded.schemas, PipelineConfig(), generator, corrector)
+    report = score(transcripts, list(loaded.examples), loaded.schemas)
+    verdicts = {t.example_id: t.final_verdict.value for t in transcripts}
+    correct = sum(b.correct for b in report.buckets.values())
+    assert correct == sum(v.startswith("correct") for v in verdicts.values()) > 0
+    assert report.verdicts
+    assert all(verdicts[example_id] == "failed" for example_id in report.verdicts)
+
+
 def test_criterion_6_dev_set_hardness_buckets():
     with criterion(6, "full dev split buckets 248/446/174/166 within +/-2"):
         candidates = [

@@ -92,12 +92,11 @@ def test_run_with_config_file(dataset_dir, tmp_path, capsys):
     config.write_text(json.dumps({
         "max_example_correction_rounds": 0,
         "enable_error_correction": False,
-        "workers": 2,
     }))
     out = tmp_path / "t.jsonl"
     code = main([
         "run", "--dataset", str(dataset_dir), "--replay", str(store),
-        "--config", str(config), "--out", str(out),
+        "--config", str(config), "--workers", "2", "--out", str(out),
     ])
     assert code == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
@@ -106,13 +105,20 @@ def test_run_with_config_file(dataset_dir, tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(dataset_dir, tmp_path, capsys):
+    # Execution limits and the worker count are not config keys: every
+    # command judges under the default limits, and `--workers` is a flag.
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"max_rounds": 2}))
-    code = main([
-        "run", "--dataset", str(dataset_dir), "--replay", str(tmp_path),
-        "--config", str(config), "--out", str(tmp_path / "t.jsonl"),
-    ])
-    assert code == 2
+    for bad in (
+        {"max_rounds": 2},
+        {"execution": {"timeout_seconds": 1.0, "max_rows": 10}},
+        {"workers": 2},
+    ):
+        config.write_text(json.dumps(bad))
+        code = main([
+            "run", "--dataset", str(dataset_dir), "--replay", str(tmp_path),
+            "--config", str(config), "--out", str(tmp_path / "t.jsonl"),
+        ])
+        assert code == 2, bad
 
 
 def test_run_replay_miss_exits_5(dataset_dir, tmp_path, capsys):

@@ -148,3 +148,20 @@ def test_accuracy_printed_to_three_decimals(schemas):
     report = score(transcripts, examples, schemas, with_triage=False)
     payload = report.results_payload()
     assert payload["buckets"]["easy"]["accuracy"] == 0.667
+
+
+def test_result_equivalent_prediction_scores_correct_without_verdict(schemas):
+    # Different SQL, same result table: an always-true filter. It counts as
+    # correct, so it is never triaged, let alone blamed on the model.
+    example = SpiderExample(
+        id=0, question="q0", db_id="concert_singer",
+        gold_sql="SELECT name FROM singer", hardness=Hardness.EASY,
+    )
+    pred = PipelineTranscript(
+        example_id=0, db_id="concert_singer", question="q0", gold_sql=example.gold_sql,
+        stages=[], final_sql="SELECT name FROM singer WHERE age > 0",
+        final_verdict=Verdict.CORRECT_FIRST_SHOT,
+    )
+    report = score([pred], [example], schemas)
+    assert report.buckets[Hardness.EASY].correct == 1
+    assert report.verdicts == {}

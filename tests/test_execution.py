@@ -246,12 +246,6 @@ def test_single_ordered_side_compares_as_multiset_with_note():
     assert "one side is ordered" in result.detail
 
 
-def test_strict_ordering_flag_tightens_single_side():
-    a = table([[1], [2]], ordered=True)
-    b = table([[2], [1]], ordered=False)
-    assert tables_equivalent(a, b, strict_ordering=True).status == "different"
-
-
 def test_column_names_ignored_only_arity_matters():
     a = table([[1]], columns=["x"])
     b = table([[1]], columns=["y"])

@@ -7,7 +7,7 @@ import pytest
 
 from nl2sql.dataset import SpiderExample
 from nl2sql.errors import NoSqlFoundError
-from nl2sql.execution import execute
+from nl2sql.execution import ExecOutcome, execute
 from nl2sql.hardness import Hardness
 from nl2sql.llm import ModelEndpoint, ReplayTransport, RecordingTransport
 from nl2sql.mdtable import render_markdown
@@ -79,10 +79,19 @@ def test_extract_skeleton_then_query_takes_the_query():
 
 def test_extract_cuts_at_semicolon():
     assert extract_sql(f"{GOLD}; hope that helps!") == GOLD
+    # A semicolon inside a string literal does not end the statement.
+    in_literal = "SELECT name FROM singer WHERE name = 'a;b'"
+    assert extract_sql(in_literal) == in_literal
+    assert extract_sql(f"{in_literal}; that is all.") == in_literal
 
 
 def test_extract_cuts_at_blank_line():
     assert extract_sql(f"{GOLD}\n\nExplanation follows here.") == GOLD
+
+
+def test_extract_keeps_blank_line_inside_fenced_block():
+    sql = "SELECT name\nFROM singer\n\nWHERE age > 3"
+    assert extract_sql(f"```sql\n{sql}\n```") == sql
 
 
 def test_extract_no_sql_raises():
@@ -167,6 +176,30 @@ def test_error_prompt_quotes_the_error_of_the_sql_it_hands_over(schemas):
     assert BROKEN in error_prompt
     assert execute(BROKEN, schemas["battle_death"]).error in error_prompt
     assert "It executes" not in error_prompt
+    assert transcript.final_verdict is Verdict.CORRECTED_BY_ERROR
+
+
+def test_error_prompt_says_a_timed_out_query_did_not_finish(schemas, monkeypatch):
+    import nl2sql.pipeline as pipeline
+
+    original = pipeline.execute_for_comparison
+
+    def timing_out(sql, schema):
+        return ExecOutcome(timed_out=True) if sql == WRONG else original(sql, schema)
+
+    monkeypatch.setattr(pipeline, "execute_for_comparison", timing_out)
+    generator, corrector = scripted_endpoints(
+        {"zero_shot": WRONG, "example_1": WRONG, "error": GOLD}
+    )
+    transcript = run_pipeline(
+        example(), schemas["battle_death"], PipelineConfig(), generator, corrector
+    )
+    assert transcript.stages[0].execution == {"kind": "timeout"}
+    error_prompt = transcript.stages[-1].messages[-1]["content"]
+    assert WRONG in error_prompt
+    assert "did not finish within the time limit" in error_prompt
+    assert "It executes" not in error_prompt
+    assert "failed with this error" not in error_prompt
     assert transcript.final_verdict is Verdict.CORRECTED_BY_ERROR
 
 
