@@ -2,8 +2,11 @@
 
 Correctness of a transcript is decided from its final SQL alone (stage
 history never affects the score): the final SQL and the gold SQL are both
-executed and their tables compared. Bucket accuracies combine into the
-overall number as the count-weighted average
+executed and their tables compared. Examples are scored in groups that share
+a database and gold SQL, each with one ``OutcomeMemo``, so each distinct
+query (gold, prediction or triage probe) runs once per group; a timeout is
+never reused. The report does not depend on that order. Bucket accuracies
+combine into the overall number as the count-weighted average
 
     overall = sum(count_b * accuracy_b) / sum(count_b)
 
@@ -22,7 +25,7 @@ from pathlib import Path
 
 from .dataset import SpiderExample
 from .errors import DatasetError, Nl2SqlError
-from .execution import execute_for_comparison, tables_equivalent
+from .execution import OutcomeMemo, execute_for_comparison, tables_equivalent
 from .hardness import Hardness
 from .pipeline import PipelineTranscript, Verdict
 from .schema import DatabaseSchema
@@ -107,6 +110,7 @@ def score(
     verdict_distribution: dict[str, int] = {}
     verdicts: dict[int, TriageVerdict] = {}
     faults = 0
+    groups: dict[tuple[str, str], list[SpiderExample]] = {}
 
     for ex in examples:
         transcript = by_id[ex.id]
@@ -117,11 +121,16 @@ def score(
             faults += 1
             per_bucket[ex.hardness].append(False)
             continue
-        schema = schemas[ex.db_id]
-        correct, verdict = _score_one(transcript, ex, schema, with_triage)
-        per_bucket[ex.hardness].append(correct)
-        if verdict is not None:
-            verdicts[ex.id] = verdict
+        groups.setdefault((ex.db_id, ex.gold_sql), []).append(ex)
+
+    for (db_id, _), group in groups.items():
+        schema = schemas[db_id]
+        memo = OutcomeMemo()
+        for ex in group:
+            correct, verdict = _score_one(by_id[ex.id], ex, schema, with_triage, memo)
+            per_bucket[ex.hardness].append(correct)
+            if verdict is not None:
+                verdicts[ex.id] = verdict
 
     buckets = {
         h: BucketScore(count=len(flags), correct=sum(flags)) for h, flags in per_bucket.items()
@@ -145,13 +154,14 @@ def _score_one(
     example: SpiderExample,
     schema: DatabaseSchema,
     with_triage: bool,
+    memo: OutcomeMemo,
 ) -> tuple[bool, TriageVerdict | None]:
-    gold_outcome = execute_for_comparison(example.gold_sql, schema)
-    if gold_outcome.table is None:
-        return False, None
     if transcript.final_sql is None:
         return False, None
-    pred_outcome = execute_for_comparison(transcript.final_sql, schema)
+    gold_outcome = memo.run(execute_for_comparison, example.gold_sql, schema)
+    if gold_outcome.table is None:
+        return False, None
+    pred_outcome = memo.run(execute_for_comparison, transcript.final_sql, schema)
     pred_table = pred_outcome.table
     correct = False
     if pred_table is not None:
@@ -169,7 +179,7 @@ def _score_one(
             evidence={"error": str(exc), "sql": transcript.final_sql},
         )
         return False, verdict
-    return False, triage(pred_ast, gold_ast, pred_table, gold_outcome.table, schema)
+    return False, triage(pred_ast, gold_ast, pred_table, gold_outcome.table, schema, memo)
 
 
 # --------------------------------------------------------------------------- rendering

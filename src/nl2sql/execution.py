@@ -12,6 +12,15 @@ state reaches the next query. Outcomes are a tagged union: a table, an
 engine error (message kept verbatim: correction prompts quote it), or a
 timeout. A missing database file is a harness fault and raises instead.
 
+An ``OutcomeMemo`` lets one unit of work run each distinct query once: one
+example in ``run`` (its gold and every stage), one gold group in
+``evaluate``, ``triage`` and ``report`` (the gold, each prediction and the
+triage probes). It is keyed on the database file's identity and the SQL
+text, so a replaced or rewritten file is read again; a hit returns the very
+outcome the first execution produced. A timeout is never reused, as it
+depends on host load, and a table past ``DEFAULT_MAX_ROWS`` rows is not
+kept, so a memo holds at most one unit's small tables.
+
 Equivalence compares cell contents only: column names are ignored (gold
 and predictions alias columns differently), rows compare as sequences when
 both queries are ordered and as multisets otherwise. Cells are compared in
@@ -100,8 +109,12 @@ def query_is_ordered(sql: str) -> bool:
     """True iff the statement has a top-level ORDER BY (paren depth zero).
 
     Token-based on purpose: execution must work even for model output our
-    grammar rejects, so this cannot go through the parser.
+    grammar rejects, so this cannot go through the parser. A keyword token
+    lower-cases a substring of the SQL, so text without "order" is decided
+    without tokenizing.
     """
+    if "order" not in sql.lower():
+        return False
     try:
         tokens = tokenize(sql)
     except Exception:
@@ -142,21 +155,28 @@ def _recorder(other_actions: set[int]):
     return authorize
 
 
+def _file_key(schema: DatabaseSchema) -> tuple[int, ...] | None:
+    """The identity of the schema's database file, or None when it is no regular file."""
+    try:
+        st = os.stat(schema.db_path) if schema.db_path is not None else None
+    except OSError:
+        return None
+    if st is None or not stat.S_ISREG(st.st_mode):
+        return None
+    return (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+
+
 def _connection(schema: DatabaseSchema) -> _CachedConnection:
     """This thread's connection to the schema's database, reopened if the file changed."""
     cache = schema._connections
     cached = getattr(cache, "entry", None)
-    try:
-        st = os.stat(schema.db_path) if schema.db_path is not None else None
-    except OSError:
-        st = None
-    if st is None or not stat.S_ISREG(st.st_mode):
+    file_key = _file_key(schema)
+    if file_key is None:
         if cached is not None:
             _drop(schema)
         raise DatabaseMissingError(
             f"database file missing for {schema.db_id}: {schema.db_path}"
         )
-    file_key = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
     if cached is not None:
         if cached.file_key == file_key:
             return cached
@@ -221,6 +241,36 @@ def execute_for_comparison(
     ``truncated`` only past ``10 * limits.max_rows`` rows.
     """
     return execute(sql, schema, replace(limits, max_rows=limits.max_rows * 10))
+
+
+class OutcomeMemo:
+    """The execution outcomes of one unit of work, by database file and SQL text.
+
+    Not thread-safe: each unit of work owns its memo and drops it at the end.
+    """
+
+    __slots__ = ("_outcomes",)
+
+    def __init__(self) -> None:
+        self._outcomes: dict[tuple, ExecOutcome] = {}
+
+    def run(self, execute, sql: str, schema: DatabaseSchema) -> ExecOutcome:
+        """The outcome of ``execute(sql, schema)``, executing only on a miss.
+
+        Callers pass the executor they resolve themselves, so a rebinding of
+        their module's name sees every real execution and no hit.
+        """
+        key = (_file_key(schema), sql)
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            # A missing file has no key; the executor raises for it.
+            outcome = execute(sql, schema)
+            table = outcome.table
+            if key[0] is not None and not outcome.timed_out and (
+                table is None or len(table.rows) <= DEFAULT_MAX_ROWS
+            ):
+                self._outcomes[key] = outcome
+        return outcome
 
 
 # --------------------------------------------------------------------------- equivalence

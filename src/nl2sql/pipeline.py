@@ -17,6 +17,13 @@ Three stages, each gated on the previous one failing:
 Every prompt, reply, extraction, execution and comparison is recorded in a
 PipelineTranscript. Transcripts contain no timestamps: a replay run is
 byte-for-byte reproducible.
+
+Each distinct query runs once per example: one ``OutcomeMemo`` serves the
+gold and every stage, so a model that resubmits its SQL is not re-executed
+(a timeout is, as it is never reused). ``run_many`` groups examples by
+database and gold SQL and passes one memo per group, so a gold shared by
+several questions runs once; a group runs inside one task, so no memo is
+shared between threads.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .dataset import SpiderExample
 from .errors import NoSqlFoundError
 from .execution import (
     ExecOutcome,
+    OutcomeMemo,
     ResultTable,
     TableComparison,
     execute_for_comparison,
@@ -219,6 +227,7 @@ def _comparison_summary(comparison: TableComparison | None) -> dict | None:
 def _run_model_stage(
     transcript: PipelineTranscript,
     schema: DatabaseSchema,
+    memo: OutcomeMemo,
     gold_table: ResultTable,
     stage: str,
     success: Verdict,
@@ -241,7 +250,7 @@ def _run_model_stage(
     except NoSqlFoundError as exc:
         extraction_error = str(exc)
     if sql is not None:
-        outcome = execute_for_comparison(sql, schema)
+        outcome = memo.run(execute_for_comparison, sql, schema)
         if outcome.table is not None:
             comparison = tables_equivalent(outcome.table, gold_table)
     record = StageRecord(
@@ -271,9 +280,16 @@ def run_pipeline(
     config: PipelineConfig,
     generator: ModelEndpoint,
     corrector: ModelEndpoint | None = None,
+    memo: OutcomeMemo | None = None,
 ) -> PipelineTranscript:
     """Run all stages for one example. Total model calls are bounded by
-    1 + max_example_correction_rounds + 1."""
+    1 + max_example_correction_rounds + 1.
+
+    ``memo`` may carry outcomes from other examples with the same gold; by
+    default the example gets its own.
+    """
+    if memo is None:
+        memo = OutcomeMemo()
     transcript = PipelineTranscript(
         example_id=example.id,
         db_id=example.db_id,
@@ -284,7 +300,7 @@ def run_pipeline(
         final_verdict=Verdict.FAILED,
     )
 
-    gold_outcome = execute_for_comparison(example.gold_sql, schema)
+    gold_outcome = memo.run(execute_for_comparison, example.gold_sql, schema)
     if gold_outcome.table is None or gold_outcome.table.truncated:
         transcript.final_verdict = Verdict.FAULT
         transcript.fault = f"gold execution unusable: {_execution_summary(gold_outcome)}"
@@ -295,7 +311,7 @@ def run_pipeline(
         {"role": "system", "content": SYSTEM_PROMPT},
         {"role": "user", "content": zero_shot_user_prompt(example.question, schema)},
     ]
-    run_stage = partial(_run_model_stage, transcript, schema, gold_table)
+    run_stage = partial(_run_model_stage, transcript, schema, memo, gold_table)
     last = run_stage("zero_shot", Verdict.CORRECT_FIRST_SHOT, generator, messages)
 
     # Example-driven rounds continue the same conversation.
@@ -348,18 +364,28 @@ def run_many(
     workers: int = 1,
 ) -> list[PipelineTranscript]:
     """Run the pipeline over many examples; output order follows example id
-    regardless of worker interleaving."""
-    examples = list(examples)
+    regardless of worker interleaving.
 
-    def one(example: SpiderExample) -> PipelineTranscript:
-        return run_pipeline(example, schemas[example.db_id], config, generator, corrector)
+    Examples sharing a database and gold SQL form a group, run in input order
+    by one task with one ``OutcomeMemo``.
+    """
+    groups: dict[tuple[str, str], list[SpiderExample]] = {}
+    for ex in examples:
+        groups.setdefault((ex.db_id, ex.gold_sql), []).append(ex)
+
+    def one_group(group: list[SpiderExample]) -> list[PipelineTranscript]:
+        memo = OutcomeMemo()
+        return [
+            run_pipeline(ex, schemas[ex.db_id], config, generator, corrector, memo)
+            for ex in group
+        ]
 
     if workers <= 1:
-        transcripts = [one(ex) for ex in examples]
+        done = list(map(one_group, groups.values()))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            transcripts = list(pool.map(one, examples))
-    return sorted(transcripts, key=lambda t: t.example_id)
+            done = list(pool.map(one_group, groups.values()))
+    return sorted((t for group in done for t in group), key=lambda t: t.example_id)
 
 
 def write_transcripts(transcripts: Iterable[PipelineTranscript], out: Path | str) -> None:

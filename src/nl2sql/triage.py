@@ -27,7 +27,13 @@ from collections.abc import Collection
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .execution import ResultTable, execute_for_comparison, normalize_cell, tables_equivalent
+from .execution import (
+    OutcomeMemo,
+    ResultTable,
+    execute_for_comparison,
+    normalize_cell,
+    tables_equivalent,
+)
 from .schema import DatabaseSchema
 from .sqlast import (
     AliasRef,
@@ -94,11 +100,13 @@ def triage(
     pred_table: ResultTable | None,
     gold_table: ResultTable | None,
     schema: DatabaseSchema,
+    memo: OutcomeMemo | None = None,
 ) -> TriageVerdict:
     """Assign the primary category for one prediction/gold pair.
 
     Tables may be None when execution results are unavailable; the
-    equivalence, tie and suspect-gold checks are then skipped.
+    equivalence, tie and suspect-gold checks are then skipped. The probes
+    execute through ``memo`` when one is given.
     """
     pred_canon = canonicalize(pred_ast)
     gold_canon = canonicalize(gold_ast)
@@ -124,7 +132,7 @@ def triage(
 
     has_db = schema.db_path is not None and schema.db_path.is_file()
     if has_db:
-        tie = tie_ambiguity_test(pred_ast, gold_ast, schema)
+        tie = tie_ambiguity_test(pred_ast, gold_ast, schema, memo)
         if tie is True:
             return TriageVerdict(
                 category=Category.DATASET_INCONSISTENCY,
@@ -133,7 +141,7 @@ def triage(
                 evidence={"tie": "ordering key ties at the LIMIT boundary", **facts},
             )
         if gold_table is not None:
-            suspect = suspect_gold_check(gold_ast, gold_table, schema)
+            suspect = suspect_gold_check(gold_ast, gold_table, schema, memo)
             if suspect is not None:
                 return TriageVerdict(
                     category=Category.DATASET_INCONSISTENCY,
@@ -206,7 +214,9 @@ def triage(
 
 # --------------------------------------------------------------------------- tie ambiguity
 
-def tie_ambiguity_test(pred_ast: Select, gold_ast: Select, schema: DatabaseSchema) -> bool | None:
+def tie_ambiguity_test(
+    pred_ast: Select, gold_ast: Select, schema: DatabaseSchema, memo: OutcomeMemo | None = None
+) -> bool | None:
     """Does LIMIT k cut through a tie in the ordering key?
 
     Applicable only when both queries end in ORDER BY ... LIMIT k. Both are
@@ -222,10 +232,12 @@ def tie_ambiguity_test(pred_ast: Select, gold_ast: Select, schema: DatabaseSchem
     if pred_ast.limit != gold_ast.limit or pred_ast.limit == 0:
         return None
     k = gold_ast.limit
+    if memo is None:
+        memo = OutcomeMemo()
 
     def ordering_values(ast: Select) -> list | None:
         probe = _without_limit_with_key(ast)
-        outcome = execute_for_comparison(to_sql(probe), schema)
+        outcome = memo.run(execute_for_comparison, to_sql(probe), schema)
         if outcome.table is None or outcome.table.truncated:
             return None
         return [normalize_cell(row[-1]) for row in outcome.table.rows]
@@ -259,7 +271,10 @@ def _without_limit_with_key(ast: Select) -> Select:
 # --------------------------------------------------------------------------- suspect gold
 
 def suspect_gold_check(
-    gold_ast: Select, gold_table: ResultTable, schema: DatabaseSchema
+    gold_ast: Select,
+    gold_table: ResultTable,
+    schema: DatabaseSchema,
+    memo: OutcomeMemo | None = None,
 ) -> dict | None:
     """Flag a gold query whose condition-less join balloons its result.
 
@@ -288,7 +303,9 @@ def suspect_gold_check(
         from_items[flag.index] = replace(item, condition=condition, join_type="join")
         repaired_tables.append(item.source.table)
     repaired = replace(gold_ast, from_items=tuple(from_items))
-    outcome = execute_for_comparison(to_sql(repaired), schema)
+    if memo is None:
+        memo = OutcomeMemo()
+    outcome = memo.run(execute_for_comparison, to_sql(repaired), schema)
     if outcome.table is None or outcome.table.truncated:
         return None
     gold_rows = len(gold_table.rows)

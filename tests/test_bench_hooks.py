@@ -11,9 +11,11 @@ instead.
 from __future__ import annotations
 
 import importlib.util
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
-from nl2sql import evaluate, pipeline
+from nl2sql import evaluate, execution, pipeline
 from nl2sql.pipeline import PipelineConfig, Verdict
 
 from test_evaluate import GOLD, WRONG, ship_example, transcript
@@ -76,3 +78,58 @@ def test_run_many_resolves_run_pipeline_once_per_example_in_id_order(schemas, mo
     )
     assert calls == [0, 1, 2, 3, 4]
     assert [t.example_id for t in transcripts] == [0, 1, 2, 3, 4]
+
+
+def test_two_golds_call_each_hook_once_per_example_and_execute_once_per_group(
+    schemas, monkeypatch
+):
+    other = "SELECT name FROM ship ORDER BY id"
+    examples = [
+        replace(ship_example(i), gold_sql=other) if i % 2 else ship_example(i) for i in range(5)
+    ]
+    run_calls, score_calls, resolved, executed = [], [], [], []
+    run_pipeline, score_one = pipeline.run_pipeline, evaluate._score_one
+    execute = execution.execute
+
+    def counting_run(example, *args):
+        run_calls.append(example.id)
+        return run_pipeline(example, *args)
+
+    def counting_score(transcript, example, *args):
+        score_calls.append(example.id)
+        return score_one(transcript, example, *args)
+
+    def counting_execute(sql, *args):
+        executed.append(sql)
+        return execute(sql, *args)
+
+    def two_arguments(original):
+        def execute_for_comparison(sql, schema):
+            resolved.append(sql)
+            return original(sql, schema)
+        return execute_for_comparison
+
+    monkeypatch.setattr(pipeline, "run_pipeline", counting_run)
+    monkeypatch.setattr(evaluate, "_score_one", counting_score)
+    monkeypatch.setattr(execution, "execute", counting_execute)
+    # ``nl2sql.triage`` is also the name of a function the package exports.
+    for module in (pipeline, evaluate, importlib.import_module("nl2sql.triage")):
+        monkeypatch.setattr(
+            module, "execute_for_comparison", two_arguments(module.execute_for_comparison)
+        )
+    generator, corrector = scripted_endpoints(
+        {"zero_shot": WRONG, "example_1": WRONG, "error": WRONG}
+    )
+    transcripts = pipeline.run_many(
+        examples, schemas, PipelineConfig(), generator, corrector, workers=1
+    )
+    # Each group runs its gold once and the prediction all its stages share once.
+    assert Counter(run_calls) == Counter(range(5))
+    assert Counter(executed) == Counter({GOLD: 1, other: 1, WRONG: 2})
+    assert resolved == executed
+    executed.clear()
+    resolved.clear()
+    evaluate.score(transcripts, examples, schemas)
+    assert Counter(score_calls) == Counter(range(5))
+    assert Counter(executed) == Counter({GOLD: 1, other: 1, WRONG: 2})
+    assert resolved == executed

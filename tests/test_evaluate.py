@@ -1,18 +1,24 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from nl2sql import execution
 from nl2sql.dataset import SpiderExample
 from nl2sql.errors import DatasetError
 from nl2sql.evaluate import (
+    BucketScore,
+    EvalReport,
     render_report_markdown,
     score,
     weighted_execution_accuracy,
 )
 from nl2sql.hardness import Hardness
 from nl2sql.pipeline import PipelineTranscript, Verdict
+
+from conftest import GROUPED_BY_ID_SQL, GROUPED_BY_NAME_SQL
 
 GOLD = "SELECT name FROM ship WHERE disposition_of_ship = 'sank'"
 WRONG = "SELECT name FROM ship WHERE disposition_of_ship = 'captured'"
@@ -100,10 +106,25 @@ def test_unparseable_final_sql_counts_wrong_and_unclassifiable(schemas):
     assert report.triage_distribution["categories"]["Unclassifiable"]["count"] == 1
 
 
-def test_none_final_sql_counts_wrong(schemas):
+def counting_executions(monkeypatch) -> list[tuple[str, str]]:
+    """Record the (db_id, sql) of every real execution."""
+    calls = []
+    original = execution.execute
+
+    def counting(sql, schema, *args):
+        calls.append((schema.db_id, sql))
+        return original(sql, schema, *args)
+
+    monkeypatch.setattr(execution, "execute", counting)
+    return calls
+
+
+def test_none_final_sql_counts_wrong(schemas, monkeypatch):
+    calls = counting_executions(monkeypatch)
     examples = [ship_example(0)]
     report = score([transcript(0, None, verdict=Verdict.FAILED)], examples, schemas)
     assert report.overall == 0.0
+    assert calls == []  # not even the gold runs
 
 
 def test_triage_distribution_present_for_failures(schemas):
@@ -165,3 +186,59 @@ def test_result_equivalent_prediction_scores_correct_without_verdict(schemas):
     report = score([pred], [example], schemas)
     assert report.buckets[Hardness.EASY].correct == 1
     assert report.verdicts == {}
+
+
+def student_example(example_id):
+    return SpiderExample(
+        id=example_id, question=f"q{example_id}", db_id="student_course",
+        gold_sql=GROUPED_BY_NAME_SQL, hardness=Hardness.HARD,
+    )
+
+
+def test_grouped_scoring_equals_one_example_scoring(schemas, monkeypatch):
+    # Golds interleave A, B, A, fault, A, B. Gold A holds a tie-probe failure
+    # (twice, so its probes repeat) and a parse-error failure.
+    examples = [
+        student_example(0), ship_example(1), student_example(2),
+        student_example(3), student_example(4), ship_example(5),
+    ]
+    transcripts = [
+        transcript(0, GROUPED_BY_ID_SQL, Verdict.FAILED),
+        transcript(1, WRONG, Verdict.FAILED),
+        transcript(2, "SELECT bogus FROM nowhere", Verdict.FAILED),
+        transcript(3, None, Verdict.FAULT),
+        transcript(4, GROUPED_BY_ID_SQL, Verdict.FAILED),
+        transcript(5, GOLD),
+    ]
+    calls = counting_executions(monkeypatch)
+    singles = [score([t], [ex], schemas) for t, ex in zip(transcripts, examples)]
+    distinct = set(calls)  # no (db, sql) is shared by the two golds
+    calls.clear()
+    report = score(transcripts, examples, schemas)
+
+    assert Counter(calls) == Counter(distinct)
+    buckets = {
+        h: BucketScore(
+            count=sum(r.buckets[h].count for r in singles),
+            correct=sum(r.buckets[h].correct for r in singles),
+        )
+        for h in Hardness
+    }
+    expected = EvalReport(
+        buckets=buckets,
+        overall=weighted_execution_accuracy(
+            {h: (b.count, b.accuracy) for h, b in buckets.items()}
+        ),
+        quarantined=0,
+        verdict_distribution=dict(
+            sum((Counter(r.verdict_distribution) for r in singles), Counter())
+        ),
+        verdicts={i: v for r in singles for i, v in r.verdicts.items()},
+        faults=sum(r.faults for r in singles),
+    )
+    assert json.dumps(report.results_payload()) == json.dumps(expected.results_payload())
+    assert list(report.verdicts) == [0, 1, 2, 4]
+    for example_id, verdict in report.verdicts.items():
+        assert verdict.to_json() == singles[example_id].verdicts[example_id].to_json()
+    assert report.verdicts[0].subtag == report.verdicts[4].subtag == "TieAmbiguity"
+    assert report.verdicts[2].subtag == "ParseError"

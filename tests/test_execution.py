@@ -8,9 +8,14 @@ import threading
 
 import pytest
 
+from nl2sql import evaluate
+from nl2sql.dataset import SpiderExample
 from nl2sql.errors import DatabaseMissingError
 from nl2sql.execution import (
+    DEFAULT_MAX_ROWS,
     ExecLimits,
+    ExecOutcome,
+    OutcomeMemo,
     ResultTable,
     TableComparison,
     execute,
@@ -19,6 +24,8 @@ from nl2sql.execution import (
     query_is_ordered,
     tables_equivalent,
 )
+from nl2sql.hardness import Hardness
+from nl2sql.pipeline import PipelineTranscript, Verdict
 from nl2sql.schema import DatabaseSchema
 
 from conftest import BELOW_AVERAGE_CARS_SQL, EXTRA_JOIN_CARS_SQL
@@ -178,6 +185,71 @@ def test_deleted_database_file_raises_after_connection_was_cached(tmp_path):
     os.remove(tmp_path / "n.sqlite")
     with pytest.raises(DatabaseMissingError):
         execute("SELECT n FROM t", schema)
+
+
+def test_memo_keeps_tables_and_errors_but_not_timeouts_or_tables_past_max_rows(schemas):
+    big = (
+        "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r WHERE i < 10001) "
+        "SELECT i FROM r"
+    )
+    calls = []
+
+    def counting(sql, schema):
+        calls.append(sql)
+        if sql == "slow":
+            return ExecOutcome(timed_out=True)
+        return execute_for_comparison(sql, schema)
+
+    schema = schemas["battle_death"]
+    assert len(execute_for_comparison(big, schema).table.rows) == DEFAULT_MAX_ROWS + 1
+    memo = OutcomeMemo()
+    for sql, kept in (("SELECT name FROM ship", True), ("SELECT * FROM nowhere", True),
+                      (big, False), ("slow", False)):
+        first = memo.run(counting, sql, schema)
+        again = memo.run(counting, sql, schema)
+        assert (again is first) is kept
+        assert calls.count(sql) == (1 if kept else 2)
+
+
+def test_memo_rereads_a_database_replaced_between_two_examples_of_one_group(
+    tmp_path, monkeypatch
+):
+    schema = _numbers_db(tmp_path / "n.sqlite", [1, 2])
+    gold = "SELECT n FROM t ORDER BY n"
+    examples = [
+        SpiderExample(id=i, question=f"q{i}", db_id="numbers", gold_sql=gold,
+                      hardness=Hardness.EASY)
+        for i in range(2)
+    ]
+    # Example 1's prediction matches only the replacement's rows, so it
+    # scores correct only if the gold is read again too.
+    transcripts = [
+        PipelineTranscript(
+            example_id=i, db_id="numbers", question=f"q{i}", gold_sql=gold, stages=[],
+            final_sql=sql, final_verdict=Verdict.FAILED,
+        )
+        for i, sql in enumerate([gold, "SELECT n FROM t WHERE n > 5 ORDER BY n"])
+    ]
+    original = evaluate._score_one
+
+    def replacing(transcript, *args):
+        if transcript.example_id == 1:
+            _numbers_db(tmp_path / "other.sqlite", [7, 8, 9])
+            os.replace(tmp_path / "other.sqlite", tmp_path / "n.sqlite")
+        return original(transcript, *args)
+
+    monkeypatch.setattr(evaluate, "_score_one", replacing)
+    report = evaluate.score(transcripts, examples, {"numbers": schema}, with_triage=False)
+    assert report.buckets[Hardness.EASY].correct == 2
+
+
+def test_memo_still_raises_for_a_deleted_database(tmp_path):
+    schema = _numbers_db(tmp_path / "n.sqlite", [1])
+    memo = OutcomeMemo()
+    assert memo.run(execute_for_comparison, "SELECT n FROM t", schema).kind == "table"
+    os.remove(tmp_path / "n.sqlite")
+    with pytest.raises(DatabaseMissingError):
+        memo.run(execute_for_comparison, "SELECT n FROM t", schema)
 
 
 def test_threads_sharing_a_schema_each_get_correct_tables(schemas):

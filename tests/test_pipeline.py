@@ -341,6 +341,31 @@ def test_gold_execution_failure_is_a_fault_not_a_failure(schemas):
     assert transcript.model_calls == 0
 
 
+def test_a_resubmitted_sql_runs_once_per_example_unless_it_timed_out(schemas, monkeypatch):
+    import nl2sql.pipeline as pipeline
+
+    original = pipeline.execute_for_comparison
+    for times_out in (False, True):
+        calls = []
+
+        def counting(sql, schema):
+            calls.append(sql)
+            if times_out and sql == WRONG:
+                return ExecOutcome(timed_out=True)
+            return original(sql, schema)
+
+        monkeypatch.setattr(pipeline, "execute_for_comparison", counting)
+        generator, corrector = scripted_endpoints(
+            {"zero_shot": WRONG, "example_1": WRONG, "error": WRONG}
+        )
+        transcript = run_pipeline(
+            example(), schemas["battle_death"], PipelineConfig(), generator, corrector
+        )
+        assert len(transcript.stages) == 3
+        assert calls.count(GOLD) == 1
+        assert calls.count(WRONG) == (3 if times_out else 1)
+
+
 # --------------------------------------------------------------------------- transcripts
 
 def test_transcript_json_round_trip(schemas, tmp_path):
@@ -385,3 +410,32 @@ def test_replay_run_is_byte_identical(schemas, tmp_path):
     parsed = [json.loads(line) for line in outs[0].decode().splitlines()]
     assert [t["example_id"] for t in parsed] == [0, 1, 2, 3]
     assert all(t["final_verdict"] == "corrected_by_example" for t in parsed)
+
+
+def test_run_many_matches_one_example_runs_for_any_worker_count(schemas, tmp_path):
+    golds = [GOLD, "SELECT name FROM ship ORDER BY id", GOLD, "SELECT count(*) FROM ship", GOLD]
+    examples = [
+        SpiderExample(id=10 - i, question=f"Q{i}?", db_id="battle_death", gold_sql=gold,
+                      hardness=Hardness.EASY)
+        for i, gold in enumerate(golds)
+    ]
+    generator, corrector = scripted_endpoints(
+        {"zero_shot": WRONG, "example_1": WRONG, "error": GOLD}
+    )
+
+    def lines(transcripts):
+        out = tmp_path / "t.jsonl"
+        write_transcripts(transcripts, out)
+        return out.read_bytes()
+
+    alone = [
+        run_pipeline(ex, schemas["battle_death"], PipelineConfig(), generator, corrector)
+        for ex in examples
+    ]
+    expected = lines(sorted(alone, key=lambda t: t.example_id))
+    for workers in (1, 2):
+        transcripts = run_many(
+            examples, schemas, PipelineConfig(), generator, corrector, workers=workers
+        )
+        assert [t.example_id for t in transcripts] == [6, 7, 8, 9, 10]
+        assert lines(transcripts) == expected

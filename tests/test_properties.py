@@ -5,9 +5,16 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from nl2sql.execution import ResultTable, TableComparison, normalize_cell, tables_equivalent
+from nl2sql.execution import (
+    ResultTable,
+    TableComparison,
+    normalize_cell,
+    query_is_ordered,
+    tables_equivalent,
+)
 from nl2sql.mdtable import parse_markdown, render_markdown
 from nl2sql.sqlast import canonicalize, diff, parse
+from nl2sql.sqlast.tokens import tokenize
 
 from helpers import generate_corpus
 
@@ -219,6 +226,47 @@ def test_markdown_round_trips_cell_texts(texts):
     header, rows = parse_markdown(render_markdown(table))
     assert header == table.columns
     assert rows == (tuple(t.strip() for t in texts),)
+
+
+def tokenized_query_is_ordered(sql: str) -> bool:
+    """Reference: a top-level ORDER BY found by tokenizing alone."""
+    try:
+        tokens = tokenize(sql)
+    except Exception:
+        return False
+    depth = 0
+    for tok in tokens:
+        if tok.kind == "punct" and tok.text == "(":
+            depth += 1
+        elif tok.kind == "punct" and tok.text == ")":
+            depth -= 1
+        elif depth == 0 and tok.is_keyword("order"):
+            return True
+    return False
+
+
+# ORDER as a keyword, in mixed case, inside quotes, brackets, parentheses and
+# comments, as part of longer words, and next to text that does not tokenize.
+sql_fragments = st.sampled_from(
+    ["SELECT a FROM t", "ORDER BY a", "order by", "OrDeR", "oRDER BY b DESC", "BY",
+     "LIMIT 1", "(", ")", "(SELECT a FROM t ORDER BY a)", "'order by'", "'it''s order'",
+     '"order"', "[order]", "[ORDER BY]", "`Order`", "/* order */", "-- order\n",
+     "ordered", "reorder", "order_id", "_order", "ORDERS", "'", "[", "/*", "#", "@",
+     "\u0130", "\u212a", "\u03a3", "ß", "ORDER\u0130"]
+)
+sql_texts = st.one_of(
+    st.lists(sql_fragments, max_size=8).flatmap(
+        lambda parts: st.sampled_from([" ".join(parts), "".join(parts)])
+    ),
+    st.text(alphabet="ordeORDE ()'\"[]`-/*\n,.;a1", max_size=30),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(sql_texts)
+def test_query_is_ordered_agrees_with_the_tokenizer(sql):
+    assert query_is_ordered(sql) == tokenized_query_is_ordered(sql)
 
 
 def test_diff_of_query_with_itself_is_empty_for_whole_corpus(schemas):
