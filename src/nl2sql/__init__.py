@@ -1,7 +1,7 @@
 """nl2sql-harness: text-to-SQL synthesis, evaluation and failure triage."""
 
 from .dataset import LoadedDataset, SpiderExample, load_dataset
-from .execution import ExecLimits, ExecOutcome, ResultTable, execute, tables_equivalent
+from .execution import ExecOutcome, ResultTable, execute, tables_equivalent
 from .hardness import Hardness, classify_hardness
 from .llm import HttpChatTransport, ModelEndpoint, ReplayTransport, Sampling
 from .mdtable import render_markdown
@@ -17,7 +17,6 @@ __all__ = [
     "Category",
     "DatabaseSchema",
     "EvalReport",
-    "ExecLimits",
     "ExecOutcome",
     "Hardness",
     "HttpChatTransport",

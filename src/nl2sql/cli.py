@@ -104,9 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the synthesis pipeline")
     _dataset_args(p)
     p.add_argument("--config", type=Path, help="JSON run configuration")
-    p.add_argument("--replay", type=Path, help="replay store directory (no network)")
-    p.add_argument("--record", type=Path, help="record live responses into this directory")
-    p.add_argument("--limit", type=int, help="only the first N examples")
+    transport = p.add_mutually_exclusive_group()
+    transport.add_argument("--replay", type=Path, help="replay store directory (no network)")
+    transport.add_argument("--record", type=Path, help="record live responses into this dir")
+    p.add_argument("--limit", type=_count, help="only the first N examples")
     p.add_argument("--workers", type=int, default=1, help="parallel pipeline workers")
     p.add_argument("--out", type=Path, required=True, help="transcripts JSONL path")
     p.set_defaults(func=cmd_run)
@@ -142,6 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diff", metavar="SQL2", help="diff against a second query")
     p.set_defaults(func=cmd_ast)
     return parser
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _dataset_args(p: argparse.ArgumentParser) -> None:

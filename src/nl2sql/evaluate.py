@@ -94,7 +94,6 @@ def score(
     schemas: dict[str, DatabaseSchema],
     quarantined: int = 0,
     with_triage: bool = True,
-    metadata: dict | None = None,
 ) -> EvalReport:
     """Score transcripts against their examples.
 
@@ -145,7 +144,6 @@ def score(
         verdict_distribution=verdict_distribution,
         verdicts=dict(sorted(verdicts.items())),
         faults=faults,
-        metadata=metadata or {},
     )
 
 

@@ -1,14 +1,15 @@
 """Sandboxed query execution and result-table equivalence.
 
 Queries run against the example's SQLite file through a read-only
-connection, with a deadline and a row cap so a runaway cartesian product
-cannot hang the harness. Each thread keeps one connection per database,
-cached on the ``DatabaseSchema`` and reopened when the file changes; the
-deadline is checked by SQLite's progress handler every ``PROGRESS_STEPS``
-VM steps, so no call opens a connection or starts a timer thread. Any
-statement that is not a plain read (a PRAGMA, a TEMP table, ATTACH, a
-transaction, a refused write) closes the connection afterwards, so no
-state reaches the next query. Outcomes are a tagged union: a table, an
+connection under one rule for every caller: a ``TIMEOUT_SECONDS`` (30 s)
+deadline and a ``MAX_ROWS`` (100,000) row cap past which the table is
+``truncated``, both read at call time. Each thread keeps one connection per
+database, cached on the ``DatabaseSchema`` and reopened when the file
+changes; the deadline is checked by SQLite's progress handler every
+``PROGRESS_STEPS`` VM steps, so no call opens a connection or starts a timer
+thread. Any statement that is not a plain read (a PRAGMA, a TEMP table,
+ATTACH, a transaction, a refused write) closes the connection afterwards,
+so no state reaches the next query. Outcomes are a tagged union: a table, an
 engine error (message kept verbatim: correction prompts quote it), or a
 timeout. A missing database file is a harness fault and raises instead.
 
@@ -18,8 +19,8 @@ example in ``run`` (its gold and every stage), one gold group in
 triage probes). It is keyed on the database file's identity and the SQL
 text, so a replaced or rewritten file is read again; a hit returns the very
 outcome the first execution produced. A timeout is never reused, as it
-depends on host load, and a table past ``DEFAULT_MAX_ROWS`` rows is not
-kept, so a memo holds at most one unit's small tables.
+depends on host load, and a table past ``MEMO_MAX_ROWS`` (10,000) rows is
+not kept, so a memo holds at most one unit's small tables.
 
 Equivalence compares cell contents only: column names are ignored (gold
 and predictions alias columns differently), rows compare as sequences when
@@ -45,7 +46,7 @@ import sqlite3
 import stat
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from urllib.parse import quote
@@ -56,8 +57,9 @@ from .sqlast.tokens import tokenize
 
 Cell = None | int | float | str | bytes
 
-DEFAULT_TIMEOUT_SECONDS = 30.0
-DEFAULT_MAX_ROWS = 10_000
+TIMEOUT_SECONDS = 30.0
+MAX_ROWS = 100_000
+MEMO_MAX_ROWS = 10_000
 SIGNIFICANT_DIGITS = 7
 # SQLite VM steps between two deadline checks.
 PROGRESS_STEPS = 10_000
@@ -67,12 +69,6 @@ _READ_ACTIONS = frozenset(
     {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION,
      sqlite3.SQLITE_RECURSIVE}
 )
-
-
-@dataclass(frozen=True)
-class ExecLimits:
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
-    max_rows: int = DEFAULT_MAX_ROWS
 
 
 @dataclass(frozen=True)
@@ -191,12 +187,13 @@ def _drop(schema: DatabaseSchema) -> None:
     del cache.entry
 
 
-def execute(sql: str, schema: DatabaseSchema, limits: ExecLimits = ExecLimits()) -> ExecOutcome:
-    """Run one SELECT against the schema's database, read-only."""
+def execute(sql: str, schema: DatabaseSchema) -> ExecOutcome:
+    """Run one SELECT against the schema's database, read-only, under the
+    ``TIMEOUT_SECONDS`` deadline and the ``MAX_ROWS`` cap."""
     cached = _connection(schema)
     conn = cached.conn
     ordered = query_is_ordered(sql)
-    deadline = time.monotonic() + limits.timeout_seconds
+    deadline = time.monotonic() + TIMEOUT_SECONDS
     timed_out = False
 
     def past_deadline() -> bool:
@@ -208,11 +205,11 @@ def execute(sql: str, schema: DatabaseSchema, limits: ExecLimits = ExecLimits())
     cursor = conn.cursor()
     try:
         cursor.execute(sql)
-        rows = cursor.fetchmany(limits.max_rows + 1)
+        rows = cursor.fetchmany(MAX_ROWS + 1)
         columns = tuple(d[0] for d in cursor.description) if cursor.description else ()
-        truncated = len(rows) > limits.max_rows
+        truncated = len(rows) > MAX_ROWS
         if truncated:
-            rows = rows[: limits.max_rows]
+            rows = rows[:MAX_ROWS]
         table = ResultTable(
             columns=columns,
             rows=tuple(rows),  # rows are tuples: no row_factory is set
@@ -232,15 +229,9 @@ def execute(sql: str, schema: DatabaseSchema, limits: ExecLimits = ExecLimits())
             _drop(schema)
 
 
-def execute_for_comparison(
-    sql: str, schema: DatabaseSchema, limits: ExecLimits = ExecLimits()
-) -> ExecOutcome:
-    """Execute with a 10x row cap, so comparison sees whole tables where it can.
-
-    The query runs once, under one ``timeout_seconds`` budget; the table is
-    ``truncated`` only past ``10 * limits.max_rows`` rows.
-    """
-    return execute(sql, schema, replace(limits, max_rows=limits.max_rows * 10))
+def execute_for_comparison(sql: str, schema: DatabaseSchema) -> ExecOutcome:
+    """``execute``, under the name the pipeline, scoring and triage resolve."""
+    return execute(sql, schema)
 
 
 class OutcomeMemo:
@@ -267,7 +258,7 @@ class OutcomeMemo:
             outcome = execute(sql, schema)
             table = outcome.table
             if key[0] is not None and not outcome.timed_out and (
-                table is None or len(table.rows) <= DEFAULT_MAX_ROWS
+                table is None or len(table.rows) <= MEMO_MAX_ROWS
             ):
                 self._outcomes[key] = outcome
         return outcome

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,21 +66,21 @@ class Transport(Protocol):
 
 
 class HttpChatTransport:
-    """Live transport with bounded exponential-backoff retry.
+    """Live transport with a fixed exponential-backoff retry policy (below).
 
     Retries cover connection errors, HTTP 5xx and 429; other statuses fail
     immediately. ``sleeper`` is injectable so tests do not wait.
     """
 
     RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+    MAX_RETRIES = 3
+    BACKOFF_SECONDS = 1.0  # doubled after each retry
+    TIMEOUT_SECONDS = 120.0
 
     def __init__(
         self,
         base_url: str,
         api_key: str | None = None,
-        max_retries: int = 3,
-        backoff_seconds: float = 1.0,
-        timeout_seconds: float = 120.0,
         sleeper: Callable[[float], None] = time.sleep,
         session: requests.Session | None = None,
     ):
@@ -91,9 +92,6 @@ class HttpChatTransport:
             )
         self.url = base_url.rstrip("/") + "/chat/completions"
         self.api_key = api_key
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
-        self.timeout_seconds = timeout_seconds
         self.sleeper = sleeper
         # No shared Session by default: module-level post is safe under
         # concurrent pipeline workers.
@@ -106,13 +104,11 @@ class HttpChatTransport:
         }
         post = self.session.post if self.session is not None else requests.post
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(self.MAX_RETRIES + 1):
             if attempt:
-                self.sleeper(self.backoff_seconds * (2 ** (attempt - 1)))
+                self.sleeper(self.BACKOFF_SECONDS * (2 ** (attempt - 1)))
             try:
-                resp = post(
-                    self.url, json=request, headers=headers, timeout=self.timeout_seconds
-                )
+                resp = post(self.url, json=request, headers=headers, timeout=self.TIMEOUT_SECONDS)
             except requests.RequestException as exc:
                 last_error = exc
                 continue
@@ -126,7 +122,7 @@ class HttpChatTransport:
                 continue
             raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         raise RetriesExhaustedError(
-            f"gave up after {self.max_retries + 1} attempts: {last_error}"
+            f"gave up after {self.MAX_RETRIES + 1} attempts: {last_error}"
         )
 
 
@@ -161,10 +157,21 @@ class RecordingTransport:
 
     def send(self, request: dict) -> dict:
         body = self.inner.send(request)
-        digest = request_digest(request)
-        path = self.store_dir / f"{digest}.json"
-        path.write_text(json.dumps(body, ensure_ascii=False, indent=1), encoding="utf-8")
+        _write_fixture(self.store_dir, request_digest(request), body)
         return body
+
+
+def _write_fixture(store_dir: Path, digest: str, body: dict) -> None:
+    """Write ``<digest>.json`` whole or not at all, so a write that fails
+    partway leaves a replay miss: a temporary file, then a rename."""
+    path = store_dir / f"{digest}.json"
+    tmp = store_dir / f"{digest}.json.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        tmp.write_text(json.dumps(body, ensure_ascii=False, indent=1), encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def store_reply(store_dir: Path | str, request: dict, text: str) -> str:
@@ -177,9 +184,7 @@ def store_reply(store_dir: Path | str, request: dict, text: str) -> str:
     store_dir.mkdir(parents=True, exist_ok=True)
     digest = request_digest(request)
     body = {"choices": [{"message": {"role": "assistant", "content": text}}]}
-    (store_dir / f"{digest}.json").write_text(
-        json.dumps(body, ensure_ascii=False, indent=1), encoding="utf-8"
-    )
+    _write_fixture(store_dir, digest, body)
     return digest
 
 

@@ -49,21 +49,17 @@ def format_cell(cell: Cell) -> str:
     return _escape(str(cell))
 
 
-def render_markdown(table: ResultTable, max_rows: int | None = None) -> str:
-    """Render header, separator and data rows; no trailing newline."""
+def render_markdown(table: ResultTable) -> str:
+    """Render header, separator and the first ``MAX_PROMPT_ROWS`` data rows,
+    with a note counting the rest; no trailing newline."""
     lines = [
         "| " + " | ".join(_escape(c) for c in table.columns) + " |",
         "| " + " | ".join("---" for _ in table.columns) + " |",
     ]
-    rows = table.rows
-    cut = False
-    if max_rows is not None and len(rows) > max_rows:
-        rows = rows[:max_rows]
-        cut = True
-    for row in rows:
+    for row in table.rows[:MAX_PROMPT_ROWS]:
         lines.append("| " + " | ".join(format_cell(c) for c in row) + " |")
-    if cut:
-        lines.append(f"... ({len(table.rows) - max_rows} more rows not shown)")
+    if len(table.rows) > MAX_PROMPT_ROWS:
+        lines.append(f"... ({len(table.rows) - MAX_PROMPT_ROWS} more rows not shown)")
     return "\n".join(lines)
 
 

@@ -48,7 +48,7 @@ from .execution import (
     tables_equivalent,
 )
 from .llm import Message, ModelEndpoint
-from .mdtable import MAX_PROMPT_ROWS, render_markdown
+from .mdtable import render_markdown
 from .prompts import (
     CORRECTOR_SYSTEM_PROMPT,
     SYSTEM_PROMPT,
@@ -279,7 +279,7 @@ def run_pipeline(
     schema: DatabaseSchema,
     config: PipelineConfig,
     generator: ModelEndpoint,
-    corrector: ModelEndpoint | None = None,
+    corrector: ModelEndpoint,
     memo: OutcomeMemo | None = None,
 ) -> PipelineTranscript:
     """Run all stages for one example. Total model calls are bounded by
@@ -320,7 +320,7 @@ def run_pipeline(
         if transcript.final_verdict is not Verdict.FAILED or last.sql is None:
             break  # solved, or nothing to revise in-conversation
         if gold_markdown is None:
-            gold_markdown = render_markdown(gold_table, max_rows=MAX_PROMPT_ROWS)
+            gold_markdown = render_markdown(gold_table)
         messages = messages + [
             {"role": "assistant", "content": last.reply},
             {"role": "user", "content": example_correction_prompt(gold_markdown)},
@@ -331,7 +331,7 @@ def run_pipeline(
 
     if transcript.final_verdict is not Verdict.FAILED:
         return transcript
-    if not config.enable_error_correction or corrector is None:
+    if not config.enable_error_correction:
         return transcript
     # Hand over final_sql with its own engine error: the stage that set it is
     # the last one with SQL, and a later round may have replied without SQL.
@@ -360,7 +360,7 @@ def run_many(
     schemas: dict[str, DatabaseSchema],
     config: PipelineConfig,
     generator: ModelEndpoint,
-    corrector: ModelEndpoint | None = None,
+    corrector: ModelEndpoint,
     workers: int = 1,
 ) -> list[PipelineTranscript]:
     """Run the pipeline over many examples; output order follows example id

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nodes import ColumnRef, Comparison, Select, TableSource
-from .walk import flatten_and, subselects
+from .nodes import Select, TableSource
+from .walk import flatten_and, is_link_predicate, subselects
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,12 @@ def detect_conditionless_join(select: Select) -> list[ConditionlessJoin]:
 def _scan_scope(select: Select) -> list[ConditionlessJoin]:
     if len(select.from_items) < 2:
         return []
-    linked = _where_linked_keys(select)
+    linked = {
+        column.source
+        for conj in flatten_and(select.where)
+        if is_link_predicate(conj)
+        for column in (conj.left, conj.right)
+    }
     flags = []
     for idx, item in enumerate(select.from_items):
         if idx == 0 or item.condition is not None:
@@ -45,20 +50,3 @@ def _scan_scope(select: Select) -> list[ConditionlessJoin]:
         table = src.table.lower() if isinstance(src, TableSource) else key
         flags.append(ConditionlessJoin(table=table, key=key, index=idx))
     return flags
-
-
-def _where_linked_keys(select: Select) -> set[str]:
-    """Source keys constrained by a WHERE equality against another source."""
-    linked: set[str] = set()
-    for conj in flatten_and(select.where):
-        if (
-            isinstance(conj, Comparison)
-            and conj.op == "="
-            and isinstance(conj.left, ColumnRef)
-            and isinstance(conj.right, ColumnRef)
-        ):
-            left, right = conj.left.source, conj.right.source
-            if left is not None and right is not None and left != right:
-                linked.add(left)
-                linked.add(right)
-    return linked

@@ -43,7 +43,14 @@ from .nodes import (
     map_children,
 )
 from .printer import expr_sql, to_sql
-from .walk import clause_exprs, count_subqueries, flatten_and, iter_expr_nodes, subselects
+from .walk import (
+    clause_exprs,
+    count_subqueries,
+    flatten_and,
+    is_link_predicate,
+    iter_expr_nodes,
+    subselects,
+)
 
 _AGG_CLAUSES = ("select", "group_by", "having", "order_by")
 
@@ -384,24 +391,13 @@ def _diff_aggregates(pred: Select, gold: Select) -> AggregateDelta:
 
 
 def _link_predicates(select: Select, table_map) -> tuple[list[str], list[Expr]]:
-    """WHERE conjuncts of the form a.x = b.y across two different sources.
+    """WHERE conjuncts that link two sources (``walk.is_link_predicate``).
 
     Returned both as comparison keys (pooled with ON conditions) and as the
     original nodes (so the WHERE diff can skip them).
     """
-    keys: list[str] = []
-    nodes: list[Expr] = []
-    for conj in flatten_and(select.where):
-        if (
-            isinstance(conj, Comparison)
-            and conj.op == "="
-            and isinstance(conj.left, ColumnRef)
-            and isinstance(conj.right, ColumnRef)
-            and conj.left.source != conj.right.source
-        ):
-            keys.append(_condition_key(conj, table_map))
-            nodes.append(conj)
-    return keys, nodes
+    nodes = [conj for conj in flatten_and(select.where) if is_link_predicate(conj)]
+    return [_condition_key(conj, table_map) for conj in nodes], nodes
 
 
 def _condition_key(expr: Expr, table_map) -> str:

@@ -1,5 +1,5 @@
 """Small tree-walking helpers shared by the parser's WHERE aggregate check,
-diffing, hardness and triage.
+diffing, hardness, triage and the condition-less join check.
 
 They reach children only through ``nodes.CHILD_FIELDS``, as do the parser's
 binder, ``canonicalize`` and the diff's rewrites.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .nodes import BoolOp, Expr, Select, SubquerySource, children
+from .nodes import BoolOp, ColumnRef, Comparison, Expr, Select, SubquerySource, children
 
 
 def flatten_and(expr: Expr | None) -> list[Expr]:
@@ -19,6 +19,20 @@ def flatten_and(expr: Expr | None) -> list[Expr]:
     if isinstance(expr, BoolOp) and expr.op == "and":
         return list(expr.terms)
     return [expr]
+
+
+def is_link_predicate(expr: Expr) -> bool:
+    """True iff ``expr`` is ``a.x = b.y`` with both columns bound to two
+    different sources: the WHERE form of a join condition. A column whose
+    source is ambiguous links nothing."""
+    return (
+        isinstance(expr, Comparison)
+        and expr.op == "="
+        and isinstance(expr.left, ColumnRef)
+        and isinstance(expr.right, ColumnRef)
+        and None not in (expr.left.source, expr.right.source)
+        and expr.left.source != expr.right.source
+    )
 
 
 def iter_expr_nodes(expr: Expr) -> Iterator[Expr]:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import errno
 import json
 import re
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from nl2sql.cli import main
 from nl2sql.dataset import load_dataset
@@ -129,6 +133,50 @@ def test_run_replay_miss_exits_5(dataset_dir, tmp_path, capsys):
         "--limit", "1", "--out", str(tmp_path / "t.jsonl"),
     ])
     assert code == 5
+
+
+def test_run_negative_limit_is_a_usage_error(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "run", "--dataset", str(dataset_dir), "--replay", str(tmp_path),
+            "--limit", "-1", "--out", str(out),
+        ])
+    assert exit_info.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_replay_and_record_together_is_a_usage_error(dataset_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "run", "--dataset", str(dataset_dir), "--replay", str(tmp_path / "a"),
+            "--record", str(tmp_path / "b"), "--out", str(tmp_path / "t.jsonl"),
+        ])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_fixture_write_failing_partway_leaves_a_replay_miss(
+    dataset_dir, tmp_path, monkeypatch, capsys
+):
+    store = tmp_path / "store"
+
+    def disk_full(path, data, encoding=None):
+        with open(path, "w", encoding=encoding) as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", disk_full)
+        with pytest.raises(OSError):
+            build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
+    assert list(store.iterdir()) == []
+    code = main([
+        "run", "--dataset", str(dataset_dir), "--replay", str(store),
+        "--limit", "1", "--out", str(tmp_path / "t.jsonl"),
+    ])
+    assert code == 5  # a miss, not a corrupt fixture (exit 1)
 
 
 def test_run_truncated_replay_fixture_exits_1(dataset_dir, tmp_path, capsys):

@@ -227,3 +227,20 @@ def test_conditionless_flags_surface_in_join_delta(schemas):
     assert d.join_delta.missing_conditions == (
         "professionals.professional_id = treatments.professional_id",
     )
+
+
+def test_where_equality_with_an_ambiguous_operand_is_no_join_condition(schemas):
+    # ``singer_id`` names a column of both sources, so it binds to neither:
+    # the equality links nothing, for the diff as for the condition-less check.
+    schema = schemas["concert_singer"]
+    d = _diff(
+        "SELECT T1.name FROM singer AS T1, singer_in_concert AS T2 "
+        "WHERE singer_id = T2.concert_id",
+        "SELECT T1.name FROM singer AS T1 "
+        "JOIN singer_in_concert AS T2 ON T1.singer_id = T2.singer_id",
+        schema,
+    )
+    summary = d.summary()
+    assert summary["joins"]["extra_conditions"] == []
+    assert summary["clauses"] == ["where"]
+    assert summary["joins"]["pred_conditionless"] == ["singer_in_concert"]

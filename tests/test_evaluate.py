@@ -137,8 +137,9 @@ def test_triage_distribution_present_for_failures(schemas):
 def test_results_payload_deterministic(schemas):
     examples = [ship_example(i) for i in range(4)]
     transcripts = [transcript(i, GOLD if i % 2 else WRONG) for i in range(4)]
-    a = score(transcripts, examples, schemas, metadata={"generated_at": "now"})
-    b = score(transcripts, examples, schemas, metadata={"generated_at": "later"})
+    a = score(transcripts, examples, schemas)
+    b = score(transcripts, examples, schemas)
+    a.metadata, b.metadata = {"generated_at": "now"}, {"generated_at": "later"}
     assert json.dumps(a.results_payload()) == json.dumps(b.results_payload())
     assert a.metadata != b.metadata
 

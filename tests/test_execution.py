@@ -5,15 +5,18 @@ import os
 import sqlite3
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from nl2sql import evaluate
+import nl2sql
+from nl2sql import evaluate, execution
 from nl2sql.dataset import SpiderExample
 from nl2sql.errors import DatabaseMissingError
 from nl2sql.execution import (
-    DEFAULT_MAX_ROWS,
-    ExecLimits,
+    MAX_ROWS,
+    MEMO_MAX_ROWS,
+    TIMEOUT_SECONDS,
     ExecOutcome,
     OutcomeMemo,
     ResultTable,
@@ -83,29 +86,52 @@ def test_execution_is_read_only(schemas):
     assert before == after
 
 
-def test_row_cap_marks_truncation(schemas):
-    outcome = execute(
-        "SELECT * FROM cars_data", schemas["car_1"], ExecLimits(max_rows=10)
-    )
+def test_row_cap_marks_truncation(schemas, monkeypatch):
+    monkeypatch.setattr(execution, "MAX_ROWS", 10)
+    outcome = execute("SELECT * FROM cars_data", schemas["car_1"])
     assert outcome.table.truncated
     assert len(outcome.table.rows) == 10
 
 
-def test_execute_for_comparison_raises_the_cap_once(schemas):
-    outcome = execute_for_comparison(
-        "SELECT * FROM cars_data", schemas["car_1"], ExecLimits(max_rows=100)
+def _count_to(n: int) -> str:
+    return (
+        "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r "
+        f"WHERE i < {n}) SELECT i FROM r"
     )
+
+
+def test_public_execute_returns_a_table_past_the_memo_bound_whole(schemas):
+    outcome = nl2sql.execute(_count_to(10_001), schemas["battle_death"])
     assert not outcome.table.truncated
-    assert len(outcome.table.rows) == 406
+    assert len(outcome.table.rows) == 10_001
 
 
-def test_timeout_reported_as_timeout(schemas):
+def test_execute_for_comparison_caps_at_max_rows(schemas):
+    schema = schemas["battle_death"]
+    whole = execute_for_comparison(_count_to(MAX_ROWS), schema)
+    assert not whole.table.truncated
+    assert len(whole.table.rows) == MAX_ROWS
+    cut = execute_for_comparison(_count_to(MAX_ROWS + 1), schema)
+    assert cut.table.truncated
+    assert cut.table.rows == whole.table.rows
+
+
+def test_readme_and_formats_state_the_execution_rule():
+    root = Path(__file__).resolve().parent.parent
+    rule = f"a {TIMEOUT_SECONDS:g} s timeout and a {MAX_ROWS:,}-row cap"
+    for doc in ("README.md", "docs/formats.md"):
+        text = " ".join((root / doc).read_text(encoding="utf-8").split())
+        assert rule in text, doc
+
+
+def test_timeout_reported_as_timeout(schemas, monkeypatch):
     # A cartesian self-product large enough to outlive a 50ms budget.
     sql = (
         "SELECT count(*) FROM cars_data AS a, cars_data AS b, cars_data AS c, "
         "cars_data AS d WHERE a.weight + b.weight + c.weight + d.weight > 0"
     )
-    outcome = execute(sql, schemas["car_1"], ExecLimits(timeout_seconds=0.05))
+    monkeypatch.setattr(execution, "TIMEOUT_SECONDS", 0.05)
+    outcome = execute(sql, schemas["car_1"])
     assert outcome.kind == "timeout"
 
 
@@ -119,24 +145,18 @@ def test_ordered_flag_follows_ast_not_data(schemas):
     assert outcome.table.ordered
 
 
-def test_execute_for_comparison_caps_at_ten_times_max_rows(schemas):
-    outcome = execute_for_comparison(
-        "SELECT * FROM cars_data", schemas["car_1"], ExecLimits(max_rows=10)
-    )
-    assert outcome.table.truncated
-    assert len(outcome.table.rows) == 100
-
-
 ENDLESS_SQL = (
     "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r) SELECT count(*) FROM r"
 )
 
 
-def test_timeout_error_and_refused_write_leave_the_connection_usable(schemas):
+def test_timeout_error_and_refused_write_leave_the_connection_usable(schemas, monkeypatch):
     schema = schemas["battle_death"]
     expected = execute("SELECT * FROM ship ORDER BY id", schema)
     assert len(expected.table.rows) == 7
-    assert execute(ENDLESS_SQL, schema, ExecLimits(timeout_seconds=0.05)).kind == "timeout"
+    with monkeypatch.context() as patch:
+        patch.setattr(execution, "TIMEOUT_SECONDS", 0.05)
+        assert execute(ENDLESS_SQL, schema).kind == "timeout"
     assert execute("SELECT * FROM ship ORDER BY id", schema) == expected
     assert execute("SELECT * FROM no_such_table", schema).kind == "error"
     assert execute("SELECT * FROM ship ORDER BY id", schema) == expected
@@ -160,10 +180,12 @@ def _numbers_db(path, values):
     return DatabaseSchema(db_id="numbers", tables=(("t", (("n", "number"),)),), db_path=path)
 
 
-def test_open_transaction_and_capped_fetch_hold_no_read_lock(tmp_path):
+def test_open_transaction_and_capped_fetch_hold_no_read_lock(tmp_path, monkeypatch):
     schema = _numbers_db(tmp_path / "n.sqlite", [1, 2, 3])
     execute("BEGIN", schema)
-    assert execute("SELECT n FROM t", schema, ExecLimits(max_rows=1)).table.truncated
+    with monkeypatch.context() as patch:
+        patch.setattr(execution, "MAX_ROWS", 1)
+        assert execute("SELECT n FROM t", schema).table.truncated
     writer = sqlite3.connect(tmp_path / "n.sqlite", timeout=0)
     writer.execute("INSERT INTO t VALUES (4)")
     writer.commit()  # "database is locked" if a reader still held its lock
@@ -188,10 +210,7 @@ def test_deleted_database_file_raises_after_connection_was_cached(tmp_path):
 
 
 def test_memo_keeps_tables_and_errors_but_not_timeouts_or_tables_past_max_rows(schemas):
-    big = (
-        "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r WHERE i < 10001) "
-        "SELECT i FROM r"
-    )
+    big = _count_to(MEMO_MAX_ROWS + 1)
     calls = []
 
     def counting(sql, schema):
@@ -201,7 +220,7 @@ def test_memo_keeps_tables_and_errors_but_not_timeouts_or_tables_past_max_rows(s
         return execute_for_comparison(sql, schema)
 
     schema = schemas["battle_death"]
-    assert len(execute_for_comparison(big, schema).table.rows) == DEFAULT_MAX_ROWS + 1
+    assert len(execute_for_comparison(big, schema).table.rows) == MEMO_MAX_ROWS + 1
     memo = OutcomeMemo()
     for sql, kept in (("SELECT name FROM ship", True), ("SELECT * FROM nowhere", True),
                       (big, False), ("slow", False)):
@@ -279,14 +298,15 @@ def test_threads_sharing_a_schema_each_get_correct_tables(schemas):
         assert results[idx] == [expected[(i + idx) % 2] for i in range(40)]
 
 
-def test_timeout_while_fetching_rows_reported_as_timeout(schemas):
+def test_timeout_while_fetching_rows_reported_as_timeout(schemas, monkeypatch):
     # The first rows of this 67M-row product arrive at once; fetching all of
     # them outlives the budget.
     sql = "SELECT a.Id FROM cars_data AS a, cars_data AS b, cars_data AS c"
-    first = execute(sql, schemas["car_1"], ExecLimits(timeout_seconds=0.05, max_rows=5))
-    assert first.table.truncated
-    outcome = execute(sql, schemas["car_1"], ExecLimits(timeout_seconds=0.05, max_rows=10**8))
-    assert outcome.kind == "timeout"
+    monkeypatch.setattr(execution, "TIMEOUT_SECONDS", 0.05)
+    monkeypatch.setattr(execution, "MAX_ROWS", 5)
+    assert execute(sql, schemas["car_1"]).table.truncated
+    monkeypatch.setattr(execution, "MAX_ROWS", 10**8)
+    assert execute(sql, schemas["car_1"]).kind == "timeout"
 
 
 # --------------------------------------------------------------------------- equivalence

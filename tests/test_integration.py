@@ -115,7 +115,10 @@ def test_transcript_stream_is_valid_jsonl_end_to_end(tmp_path, schemas):
     generator = ModelEndpoint(
         "generator", ScriptedTransport(lambda r: "SELECT name FROM ship"), "m"
     )
-    transcripts = run_many(examples, schemas, PipelineConfig(), generator, None, workers=3)
+    corrector = ModelEndpoint(
+        "corrector", ScriptedTransport(lambda r: "SELECT name FROM ship"), "fix"
+    )
+    transcripts = run_many(examples, schemas, PipelineConfig(), generator, corrector, workers=3)
     out = tmp_path / "t.jsonl"
     write_transcripts(transcripts, out)
     lines = out.read_text().splitlines()

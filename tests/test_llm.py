@@ -109,14 +109,13 @@ class _FakeSession:
         return item
 
 
-def _http(session, **kwargs):
+def _http(session):
     sleeps = []
     transport = HttpChatTransport(
         base_url="https://example.invalid/v1",
         api_key="k",
         sleeper=sleeps.append,
         session=session,
-        **kwargs,
     )
     return transport, sleeps
 
@@ -124,7 +123,7 @@ def _http(session, **kwargs):
 def test_http_retries_on_5xx_then_succeeds():
     ok = {"choices": [{"message": {"role": "assistant", "content": "hi"}}]}
     session = _FakeSession([_FakeResponse(500), _FakeResponse(503), _FakeResponse(200, ok)])
-    transport, sleeps = _http(session, max_retries=3, backoff_seconds=1.0)
+    transport, sleeps = _http(session)
     assert reply_text(transport.send(_request())) == "hi"
     assert session.calls == 3
     assert sleeps == [1.0, 2.0]  # exponential backoff
@@ -134,7 +133,7 @@ def test_http_gives_up_after_budget():
     import requests
 
     session = _FakeSession([requests.ConnectionError("down")] * 4)
-    transport, _ = _http(session, max_retries=3)
+    transport, _ = _http(session)
     with pytest.raises(RetriesExhaustedError):
         transport.send(_request())
     assert session.calls == 4
@@ -142,7 +141,7 @@ def test_http_gives_up_after_budget():
 
 def test_http_non_retryable_status_fails_fast():
     session = _FakeSession([_FakeResponse(401, text="bad key")])
-    transport, _ = _http(session, max_retries=3)
+    transport, _ = _http(session)
     with pytest.raises(TransportError, match="401"):
         transport.send(_request())
     assert session.calls == 1

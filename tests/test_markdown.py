@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from nl2sql.execution import ResultTable
-from nl2sql.mdtable import parse_markdown, render_markdown
+from nl2sql.mdtable import MAX_PROMPT_ROWS, parse_markdown, render_markdown
 
 
 def table(rows, columns, ordered=False):
@@ -52,12 +52,13 @@ def test_rendering_is_deterministic():
 
 def test_row_cut_note_after_max_rows():
     t = table([[i] for i in range(60)], ["n"])
-    text = render_markdown(t, max_rows=50)
+    text = render_markdown(t)
     lines = text.splitlines()
     assert len(lines) == 2 + 50 + 1
     assert lines[-1] == "... (10 more rows not shown)"
 
 
 def test_small_table_not_cut():
-    t = table([[1]], ["n"])
-    assert render_markdown(t, max_rows=50) == render_markdown(t)
+    # A table of exactly MAX_PROMPT_ROWS rows is shown whole, with no note.
+    t = table([[i] for i in range(MAX_PROMPT_ROWS)], ["n"])
+    assert len(render_markdown(t).splitlines()) == 2 + MAX_PROMPT_ROWS

@@ -128,7 +128,7 @@ def test_example_round_shows_exact_gold_markdown(schemas):
         example(), schemas["battle_death"], PipelineConfig(), generator, corrector
     )
     gold_table = execute(GOLD, schemas["battle_death"]).table
-    expected_markdown = render_markdown(gold_table, max_rows=50)
+    expected_markdown = render_markdown(gold_table)
     correction_turn = transcript.stages[1].messages[-1]["content"]
     assert expected_markdown in correction_turn
 
@@ -282,9 +282,9 @@ def test_gold_markdown_rendered_only_for_example_rounds(schemas, monkeypatch):
 
     rendered = []
 
-    def counting_render(table, max_rows):
+    def counting_render(table):
         rendered.append(table)
-        return render_markdown(table, max_rows=max_rows)
+        return render_markdown(table)
 
     monkeypatch.setattr(pipeline, "render_markdown", counting_render)
     generator, corrector = scripted_endpoints({"zero_shot": GOLD})
@@ -297,7 +297,7 @@ def test_gold_markdown_rendered_only_for_example_rounds(schemas, monkeypatch):
     config = PipelineConfig(max_example_correction_rounds=3)
     transcript = run_pipeline(example(), schemas["battle_death"], config, generator, corrector)
     assert len(rendered) == 1
-    expected_markdown = render_markdown(rendered[0], max_rows=50)
+    expected_markdown = render_markdown(rendered[0])
     for stage in transcript.stages[1:]:
         assert expected_markdown in stage.messages[-1]["content"]
 
