@@ -106,14 +106,19 @@ def test_public_execute_returns_a_table_past_the_memo_bound_whole(schemas):
     assert len(outcome.table.rows) == 10_001
 
 
-def test_execute_for_comparison_caps_at_max_rows(schemas):
-    schema = schemas["battle_death"]
-    whole = execute_for_comparison(_count_to(MAX_ROWS), schema)
+def test_execute_for_comparison_returns_a_table_at_max_rows_whole(schemas):
+    outcome = execute_for_comparison("SELECT * FROM cars_data", schemas["car_1"])
+    assert not outcome.table.truncated
+    assert len(outcome.table.rows) == 406
+    whole = execute_for_comparison(_count_to(MAX_ROWS), schemas["battle_death"])
     assert not whole.table.truncated
     assert len(whole.table.rows) == MAX_ROWS
-    cut = execute_for_comparison(_count_to(MAX_ROWS + 1), schema)
+
+
+def test_execute_for_comparison_caps_at_max_rows(schemas):
+    cut = execute_for_comparison(_count_to(MAX_ROWS + 1), schemas["battle_death"])
     assert cut.table.truncated
-    assert cut.table.rows == whole.table.rows
+    assert [row[0] for row in cut.table.rows] == list(range(1, MAX_ROWS + 1))
 
 
 def test_readme_and_formats_state_the_execution_rule():
