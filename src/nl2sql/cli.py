@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     transport.add_argument("--replay", type=Path, help="replay store directory (no network)")
     transport.add_argument("--record", type=Path, help="record live responses into this dir")
     p.add_argument("--limit", type=_count, help="only the first N examples")
-    p.add_argument("--workers", type=int, default=1, help="parallel pipeline workers")
+    p.add_argument("--workers", type=_positive, default=1, help="parallel pipeline workers")
     p.add_argument("--out", type=Path, required=True, help="transcripts JSONL path")
     p.set_defaults(func=cmd_run)
 
@@ -149,6 +149,13 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 

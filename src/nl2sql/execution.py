@@ -35,7 +35,8 @@ is not. A NaN and each infinity become a marker equal only to itself, so
 NaN equals NaN and no text, such as 'nan' or 'inf', equals either. Tables
 whose raw rows are already equal are decided without normalising, unless a
 column holds both ints and floats; otherwise only columns holding a float
-or bool are normalised.
+or bool are normalised. Equal row sequences are equal multisets, so they
+are decided before any multiset is built, raw or normalised.
 """
 
 from __future__ import annotations
@@ -358,11 +359,10 @@ def tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
         # equal at magnitude >= 2**53, which stay apart: a column holding both
         # types is only compared after normalisation.
         if not any(_INT_AND_FLOAT <= types for types in column_types):
-            if as_sequences:
-                raw_equal = pred_rows == gold_rows
-            else:
-                raw_equal = _counts(pred_rows) == _counts(gold_rows)
-            if raw_equal:
+            # Equal sequences are equal multisets: no counts are built for them.
+            if pred_rows == gold_rows or (
+                not as_sequences and _counts(pred_rows) == _counts(gold_rows)
+            ):
                 return TableComparison("equivalent", detail=note.strip())
         pred_rows = _normalized_rows(pred_columns, column_types)
         gold_rows = _normalized_rows(gold_columns, column_types)
@@ -375,6 +375,8 @@ def tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
         )
         return TableComparison("different", f"row {idx} differs: {p!r} != {g!r}")
 
+    if pred_rows == gold_rows:
+        return TableComparison("equivalent", detail=note.strip())
     pred_count = _counts(pred_rows)
     gold_count = _counts(gold_rows)
     if pred_count == gold_count:

@@ -220,10 +220,11 @@ def tie_ambiguity_test(
     """Does LIMIT k cut through a tie in the ordering key?
 
     Applicable only when both queries end in ORDER BY ... LIMIT k. Both are
-    re-executed without LIMIT and with the ordering key appended as an
-    output column; the test passes when the boundary values agree and the
-    gold ordering has more boundary-tied candidates than LIMIT admits.
-    Returns None when not applicable.
+    re-executed with LIMIT k + 1 and with the first ordering key appended as
+    an output column; the test passes when the boundary values at rank k
+    agree and the gold's row k + 1 ties with its row k. Rows come out sorted
+    on that key, so tied rows are contiguous and rows k and k + 1 decide
+    whether the tie runs past the cut. Returns None when not applicable.
     """
     if not (pred_ast.order_by and pred_ast.limit is not None):
         return None
@@ -236,9 +237,9 @@ def tie_ambiguity_test(
         memo = OutcomeMemo()
 
     def ordering_values(ast: Select) -> list | None:
-        probe = _without_limit_with_key(ast)
+        probe = _one_past_limit_with_key(ast)
         outcome = memo.run(execute_for_comparison, to_sql(probe), schema)
-        if outcome.table is None or outcome.table.truncated:
+        if outcome.table is None:
             return None
         return [normalize_cell(row[-1]) for row in outcome.table.rows]
 
@@ -248,24 +249,17 @@ def tie_ambiguity_test(
         return False
     if len(pred_values) < k or len(gold_values) < k:
         return False
-    boundary_pred = pred_values[k - 1]
-    boundary_gold = gold_values[k - 1]
-    if boundary_pred != boundary_gold:
+    if pred_values[k - 1] != gold_values[k - 1]:
         return False
-    # Rows are in ORDER BY order, so everything before the first boundary
-    # occurrence ranks strictly better; the cut is ambiguous when the tie
-    # group extends past rank k.
-    strictly_better = gold_values.index(boundary_gold)
-    tied = gold_values.count(boundary_gold)
-    return strictly_better + tied > k
+    return len(gold_values) > k and gold_values[k] == gold_values[k - 1]
 
 
-def _without_limit_with_key(ast: Select) -> Select:
+def _one_past_limit_with_key(ast: Select) -> Select:
     key = ast.order_by[0].expr
     if isinstance(key, AliasRef):
         key = ast.items[key.index].expr
     items = ast.items + (SelectItem(expr=key, alias="ordering_key"),)
-    return replace(ast, items=items, limit=None)
+    return replace(ast, items=items, limit=ast.limit + 1)
 
 
 # --------------------------------------------------------------------------- suspect gold

@@ -147,6 +147,19 @@ def test_run_negative_limit_is_a_usage_error(dataset_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_run_workers_below_one_is_a_usage_error(dataset_dir, tmp_path, capsys, workers):
+    out = tmp_path / "t.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "run", "--dataset", str(dataset_dir), "--replay", str(tmp_path),
+            "--workers", workers, "--out", str(out),
+        ])
+    assert exit_info.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_replay_and_record_together_is_a_usage_error(dataset_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([

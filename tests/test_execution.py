@@ -463,6 +463,19 @@ def test_one_ordered_side_notes_multiset_comparison_on_every_path():
     )
 
 
+def test_equal_row_sequences_are_decided_without_building_multisets(monkeypatch):
+    def no_counts(rows):
+        raise AssertionError("built a multiset for equal row sequences")
+
+    monkeypatch.setattr(execution, "_counts", no_counts)
+    note = "(exactly one side is ordered; compared as multisets)"
+    # only ints; a float column equal raw; an int and a float in one column
+    for rows in ([[1], [2], [1]], [[1.5], [2.5]], [[1], [2.0]]):
+        for ordered in (False, True):
+            result = tables_equivalent(table(rows, ordered=ordered), table(rows))
+            assert result == TableComparison("equivalent", note if ordered else "")
+
+
 def test_sequence_mismatch_reports_normalised_rows():
     a = table([[1, 2.0], [3, "x"]], ordered=True)
     b = table([[1.0, 2], [3, "y"]], ordered=True)

@@ -1,9 +1,18 @@
 from __future__ import annotations
 
-import pytest
+import importlib
+import sqlite3
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
-from nl2sql.execution import execute
-from nl2sql.sqlast import parse
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from nl2sql import execution
+from nl2sql.execution import execute, normalize_cell
+from nl2sql.schema import DatabaseSchema
+from nl2sql.sqlast import AliasRef, SelectItem, parse, to_sql
 from nl2sql.triage import (
     Category,
     suspect_gold_check,
@@ -94,6 +103,113 @@ def test_tie_test_not_applicable_without_limit(schemas):
     pred = "SELECT name FROM stadium ORDER BY capacity DESC"
     gold = "SELECT name FROM stadium ORDER BY capacity DESC LIMIT 1"
     assert tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema) is None
+
+
+def full_scan_tie_rule(pred_ast, gold_ast, schema):
+    """The reference tie rule: read every ordered row, count the boundary ties.
+
+    Both queries run without LIMIT, with the first ordering key appended;
+    the cut is ambiguous when the rows tied with the gold's row k (its first
+    occurrence onwards) reach past rank k.
+    """
+    if not (pred_ast.order_by and pred_ast.limit is not None):
+        return None
+    if not (gold_ast.order_by and gold_ast.limit is not None):
+        return None
+    if pred_ast.limit != gold_ast.limit or pred_ast.limit == 0:
+        return None
+    k = gold_ast.limit
+
+    def ordering_values(ast):
+        key = ast.order_by[0].expr
+        if isinstance(key, AliasRef):
+            key = ast.items[key.index].expr
+        probe = replace(ast, items=ast.items + (SelectItem(expr=key),), limit=None)
+        table = execute(to_sql(probe), schema).table
+        if table is None or table.truncated:
+            return None
+        return [normalize_cell(row[-1]) for row in table.rows]
+
+    pred_values = ordering_values(pred_ast)
+    gold_values = ordering_values(gold_ast)
+    if pred_values is None or gold_values is None:
+        return False
+    if len(pred_values) < k or len(gold_values) < k:
+        return False
+    boundary = gold_values[k - 1]
+    if pred_values[k - 1] != boundary:
+        return False
+    return gold_values.index(boundary) + gold_values.count(boundary) > k
+
+
+def _keys_db(path, keys):
+    """A table t(id, v) whose untyped column v holds ``keys`` as given."""
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (id INTEGER, v)")
+    conn.executemany("INSERT INTO t VALUES (?, ?)", list(enumerate(keys)))
+    conn.commit()
+    conn.close()
+    return DatabaseSchema(
+        db_id="keys", tables=(("t", (("id", "number"), ("v", "text"))),), db_path=path
+    )
+
+
+# Keys on which equal cells are adjacent in SQLite's BINARY sort order: NULL,
+# small ints, floats below 10**7 (some integral, some a hair apart so they
+# round equal at 7 significant digits) and case-distinct text.
+tie_keys = st.one_of(
+    st.none(),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from([0.5, 0.5 + 1e-12, 0.5 - 1e-12, 2.0, 2.0 + 1e-10, 1.25, 1e6 + 0.3]),
+    st.sampled_from(["a", "b", "B", "a "]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    keys=st.lists(tie_keys, max_size=9),
+    descending=st.booleans(),
+    k_offset=st.integers(min_value=0, max_value=10),
+    pred_min_id=st.integers(min_value=0, max_value=2),
+)
+# A tie that straddles the cut, one that ends exactly at it, one past it.
+@example(keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0)
+@example(keys=[1, 2, 2, 3], descending=False, k_offset=2, pred_min_id=0)
+@example(keys=[0.5, 0.5 + 1e-12, "a"], descending=True, k_offset=0, pred_min_id=0)
+def test_tie_rule_agrees_with_the_full_scan_rule(keys, descending, k_offset, pred_min_id):
+    k = 1 + k_offset % (len(keys) + 1)  # 1 .. len + 1
+    order = "DESC" if descending else "ASC"
+    gold = f"SELECT id FROM t ORDER BY v {order} LIMIT {k}"
+    pred = f"SELECT v FROM t WHERE id >= {pred_min_id} ORDER BY v {order} LIMIT {k}"
+    with tempfile.TemporaryDirectory() as tmp:
+        schema = _keys_db(Path(tmp) / "keys.sqlite", keys)
+        pred_ast, gold_ast = parse(pred, schema), parse(gold, schema)
+        expected = full_scan_tie_rule(pred_ast, gold_ast, schema)
+        assert tie_ambiguity_test(pred_ast, gold_ast, schema) is expected
+
+
+def test_tie_past_the_row_cap_is_found_from_k_plus_one_rows(tmp_path, monkeypatch):
+    schema = _keys_db(tmp_path / "keys.sqlite", [1] + [2] * 40)
+    k = 3
+    gold = parse(f"SELECT id FROM t ORDER BY v LIMIT {k}", schema)
+    pred = parse(f"SELECT v FROM t ORDER BY v LIMIT {k}", schema)
+    monkeypatch.setattr(execution, "MAX_ROWS", 10)
+    assert full_scan_tie_rule(pred, gold, schema) is False  # the cap hid the tie
+    probes = []
+
+    def counting(sql, schema):
+        outcome = execution.execute_for_comparison(sql, schema)
+        probes.append((sql, len(outcome.table.rows)))
+        return outcome
+
+    # The package re-exports the function triage, which shadows the module.
+    triage_module = importlib.import_module("nl2sql.triage")
+    monkeypatch.setattr(triage_module, "execute_for_comparison", counting)
+    assert tie_ambiguity_test(pred, gold, schema) is True
+    assert len(probes) == 2
+    for sql, rows in probes:
+        assert sql.endswith(f"LIMIT {k + 1}")
+        assert rows <= k + 1
 
 
 def test_extra_join_triaged_as_join_clauses_extra(schemas):
