@@ -244,3 +244,97 @@ def test_where_equality_with_an_ambiguous_operand_is_no_join_condition(schemas):
     assert summary["joins"]["extra_conditions"] == []
     assert summary["clauses"] == ["where"]
     assert summary["joins"]["pred_conditionless"] == ["singer_in_concert"]
+
+
+def test_summary_of_a_pair_that_differs_in_every_clause_family(schemas):
+    schema = schemas["concert_singer"]
+    d = _diff(
+        "SELECT T1.name, count(*) FROM singer AS T1 "
+        "JOIN singer_in_concert AS T2 ON T1.singer_id = T2.singer_id "
+        "JOIN concert AS T3 ON T2.concert_id = T3.concert_id "
+        "WHERE T1.age > 30 GROUP BY T1.name ORDER BY T1.name LIMIT 3",
+        "SELECT T1.country, max(T1.age) FROM singer AS T1 "
+        "JOIN singer_in_concert AS T2 ON T1.singer_id = T2.singer_id "
+        "WHERE T1.age > 40 GROUP BY T1.country HAVING count(*) > 1 LIMIT 5",
+        schema,
+    )
+    assert d.summary() == {
+        "select": {
+            "missing": ["max(singer.age)", "singer.country"],
+            "extra": ["count(*)", "singer.name"],
+            "reordered": False,
+        },
+        "group_by": {"pred": ["singer.name"], "gold": ["singer.country"]},
+        "aggregates": [
+            {"clause": "select", "pred": ["count"], "gold": ["max"]},
+            {"clause": "having", "pred": [], "gold": ["count"]},
+        ],
+        "joins": {
+            "extra_tables": ["concert"],
+            "missing_tables": [],
+            "extra_conditions": ["concert.concert_id = singer_in_concert.concert_id"],
+            "missing_conditions": [],
+            "pred_conditionless": [],
+            "gold_conditionless": [],
+        },
+        "literals": [{"shape": "singer.age > ?", "pred": "30", "gold": "40"}],
+        "clauses": ["having", "order_by", "limit"],
+    }
+    assert list(d.summary()) == ["select", "group_by", "aggregates", "joins", "literals", "clauses"]
+
+
+def test_summary_of_a_compound_pair_merges_both_arms(schemas):
+    # Each arm has a wrong column, a wrong literal, an extra WHERE conjunct
+    # and an extra subquery. Per-arm entries are concatenated left arm first;
+    # structure and clause entries appear once.
+    schema = schemas["concert_singer"]
+    d = _diff(
+        "SELECT location FROM stadium "
+        "WHERE capacity > 100 AND stadium_id IN (SELECT stadium_id FROM concert) "
+        "UNION SELECT name FROM singer "
+        "WHERE age > 30 AND singer_id IN (SELECT singer_id FROM singer_in_concert)",
+        "SELECT name FROM stadium WHERE capacity > 200 "
+        "UNION SELECT country FROM singer WHERE age > 40",
+        schema,
+    )
+    assert d.summary() == {
+        "select": {
+            "missing": ["stadium.name", "singer.country"],
+            "extra": ["stadium.location", "singer.name"],
+            "reordered": False,
+        },
+        "literals": [
+            {"shape": "stadium.capacity > ?", "pred": "100", "gold": "200"},
+            {"shape": "singer.age > ?", "pred": "30", "gold": "40"},
+        ],
+        "structure": ["subquery_shape"],
+        "clauses": ["where"],
+    }
+
+
+def test_only_a_pred_side_conditionless_join_shows_the_joins_entry(schemas):
+    schema = schemas["concert_singer"]
+    conditionless = (
+        "SELECT name FROM singer WHERE singer_id IN "
+        "(SELECT T1.singer_id FROM singer_in_concert AS T1 JOIN concert AS T2)"
+    )
+    joined = (
+        "SELECT name FROM singer WHERE singer_id IN "
+        "(SELECT T1.singer_id FROM singer_in_concert AS T1 "
+        "JOIN concert AS T2 ON T1.concert_id = T2.concert_id)"
+    )
+    d = _diff(conditionless, joined, schema)
+    assert d.join_delta.empty
+    assert d.summary() == {
+        "joins": {
+            "extra_tables": [],
+            "missing_tables": [],
+            "extra_conditions": [],
+            "missing_conditions": [],
+            "pred_conditionless": ["concert"],
+            "gold_conditionless": [],
+        },
+        "clauses": ["where"],
+    }
+    # A condition-less join on the gold side alone is not reported.
+    assert _diff(joined, conditionless, schema).summary() == {"clauses": ["where"]}

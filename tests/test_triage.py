@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from nl2sql import execution
 from nl2sql.execution import execute, normalize_cell
 from nl2sql.schema import DatabaseSchema
-from nl2sql.sqlast import AliasRef, SelectItem, parse, to_sql
+from nl2sql.sqlast import AliasRef, SelectItem, canonicalize, diff, parse, to_sql
 from nl2sql.triage import (
     Category,
     suspect_gold_check,
@@ -309,6 +309,57 @@ def test_join_takes_precedence_over_select_symptoms(schemas):
     schema = schemas["car_1"]
     verdict = run_triage(EXTRA_JOIN_CARS_SQL, BELOW_AVERAGE_CARS_SQL, schema)
     assert verdict.category is Category.JOIN_CLAUSES
+
+
+def _triage_with_both_deltas(pred, gold, schema, first, second):
+    """Triage a pair whose diff summary has both named entries, without tables."""
+    delta = diff(canonicalize(parse(pred, schema)), canonicalize(parse(gold, schema)))
+    assert {first, second} <= delta.summary().keys()
+    return run_triage(pred, gold, schema, with_tables=False)
+
+
+def test_group_by_takes_precedence_over_aggregate(schemas):
+    verdict = _triage_with_both_deltas(
+        "SELECT country, count(*) FROM singer GROUP BY name",
+        "SELECT country, max(age) FROM singer GROUP BY country",
+        schemas["concert_singer"],
+        "group_by",
+        "aggregates",
+    )
+    assert (verdict.category, verdict.subtag) == (Category.GROUP_BY, None)
+
+
+def test_aggregate_takes_precedence_over_select(schemas):
+    verdict = _triage_with_both_deltas(
+        "SELECT count(*) FROM singer",
+        "SELECT max(age) FROM singer",
+        schemas["concert_singer"],
+        "aggregates",
+        "select",
+    )
+    assert (verdict.category, verdict.subtag) == (Category.AGGREGATE_CHOICE, "select")
+
+
+def test_select_takes_precedence_over_literals(schemas):
+    verdict = _triage_with_both_deltas(
+        "SELECT name FROM singer WHERE age > 30",
+        "SELECT country FROM singer WHERE age > 40",
+        schemas["concert_singer"],
+        "select",
+        "literals",
+    )
+    assert (verdict.category, verdict.subtag) == (Category.SELECT_COLUMNS, "WrongColumn")
+
+
+def test_literals_take_precedence_over_clause_shape(schemas):
+    verdict = _triage_with_both_deltas(
+        "SELECT name FROM singer WHERE age > 30 ORDER BY name",
+        "SELECT name FROM singer WHERE age > 40",
+        schemas["concert_singer"],
+        "literals",
+        "clauses",
+    )
+    assert (verdict.category, verdict.subtag) == (Category.PREDICTED_VALUES, None)
 
 
 def test_suspect_gold_flags_cartesian_join(schemas):
