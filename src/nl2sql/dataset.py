@@ -18,6 +18,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .errors import DatasetError, Nl2SqlError, SchemaError
 from .hardness import Hardness, classify_hardness
@@ -36,6 +37,15 @@ class SpiderExample:
     db_id: str
     gold_sql: str
     hardness: Hardness
+
+
+def gold_groups(examples: Iterable[SpiderExample]) -> list[list[SpiderExample]]:
+    """The examples grouped by database and gold SQL, groups in order of
+    first appearance and examples in input order within each."""
+    groups: dict[tuple[str, str], list[SpiderExample]] = {}
+    for ex in examples:
+        groups.setdefault((ex.db_id, ex.gold_sql), []).append(ex)
+    return list(groups.values())
 
 
 @dataclass(frozen=True)

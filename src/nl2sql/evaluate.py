@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .dataset import SpiderExample
+from .dataset import SpiderExample, gold_groups
 from .errors import DatasetError, Nl2SqlError
 from .execution import OutcomeMemo, execute_for_comparison, tables_equivalent
 from .hardness import Hardness
@@ -108,8 +108,7 @@ def score(
     per_bucket: dict[Hardness, list[bool]] = {h: [] for h in Hardness}
     verdict_distribution: dict[str, int] = {}
     verdicts: dict[int, TriageVerdict] = {}
-    faults = 0
-    groups: dict[tuple[str, str], list[SpiderExample]] = {}
+    scorable: list[SpiderExample] = []
 
     for ex in examples:
         transcript = by_id[ex.id]
@@ -117,13 +116,12 @@ def score(
             verdict_distribution.get(transcript.final_verdict.value, 0) + 1
         )
         if transcript.final_verdict is Verdict.FAULT:
-            faults += 1
             per_bucket[ex.hardness].append(False)
-            continue
-        groups.setdefault((ex.db_id, ex.gold_sql), []).append(ex)
+        else:
+            scorable.append(ex)
 
-    for (db_id, _), group in groups.items():
-        schema = schemas[db_id]
+    for group in gold_groups(scorable):
+        schema = schemas[group[0].db_id]
         memo = OutcomeMemo()
         for ex in group:
             correct, verdict = _score_one(by_id[ex.id], ex, schema, with_triage, memo)
@@ -143,7 +141,7 @@ def score(
         quarantined=quarantined,
         verdict_distribution=verdict_distribution,
         verdicts=dict(sorted(verdicts.items())),
-        faults=faults,
+        faults=len(examples) - len(scorable),
     )
 
 

@@ -37,7 +37,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable
 
-from .dataset import SpiderExample
+from .dataset import SpiderExample, gold_groups
 from .errors import NoSqlFoundError
 from .execution import (
     ExecOutcome,
@@ -369,9 +369,7 @@ def run_many(
     Examples sharing a database and gold SQL form a group, run in input order
     by one task with one ``OutcomeMemo``.
     """
-    groups: dict[tuple[str, str], list[SpiderExample]] = {}
-    for ex in examples:
-        groups.setdefault((ex.db_id, ex.gold_sql), []).append(ex)
+    groups = gold_groups(examples)
 
     def one_group(group: list[SpiderExample]) -> list[PipelineTranscript]:
         memo = OutcomeMemo()
@@ -381,10 +379,10 @@ def run_many(
         ]
 
     if workers <= 1:
-        done = list(map(one_group, groups.values()))
+        done = list(map(one_group, groups))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(one_group, groups.values()))
+            done = list(pool.map(one_group, groups))
     return sorted((t for group in done for t in group), key=lambda t: t.example_id)
 
 

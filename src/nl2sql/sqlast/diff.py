@@ -5,11 +5,12 @@ assigns: select items, grouping, aggregate choice, join graph, predicate
 literals, plus two shape buckets (``structure_delta`` for fundamental shape
 divergence such as subquery-vs-join or set-operation mismatch, and
 ``clause_delta`` for residual clause differences nothing more specific
-explains).
+explains). The arms of two compound queries with the same set operation are
+diffed pairwise and their deltas merged.
 
 Cross-query comparison cannot use the positional t1/t2 aliases (two queries
-joining the same tables in a different order would never match), so every
-expression is re-qualified by resolved *table name* before comparison. Two
+joining the same tables in a different order would never match), so each
+query is re-qualified by resolved *table name* once, before comparison. Two
 deliberate lenience rules, both needed so that stylistic differences do not
 register as errors:
 
@@ -28,8 +29,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import ClassVar, NamedTuple
 
 from .canonical import CanonicalAst
+from .conditionless import detect_conditionless_join
 from .nodes import (
     ColumnRef,
     Comparison,
@@ -38,7 +41,6 @@ from .nodes import (
     Literal,
     Select,
     Star,
-    SubquerySource,
     TableSource,
     map_children,
 )
@@ -57,68 +59,116 @@ _AGG_CLAUSES = ("select", "group_by", "having", "order_by")
 
 # --------------------------------------------------------------------------- delta types
 
+class _Delta:
+    """Emptiness, truth, the compound-arm merge and the JSON view of a delta,
+    all derived from its dataclass fields. A frozen dataclass's ``vars``
+    holds its fields in declaration order."""
+
+    # Fields that inform the summary but do not make the delta non-empty.
+    INFORMATIONAL: ClassVar[tuple[str, ...]] = ()
+
+    @property
+    def empty(self) -> bool:
+        return not any(
+            value for name, value in vars(self).items() if name not in self.INFORMATIONAL
+        )
+
+    def __bool__(self) -> bool:
+        return not self.empty
+
+    def merge(self, other):
+        """This arm's delta followed by the other arm's."""
+        theirs = vars(other)
+        return replace(self, **{
+            name: _merged(value, theirs[name]) for name, value in vars(self).items()
+        })
+
+    def summary(self):
+        parts = {name: _json(value) for name, value in vars(self).items()}
+        # A one-field delta is just its rows.
+        return next(iter(parts.values())) if len(parts) == 1 else parts
+
+
+def _merged(a, b):
+    if isinstance(a, _Delta):
+        return a.merge(b)
+    if isinstance(a, bool):
+        return a or b
+    return a + b
+
+
+def _json(value):
+    """The JSON form of a delta field: a row becomes an object, any other
+    tuple a list."""
+    if isinstance(value, _Delta):
+        return value.summary()
+    if isinstance(value, (AggregateRow, LiteralRow)):
+        return {name: _json(v) for name, v in value._asdict().items()}
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value
+
+
+class AggregateRow(NamedTuple):
+    clause: str
+    pred: tuple[str, ...]  # aggregate functions in pred
+    gold: tuple[str, ...]
+
+
+class LiteralRow(NamedTuple):
+    shape: str  # predicate shape with literals masked
+    pred: str
+    gold: str
+
+
 @dataclass(frozen=True)
-class SelectDelta:
+class SelectDelta(_Delta):
     missing: tuple[str, ...] = ()  # in gold, absent from pred
     extra: tuple[str, ...] = ()  # in pred, absent from gold
     reordered: bool = False
 
-    @property
-    def empty(self) -> bool:
-        return not (self.missing or self.extra or self.reordered)
-
 
 @dataclass(frozen=True)
-class GroupByDelta:
+class GroupByDelta(_Delta):
     pred: tuple[str, ...] = ()
     gold: tuple[str, ...] = ()
 
-    @property
-    def empty(self) -> bool:
-        return not (self.pred or self.gold)
+
+@dataclass(frozen=True)
+class AggregateDelta(_Delta):
+    clauses: tuple[AggregateRow, ...] = ()
 
 
 @dataclass(frozen=True)
-class AggregateDelta:
-    # (clause, aggregate functions in pred, aggregate functions in gold)
-    clauses: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = ()
+class JoinDelta(_Delta):
+    INFORMATIONAL = ("pred_conditionless", "gold_conditionless")
 
-    @property
-    def empty(self) -> bool:
-        return not self.clauses
-
-
-@dataclass(frozen=True)
-class JoinDelta:
     extra_tables: tuple[str, ...] = ()
     missing_tables: tuple[str, ...] = ()
     extra_conditions: tuple[str, ...] = ()
     missing_conditions: tuple[str, ...] = ()
-    pred_conditionless: tuple[str, ...] = ()  # informational, not part of emptiness
+    pred_conditionless: tuple[str, ...] = ()
     gold_conditionless: tuple[str, ...] = ()
 
-    @property
-    def empty(self) -> bool:
-        return not (
-            self.extra_tables
-            or self.missing_tables
-            or self.extra_conditions
-            or self.missing_conditions
-        )
+
+@dataclass(frozen=True)
+class LiteralDelta(_Delta):
+    entries: tuple[LiteralRow, ...] = ()
+
+
+_SUMMARY_KEYS = {
+    "select_delta": "select",
+    "group_by_delta": "group_by",
+    "aggregate_delta": "aggregates",
+    "join_delta": "joins",
+    "literal_delta": "literals",
+    "structure_delta": "structure",
+    "clause_delta": "clauses",
+}
 
 
 @dataclass(frozen=True)
-class LiteralDelta:
-    # (predicate shape with literals masked, pred literal, gold literal)
-    entries: tuple[tuple[str, str, str], ...] = ()
-
-    @property
-    def empty(self) -> bool:
-        return not self.entries
-
-
-@dataclass(frozen=True)
-class AstDiff:
+class AstDiff(_Delta):
     select_delta: SelectDelta = SelectDelta()
     group_by_delta: GroupByDelta = GroupByDelta()
     aggregate_delta: AggregateDelta = AggregateDelta()
@@ -127,143 +177,82 @@ class AstDiff:
     structure_delta: tuple[str, ...] = ()  # fundamental shape divergence
     clause_delta: tuple[str, ...] = ()  # residual clause mismatches
 
-    @property
-    def is_empty(self) -> bool:
-        return (
-            self.select_delta.empty
-            and self.group_by_delta.empty
-            and self.aggregate_delta.empty
-            and self.join_delta.empty
-            and self.literal_delta.empty
-            and not self.structure_delta
-            and not self.clause_delta
-        )
-
     def summary(self) -> dict:
-        """JSON-friendly view used as triage evidence."""
-        out: dict = {}
-        if not self.select_delta.empty:
-            out["select"] = {
-                "missing": list(self.select_delta.missing),
-                "extra": list(self.select_delta.extra),
-                "reordered": self.select_delta.reordered,
-            }
-        if not self.group_by_delta.empty:
-            out["group_by"] = {
-                "pred": list(self.group_by_delta.pred),
-                "gold": list(self.group_by_delta.gold),
-            }
-        if not self.aggregate_delta.empty:
-            out["aggregates"] = [
-                {"clause": clause, "pred": list(p), "gold": list(g)}
-                for clause, p, g in self.aggregate_delta.clauses
-            ]
-        if not self.join_delta.empty or self.join_delta.pred_conditionless:
-            out["joins"] = {
-                "extra_tables": list(self.join_delta.extra_tables),
-                "missing_tables": list(self.join_delta.missing_tables),
-                "extra_conditions": list(self.join_delta.extra_conditions),
-                "missing_conditions": list(self.join_delta.missing_conditions),
-                "pred_conditionless": list(self.join_delta.pred_conditionless),
-                "gold_conditionless": list(self.join_delta.gold_conditionless),
-            }
-        if not self.literal_delta.empty:
-            out["literals"] = [
-                {"shape": shape, "pred": p, "gold": g}
-                for shape, p, g in self.literal_delta.entries
-            ]
-        if self.structure_delta:
-            out["structure"] = list(self.structure_delta)
-        if self.clause_delta:
-            out["clauses"] = list(self.clause_delta)
-        return out
+        """JSON-friendly view used as triage evidence: the non-empty deltas,
+        and the joins whenever the prediction has a condition-less join."""
+        return {
+            _SUMMARY_KEYS[name]: _json(value)
+            for name, value in vars(self).items()
+            if value or (name == "join_delta" and value.pred_conditionless)
+        }
 
 
 # --------------------------------------------------------------------------- main entry
 
 def diff(pred: CanonicalAst, gold: CanonicalAst) -> AstDiff:
     """Compare two canonical queries; fields are labeled from pred's side."""
-    return _diff_select(pred.query, gold.query)
+    p, g = pred.query, gold.query
+    rp, rg = _requalify_select(p, _table_map(p)), _requalify_select(g, _table_map(g))
+    return _diff_select(p, g, rp, rg)
 
 
-def _diff_select(pred: Select, gold: Select) -> AstDiff:
-    pmap = _table_map(pred)
-    gmap = _table_map(gold)
-
-    structure: list[str] = []
-    clause: list[str] = []
-
-    if count_subqueries(pred) != count_subqueries(gold):
-        structure.append("subquery_shape")
-
+def _diff_select(pred: Select, gold: Select, rpred: Select, rgold: Select) -> AstDiff:
+    """Diff one level; ``rpred`` and ``rgold`` are ``pred`` and ``gold``
+    re-qualified by table name."""
     pred_op = pred.set_op[0] if pred.set_op else None
     gold_op = gold.set_op[0] if gold.set_op else None
-    nested: AstDiff | None = None
-    if pred_op != gold_op:
-        structure.append("set_op")
-    elif pred.set_op is not None and gold.set_op is not None:
-        nested = _diff_select(pred.set_op[1], gold.set_op[1])
-
-    select_delta = _diff_items(pred, gold, pmap, gmap)
-    group_delta = _diff_group_by(pred, gold, pmap, gmap)
-    agg_delta = _diff_aggregates(pred, gold)
-    join_delta, pred_links, gold_links = _diff_joins(pred, gold, pmap, gmap)
-    literal_entries, where_mismatch = _diff_predicates(
-        flatten_and(pred.where), flatten_and(gold.where), pmap, gmap, exclude_pred=pred_links,
-        exclude_gold=gold_links,
+    structure = [
+        name
+        for name, differs in (
+            ("subquery_shape", count_subqueries(pred) != count_subqueries(gold)),
+            ("set_op", pred_op != gold_op),
+        )
+        if differs
+    ]
+    pred_where, pred_links = _split_links(pred, rpred)
+    gold_where, gold_links = _split_links(gold, rgold)
+    where_literals, where_mismatch = _diff_predicates(pred_where, gold_where)
+    having_literals, having_mismatch = _diff_predicates(
+        flatten_and(rpred.having), flatten_and(rgold.having)
     )
-    if where_mismatch:
-        clause.append("where")
-    having_entries, having_mismatch = _diff_predicates(
-        flatten_and(pred.having), flatten_and(gold.having), pmap, gmap
-    )
-    if having_mismatch:
-        clause.append("having")
-    if not _order_by_equivalent(pred, gold, pmap, gmap):
-        clause.append("order_by")
-    if pred.limit != gold.limit:
-        clause.append("limit")
-    if pred.distinct != gold.distinct:
-        clause.append("distinct")
-
+    clause = [
+        name
+        for name, differs in (
+            ("where", where_mismatch),
+            ("having", having_mismatch),
+            ("order_by", _order_keys(rpred) != _order_keys(rgold)),
+            ("limit", pred.limit != gold.limit),
+            ("distinct", pred.distinct != gold.distinct),
+        )
+        if differs
+    ]
+    pred_tables, pred_conds = _join_graph(pred, rpred, pred_links)
+    gold_tables, gold_conds = _join_graph(gold, rgold, gold_links)
     out = AstDiff(
-        select_delta=select_delta,
-        group_by_delta=group_delta,
-        aggregate_delta=agg_delta,
-        join_delta=join_delta,
-        literal_delta=LiteralDelta(entries=tuple(literal_entries + having_entries)),
-        structure_delta=tuple(dict.fromkeys(structure)),
-        clause_delta=tuple(dict.fromkeys(clause)),
-    )
-    if nested is not None:
-        out = _merge(out, nested)
-    return out
-
-
-def _merge(a: AstDiff, b: AstDiff) -> AstDiff:
-    return AstDiff(
-        select_delta=SelectDelta(
-            missing=a.select_delta.missing + b.select_delta.missing,
-            extra=a.select_delta.extra + b.select_delta.extra,
-            reordered=a.select_delta.reordered or b.select_delta.reordered,
-        ),
-        group_by_delta=GroupByDelta(
-            pred=a.group_by_delta.pred + b.group_by_delta.pred,
-            gold=a.group_by_delta.gold + b.group_by_delta.gold,
-        ),
-        aggregate_delta=AggregateDelta(clauses=a.aggregate_delta.clauses + b.aggregate_delta.clauses),
+        select_delta=_diff_items(rpred, rgold),
+        group_by_delta=_diff_group_by(rpred, rgold),
+        aggregate_delta=_diff_aggregates(pred, gold),
         join_delta=JoinDelta(
-            extra_tables=a.join_delta.extra_tables + b.join_delta.extra_tables,
-            missing_tables=a.join_delta.missing_tables + b.join_delta.missing_tables,
-            extra_conditions=a.join_delta.extra_conditions + b.join_delta.extra_conditions,
-            missing_conditions=a.join_delta.missing_conditions + b.join_delta.missing_conditions,
-            pred_conditionless=a.join_delta.pred_conditionless + b.join_delta.pred_conditionless,
-            gold_conditionless=a.join_delta.gold_conditionless + b.join_delta.gold_conditionless,
+            extra_tables=_surplus(pred_tables, gold_tables),
+            missing_tables=_surplus(gold_tables, pred_tables),
+            extra_conditions=_surplus(pred_conds, gold_conds),
+            missing_conditions=_surplus(gold_conds, pred_conds),
+            pred_conditionless=_conditionless(pred),
+            gold_conditionless=_conditionless(gold),
         ),
-        literal_delta=LiteralDelta(entries=a.literal_delta.entries + b.literal_delta.entries),
-        structure_delta=tuple(dict.fromkeys(a.structure_delta + b.structure_delta)),
-        clause_delta=tuple(dict.fromkeys(a.clause_delta + b.clause_delta)),
+        literal_delta=LiteralDelta(entries=tuple(where_literals + having_literals)),
+        structure_delta=tuple(structure),
+        clause_delta=tuple(clause),
     )
+    if pred.set_op is not None and pred_op == gold_op:
+        arms = (pred.set_op[1], gold.set_op[1], rpred.set_op[1], rgold.set_op[1])
+        out = out.merge(_diff_select(*arms))
+        out = replace(
+            out,
+            structure_delta=tuple(dict.fromkeys(out.structure_delta)),
+            clause_delta=tuple(dict.fromkeys(out.clause_delta)),
+        )
+    return out
 
 
 # --------------------------------------------------------------------------- re-qualification
@@ -272,48 +261,42 @@ def _table_map(select: Select) -> dict[str, str]:
     """Canonical alias -> resolved table name, over every scope. Canonical
     aliases are globally unique within one query, so one flat map works.
     FROM-subquery sources are labeled by their alias-neutral printed text so
-    the label is comparable across queries."""
+    the label is comparable across queries; the walk visits nested SELECTs
+    first, so the sources a subquery reads are mapped before it is labeled."""
     out: dict[str, str] = {}
 
-    def visit(s: Select, fn) -> None:
-        # Post-order: nested labels exist before outer ones.
+    def visit(s: Select) -> None:
         for sub in subselects(s):
-            visit(sub, fn)
+            visit(sub)
         for item in s.from_items:
-            fn(item.source)
+            src = item.source
+            if isinstance(src, TableSource):
+                out[src.key] = src.table.lower()
+            else:
+                out[src.key] = "subquery:" + to_sql(_requalify_select(src.query, out))
 
-    def collect_tables(src) -> None:
-        if isinstance(src, TableSource):
-            out[src.key] = src.table.lower()
-
-    def label_subqueries(src) -> None:
-        if isinstance(src, SubquerySource):
-            out[src.key] = "subquery:" + to_sql(_requalify_select(src.query, out))
-
-    visit(select, collect_tables)
-    visit(select, label_subqueries)
+    visit(select)
     return out
 
 
-def _requalify(expr: Expr, table_map: dict[str, str]) -> Expr:
-    """Rewrite positional aliases to table names for cross-query comparison."""
+def _requalify(expr: Expr | None, table_map: dict[str, str]) -> Expr | None:
+    """Rewrite positional aliases to table names for cross-query comparison.
+    None (an absent clause) comes back as None."""
     if isinstance(expr, ColumnRef):
-        if expr.source is not None and expr.source in table_map:
-            name = table_map[expr.source]
-            return ColumnRef(table=name, column=expr.column, source=name)
-        return expr
+        name = table_map.get(expr.source)
+        return expr if name is None else ColumnRef(table=name, column=expr.column, source=name)
     if isinstance(expr, Star):
-        if expr.source is not None and expr.source in table_map:
-            name = table_map[expr.source]
-            return Star(table=name, source=name)
-        return expr
+        name = table_map.get(expr.source)
+        return expr if name is None else Star(table=name, source=name)
     if isinstance(expr, Select):
         return _requalify_select(expr, table_map)
     return map_children(expr, lambda child: _requalify(child, table_map))
 
 
 def _requalify_select(s: Select, table_map: dict[str, str]) -> Select:
-    items = tuple(replace(i, expr=_requalify(i.expr, table_map)) for i in s.items)
+    def requalify(expr: Expr | None) -> Expr | None:
+        return _requalify(expr, table_map)
+
     from_items = []
     for fi in s.from_items:
         src = fi.source
@@ -323,46 +306,46 @@ def _requalify_select(s: Select, table_map: dict[str, str]) -> Select:
             src = TableSource(table=src.table, alias=None, key=src.table)
         else:
             src = replace(src, query=_requalify_select(src.query, table_map), alias=None)
-        condition = _requalify(fi.condition, table_map) if fi.condition is not None else None
-        from_items.append(replace(fi, source=src, condition=condition))
+        from_items.append(replace(fi, source=src, condition=requalify(fi.condition)))
     return replace(
         s,
-        items=items,
+        items=tuple(replace(i, expr=requalify(i.expr)) for i in s.items),
         from_items=tuple(from_items),
-        where=_requalify(s.where, table_map) if s.where is not None else None,
-        group_by=tuple(_requalify(e, table_map) for e in s.group_by),
-        having=_requalify(s.having, table_map) if s.having is not None else None,
-        order_by=tuple(replace(o, expr=_requalify(o.expr, table_map)) for o in s.order_by),
+        where=requalify(s.where),
+        group_by=tuple(map(requalify, s.group_by)),
+        having=requalify(s.having),
+        order_by=tuple(replace(o, expr=requalify(o.expr)) for o in s.order_by),
         set_op=(s.set_op[0], _requalify_select(s.set_op[1], table_map)) if s.set_op else None,
     )
 
 
-def _key(expr: Expr, table_map: dict[str, str]) -> str:
-    return expr_sql(_requalify(expr, table_map))
-
-
 # --------------------------------------------------------------------------- per-clause diffs
 
-def _diff_items(pred: Select, gold: Select, pmap, gmap) -> SelectDelta:
-    pred_keys = [_key(i.expr, pmap) for i in pred.items]
-    gold_keys = [_key(i.expr, gmap) for i in gold.items]
+def _surplus(a: Counter, b: Counter) -> tuple[str, ...]:
+    """The entries of ``a`` beyond those of ``b``, sorted."""
+    return tuple(sorted((a - b).elements()))
+
+
+def _diff_items(pred: Select, gold: Select) -> SelectDelta:
+    pred_keys = [expr_sql(i.expr) for i in pred.items]
+    gold_keys = [expr_sql(i.expr) for i in gold.items]
     if pred_keys == gold_keys:
         return SelectDelta()
     pred_count = Counter(pred_keys)
     gold_count = Counter(gold_keys)
     if pred_count == gold_count:
         return SelectDelta(reordered=True)
-    extra = sorted((pred_count - gold_count).elements())
-    missing = sorted((gold_count - pred_count).elements())
-    return SelectDelta(missing=tuple(missing), extra=tuple(extra))
+    return SelectDelta(
+        missing=_surplus(gold_count, pred_count), extra=_surplus(pred_count, gold_count)
+    )
 
 
-def _diff_group_by(pred: Select, gold: Select, pmap, gmap) -> GroupByDelta:
-    pred_keys = sorted(_key(e, pmap) for e in pred.group_by)
-    gold_keys = sorted(_key(e, gmap) for e in gold.group_by)
+def _diff_group_by(pred: Select, gold: Select) -> GroupByDelta:
+    pred_keys = tuple(sorted(map(expr_sql, pred.group_by)))
+    gold_keys = tuple(sorted(map(expr_sql, gold.group_by)))
     if pred_keys == gold_keys:
         return GroupByDelta()
-    return GroupByDelta(pred=tuple(pred_keys), gold=tuple(gold_keys))
+    return GroupByDelta(pred=pred_keys, gold=gold_keys)
 
 
 def _aggregates_by_clause(select: Select) -> dict[str, tuple[str, ...]]:
@@ -371,7 +354,7 @@ def _aggregates_by_clause(select: Select) -> dict[str, tuple[str, ...]]:
             node.name
             for expr in exprs
             for node in iter_expr_nodes(expr)
-            if isinstance(node, FuncCall) and node.is_aggregate
+            if _is_aggregate(node)
         ))
         for clause, exprs in clause_exprs(select)
         if clause in _AGG_CLAUSES
@@ -381,75 +364,47 @@ def _aggregates_by_clause(select: Select) -> dict[str, tuple[str, ...]]:
 def _diff_aggregates(pred: Select, gold: Select) -> AggregateDelta:
     pred_aggs = _aggregates_by_clause(pred)
     gold_aggs = _aggregates_by_clause(gold)
-    rows = []
-    for clause in _AGG_CLAUSES:
-        p = pred_aggs.get(clause, ())
-        g = gold_aggs.get(clause, ())
-        if p != g:
-            rows.append((clause, p, g))
-    return AggregateDelta(clauses=tuple(rows))
+    rows = (
+        AggregateRow(clause, pred_aggs.get(clause, ()), gold_aggs.get(clause, ()))
+        for clause in _AGG_CLAUSES
+    )
+    return AggregateDelta(clauses=tuple(row for row in rows if row.pred != row.gold))
 
 
-def _link_predicates(select: Select, table_map) -> tuple[list[str], list[Expr]]:
-    """WHERE conjuncts that link two sources (``walk.is_link_predicate``).
+def _split_links(select: Select, requalified: Select) -> tuple[list[Expr], list[Expr]]:
+    """The re-qualified WHERE conjuncts that do not link two sources, and
+    those that do (``walk.is_link_predicate``). Links are found on the
+    canonical tree, where two sources of one table still have two aliases;
+    the conjuncts of both trees line up by position."""
+    rest: list[Expr] = []
+    links: list[Expr] = []
+    for conj, req in zip(flatten_and(select.where), flatten_and(requalified.where)):
+        (links if is_link_predicate(conj) else rest).append(req)
+    return rest, links
 
-    Returned both as comparison keys (pooled with ON conditions) and as the
-    original nodes (so the WHERE diff can skip them).
-    """
-    nodes = [conj for conj in flatten_and(select.where) if is_link_predicate(conj)]
-    return [_condition_key(conj, table_map) for conj in nodes], nodes
 
-
-def _condition_key(expr: Expr, table_map) -> str:
+def _condition_key(expr: Expr) -> str:
     if isinstance(expr, Comparison) and expr.op == "=":
-        left = _key(expr.left, table_map)
-        right = _key(expr.right, table_map)
-        lo, hi = sorted((left, right))
+        lo, hi = sorted((expr_sql(expr.left), expr_sql(expr.right)))
         return f"{lo} = {hi}"
-    return _key(expr, table_map)
+    return expr_sql(expr)
+
+
+def _join_graph(select: Select, requalified: Select, links: list[Expr]) -> tuple[Counter, Counter]:
+    """The joined tables and the pooled join conditions (ON conjuncts and
+    WHERE links) of one query. A FROM subquery counts by its canonical text."""
+    tables = Counter(
+        item.source.table.lower()
+        if isinstance(item.source, TableSource)
+        else "subquery:" + to_sql(item.source.query)
+        for item in select.from_items
+    )
+    on = [conj for item in requalified.from_items for conj in flatten_and(item.condition)]
+    return tables, Counter(map(_condition_key, on + links))
 
 
 def _conditionless(select: Select) -> tuple[str, ...]:
-    from .conditionless import detect_conditionless_join
-
     return tuple(flag.table for flag in detect_conditionless_join(select))
-
-
-def _diff_joins(pred: Select, gold: Select, pmap, gmap) -> tuple[JoinDelta, list[Expr], list[Expr]]:
-    def tables(s: Select) -> Counter:
-        out: Counter = Counter()
-        for item in s.from_items:
-            src = item.source
-            if isinstance(src, TableSource):
-                out[src.table.lower()] += 1
-            else:
-                out["subquery:" + to_sql(src.query)] += 1
-        return out
-
-    def on_conditions(s: Select, table_map) -> Counter:
-        out: Counter = Counter()
-        for item in s.from_items:
-            if item.condition is not None:
-                for conj in flatten_and(item.condition):
-                    out[_condition_key(conj, table_map)] += 1
-        return out
-
-    pred_tables = tables(pred)
-    gold_tables = tables(gold)
-    pred_link_keys, pred_links = _link_predicates(pred, pmap)
-    gold_link_keys, gold_links = _link_predicates(gold, gmap)
-    pred_conds = on_conditions(pred, pmap) + Counter(pred_link_keys)
-    gold_conds = on_conditions(gold, gmap) + Counter(gold_link_keys)
-
-    delta = JoinDelta(
-        extra_tables=tuple(sorted((pred_tables - gold_tables).elements())),
-        missing_tables=tuple(sorted((gold_tables - pred_tables).elements())),
-        extra_conditions=tuple(sorted((pred_conds - gold_conds).elements())),
-        missing_conditions=tuple(sorted((gold_conds - pred_conds).elements())),
-        pred_conditionless=_conditionless(pred),
-        gold_conditionless=_conditionless(gold),
-    )
-    return delta, pred_links, gold_links
 
 
 def _mask_literals(expr: Expr) -> Expr:
@@ -476,41 +431,26 @@ def _literal_equal(a: Literal, b: Literal) -> bool:
 
 
 def _diff_predicates(
-    pred_conjs: list[Expr],
-    gold_conjs: list[Expr],
-    pmap,
-    gmap,
-    exclude_pred: list[Expr] | None = None,
-    exclude_gold: list[Expr] | None = None,
-) -> tuple[list[tuple[str, str, str]], bool]:
-    """Match conjuncts by literal-masked shape; report literal differences at
-    matched positions. Returns (literal entries, unexplained mismatch?)."""
-    pred_conjs = [c for c in pred_conjs if c not in (exclude_pred or [])]
-    gold_conjs = [c for c in gold_conjs if c not in (exclude_gold or [])]
+    pred_conjs: list[Expr], gold_conjs: list[Expr]
+) -> tuple[list[LiteralRow], bool]:
+    """Match re-qualified conjuncts by literal-masked shape; report literal
+    differences at matched positions. Returns (literal rows, unexplained
+    mismatch?)."""
 
-    def describe(conjs, table_map):
-        out = []
-        for c in conjs:
-            requalified = _requalify(c, table_map)
-            shape = expr_sql(_mask_literals(requalified))
-            full = expr_sql(requalified)
-            out.append((shape, full, requalified))
-        return out
-
-    pred_desc = describe(pred_conjs, pmap)
-    gold_desc = describe(gold_conjs, gmap)
+    def describe(conjs):
+        return [(expr_sql(_mask_literals(c)), expr_sql(c), c) for c in conjs]
 
     # Exact matches first.
-    gold_left = list(gold_desc)
+    gold_left = describe(gold_conjs)
     pred_left = []
-    for entry in pred_desc:
+    for entry in describe(pred_conjs):
         match = next((g for g in gold_left if g[1] == entry[1]), None)
         if match is not None:
             gold_left.remove(match)
         else:
             pred_left.append(entry)
 
-    entries: list[tuple[str, str, str]] = []
+    rows: list[LiteralRow] = []
     mismatch = False
     for entry in sorted(pred_left, key=lambda e: (e[0], e[1])):
         shape = entry[0]
@@ -529,28 +469,19 @@ def _diff_predicates(
             continue
         for p_lit, g_lit in zip(pred_lits, gold_lits):
             if not _literal_equal(p_lit, g_lit):
-                entries.append((shape, p_lit.text, g_lit.text))
+                rows.append(LiteralRow(shape, p_lit.text, g_lit.text))
     if gold_left:
         mismatch = True
-    return entries, mismatch
+    return rows, mismatch
 
 
-def _order_by_equivalent(pred: Select, gold: Select, pmap, gmap) -> bool:
-    if len(pred.order_by) != len(gold.order_by):
-        return False
-    for p, g in zip(pred.order_by, gold.order_by):
-        if p.descending != g.descending:
-            return False
-        p_expr, g_expr = p.expr, g.expr
-        if (
-            isinstance(p_expr, FuncCall)
-            and isinstance(g_expr, FuncCall)
-            and p_expr.is_aggregate
-            and g_expr.is_aggregate
-        ):
-            if p_expr.name != g_expr.name:
-                return False
-            continue
-        if _key(p_expr, pmap) != _key(g_expr, gmap):
-            return False
-    return True
+def _order_keys(select: Select) -> list[tuple]:
+    """ORDER BY keys as compared: an aggregate call by its function name."""
+    return [
+        (o.descending, (o.expr.name,) if _is_aggregate(o.expr) else expr_sql(o.expr))
+        for o in select.order_by
+    ]
+
+
+def _is_aggregate(expr: Expr) -> bool:
+    return isinstance(expr, FuncCall) and expr.is_aggregate

@@ -37,10 +37,14 @@ from .execution import (
 from .schema import DatabaseSchema
 from .sqlast import (
     AliasRef,
+    AstDiff,
     ColumnRef,
     Comparison,
+    Expr,
+    Literal,
     Select,
     SelectItem,
+    Star,
     TableSource,
     canonicalize,
     detect_conditionless_join,
@@ -112,104 +116,72 @@ def triage(
     gold_canon = canonicalize(gold_ast)
     facts = _table_facts(pred_table, gold_table)
 
-    if pred_canon == gold_canon:
+    def inconsistency(subtag: str, confidence: str, evidence: dict) -> TriageVerdict:
         return TriageVerdict(
             category=Category.DATASET_INCONSISTENCY,
-            subtag="AliasOnlyEquivalent",
-            confidence="definite",
-            evidence={"canonical_sql": pred_canon.sql, **facts},
+            subtag=subtag,
+            confidence=confidence,
+            evidence={**evidence, **facts},
         )
+
+    if pred_canon == gold_canon:
+        return inconsistency("AliasOnlyEquivalent", "definite", {"canonical_sql": pred_canon.sql})
 
     if pred_table is not None and gold_table is not None:
         comparison = tables_equivalent(pred_table, gold_table)
         if comparison.equivalent:
-            return TriageVerdict(
-                category=Category.DATASET_INCONSISTENCY,
-                subtag="ResultEquivalent",
-                confidence="definite",
-                evidence={"comparison": comparison.detail or "tables equivalent", **facts},
-            )
+            detail = comparison.detail or "tables equivalent"
+            return inconsistency("ResultEquivalent", "definite", {"comparison": detail})
 
-    has_db = schema.db_path is not None and schema.db_path.is_file()
-    if has_db:
-        tie = tie_ambiguity_test(pred_ast, gold_ast, schema, memo)
-        if tie is True:
-            return TriageVerdict(
-                category=Category.DATASET_INCONSISTENCY,
-                subtag="TieAmbiguity",
-                confidence="heuristic",
-                evidence={"tie": "ordering key ties at the LIMIT boundary", **facts},
-            )
+    if schema.db_path is not None and schema.db_path.is_file():
+        if tie_ambiguity_test(pred_ast, gold_ast, schema, memo) is True:
+            tie = {"tie": "ordering key ties at the LIMIT boundary"}
+            return inconsistency("TieAmbiguity", "heuristic", tie)
         if gold_table is not None:
             suspect = suspect_gold_check(gold_ast, gold_table, schema, memo)
             if suspect is not None:
-                return TriageVerdict(
-                    category=Category.DATASET_INCONSISTENCY,
-                    subtag="SuspectGold",
-                    confidence="heuristic",
-                    evidence={**suspect, **facts},
-                )
+                return inconsistency("SuspectGold", "heuristic", suspect)
 
     delta = diff(pred_canon, gold_canon)
-    evidence = {"diff": delta.summary(), **facts}
-
-    if delta.structure_delta:
+    cause = _diff_cause(delta)
+    if cause is None:
         return TriageVerdict(
-            category=Category.QUERY_STRUCTURE,
-            subtag="ShapeDivergence",
-            confidence="definite",
-            evidence=evidence,
-        )
-    if not delta.join_delta.empty:
-        if delta.join_delta.extra_tables:
-            subtag = "Extra"
-        elif delta.join_delta.missing_tables:
-            subtag = "Missing"
-        else:
-            subtag = "Condition"
-        return TriageVerdict(
-            category=Category.JOIN_CLAUSES, subtag=subtag, confidence="definite", evidence=evidence
-        )
-    if not delta.group_by_delta.empty:
-        return TriageVerdict(
-            category=Category.GROUP_BY, subtag=None, confidence="definite", evidence=evidence
-        )
-    if not delta.aggregate_delta.empty:
-        clause = delta.aggregate_delta.clauses[0][0]
-        return TriageVerdict(
-            category=Category.AGGREGATE_CHOICE,
-            subtag=clause,
-            confidence="definite",
-            evidence=evidence,
-        )
-    if not delta.select_delta.empty:
-        subtag = "WrongOrder" if delta.select_delta.reordered else "WrongColumn"
-        return TriageVerdict(
-            category=Category.SELECT_COLUMNS,
-            subtag=subtag,
-            confidence="definite",
-            evidence=evidence,
-        )
-    if not delta.literal_delta.empty:
-        return TriageVerdict(
-            category=Category.PREDICTED_VALUES,
+            category=Category.UNCLASSIFIABLE,
             subtag=None,
-            confidence="definite",
-            evidence=evidence,
+            confidence="heuristic",
+            evidence={"note": "no rule fired; queries differ only in ignored dimensions", **facts},
         )
-    if delta.clause_delta:
-        return TriageVerdict(
-            category=Category.QUERY_STRUCTURE,
-            subtag="ClauseShape",
-            confidence="definite",
-            evidence=evidence,
-        )
+    category, subtag = cause
     return TriageVerdict(
-        category=Category.UNCLASSIFIABLE,
-        subtag=None,
-        confidence="heuristic",
-        evidence={"note": "no rule fired; queries differ only in ignored dimensions", **facts},
+        category=category,
+        subtag=subtag,
+        confidence="definite",
+        evidence={"diff": delta.summary(), **facts},
     )
+
+
+def _diff_cause(delta: AstDiff) -> tuple[Category, str | None] | None:
+    """The category and subtag of the first delta in precedence order, or
+    None when the diff is empty."""
+    joins = delta.join_delta
+    select = delta.select_delta
+    if delta.structure_delta:
+        return Category.QUERY_STRUCTURE, "ShapeDivergence"
+    if joins:
+        if joins.extra_tables:
+            return Category.JOIN_CLAUSES, "Extra"
+        return Category.JOIN_CLAUSES, "Missing" if joins.missing_tables else "Condition"
+    if delta.group_by_delta:
+        return Category.GROUP_BY, None
+    if delta.aggregate_delta:
+        return Category.AGGREGATE_CHOICE, delta.aggregate_delta.clauses[0].clause
+    if select:
+        return Category.SELECT_COLUMNS, "WrongOrder" if select.reordered else "WrongColumn"
+    if delta.literal_delta:
+        return Category.PREDICTED_VALUES, None
+    if delta.clause_delta:
+        return Category.QUERY_STRUCTURE, "ClauseShape"
+    return None
 
 
 # --------------------------------------------------------------------------- tie ambiguity
@@ -220,11 +192,12 @@ def tie_ambiguity_test(
     """Does LIMIT k cut through a tie in the ordering key?
 
     Applicable only when both queries end in ORDER BY ... LIMIT k. Both are
-    re-executed with LIMIT k + 1 and with the first ordering key appended as
-    an output column; the test passes when the boundary values at rank k
-    agree and the gold's row k + 1 ties with its row k. Rows come out sorted
-    on that key, so tied rows are contiguous and rows k and k + 1 decide
-    whether the tie runs past the cut. Returns None when not applicable.
+    re-executed with LIMIT k + 1 and the first ordering key is read from
+    each row (see ``_one_past_limit_with_key``); the test passes when the
+    boundary values at rank k agree and the gold's row k + 1 ties with its
+    row k. Rows come out sorted on that key, so tied rows are contiguous and
+    rows k and k + 1 decide whether the tie runs past the cut. Returns None
+    when not applicable.
     """
     if not (pred_ast.order_by and pred_ast.limit is not None):
         return None
@@ -237,11 +210,11 @@ def tie_ambiguity_test(
         memo = OutcomeMemo()
 
     def ordering_values(ast: Select) -> list | None:
-        probe = _one_past_limit_with_key(ast)
+        probe, column = _one_past_limit_with_key(ast)
         outcome = memo.run(execute_for_comparison, to_sql(probe), schema)
         if outcome.table is None:
             return None
-        return [normalize_cell(row[-1]) for row in outcome.table.rows]
+        return [normalize_cell(row[column]) for row in outcome.table.rows]
 
     pred_values = ordering_values(pred_ast)
     gold_values = ordering_values(gold_ast)
@@ -254,12 +227,41 @@ def tie_ambiguity_test(
     return len(gold_values) > k and gold_values[k] == gold_values[k - 1]
 
 
-def _one_past_limit_with_key(ast: Select) -> Select:
+def _one_past_limit_with_key(ast: Select) -> tuple[Select, int]:
+    """The tie probe of ``ast`` and the column of its rows that holds the
+    first ordering key. The probe is ``ast`` with LIMIT k + 1. A key that
+    names an output column is read there: a positional key n is column
+    n - 1, an output alias or the left-arm item that the key of a compound
+    query matches is that item's column. Any other key is appended as a
+    last column, which only a simple SELECT allows."""
+    probe = replace(ast, limit=ast.limit + 1)
     key = ast.order_by[0].expr
+    if isinstance(key, Literal) and isinstance(key.value, int):
+        return probe, key.value - 1
+    index = _key_item(ast, key)
+    if index is not None:
+        if not any(isinstance(item.expr, Star) for item in ast.items[:index]):
+            return probe, index
+        key = ast.items[index].expr  # a ``*`` before the item moves its column
+    return replace(probe, items=ast.items + (SelectItem(expr=key, alias="ordering_key"),)), -1
+
+
+def _key_item(ast: Select, key: Expr) -> int | None:
+    """The select item an ordering key names: an output alias, or in a
+    compound query the left-arm item the key matches."""
     if isinstance(key, AliasRef):
-        key = ast.items[key.index].expr
-    items = ast.items + (SelectItem(expr=key, alias="ordering_key"),)
-    return replace(ast, items=items, limit=ast.limit + 1)
+        return key.index
+    if ast.set_op is None:
+        return None
+    for index, item in enumerate(ast.items):
+        expr = item.expr
+        if expr == key or (
+            isinstance(expr, ColumnRef)
+            and isinstance(key, ColumnRef)
+            and (expr.source, expr.column.lower()) == (key.source, key.column.lower())
+        ):
+            return index
+    return None
 
 
 # --------------------------------------------------------------------------- suspect gold

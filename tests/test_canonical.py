@@ -68,7 +68,7 @@ def test_nested_signs_fold_into_one_literal(schemas):
     ):
         canon = canonicalize(parse(sql, schema))
         assert canon == plain, sql
-        assert diff(canon, plain).is_empty, sql
+        assert diff(canon, plain).empty, sql
     negative = canonicalize(parse("SELECT name FROM singer WHERE age > - - -30", schema))
     assert negative.sql == "SELECT t1.name FROM singer AS t1 WHERE t1.age > -30"
 

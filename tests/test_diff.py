@@ -39,14 +39,14 @@ def test_extra_join_reported_from_pred_side(schemas):
 def test_identical_queries_diff_empty(schemas):
     for db_id, sql in generate_corpus(schemas):
         d = _diff(sql, sql, schemas[db_id])
-        assert d.is_empty, sql
+        assert d.empty, sql
 
 
 def test_alias_only_variants_diff_empty(schemas):
     schema = schemas["concert_singer"]
     a = "SELECT T1.name FROM singer AS T1 WHERE T1.age > 30"
     b = "SELECT singer.name FROM singer WHERE singer.age > 30"
-    assert _diff(a, b, schema).is_empty
+    assert _diff(a, b, schema).empty
 
 
 def test_literal_only_difference(schemas):
@@ -92,7 +92,7 @@ def test_numeric_literonly_compared_by_value(schemas):
         "SELECT name FROM stadium WHERE capacity > 3.0",
         schema,
     )
-    assert d.is_empty
+    assert d.empty
 
 
 def test_select_reorder_detected(schemas):
@@ -133,7 +133,7 @@ def test_count_argument_difference_in_order_by_is_not_a_delta(schemas):
         GROUPED_BY_NAME_SQL,
         schemas["student_course"],
     )
-    assert d.is_empty
+    assert d.empty
 
 
 def test_subquery_vs_join_shape_divergence(schemas):
@@ -169,7 +169,21 @@ def test_where_vs_on_join_condition_styles_agree(schemas):
         "JOIN singer AS T2 ON T1.singer_id = T2.singer_id",
         schema,
     )
-    assert d.is_empty
+    assert d.empty
+
+
+def test_self_join_where_vs_on_condition_styles_agree(schemas):
+    # Both sources are one table: the WHERE equality still links two of them.
+    schema = schemas["concert_singer"]
+    d = _diff(
+        "SELECT T1.name FROM singer AS T1, singer AS T2 "
+        "WHERE T1.age = T2.age AND T1.singer_id > 1",
+        "SELECT T1.name FROM singer AS T1 JOIN singer AS T2 ON T1.age = T2.age "
+        "WHERE T1.singer_id > 1",
+        schema,
+    )
+    assert d.empty
+    assert d.summary() == {}
 
 
 def test_extra_where_condition_is_residual_clause_delta(schemas):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from nl2sql import execution
 from nl2sql.execution import execute, normalize_cell
 from nl2sql.schema import DatabaseSchema
-from nl2sql.sqlast import AliasRef, SelectItem, canonicalize, diff, parse, to_sql
+from nl2sql.sqlast import AliasRef, Literal, SelectItem, canonicalize, diff, parse, to_sql
 from nl2sql.triage import (
     Category,
     suspect_gold_check,
@@ -108,9 +108,11 @@ def test_tie_test_not_applicable_without_limit(schemas):
 def full_scan_tie_rule(pred_ast, gold_ast, schema):
     """The reference tie rule: read every ordered row, count the boundary ties.
 
-    Both queries run without LIMIT, with the first ordering key appended;
-    the cut is ambiguous when the rows tied with the gold's row k (its first
-    occurrence onwards) reach past rank k.
+    Both queries run without LIMIT, with the first ordering key appended: a
+    positional or alias key is replaced by the item it names, and a compound
+    query is wrapped as a FROM subquery ordered by its key column. The cut is
+    ambiguous when the rows tied with the gold's row k (its first occurrence
+    onwards) reach past rank k.
     """
     if not (pred_ast.order_by and pred_ast.limit is not None):
         return None
@@ -121,11 +123,19 @@ def full_scan_tie_rule(pred_ast, gold_ast, schema):
     k = gold_ast.limit
 
     def ordering_values(ast):
-        key = ast.order_by[0].expr
+        order = ast.order_by[0]
+        key = order.expr
+        if isinstance(key, Literal):
+            key = ast.items[key.value - 1].expr
         if isinstance(key, AliasRef):
             key = ast.items[key.index].expr
-        probe = replace(ast, items=ast.items + (SelectItem(expr=key),), limit=None)
-        table = execute(to_sql(probe), schema).table
+        if ast.set_op is None:
+            sql = to_sql(replace(ast, items=ast.items + (SelectItem(expr=key),), limit=None))
+        else:
+            body = to_sql(replace(ast, order_by=(), limit=None))
+            direction = "DESC" if order.descending else "ASC"
+            sql = f"SELECT *, {key.column} FROM ({body}) ORDER BY {key.column} {direction}"
+        table = execute(sql, schema).table
         if table is None or table.truncated:
             return None
         return [normalize_cell(row[-1]) for row in table.rows]
@@ -165,27 +175,104 @@ tie_keys = st.one_of(
 )
 
 
+def _gold_sql(form, order, k, split):
+    """The gold of the tie tests, ordered by the key column v of t."""
+    if form == "positional":
+        return f"SELECT id, v FROM t ORDER BY 2 {order} LIMIT {k}"
+    if form == "alias":
+        return f"SELECT id, v AS w FROM t ORDER BY w {order} LIMIT {k}"
+    if form == "alias after *":
+        # The ``*`` expands to (id, v), so w is column 3, not item 2's column.
+        return f"SELECT *, id AS i, v AS w FROM t ORDER BY w {order} LIMIT {k}"
+    if form == "compound":
+        return (
+            f"SELECT id, v FROM t WHERE id < {split} UNION ALL "
+            f"SELECT id, v FROM t WHERE id >= {split} ORDER BY v {order} LIMIT {k}"
+        )
+    return f"SELECT id FROM t ORDER BY v {order} LIMIT {k}"
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     keys=st.lists(tie_keys, max_size=9),
     descending=st.booleans(),
     k_offset=st.integers(min_value=0, max_value=10),
     pred_min_id=st.integers(min_value=0, max_value=2),
+    gold_form=st.sampled_from(["key", "positional", "compound", "alias", "alias after *"]),
+    split=st.integers(min_value=0, max_value=9),
 )
 # A tie that straddles the cut, one that ends exactly at it, one past it.
-@example(keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0)
-@example(keys=[1, 2, 2, 3], descending=False, k_offset=2, pred_min_id=0)
-@example(keys=[0.5, 0.5 + 1e-12, "a"], descending=True, k_offset=0, pred_min_id=0)
-def test_tie_rule_agrees_with_the_full_scan_rule(keys, descending, k_offset, pred_min_id):
+@example(keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0, gold_form="key", split=0)
+@example(keys=[1, 2, 2, 3], descending=False, k_offset=2, pred_min_id=0, gold_form="key", split=0)
+@example(
+    keys=[0.5, 0.5 + 1e-12, "a"], descending=True, k_offset=0, pred_min_id=0, gold_form="key",
+    split=0,
+)
+# A tie across the arms of a compound, and one inside its right arm.
+@example(
+    keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0, gold_form="compound",
+    split=2,
+)
+@example(
+    keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0, gold_form="compound",
+    split=1,
+)
+@example(
+    keys=[10, 20, 30, 40], descending=True, k_offset=0, pred_min_id=0, gold_form="positional",
+    split=0,
+)
+def test_tie_rule_agrees_with_the_full_scan_rule(
+    keys, descending, k_offset, pred_min_id, gold_form, split
+):
     k = 1 + k_offset % (len(keys) + 1)  # 1 .. len + 1
     order = "DESC" if descending else "ASC"
-    gold = f"SELECT id FROM t ORDER BY v {order} LIMIT {k}"
-    pred = f"SELECT v FROM t WHERE id >= {pred_min_id} ORDER BY v {order} LIMIT {k}"
+    gold = _gold_sql(gold_form, order, k, split)
+    # A positional gold is paired with a positional prediction.
+    key = "1" if gold_form == "positional" else "v"
+    pred = f"SELECT v FROM t WHERE id >= {pred_min_id} ORDER BY {key} {order} LIMIT {k}"
     with tempfile.TemporaryDirectory() as tmp:
         schema = _keys_db(Path(tmp) / "keys.sqlite", keys)
         pred_ast, gold_ast = parse(pred, schema), parse(gold, schema)
         expected = full_scan_tie_rule(pred_ast, gold_ast, schema)
         assert tie_ambiguity_test(pred_ast, gold_ast, schema) is expected
+
+
+def _tie_test(tmp_path, keys, pred, gold):
+    schema = _keys_db(tmp_path / "keys.sqlite", keys)
+    return tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema)
+
+
+def test_tie_across_the_arms_of_a_union_is_found(tmp_path):
+    # Sorted keys 1, 2 | 2, 2, 3 with the arms split at id 2: the cut at 2
+    # falls inside a tie that continues in the right arm.
+    gold = _gold_sql("compound", "ASC", 2, split=2)
+    assert _tie_test(tmp_path, [1, 2, 2, 2, 3], "SELECT v FROM t ORDER BY v LIMIT 2", gold) is True
+
+
+def test_tie_inside_the_right_arm_of_a_union_is_found(tmp_path):
+    gold = (
+        "SELECT id, v FROM t WHERE id < 1 UNION "
+        "SELECT id, v FROM t WHERE id >= 1 ORDER BY v LIMIT 2"
+    )
+    assert _tie_test(tmp_path, [1, 2, 2, 2, 3], "SELECT v FROM t ORDER BY v LIMIT 2", gold) is True
+
+
+def test_compound_without_a_tie_at_the_cut_is_no_tie(tmp_path):
+    gold = _gold_sql("compound", "ASC", 2, split=2)
+    assert _tie_test(tmp_path, [1, 2, 3, 4, 5], "SELECT v FROM t ORDER BY v LIMIT 2", gold) is False
+
+
+def test_positional_keys_in_opposite_directions_are_no_tie(tmp_path):
+    # The boundary keys are 40 and 10; a constant key would tie everywhere.
+    pred = "SELECT id, v FROM t ORDER BY 2 ASC LIMIT 1"
+    gold = "SELECT id, v FROM t ORDER BY 2 DESC LIMIT 1"
+    assert _tie_test(tmp_path, [10, 20, 30, 40], pred, gold) is False
+
+
+def test_tie_on_a_positional_key_is_found(tmp_path):
+    pred = "SELECT v FROM t ORDER BY 1 DESC LIMIT 1"
+    gold = "SELECT id, v FROM t ORDER BY 2 DESC LIMIT 1"
+    assert _tie_test(tmp_path, [40, 10, 40], pred, gold) is True
 
 
 def test_tie_past_the_row_cap_is_found_from_k_plus_one_rows(tmp_path, monkeypatch):
