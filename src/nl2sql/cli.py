@@ -332,15 +332,10 @@ def _ast_json(node) -> object:
     if is_dataclass(node):
         out = {"node": type(node).__name__}
         for f in fields(node):
-            if f.name == "_lookup":
-                continue
-            value = getattr(node, f.name)
-            out[f.name] = _ast_json(value)
+            out[f.name] = _ast_json(getattr(node, f.name))
         return out
     if isinstance(node, tuple):
         return [_ast_json(v) for v in node]
-    if isinstance(node, Hardness):
-        return node.value
     return node
 
 

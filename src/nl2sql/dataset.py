@@ -59,7 +59,6 @@ class QuarantinedExample:
 @dataclass(frozen=True)
 class HardnessProfile:
     counts: dict[Hardness, int]
-    members: dict[Hardness, tuple[int, ...]]  # example ids per bucket
 
     @property
     def total(self) -> int:
@@ -78,13 +77,9 @@ class LoadedDataset:
 
     def hardness_profile(self) -> HardnessProfile:
         counts = {h: 0 for h in Hardness}
-        members: dict[Hardness, list[int]] = {h: [] for h in Hardness}
         for ex in self.examples:
             counts[ex.hardness] += 1
-            members[ex.hardness].append(ex.id)
-        return HardnessProfile(
-            counts=counts, members={h: tuple(ids) for h, ids in members.items()}
-        )
+        return HardnessProfile(counts=counts)
 
 
 def load_schemas(dataset_dir: Path) -> dict[str, DatabaseSchema]:

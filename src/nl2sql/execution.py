@@ -26,16 +26,19 @@ Equivalence compares cell contents only: column names are ignored (gold
 and predictions alias columns differently), rows compare as sequences when
 both queries are ordered and as multisets otherwise. Cells are compared in
 a canonical form, so that equivalence is a true equivalence relation: ints
-stay exact; an integral float of magnitude below 2**53 becomes the equal
-int; any other finite float is rounded to ``SIGNIFICANT_DIGITS`` (7)
-significant digits (~ relative 1e-6), and becomes an int if the rounded
-value is integral and below 2**53. So an int and a float that are equal
-but of magnitude >= 2**53 are not equivalent: the float is rounded, the int
-is not. A NaN and each infinity become a marker equal only to itself, so
-NaN equals NaN and no text, such as 'nan' or 'inf', equals either. Tables
-whose raw rows are already equal are decided without normalising, unless a
-column holds both ints and floats; otherwise only columns holding a float
-or bool are normalised. Equal row sequences are equal multisets, so they
+stay exact; a float whose nearest int is below 2**53 in magnitude becomes
+that int when it equals it, exactly or in its 15-significant-digit form
+(so ``123456789.0000001`` becomes ``123456789``); any other finite float
+is rounded to ``SIGNIFICANT_DIGITS`` (7) significant digits (~ relative
+1e-6), and becomes an int if the rounded value is integral and below
+2**53. So an int and a float that are equal but of magnitude >= 2**53 are
+not equivalent: the float is rounded, the int is not. The rule reads the
+cell alone; one that read the other table's column types would break
+transitivity. A NaN and each infinity become a marker equal only to
+itself, so NaN equals NaN and no text, such as 'nan' or 'inf', equals
+either. Tables whose raw rows are already equal are decided without
+normalising, unless a column holds both ints and floats; otherwise only
+columns holding a float or bool are normalised. Equal row sequences are equal multisets, so they
 are decided before any multiset is built, raw or normalised.
 """
 
@@ -296,8 +299,9 @@ def normalize_cell(cell: Cell) -> Cell | _NonFinite:
     if isinstance(cell, float):
         if not math.isfinite(cell):
             return _NonFinite(repr(cell))
-        if cell == int(cell) and abs(cell) < 2**53:
-            return int(cell)
+        whole = round(cell)
+        if abs(whole) < 2**53 and (cell == whole or float("%.15g" % cell) == whole):
+            return whole
         rounded = float(f"%.{SIGNIFICANT_DIGITS}g" % cell)
         if rounded == int(rounded) and abs(rounded) < 2**53:
             return int(rounded)

@@ -47,10 +47,6 @@ from .tokens import FORBIDDEN_LEADS, Token, tokenize
 from .walk import iter_expr_nodes
 
 _JOIN_INTRO = ("join", "inner", "left", "right", "full", "cross", "natural")
-_CLAUSE_BOUNDARY = ("from", "where", "group", "having", "order", "limit", "union",
-                    "intersect", "except", "on", "and", "or", "as", "asc", "desc",
-                    "join", "inner", "left", "right", "full", "cross", "when", "then",
-                    "else", "end", "between", "in", "like", "is", "not", "offset")
 
 
 def parse(sql: str, schema: DatabaseSchema) -> Select:

@@ -1,8 +1,16 @@
-"""Tokenizer for the SQLite-flavored SELECT dialect."""
+"""Tokenizer for the SQLite-flavored SELECT dialect.
+
+One compiled master pattern, after "Writing a Tokenizer" in the Python
+``re`` documentation, with SQLite's lexical rules: a number is ASCII
+digits with an optional fraction and exponent (``1``, ``1.``, ``.5``,
+``1e5``); any other word character, ``²`` and ``٣`` included, starts an
+identifier, and every word character continues one.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -20,12 +28,36 @@ FORBIDDEN_LEADS = frozenset(
     "insert update delete create drop alter replace pragma attach detach vacuum".split()
 )
 
-_TWO_CHAR_OPS = ("<=", ">=", "<>", "!=", "==", "||")
-_ONE_CHAR_OPS = "=<>+-*/%"
+# Alternatives are tried in order, after the whitespace in front of them;
+# ``skip`` takes comments and the whitespace at the end. A quoted form may
+# not close on a quote that starts a doubled-quote escape, so ``'abc''`` is
+# unterminated; the bare openers after the full forms match only what
+# failed to close.
+_MASTER = re.compile(
+    r"""\s*(?:
+      (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
+    | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+    | (?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
+    | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<ident>[^\W0-9]\w*)
+    | (?P<open_comment>/\*)
+    | (?P<op><=|>=|<>|!=|==|\|\||[-=<>+*/%])
+    | (?P<punct>[(),.;])
+    | (?P<open_string>')
+    | (?P<open_qident>["`\[])
+    | (?P<unexpected>.))
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_AS_IS = frozenset(("number", "ident", "op", "punct"))
+_ERRORS = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_qident": "unterminated quoted identifier",
+}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "qident" | "string" | "number" | "op" | "punct" | "end"
     text: str
     pos: int
@@ -44,113 +76,16 @@ class Token:
 def tokenize(sql: str) -> list[Token]:
     """Split SQL text into tokens, raising ParseError on malformed input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and sql.startswith("--", i):
-            nl = sql.find("\n", i)
-            i = n if nl < 0 else nl + 1
-            continue
-        if ch == "/" and sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end < 0:
-                raise ParseError("unterminated block comment", i)
-            i = end + 2
-            continue
-        if ch == "'":
-            start = i
-            text, i = _read_string(sql, i)
-            tokens.append(Token("string", text, start))
-            continue
-        if ch in '"`[':
-            start = i
-            text, i = _read_quoted_ident(sql, i)
-            tokens.append(Token("qident", text, start))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            start = i
-            i = _scan_number(sql, i)
-            tokens.append(Token("number", sql[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", sql[start:i], start))
-            continue
-        two = sql[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token("op", two, i))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch in "(),.;":
-            tokens.append(Token("punct", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", n))
+    for match in _MASTER.finditer(sql):
+        kind = match.lastgroup
+        text = match[kind]
+        pos = match.start(kind)
+        if kind in _AS_IS:
+            tokens.append(Token(kind, text, pos))
+        elif kind in ("string", "qident"):
+            # A doubled closing quote is one; a bracketed name holds no ``]``.
+            tokens.append(Token(kind, text[1:-1].replace(text[-1] * 2, text[-1]), pos))
+        elif kind != "skip":
+            raise ParseError(_ERRORS.get(kind) or f"unexpected character {text!r}", pos)
+    tokens.append(Token("end", "", len(sql)))
     return tokens
-
-
-def _read_string(sql: str, i: int) -> tuple[str, int]:
-    # Single-quoted string; '' is the escape for a literal quote.
-    start = i
-    i += 1
-    out: list[str] = []
-    while i < len(sql):
-        ch = sql[i]
-        if ch == "'":
-            if sql.startswith("''", i):
-                out.append("'")
-                i += 2
-                continue
-            return "".join(out), i + 1
-        out.append(ch)
-        i += 1
-    raise ParseError("unterminated string literal", start)
-
-
-def _read_quoted_ident(sql: str, i: int) -> tuple[str, int]:
-    opener = sql[i]
-    closer = {"[": "]"}.get(opener, opener)
-    start = i
-    i += 1
-    out: list[str] = []
-    while i < len(sql):
-        ch = sql[i]
-        if ch == closer:
-            if closer in '"`' and sql.startswith(closer * 2, i):
-                out.append(closer)
-                i += 2
-                continue
-            return "".join(out), i + 1
-        out.append(ch)
-        i += 1
-    raise ParseError("unterminated quoted identifier", start)
-
-
-def _scan_number(sql: str, i: int) -> int:
-    n = len(sql)
-    while i < n and sql[i].isdigit():
-        i += 1
-    if i < n and sql[i] == ".":
-        i += 1
-        while i < n and sql[i].isdigit():
-            i += 1
-    if i < n and sql[i] in "eE":
-        j = i + 1
-        if j < n and sql[j] in "+-":
-            j += 1
-        if j < n and sql[j].isdigit():
-            i = j
-            while i < n and sql[i].isdigit():
-                i += 1
-    return i

@@ -191,13 +191,14 @@ def tie_ambiguity_test(
 ) -> bool | None:
     """Does LIMIT k cut through a tie in the ordering key?
 
-    Applicable only when both queries end in ORDER BY ... LIMIT k. Both are
-    re-executed with LIMIT k + 1 and the first ordering key is read from
-    each row (see ``_one_past_limit_with_key``); the test passes when the
-    boundary values at rank k agree and the gold's row k + 1 ties with its
-    row k. Rows come out sorted on that key, so tied rows are contiguous and
-    rows k and k + 1 decide whether the tie runs past the cut. Returns None
-    when not applicable.
+    Applicable only when both queries end in ORDER BY ... LIMIT k, and
+    neither is a SELECT DISTINCT whose ordering key is not an output column.
+    Both are re-executed with LIMIT k + 1 and the first ordering key is read
+    from each row (see ``_one_past_limit_with_key``); the test passes when
+    the boundary values at rank k agree and the gold's row k + 1 ties with
+    its row k. Rows come out sorted on that key, so tied rows are contiguous
+    and rows k and k + 1 decide whether the tie runs past the cut. Returns
+    None when not applicable.
     """
     if not (pred_ast.order_by and pred_ast.limit is not None):
         return None
@@ -206,18 +207,21 @@ def tie_ambiguity_test(
     if pred_ast.limit != gold_ast.limit or pred_ast.limit == 0:
         return None
     k = gold_ast.limit
+    pred_probe = _one_past_limit_with_key(pred_ast)
+    gold_probe = _one_past_limit_with_key(gold_ast)
+    if pred_probe is None or gold_probe is None:
+        return None
     if memo is None:
         memo = OutcomeMemo()
 
-    def ordering_values(ast: Select) -> list | None:
-        probe, column = _one_past_limit_with_key(ast)
+    def ordering_values(probe: Select, column: int) -> list | None:
         outcome = memo.run(execute_for_comparison, to_sql(probe), schema)
         if outcome.table is None:
             return None
         return [normalize_cell(row[column]) for row in outcome.table.rows]
 
-    pred_values = ordering_values(pred_ast)
-    gold_values = ordering_values(gold_ast)
+    pred_values = ordering_values(*pred_probe)
+    gold_values = ordering_values(*gold_probe)
     if pred_values is None or gold_values is None:
         return False
     if len(pred_values) < k or len(gold_values) < k:
@@ -227,13 +231,15 @@ def tie_ambiguity_test(
     return len(gold_values) > k and gold_values[k] == gold_values[k - 1]
 
 
-def _one_past_limit_with_key(ast: Select) -> tuple[Select, int]:
+def _one_past_limit_with_key(ast: Select) -> tuple[Select, int] | None:
     """The tie probe of ``ast`` and the column of its rows that holds the
     first ordering key. The probe is ``ast`` with LIMIT k + 1. A key that
     names an output column is read there: a positional key n is column
-    n - 1, an output alias or the left-arm item that the key of a compound
-    query matches is that item's column. Any other key is appended as a
-    last column, which only a simple SELECT allows."""
+    n - 1, an output alias or the item that the key matches (a left-arm item
+    in a compound query) is that item's column. Any other key is appended
+    as a last column, which only a simple SELECT allows. None for a SELECT
+    DISTINCT, whose rows the appended key would make distinct on
+    (columns, key) instead of on its columns."""
     probe = replace(ast, limit=ast.limit + 1)
     key = ast.order_by[0].expr
     if isinstance(key, Literal) and isinstance(key.value, int):
@@ -243,16 +249,16 @@ def _one_past_limit_with_key(ast: Select) -> tuple[Select, int]:
         if not any(isinstance(item.expr, Star) for item in ast.items[:index]):
             return probe, index
         key = ast.items[index].expr  # a ``*`` before the item moves its column
+    if ast.distinct:
+        return None
     return replace(probe, items=ast.items + (SelectItem(expr=key, alias="ordering_key"),)), -1
 
 
 def _key_item(ast: Select, key: Expr) -> int | None:
-    """The select item an ordering key names: an output alias, or in a
-    compound query the left-arm item the key matches."""
+    """The select item an ordering key names: an output alias, or the item
+    the key matches (in a compound query, a left-arm item)."""
     if isinstance(key, AliasRef):
         return key.index
-    if ast.set_op is None:
-        return None
     for index, item in enumerate(ast.items):
         expr = item.expr
         if expr == key or (

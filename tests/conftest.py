@@ -13,8 +13,13 @@ import sqlite3
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from nl2sql.dataset import LoadedDataset, load_dataset
+
+# Property tests draw the same examples on every run, with no time limit.
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 
 def _tables_entry(db_id: str, tables: list[tuple[str, list[tuple[str, str]]]],

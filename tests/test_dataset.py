@@ -62,14 +62,16 @@ def test_unparseable_gold_quarantined_not_dropped(tmp_path):
         {"db_id": "battle_death", "question": "ok", "query": "SELECT name FROM ship"},
         {"db_id": "battle_death", "question": "broken", "query": "SELECT FROM WHERE"},
         {"db_id": "battle_death", "question": "ddl", "query": "DROP TABLE ship"},
+        # SQLite reads the superscript two as a column name.
+        {"db_id": "battle_death", "question": "digit", "query": "SELECT name FROM ship WHERE id = ²"},
     ]
     root = make_dataset(tmp_path / "ds", examples, db_ids=["battle_death"])
     loaded = load_dataset(root, "dev")
     assert len(loaded.examples) == 1
-    assert len(loaded.quarantined) == 2
+    assert len(loaded.quarantined) == 3
     reasons = [q.reason for q in loaded.quarantined]
     assert all("does not parse" in r for r in reasons)
-    assert loaded.raw_count == 3
+    assert loaded.raw_count == 4
 
 
 def test_malformed_schema_entry_is_fatal_with_index(tmp_path):

@@ -243,3 +243,11 @@ def test_grouped_scoring_equals_one_example_scoring(schemas, monkeypatch):
         assert verdict.to_json() == singles[example_id].verdicts[example_id].to_json()
     assert report.verdicts[0].subtag == report.verdicts[4].subtag == "TieAmbiguity"
     assert report.verdicts[2].subtag == "ParseError"
+
+
+def test_prediction_with_a_non_ascii_digit_is_triaged_as_a_parse_error(schemas):
+    # SQLite reads the superscript two as a column name it cannot find.
+    failed = transcript(0, "SELECT name FROM ship WHERE id = ²", Verdict.FAILED)
+    report = score([failed], [ship_example(0)], schemas)
+    verdict = report.verdicts[0]
+    assert (verdict.category.value, verdict.subtag) == ("Unclassifiable", "ParseError")

@@ -489,3 +489,17 @@ def test_normalize_cell_integral_floats():
     assert normalize_cell(3.0) == 3
     assert normalize_cell(3) == 3
     assert isinstance(normalize_cell(3.5), float)
+
+
+def test_float_noise_next_to_a_large_integer_is_the_integer():
+    # The 15-significant-digit form of the float is the integer itself.
+    assert normalize_cell(123456789.0000001) == 123456789
+    pairs = {
+        (123456789.0000001, 123456789): "equivalent",
+        (1234567.0000001, 1234567): "equivalent",
+        (123456789.5, 123456789): "different",
+    }
+    for ordered in (False, True):
+        for (a, b), status in pairs.items():
+            result = tables_equivalent(table([[a]], ordered=ordered), table([[b]], ordered=ordered))
+            assert result.status == status, (a, b, ordered)

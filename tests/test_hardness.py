@@ -132,4 +132,3 @@ def test_order_direction_does_not_affect_bucket(schemas):
 def test_dev_fixture_profile_reconciles(loaded):
     profile = loaded.hardness_profile()
     assert profile.total == len(loaded.examples)
-    assert all(isinstance(ids, tuple) for ids in profile.members.values())

@@ -161,26 +161,26 @@ def oracle_sequence_equal(a: ResultTable, b: ResultTable) -> bool:
 
 # --------------------------------------------------------------------------- properties
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(table_strategy)
 def test_equivalence_is_reflexive(t):
     assert tables_equivalent(t, t).equivalent
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(table_strategy, table_strategy)
 def test_equivalence_is_symmetric(a, b):
     assert tables_equivalent(a, b).equivalent == tables_equivalent(b, a).equivalent
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(table_strategy, table_strategy, table_strategy)
 def test_equivalence_is_transitive(a, b, c):
     if tables_equivalent(a, b).equivalent and tables_equivalent(b, c).equivalent:
         assert tables_equivalent(a, c).equivalent
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(table_strategy, table_strategy)
 def test_unordered_comparison_matches_multiset_oracle(a, b):
     a_unordered = ResultTable(columns=a.columns, rows=a.rows, ordered=False)
@@ -189,7 +189,7 @@ def test_unordered_comparison_matches_multiset_oracle(a, b):
     assert got == oracle_multiset_equal(a_unordered, b_unordered)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(table_strategy, table_strategy)
 def test_ordered_comparison_matches_sequence_oracle(a, b):
     a_ordered = ResultTable(columns=a.columns, rows=a.rows, ordered=True)
@@ -198,14 +198,14 @@ def test_ordered_comparison_matches_sequence_oracle(a, b):
     assert got == oracle_sequence_equal(a_ordered, b_ordered)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(table_pairs())
 def test_comparison_matches_cell_by_cell_reference(pair):
     pred, gold = pair
     assert tables_equivalent(pred, gold) == reference_tables_equivalent(pred, gold)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(table_strategy)
 def test_shuffled_rows_stay_equivalent_when_unordered(t):
     rows = list(t.rows)
@@ -215,7 +215,7 @@ def test_shuffled_rows_stay_equivalent_when_unordered(t):
     assert tables_equivalent(unordered, shuffled).equivalent
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.text(alphabet="abc |\\nx", max_size=8), min_size=1, max_size=3))
 def test_markdown_round_trips_cell_texts(texts):
     table = ResultTable(
@@ -263,7 +263,7 @@ sql_texts = st.one_of(
 )
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+@settings(max_examples=500)
 @given(sql_texts)
 def test_query_is_ordered_agrees_with_the_tokenizer(sql):
     assert query_is_ordered(sql) == tokenized_query_is_ordered(sql)

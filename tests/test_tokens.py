@@ -1,0 +1,162 @@
+"""The tokenizer against a hand-written reference scanner.
+
+``reference_tokenize`` is the per-character scanner the compiled pattern
+replaced, kept as an oracle. The two agree, token for token and error for
+error, on every input without a numeric character outside ASCII 0-9: the
+reference started a number on any ``str.isdigit`` character, whereas
+SQLite, and the tokenizer, read only ASCII digits as a number and any other
+word character as part of an identifier.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from nl2sql.errors import ParseError
+from nl2sql.sqlast import parse
+from nl2sql.sqlast.tokens import tokenize
+
+from conftest import DEV_EXAMPLES
+from helpers import generate_corpus
+
+
+def reference_tokenize(sql: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i, n = 0, len(sql)
+    while i < n:
+        ch = sql[i]
+        start = i
+        if ch.isspace():
+            i += 1
+        elif sql.startswith("--", i):
+            nl = sql.find("\n", i)
+            i = n if nl < 0 else nl + 1
+        elif sql.startswith("/*", i):
+            end = sql.find("*/", i + 2)
+            if end < 0:
+                raise ParseError("unterminated block comment", i)
+            i = end + 2
+        elif ch in "'\"`[":
+            closer = "]" if ch == "[" else ch
+            out = []
+            i += 1
+            while True:
+                if i >= n:
+                    what = "string literal" if ch == "'" else "quoted identifier"
+                    raise ParseError(f"unterminated {what}", start)
+                if sql[i] != closer:
+                    out.append(sql[i])
+                    i += 1
+                elif closer != "]" and sql.startswith(closer * 2, i):
+                    out.append(closer)
+                    i += 2
+                else:
+                    i += 1
+                    break
+            tokens.append(("string" if ch == "'" else "qident", "".join(out), start))
+        elif ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
+            while i < n and sql[i].isdigit():
+                i += 1
+            if i < n and sql[i] == ".":
+                i += 1
+                while i < n and sql[i].isdigit():
+                    i += 1
+            if i < n and sql[i] in "eE":
+                j = i + 1
+                if j < n and sql[j] in "+-":
+                    j += 1
+                if j < n and sql[j].isdigit():
+                    i = j
+                    while i < n and sql[i].isdigit():
+                        i += 1
+            tokens.append(("number", sql[start:i], start))
+        elif ch.isalpha() or ch == "_":
+            while i < n and (sql[i].isalnum() or sql[i] == "_"):
+                i += 1
+            tokens.append(("ident", sql[start:i], start))
+        elif sql[i : i + 2] in ("<=", ">=", "<>", "!=", "==", "||"):
+            tokens.append(("op", sql[i : i + 2], start))
+            i += 2
+        elif ch in "=<>+-*/%":
+            tokens.append(("op", ch, start))
+            i += 1
+        elif ch in "(),.;":
+            tokens.append(("punct", ch, start))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def outcome(scan, sql: str):
+    """The token stream as (kind, text, pos) triples, or the error raised."""
+    try:
+        return [tuple(tok) for tok in scan(sql)]
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)
+
+
+def ascii_digits_only(sql: str) -> bool:
+    return not any(c.isnumeric() and c not in "0123456789" for c in sql)
+
+
+def assert_same_as_reference(sql: str) -> None:
+    assert outcome(tokenize, sql) == outcome(reference_tokenize, sql), sql
+
+
+sql_pieces = st.sampled_from(
+    ["SELECT", "a", "T1.x", "_id", "ß", "İ", "1", "12.5", ".5", "1.", "1e5", "2E-3",
+     "1e", "1e+", "..", "'it''s'", "''", "'", "'a''", '"q""x"', '"', "`b``c`", "`", "[x y]",
+     "[", "]", "-- note\n", "--", "/* c */", "/*/", "/*", "*/", "<=", ">=", "<>", "!=", "==",
+     "||", "|", "!", "=", "<", ">", "+", "-", "*", "/", "%", "(", ")", ",", ".", ";", " ",
+     "\t", "\n", " ", "#", "@", "$", "?"]
+)
+sql_like_texts = st.one_of(
+    st.lists(sql_pieces, max_size=12).map("".join),
+    st.text(alphabet="sel aTx_1.5eE+-'\"`[]/*\n<>=!|%(),;", max_size=30),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=1000)
+@given(sql_like_texts)
+# An escape that leaves a string open, a comment that is not closed by its
+# own opening star, every quoted form with its escape, and a stray character.
+@example("'abc''")
+@example("x /*/ y")
+@example("'it''s' \"a\"\"b\" `c``d` [e\"]")
+@example("a ! b")
+def test_tokenizer_matches_the_reference_on_generated_text(sql):
+    assume(ascii_digits_only(sql))
+    assert_same_as_reference(sql)
+
+
+def test_tokenizer_matches_the_reference_on_queries_and_their_prefixes_and_suffixes(schemas):
+    queries = [sql for _, sql in generate_corpus(schemas)] + [ex["query"] for ex in DEV_EXAMPLES]
+    for sql in queries:
+        for cut in range(len(sql) + 1):
+            assert_same_as_reference(sql[:cut])
+            assert_same_as_reference(sql[cut:])
+
+
+def test_non_ascii_digits_are_identifier_characters():
+    assert outcome(tokenize, "a = ² LIMIT ٣1") == [
+        ("ident", "a", 0), ("op", "=", 2), ("ident", "²", 4), ("ident", "LIMIT", 6),
+        ("ident", "٣1", 12), ("end", "", 14),
+    ]
+    assert outcome(tokenize, "1²") == [("number", "1", 0), ("ident", "²", 1), ("end", "", 2)]
+
+
+@pytest.mark.parametrize(
+    "sql, message",
+    [
+        ("SELECT name FROM ship WHERE id = ²", "no such column: ²"),
+        ("SELECT name FROM ship LIMIT ٣", "LIMIT expects an integer, found '٣' (at offset 28)"),
+    ],
+)
+def test_a_non_ascii_digit_is_a_parse_error(schemas, sql, message):
+    with pytest.raises(ParseError) as err:
+        parse(sql, schemas["battle_death"])
+    assert str(err.value) == message

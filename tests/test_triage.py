@@ -192,7 +192,7 @@ def _gold_sql(form, order, k, split):
     return f"SELECT id FROM t ORDER BY v {order} LIMIT {k}"
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     keys=st.lists(tie_keys, max_size=9),
     descending=st.booleans(),
@@ -262,6 +262,32 @@ def test_tie_on_a_positional_key_is_found(tmp_path):
     pred = "SELECT v FROM t ORDER BY 1 DESC LIMIT 1"
     gold = "SELECT id, v FROM t ORDER BY 2 DESC LIMIT 1"
     assert _tie_test(tmp_path, [40, 10, 40], pred, gold) is True
+
+
+def test_distinct_gold_with_a_non_output_key_is_not_a_tie(tmp_path):
+    # A key appended to the DISTINCT gold would keep (a, 2) and (b, 2) apart
+    # and read the missing DISTINCT in the prediction as a tie at the cut.
+    path = tmp_path / "names.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (id INTEGER, name TEXT, v INTEGER)")
+    conn.executemany("INSERT INTO t VALUES (?, ?, ?)", [(0, "a", 1), (1, "a", 2), (2, "b", 2)])
+    conn.commit()
+    conn.close()
+    schema = DatabaseSchema(
+        db_id="names",
+        tables=(("t", (("id", "number"), ("name", "text"), ("v", "number"))),),
+        db_path=path,
+    )
+    gold = "SELECT DISTINCT name FROM t ORDER BY v LIMIT 2"
+    pred = "SELECT name FROM t ORDER BY v LIMIT 2"
+    assert tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema) is None
+    assert tie_ambiguity_test(parse(gold, schema), parse(pred, schema), schema) is None
+    verdict = run_triage(pred, gold, schema)
+    assert verdict.category is not Category.DATASET_INCONSISTENCY
+    # A key that is an output column is read there, so DISTINCT keeps the test.
+    gold = "SELECT DISTINCT name, v FROM t ORDER BY v LIMIT 2"
+    pred = "SELECT name, v FROM t ORDER BY v LIMIT 2"
+    assert tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema) is True
 
 
 def test_tie_past_the_row_cap_is_found_from_k_plus_one_rows(tmp_path, monkeypatch):
