@@ -264,7 +264,7 @@ def test_tie_on_a_positional_key_is_found(tmp_path):
     assert _tie_test(tmp_path, [40, 10, 40], pred, gold) is True
 
 
-def test_distinct_gold_with_a_non_output_key_is_not_a_tie(tmp_path):
+def test_tie_probe_appends_no_key_to_a_distinct_query(tmp_path):
     # A key appended to the DISTINCT gold would keep (a, 2) and (b, 2) apart
     # and read the missing DISTINCT in the prediction as a tie at the cut.
     path = tmp_path / "names.sqlite"
