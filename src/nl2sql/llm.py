@@ -7,16 +7,25 @@ digested (sha256 of its canonical JSON); the digest keys the replay store,
 so any prompt change invalidates stale fixtures loudly instead of silently
 replaying the wrong answer.
 
+``ModelEndpoint.complete`` computes that digest once per model call and
+hands it to the transport's ``send``; the same value names the fixture
+file and is the transcript's ``request_digest``. A transport called with
+no digest computes its own.
+
 Replay store layout: one ``<digest>.json`` file per request holding the
 response body. ``RecordingTransport`` writes that layout while passing
-through to a live transport, which is how fixture sets are built.
+through to a live transport, which is how fixture sets are built. A replay
+miss is a digest with no regular file of that name: no file, a directory
+or other non-regular file, or a missing store directory.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
+import stat
 import threading
 import time
 from dataclasses import dataclass, field
@@ -61,8 +70,10 @@ def reply_text(response_body: dict) -> str:
 
 
 class Transport(Protocol):
-    def send(self, request: dict) -> dict:
-        """Return the response body for one chat-completion request."""
+    def send(self, request: dict, digest: str | None = None) -> dict:
+        """Return the response body for one chat-completion request.
+
+        ``digest``, when given, is ``request_digest(request)``."""
 
 
 class HttpChatTransport:
@@ -97,7 +108,7 @@ class HttpChatTransport:
         # concurrent pipeline workers.
         self.session = session
 
-    def send(self, request: dict) -> dict:
+    def send(self, request: dict, digest: str | None = None) -> dict:
         headers = {
             "Authorization": f"Bearer {self.api_key}",
             "Content-Type": "application/json",
@@ -126,38 +137,67 @@ class HttpChatTransport:
         )
 
 
+# No O_NONBLOCK on Windows, where there are no FIFOs to open either.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)
+# What ``Path.is_file()`` reads as "no file", and a UNIX socket's ENXIO.
+_MISS_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO})
+
+
 class ReplayTransport:
     """Offline transport backed by a directory of digest-keyed responses."""
 
     def __init__(self, store_dir: Path | str):
         self.store_dir = Path(store_dir)
+        self._prefix = os.path.join(self.store_dir, "")
 
-    def send(self, request: dict) -> dict:
-        digest = request_digest(request)
-        path = self.store_dir / f"{digest}.json"
-        if not path.is_file():
-            head = ""
-            messages = request.get("messages", [])
-            if messages:
-                head = repr(messages[-1].get("content", ""))[:120]
-            raise ReplayMissError(digest, hint=f"last message starts {head}")
+    def send(self, request: dict, digest: str | None = None) -> dict:
+        if digest is None:
+            digest = request_digest(request)
+        # One open, fstat, read and close; the fstat stands in for
+        # ``is_file()``, and O_NONBLOCK keeps a FIFO from blocking the open.
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            fd = os.open(f"{self._prefix}{digest}.json", _READ_FLAGS)
+        except OSError as exc:
+            if exc.errno not in _MISS_ERRNOS:
+                raise
+            raise _miss(request, digest) from None
+        try:
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                raise _miss(request, digest)
+            data = os.read(fd, st.st_size)
+        finally:
+            os.close(fd)
+        try:
+            return json.loads(data.decode("utf-8"))
         except ValueError as exc:  # truncated or not UTF-8
+            path = self.store_dir / f"{digest}.json"
             raise TransportError(f"corrupt replay fixture {path}: {exc}") from exc
 
 
+def _miss(request: dict, digest: str) -> ReplayMissError:
+    head = ""
+    messages = request.get("messages", [])
+    if messages:
+        head = repr(messages[-1].get("content", ""))[:120]
+    return ReplayMissError(digest, hint=f"last message starts {head}")
+
+
 class RecordingTransport:
-    """Pass-through transport that persists every response for later replay."""
+    """Pass-through transport that persists every response for later replay.
+
+    The inner transport is called with the request alone."""
 
     def __init__(self, inner: Transport, store_dir: Path | str):
         self.inner = inner
         self.store_dir = Path(store_dir)
         self.store_dir.mkdir(parents=True, exist_ok=True)
 
-    def send(self, request: dict) -> dict:
+    def send(self, request: dict, digest: str | None = None) -> dict:
         body = self.inner.send(request)
-        _write_fixture(self.store_dir, request_digest(request), body)
+        if digest is None:
+            digest = request_digest(request)
+        _write_fixture(self.store_dir, digest, body)
         return body
 
 
@@ -200,5 +240,5 @@ class ModelEndpoint:
     def complete(self, messages: list[Message]) -> tuple[str, str]:
         """Send one request; returns (assistant text, request digest)."""
         request = build_request(self.model_name, messages, self.sampling)
-        body = self.transport.send(request)
-        return reply_text(body), request_digest(request)
+        digest = request_digest(request)
+        return reply_text(self.transport.send(request, digest)), digest

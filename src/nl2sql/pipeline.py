@@ -61,9 +61,11 @@ from .sqlast.tokens import tokenize
 
 _FENCE = re.compile(r"```(?:sql)?\s*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
 _SELECT_START = re.compile(r"\bselect\b", re.IGNORECASE)
-# A quoted string or identifier, matched whole so that a ';' inside it is
-# skipped, or a statement-ending ';'.
-_QUOTED_OR_SEMICOLON = re.compile(r"'[^']*'|\"[^\"]*\"|`[^`]*`|\[[^\]]*\]|;")
+# A quoted string or identifier, or a comment, matched whole so that a ';'
+# inside it is skipped, or a statement-ending ';'.
+_QUOTED_OR_SEMICOLON = re.compile(
+    r"'[^']*'|\"[^\"]*\"|`[^`]*`|\[[^\]]*\]|--[^\n]*|/\*.*?\*/|;", re.DOTALL
+)
 
 
 class Verdict(str, Enum):
@@ -176,7 +178,7 @@ def extract_sql(model_reply: str) -> str:
 
     Handles fenced code blocks, skeleton-then-query replies (the text after
     the last ``|||`` wins), and trailing prose after a semicolon outside
-    quotes or, outside a fenced block, after a blank line.
+    quotes and comments or, outside a fenced block, after a blank line.
     """
     candidate = model_reply
     if "|||" in candidate:

@@ -191,15 +191,16 @@ class _Parser:
         negative = tok.kind == "op" and tok.text == "-"
         if negative:
             tok = self.advance()
-        if tok.kind != "number" or not tok.text.isdigit():
+        value = _number_value(tok) if tok.kind == "number" else None
+        if not isinstance(value, int):
             raise ParseError(f"LIMIT expects an integer, found {tok.text!r}", tok.pos)
-        if negative:
+        if negative or value < 0:
             raise ParseError("LIMIT must be non-negative", tok.pos)
         if self.peek().is_keyword("offset"):
             raise UnsupportedSqlError("LIMIT ... OFFSET is not supported", self.peek().pos)
         if self.accept_punct(","):
             raise UnsupportedSqlError("LIMIT with two operands is not supported", self.peek().pos)
-        return int(tok.text)
+        return value
 
     # -- FROM ----------------------------------------------------------------
 
@@ -371,14 +372,18 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text in ("-", "+"):
             self.advance()
-            return Unary(op=tok.text, operand=self.parse_unary())
+            operand = self.parse_unary()
+            if tok.text == "-" and isinstance(operand, Literal) and operand.value == _INT64_MIN:
+                # Only a hex literal reads as -2**63, and SQLite will not negate it.
+                raise ParseError(f"hex literal too big: -{operand.text}", tok.pos)
+            return Unary(op=tok.text, operand=operand)
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Literal(value=_number_value(tok.text), text=tok.text)
+            return Literal(value=_number_value(tok), text=tok.text)
         if tok.kind == "string":
             self.advance()
             return Literal(value=tok.text, text=_quote_string(tok.text))
@@ -461,9 +466,20 @@ def _flatten(op: str, terms: list[Expr]) -> list[Expr]:
     return out
 
 
-def _number_value(text: str) -> int | float:
+_INT64_MIN = -(1 << 63)
+
+
+def _number_value(tok: Token) -> int | float:
+    """The value SQLite gives a numeric literal. A hex integer is read as a
+    64-bit two's-complement value, so ``0xffffffffffffffff`` is -1."""
+    text = tok.text
     if text.isdigit():
         return int(text)
+    if text[:2] in ("0x", "0X"):
+        if len(text[2:].lstrip("0")) > 16:
+            raise ParseError(f"hex literal too big: {text}", tok.pos)
+        value = int(text, 16)
+        return value - (1 << 64) if value >> 63 else value
     return float(text)
 
 

@@ -3,8 +3,10 @@
 One compiled master pattern, after "Writing a Tokenizer" in the Python
 ``re`` documentation, with SQLite's lexical rules: a number is ASCII
 digits with an optional fraction and exponent (``1``, ``1.``, ``.5``,
-``1e5``); any other word character, ``²`` and ``٣`` included, starts an
-identifier, and every word character continues one.
+``1e5``), or ``0x`` followed by hex digits (``0x1F``); any other word
+character, ``²`` and ``٣`` included, starts an identifier, and every word
+character continues one. A bare ``0x`` is the number ``0`` and the
+identifier ``x``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ _MASTER = re.compile(
       (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
     | (?P<string>'[^']*(?:''[^']*)*'(?!'))
     | (?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
-    | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<number>0[xX][0-9a-fA-F]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
     | (?P<ident>[^\W0-9]\w*)
     | (?P<open_comment>/\*)
     | (?P<op><=|>=|<>|!=|==|\|\||[-=<>+*/%])

@@ -244,7 +244,7 @@ class ScriptedTransport:
         self.reply_fn = reply_fn
         self.requests: list[dict] = []
 
-    def send(self, request: dict) -> dict:
+    def send(self, request: dict, digest: str | None = None) -> dict:
         self.requests.append(request)
         text = self.reply_fn(request)
         return {"choices": [{"message": {"role": "assistant", "content": text}}]}
@@ -257,6 +257,6 @@ class CountingTransport:
         self.inner = inner
         self.calls = 0
 
-    def send(self, request: dict) -> dict:
+    def send(self, request: dict, digest: str | None = None) -> dict:
         self.calls += 1
-        return self.inner.send(request)
+        return self.inner.send(request, digest)

@@ -3,7 +3,8 @@
 ``bench/tracing.py`` rebinds harness module attributes to time each layer,
 and ``bench/run.py`` rebinds ``nl2sql.evaluate._score_one`` to split the
 score phase and ``nl2sql.pipeline.run_pipeline`` to split set-up, where
-``run_many`` records the replay store. A refactor that drops one of those
+``run_many`` records the replay store; ``bench/tracing.py`` counts model
+calls as ``ReplayTransport.send`` spans. A refactor that drops one of those
 attributes only prints a warning there, so these tests make it fail here
 instead.
 """
@@ -15,11 +16,13 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from nl2sql import evaluate, execution, pipeline
+from nl2sql import evaluate, execution, llm, pipeline
+from nl2sql.llm import ModelEndpoint, RecordingTransport, ReplayTransport
 from nl2sql.pipeline import PipelineConfig, Verdict
 
+from helpers import ScriptedTransport
 from test_evaluate import GOLD, WRONG, ship_example, transcript
-from test_pipeline import scripted_endpoints
+from test_pipeline import question_of, scripted_endpoints, stage_of
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -133,3 +136,33 @@ def test_two_golds_call_each_hook_once_per_example_and_execute_once_per_group(
     assert Counter(score_calls) == Counter(range(5))
     assert Counter(executed) == Counter({GOLD: 1, other: 1, WRONG: 2})
     assert resolved == executed
+
+
+def test_run_pipeline_over_a_replay_store_sends_once_per_stage(schemas, tmp_path, monkeypatch):
+    # Example 0 is right first time, 1 after an example round, 2 never.
+    right_from = {"q0": "zero_shot", "q1": "example_1", "q2": "never"}
+
+    def reply(request):
+        return GOLD if stage_of(request) == right_from[question_of(request)] else WRONG
+
+    def endpoints(transport):
+        return (ModelEndpoint("generator", transport, "gen-model"),
+                ModelEndpoint("corrector", transport, "fix-model"))
+
+    examples = [ship_example(i) for i in range(3)]
+    recording = RecordingTransport(ScriptedTransport(reply), tmp_path)
+    pipeline.run_many(examples, schemas, PipelineConfig(), *endpoints(recording), workers=1)
+    sent = []
+    send = llm.ReplayTransport.send
+
+    def counting_send(self, request, *args):
+        sent.append(request)
+        return send(self, request, *args)
+
+    monkeypatch.setattr(llm.ReplayTransport, "send", counting_send)
+    generator, corrector = endpoints(ReplayTransport(tmp_path))
+    for ex in examples:
+        sent.clear()
+        run = pipeline.run_pipeline(ex, schemas[ex.db_id], PipelineConfig(), generator, corrector)
+        assert len(sent) == len(run.stages) == [1, 2, 3][ex.id]
+        assert [s.request_digest for s in run.stages] == [llm.request_digest(r) for r in sent]

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import pytest
 
+from nl2sql import llm
 from nl2sql.errors import ConfigError, ReplayMissError, RetriesExhaustedError, TransportError
 from nl2sql.llm import (
     HttpChatTransport,
@@ -38,6 +40,65 @@ def test_digest_changes_with_sampling():
     assert request_digest(base) != request_digest(warm)
 
 
+def test_digest_of_a_fixed_request_is_pinned():
+    # Replay stores are keyed by this value: a change to the canonical JSON
+    # orphans every fixture ever recorded.
+    request = build_request(
+        "gpt-4",
+        [
+            {"role": "system", "content": "You write SQLite."},
+            {"role": "user", "content": 'How many singers are there? Answer with SQL; é "q"'},
+        ],
+        Sampling(temperature=0.0, max_tokens=512),
+    )
+    assert request_digest(request) == (
+        "1f1255e897efde2e7b5b109980857b8a403e0761eddba1c4afe50f566f39994d"
+    )
+
+
+def _counting_digests(monkeypatch) -> list[dict]:
+    seen = []
+    original = llm.request_digest
+
+    def counting(request):
+        seen.append(request)
+        return original(request)
+
+    monkeypatch.setattr(llm, "request_digest", counting)
+    return seen
+
+
+def test_endpoint_digests_once_per_call_over_replay(tmp_path, monkeypatch):
+    messages = [[{"role": "user", "content": f"q{i}"}] for i in range(3)]
+    stored = [store_reply(tmp_path, build_request("m", m, Sampling()), f"SELECT {i}")
+              for i, m in enumerate(messages)]
+    seen = _counting_digests(monkeypatch)
+    endpoint = ModelEndpoint(role="generator", transport=ReplayTransport(tmp_path), model_name="m")
+    results = [endpoint.complete(m) for m in messages]
+    assert results == [(f"SELECT {i}", d) for i, d in enumerate(stored)]
+    assert len(seen) == 3
+
+
+def test_endpoint_digests_once_per_call_while_recording(tmp_path, monkeypatch):
+    seen = _counting_digests(monkeypatch)
+    scripted = ScriptedTransport(lambda req: "SELECT 4")
+    endpoint = ModelEndpoint(
+        role="generator", transport=RecordingTransport(scripted, tmp_path), model_name="m"
+    )
+    digests = [endpoint.complete([{"role": "user", "content": f"q{i}"}])[1] for i in range(3)]
+    assert len(seen) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{d}.json" for d in digests)
+
+
+def test_transports_key_on_the_digest_they_are_given(tmp_path):
+    request = _request("keyed")
+    RecordingTransport(ScriptedTransport(lambda req: "SELECT 5"), tmp_path).send(request, "k")
+    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+    assert reply_text(ReplayTransport(tmp_path).send(request, "k")) == "SELECT 5"
+    with pytest.raises(ReplayMissError):
+        ReplayTransport(tmp_path).send(request)
+
+
 def test_replay_round_trip(tmp_path):
     request = _request("stored")
     store_reply(tmp_path, request, "SELECT 1")
@@ -45,11 +106,56 @@ def test_replay_round_trip(tmp_path):
     assert reply_text(transport.send(request)) == "SELECT 1"
 
 
+def _miss_message(request) -> str:
+    head = repr(request["messages"][-1]["content"])[:120]
+    digest = request_digest(request)
+    return f"no replay fixture for request digest {digest}: last message starts {head}"
+
+
 def test_replay_miss_is_loud(tmp_path):
-    transport = ReplayTransport(tmp_path)
+    request = _request("never stored " * 20)
     with pytest.raises(ReplayMissError) as err:
-        transport.send(_request("never stored"))
-    assert "digest" in str(err.value)
+        ReplayTransport(tmp_path).send(request)
+    assert str(err.value) == _miss_message(request)
+    assert err.value.digest == request_digest(request)
+
+
+def test_a_directory_under_the_digest_name_is_a_miss(tmp_path):
+    request = _request("a directory")
+    (tmp_path / f"{request_digest(request)}.json").mkdir()
+    with pytest.raises(ReplayMissError) as err:
+        ReplayTransport(tmp_path).send(request)
+    assert str(err.value) == _miss_message(request)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_a_fifo_under_the_digest_name_is_a_miss(tmp_path):
+    request = _request("a fifo")
+    os.mkfifo(tmp_path / f"{request_digest(request)}.json")
+    with pytest.raises(ReplayMissError):
+        ReplayTransport(tmp_path).send(request)
+
+
+@pytest.mark.parametrize("store", ["missing", "missing/deeper", "a-file/below"])
+def test_a_missing_store_directory_is_a_miss(tmp_path, store):
+    (tmp_path / "a-file").write_text("", encoding="utf-8")
+    request = _request("no store")
+    with pytest.raises(ReplayMissError) as err:
+        ReplayTransport(tmp_path / store).send(request)
+    assert str(err.value) == _miss_message(request)
+
+
+def test_non_utf8_replay_fixture_is_a_transport_error_naming_the_file(tmp_path):
+    request = _request("stored")
+    digest = store_reply(tmp_path, request, "SELECT 1")
+    path = tmp_path / f"{digest}.json"
+    path.write_bytes(b'{"choices": "\xff"}')
+    with pytest.raises(TransportError) as err:
+        ReplayTransport(tmp_path).send(request)
+    assert str(err.value) == (
+        f"corrupt replay fixture {path}: 'utf-8' codec can't decode byte 0xff in position 13:"
+        " invalid start byte"
+    )
 
 
 def test_truncated_replay_fixture_is_a_transport_error(tmp_path):

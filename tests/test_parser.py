@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from nl2sql.errors import ParseError, UnsupportedSqlError
@@ -10,6 +12,7 @@ from nl2sql.sqlast import (
     Literal,
     ScalarSubquery,
     Star,
+    canonicalize,
     parse,
     to_sql,
 )
@@ -164,6 +167,45 @@ def test_dml_and_ddl_are_rejected(schemas):
 def test_negative_limit_rejected(schemas):
     with pytest.raises(ParseError):
         parse("SELECT name FROM singer LIMIT -1", schemas["concert_singer"])
+
+
+HEX_SQL = [
+    "SELECT 0x10", "SELECT 0X1f", "SELECT 0xA", "SELECT 0x0", "SELECT 0x1e5",
+    "SELECT 0x7fffffffffffffff", "SELECT 0x8000000000000000", "SELECT 0xffffffffffffffff",
+    "SELECT 0x00000000000000000001", "SELECT 0x10000000000000000",
+    "SELECT 0xfffffffffffffffff", "SELECT -0x7fffffffffffffff", "SELECT -0x8000000000000000",
+    "SELECT -(0x8000000000000000)", "SELECT - -0x8000000000000000",
+    "SELECT +0x8000000000000000", "SELECT 0x10 - 0xffffffffffffffff",
+]
+
+
+def _sqlite_value(sql: str):
+    conn = sqlite3.connect(":memory:")
+    try:
+        return conn.execute(sql).fetchone()[0]
+    except sqlite3.Error as exc:
+        return str(exc)
+    finally:
+        conn.close()
+
+
+def test_hex_literals_read_as_sqlite_reads_them(schemas):
+    # The canonical form spells every literal by its value, in decimal.
+    got = {}
+    for sql in HEX_SQL:
+        try:
+            got[sql] = _sqlite_value(canonicalize(parse(sql, schemas["car_1"])).sql)
+        except ParseError as exc:
+            got[sql] = str(exc).split(" (at offset")[0]
+    assert got == {sql: _sqlite_value(sql) for sql in HEX_SQL}
+    assert parse("SELECT 0x10", schemas["car_1"]).items[0].expr == Literal(16, "0x10")
+
+
+def test_hex_limit(schemas):
+    schema = schemas["concert_singer"]
+    assert parse("SELECT name FROM singer LIMIT 0x1F", schema).limit == 31
+    with pytest.raises(ParseError, match="LIMIT must be non-negative"):
+        parse("SELECT name FROM singer LIMIT 0xffffffffffffffff", schema)
 
 
 # An aggregate in WHERE at every composite child position, with the

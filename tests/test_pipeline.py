@@ -85,6 +85,24 @@ def test_extract_cuts_at_semicolon():
     assert extract_sql(f"{in_literal}; that is all.") == in_literal
 
 
+@pytest.mark.parametrize(
+    "reply, sql",
+    [
+        ("SELECT name -- first; then the rest\nFROM singer;",
+         "SELECT name -- first; then the rest\nFROM singer"),
+        ("SELECT name /* a; b */ FROM singer", "SELECT name /* a; b */ FROM singer"),
+        ("SELECT name /* a;\nb */ FROM singer; done.", "SELECT name /* a;\nb */ FROM singer"),
+        ("Here:\n```sql\nSELECT name -- a; b\nFROM singer /* c; d */;\n```\nA ; after.",
+         "SELECT name -- a; b\nFROM singer /* c; d */"),
+        # Comment openers inside quotes are text.
+        ("SELECT name FROM singer WHERE name = 'a--b'; x",
+         "SELECT name FROM singer WHERE name = 'a--b'"),
+    ],
+)
+def test_extract_skips_semicolons_inside_comments(reply, sql):
+    assert extract_sql(reply) == sql
+
+
 def test_extract_cuts_at_blank_line():
     assert extract_sql(f"{GOLD}\n\nExplanation follows here.") == GOLD
 

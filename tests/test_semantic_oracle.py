@@ -27,6 +27,8 @@ EXTRA_QUERIES = [
     ("concert_singer", "SELECT name FROM singer WHERE country NOT IN ('fr', 'de')"),
     ("concert_singer", "SELECT - -age FROM singer"),
     ("concert_singer", "SELECT name FROM singer WHERE - -30 < age"),
+    ("concert_singer", "SELECT 0x10, 0XfF - 0xffffffffffffffff, -0x7fffffffffffffff FROM singer"),
+    ("concert_singer", "SELECT name FROM singer WHERE age > 0x1E ORDER BY age LIMIT 0x2"),
 ]
 
 

@@ -5,7 +5,8 @@ replaced, kept as an oracle. The two agree, token for token and error for
 error, on every input without a numeric character outside ASCII 0-9: the
 reference started a number on any ``str.isdigit`` character, whereas
 SQLite, and the tokenizer, read only ASCII digits as a number and any other
-word character as part of an identifier.
+word character as part of an identifier. Both read ``0x`` followed by hex
+digits as one number, as SQLite does; a bare ``0x`` is ``0`` and ``x``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from nl2sql.sqlast.tokens import tokenize
 
 from conftest import DEV_EXAMPLES
 from helpers import generate_corpus
+
+
+HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def reference_tokenize(sql: str) -> list[tuple[str, str, int]]:
@@ -55,6 +59,11 @@ def reference_tokenize(sql: str) -> list[tuple[str, str, int]]:
                     i += 1
                     break
             tokens.append(("string" if ch == "'" else "qident", "".join(out), start))
+        elif sql.startswith(("0x", "0X"), i) and sql[i + 2 : i + 3] in HEX_DIGITS:
+            i += 2
+            while i < n and sql[i] in HEX_DIGITS:
+                i += 1
+            tokens.append(("number", sql[start:i], start))
         elif ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
             while i < n and sql[i].isdigit():
                 i += 1
@@ -108,14 +117,15 @@ def assert_same_as_reference(sql: str) -> None:
 
 sql_pieces = st.sampled_from(
     ["SELECT", "a", "T1.x", "_id", "ß", "İ", "1", "12.5", ".5", "1.", "1e5", "2E-3",
-     "1e", "1e+", "..", "'it''s'", "''", "'", "'a''", '"q""x"', '"', "`b``c`", "`", "[x y]",
+     "1e", "1e+", "0x1F", "0X0a", "0x", "0xg", "0x1e5", "0", "x",
+     "..", "'it''s'", "''", "'", "'a''", '"q""x"', '"', "`b``c`", "`", "[x y]",
      "[", "]", "-- note\n", "--", "/* c */", "/*/", "/*", "*/", "<=", ">=", "<>", "!=", "==",
      "||", "|", "!", "=", "<", ">", "+", "-", "*", "/", "%", "(", ")", ",", ".", ";", " ",
      "\t", "\n", " ", "#", "@", "$", "?"]
 )
 sql_like_texts = st.one_of(
     st.lists(sql_pieces, max_size=12).map("".join),
-    st.text(alphabet="sel aTx_1.5eE+-'\"`[]/*\n<>=!|%(),;", max_size=30),
+    st.text(alphabet="sel aTxX_01.5eE+-'\"`[]/*\n<>=!|%(),;", max_size=30),
     st.text(max_size=20),
 )
 
@@ -139,6 +149,14 @@ def test_tokenizer_matches_the_reference_on_queries_and_their_prefixes_and_suffi
         for cut in range(len(sql) + 1):
             assert_same_as_reference(sql[:cut])
             assert_same_as_reference(sql[cut:])
+
+
+def test_hex_integers_are_one_number_token():
+    assert outcome(tokenize, "0x1F 0Xff 0x1e5 0x 0xg 00x1") == [
+        ("number", "0x1F", 0), ("number", "0Xff", 5), ("number", "0x1e5", 10),
+        ("number", "0", 16), ("ident", "x", 17), ("number", "0", 19), ("ident", "xg", 20),
+        ("number", "00", 23), ("ident", "x1", 25), ("end", "", 27),
+    ]
 
 
 def test_non_ascii_digits_are_identifier_characters():
