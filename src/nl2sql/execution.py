@@ -36,14 +36,23 @@ not equivalent: the float is rounded, the int is not. The rule reads the
 cell alone; one that read the other table's column types would break
 transitivity. A NaN and each infinity become a marker equal only to
 itself, so NaN equals NaN and no text, such as 'nan' or 'inf', equals
-either. Tables whose raw rows are already equal are decided without
-normalising, unless a column holds both ints and floats; otherwise only
-columns holding a float or bool are normalised. Equal row sequences are equal multisets, so they
-are decided before any multiset is built, raw or normalised.
+either.
+
+Tables equal cell for cell with the same cell types are equivalent without
+normalising: their rows compare equal and ``marshal`` writes them to the
+same bytes. Equal bytes mean the same type and the same bits in every cell,
+and normalisation reads nothing else, so every cell normalises the same and
+equivalence stays the relation the rule above defines. Every other pair (an
+int next to an equal float, ``-0.0`` next to ``0.0``, a bool, rows in
+another order, a cell marshal cannot write) takes the normalising path,
+where only columns holding a float or bool are normalised. Equal row
+sequences are equal multisets, so they are decided before any multiset is
+built, raw or normalised.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import sqlite3
@@ -319,6 +328,24 @@ def _counts(rows) -> dict:
     return dict(Counter(rows))
 
 
+def _same_cells(pred_rows, gold_rows) -> bool:
+    """True when the rows are equal cell for cell, with the same cell types.
+
+    ``==`` stops at the first differing row, so unequal tables pay little.
+    Equal marshal bytes mean the same type and the same bits in every cell:
+    marshal raises ``ValueError`` for a type it cannot write, and writes
+    every other bytes-like cell as bytes, which normalise unchanged. Equal
+    values may still differ in bytes, for instance where one table shares
+    a cell object the other does not, and then take the normalising path.
+    """
+    if pred_rows != gold_rows:
+        return False
+    try:
+        return marshal.dumps(pred_rows) == marshal.dumps(gold_rows)
+    except ValueError:
+        return False
+
+
 def _normalized_rows(columns: list[tuple[Cell, ...]], column_types: list[set]):
     """The rows again, with normalize_cell applied to columns that need it.
 
@@ -337,6 +364,9 @@ def tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
 
     Ordered (sequence) comparison applies when both tables came from
     ORDER BY queries. Truncated inputs are inconclusive by construction.
+    Tables equal cell for cell with the same cell types (the same object,
+    as the memo serves when the SQL texts match, or equal marshal bytes)
+    are equivalent without normalising; every other pair is normalised.
     """
     if pred.truncated or gold.truncated:
         return TableComparison("inconclusive", "a table was truncated by the row cap")
@@ -351,6 +381,8 @@ def tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
     note = ""
     if not as_sequences and pred.ordered != gold.ordered:
         note = " (exactly one side is ordered; compared as multisets)"
+    if pred is gold or _same_cells(pred.rows, gold.rows):
+        return TableComparison("equivalent", detail=note.strip())
     pred_columns = list(zip(*pred.rows))
     gold_columns = list(zip(*gold.rows))
     column_types = [

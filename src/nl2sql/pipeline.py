@@ -62,9 +62,10 @@ from .sqlast.tokens import tokenize
 _FENCE = re.compile(r"```(?:sql)?\s*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
 _SELECT_START = re.compile(r"\bselect\b", re.IGNORECASE)
 # A quoted string or identifier, or a comment, matched whole so that a ';'
-# inside it is skipped, or a statement-ending ';'.
-_QUOTED_OR_SEMICOLON = re.compile(
-    r"'[^']*'|\"[^\"]*\"|`[^`]*`|\[[^\]]*\]|--[^\n]*|/\*.*?\*/|;", re.DOTALL
+# or a blank line inside it is skipped, or a statement-ending ';' or blank
+# line. Only the last two start with ';' or a newline.
+_QUOTED_OR_CUT = re.compile(
+    r"'[^']*'|\"[^\"]*\"|`[^`]*`|\[[^\]]*\]|--[^\n]*|/\*.*?\*/|;|\n\s*\n", re.DOTALL
 )
 
 
@@ -177,8 +178,8 @@ def extract_sql(model_reply: str) -> str:
     """Pull the first SQL statement out of a model reply.
 
     Handles fenced code blocks, skeleton-then-query replies (the text after
-    the last ``|||`` wins), and trailing prose after a semicolon outside
-    quotes and comments or, outside a fenced block, after a blank line.
+    the last ``|||`` wins), and trailing prose after a semicolon or, outside
+    a fenced block, after a blank line, either outside quotes and comments.
     """
     candidate = model_reply
     if "|||" in candidate:
@@ -190,12 +191,10 @@ def extract_sql(model_reply: str) -> str:
     if match is None:
         raise NoSqlFoundError("reply contains no SELECT statement")
     sql = candidate[match.start() :]
-    cut = next((m.start() for m in _QUOTED_OR_SEMICOLON.finditer(sql) if m.group() == ";"), None)
-    sql = sql[:cut]
-    if block is None:
-        # A blank line typically separates the statement from an explanation.
-        sql = re.split(r"\n\s*\n", sql, maxsplit=1)[0]
-    sql = sql.strip()
+    # A blank line typically separates the statement from an explanation.
+    cut_at = ";" if block is not None else ";\n"
+    cut = next((m.start() for m in _QUOTED_OR_CUT.finditer(sql) if m.group()[0] in cut_at), None)
+    sql = sql[:cut].strip()
     try:
         tokens = tokenize(sql)
     except Exception as exc:

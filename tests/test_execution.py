@@ -5,6 +5,7 @@ import os
 import sqlite3
 import sys
 import threading
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -503,3 +504,75 @@ def test_float_noise_next_to_a_large_integer_is_the_integer():
         for (a, b), status in pairs.items():
             result = tables_equivalent(table([[a]], ordered=ordered), table([[b]], ordered=ordered))
             assert result.status == status, (a, b, ordered)
+
+
+def _fetched(conn, sql, ordered):
+    cursor = conn.execute(sql)
+    columns = tuple(d[0] for d in cursor.description)
+    return ResultTable(columns=columns, rows=tuple(cursor.fetchall()), ordered=ordered)
+
+
+def test_tables_equal_cell_for_cell_are_decided_without_normalising(monkeypatch):
+    def no_normalising(cell):
+        raise AssertionError("normalised a cell of two identical tables")
+
+    monkeypatch.setattr(execution, "normalize_cell", no_normalising)
+    conn = sqlite3.connect(":memory:")
+    # A NUMERIC column holds both ints and floats, which the normalising
+    # path would normalise.
+    conn.execute("CREATE TABLE t (i INTEGER, r REAL, s TEXT, b BLOB, n INTEGER, m NUMERIC)")
+    conn.executemany(
+        "INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)",
+        [(k, k / 4, "name%d" % (k % 7), bytes([k % 256]) * (k % 3), None, k / 4)
+         for k in range(-5, 300, 7)]
+        + [(2**53, 2.0**53, "", b"", None, 2**53), (10**15, -1e300, "x", b"\0", None, 0.1)],
+    )
+    upper = "SELECT i, r, s, b, n, m FROM t ORDER BY i"
+    lower = "select i AS a, r, s, b, n, m from t order by i"
+    note = "(exactly one side is ordered; compared as multisets)"
+    for pred_ordered, gold_ordered, detail in (
+        (True, True, ""), (False, False, ""), (True, False, note), (False, True, note)
+    ):
+        pred = _fetched(conn, upper, pred_ordered)
+        gold = _fetched(conn, lower, gold_ordered)
+        assert pred.rows is not gold.rows and len(pred.rows) == 46
+        assert {type(row[5]) for row in pred.rows} == {int, float}
+        assert tables_equivalent(pred, gold) == TableComparison("equivalent", detail)
+
+
+def test_cells_of_another_type_or_bits_take_the_normalising_path(monkeypatch):
+    same_cells = execution._same_cells
+    verdicts = []
+
+    def recording(pred_rows, gold_rows):
+        verdicts.append(same_cells(pred_rows, gold_rows))
+        return verdicts[-1]
+
+    monkeypatch.setattr(execution, "_same_cells", recording)
+    pairs = {
+        (2**53, 2.0**53): "different",
+        (3, 3.0): "equivalent",
+        (-0.0, 0.0): "equivalent",
+        (True, 1): "equivalent",
+    }
+    for ordered in (False, True):
+        for (a, b), status in pairs.items():
+            pred = table([["x", a], ["y", 2.5]], ordered=ordered)
+            gold = table([["x", b], ["y", 2.5]], ordered=ordered)
+            assert tables_equivalent(pred, gold).status == status, (a, b, ordered)
+    assert verdicts == [False] * 8
+    nan = float("nan")
+    same = table([[nan, "a"]])
+    assert tables_equivalent(same, same) == TableComparison("equivalent")
+
+
+def test_cells_marshal_cannot_write_compare_as_before():
+    # marshal cannot write a Decimal, so these pairs take the normalising path.
+    pred = table([[Decimal("2.5"), 1], [Decimal("1"), 2]])
+    gold = table([[Decimal("2.5"), 1], [Decimal("1"), 2]])
+    assert tables_equivalent(pred, gold) == TableComparison("equivalent")
+    assert tables_equivalent(table([[Decimal("1.5")]]), table([[1.5]])).equivalent
+    result = tables_equivalent(
+        table([[Decimal("2")], [1]], ordered=True), table([[1], [Decimal("2")]], ordered=True)
+    )
+    assert result == TableComparison("different", "row 0 differs: (Decimal('2'),) != (1,)")

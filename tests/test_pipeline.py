@@ -107,6 +107,21 @@ def test_extract_cuts_at_blank_line():
     assert extract_sql(f"{GOLD}\n\nExplanation follows here.") == GOLD
 
 
+@pytest.mark.parametrize(
+    "reply, sql",
+    [
+        # A blank line inside a block comment or a string literal is text.
+        ("SELECT name /* one\n\ntwo */ FROM singer", "SELECT name /* one\n\ntwo */ FROM singer"),
+        ("SELECT name FROM singer WHERE name = 'a\n\nb'",
+         "SELECT name FROM singer WHERE name = 'a\n\nb'"),
+        # A line comment ends at its newline, so the blank line after it cuts.
+        ("SELECT name -- note\n\nFROM singer", "SELECT name -- note"),
+    ],
+)
+def test_extract_blank_line_cut_skips_comments_and_quotes(reply, sql):
+    assert extract_sql(reply) == sql
+
+
 def test_extract_keeps_blank_line_inside_fenced_block():
     sql = "SELECT name\nFROM singer\n\nWHERE age > 3"
     assert extract_sql(f"```sql\n{sql}\n```") == sql

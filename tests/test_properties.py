@@ -100,6 +100,61 @@ def table_pairs(draw):
     )
 
 
+# Objects drawn from a fixed pool are shared between cells, so marshal flags
+# them as references; a rebuilt copy holds fresh objects of the same values.
+_SHARED = ["alpha", "beta gamma", 10**12, -(2**40), 2.5, -0.0, b"blob"]
+realistic_cells = st.one_of(
+    edge_cells,
+    st.sampled_from(_SHARED),
+    st.integers(min_value=-(2**62), max_value=2**62),
+    st.floats(allow_nan=False, width=64),
+    st.text(alphabet="abcXYZ ", max_size=8),
+)
+
+
+def _rebuilt(cell):
+    """A fresh object of the same type and value (small ints and short
+    strings are cached by the interpreter and stay shared)."""
+    if isinstance(cell, bool) or cell is None:
+        return cell
+    if isinstance(cell, int):
+        return int(str(cell))
+    if isinstance(cell, float):
+        return float(repr(cell))
+    if isinstance(cell, str):
+        return cell.encode().decode()
+    return bytes(bytearray(cell))
+
+
+@st.composite
+def large_table_pairs(draw):
+    """Two tables of 10 to 50 rows: one a rebuilt copy of the other, a value
+    twin, or either of those shuffled or with one cell replaced."""
+    n_cols = draw(st.integers(min_value=1, max_value=3))
+    n_rows = draw(st.integers(min_value=10, max_value=50))
+    rows = [tuple(draw(realistic_cells) for _ in range(n_cols)) for _ in range(n_rows)]
+    kind = draw(st.sampled_from(["same", "rebuilt", "twin"]))
+    if kind == "same":
+        other = list(rows)
+    elif kind == "rebuilt":
+        other = [tuple(_rebuilt(c) for c in row) for row in rows]
+    else:
+        other = [tuple(_twin(c, draw) for c in row) for row in rows]
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=n_rows - 1))
+        j = draw(st.integers(min_value=0, max_value=n_cols - 1))
+        cells = list(other[i])
+        cells[j] = draw(realistic_cells)
+        other[i] = tuple(cells)
+    if draw(st.booleans()):
+        other = draw(st.permutations(other))
+    columns = tuple(f"c{i}" for i in range(n_cols))
+    return (
+        ResultTable(columns=columns, rows=tuple(rows), ordered=draw(st.booleans())),
+        ResultTable(columns=columns, rows=tuple(other), ordered=draw(st.booleans())),
+    )
+
+
 # --------------------------------------------------------------------------- oracles
 
 def reference_tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
@@ -201,6 +256,13 @@ def test_ordered_comparison_matches_sequence_oracle(a, b):
 @settings(max_examples=500)
 @given(table_pairs())
 def test_comparison_matches_cell_by_cell_reference(pair):
+    pred, gold = pair
+    assert tables_equivalent(pred, gold) == reference_tables_equivalent(pred, gold)
+
+
+@settings(max_examples=80)
+@given(large_table_pairs())
+def test_comparison_matches_reference_on_tables_of_10_to_50_rows(pair):
     pred, gold = pair
     assert tables_equivalent(pred, gold) == reference_tables_equivalent(pred, gold)
 
