@@ -228,6 +228,7 @@ def _diff_select(pred: Select, gold: Select, rpred: Select, rgold: Select) -> As
     ]
     pred_tables, pred_conds = _join_graph(pred, rpred, pred_links)
     gold_tables, gold_conds = _join_graph(gold, rgold, gold_links)
+    paired = pred.set_op is not None and pred_op == gold_op
     out = AstDiff(
         select_delta=_diff_items(rpred, rgold),
         group_by_delta=_diff_group_by(rpred, rgold),
@@ -237,14 +238,14 @@ def _diff_select(pred: Select, gold: Select, rpred: Select, rgold: Select) -> As
             missing_tables=_surplus(gold_tables, pred_tables),
             extra_conditions=_surplus(pred_conds, gold_conds),
             missing_conditions=_surplus(gold_conds, pred_conds),
-            pred_conditionless=_conditionless(pred),
-            gold_conditionless=_conditionless(gold),
+            pred_conditionless=_conditionless(pred, paired),
+            gold_conditionless=_conditionless(gold, paired),
         ),
         literal_delta=LiteralDelta(entries=tuple(where_literals + having_literals)),
         structure_delta=tuple(structure),
         clause_delta=tuple(clause),
     )
-    if pred.set_op is not None and pred_op == gold_op:
+    if paired:
         arms = (pred.set_op[1], gold.set_op[1], rpred.set_op[1], rgold.set_op[1])
         out = out.merge(_diff_select(*arms))
         out = replace(
@@ -403,7 +404,11 @@ def _join_graph(select: Select, requalified: Select, links: list[Expr]) -> tuple
     return tables, Counter(map(_condition_key, on + links))
 
 
-def _conditionless(select: Select) -> tuple[str, ...]:
+def _conditionless(select: Select, paired: bool) -> tuple[str, ...]:
+    """The condition-less joins of a query; without its set-operation arm
+    when the arms are diffed pairwise, since the arm's delta lists its own."""
+    if paired:
+        select = replace(select, set_op=None)
     return tuple(flag.table for flag in detect_conditionless_join(select))
 
 

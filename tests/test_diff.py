@@ -352,3 +352,24 @@ def test_only_a_pred_side_conditionless_join_shows_the_joins_entry(schemas):
     }
     # A condition-less join on the gold side alone is not reported.
     assert _diff(joined, conditionless, schema).summary() == {"clauses": ["where"]}
+
+
+def test_a_conditionless_join_in_a_compound_is_listed_once(schemas):
+    schema = schemas["concert_singer"]
+    pred = (
+        "SELECT singer.name FROM singer, concert "
+        "UNION SELECT stadium.name FROM stadium, concert"
+    )
+    gold = (
+        "SELECT singer.name FROM singer JOIN singer_in_concert "
+        "ON singer.singer_id = singer_in_concert.singer_id "
+        "UNION SELECT stadium.name FROM stadium JOIN concert "
+        "ON stadium.stadium_id = concert.stadium_id"
+    )
+    # One flag per arm, whether the arms are diffed pairwise or not.
+    assert _diff(pred, gold, schema).join_delta.pred_conditionless == ("concert", "concert")
+    assert _diff(gold, pred, schema).join_delta.gold_conditionless == ("concert", "concert")
+    single_arm_gold = "SELECT singer.name FROM singer"
+    assert _diff(pred, single_arm_gold, schema).join_delta.pred_conditionless == (
+        "concert", "concert",
+    )
