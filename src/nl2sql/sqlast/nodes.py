@@ -8,7 +8,7 @@ the reference resolved to, or None when the reference is ambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from operator import is_not
 from typing import Callable, Union
 
@@ -166,6 +166,8 @@ CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     ScalarSubquery: ("query",),
 }
 LEAF_TYPES = (Literal, ColumnRef, AliasRef, Star)
+# Every field of each composite type, in constructor order.
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in CHILD_FIELDS}
 
 
 def children(node: Expr) -> list:
@@ -183,18 +185,25 @@ def children(node: Expr) -> list:
 def map_children(node: Expr, fn: Callable) -> Expr:
     """``node`` with ``fn`` applied to every child, field by field; ``node``
     itself when every call returned its argument."""
-    changes = {}
+    changes = None
     for name in CHILD_FIELDS.get(type(node), ()):
         value = getattr(node, name)
         if isinstance(value, tuple):
             new = tuple(map(fn, value))
             if any(map(is_not, new, value)):
+                changes = changes or {}
                 changes[name] = new
         else:
             new = fn(value)
             if new is not value:
+                changes = changes or {}
                 changes[name] = new
-    return replace(node, **changes) if changes else node
+    if changes is None:
+        return node
+    return type(node)(*[
+        changes[name] if name in changes else getattr(node, name)
+        for name in _FIELDS[type(node)]
+    ])
 
 
 # --------------------------------------------------------------------------- sources

@@ -13,8 +13,6 @@ unknown tables or columns raise ParseError.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..errors import ParseError, UnsupportedSqlError
 from ..schema import DatabaseSchema
 from .nodes import (
@@ -43,7 +41,7 @@ from .nodes import (
     map_children,
 )
 from .printer import _quote_string
-from .tokens import FORBIDDEN_LEADS, Token, tokenize
+from .tokens import FORBIDDEN_LEADS, KEYWORDS, Token, tokenize
 from .walk import iter_expr_nodes
 
 _JOIN_INTRO = ("join", "inner", "left", "right", "full", "cross", "natural")
@@ -51,23 +49,36 @@ _JOIN_INTRO = ("join", "inner", "left", "right", "full", "cross", "natural")
 
 def parse(sql: str, schema: DatabaseSchema) -> Select:
     """Parse SQL text and bind all references against ``schema``."""
-    tokens = tokenize(sql)
-    parser = _Parser(tokens, sql)
-    select = parser.parse_statement()
+    select = _Parser(tokenize(sql)).parse_statement()
     return _Binder(schema).bind_select(select, parent=None)
 
 
+def _word(tok: Token) -> str | None:
+    """What a token reads as to the grammar: a keyword's lower-cased name,
+    an operator's or punctuation mark's text, or None."""
+    kind, text, _ = tok
+    if kind == "ident":
+        text = text.lower()
+        return text if text in KEYWORDS else None
+    return text if kind == "op" or kind == "punct" else None
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], sql: str):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.sql = sql
+        # Each token's word, looked up once; the trailing None lets
+        # ``word(1)`` look past the end token.
+        self.words = [_word(tok) for tok in tokens]
+        self.words.append(None)
         self.pos = 0
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        idx = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def word(self, ahead: int = 0) -> str | None:
+        return self.words[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -75,28 +86,22 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def accept_keyword(self, *names: str) -> str | None:
-        kw = self.peek().keyword()
-        if kw in names:
-            self.advance()
-            return kw
+    def accept(self, *words: str) -> str | None:
+        """Consume the next token if its word is one of ``words``."""
+        word = self.words[self.pos]
+        if word in words:
+            self.pos += 1
+            return word
         return None
 
     def expect_keyword(self, name: str) -> None:
-        tok = self.advance()
-        if tok.keyword() != name:
+        if self.accept(name) is None:
+            tok = self.peek()
             raise ParseError(f"expected {name.upper()}, found {tok.text!r}", tok.pos)
 
-    def accept_punct(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == text:
-            self.advance()
-            return True
-        return False
-
     def expect_punct(self, text: str) -> None:
-        tok = self.advance()
-        if tok.kind != "punct" or tok.text != text:
+        if self.accept(text) is None:
+            tok = self.peek()
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.pos)
 
     # -- statements ----------------------------------------------------------
@@ -105,10 +110,10 @@ class _Parser:
         lead = self.peek()
         if lead.kind == "ident" and lead.text.lower() in FORBIDDEN_LEADS:
             raise UnsupportedSqlError(f"{lead.text.upper()} statements are not supported", lead.pos)
-        if lead.is_keyword("with"):
+        if self.word() == "with":
             raise UnsupportedSqlError("WITH (common table expressions) is not supported", lead.pos)
         select = self.parse_select()
-        self.accept_punct(";")
+        self.accept(";")
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
@@ -117,88 +122,79 @@ class _Parser:
     def parse_select(self) -> Select:
         core = self.parse_select_core()
         set_op: tuple[str, Select] | None = None
-        op = self.accept_keyword("union", "intersect", "except")
+        op = self.accept("union", "intersect", "except")
         if op is not None:
-            if op == "union" and self.accept_keyword("all"):
+            if op == "union" and self.accept("all"):
                 op = "union all"
-            right = self.parse_select_core()
-            if self.peek().is_keyword("union", "intersect", "except"):
+            right = Select(**self.parse_select_core())
+            if self.word() in ("union", "intersect", "except"):
                 raise UnsupportedSqlError(
                     "chained set operations are not supported", self.peek().pos
                 )
             set_op = (op, right)
         order_by = self.parse_order_by()
         limit = self.parse_limit()
-        return replace(core, order_by=order_by, limit=limit, set_op=set_op)
+        return Select(**core, order_by=order_by, limit=limit, set_op=set_op)
 
-    def parse_select_core(self) -> Select:
+    def parse_select_core(self) -> dict:
+        """The fields of a SELECT up to HAVING, by name."""
         self.expect_keyword("select")
-        distinct = False
-        if self.accept_keyword("distinct"):
-            distinct = True
-        else:
-            self.accept_keyword("all")
+        distinct = self.accept("distinct", "all") == "distinct"
         items = [self.parse_select_item()]
-        while self.accept_punct(","):
+        while self.accept(","):
             items.append(self.parse_select_item())
         from_items: tuple[FromItem, ...] = ()
-        if self.accept_keyword("from"):
+        if self.accept("from"):
             from_items = self.parse_from()
-        where = self.parse_expr() if self.accept_keyword("where") else None
+        where = self.parse_expr() if self.accept("where") else None
         group_by: tuple[Expr, ...] = ()
         having: Expr | None = None
-        if self.accept_keyword("group"):
+        if self.accept("group"):
             self.expect_keyword("by")
             exprs = [self.parse_expr()]
-            while self.accept_punct(","):
+            while self.accept(","):
                 exprs.append(self.parse_expr())
             group_by = tuple(exprs)
-            if self.accept_keyword("having"):
+            if self.accept("having"):
                 having = self.parse_expr()
-        return Select(
-            items=tuple(items),
-            from_items=from_items,
-            where=where,
-            group_by=group_by,
-            having=having,
-            distinct=distinct,
-        )
+        return {
+            "items": tuple(items),
+            "from_items": from_items,
+            "where": where,
+            "group_by": group_by,
+            "having": having,
+            "distinct": distinct,
+        }
 
     def parse_select_item(self) -> SelectItem:
         return SelectItem(expr=self.parse_expr(), alias=self.parse_alias())
 
     def parse_order_by(self) -> tuple[OrderItem, ...]:
-        if not self.accept_keyword("order"):
+        if not self.accept("order"):
             return ()
         self.expect_keyword("by")
-        out = []
-        while True:
-            expr = self.parse_expr()
-            descending = False
-            if self.accept_keyword("desc"):
-                descending = True
-            else:
-                self.accept_keyword("asc")
-            out.append(OrderItem(expr=expr, descending=descending))
-            if not self.accept_punct(","):
-                break
+        out = [self.parse_order_item()]
+        while self.accept(","):
+            out.append(self.parse_order_item())
         return tuple(out)
 
+    def parse_order_item(self) -> OrderItem:
+        expr = self.parse_expr()
+        return OrderItem(expr=expr, descending=self.accept("desc", "asc") == "desc")
+
     def parse_limit(self) -> int | None:
-        if not self.accept_keyword("limit"):
+        if not self.accept("limit"):
             return None
+        negative = self.accept("-") is not None
         tok = self.advance()
-        negative = tok.kind == "op" and tok.text == "-"
-        if negative:
-            tok = self.advance()
         value = _number_value(tok) if tok.kind == "number" else None
         if not isinstance(value, int):
             raise ParseError(f"LIMIT expects an integer, found {tok.text!r}", tok.pos)
         if negative or value < 0:
             raise ParseError("LIMIT must be non-negative", tok.pos)
-        if self.peek().is_keyword("offset"):
+        if self.word() == "offset":
             raise UnsupportedSqlError("LIMIT ... OFFSET is not supported", self.peek().pos)
-        if self.accept_punct(","):
+        if self.accept(","):
             raise UnsupportedSqlError("LIMIT with two operands is not supported", self.peek().pos)
         return value
 
@@ -207,21 +203,20 @@ class _Parser:
     def parse_from(self) -> tuple[FromItem, ...]:
         items = [FromItem(source=self.parse_source())]
         while True:
-            if self.accept_punct(","):
+            if self.accept(","):
                 items.append(FromItem(source=self.parse_source(), join_type=","))
                 continue
-            kw = self.peek().keyword()
-            if kw not in _JOIN_INTRO:
+            if self.word() not in _JOIN_INTRO:
                 break
             join_type = self.parse_join_type()
             source = self.parse_source()
-            condition = self.parse_expr() if self.accept_keyword("on") else None
+            condition = self.parse_expr() if self.accept("on") else None
             items.append(FromItem(source=source, join_type=join_type, condition=condition))
         return tuple(items)
 
     def parse_join_type(self) -> str:
         tok = self.peek()
-        kw = self.accept_keyword("join", "inner", "left", "right", "full", "cross", "natural")
+        kw = self.accept(*_JOIN_INTRO)
         if kw == "join":
             return "join"
         if kw == "inner":
@@ -230,7 +225,7 @@ class _Parser:
         if kw in ("left", "right", "full"):
             if kw in ("right", "full"):
                 raise UnsupportedSqlError(f"{kw.upper()} JOIN is not supported", tok.pos)
-            self.accept_keyword("outer")
+            self.accept("outer")
             self.expect_keyword("join")
             return "left"
         if kw == "cross":
@@ -239,26 +234,27 @@ class _Parser:
         raise UnsupportedSqlError("NATURAL joins are not supported", tok.pos)
 
     def parse_source(self) -> TableSource | SubquerySource:
-        if self.accept_punct("("):
+        if self.accept("("):
             query = self.parse_select()
             self.expect_punct(")")
             alias = self.parse_alias()
             return SubquerySource(query=query, alias=alias)
-        tok = self.advance()
-        if tok.kind not in ("ident", "qident") or (tok.kind == "ident" and tok.keyword()):
+        tok = self.peek()
+        if tok.kind not in ("ident", "qident") or self.word() is not None:
             raise ParseError(f"expected table name, found {tok.text!r}", tok.pos)
+        self.pos += 1
         alias = self.parse_alias()
         return TableSource(table=tok.text, alias=alias)
 
     def parse_alias(self) -> str | None:
-        if self.accept_keyword("as"):
+        if self.accept("as"):
             tok = self.advance()
             if tok.kind not in ("ident", "qident"):
                 raise ParseError(f"expected alias after AS, found {tok.text!r}", tok.pos)
             return tok.text
         tok = self.peek()
-        if tok.kind == "qident" or (tok.kind == "ident" and tok.keyword() is None):
-            self.advance()
+        if tok.kind in ("ident", "qident") and self.word() is None:
+            self.pos += 1
             return tok.text
         return None
 
@@ -269,7 +265,7 @@ class _Parser:
 
     def parse_or(self) -> Expr:
         terms = [self.parse_and()]
-        while self.accept_keyword("or"):
+        while self.accept("or"):
             terms.append(self.parse_and())
         if len(terms) == 1:
             return terms[0]
@@ -277,22 +273,18 @@ class _Parser:
 
     def parse_and(self) -> Expr:
         terms = [self.parse_not()]
-        while self.accept_keyword("and"):
+        while self.accept("and"):
             terms.append(self.parse_not())
         if len(terms) == 1:
             return terms[0]
         return BoolOp(op="and", terms=tuple(_flatten("and", terms)))
 
     def parse_not(self) -> Expr:
-        if self.peek().is_keyword("not") and not self.peek(1).is_keyword("exists"):
-            self.advance()
+        if self.accept("not"):
+            if self.accept("exists"):
+                return Exists(query=self.parse_parenthesized_select(), negated=True)
             return Unary(op="not", operand=self.parse_not())
-        if self.peek().is_keyword("not") and self.peek(1).is_keyword("exists"):
-            self.advance()  # NOT
-            self.advance()  # EXISTS
-            return Exists(query=self.parse_parenthesized_select(), negated=True)
-        if self.peek().is_keyword("exists"):
-            self.advance()
+        if self.accept("exists"):
             return Exists(query=self.parse_parenthesized_select())
         return self.parse_predicate()
 
@@ -304,146 +296,134 @@ class _Parser:
 
     def parse_predicate(self) -> Expr:
         left = self.parse_additive()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("=", "==", "!=", "<>", "<", "<=", ">", ">="):
-            self.advance()
-            op = {"==": "=", "<>": "!="}.get(tok.text, tok.text)
+        op = self.accept("=", "==", "!=", "<>", "<", "<=", ">", ">=")
+        if op is not None:
+            op = {"==": "=", "<>": "!="}.get(op, op)
             return Comparison(op=op, left=left, right=self.parse_additive())
-        negated = False
-        if tok.is_keyword("not"):
-            nxt = self.peek(1).keyword()
-            if nxt in ("like", "in", "between"):
-                self.advance()
-                negated = True
-                tok = self.peek()
-        if tok.is_keyword("like"):
-            self.advance()
+        negated = self.word() == "not" and self.word(1) in ("like", "in", "between")
+        if negated:
+            self.pos += 1
+        word = self.word()
+        if word == "like":
+            self.pos += 1
             return Comparison(op="like", left=left, right=self.parse_additive(), negated=negated)
-        if tok.is_keyword("between"):
-            self.advance()
+        if word == "between":
+            self.pos += 1
             low = self.parse_additive()
             self.expect_keyword("and")
             high = self.parse_additive()
             return Between(expr=left, low=low, high=high, negated=negated)
-        if tok.is_keyword("in"):
-            self.advance()
+        if word == "in":
+            self.pos += 1
             self.expect_punct("(")
-            if self.peek().is_keyword("select"):
+            if self.word() == "select":
                 query = self.parse_select()
                 self.expect_punct(")")
                 return InSubquery(expr=left, query=query, negated=negated)
             items = [self.parse_expr()]
-            while self.accept_punct(","):
+            while self.accept(","):
                 items.append(self.parse_expr())
             self.expect_punct(")")
             return InList(expr=left, items=tuple(items), negated=negated)
-        if negated:
-            raise ParseError("expected LIKE, IN or BETWEEN after NOT", tok.pos)
-        if tok.is_keyword("is"):
-            self.advance()
-            is_not = bool(self.accept_keyword("not"))
-            tok = self.advance()
-            if tok.keyword() != "null":
+        if self.accept("is"):
+            is_not = self.accept("not") is not None
+            if self.accept("null") is None:
+                tok = self.peek()
                 raise ParseError(f"expected NULL after IS, found {tok.text!r}", tok.pos)
             return IsNull(expr=left, negated=is_not)
         return left
 
     def parse_additive(self) -> Expr:
         left = self.parse_multiplicative()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ("+", "-", "||"):
-                self.advance()
-                left = Binary(op=tok.text, left=left, right=self.parse_multiplicative())
-            else:
-                return left
+        while op := self.accept("+", "-", "||"):
+            left = Binary(op=op, left=left, right=self.parse_multiplicative())
+        return left
 
     def parse_multiplicative(self) -> Expr:
         left = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ("*", "/", "%"):
-                self.advance()
-                left = Binary(op=tok.text, left=left, right=self.parse_unary())
-            else:
-                return left
+        while op := self.accept("*", "/", "%"):
+            left = Binary(op=op, left=left, right=self.parse_unary())
+        return left
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "op" and tok.text in ("-", "+"):
-            self.advance()
-            operand = self.parse_unary()
-            if tok.text == "-" and isinstance(operand, Literal) and operand.value == _INT64_MIN:
-                # Only a hex literal reads as -2**63, and SQLite will not negate it.
-                raise ParseError(f"hex literal too big: -{operand.text}", tok.pos)
-            return Unary(op=tok.text, operand=operand)
-        return self.parse_primary()
+        op = self.accept("-", "+")
+        if op is None:
+            return self.parse_primary()
+        operand = self.parse_unary()
+        if op == "-" and isinstance(operand, Literal) and operand.value == _INT64_MIN:
+            # Only a hex literal reads as -2**63, and SQLite will not negate it.
+            raise ParseError(f"hex literal too big: -{operand.text}", tok.pos)
+        return Unary(op=op, operand=operand)
 
     def parse_primary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
+        kind = tok.kind
+        if kind == "number":
+            self.pos += 1
             return Literal(value=_number_value(tok), text=tok.text)
-        if tok.kind == "string":
-            self.advance()
+        if kind == "string":
+            self.pos += 1
             return Literal(value=tok.text, text=_quote_string(tok.text))
-        if tok.is_keyword("null"):
-            self.advance()
+        if kind == "qident":
+            return self.parse_name_or_call()
+        word = self.word()
+        if word == "null":
+            self.pos += 1
             return Literal(value=None, text="NULL")
-        if tok.is_keyword("case"):
+        if word == "case":
             raise UnsupportedSqlError("CASE expressions are not supported", tok.pos)
-        if tok.is_keyword("cast"):
+        if word == "cast":
             raise UnsupportedSqlError("CAST expressions are not supported", tok.pos)
-        if tok.kind == "punct" and tok.text == "(":
-            self.advance()
-            if self.peek().is_keyword("select"):
+        if word == "(":
+            self.pos += 1
+            if self.word() == "select":
                 query = self.parse_select()
                 self.expect_punct(")")
                 return ScalarSubquery(query=query)
             inner = self.parse_expr()
             self.expect_punct(")")
             return inner
-        if tok.kind == "op" and tok.text == "*":
-            self.advance()
+        if word == "*":
+            self.pos += 1
             return Star()
-        if tok.kind in ("ident", "qident"):
+        if kind == "ident":
             return self.parse_name_or_call()
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
     def parse_name_or_call(self) -> Expr:
-        tok = self.advance()
+        tok = self.peek()
         name = tok.text
-        quoted = tok.kind == "qident"
-        if not quoted and tok.keyword() is not None and tok.keyword() not in ("left",):
+        word = self.word()
+        if word is not None and word != "left":
             # Bare keywords (other than overloadable ones) cannot start a name.
             raise ParseError(f"unexpected keyword {name!r}", tok.pos)
-        if self.accept_punct("("):
-            return self.parse_call(name.lower(), tok)
-        if self.peek().kind == "punct" and self.peek().text == ".":
-            self.advance()
-            nxt = self.advance()
-            if nxt.kind == "op" and nxt.text == "*":
+        self.pos += 1
+        if self.accept("("):
+            return self.parse_call(name.lower())
+        if self.accept("."):
+            if self.accept("*"):
                 return Star(table=name)
+            nxt = self.advance()
             if nxt.kind not in ("ident", "qident"):
                 raise ParseError(f"expected column after '.', found {nxt.text!r}", nxt.pos)
             return ColumnRef(table=name, column=nxt.text)
         # An unqualified, double-quoted name that fails to bind is later
         # downgraded to a string literal, mirroring SQLite's tolerance.
         ref = ColumnRef(table=None, column=name)
-        if quoted:
+        if tok.kind == "qident":
             return _QuotedName(ref)
         return ref
 
-    def parse_call(self, name: str, tok: Token) -> FuncCall:
-        distinct = bool(self.accept_keyword("distinct"))
-        if self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
+    def parse_call(self, name: str) -> FuncCall:
+        distinct = self.accept("distinct") is not None
+        if self.accept("*"):
             self.expect_punct(")")
             return FuncCall(name=name, args=(), distinct=distinct, star=True)
-        if self.accept_punct(")"):
+        if self.accept(")"):
             return FuncCall(name=name, args=(), distinct=distinct)
         args = [self.parse_expr()]
-        while self.accept_punct(","):
+        while self.accept(","):
             args.append(self.parse_expr())
         self.expect_punct(")")
         return FuncCall(name=name, args=tuple(args), distinct=distinct)
@@ -503,8 +483,10 @@ class _Binder:
         self.schema = schema
 
     def bind_select(self, select: Select, parent: _Scope | None) -> Select:
-        from_items = []
-        sources: list[_SourceInfo] = []
+        """``select`` with every name bound. Each bound node is built once;
+        a node that binding leaves as it was is returned as it is."""
+        sources: list[tuple[TableSource | SubquerySource, FromItem]] = []
+        infos: list[_SourceInfo] = []
         for item in select.from_items:
             source = item.source
             if isinstance(source, TableSource):
@@ -512,71 +494,76 @@ class _Binder:
                 if canonical is None:
                     raise ParseError(f"no such table: {source.table}")
                 key = (source.alias or source.table).lower()
-                bound_source: TableSource | SubquerySource = replace(source, key=key)
-                info = _SourceInfo(key, self.schema.columns_of(canonical))
+                source = TableSource(table=source.table, alias=source.alias, key=key)
+                columns = self.schema.columns_of(canonical)
             else:
                 # FROM-clause subqueries are bound without the outer scope:
                 # they cannot be correlated.
                 inner = self.bind_select(source.query, parent=None)
-                key = (source.alias or f"subquery{len(sources) + 1}").lower()
-                bound_source = replace(source, query=inner, key=key)
-                info = _SourceInfo(key, _output_columns(inner, self.schema))
-            if any(s.key == key for s in sources):
+                key = (source.alias or f"subquery{len(infos) + 1}").lower()
+                source = SubquerySource(query=inner, alias=source.alias, key=key)
+                columns = _output_columns(inner, self.schema)
+            if any(info.key == key for info in infos):
                 raise ParseError(f"duplicate table name or alias in FROM: {key}")
-            sources.append(info)
-            from_items.append(replace(item, source=bound_source))
-        scope = _Scope(sources, parent)
+            infos.append(_SourceInfo(key, columns))
+            sources.append((source, item))
+        scope = _Scope(infos, parent)
 
-        items = tuple(
-            replace(si, expr=self.bind_expr(si.expr, scope, select, alias_ok=False))
-            for si in select.items
-        )
-        bound = replace(select, items=items, from_items=tuple(from_items))
+        def bind(expr, alias_ok: bool):
+            return self.bind_expr(expr, scope, select, alias_ok)
 
+        items = []
+        for si in select.items:
+            expr = bind(si.expr, False)
+            items.append(si if expr is si.expr else SelectItem(expr=expr, alias=si.alias))
         from_items = tuple(
-            replace(fi, condition=self.bind_expr(fi.condition, scope, bound, alias_ok=False))
-            for fi in from_items
+            FromItem(source=source, join_type=item.join_type, condition=bind(item.condition, False))
+            for source, item in sources
         )
-        where = self.bind_expr(bound.where, scope, bound, alias_ok=False)
+        where = bind(select.where, False)
         if where is not None:
             _reject_aggregates(where)
-        group_by = tuple(self.bind_expr(e, scope, bound, alias_ok=True) for e in bound.group_by)
-        having = self.bind_expr(bound.having, scope, bound, alias_ok=True)
-        order_by = tuple(
-            replace(oi, expr=self.bind_expr(oi.expr, scope, bound, alias_ok=True))
-            for oi in bound.order_by
-        )
-        set_op = bound.set_op
+        group_by = tuple(bind(e, True) for e in select.group_by)
+        having = bind(select.having, True)
+        order_by = []
+        for oi in select.order_by:
+            expr = bind(oi.expr, True)
+            order_by.append(oi if expr is oi.expr else OrderItem(expr=expr, descending=oi.descending))
+        set_op = select.set_op
         if set_op is not None:
             set_op = (set_op[0], self.bind_select(set_op[1], parent))
-        return replace(
-            bound,
+        return Select(
+            items=tuple(items),
             from_items=from_items,
             where=where,
             group_by=group_by,
             having=having,
-            order_by=order_by,
+            order_by=tuple(order_by),
+            limit=select.limit,
+            distinct=select.distinct,
             set_op=set_op,
         )
 
     # -- expressions ---------------------------------------------------------
 
     def bind_expr(self, expr, scope: _Scope, select: Select, alias_ok: bool):
-        if expr is None:
-            return None
+        if isinstance(expr, ColumnRef):
+            return self._bind_column(expr, scope, select, alias_ok)
+        if expr is None or isinstance(expr, Literal):
+            return expr
         if isinstance(expr, _QuotedName):
             try:
                 return self._bind_column(expr.ref, scope, select, alias_ok)
             except ParseError:
                 value = expr.ref.column
                 return Literal(value=value, text=_quote_string(value))
-        if isinstance(expr, ColumnRef):
-            return self._bind_column(expr, scope, select, alias_ok)
-        if isinstance(expr, Star) and expr.table is not None:
+        if isinstance(expr, Star):
+            if expr.table is None:
+                return expr
             info = self._find_source(expr.table.lower(), scope)
             if info is None:
                 raise ParseError(f"no such table: {expr.table}")
-            return replace(expr, source=info.key)
+            return Star(table=expr.table, source=info.key)
         if isinstance(expr, Select):
             # Subqueries in expressions may be correlated: they see this scope.
             return self.bind_select(expr, parent=scope)
@@ -589,15 +576,16 @@ class _Binder:
                 raise ParseError(f"no such table: {ref.table}")
             if ref.column.lower() not in info.columns:
                 raise ParseError(f"no such column: {ref.table}.{ref.column}")
-            return replace(ref, source=info.key)
-        matches = self._match_unqualified(ref.column.lower(), scope)
+            return ColumnRef(table=ref.table, column=ref.column, source=info.key)
+        column = ref.column.lower()
+        matches = self._match_unqualified(column, scope)
         if len(matches) == 1:
-            return replace(ref, source=matches[0].key)
-        if len(matches) > 1:
-            return replace(ref, source=None, ambiguous=True)
+            return ColumnRef(table=None, column=ref.column, source=matches[0].key)
+        if matches:
+            return ColumnRef(table=None, column=ref.column, source=None, ambiguous=True)
         if alias_ok:
             for idx, item in enumerate(select.items):
-                if item.alias is not None and item.alias.lower() == ref.column.lower():
+                if item.alias is not None and item.alias.lower() == column:
                     return AliasRef(name=ref.column, index=idx)
         raise ParseError(f"no such column: {ref.column}")
 
