@@ -24,13 +24,14 @@ class ConditionlessJoin:
 
 def detect_conditionless_join(select: Select) -> list[ConditionlessJoin]:
     """Flag condition-less joins in this query and any nested subquery."""
-    flags = _scan_scope(select)
+    flags = scope_conditionless_joins(select)
     for sub in subselects(select):
         flags.extend(detect_conditionless_join(sub))
     return flags
 
 
-def _scan_scope(select: Select) -> list[ConditionlessJoin]:
+def scope_conditionless_joins(select: Select) -> list[ConditionlessJoin]:
+    """Flag condition-less joins in this query's own FROM clause only."""
     if len(select.from_items) < 2:
         return []
     linked = {

@@ -9,10 +9,13 @@ explains). The arms of two compound queries with the same set operation are
 diffed pairwise and their deltas merged.
 
 Cross-query comparison cannot use the positional t1/t2 aliases (two queries
-joining the same tables in a different order would never match), so each
-query is re-qualified by resolved *table name* once, before comparison. Two
-deliberate lenience rules, both needed so that stylistic differences do not
-register as errors:
+joining the same tables in a different order would never match), so
+expressions are compared as printed re-qualified by resolved *table name*:
+one walk per query maps each source key to its table name (a FROM subquery
+to its alias-neutral text), and the printer qualifies columns through that
+map and drops FROM aliases while printing. No re-qualified tree is built.
+Two deliberate lenience rules, both needed so that stylistic differences do
+not register as errors:
 
 - join conditions are compared as one multiset per query, pooling ON
   clauses with WHERE equality predicates that link two sources, with the
@@ -32,27 +35,10 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple
 
 from .canonical import CanonicalAst
-from .conditionless import detect_conditionless_join
-from .nodes import (
-    ColumnRef,
-    Comparison,
-    Expr,
-    FuncCall,
-    Literal,
-    Select,
-    Star,
-    TableSource,
-    map_children,
-)
+from .conditionless import scope_conditionless_joins
+from .nodes import Comparison, Expr, FuncCall, Literal, Select, TableSource, map_children
 from .printer import expr_sql, to_sql
-from .walk import (
-    clause_exprs,
-    count_subqueries,
-    flatten_and,
-    is_link_predicate,
-    iter_expr_nodes,
-    subselects,
-)
+from .walk import clause_exprs, flatten_and, is_link_predicate, iter_expr_nodes, subselects
 
 _AGG_CLAUSES = ("select", "group_by", "having", "order_by")
 
@@ -191,63 +177,61 @@ class AstDiff(_Delta):
 
 def diff(pred: CanonicalAst, gold: CanonicalAst) -> AstDiff:
     """Compare two canonical queries; fields are labeled from pred's side."""
-    p, g = pred.query, gold.query
-    rp, rg = _requalify_select(p, _table_map(p)), _requalify_select(g, _table_map(g))
-    return _diff_select(p, g, rp, rg)
+    return _diff_select(pred.query, gold.query, _Query(pred.query), _Query(gold.query))
 
 
-def _diff_select(pred: Select, gold: Select, rpred: Select, rgold: Select) -> AstDiff:
-    """Diff one level; ``rpred`` and ``rgold`` are ``pred`` and ``gold``
-    re-qualified by table name."""
+def _diff_select(pred: Select, gold: Select, pq: "_Query", gq: "_Query") -> AstDiff:
+    """Diff one level; ``pq`` and ``gq`` describe the whole queries."""
     pred_op = pred.set_op[0] if pred.set_op else None
     gold_op = gold.set_op[0] if gold.set_op else None
+    paired = pred.set_op is not None and pred_op == gold_op
     structure = [
         name
         for name, differs in (
-            ("subquery_shape", count_subqueries(pred) != count_subqueries(gold)),
+            ("subquery_shape", pq.subqueries[id(pred)] != gq.subqueries[id(gold)]),
             ("set_op", pred_op != gold_op),
         )
         if differs
     ]
-    pred_where, pred_links = _split_links(pred, rpred)
-    gold_where, gold_links = _split_links(gold, rgold)
-    where_literals, where_mismatch = _diff_predicates(pred_where, gold_where)
+    pred_where, pred_links = _split_links(pred)
+    gold_where, gold_links = _split_links(gold)
+    where_literals, where_mismatch = _diff_predicates(pred_where, gold_where, pq, gq)
     having_literals, having_mismatch = _diff_predicates(
-        flatten_and(rpred.having), flatten_and(rgold.having)
+        flatten_and(pred.having), flatten_and(gold.having), pq, gq
     )
     clause = [
         name
         for name, differs in (
             ("where", where_mismatch),
             ("having", having_mismatch),
-            ("order_by", _order_keys(rpred) != _order_keys(rgold)),
+            ("order_by", _order_keys(pred, pq) != _order_keys(gold, gq)),
             ("limit", pred.limit != gold.limit),
             ("distinct", pred.distinct != gold.distinct),
         )
         if differs
     ]
-    pred_tables, pred_conds = _join_graph(pred, rpred, pred_links)
-    gold_tables, gold_conds = _join_graph(gold, rgold, gold_links)
-    paired = pred.set_op is not None and pred_op == gold_op
+    pred_tables, pred_conds = _join_graph(pred, pred_links, pq)
+    gold_tables, gold_conds = _join_graph(gold, gold_links, gq)
     out = AstDiff(
-        select_delta=_diff_items(rpred, rgold),
-        group_by_delta=_diff_group_by(rpred, rgold),
+        select_delta=_diff_items([pq.sql(i.expr) for i in pred.items],
+                                 [gq.sql(i.expr) for i in gold.items]),
+        group_by_delta=_diff_group_by(sorted(map(pq.sql, pred.group_by)),
+                                      sorted(map(gq.sql, gold.group_by))),
         aggregate_delta=_diff_aggregates(pred, gold),
         join_delta=JoinDelta(
             extra_tables=_surplus(pred_tables, gold_tables),
             missing_tables=_surplus(gold_tables, pred_tables),
             extra_conditions=_surplus(pred_conds, gold_conds),
             missing_conditions=_surplus(gold_conds, pred_conds),
-            pred_conditionless=_conditionless(pred, paired),
-            gold_conditionless=_conditionless(gold, paired),
+            pred_conditionless=pq.conditionless[id(pred)][paired],
+            gold_conditionless=gq.conditionless[id(gold)][paired],
         ),
         literal_delta=LiteralDelta(entries=tuple(where_literals + having_literals)),
         structure_delta=tuple(structure),
         clause_delta=tuple(clause),
     )
     if paired:
-        arms = (pred.set_op[1], gold.set_op[1], rpred.set_op[1], rgold.set_op[1])
-        out = out.merge(_diff_select(*arms))
+        out = out.merge(_diff_select(pred.set_op[1], gold.set_op[1], pq, gq))
         out = replace(
             out,
             structure_delta=tuple(dict.fromkeys(out.structure_delta)),
@@ -256,68 +240,58 @@ def _diff_select(pred: Select, gold: Select, rpred: Select, rgold: Select) -> As
     return out
 
 
-# --------------------------------------------------------------------------- re-qualification
+# --------------------------------------------------------------------------- one walk per query
 
-def _table_map(select: Select) -> dict[str, str]:
-    """Canonical alias -> resolved table name, over every scope. Canonical
-    aliases are globally unique within one query, so one flat map works.
-    FROM-subquery sources are labeled by their alias-neutral printed text so
-    the label is comparable across queries; the walk visits nested SELECTs
-    first, so the sources a subquery reads are mapped before it is labeled."""
-    out: dict[str, str] = {}
+class _Query:
+    """What diffing needs from every SELECT of one canonical query, gathered
+    in one walk over its nested SELECTs.
 
-    def visit(s: Select) -> None:
-        for sub in subselects(s):
-            visit(sub)
-        for item in s.from_items:
+    ``names`` maps each source key to the name comparison prints for it: a
+    table's name, or for a FROM subquery its alias-neutral text, so that
+    printing with it (``sql``) compares across queries whose positional
+    aliases differ. Canonical aliases are unique within one query, so one
+    flat map serves every scope. Per SELECT, by ``id``: ``subqueries``, the
+    number of SELECTs nested in it, set-operation arm included, and
+    ``conditionless``, its condition-less joined tables with and without
+    those of its set-operation arm, indexed by whether the arms are diffed
+    pairwise (the arm's own delta then lists them).
+    """
+
+    def __init__(self, select: Select) -> None:
+        self.names: dict[str, str] = {}
+        self.subqueries: dict[int, int] = {}
+        self.conditionless: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+        self._visit(select)
+
+    def sql(self, expr: Expr) -> str:
+        return expr_sql(expr, self.names)
+
+    def _visit(self, select: Select) -> tuple[int, list[str]]:
+        """Visit ``select`` after the SELECTs nested in it, so the sources a
+        FROM subquery reads are named before it is; returns its subquery
+        count and its condition-less joins, set-operation arm included."""
+        nested = list(subselects(select))
+        arm = [nested.pop()] if select.set_op is not None else []
+        count = 0
+        flags = [flag.table for flag in scope_conditionless_joins(select)]
+        for sub in nested:
+            sub_count, sub_flags = self._visit(sub)
+            count += 1 + sub_count
+            flags += sub_flags
+        own = tuple(flags)
+        for sub in arm:
+            sub_count, sub_flags = self._visit(sub)
+            count += 1 + sub_count
+            flags += sub_flags
+        self.subqueries[id(select)] = count
+        self.conditionless[id(select)] = (tuple(flags), own)
+        for item in select.from_items:
             src = item.source
             if isinstance(src, TableSource):
-                out[src.key] = src.table.lower()
+                self.names[src.key] = src.table.lower()
             else:
-                out[src.key] = "subquery:" + to_sql(_requalify_select(src.query, out))
-
-    visit(select)
-    return out
-
-
-def _requalify(expr: Expr | None, table_map: dict[str, str]) -> Expr | None:
-    """Rewrite positional aliases to table names for cross-query comparison.
-    None (an absent clause) comes back as None."""
-    if isinstance(expr, ColumnRef):
-        name = table_map.get(expr.source)
-        return expr if name is None else ColumnRef(table=name, column=expr.column, source=name)
-    if isinstance(expr, Star):
-        name = table_map.get(expr.source)
-        return expr if name is None else Star(table=name, source=name)
-    if isinstance(expr, Select):
-        return _requalify_select(expr, table_map)
-    return map_children(expr, lambda child: _requalify(child, table_map))
-
-
-def _requalify_select(s: Select, table_map: dict[str, str]) -> Select:
-    def requalify(expr: Expr | None) -> Expr | None:
-        return _requalify(expr, table_map)
-
-    from_items = []
-    for fi in s.from_items:
-        src = fi.source
-        # Drop the positional alias so printed subqueries compare across
-        # queries whose global alias numbering differs.
-        if isinstance(src, TableSource):
-            src = TableSource(table=src.table, alias=None, key=src.table)
-        else:
-            src = replace(src, query=_requalify_select(src.query, table_map), alias=None)
-        from_items.append(replace(fi, source=src, condition=requalify(fi.condition)))
-    return replace(
-        s,
-        items=tuple(replace(i, expr=requalify(i.expr)) for i in s.items),
-        from_items=tuple(from_items),
-        where=requalify(s.where),
-        group_by=tuple(map(requalify, s.group_by)),
-        having=requalify(s.having),
-        order_by=tuple(replace(o, expr=requalify(o.expr)) for o in s.order_by),
-        set_op=(s.set_op[0], _requalify_select(s.set_op[1], table_map)) if s.set_op else None,
-    )
+                self.names[src.key] = "subquery:" + to_sql(src.query, self.names)
+        return count, flags
 
 
 # --------------------------------------------------------------------------- per-clause diffs
@@ -327,9 +301,7 @@ def _surplus(a: Counter, b: Counter) -> tuple[str, ...]:
     return tuple(sorted((a - b).elements()))
 
 
-def _diff_items(pred: Select, gold: Select) -> SelectDelta:
-    pred_keys = [expr_sql(i.expr) for i in pred.items]
-    gold_keys = [expr_sql(i.expr) for i in gold.items]
+def _diff_items(pred_keys: list[str], gold_keys: list[str]) -> SelectDelta:
     if pred_keys == gold_keys:
         return SelectDelta()
     pred_count = Counter(pred_keys)
@@ -341,12 +313,10 @@ def _diff_items(pred: Select, gold: Select) -> SelectDelta:
     )
 
 
-def _diff_group_by(pred: Select, gold: Select) -> GroupByDelta:
-    pred_keys = tuple(sorted(map(expr_sql, pred.group_by)))
-    gold_keys = tuple(sorted(map(expr_sql, gold.group_by)))
+def _diff_group_by(pred_keys: list[str], gold_keys: list[str]) -> GroupByDelta:
     if pred_keys == gold_keys:
         return GroupByDelta()
-    return GroupByDelta(pred=pred_keys, gold=gold_keys)
+    return GroupByDelta(pred=tuple(pred_keys), gold=tuple(gold_keys))
 
 
 def _aggregates_by_clause(select: Select) -> dict[str, tuple[str, ...]]:
@@ -372,26 +342,25 @@ def _diff_aggregates(pred: Select, gold: Select) -> AggregateDelta:
     return AggregateDelta(clauses=tuple(row for row in rows if row.pred != row.gold))
 
 
-def _split_links(select: Select, requalified: Select) -> tuple[list[Expr], list[Expr]]:
-    """The re-qualified WHERE conjuncts that do not link two sources, and
-    those that do (``walk.is_link_predicate``). Links are found on the
-    canonical tree, where two sources of one table still have two aliases;
-    the conjuncts of both trees line up by position."""
+def _split_links(select: Select) -> tuple[list[Expr], list[Expr]]:
+    """The WHERE conjuncts that do not link two sources, and those that do
+    (``walk.is_link_predicate``). Links are found on the canonical tree,
+    where two sources of one table still have two aliases."""
     rest: list[Expr] = []
     links: list[Expr] = []
-    for conj, req in zip(flatten_and(select.where), flatten_and(requalified.where)):
-        (links if is_link_predicate(conj) else rest).append(req)
+    for conj in flatten_and(select.where):
+        (links if is_link_predicate(conj) else rest).append(conj)
     return rest, links
 
 
-def _condition_key(expr: Expr) -> str:
+def _condition_key(expr: Expr, query: _Query) -> str:
     if isinstance(expr, Comparison) and expr.op == "=":
-        lo, hi = sorted((expr_sql(expr.left), expr_sql(expr.right)))
+        lo, hi = sorted((query.sql(expr.left), query.sql(expr.right)))
         return f"{lo} = {hi}"
-    return expr_sql(expr)
+    return query.sql(expr)
 
 
-def _join_graph(select: Select, requalified: Select, links: list[Expr]) -> tuple[Counter, Counter]:
+def _join_graph(select: Select, links: list[Expr], query: _Query) -> tuple[Counter, Counter]:
     """The joined tables and the pooled join conditions (ON conjuncts and
     WHERE links) of one query. A FROM subquery counts by its canonical text."""
     tables = Counter(
@@ -400,16 +369,8 @@ def _join_graph(select: Select, requalified: Select, links: list[Expr]) -> tuple
         else "subquery:" + to_sql(item.source.query)
         for item in select.from_items
     )
-    on = [conj for item in requalified.from_items for conj in flatten_and(item.condition)]
-    return tables, Counter(map(_condition_key, on + links))
-
-
-def _conditionless(select: Select, paired: bool) -> tuple[str, ...]:
-    """The condition-less joins of a query; without its set-operation arm
-    when the arms are diffed pairwise, since the arm's delta lists its own."""
-    if paired:
-        select = replace(select, set_op=None)
-    return tuple(flag.table for flag in detect_conditionless_join(select))
+    on = [conj for item in select.from_items for conj in flatten_and(item.condition)]
+    return tables, Counter(_condition_key(conj, query) for conj in on + links)
 
 
 def _mask_literals(expr: Expr) -> Expr:
@@ -436,19 +397,19 @@ def _literal_equal(a: Literal, b: Literal) -> bool:
 
 
 def _diff_predicates(
-    pred_conjs: list[Expr], gold_conjs: list[Expr]
+    pred_conjs: list[Expr], gold_conjs: list[Expr], pq: _Query, gq: _Query
 ) -> tuple[list[LiteralRow], bool]:
-    """Match re-qualified conjuncts by literal-masked shape; report literal
-    differences at matched positions. Returns (literal rows, unexplained
-    mismatch?)."""
+    """Match conjuncts, printed re-qualified, by literal-masked shape; report
+    literal differences at matched positions. Returns (literal rows,
+    unexplained mismatch?)."""
 
-    def describe(conjs):
-        return [(expr_sql(_mask_literals(c)), expr_sql(c), c) for c in conjs]
+    def describe(conjs, query):
+        return [(query.sql(_mask_literals(c)), query.sql(c), c) for c in conjs]
 
     # Exact matches first.
-    gold_left = describe(gold_conjs)
+    gold_left = describe(gold_conjs, gq)
     pred_left = []
-    for entry in describe(pred_conjs):
+    for entry in describe(pred_conjs, pq):
         match = next((g for g in gold_left if g[1] == entry[1]), None)
         if match is not None:
             gold_left.remove(match)
@@ -480,10 +441,10 @@ def _diff_predicates(
     return rows, mismatch
 
 
-def _order_keys(select: Select) -> list[tuple]:
+def _order_keys(select: Select, query: _Query) -> list[tuple]:
     """ORDER BY keys as compared: an aggregate call by its function name."""
     return [
-        (o.descending, (o.expr.name,) if _is_aggregate(o.expr) else expr_sql(o.expr))
+        (o.descending, (o.expr.name,) if _is_aggregate(o.expr) else query.sql(o.expr))
         for o in select.order_by
     ]
 

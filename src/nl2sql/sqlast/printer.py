@@ -2,6 +2,11 @@
 
 Printing is deterministic (single line, upper-case keywords) and the output
 re-parses to an equal tree, which the round-trip property tests rely on.
+
+Both entry points take an optional ``names`` map from source key to a name.
+With it, a column or star whose source the map names is qualified by that
+name, and FROM sources print without their alias: the re-qualified form
+``diff`` compares across queries.
 """
 
 from __future__ import annotations
@@ -36,12 +41,12 @@ from .tokens import KEYWORDS
 _PLAIN_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-def to_sql(select: Select) -> str:
-    return _select_sql(select)
+def to_sql(select: Select, names: dict[str, str] | None = None) -> str:
+    return _select_sql(select, names)
 
 
-def expr_sql(expr: Expr) -> str:
-    return _expr(expr)
+def expr_sql(expr: Expr, names: dict[str, str] | None = None) -> str:
+    return _expr(expr, 0, names)
 
 
 def _name(text: str) -> str:
@@ -56,27 +61,27 @@ def _quote_string(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
-def _select_sql(s: Select) -> str:
+def _select_sql(s: Select, names: dict[str, str] | None) -> str:
     parts = ["SELECT"]
     if s.distinct:
         parts.append("DISTINCT")
-    parts.append(", ".join(_select_item(i) for i in s.items))
+    parts.append(", ".join(_select_item(i, names) for i in s.items))
     if s.from_items:
-        parts.append("FROM " + _from_clause(s.from_items))
+        parts.append("FROM " + _from_clause(s.from_items, names))
     if s.where is not None:
-        parts.append("WHERE " + _expr(s.where))
+        parts.append("WHERE " + _expr(s.where, 0, names))
     if s.group_by:
-        parts.append("GROUP BY " + ", ".join(_expr(e) for e in s.group_by))
+        parts.append("GROUP BY " + ", ".join(_expr(e, 0, names) for e in s.group_by))
     if s.having is not None:
-        parts.append("HAVING " + _expr(s.having))
+        parts.append("HAVING " + _expr(s.having, 0, names))
     body = " ".join(parts)
     if s.set_op is not None:
         op, right = s.set_op
         # Right-hand sides of set operations never carry ORDER BY / LIMIT.
-        body = f"{body} {op.upper()} {_select_sql(right)}"
+        body = f"{body} {op.upper()} {_select_sql(right, names)}"
     if s.order_by:
         keys = ", ".join(
-            _expr(o.expr) + (" DESC" if o.descending else "") for o in s.order_by
+            _expr(o.expr, 0, names) + (" DESC" if o.descending else "") for o in s.order_by
         )
         body = f"{body} ORDER BY {keys}"
     if s.limit is not None:
@@ -84,36 +89,34 @@ def _select_sql(s: Select) -> str:
     return body
 
 
-def _select_item(item: SelectItem) -> str:
-    text = _expr(item.expr)
+def _select_item(item: SelectItem, names: dict[str, str] | None) -> str:
+    text = _expr(item.expr, 0, names)
     if item.alias is not None:
         text += f" AS {_name(item.alias)}"
     return text
 
 
-def _from_clause(items: tuple[FromItem, ...]) -> str:
-    out = [_source(items[0].source)]
+def _from_clause(items: tuple[FromItem, ...], names: dict[str, str] | None) -> str:
+    out = [_source(items[0].source, names)]
     for item in items[1:]:
         if item.join_type == ",":
-            out.append(", " + _source(item.source))
+            out.append(", " + _source(item.source, names))
             continue
         kw = {"join": "JOIN", "left": "LEFT JOIN", "cross": "CROSS JOIN"}[item.join_type]
-        piece = f" {kw} {_source(item.source)}"
+        piece = f" {kw} {_source(item.source, names)}"
         if item.condition is not None:
-            piece += " ON " + _expr(item.condition)
+            piece += " ON " + _expr(item.condition, 0, names)
         out.append(piece)
     return "".join(out)
 
 
-def _source(src) -> str:
+def _source(src, names: dict[str, str] | None) -> str:
     if isinstance(src, TableSource):
         text = _name(src.table)
-        if src.alias is not None:
-            text += f" AS {_name(src.alias)}"
-        return text
-    assert isinstance(src, SubquerySource)
-    text = f"({_select_sql(src.query)})"
-    if src.alias is not None:
+    else:
+        assert isinstance(src, SubquerySource)
+        text = f"({_select_sql(src.query, names)})"
+    if src.alias is not None and names is None:
         text += f" AS {_name(src.alias)}"
     return text
 
@@ -134,76 +137,83 @@ _PRECEDENCE = {
 }
 
 
-def _expr(e: Expr, parent_prec: int = 0) -> str:
-    text, prec = _expr_prec(e)
+def _expr(e: Expr, parent_prec: int, names: dict[str, str] | None) -> str:
+    text, prec = _expr_prec(e, names)
     if prec < parent_prec:
         return f"({text})"
     return text
 
 
-def _expr_prec(e: Expr) -> tuple[str, int]:
+def _qualifier(e: ColumnRef | Star, names: dict[str, str] | None) -> str | None:
+    """The qualifier a column or star prints with."""
+    if names is not None and e.source in names:
+        return names[e.source]
+    return e.table
+
+
+def _expr_prec(e: Expr, names: dict[str, str] | None) -> tuple[str, int]:
     if isinstance(e, Literal):
         return e.text, 99
     if isinstance(e, ColumnRef):
-        if e.table is not None:
-            return f"{_name(e.table)}.{_name(e.column)}", 99
+        table = _qualifier(e, names)
+        if table is not None:
+            return f"{_name(table)}.{_name(e.column)}", 99
         return _name(e.column), 99
     if isinstance(e, AliasRef):
         return _name(e.name), 99
     if isinstance(e, Star):
-        return (f"{_name(e.table)}.*" if e.table is not None else "*"), 99
+        table = _qualifier(e, names)
+        return (f"{_name(table)}.*" if table is not None else "*"), 99
     if isinstance(e, FuncCall):
         if e.star:
             inner = "*"
         else:
-            inner = ", ".join(_expr(a) for a in e.args)
+            inner = ", ".join(_expr(a, 0, names) for a in e.args)
         if e.distinct:
             inner = f"DISTINCT {inner}"
         return f"{e.name}({inner})", 99
     if isinstance(e, ScalarSubquery):
-        return f"({_select_sql(e.query)})", 99
+        return f"({_select_sql(e.query, names)})", 99
     if isinstance(e, Unary):
         if e.op == "not":
             prec = _PRECEDENCE["not"]
-            return f"NOT {_expr(e.operand, prec)}", prec
+            return f"NOT {_expr(e.operand, prec, names)}", prec
         prec = _PRECEDENCE["neg"]
-        operand = _expr(e.operand, prec)
+        operand = _expr(e.operand, prec, names)
         # "--" would start a comment: keep two minus signs apart.
         sep = " " if e.op == "-" and operand.startswith("-") else ""
         return f"{e.op}{sep}{operand}", prec
     if isinstance(e, Binary):
         prec = _PRECEDENCE[e.op]
         # Left-associative: the right child needs parens at equal precedence.
-        return f"{_expr(e.left, prec)} {e.op} {_expr(e.right, prec + 1)}", prec
+        return f"{_expr(e.left, prec, names)} {e.op} {_expr(e.right, prec + 1, names)}", prec
     if isinstance(e, Comparison):
         prec = _PRECEDENCE["cmp"]
         op = "NOT LIKE" if (e.op == "like" and e.negated) else e.op.upper() if e.op == "like" else e.op
-        return f"{_expr(e.left, prec + 1)} {op} {_expr(e.right, prec + 1)}", prec
+        return f"{_expr(e.left, prec + 1, names)} {op} {_expr(e.right, prec + 1, names)}", prec
     if isinstance(e, Between):
         prec = _PRECEDENCE["cmp"]
         kw = "NOT BETWEEN" if e.negated else "BETWEEN"
-        return (
-            f"{_expr(e.expr, prec + 1)} {kw} {_expr(e.low, prec + 1)} AND {_expr(e.high, prec + 1)}",
-            prec,
-        )
+        low, high = _expr(e.low, prec + 1, names), _expr(e.high, prec + 1, names)
+        return f"{_expr(e.expr, prec + 1, names)} {kw} {low} AND {high}", prec
     if isinstance(e, InList):
         prec = _PRECEDENCE["cmp"]
         kw = "NOT IN" if e.negated else "IN"
-        items = ", ".join(_expr(i) for i in e.items)
-        return f"{_expr(e.expr, prec + 1)} {kw} ({items})", prec
+        items = ", ".join(_expr(i, 0, names) for i in e.items)
+        return f"{_expr(e.expr, prec + 1, names)} {kw} ({items})", prec
     if isinstance(e, InSubquery):
         prec = _PRECEDENCE["cmp"]
         kw = "NOT IN" if e.negated else "IN"
-        return f"{_expr(e.expr, prec + 1)} {kw} ({_select_sql(e.query)})", prec
+        return f"{_expr(e.expr, prec + 1, names)} {kw} ({_select_sql(e.query, names)})", prec
     if isinstance(e, Exists):
         kw = "NOT EXISTS" if e.negated else "EXISTS"
-        return f"{kw} ({_select_sql(e.query)})", _PRECEDENCE["cmp"]
+        return f"{kw} ({_select_sql(e.query, names)})", _PRECEDENCE["cmp"]
     if isinstance(e, IsNull):
         prec = _PRECEDENCE["cmp"]
         kw = "IS NOT NULL" if e.negated else "IS NULL"
-        return f"{_expr(e.expr, prec + 1)} {kw}", prec
+        return f"{_expr(e.expr, prec + 1, names)} {kw}", prec
     if isinstance(e, BoolOp):
         prec = _PRECEDENCE[e.op]
         joiner = f" {e.op.upper()} "
-        return joiner.join(_expr(t, prec) for t in e.terms), prec
+        return joiner.join(_expr(t, prec, names) for t in e.terms), prec
     raise TypeError(f"cannot print {type(e).__name__}")

@@ -66,12 +66,12 @@ def clause_exprs(select: Select) -> list[tuple[str, list[Expr]]]:
 def subquery_nodes(expr: Expr) -> list[Select]:
     """Nested SELECTs appearing as operands of the given scope-level expression,
     in the order ``iter_expr_nodes`` reaches the nodes holding them."""
-    return [
-        child
-        for node in iter_expr_nodes(expr)
-        for child in children(node)
-        if isinstance(child, Select)
-    ]
+    out: list[Select] = []
+    stack: list[Expr] = [expr]
+    while stack:
+        for child in children(stack.pop()):
+            (out if isinstance(child, Select) else stack).append(child)
+    return out
 
 
 def subselects(select: Select) -> Iterator[Select]:
@@ -85,9 +85,3 @@ def subselects(select: Select) -> Iterator[Select]:
             yield from subquery_nodes(expr)
     if select.set_op is not None:
         yield select.set_op[1]
-
-
-def count_subqueries(select: Select) -> int:
-    """Subqueries anywhere in the statement: condition operands, FROM sources
-    and set-operation branches, counted recursively."""
-    return sum(1 + count_subqueries(sub) for sub in subselects(select))
