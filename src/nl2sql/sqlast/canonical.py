@@ -12,6 +12,7 @@ their exact characters: 'Lost' and 'lost' stay different.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .nodes import (
@@ -160,6 +161,9 @@ def _canon_literal(lit: Literal) -> Literal:
             # 3.0 and 3 compare equal by value; give them one spelling.
             as_int = int(value)
             return Literal(value=as_int, text=str(as_int))
+        if math.isinf(value):
+            # repr's "inf" would read as a column name; 1e999 overflows to it.
+            return Literal(value=value, text="1e999" if value > 0 else "-1e999")
         return Literal(value=value, text=repr(value))
     return Literal(value=lit.value, text=_quote_string(lit.value))
 

@@ -36,9 +36,30 @@ from .nodes import (
     TableSource,
     Unary,
 )
-from .tokens import KEYWORDS
-
 _PLAIN_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+# SQLite's keywords (sqlite.org/lang_keywords.html, 147 in 3.40), a superset
+# of the dialect's: SQLite reads some of them as names when bare and rejects
+# others (``ORDER BY index``), so a name spelled like any of them is quoted.
+SQLITE_KEYWORDS = frozenset(
+    """
+    abort action add after all alter always analyze and as asc attach
+    autoincrement before begin between by cascade case cast check collate
+    column commit conflict constraint create cross current current_date
+    current_time current_timestamp database default deferrable deferred
+    delete desc detach distinct do drop each else end escape except exclude
+    exclusive exists explain fail filter first following for foreign from
+    full generated glob group groups having if ignore immediate in index
+    indexed initially inner insert instead intersect into is isnull join key
+    last left like limit match materialized natural no not nothing notnull
+    null nulls of offset on or order others outer over partition plan pragma
+    preceding primary query raise range recursive references regexp reindex
+    release rename replace restrict returning right rollback row rows
+    savepoint select set table temp temporary then ties to transaction
+    trigger unbounded union unique update using vacuum values view virtual
+    when where window with without
+    """.split()
+)
 
 
 def to_sql(select: Select, names: dict[str, str] | None = None) -> str:
@@ -50,7 +71,7 @@ def expr_sql(expr: Expr, names: dict[str, str] | None = None) -> str:
 
 
 def _name(text: str) -> str:
-    if _PLAIN_NAME.match(text) and text.lower() not in KEYWORDS:
+    if _PLAIN_NAME.match(text) and text.lower() not in SQLITE_KEYWORDS:
         return text
     return '"' + text.replace('"', '""') + '"'
 

@@ -5,8 +5,9 @@ One compiled master pattern, after "Writing a Tokenizer" in the Python
 digits with an optional fraction and exponent (``1``, ``1.``, ``.5``,
 ``1e5``), or ``0x`` followed by hex digits (``0x1F``); any other word
 character, ``²`` and ``٣`` included, starts an identifier, and every word
-character continues one. A bare ``0x`` is the number ``0`` and the
-identifier ``x``.
+character continues one. A decimal number that runs straight into word
+characters (``1abc``, ``0x``, ``1e5x``, ``1_000``) is an error, as in
+SQLite; a hex number may be followed by one (``0x1g`` is ``0x1`` and ``g``).
 """
 
 from __future__ import annotations
@@ -34,13 +35,16 @@ FORBIDDEN_LEADS = frozenset(
 # ``skip`` takes comments and the whitespace at the end. A quoted form may
 # not close on a quote that starts a doubled-quote escape, so ``'abc''`` is
 # unterminated; the bare openers after the full forms match only what
-# failed to close.
+# failed to close. A decimal ``number`` matches only when no word character
+# follows its longest reading (a shorter one would leave a digit, ``.``,
+# ``e`` or the rest of the exponent next); ``bad_number`` takes the rest.
 _MASTER = re.compile(
     r"""\s*(?:
       (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
     | (?P<string>'[^']*(?:''[^']*)*'(?!'))
     | (?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
-    | (?P<number>0[xX][0-9a-fA-F]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<number>0[xX][0-9a-fA-F]+|(?:[0-9]+(?:\.[0-9]*|(?!\.))|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?!\w))
+    | (?P<bad_number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\w+)
     | (?P<ident>[^\W0-9]\w*)
     | (?P<open_comment>/\*)
     | (?P<op><=|>=|<>|!=|==|\|\||[-=<>+*/%])
@@ -87,6 +91,8 @@ def tokenize(sql: str) -> list[Token]:
         elif kind in ("string", "qident"):
             # A doubled closing quote is one; a bracketed name holds no ``]``.
             tokens.append(Token(kind, text[1:-1].replace(text[-1] * 2, text[-1]), pos))
+        elif kind == "bad_number":
+            raise ParseError(f'unrecognized token: "{text}"', pos)
         elif kind != "skip":
             raise ParseError(_ERRORS.get(kind) or f"unexpected character {text!r}", pos)
     tokens.append(Token("end", "", len(sql)))

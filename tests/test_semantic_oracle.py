@@ -9,16 +9,21 @@ Evaluation for Text-to-SQL with Distilled Test Suites" (EMNLP 2020).
 
 from __future__ import annotations
 
+import sqlite3
+
 from nl2sql.execution import execute_for_comparison, tables_equivalent
+from nl2sql.schema import DatabaseSchema
 from nl2sql.sqlast import canonicalize, parse, to_sql
+from nl2sql.sqlast.printer import SQLITE_KEYWORDS
+from nl2sql.sqlast.tokens import KEYWORDS
 
 from helpers import generate_corpus
 
 
 # Queries whose results depend on what the corpus never exercises: a sign
 # the canonicaliser folds into a literal, right-nested "-" and "/", a
-# NOT IN list that excludes existing rows, and a nested minus that must not
-# print as the comment opener "--".
+# NOT IN list that excludes existing rows, a nested minus that must not
+# print as the comment opener "--", and literals that overflow to infinity.
 EXTRA_QUERIES = [
     ("concert_singer", "SELECT name FROM singer WHERE age - 40 > -12"),
     ("concert_singer", "SELECT 10 - (3 - 2), 8 / (4 / 2), -5 + 10"),
@@ -29,6 +34,8 @@ EXTRA_QUERIES = [
     ("concert_singer", "SELECT name FROM singer WHERE - -30 < age"),
     ("concert_singer", "SELECT 0x10, 0XfF - 0xffffffffffffffff, -0x7fffffffffffffff FROM singer"),
     ("concert_singer", "SELECT name FROM singer WHERE age > 0x1E ORDER BY age LIMIT 0x2"),
+    ("concert_singer", "SELECT name FROM singer WHERE age < 1e999 AND -1e999 < age"),
+    ("concert_singer", "SELECT 1e999, -1e999, - -1e999, age - -1e999 FROM singer"),
 ]
 
 
@@ -50,3 +57,42 @@ def test_printer_and_canonicaliser_preserve_results(loaded):
                 mismatches.append((rewrite, sql, text, got.error))
     assert mismatches == []
     assert checks == 2 * len(queries) >= 680
+
+
+def test_keyword_named_tables_and_columns_print_quoted(tmp_path):
+    # Every name below is an SQLite keyword; some of them (``index``,
+    # ``order``, ``group``, ``values``) SQLite cannot read bare at all.
+    path = tmp_path / "keywords.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute('CREATE TABLE "order" ("index" INTEGER, "key" TEXT, "group" INTEGER)')
+    conn.execute('CREATE TABLE "table" (id INTEGER, "values" INTEGER, action TEXT)')
+    conn.executemany('INSERT INTO "order" VALUES (?, ?, ?)',
+                     [(1, "a", 1), (2, "b", 1), (3, "c", 2)])
+    conn.executemany('INSERT INTO "table" VALUES (?, ?, ?)', [(1, 1, "x"), (2, 3, "y")])
+    conn.commit()
+    conn.close()
+    schema = DatabaseSchema(
+        db_id="keywords",
+        tables=(
+            ("order", (("index", "number"), ("key", "text"), ("group", "number"))),
+            ("table", (("id", "number"), ("values", "number"), ("action", "text"))),
+        ),
+        db_path=path,
+    )
+    queries = [
+        'SELECT "index", "key" FROM "order" WHERE "group" > 1 ORDER BY "index"',
+        'SELECT T1."key", T2.action FROM "order" AS T1 JOIN "table" AS T2 '
+        'ON T1."index" = T2."values"',
+        'SELECT "group", count(*) FROM "order" GROUP BY "group" ORDER BY "group" DESC',
+        'SELECT "key" AS "values" FROM "order" AS "row" ORDER BY "values" LIMIT 2',
+        'SELECT action FROM "table" WHERE "values" IN (SELECT "index" FROM "order")',
+    ]
+    assert KEYWORDS <= SQLITE_KEYWORDS
+    for sql in queries:
+        expected = execute_for_comparison(sql, schema)
+        assert expected.table is not None, (sql, expected)
+        ast = parse(sql, schema)
+        for text in (to_sql(ast), canonicalize(ast).sql):
+            got = execute_for_comparison(text, schema)
+            assert got.table is not None, (text, got.error)
+            assert tables_equivalent(got.table, expected.table).equivalent, text

@@ -6,7 +6,8 @@ error, on every input without a numeric character outside ASCII 0-9: the
 reference started a number on any ``str.isdigit`` character, whereas
 SQLite, and the tokenizer, read only ASCII digits as a number and any other
 word character as part of an identifier. Both read ``0x`` followed by hex
-digits as one number, as SQLite does; a bare ``0x`` is ``0`` and ``x``.
+digits as one number, as SQLite does, and reject a decimal number that runs
+into identifier characters (``1abc``, ``0x``) with SQLite's message.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ def reference_tokenize(sql: str) -> list[tuple[str, str, int]]:
                     i = j
                     while i < n and sql[i].isdigit():
                         i += 1
+            if i < n and (sql[i].isalnum() or sql[i] == "_"):
+                while i < n and (sql[i].isalnum() or sql[i] == "_"):
+                    i += 1
+                raise ParseError(f'unrecognized token: "{sql[start:i]}"', start)
             tokens.append(("number", sql[start:i], start))
         elif ch.isalpha() or ch == "_":
             while i < n and (sql[i].isalnum() or sql[i] == "_"):
@@ -152,11 +157,23 @@ def test_tokenizer_matches_the_reference_on_queries_and_their_prefixes_and_suffi
 
 
 def test_hex_integers_are_one_number_token():
-    assert outcome(tokenize, "0x1F 0Xff 0x1e5 0x 0xg 00x1") == [
+    # A hex number may be followed by a name, as in SQLite: 0x1g is 0x1 and g.
+    assert outcome(tokenize, "0x1F 0Xff 0x1e5 0x1g") == [
         ("number", "0x1F", 0), ("number", "0Xff", 5), ("number", "0x1e5", 10),
-        ("number", "0", 16), ("ident", "x", 17), ("number", "0", 19), ("ident", "xg", 20),
-        ("number", "00", 23), ("ident", "x1", 25), ("end", "", 27),
+        ("number", "0x1", 16), ("ident", "g", 19), ("end", "", 20),
     ]
+    for text in ("0x", "0xg", "00x1"):
+        assert outcome(tokenize, f"SELECT {text}") == (
+            "error", f'unrecognized token: "{text}" (at offset 7)', 7
+        )
+
+
+@pytest.mark.parametrize("run", ["1abc", "0x", "00x1", "1e5x", "1.5e", ".5a", "1_000", "1é"])
+def test_a_decimal_number_running_into_a_name_is_rejected_as_sqlite_does(run):
+    # Each is sqlite3 3.40.1's "unrecognized token" for ``SELECT <run>``.
+    assert outcome(tokenize, f"SELECT {run} FROM t") == (
+        "error", f'unrecognized token: "{run}" (at offset 7)', 7
+    )
 
 
 def test_non_ascii_digits_are_identifier_characters():
@@ -164,7 +181,7 @@ def test_non_ascii_digits_are_identifier_characters():
         ("ident", "a", 0), ("op", "=", 2), ("ident", "²", 4), ("ident", "LIMIT", 6),
         ("ident", "٣1", 12), ("end", "", 14),
     ]
-    assert outcome(tokenize, "1²") == [("number", "1", 0), ("ident", "²", 1), ("end", "", 2)]
+    assert outcome(tokenize, "1²") == ("error", 'unrecognized token: "1²" (at offset 0)', 0)
 
 
 @pytest.mark.parametrize(

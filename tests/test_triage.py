@@ -290,6 +290,23 @@ def test_tie_probe_appends_no_key_to_a_distinct_query(tmp_path):
     assert tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema) is True
 
 
+def test_tie_probe_quotes_a_keyword_named_key(tmp_path):
+    # The probe appends the key column, which must print as "index": bare,
+    # SQLite rejects it and the probe would find no tie.
+    path = tmp_path / "indexed.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute('CREATE TABLE t (id INTEGER, "index" INTEGER)')
+    conn.executemany("INSERT INTO t VALUES (?, ?)", [(1, 5), (2, 5), (3, 7)])
+    conn.commit()
+    conn.close()
+    schema = DatabaseSchema(
+        db_id="indexed", tables=(("t", (("id", "number"), ("index", "number"))),), db_path=path
+    )
+    gold = 'SELECT id FROM t ORDER BY "index" LIMIT 1'
+    pred = 'SELECT id FROM t WHERE id = 2 ORDER BY "index" LIMIT 1'
+    assert tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema) is True
+
+
 def test_tie_past_the_row_cap_is_found_from_k_plus_one_rows(tmp_path, monkeypatch):
     schema = _keys_db(tmp_path / "keys.sqlite", [1] + [2] * 40)
     k = 3
