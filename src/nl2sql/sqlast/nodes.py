@@ -185,25 +185,20 @@ def children(node: Expr) -> list:
 def map_children(node: Expr, fn: Callable) -> Expr:
     """``node`` with ``fn`` applied to every child, field by field; ``node``
     itself when every call returned its argument."""
-    changes = None
+    changes = {}
     for name in CHILD_FIELDS.get(type(node), ()):
         value = getattr(node, name)
         if isinstance(value, tuple):
             new = tuple(map(fn, value))
             if any(map(is_not, new, value)):
-                changes = changes or {}
                 changes[name] = new
         else:
             new = fn(value)
             if new is not value:
-                changes = changes or {}
                 changes[name] = new
-    if changes is None:
+    if not changes:
         return node
-    return type(node)(*[
-        changes[name] if name in changes else getattr(node, name)
-        for name in _FIELDS[type(node)]
-    ])
+    return type(node)(*[changes.get(name, getattr(node, name)) for name in _FIELDS[type(node)]])
 
 
 # --------------------------------------------------------------------------- sources

@@ -157,14 +157,8 @@ class _Parser:
             group_by = tuple(exprs)
             if self.accept("having"):
                 having = self.parse_expr()
-        return {
-            "items": tuple(items),
-            "from_items": from_items,
-            "where": where,
-            "group_by": group_by,
-            "having": having,
-            "distinct": distinct,
-        }
+        return dict(items=tuple(items), from_items=from_items, where=where,
+                    group_by=group_by, having=having, distinct=distinct)
 
     def parse_select_item(self) -> SelectItem:
         return SelectItem(expr=self.parse_expr(), alias=self.parse_alias())

@@ -43,7 +43,8 @@ _MASTER = re.compile(
       (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
     | (?P<string>'[^']*(?:''[^']*)*'(?!'))
     | (?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
-    | (?P<number>0[xX][0-9a-fA-F]+|(?:[0-9]+(?:\.[0-9]*|(?!\.))|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?!\w))
+    | (?P<number>0[xX][0-9a-fA-F]+
+        | (?:[0-9]+(?:\.[0-9]*|(?!\.))|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?!\w))
     | (?P<bad_number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\w+)
     | (?P<ident>[^\W0-9]\w*)
     | (?P<open_comment>/\*)
