@@ -213,10 +213,12 @@ def _diff_select(pred: Select, gold: Select, pq: "_Query", gq: "_Query") -> AstD
     pred_tables, pred_conds = _join_graph(pred, pred_links, pq)
     gold_tables, gold_conds = _join_graph(gold, gold_links, gq)
     out = AstDiff(
-        select_delta=_diff_items([pq.sql(i.expr) for i in pred.items],
-                                 [gq.sql(i.expr) for i in gold.items]),
-        group_by_delta=_diff_group_by(sorted(map(pq.sql, pred.group_by)),
-                                      sorted(map(gq.sql, gold.group_by))),
+        select_delta=_diff_items(
+            [pq.sql(i.expr) for i in pred.items], [gq.sql(i.expr) for i in gold.items]
+        ),
+        group_by_delta=_diff_group_by(
+            sorted(map(pq.sql, pred.group_by)), sorted(map(gq.sql, gold.group_by))
+        ),
         aggregate_delta=_diff_aggregates(pred, gold),
         join_delta=JoinDelta(
             extra_tables=_surplus(pred_tables, gold_tables),

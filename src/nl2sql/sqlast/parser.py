@@ -161,7 +161,7 @@ class _Parser:
                     group_by=group_by, having=having, distinct=distinct)
 
     def parse_select_item(self) -> SelectItem:
-        return SelectItem(expr=self.parse_expr(), alias=self.parse_alias())
+        return SelectItem(self.parse_expr(), self.parse_alias())
 
     def parse_order_by(self) -> tuple[OrderItem, ...]:
         if not self.accept("order"):
@@ -174,7 +174,7 @@ class _Parser:
 
     def parse_order_item(self) -> OrderItem:
         expr = self.parse_expr()
-        return OrderItem(expr=expr, descending=self.accept("desc", "asc") == "desc")
+        return OrderItem(expr, self.accept("desc", "asc") == "desc")
 
     def parse_limit(self) -> int | None:
         if not self.accept("limit"):
@@ -195,17 +195,17 @@ class _Parser:
     # -- FROM ----------------------------------------------------------------
 
     def parse_from(self) -> tuple[FromItem, ...]:
-        items = [FromItem(source=self.parse_source())]
+        items = [FromItem(self.parse_source())]
         while True:
             if self.accept(","):
-                items.append(FromItem(source=self.parse_source(), join_type=","))
+                items.append(FromItem(self.parse_source(), ","))
                 continue
             if self.word() not in _JOIN_INTRO:
                 break
             join_type = self.parse_join_type()
             source = self.parse_source()
             condition = self.parse_expr() if self.accept("on") else None
-            items.append(FromItem(source=source, join_type=join_type, condition=condition))
+            items.append(FromItem(source, join_type, condition))
         return tuple(items)
 
     def parse_join_type(self) -> str:
@@ -238,7 +238,7 @@ class _Parser:
             raise ParseError(f"expected table name, found {tok.text!r}", tok.pos)
         self.pos += 1
         alias = self.parse_alias()
-        return TableSource(table=tok.text, alias=alias)
+        return TableSource(tok.text, alias)
 
     def parse_alias(self) -> str | None:
         if self.accept("as"):
@@ -293,7 +293,7 @@ class _Parser:
         op = self.accept("=", "==", "!=", "<>", "<", "<=", ">", ">=")
         if op is not None:
             op = {"==": "=", "<>": "!="}.get(op, op)
-            return Comparison(op=op, left=left, right=self.parse_additive())
+            return Comparison(op, left, self.parse_additive())
         negated = self.word() == "not" and self.word(1) in ("like", "in", "between")
         if negated:
             self.pos += 1
@@ -330,13 +330,13 @@ class _Parser:
     def parse_additive(self) -> Expr:
         left = self.parse_multiplicative()
         while op := self.accept("+", "-", "||"):
-            left = Binary(op=op, left=left, right=self.parse_multiplicative())
+            left = Binary(op, left, self.parse_multiplicative())
         return left
 
     def parse_multiplicative(self) -> Expr:
         left = self.parse_unary()
         while op := self.accept("*", "/", "%"):
-            left = Binary(op=op, left=left, right=self.parse_unary())
+            left = Binary(op, left, self.parse_unary())
         return left
 
     def parse_unary(self) -> Expr:
@@ -355,10 +355,10 @@ class _Parser:
         kind = tok.kind
         if kind == "number":
             self.pos += 1
-            return Literal(value=_number_value(tok), text=tok.text)
+            return Literal(_number_value(tok), tok.text)
         if kind == "string":
             self.pos += 1
-            return Literal(value=tok.text, text=_quote_string(tok.text))
+            return Literal(tok.text, _quote_string(tok.text))
         if kind == "qident":
             return self.parse_name_or_call()
         word = self.word()
@@ -401,10 +401,10 @@ class _Parser:
             nxt = self.advance()
             if nxt.kind not in ("ident", "qident"):
                 raise ParseError(f"expected column after '.', found {nxt.text!r}", nxt.pos)
-            return ColumnRef(table=name, column=nxt.text)
+            return ColumnRef(name, nxt.text)
         # An unqualified, double-quoted name that fails to bind is later
         # downgraded to a string literal, mirroring SQLite's tolerance.
-        ref = ColumnRef(table=None, column=name)
+        ref = ColumnRef(None, name)
         if tok.kind == "qident":
             return _QuotedName(ref)
         return ref
@@ -488,14 +488,14 @@ class _Binder:
                 if canonical is None:
                     raise ParseError(f"no such table: {source.table}")
                 key = (source.alias or source.table).lower()
-                source = TableSource(table=source.table, alias=source.alias, key=key)
+                source = TableSource(source.table, source.alias, key)
                 columns = self.schema.columns_of(canonical)
             else:
                 # FROM-clause subqueries are bound without the outer scope:
                 # they cannot be correlated.
                 inner = self.bind_select(source.query, parent=None)
                 key = (source.alias or f"subquery{len(infos) + 1}").lower()
-                source = SubquerySource(query=inner, alias=source.alias, key=key)
+                source = SubquerySource(inner, source.alias, key)
                 columns = _output_columns(inner, self.schema)
             if any(info.key == key for info in infos):
                 raise ParseError(f"duplicate table name or alias in FROM: {key}")
@@ -509,9 +509,9 @@ class _Binder:
         items = []
         for si in select.items:
             expr = bind(si.expr, False)
-            items.append(si if expr is si.expr else SelectItem(expr=expr, alias=si.alias))
+            items.append(si if expr is si.expr else SelectItem(expr, si.alias))
         from_items = tuple(
-            FromItem(source=source, join_type=item.join_type, condition=bind(item.condition, False))
+            FromItem(source, item.join_type, bind(item.condition, False))
             for source, item in sources
         )
         where = bind(select.where, False)
@@ -522,7 +522,7 @@ class _Binder:
         order_by = []
         for oi in select.order_by:
             expr = bind(oi.expr, True)
-            order_by.append(oi if expr is oi.expr else OrderItem(expr=expr, descending=oi.descending))
+            order_by.append(oi if expr is oi.expr else OrderItem(expr, oi.descending))
         set_op = select.set_op
         if set_op is not None:
             set_op = (set_op[0], self.bind_select(set_op[1], parent))
@@ -557,7 +557,7 @@ class _Binder:
             info = self._find_source(expr.table.lower(), scope)
             if info is None:
                 raise ParseError(f"no such table: {expr.table}")
-            return Star(table=expr.table, source=info.key)
+            return Star(expr.table, info.key)
         if isinstance(expr, Select):
             # Subqueries in expressions may be correlated: they see this scope.
             return self.bind_select(expr, parent=scope)
@@ -570,13 +570,13 @@ class _Binder:
                 raise ParseError(f"no such table: {ref.table}")
             if ref.column.lower() not in info.columns:
                 raise ParseError(f"no such column: {ref.table}.{ref.column}")
-            return ColumnRef(table=ref.table, column=ref.column, source=info.key)
+            return ColumnRef(ref.table, ref.column, info.key)
         column = ref.column.lower()
         matches = self._match_unqualified(column, scope)
         if len(matches) == 1:
-            return ColumnRef(table=None, column=ref.column, source=matches[0].key)
+            return ColumnRef(None, ref.column, matches[0].key)
         if matches:
-            return ColumnRef(table=None, column=ref.column, source=None, ambiguous=True)
+            return ColumnRef(None, ref.column, None, True)
         if alias_ok:
             for idx, item in enumerate(select.items):
                 if item.alias is not None and item.alias.lower() == column:

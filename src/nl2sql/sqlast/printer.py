@@ -11,8 +11,6 @@ name, and FROM sources print without their alias: the re-qualified form
 
 from __future__ import annotations
 
-import re
-
 from .nodes import (
     AliasRef,
     Between,
@@ -36,7 +34,6 @@ from .nodes import (
     TableSource,
     Unary,
 )
-_PLAIN_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 # SQLite's keywords (sqlite.org/lang_keywords.html, 147 in 3.40), a superset
 # of the dialect's: SQLite reads some of them as names when bare and rejects
@@ -71,7 +68,8 @@ def expr_sql(expr: Expr, names: dict[str, str] | None = None) -> str:
 
 
 def _name(text: str) -> str:
-    if _PLAIN_NAME.match(text) and text.lower() not in SQLITE_KEYWORDS:
+    # An ASCII identifier is [A-Za-z_][A-Za-z0-9_]*.
+    if text.isascii() and text.isidentifier() and text.lower() not in SQLITE_KEYWORDS:
         return text
     return '"' + text.replace('"', '""') + '"'
 
@@ -173,18 +171,18 @@ def _qualifier(e: ColumnRef | Star, names: dict[str, str] | None) -> str | None:
 
 
 def _expr_prec(e: Expr, names: dict[str, str] | None) -> tuple[str, int]:
-    if isinstance(e, Literal):
-        return e.text, 99
+    # Most frequent types first.
     if isinstance(e, ColumnRef):
         table = _qualifier(e, names)
         if table is not None:
             return f"{_name(table)}.{_name(e.column)}", 99
         return _name(e.column), 99
-    if isinstance(e, AliasRef):
-        return _name(e.name), 99
-    if isinstance(e, Star):
-        table = _qualifier(e, names)
-        return (f"{_name(table)}.*" if table is not None else "*"), 99
+    if isinstance(e, Literal):
+        return e.text, 99
+    if isinstance(e, Comparison):
+        prec = _PRECEDENCE["cmp"]
+        op = "NOT LIKE" if (e.op == "like" and e.negated) else e.op.upper() if e.op == "like" else e.op
+        return f"{_expr(e.left, prec + 1, names)} {op} {_expr(e.right, prec + 1, names)}", prec
     if isinstance(e, FuncCall):
         if e.star:
             inner = "*"
@@ -193,8 +191,17 @@ def _expr_prec(e: Expr, names: dict[str, str] | None) -> tuple[str, int]:
         if e.distinct:
             inner = f"DISTINCT {inner}"
         return f"{e.name}({inner})", 99
-    if isinstance(e, ScalarSubquery):
-        return f"({_select_sql(e.query, names)})", 99
+    if isinstance(e, BoolOp):
+        prec = _PRECEDENCE[e.op]
+        joiner = f" {e.op.upper()} "
+        return joiner.join(_expr(t, prec, names) for t in e.terms), prec
+    if isinstance(e, Star):
+        table = _qualifier(e, names)
+        return (f"{_name(table)}.*" if table is not None else "*"), 99
+    if isinstance(e, Binary):
+        prec = _PRECEDENCE[e.op]
+        # Left-associative: the right child needs parens at equal precedence.
+        return f"{_expr(e.left, prec, names)} {e.op} {_expr(e.right, prec + 1, names)}", prec
     if isinstance(e, Unary):
         if e.op == "not":
             prec = _PRECEDENCE["not"]
@@ -204,37 +211,29 @@ def _expr_prec(e: Expr, names: dict[str, str] | None) -> tuple[str, int]:
         # "--" would start a comment: keep two minus signs apart.
         sep = " " if e.op == "-" and operand.startswith("-") else ""
         return f"{e.op}{sep}{operand}", prec
-    if isinstance(e, Binary):
-        prec = _PRECEDENCE[e.op]
-        # Left-associative: the right child needs parens at equal precedence.
-        return f"{_expr(e.left, prec, names)} {e.op} {_expr(e.right, prec + 1, names)}", prec
-    if isinstance(e, Comparison):
+    if isinstance(e, InSubquery):
         prec = _PRECEDENCE["cmp"]
-        op = "NOT LIKE" if (e.op == "like" and e.negated) else e.op.upper() if e.op == "like" else e.op
-        return f"{_expr(e.left, prec + 1, names)} {op} {_expr(e.right, prec + 1, names)}", prec
-    if isinstance(e, Between):
-        prec = _PRECEDENCE["cmp"]
-        kw = "NOT BETWEEN" if e.negated else "BETWEEN"
-        low, high = _expr(e.low, prec + 1, names), _expr(e.high, prec + 1, names)
-        return f"{_expr(e.expr, prec + 1, names)} {kw} {low} AND {high}", prec
+        kw = "NOT IN" if e.negated else "IN"
+        return f"{_expr(e.expr, prec + 1, names)} {kw} ({_select_sql(e.query, names)})", prec
     if isinstance(e, InList):
         prec = _PRECEDENCE["cmp"]
         kw = "NOT IN" if e.negated else "IN"
         items = ", ".join(_expr(i, 0, names) for i in e.items)
         return f"{_expr(e.expr, prec + 1, names)} {kw} ({items})", prec
-    if isinstance(e, InSubquery):
+    if isinstance(e, Between):
         prec = _PRECEDENCE["cmp"]
-        kw = "NOT IN" if e.negated else "IN"
-        return f"{_expr(e.expr, prec + 1, names)} {kw} ({_select_sql(e.query, names)})", prec
-    if isinstance(e, Exists):
-        kw = "NOT EXISTS" if e.negated else "EXISTS"
-        return f"{kw} ({_select_sql(e.query, names)})", _PRECEDENCE["cmp"]
+        kw = "NOT BETWEEN" if e.negated else "BETWEEN"
+        low, high = _expr(e.low, prec + 1, names), _expr(e.high, prec + 1, names)
+        return f"{_expr(e.expr, prec + 1, names)} {kw} {low} AND {high}", prec
     if isinstance(e, IsNull):
         prec = _PRECEDENCE["cmp"]
         kw = "IS NOT NULL" if e.negated else "IS NULL"
         return f"{_expr(e.expr, prec + 1, names)} {kw}", prec
-    if isinstance(e, BoolOp):
-        prec = _PRECEDENCE[e.op]
-        joiner = f" {e.op.upper()} "
-        return joiner.join(_expr(t, prec, names) for t in e.terms), prec
+    if isinstance(e, Exists):
+        kw = "NOT EXISTS" if e.negated else "EXISTS"
+        return f"{kw} ({_select_sql(e.query, names)})", _PRECEDENCE["cmp"]
+    if isinstance(e, ScalarSubquery):
+        return f"({_select_sql(e.query, names)})", 99
+    if isinstance(e, AliasRef):
+        return _name(e.name), 99
     raise TypeError(f"cannot print {type(e).__name__}")
