@@ -53,22 +53,21 @@ def parse(sql: str, schema: DatabaseSchema) -> Select:
     return _Binder(schema).bind_select(select, parent=None)
 
 
-def _word(tok: Token) -> str | None:
-    """What a token reads as to the grammar: a keyword's lower-cased name,
-    an operator's or punctuation mark's text, or None."""
-    kind, text, _ = tok
-    if kind == "ident":
-        text = text.lower()
-        return text if text in KEYWORDS else None
-    return text if kind == "op" or kind == "punct" else None
+_KEYWORD = {kw: kw for kw in KEYWORDS}
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        # Each token's word, looked up once; the trailing None lets
-        # ``word(1)`` look past the end token.
-        self.words = [_word(tok) for tok in tokens]
+        # What each token reads as to the grammar, looked up once: a
+        # keyword's lower-cased name, an operator's or punctuation mark's
+        # text, or None. The trailing None lets ``word(1)`` look past the
+        # end token.
+        self.words = [
+            _KEYWORD.get(text.lower()) if kind == "ident"
+            else text if kind == "op" or kind == "punct" else None
+            for kind, text, _ in tokens
+        ]
         self.words.append(None)
         self.pos = 0
 
@@ -401,13 +400,8 @@ class _Parser:
             nxt = self.advance()
             if nxt.kind not in ("ident", "qident"):
                 raise ParseError(f"expected column after '.', found {nxt.text!r}", nxt.pos)
-            return ColumnRef(name, nxt.text)
-        # An unqualified, double-quoted name that fails to bind is later
-        # downgraded to a string literal, mirroring SQLite's tolerance.
-        ref = ColumnRef(None, name)
-        if tok.kind == "qident":
-            return _QuotedName(ref)
-        return ref
+            return _Name(name, nxt.text, quoted=False)
+        return _Name(None, name, quoted=tok.kind == "qident")
 
     def parse_call(self, name: str) -> FuncCall:
         distinct = self.accept("distinct") is not None
@@ -423,11 +417,17 @@ class _Parser:
         return FuncCall(name=name, args=tuple(args), distinct=distinct)
 
 
-class _QuotedName:
-    """Parse-time wrapper marking a double-quoted unqualified name."""
+class _Name:
+    """A column name as parsed, which binding turns into a ``ColumnRef`` or
+    an ``AliasRef``. An unqualified quoted name that binds to nothing
+    becomes a string literal instead, mirroring SQLite's tolerance."""
 
-    def __init__(self, ref: ColumnRef):
-        self.ref = ref
+    __slots__ = ("table", "column", "quoted")
+
+    def __init__(self, table: str | None, column: str, quoted: bool):
+        self.table = table
+        self.column = column
+        self.quoted = quoted
 
 
 def _flatten(op: str, terms: list[Expr]) -> list[Expr]:
@@ -541,16 +541,15 @@ class _Binder:
     # -- expressions ---------------------------------------------------------
 
     def bind_expr(self, expr, scope: _Scope, select: Select, alias_ok: bool):
-        if isinstance(expr, ColumnRef):
-            return self._bind_column(expr, scope, select, alias_ok)
+        if isinstance(expr, _Name):
+            try:
+                return self._bind_column(expr, scope, select, alias_ok)
+            except ParseError:
+                if not expr.quoted:
+                    raise
+                return Literal(expr.column, _quote_string(expr.column))
         if expr is None or isinstance(expr, Literal):
             return expr
-        if isinstance(expr, _QuotedName):
-            try:
-                return self._bind_column(expr.ref, scope, select, alias_ok)
-            except ParseError:
-                value = expr.ref.column
-                return Literal(value=value, text=_quote_string(value))
         if isinstance(expr, Star):
             if expr.table is None:
                 return expr
@@ -563,7 +562,7 @@ class _Binder:
             return self.bind_select(expr, parent=scope)
         return map_children(expr, lambda child: self.bind_expr(child, scope, select, alias_ok))
 
-    def _bind_column(self, ref: ColumnRef, scope: _Scope, select: Select, alias_ok: bool) -> Expr:
+    def _bind_column(self, ref: _Name, scope: _Scope, select: Select, alias_ok: bool) -> Expr:
         if ref.table is not None:
             info = self._find_source(ref.table.lower(), scope)
             if info is None:

@@ -32,7 +32,9 @@ FORBIDDEN_LEADS = frozenset(
 )
 
 # Alternatives are tried in order, after the whitespace in front of them;
-# ``skip`` takes comments and the whitespace at the end. A quoted form may
+# ``skip`` takes comments and the whitespace at the end, and ``ident``, the
+# most frequent token, comes next: no other form starts with a word
+# character other than an ASCII digit. A quoted form may
 # not close on a quote that starts a doubled-quote escape, so ``'abc''`` is
 # unterminated; the bare openers after the full forms match only what
 # failed to close. A decimal ``number`` matches only when no word character
@@ -41,12 +43,12 @@ FORBIDDEN_LEADS = frozenset(
 _MASTER = re.compile(
     r"""\s*(?:
       (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
+    | (?P<ident>[^\W0-9]\w*)
     | (?P<string>'[^']*(?:''[^']*)*'(?!'))
     | (?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
     | (?P<number>0[xX][0-9a-fA-F]+
         | (?:[0-9]+(?:\.[0-9]*|(?!\.))|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?!\w))
     | (?P<bad_number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\w+)
-    | (?P<ident>[^\W0-9]\w*)
     | (?P<open_comment>/\*)
     | (?P<op><=|>=|<>|!=|==|\|\||[-=<>+*/%])
     | (?P<punct>[(),.;])
