@@ -300,7 +300,7 @@ class _Query:
 
 def _surplus(a: Counter, b: Counter) -> tuple[str, ...]:
     """The entries of ``a`` beyond those of ``b``, sorted."""
-    return tuple(sorted((a - b).elements())) if a != b else ()
+    return tuple(sorted((a - b).elements()))
 
 
 def _diff_items(pred_keys: list[str], gold_keys: list[str]) -> SelectDelta:

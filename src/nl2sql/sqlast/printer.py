@@ -163,17 +163,10 @@ def _expr(e: Expr, parent_prec: int, names: dict[str, str] | None) -> str:
     return text
 
 
-def _qualifier(e: ColumnRef | Star, names: dict[str, str] | None) -> str | None:
-    """The qualifier a column or star prints with."""
-    if names is not None and e.source in names:
-        return names[e.source]
-    return e.table
-
-
 def _expr_prec(e: Expr, names: dict[str, str] | None) -> tuple[str, int]:
     # Most frequent types first.
     if isinstance(e, ColumnRef):
-        table = _qualifier(e, names)
+        table = e.table if names is None else names.get(e.source, e.table)
         if table is not None:
             return f"{_name(table)}.{_name(e.column)}", 99
         return _name(e.column), 99
@@ -196,7 +189,7 @@ def _expr_prec(e: Expr, names: dict[str, str] | None) -> tuple[str, int]:
         joiner = f" {e.op.upper()} "
         return joiner.join(_expr(t, prec, names) for t in e.terms), prec
     if isinstance(e, Star):
-        table = _qualifier(e, names)
+        table = e.table if names is None else names.get(e.source, e.table)
         return (f"{_name(table)}.*" if table is not None else "*"), 99
     if isinstance(e, Binary):
         prec = _PRECEDENCE[e.op]
