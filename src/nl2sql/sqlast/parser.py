@@ -53,6 +53,7 @@ def parse(sql: str, schema: DatabaseSchema) -> Select:
     return _Binder(schema).bind_select(select, parent=None)
 
 
+# Each keyword mapped to itself: ``.get`` reads a word as a keyword or None.
 _KEYWORD = {kw: kw for kw in KEYWORDS}
 
 
@@ -477,8 +478,9 @@ class _Binder:
         self.schema = schema
 
     def bind_select(self, select: Select, parent: _Scope | None) -> Select:
-        """``select`` with every name bound. Each bound node is built once;
-        a node that binding leaves as it was is returned as it is."""
+        """``select`` with every name bound. Each bound node is built once,
+        with its constructor; an item or expression that binding leaves as
+        it was is kept."""
         sources: list[tuple[TableSource | SubquerySource, FromItem]] = []
         infos: list[_SourceInfo] = []
         for item in select.from_items:
