@@ -9,7 +9,8 @@ Exit codes are stable so scripts can branch on failure class:
     4  network failure after exhausting retries
     5  replay fixture miss
     6  harness fault (database file missing)
-    1  any other error
+    1  any other error, such as a file of the CLI's own it cannot read or
+       write: ``error: cannot read|write <path>: <reason>``
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -110,6 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_count, help="only the first N examples")
     p.add_argument("--workers", type=_positive, default=1, help="parallel pipeline workers")
     p.add_argument("--out", type=Path, required=True, help="transcripts JSONL path")
+    p.add_argument(
+        "--report", type=Path, help="also score the transcripts into this evaluate --out report"
+    )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("evaluate", help="score transcripts into a report")
@@ -164,6 +169,15 @@ def _dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--split", default="dev", choices=["dev", "train"])
 
 
+@contextmanager
+def _own_file(verb: str, path: Path):
+    """Report an ``OSError`` on a file named by a CLI option as one error line."""
+    try:
+        yield
+    except OSError as exc:
+        raise Nl2SqlError(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_ingest(args) -> int:
     loaded = load_dataset(args.dataset, args.split)
     profile = loaded.hardness_profile()
@@ -179,17 +193,17 @@ def cmd_ingest(args) -> int:
     }
     text = json.dumps(summary, indent=2, ensure_ascii=False)
     if args.out:
-        args.out.write_text(text + "\n", encoding="utf-8")
+        with _own_file("write", args.out):
+            args.out.write_text(text + "\n", encoding="utf-8")
     print(text)
     return EXIT_OK
 
 
 def cmd_emit_corpus(args) -> int:
     loaded = load_dataset(args.dataset, args.split)
-    if args.kind == "skeleton":
-        n = emit_skeleton_corpus(loaded.examples, loaded.schemas, args.out)
-    else:
-        n = emit_chat_corpus(loaded.examples, loaded.schemas, args.out)
+    emit = emit_skeleton_corpus if args.kind == "skeleton" else emit_chat_corpus
+    with _own_file("write", args.out):
+        n = emit(loaded.examples, loaded.schemas, args.out)
     print(f"wrote {n} records to {args.out}")
     return EXIT_OK
 
@@ -246,18 +260,40 @@ def cmd_run(args) -> int:
     transcripts = run_many(
         examples, loaded.schemas, pipeline_config, generator, corrector, workers=args.workers
     )
-    write_transcripts(transcripts, args.out)
+    with _own_file("write", args.out):
+        write_transcripts(transcripts, args.out)
     counts: dict[str, int] = {}
     for t in transcripts:
         counts[t.final_verdict.value] = counts.get(t.final_verdict.value, 0) + 1
     print(f"wrote {len(transcripts)} transcripts to {args.out}: {counts}")
+    if args.report is not None:
+        # The in-memory transcripts keep the pipeline's equivalent verdicts,
+        # so their examples are scored without executing again.
+        report = score(
+            transcripts, examples, loaded.schemas, quarantined=len(loaded.quarantined)
+        )
+        report.metadata = _metadata(transcripts, timestamp=True)
+        with _own_file("write", args.report):
+            write_report(report, args.report)
+        print(f"wrote report to {args.report}")
     return EXIT_OK
+
+
+def _read_transcripts(path: Path) -> list[PipelineTranscript]:
+    with _own_file("read", path):
+        return read_transcripts(path)
+
+
+def _metadata(transcripts: list[PipelineTranscript], timestamp: bool) -> dict:
+    return run_metadata(
+        endpoints=sorted({s.model for t in transcripts for s in t.stages}), timestamp=timestamp
+    )
 
 
 def _score_transcripts(args, **options) -> tuple[list[PipelineTranscript], EvalReport]:
     """Score the transcripts at ``--transcripts`` against the examples they name."""
     loaded = load_dataset(args.dataset, args.split)
-    transcripts = read_transcripts(args.transcripts)
+    transcripts = _read_transcripts(args.transcripts)
     ids = {t.example_id for t in transcripts}
     examples = [ex for ex in loaded.examples if ex.id in ids]
     report = score(
@@ -268,21 +304,20 @@ def _score_transcripts(args, **options) -> tuple[list[PipelineTranscript], EvalR
 
 def cmd_evaluate(args) -> int:
     transcripts, report = _score_transcripts(args, with_triage=not args.no_triage)
-    report.metadata = run_metadata(
-        endpoints=sorted({s.model for t in transcripts for s in t.stages}),
-        timestamp=not args.no_timestamp,
-    )
+    report.metadata = _metadata(transcripts, timestamp=not args.no_timestamp)
     if args.out:
-        write_report(report, args.out)
+        with _own_file("write", args.out):
+            write_report(report, args.out)
     if args.markdown:
-        args.markdown.write_text(render_report_markdown(report), encoding="utf-8")
+        with _own_file("write", args.markdown):
+            args.markdown.write_text(render_report_markdown(report), encoding="utf-8")
     print(json.dumps(report.results_payload(), indent=2, ensure_ascii=False))
     return EXIT_OK
 
 
 def cmd_triage(args) -> int:
     _, report = _score_transcripts(args)
-    with args.out.open("w", encoding="utf-8") as fh:
+    with _own_file("write", args.out), args.out.open("w", encoding="utf-8") as fh:
         for example_id, verdict in report.verdicts.items():
             record = {"example_id": example_id, **verdict.to_json()}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
@@ -293,7 +328,7 @@ def cmd_triage(args) -> int:
 def cmd_report(args) -> int:
     if args.dataset is not None:
         _, report = _score_transcripts(args)
-    elif read_transcripts(args.transcripts):
+    elif _read_transcripts(args.transcripts):
         raise DatasetError("--dataset is required to score non-empty transcripts")
     else:
         report = score([], [], {})
@@ -302,7 +337,8 @@ def cmd_report(args) -> int:
     else:
         text = json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
+        with _own_file("write", args.out):
+            args.out.write_text(text, encoding="utf-8")
     else:
         print(text, end="")
     return EXIT_OK

@@ -2,11 +2,15 @@
 
 Correctness of a transcript is decided from its final SQL alone (stage
 history never affects the score): the final SQL and the gold SQL are both
-executed and their tables compared. Examples are scored in groups that share
-a database and gold SQL, each with one ``OutcomeMemo``, so each distinct
-query (gold, prediction or triage probe) runs once per group; a timeout is
-never reused. The report does not depend on that order. Bucket accuracies
-combine into the overall number as the count-weighted average
+executed and their tables compared, except for an in-process transcript
+whose pipeline already found them equivalent on the same database file
+(its ``judgment`` names this gold SQL, this final SQL and the file's
+identity now), which counts as correct without executing. Examples are
+scored in groups that share a database and gold SQL, each with one
+``OutcomeMemo``, so each distinct query (gold, prediction or triage probe)
+runs once per group; a timeout is never reused. The report does not depend
+on that order. Bucket accuracies combine into the overall number as the
+count-weighted average
 
     overall = sum(count_b * accuracy_b) / sum(count_b)
 
@@ -25,7 +29,7 @@ from pathlib import Path
 
 from .dataset import SpiderExample, gold_groups
 from .errors import DatasetError, Nl2SqlError
-from .execution import OutcomeMemo, execute_for_comparison, tables_equivalent
+from .execution import OutcomeMemo, _file_key, execute_for_comparison, tables_equivalent
 from .hardness import Hardness
 from .pipeline import PipelineTranscript, Verdict
 from .schema import DatabaseSchema
@@ -154,6 +158,15 @@ def _score_one(
 ) -> tuple[bool, TriageVerdict | None]:
     if transcript.final_sql is None:
         return False, None
+    judgment = transcript.judgment
+    if (
+        judgment is not None
+        and judgment.gold_sql == example.gold_sql
+        and judgment.final_sql == transcript.final_sql
+        and judgment.file_key is not None
+        and judgment.file_key == _file_key(schema)
+    ):
+        return True, None
     gold_outcome = memo.run(execute_for_comparison, example.gold_sql, schema)
     if gold_outcome.table is None:
         return False, None

@@ -251,6 +251,9 @@ class OutcomeMemo:
     """The execution outcomes of one unit of work, by database file and SQL text.
 
     Not thread-safe: each unit of work owns its memo and drops it at the end.
+    Nothing outlives it but the file identity ``run_keyed`` hands out, which
+    the pipeline keeps with an equivalent verdict so that ``evaluate`` can
+    tell the verdict is about the file it would read.
     """
 
     __slots__ = ("_outcomes",)
@@ -264,6 +267,13 @@ class OutcomeMemo:
         Callers pass the executor they resolve themselves, so a rebinding of
         their module's name sees every real execution and no hit.
         """
+        return self.run_keyed(execute, sql, schema)[1]
+
+    def run_keyed(
+        self, execute, sql: str, schema: DatabaseSchema
+    ) -> tuple[tuple[int, ...] | None, ExecOutcome]:
+        """``run``, with the identity of the database file the outcome belongs
+        to: the key this lookup took, so a caller learns it without a stat."""
         key = (_file_key(schema), sql)
         outcome = self._outcomes.get(key)
         if outcome is None:
@@ -274,7 +284,7 @@ class OutcomeMemo:
                 table is None or len(table.rows) <= MEMO_MAX_ROWS
             ):
                 self._outcomes[key] = outcome
-        return outcome
+        return key[0], outcome
 
 
 # --------------------------------------------------------------------------- equivalence

@@ -24,6 +24,12 @@ gold and every stage, so a model that resubmits its SQL is not re-executed
 database and gold SQL and passes one memo per group, so a gold shared by
 several questions runs once; a group runs inside one task, so no memo is
 shared between threads.
+
+When the final SQL's table is equivalent to the gold's, and both came from
+the same database file, the transcript keeps that judgment in memory
+(``PipelineTranscript.judgment``: the file's identity and both SQL texts,
+no table). ``evaluate`` reuses it instead of executing both queries again.
+It is never written out, so a transcript read from a file is judged afresh.
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .dataset import SpiderExample, gold_groups
 from .errors import NoSqlFoundError
@@ -116,6 +122,15 @@ class StageRecord:
         }
 
 
+class Judgment(NamedTuple):
+    """The pipeline found ``final_sql``'s table equivalent to ``gold_sql``'s,
+    both executed on the database file whose identity is ``file_key``."""
+
+    file_key: tuple[int, ...]
+    gold_sql: str
+    final_sql: str
+
+
 @dataclass
 class PipelineTranscript:
     example_id: int
@@ -126,6 +141,9 @@ class PipelineTranscript:
     final_sql: str | None
     final_verdict: Verdict
     fault: str | None = None
+    # Set in memory by the stage that found final_sql equivalent; neither
+    # written by to_json nor read by from_json, and invisible to == and repr.
+    judgment: Judgment | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def model_calls(self) -> int:
@@ -229,6 +247,7 @@ def _run_model_stage(
     transcript: PipelineTranscript,
     schema: DatabaseSchema,
     memo: OutcomeMemo,
+    gold_key: tuple[int, ...] | None,
     gold_table: ResultTable,
     stage: str,
     success: Verdict,
@@ -239,19 +258,22 @@ def _run_model_stage(
 
     The one place that appends a stage, moves ``final_sql`` to the stage's
     SQL when it has any, and sets ``success`` as the verdict when that SQL's
-    table is equivalent to the gold.
+    table is equivalent to the gold. It records the ``judgment`` when that
+    table and the gold's (``gold_key``) came from the same file, and clears
+    it otherwise.
     """
     reply, digest = endpoint.complete(messages)
     sql: str | None = None
     extraction_error: str | None = None
     outcome: ExecOutcome | None = None
     comparison: TableComparison | None = None
+    file_key = None
     try:
         sql = extract_sql(reply)
     except NoSqlFoundError as exc:
         extraction_error = str(exc)
     if sql is not None:
-        outcome = memo.run(execute_for_comparison, sql, schema)
+        file_key, outcome = memo.run_keyed(execute_for_comparison, sql, schema)
         if outcome.table is not None:
             comparison = tables_equivalent(outcome.table, gold_table)
     record = StageRecord(
@@ -268,8 +290,11 @@ def _run_model_stage(
     transcript.stages.append(record)
     if sql is not None:
         transcript.final_sql = sql
+    transcript.judgment = None
     if comparison is not None and comparison.equivalent:
         transcript.final_verdict = success
+        if file_key is not None and file_key == gold_key:
+            transcript.judgment = Judgment(file_key, transcript.gold_sql, sql)
     return record
 
 
@@ -301,7 +326,7 @@ def run_pipeline(
         final_verdict=Verdict.FAILED,
     )
 
-    gold_outcome = memo.run(execute_for_comparison, example.gold_sql, schema)
+    gold_key, gold_outcome = memo.run_keyed(execute_for_comparison, example.gold_sql, schema)
     if gold_outcome.table is None or gold_outcome.table.truncated:
         transcript.final_verdict = Verdict.FAULT
         transcript.fault = f"gold execution unusable: {_execution_summary(gold_outcome)}"
@@ -312,7 +337,7 @@ def run_pipeline(
         {"role": "system", "content": SYSTEM_PROMPT},
         {"role": "user", "content": zero_shot_user_prompt(example.question, schema)},
     ]
-    run_stage = partial(_run_model_stage, transcript, schema, memo, gold_table)
+    run_stage = partial(_run_model_stage, transcript, schema, memo, gold_key, gold_table)
     last = run_stage("zero_shot", Verdict.CORRECT_FIRST_SHOT, generator, messages)
 
     # Example-driven rounds continue the same conversation.

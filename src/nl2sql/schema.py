@@ -24,7 +24,8 @@ class DatabaseSchema:
     primary_keys: tuple[ColumnKey, ...] = ()
     foreign_keys: tuple[tuple[ColumnKey, ColumnKey], ...] = ()
     db_path: Path | None = None
-    _lookup: dict[str, tuple[str, dict[str, str]]] = field(
+    # lower-cased table -> (table, lower-cased column -> column, lower-cased columns)
+    _lookup: dict[str, tuple[str, dict[str, str], frozenset[str]]] = field(
         default=None, repr=False, compare=False, hash=False
     )
     # Each thread's cached connection to db_path, managed by execution.py;
@@ -34,7 +35,7 @@ class DatabaseSchema:
     )
 
     def __post_init__(self) -> None:
-        lookup: dict[str, tuple[str, dict[str, str]]] = {}
+        lookup: dict[str, tuple[str, dict[str, str], frozenset[str]]] = {}
         for name, columns in self.tables:
             low = name.lower()
             if low in lookup:
@@ -44,7 +45,7 @@ class DatabaseSchema:
                 if col.lower() in colmap:
                     raise SchemaError(f"{self.db_id}: duplicate column {name}.{col}")
                 colmap[col.lower()] = col
-            lookup[low] = (name, colmap)
+            lookup[low] = (name, colmap, frozenset(colmap))
         object.__setattr__(self, "_lookup", lookup)
         for table, column in self.primary_keys:
             if not self.has_column(table, column):
@@ -65,6 +66,11 @@ class DatabaseSchema:
         if entry is None:
             return ()
         return tuple(entry[1].values())
+
+    def lowered_columns(self, table: str) -> frozenset[str]:
+        """The table's column names, lower-cased; built once per schema."""
+        entry = self._lookup.get(table.lower())
+        return entry[2] if entry else frozenset()
 
     def has_column(self, table: str, column: str) -> bool:
         entry = self._lookup.get(table.lower())

@@ -461,9 +461,9 @@ def _number_value(tok: Token) -> int | float:
 # --------------------------------------------------------------------------- binding
 
 class _SourceInfo:
-    def __init__(self, key: str, columns: tuple[str, ...]):
+    def __init__(self, key: str, columns: frozenset[str]):
         self.key = key
-        self.columns = {c.lower() for c in columns}
+        self.columns = columns  # lower-cased
 
 
 class _Scope:
@@ -491,14 +491,14 @@ class _Binder:
                     raise ParseError(f"no such table: {source.table}")
                 key = (source.alias or source.table).lower()
                 source = TableSource(source.table, source.alias, key)
-                columns = self.schema.columns_of(canonical)
+                columns = self.schema.lowered_columns(canonical)
             else:
                 # FROM-clause subqueries are bound without the outer scope:
                 # they cannot be correlated.
                 inner = self.bind_select(source.query, parent=None)
                 key = (source.alias or f"subquery{len(infos) + 1}").lower()
                 source = SubquerySource(inner, source.alias, key)
-                columns = _output_columns(inner, self.schema)
+                columns = frozenset(c.lower() for c in _output_columns(inner, self.schema))
             if any(info.key == key for info in infos):
                 raise ParseError(f"duplicate table name or alias in FROM: {key}")
             infos.append(_SourceInfo(key, columns))

@@ -3,11 +3,13 @@ from __future__ import annotations
 import errno
 import json
 import re
+import shutil
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from nl2sql import cli
 from nl2sql.cli import main
 from nl2sql.dataset import load_dataset
 from nl2sql.llm import ModelEndpoint, RecordingTransport
@@ -331,3 +333,125 @@ def test_triage_and_evaluate_agree(dataset_dir, tmp_path, capsys):
     assert categories == {k: v["count"] for k, v in summary["categories"].items()}
     assert subtags == {k: v["count"] for k, v in summary["subtags"].items()}
     assert subtags == {"PredictedValues": 2, "Unclassifiable.ParseError": 1}
+
+
+# --------------------------------------------------------------------------- run --report
+
+def mixed_reply(dataset_dir):
+    """Gold replies, except one wrong value, one unparseable and one wrong year."""
+    gold = gold_reply(dataset_dir)
+    replies = {
+        "How many ships ended up being sank?":
+            "SELECT count(*) FROM ship WHERE disposition_of_ship = 'lost'",
+        "What is the name of the stadium with the largest capacity?":
+            "SELECT name FROM stadium ORDER BY",
+    }
+
+    def reply(request):
+        first_user = next(m for m in request["messages"] if m["role"] == "user")
+        question = re.search(r"### Question: (.*)", first_user["content"]).group(1)
+        return replies.get(question) or gold(request).replace("2014", "2015")
+
+    return reply
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_report_equals_evaluate_on_the_transcripts_run_wrote(
+    dataset_dir, tmp_path, capsys, workers
+):
+    store = tmp_path / "store"
+    build_replay_store(dataset_dir, store, mixed_reply(dataset_dir))
+    run = ["run", "--dataset", str(dataset_dir), "--replay", str(store), "--workers", workers]
+    plain, with_report = tmp_path / "plain.jsonl", tmp_path / "t.jsonl"
+    run_report, eval_report = tmp_path / "run.json", tmp_path / "eval.json"
+    assert main([*run, "--out", str(plain)]) == 0
+    assert main([*run, "--out", str(with_report), "--report", str(run_report)]) == 0
+    assert with_report.read_bytes() == plain.read_bytes()
+    assert main([
+        "evaluate", "--dataset", str(dataset_dir), "--transcripts", str(with_report),
+        "--no-timestamp", "--out", str(eval_report),
+    ]) == 0
+
+    ran, evaluated = (json.loads(path.read_text()) for path in (run_report, eval_report))
+    assert json.dumps(ran["results"]).encode() == json.dumps(evaluated["results"]).encode()
+    assert ran["metadata"]["endpoints"] == evaluated["metadata"]["endpoints"]
+    assert 0 < ran["results"]["overall"] < 1
+    assert ran["results"]["triage"]["total"] > 0
+
+
+def test_run_report_database_missing_while_scoring_exits_6_after_writing_transcripts(
+    dataset_dir, tmp_path, monkeypatch, capsys
+):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(dataset_dir, dataset)
+    store = tmp_path / "store"
+    build_replay_store(dataset, store, gold_reply(dataset))
+    expected = tmp_path / "expected.jsonl"
+    assert main(["run", "--dataset", str(dataset), "--replay", str(store),
+                 "--out", str(expected)]) == 0
+    write_transcripts = cli.write_transcripts
+
+    def write_then_lose_a_database(transcripts, out):
+        write_transcripts(transcripts, out)
+        (dataset / "database" / "battle_death" / "battle_death.sqlite").unlink()
+
+    monkeypatch.setattr(cli, "write_transcripts", write_then_lose_a_database)
+    out, report = tmp_path / "t.jsonl", tmp_path / "report.json"
+    code = main(["run", "--dataset", str(dataset), "--replay", str(store),
+                 "--out", str(out), "--report", str(report)])
+    assert code == 6
+    assert "harness fault" in capsys.readouterr().err
+    assert out.read_bytes() == expected.read_bytes()
+    assert not report.exists()
+
+
+# --------------------------------------------------------------------------- the CLI's own files
+
+def one_error_line(capsys, verb, path):
+    err = capsys.readouterr().err
+    assert err == f"error: cannot {verb} {path}: No such file or directory\n"
+
+
+def test_missing_transcripts_file_is_one_error_line(dataset_dir, tmp_path, capsys):
+    missing = tmp_path / "nope.jsonl"
+    for command in ("evaluate", "triage"):
+        extra = ["--out", str(tmp_path / "v.jsonl")] if command == "triage" else []
+        code = main([command, "--dataset", str(dataset_dir), "--transcripts", str(missing), *extra])
+        assert code == 1
+        one_error_line(capsys, "read", missing)
+    assert main(["report", "--transcripts", str(missing)]) == 1
+    one_error_line(capsys, "read", missing)
+
+
+@pytest.mark.parametrize("option", ["--out", "--markdown"])
+def test_evaluate_output_in_a_missing_directory_is_one_error_line(
+    dataset_dir, tmp_path, capsys, option
+):
+    transcripts = tmp_path / "t.jsonl"
+    transcripts.write_text("")
+    target = tmp_path / "no-such-dir" / "report"
+    code = main([
+        "evaluate", "--dataset", str(dataset_dir), "--transcripts", str(transcripts),
+        option, str(target),
+    ])
+    assert code == 1
+    one_error_line(capsys, "write", target)
+
+
+@pytest.mark.parametrize("option", ["--out", "--report"])
+def test_run_output_in_a_missing_directory_is_one_error_line(
+    dataset_dir, tmp_path, capsys, option
+):
+    store = tmp_path / "store"
+    build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
+    transcripts, target = tmp_path / "t.jsonl", tmp_path / "no-such-dir" / "file"
+    outputs = ["--out", str(target)]
+    if option == "--report":
+        outputs = ["--out", str(transcripts), "--report", str(target)]
+    code = main([
+        "run", "--dataset", str(dataset_dir), "--replay", str(store), "--limit", "2", *outputs
+    ])
+    assert code == 1
+    one_error_line(capsys, "write", target)
+    if option == "--report":
+        assert len(transcripts.read_text().splitlines()) == 2

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import sqlite3
 from collections import Counter
 
 import pytest
@@ -16,9 +18,13 @@ from nl2sql.evaluate import (
     weighted_execution_accuracy,
 )
 from nl2sql.hardness import Hardness
-from nl2sql.pipeline import PipelineTranscript, Verdict
+from nl2sql.llm import ModelEndpoint
+from nl2sql.pipeline import PipelineConfig, PipelineTranscript, Verdict, run_many, run_pipeline
+from nl2sql.schema import schema_from_tables_entry
 
-from conftest import GROUPED_BY_ID_SQL, GROUPED_BY_NAME_SQL
+from conftest import GROUPED_BY_ID_SQL, GROUPED_BY_NAME_SQL, build_ships_db
+from helpers import ScriptedTransport
+from test_pipeline import question_of, scripted_endpoints
 
 GOLD = "SELECT name FROM ship WHERE disposition_of_ship = 'sank'"
 WRONG = "SELECT name FROM ship WHERE disposition_of_ship = 'captured'"
@@ -251,3 +257,121 @@ def test_prediction_with_a_non_ascii_digit_is_triaged_as_a_parse_error(schemas):
     report = score([failed], [ship_example(0)], schemas)
     verdict = report.verdicts[0]
     assert (verdict.category.value, verdict.subtag) == ("Unclassifiable", "ParseError")
+
+
+# --------------------------------------------------------------------------- reused judgments
+
+# Equivalent to GOLD on the fixture ships, whose ids run from 1 to 7.
+GOLD_BELOW_100 = GOLD + " AND id < 100"
+
+
+def run_example(schema, replies, example=None):
+    """The in-process transcript of one example whose every stage replies the same."""
+    generator, corrector = scripted_endpoints(
+        {stage: replies for stage in ("zero_shot", "example_1", "error")}
+    )
+    example = example or ship_example(0)
+    return run_pipeline(example, schema, PipelineConfig(), generator, corrector)
+
+
+def round_tripped(transcripts):
+    return [PipelineTranscript.from_json(json.loads(json.dumps(t.to_json()))) for t in transcripts]
+
+
+def test_in_process_correct_transcript_scores_without_executing(schemas, monkeypatch):
+    schema = schemas["battle_death"]
+    correct = run_example(schema, GOLD_BELOW_100)
+    failed = run_example(schema, WRONG)
+    assert correct.judgment is not None and failed.judgment is None
+    calls = counting_executions(monkeypatch)
+
+    report = score([correct], [ship_example(0)], schemas)
+    assert report.overall == 1.0
+    assert calls == []
+
+    score(round_tripped([failed]), [ship_example(0)], schemas)
+    expected = list(calls)
+    calls.clear()
+    report = score([failed], [ship_example(0)], schemas)
+    assert report.overall == 0.0
+    assert calls == expected
+    assert ("battle_death", GOLD) in calls and ("battle_death", WRONG) in calls
+
+
+def test_transcripts_read_back_or_changed_execute_as_before(schemas, monkeypatch):
+    schema = schemas["battle_death"]
+    calls = counting_executions(monkeypatch)
+    correct = run_example(schema, GOLD_BELOW_100)
+    calls.clear()
+
+    (read_back,) = round_tripped([correct])
+    assert read_back.judgment is None
+    assert score([read_back], [ship_example(0)], schemas).overall == 1.0
+    assert calls == [("battle_death", GOLD), ("battle_death", GOLD_BELOW_100)]
+
+    calls.clear()
+    other_gold = dataclasses.replace(ship_example(0), gold_sql=GOLD + " ORDER BY id")
+    assert score([correct], [other_gold], schemas).overall == 1.0
+    assert len(calls) == 2
+
+    calls.clear()
+    correct.final_sql = WRONG
+    report = score([correct], [ship_example(0)], schemas, with_triage=False)
+    assert report.overall == 0.0
+    assert calls == [("battle_death", GOLD), ("battle_death", WRONG)]
+
+
+def test_database_rewritten_between_run_and_score_is_judged_again(tmp_path, monkeypatch):
+    path = tmp_path / "battle_death.sqlite"
+    schema = schema_from_tables_entry(build_ships_db(path), db_path=path)
+    correct = run_example(schema, GOLD_BELOW_100)
+    assert correct.judgment is not None
+    before = path.stat()
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "INSERT INTO ship VALUES (200, 200, ?, '1', 'brig', 'baltic', 'sank')", ("x" * 8000,)
+    )
+    conn.commit()
+    conn.close()
+    after = path.stat()
+    assert (after.st_mtime_ns, after.st_size) != (before.st_mtime_ns, before.st_size)
+
+    calls = counting_executions(monkeypatch)
+    report = score([correct], [ship_example(0)], {"battle_death": schema}, with_triage=False)
+    assert report.overall == 0.0  # ship 200 sank, and id < 100 leaves it out
+    assert calls == [("battle_death", GOLD), ("battle_death", GOLD_BELOW_100)]
+
+
+def test_report_with_judgments_equals_report_without_them(loaded, monkeypatch):
+    by_question = {ex.question: ex.gold_sql for ex in loaded.examples}
+    wrong = {ex.question for ex in loaded.examples[::3]}
+
+    def reply(request):
+        question = question_of(request)
+        return WRONG if question in wrong else by_question[question]
+
+    generator, corrector = (
+        ModelEndpoint(role, ScriptedTransport(reply), role) for role in ("generator", "corrector")
+    )
+    transcripts = run_many(loaded.examples, loaded.schemas, PipelineConfig(), generator, corrector)
+    judged = sum(t.judgment is not None for t in transcripts)
+    assert 0 < judged < len(transcripts)
+
+    calls = counting_executions(monkeypatch)
+    fresh = score(round_tripped(transcripts), loaded.examples, loaded.schemas)
+    fresh_calls = len(calls)
+    calls.clear()
+    reused = score(transcripts, loaded.examples, loaded.schemas)
+    assert json.dumps(reused.results_payload()) == json.dumps(fresh.results_payload())
+    assert 0 < fresh.overall < 1
+    assert len(calls) < fresh_calls
+
+
+def test_judgment_is_invisible_to_equality_repr_and_json(schemas):
+    correct = run_example(schemas["battle_death"], GOLD_BELOW_100)
+    (read_back,) = round_tripped([correct])
+    assert correct.judgment is not None and read_back.judgment is None
+    assert correct == read_back
+    assert repr(correct) == repr(read_back)
+    assert json.dumps(correct.to_json()) == json.dumps(read_back.to_json())
+    assert "judgment" not in correct.to_json()

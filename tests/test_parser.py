@@ -65,6 +65,14 @@ def test_case_insensitive_binding(schemas):
     assert sources[0].key == "t1"
 
 
+def test_lowered_columns_are_built_once_per_schema(schemas):
+    schema = schemas["car_1"]
+    columns = schema.lowered_columns("CARS_DATA")
+    assert columns == {c.lower() for c in schema.columns_of("cars_data")}
+    assert schema.lowered_columns("cars_data") is columns
+    assert schema.lowered_columns("nowhere") == frozenset()
+
+
 def test_unqualified_column_binds_to_unique_source(schemas):
     ast = parse(
         "SELECT name FROM singer JOIN singer_in_concert "
