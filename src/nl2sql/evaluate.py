@@ -163,7 +163,6 @@ def _score_one(
         judgment is not None
         and judgment.gold_sql == example.gold_sql
         and judgment.final_sql == transcript.final_sql
-        and judgment.file_key is not None
         and judgment.file_key == _file_key(schema)
     ):
         return True, None

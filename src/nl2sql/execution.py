@@ -47,7 +47,7 @@ int next to an equal float, ``-0.0`` next to ``0.0``, a bool, rows in
 another order, a cell marshal cannot write) takes the normalising path,
 where only columns holding a float or bool are normalised. Equal row
 sequences are equal multisets, so they are decided before any multiset is
-built, raw or normalised.
+built.
 """
 
 from __future__ import annotations
@@ -330,7 +330,6 @@ def normalize_cell(cell: Cell) -> Cell | _NonFinite:
 
 # Types normalize_cell returns unchanged.
 _EXACT_TYPES = frozenset({int, str, bytes, type(None)})
-_INT_AND_FLOAT = frozenset({int, float})
 
 
 def _counts(rows) -> dict:
@@ -401,15 +400,6 @@ def tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
 
     pred_rows, gold_rows = pred.rows, gold.rows
     if not all(types <= _EXACT_TYPES for types in column_types):
-        # Raw-equal cells normalise to equal cells, except an int and a float
-        # equal at magnitude >= 2**53, which stay apart: a column holding both
-        # types is only compared after normalisation.
-        if not any(_INT_AND_FLOAT <= types for types in column_types):
-            # Equal sequences are equal multisets: no counts are built for them.
-            if pred_rows == gold_rows or (
-                not as_sequences and _counts(pred_rows) == _counts(gold_rows)
-            ):
-                return TableComparison("equivalent", detail=note.strip())
         pred_rows = _normalized_rows(pred_columns, column_types)
         gold_rows = _normalized_rows(gold_columns, column_types)
 
@@ -421,22 +411,16 @@ def tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
         )
         return TableComparison("different", f"row {idx} differs: {p!r} != {g!r}")
 
+    # Equal sequences are equal multisets: no counts are built for them.
     if pred_rows == gold_rows:
         return TableComparison("equivalent", detail=note.strip())
     pred_count = _counts(pred_rows)
     gold_count = _counts(gold_rows)
     if pred_count == gold_count:
         return TableComparison("equivalent", detail=note.strip())
-    for row, n in pred_count.items():
-        if gold_count.get(row, 0) != n:
-            return TableComparison(
-                "different",
-                f"row {row!r} appears {n}x in pred, {gold_count.get(row, 0)}x in gold{note}",
-            )
-    for row, n in gold_count.items():  # pragma: no cover - symmetric fallback
-        if pred_count.get(row, 0) != n:
-            return TableComparison(
-                "different",
-                f"row {row!r} appears {pred_count.get(row, 0)}x in pred, {n}x in gold{note}",
-            )
-    return TableComparison("equivalent", detail=note.strip())
+    # The row counts are equal, so some pred row occurs a different number
+    # of times in gold.
+    row, n = next((row, n) for row, n in pred_count.items() if gold_count.get(row, 0) != n)
+    return TableComparison(
+        "different", f"row {row!r} appears {n}x in pred, {gold_count.get(row, 0)}x in gold{note}"
+    )

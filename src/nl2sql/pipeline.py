@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .dataset import SpiderExample, gold_groups
-from .errors import NoSqlFoundError
+from .errors import Nl2SqlError, NoSqlFoundError
 from .execution import (
     ExecOutcome,
     OutcomeMemo,
@@ -419,10 +419,17 @@ def write_transcripts(transcripts: Iterable[PipelineTranscript], out: Path | str
 
 
 def read_transcripts(path: Path | str) -> list[PipelineTranscript]:
+    """The transcripts in a JSONL file. A line that is no transcript record,
+    such as the last line of a file cut short by a crash, raises
+    ``Nl2SqlError``: ``cannot read <path>: line <n>: <reason>``."""
     out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+    with Path(path).open("rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 out.append(PipelineTranscript.from_json(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise Nl2SqlError(f"cannot read {path}: line {number}: {reason}") from exc
     return out

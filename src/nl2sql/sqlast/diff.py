@@ -13,7 +13,8 @@ joining the same tables in a different order would never match), so
 expressions are compared as printed re-qualified by resolved *table name*:
 one walk per query maps each source key to its table name (a FROM subquery
 to its alias-neutral text), and the printer qualifies columns through that
-map and drops FROM aliases while printing. No re-qualified tree is built.
+map and drops FROM aliases while printing; joined tables are counted by
+the same names. No re-qualified tree is built.
 Two deliberate lenience rules, both needed so that stylistic differences do
 not register as errors:
 
@@ -364,13 +365,9 @@ def _condition_key(expr: Expr, query: _Query) -> str:
 
 def _join_graph(select: Select, links: list[Expr], query: _Query) -> tuple[Counter, Counter]:
     """The joined tables and the pooled join conditions (ON conjuncts and
-    WHERE links) of one query. A FROM subquery counts by its canonical text."""
-    tables = Counter(
-        item.source.table.lower()
-        if isinstance(item.source, TableSource)
-        else "subquery:" + to_sql(item.source.query)
-        for item in select.from_items
-    )
+    WHERE links) of one query. Each FROM source counts by its name in
+    ``query.names``, so a FROM subquery counts by its alias-neutral text."""
+    tables = Counter(query.names[item.source.key] for item in select.from_items)
     on = [conj for item in select.from_items for conj in flatten_and(item.condition)]
     return tables, Counter(_condition_key(conj, query) for conj in on + links)
 

@@ -47,8 +47,8 @@ from .sqlast import (
     Star,
     TableSource,
     canonicalize,
-    detect_conditionless_join,
     diff,
+    scope_conditionless_joins,
     to_sql,
 )
 
@@ -108,9 +108,12 @@ def triage(
 ) -> TriageVerdict:
     """Assign the primary category for one prediction/gold pair.
 
-    Tables may be None when execution results are unavailable; the
-    equivalence, tie and suspect-gold checks are then skipped. The probes
-    execute through ``memo`` when one is given.
+    Tables may be None when execution results are unavailable. The
+    equivalence check is skipped unless both are given, the suspect-gold
+    check unless the gold's is. The tie probe runs whenever the schema's
+    database file exists, with or without tables; the suspect-gold probe
+    needs that file too. The probes execute through ``memo`` when one is
+    given.
     """
     pred_canon = canonicalize(pred_ast)
     gold_canon = canonicalize(gold_ast)
@@ -280,16 +283,13 @@ def suspect_gold_check(
 ) -> dict | None:
     """Flag a gold query whose condition-less join balloons its result.
 
-    The query is repaired by adding foreign-key ON conditions to every
-    flagged join; the gold is suspect when its row count is at least twice
-    the repaired count. No flag is not a proof of correctness.
+    Only the top-level FROM clause is inspected, which for a compound query
+    is its left arm's. The query is repaired by adding foreign-key ON
+    conditions to every flagged join; the gold is suspect when its row count
+    is at least twice the repaired count. No flag is not a proof of
+    correctness.
     """
-    top_keys = {fi.source.key for fi in gold_ast.from_items}
-    flags = [
-        f
-        for f in detect_conditionless_join(gold_ast)
-        if f.key in top_keys and f.index < len(gold_ast.from_items)
-    ]
+    flags = scope_conditionless_joins(gold_ast)
     if not flags:
         return None
 

@@ -423,6 +423,43 @@ def test_missing_transcripts_file_is_one_error_line(dataset_dir, tmp_path, capsy
     one_error_line(capsys, "read", missing)
 
 
+def test_unreadable_transcripts_line_is_one_error_line(dataset_dir, tmp_path, capsys):
+    store = tmp_path / "store"
+    build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
+    written = tmp_path / "t.jsonl"
+    run = ["run", "--dataset", str(dataset_dir), "--replay", str(store), "--limit", "2"]
+    assert main([*run, "--out", str(written)]) == 0
+    lines = written.read_bytes().splitlines(keepends=True)
+    crashed = written.read_bytes()[:3000]  # as a crash mid-write leaves it
+    cut_line = crashed.count(b"\n") + 1
+    assert not crashed.endswith(b"\n")
+    no_stages = json.loads(lines[1])
+    del no_stages["stages"]
+    cases = {
+        "cut.jsonl": (crashed, f"line {cut_line}: "),
+        "no-stages.jsonl": (
+            lines[0] + b"\n" + json.dumps(no_stages).encode() + b"\n",
+            "line 3: missing field 'stages'",
+        ),
+        "not-an-object.jsonl": (b"[1, 2]\n", "line 1: list indices must be integers"),
+    }
+    for name, (content, reason) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        for command in ("evaluate", "triage", "report"):
+            extra = ["--out", str(tmp_path / "v.jsonl")] if command == "triage" else []
+            capsys.readouterr()
+            code = main([
+                command, "--dataset", str(dataset_dir), "--transcripts", str(path), *extra
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read {path}: {reason}")
+            assert err.count("\n") == 1 and err.endswith("\n")
+        assert main(["report", "--transcripts", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: {reason}")
+
+
 @pytest.mark.parametrize("option", ["--out", "--markdown"])
 def test_evaluate_output_in_a_missing_directory_is_one_error_line(
     dataset_dir, tmp_path, capsys, option

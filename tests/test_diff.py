@@ -373,3 +373,20 @@ def test_a_conditionless_join_in_a_compound_is_listed_once(schemas):
     assert _diff(pred, single_arm_gold, schema).join_delta.pred_conditionless == (
         "concert", "concert",
     )
+
+
+def test_a_from_subquery_counts_as_one_table_whatever_comes_before_it(schemas):
+    schema = schemas["concert_singer"]
+    subquery = "(SELECT singer_id FROM singer_in_concert) AS T2 ON T1.singer_id = T2.singer_id"
+    gold = f"SELECT T1.name FROM singer AS T1 JOIN {subquery}"
+    preds = [
+        f"SELECT T1.name FROM singer AS T1 JOIN {subquery} "
+        "JOIN stadium AS T3 ON T3.stadium_id = T1.age",
+        "SELECT T1.name FROM stadium AS T3 JOIN singer AS T1 ON T3.stadium_id = T1.age "
+        f"JOIN {subquery}",
+    ]
+    for pred in preds:
+        joins = _diff(pred, gold, schema).join_delta
+        assert joins.extra_tables == ("stadium",)
+        assert joins.missing_tables == ()
+        assert _diff(gold, pred, schema).join_delta.missing_tables == ("stadium",)

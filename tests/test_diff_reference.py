@@ -4,9 +4,11 @@
 moved into the printer: it rebuilds both canonical queries with every
 positional alias replaced by its table name (``_requalify_select``) and
 compares the rebuilt trees, walking the nested SELECTs again at every
-compound level. It is kept as an oracle, with the one fix made before the
-rewrite: a condition-less join of a compound query is listed once. The
-rewritten ``diff`` must give equal ``AstDiff`` values and equal summaries.
+compound level. It is kept as an oracle, with two fixes: a condition-less
+join of a compound query is listed once, and a FROM subquery counts as a
+joined table by its re-qualified text, which does not depend on the
+positional aliases of the sources before it. The rewritten ``diff`` must
+give equal ``AstDiff`` values and equal summaries.
 """
 
 from __future__ import annotations
@@ -266,12 +268,12 @@ def _condition_key(expr: Expr) -> str:
 
 def _join_graph(select: Select, requalified: Select, links: list[Expr]) -> tuple[Counter, Counter]:
     """The joined tables and the pooled join conditions (ON conjuncts and
-    WHERE links) of one query. A FROM subquery counts by its canonical text."""
+    WHERE links) of one query. A FROM subquery counts by its re-qualified text."""
     tables = Counter(
         item.source.table.lower()
         if isinstance(item.source, TableSource)
         else "subquery:" + to_sql(item.source.query)
-        for item in select.from_items
+        for item in requalified.from_items
     )
     on = [conj for item in requalified.from_items for conj in flatten_and(item.condition)]
     return tables, Counter(map(_condition_key, on + links))

@@ -516,6 +516,21 @@ def test_suspect_gold_verdict_via_triage(schemas):
     assert verdict.subtag == "SuspectGold"
 
 
+def test_suspect_gold_reads_only_the_top_level_from_clause(schemas):
+    schema = schemas["concert_singer"]
+    # The nested scope's condition-less ``stadium`` has the key and index of
+    # the top-level ``stadium``, whose join has an ON clause.
+    gold = (
+        "SELECT concert.concert_name FROM concert JOIN stadium ON concert.year > 2000 "
+        "WHERE concert.concert_id IN (SELECT T.concert_id FROM singer_in_concert AS T, stadium)"
+    )
+    gold_table = execute(gold, schema).table
+    assert suspect_gold_check(parse(gold, schema), gold_table, schema) is None
+    pred = "SELECT concert_name FROM concert"
+    verdict = run_triage(pred, gold, schema)
+    assert (verdict.category, verdict.subtag) == (Category.QUERY_STRUCTURE, "ShapeDivergence")
+
+
 def test_every_verdict_carries_evidence(schemas):
     with pytest.raises(ValueError):
         TriageVerdict(
