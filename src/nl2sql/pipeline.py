@@ -37,11 +37,12 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from types import UnionType
+from typing import Callable, Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .dataset import SpiderExample, gold_groups
 from .errors import Nl2SqlError, NoSqlFoundError
@@ -109,17 +110,7 @@ class StageRecord:
     comparison: dict | None
 
     def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "model": self.model,
-            "messages": self.messages,
-            "reply": self.reply,
-            "request_digest": self.request_digest,
-            "sql": self.sql,
-            "extraction_error": self.extraction_error,
-            "execution": self.execution,
-            "comparison": self.comparison,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class Judgment(NamedTuple):
@@ -150,44 +141,58 @@ class PipelineTranscript:
         return len(self.stages)
 
     def to_json(self) -> dict:
-        return {
-            "example_id": self.example_id,
-            "db_id": self.db_id,
-            "question": self.question,
-            "gold_sql": self.gold_sql,
-            "stages": [s.to_json() for s in self.stages],
-            "final_sql": self.final_sql,
-            "final_verdict": self.final_verdict.value,
-            "fault": self.fault,
-            "model_calls": self.model_calls,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        out["stages"] = [s.to_json() for s in self.stages]
+        out["final_verdict"] = self.final_verdict.value
+        out["model_calls"] = self.model_calls
+        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "PipelineTranscript":
-        stages = [
-            StageRecord(
-                stage=s["stage"],
-                model=s.get("model", ""),
-                messages=s["messages"],
-                reply=s["reply"],
-                request_digest=s["request_digest"],
-                sql=s["sql"],
-                extraction_error=s["extraction_error"],
-                execution=s["execution"],
-                comparison=s["comparison"],
-            )
-            for s in data["stages"]
-        ]
-        return cls(
-            example_id=data["example_id"],
-            db_id=data["db_id"],
-            question=data["question"],
-            gold_sql=data["gold_sql"],
-            stages=stages,
-            final_sql=data["final_sql"],
-            final_verdict=Verdict(data["final_verdict"]),
-            fault=data.get("fault"),
-        )
+        return _json_reader(cls)(data)
+
+
+@cache
+def _json_reader(hint: object) -> Callable[[object], object]:
+    """A function that checks a JSON value against the declared type ``hint``
+    and returns it as that type: ``str``, ``int`` (``bool`` is no ``int``),
+    ``dict`` (items unchecked), ``list[X]``, an enum, ``X | None``, or a
+    dataclass, whose ``init`` fields must all be present. A value of the
+    wrong type raises ``TypeError`` naming its field; any other declared
+    type raises ``TypeError`` here."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType and len(args) == 2 and type(None) in args:
+        read = _json_reader(next(a for a in args if a is not type(None)))
+        return lambda value: None if value is None else read(value)
+    if origin is list:
+        read_item = _json_reader(args[0])
+        return lambda value: [read_item(item) for item in _checked(value, list)]
+    if (origin or hint) in (str, int, dict):
+        return partial(_checked, want=origin or hint)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint
+    if not is_dataclass(hint):
+        raise TypeError(f"no JSON reading for declared type {hint!r}")
+    hints = get_type_hints(hint)
+    readers = [(f.name, _json_reader(hints[f.name])) for f in fields(hint) if f.init]
+
+    def read_record(data: dict) -> object:
+        values = {}
+        for name, read_field in readers:
+            value = data[name]
+            try:
+                values[name] = read_field(value)
+            except (TypeError, ValueError) as exc:
+                raise TypeError(f"field {name!r}: {exc}") from None
+        return hint(**values)
+
+    return read_record
+
+
+def _checked(value: object, want: type) -> object:
+    if type(value) is not want:
+        raise TypeError(f"expected {want.__name__}, got {type(value).__name__}")
+    return value
 
 
 # --------------------------------------------------------------------------- SQL extraction
@@ -237,12 +242,6 @@ def _execution_summary(outcome: ExecOutcome) -> dict:
     return {"kind": "error", "error": outcome.error, "error_class": outcome.error_class}
 
 
-def _comparison_summary(comparison: TableComparison | None) -> dict | None:
-    if comparison is None:
-        return None
-    return {"status": comparison.status, "detail": comparison.detail}
-
-
 def _run_model_stage(
     transcript: PipelineTranscript,
     schema: DatabaseSchema,
@@ -285,7 +284,7 @@ def _run_model_stage(
         sql=sql,
         extraction_error=extraction_error,
         execution=_execution_summary(outcome) if outcome is not None else None,
-        comparison=_comparison_summary(comparison),
+        comparison=vars(comparison).copy() if comparison is not None else None,
     )
     transcript.stages.append(record)
     if sql is not None:

@@ -8,6 +8,11 @@ lower case, output aliases are dropped after substituting any references to
 them, positional ORDER BY keys are replaced by the select item they point
 at, and numeric literals get one canonical spelling. String literals keep
 their exact characters: 'Lost' and 'lost' stay different.
+
+A comparison between a literal and a non-literal, but not LIKE, puts the
+literal on the right and mirrors the operator, after signs fold: `-5 < age`
+becomes `age > -5`. SQLite gives the same result, as its affinity rules are
+symmetric and the left operand's collation wins only when both are columns.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, replace
 from .nodes import (
     AliasRef,
     ColumnRef,
+    Comparison,
     Expr,
     FromItem,
     Literal,
@@ -31,6 +37,9 @@ from .nodes import (
     map_children,
 )
 from .printer import _quote_string, to_sql
+
+# The operator that keeps a comparison's meaning when its operands swap.
+_MIRRORED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 @dataclass(frozen=True)
@@ -147,6 +156,9 @@ def _canon_expr(e: Expr, mapping: dict[str, str], counter: _Counter, scope: Sele
         folded = _fold_signed_number(canon)
         if folded is not None:
             return folded
+    if isinstance(canon, Comparison) and canon.op in _MIRRORED:
+        if isinstance(canon.left, Literal) and not isinstance(canon.right, Literal):
+            return Comparison(op=_MIRRORED[canon.op], left=canon.right, right=canon.left)
     return canon
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .nodes import Select, TableSource
-from .walk import flatten_and, is_link_predicate, subselects
+from .walk import flatten_and, is_link_predicate
 
 
 @dataclass(frozen=True)
@@ -20,14 +20,6 @@ class ConditionlessJoin:
     table: str  # resolved table name (lower) or subquery alias
     key: str  # binding key of the flagged source
     index: int  # position in from_items
-
-
-def detect_conditionless_join(select: Select) -> list[ConditionlessJoin]:
-    """Flag condition-less joins in this query and any nested subquery."""
-    flags = scope_conditionless_joins(select)
-    for sub in subselects(select):
-        flags.extend(detect_conditionless_join(sub))
-    return flags
 
 
 def scope_conditionless_joins(select: Select) -> list[ConditionlessJoin]:

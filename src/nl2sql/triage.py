@@ -71,20 +71,15 @@ class Category(str, Enum):
 class TriageVerdict:
     category: Category
     subtag: str | None
-    evidence: dict
     confidence: str  # "definite" | "heuristic"
+    evidence: dict
 
     def __post_init__(self) -> None:
         if not self.evidence:
             raise ValueError("a verdict must carry evidence")
 
     def to_json(self) -> dict:
-        return {
-            "category": self.category.value,
-            "subtag": self.subtag,
-            "confidence": self.confidence,
-            "evidence": self.evidence,
-        }
+        return {**vars(self), "category": self.category.value}
 
 
 def _table_facts(pred: ResultTable | None, gold: ResultTable | None) -> dict:

@@ -73,6 +73,35 @@ def test_nested_signs_fold_into_one_literal(schemas):
     assert negative.sql == "SELECT t1.name FROM singer AS t1 WHERE t1.age > -30"
 
 
+def test_literal_moves_right_of_a_comparison_and_the_operator_mirrors(schemas):
+    schema = schemas["concert_singer"]
+
+    def where(sql):
+        return canonicalize(parse(f"SELECT name FROM singer WHERE {sql}", schema)).sql.split(
+            " WHERE "
+        )[1]
+
+    for flipped, plain in (
+        ("45 < age", "age > 45"),
+        ("45 <= age", "age >= 45"),
+        ("45 > age", "age < 45"),
+        ("45 >= age", "age <= 45"),
+        ("45 = age", "age = 45"),
+        ("'us' != country", "country != 'us'"),
+        ("'us' <> country", "country != 'us'"),
+        ("-5 < age", "age > -5"),
+        ("- -30 < age", "age > 30"),
+        ("40 < age - 5", "age - 5 > 40"),
+    ):
+        assert where(flipped) == where(plain), flipped
+    assert where("45 < age") == "t1.age > 45"
+    # Never reordered: LIKE, two literals, two non-literals.
+    assert where("'a%' LIKE name") == "'a%' LIKE t1.name"
+    assert where("1 < 2") == "1 < 2"
+    assert where("age < singer_id") == "t1.age < t1.singer_id"
+    assert where("age > singer_id") == "t1.age > t1.singer_id"
+
+
 def test_string_literals_stay_case_sensitive(schemas):
     schema = schemas["battle_death"]
     a = canonicalize(parse("SELECT name FROM ship WHERE disposition_of_ship = 'Sank'", schema))

@@ -13,7 +13,7 @@ from nl2sql import cli
 from nl2sql.cli import main
 from nl2sql.dataset import load_dataset
 from nl2sql.llm import ModelEndpoint, RecordingTransport
-from nl2sql.pipeline import PipelineConfig, run_many
+from nl2sql.pipeline import PipelineConfig, PipelineTranscript, run_many
 
 from helpers import ScriptedTransport
 
@@ -405,6 +405,63 @@ def test_run_report_database_missing_while_scoring_exits_6_after_writing_transcr
     assert not report.exists()
 
 
+# --------------------------------------------------------------------------- record formats
+
+FORMATS_DOC = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+TRANSCRIPT_KEYS = [
+    "example_id", "db_id", "question", "gold_sql", "stages", "final_sql", "final_verdict",
+    "fault", "model_calls",
+]
+STAGE_KEYS = [
+    "stage", "model", "messages", "reply", "request_digest", "sql", "extraction_error",
+    "execution", "comparison",
+]
+VERDICT_KEYS = ["example_id", "category", "subtag", "confidence", "evidence"]
+
+
+def documented_keys(heading: str, keys: list[str]) -> list[str]:
+    """The keys among ``keys`` in the order the JSON example under
+    ``heading`` in docs/formats.md shows them."""
+    section = FORMATS_DOC.read_text(encoding="utf-8").split(f"\n## {heading}", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    return [key for key in re.findall(r'"(\w+)":', example) if key in keys]
+
+
+def test_record_key_order_is_the_documented_order(dataset_dir, tmp_path):
+    assert documented_keys("Transcripts", TRANSCRIPT_KEYS) == TRANSCRIPT_KEYS
+    assert documented_keys("Transcripts", STAGE_KEYS) == STAGE_KEYS
+    assert documented_keys("Triage verdicts", VERDICT_KEYS) == VERDICT_KEYS
+    store = tmp_path / "store"
+    build_replay_store(dataset_dir, store, mixed_reply(dataset_dir))
+    transcripts, verdicts = tmp_path / "t.jsonl", tmp_path / "v.jsonl"
+    assert main(["run", "--dataset", str(dataset_dir), "--replay", str(store),
+                 "--out", str(transcripts)]) == 0
+    assert main(["triage", "--dataset", str(dataset_dir), "--transcripts", str(transcripts),
+                 "--out", str(verdicts)]) == 0
+    records = [json.loads(line) for line in transcripts.read_text().splitlines()]
+    stages = [stage for record in records for stage in record["stages"]]
+    rows = [json.loads(line) for line in verdicts.read_text().splitlines()]
+    assert records and stages and rows
+    assert {tuple(record) for record in records} == {tuple(TRANSCRIPT_KEYS)}
+    assert {tuple(stage) for stage in stages} == {tuple(STAGE_KEYS)}
+    assert {tuple(row) for row in rows} == {tuple(VERDICT_KEYS)}
+
+
+def test_every_transcript_line_reads_back_to_the_same_bytes(dataset_dir, tmp_path):
+    store = tmp_path / "store"
+    build_replay_store(dataset_dir, store, mixed_reply(dataset_dir))
+    written = tmp_path / "t.jsonl"
+    assert main(["run", "--dataset", str(dataset_dir), "--replay", str(store),
+                 "--out", str(written)]) == 0
+    lines = written.read_bytes().splitlines(keepends=True)
+    kinds = {stage["execution"]["kind"] for line in lines for stage in json.loads(line)["stages"]
+             if stage["execution"] is not None}
+    assert len(lines) > 1 and kinds == {"table", "error"}
+    for line in lines:
+        read_back = PipelineTranscript.from_json(json.loads(line))
+        assert (json.dumps(read_back.to_json(), ensure_ascii=False) + "\n").encode() == line
+
+
 # --------------------------------------------------------------------------- the CLI's own files
 
 def one_error_line(capsys, verb, path):
@@ -435,6 +492,12 @@ def test_unreadable_transcripts_line_is_one_error_line(dataset_dir, tmp_path, ca
     assert not crashed.endswith(b"\n")
     no_stages = json.loads(lines[1])
     del no_stages["stages"]
+
+    def second_line_edited(edit):
+        record = json.loads(lines[1])
+        edit(record)
+        return lines[0] + json.dumps(record).encode() + b"\n"
+
     cases = {
         "cut.jsonl": (crashed, f"line {cut_line}: "),
         "no-stages.jsonl": (
@@ -442,6 +505,26 @@ def test_unreadable_transcripts_line_is_one_error_line(dataset_dir, tmp_path, ca
             "line 3: missing field 'stages'",
         ),
         "not-an-object.jsonl": (b"[1, 2]\n", "line 1: list indices must be integers"),
+        "int-sql.jsonl": (
+            second_line_edited(lambda r: r.update(final_sql=5)),
+            "line 2: field 'final_sql': expected str, got int",
+        ),
+        "str-id.jsonl": (
+            second_line_edited(lambda r: r.update(example_id="0")),
+            "line 2: field 'example_id': expected int, got str",
+        ),
+        "bool-id.jsonl": (
+            second_line_edited(lambda r: r.update(example_id=True)),
+            "line 2: field 'example_id': expected int, got bool",
+        ),
+        "int-model.jsonl": (
+            second_line_edited(lambda r: r["stages"][0].update(model=5)),
+            "line 2: field 'stages': field 'model': expected str, got int",
+        ),
+        "no-fault.jsonl": (
+            second_line_edited(lambda r: r.pop("fault")),
+            "line 2: missing field 'fault'",
+        ),
     }
     for name, (content, reason) in cases.items():
         path = tmp_path / name
@@ -456,6 +539,8 @@ def test_unreadable_transcripts_line_is_one_error_line(dataset_dir, tmp_path, ca
             err = capsys.readouterr().err
             assert err.startswith(f"error: cannot read {path}: {reason}")
             assert err.count("\n") == 1 and err.endswith("\n")
+            if name not in ("cut.jsonl", "not-an-object.jsonl"):
+                assert err == f"error: cannot read {path}: {reason}\n"
         assert main(["report", "--transcripts", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read {path}: {reason}")
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from nl2sql.sqlast import canonicalize, detect_conditionless_join, diff, parse
+from nl2sql.sqlast import canonicalize, diff, parse, scope_conditionless_joins
 
 from conftest import (
     BELOW_AVERAGE_CARS_SQL,
@@ -209,24 +209,30 @@ def test_limit_difference_is_residual(schemas):
 
 def test_conditionless_join_flagged_and_recoverable_not(schemas):
     schema = schemas["dog_kennels"]
-    flagged = detect_conditionless_join(parse(CARTESIAN_GOLD_SQL, schema))
+    flagged = scope_conditionless_joins(parse(CARTESIAN_GOLD_SQL, schema))
     assert [f.table for f in flagged] == ["treatments"]
-    # a fully conditioned join, subquery included, is never flagged
-    assert detect_conditionless_join(parse(BELOW_AVERAGE_CARS_SQL, schemas["car_1"])) == []
+    # a fully conditioned join is never flagged
+    assert scope_conditionless_joins(parse(BELOW_AVERAGE_CARS_SQL, schemas["car_1"])) == []
     with_on = parse(
         "SELECT first_name FROM Professionals AS T1 "
         "JOIN Treatments AS T2 ON T1.professional_id = T2.professional_id",
         schema,
     )
-    assert detect_conditionless_join(with_on) == []
+    assert scope_conditionless_joins(with_on) == []
     implicit = parse(
         "SELECT first_name FROM Professionals, Treatments "
         "WHERE Professionals.professional_id = Treatments.professional_id",
         schema,
     )
-    assert detect_conditionless_join(implicit) == []
+    assert scope_conditionless_joins(implicit) == []
     single = parse("SELECT first_name FROM Professionals", schema)
-    assert detect_conditionless_join(single) == []
+    assert scope_conditionless_joins(single) == []
+    # a nested scope's join is its own scope's flag, not this one's
+    nested = parse(f"SELECT count(*) FROM ({CARTESIAN_GOLD_SQL})", schema)
+    assert scope_conditionless_joins(nested) == []
+    assert [f.table for f in scope_conditionless_joins(nested.from_items[0].source.query)] == [
+        "treatments"
+    ]
 
 
 def test_conditionless_flags_surface_in_join_delta(schemas):

@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nl2sql.errors import ParseError
 from nl2sql.sqlast import canonicalize, diff, parse
 from nl2sql.sqlast.canonical import CanonicalAst
-from nl2sql.sqlast.conditionless import detect_conditionless_join
+from nl2sql.sqlast.conditionless import ConditionlessJoin, scope_conditionless_joins
 from nl2sql.sqlast.diff import (
     AggregateDelta,
     AggregateRow,
@@ -277,6 +277,14 @@ def _join_graph(select: Select, requalified: Select, links: list[Expr]) -> tuple
     )
     on = [conj for item in requalified.from_items for conj in flatten_and(item.condition)]
     return tables, Counter(map(_condition_key, on + links))
+
+
+def detect_conditionless_join(select: Select) -> list[ConditionlessJoin]:
+    """Flag condition-less joins in this query and any nested subquery."""
+    flags = scope_conditionless_joins(select)
+    for sub in subselects(select):
+        flags.extend(detect_conditionless_join(sub))
+    return flags
 
 
 def _conditionless(select: Select, paired: bool) -> tuple[str, ...]:

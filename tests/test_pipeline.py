@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 
 import pytest
 
@@ -13,7 +14,10 @@ from nl2sql.llm import ModelEndpoint, ReplayTransport, RecordingTransport
 from nl2sql.mdtable import render_markdown
 from nl2sql.pipeline import (
     PipelineConfig,
+    PipelineTranscript,
+    StageRecord,
     Verdict,
+    _json_reader,
     extract_sql,
     read_transcripts,
     run_many,
@@ -413,6 +417,39 @@ def test_transcript_json_round_trip(schemas, tmp_path):
     loaded_back = read_transcripts(path)
     assert len(loaded_back) == 1
     assert loaded_back[0].to_json() == transcript.to_json()
+
+
+@dataclass
+class Scored:
+    name: str
+    score: float
+
+
+@pytest.mark.parametrize(
+    "hint", [float, bool, list, set[str], tuple[int, ...], int | str, int | str | None, Scored]
+)
+def test_reader_refuses_a_declared_type_it_cannot_map(hint):
+    with pytest.raises(TypeError, match="no JSON reading for declared type"):
+        _json_reader(hint)
+
+
+def test_reader_maps_every_declared_transcript_field():
+    read = _json_reader(PipelineTranscript)
+    record = {"stage": "zero_shot", "model": "m", "messages": [{"role": "user", "content": "q"}],
+              "reply": "r", "request_digest": "d", "sql": None, "extraction_error": "e",
+              "execution": None, "comparison": None}
+    data = {"example_id": 3, "db_id": "db", "question": "q", "gold_sql": "g",
+            "stages": [record], "final_sql": None, "final_verdict": "failed", "fault": None}
+    transcript = read(data)
+    assert transcript.stages[0] == StageRecord(**record)
+    assert transcript.final_verdict is Verdict.FAILED
+    assert transcript.to_json() == {**data, "model_calls": 1}
+    with pytest.raises(TypeError, match="field 'final_verdict': 'lost' is not a valid Verdict"):
+        read({**data, "final_verdict": "lost"})
+    with pytest.raises(TypeError, match="field 'stages': field 'messages': expected dict, got str"):
+        read({**data, "stages": [{**record, "messages": ["hi"]}]})
+    with pytest.raises(TypeError, match="field 'stages': field 'execution': expected dict, got list"):
+        read({**data, "stages": [{**record, "execution": []}]})
 
 
 def test_replay_run_is_byte_identical(schemas, tmp_path):

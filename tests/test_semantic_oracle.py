@@ -36,6 +36,10 @@ EXTRA_QUERIES = [
     ("concert_singer", "SELECT name FROM singer WHERE age > 0x1E ORDER BY age LIMIT 0x2"),
     ("concert_singer", "SELECT name FROM singer WHERE age < 1e999 AND -1e999 < age"),
     ("concert_singer", "SELECT 1e999, -1e999, - -1e999, age - -1e999 FROM singer"),
+    ("concert_singer", "SELECT name FROM singer WHERE 45 < age AND 30 >= age - 1"),
+    ("concert_singer", "SELECT name FROM singer WHERE 'us' != country OR -5 > - age"),
+    ("concert_singer", "SELECT name FROM singer WHERE 40 <= age AND 60 > age AND 45 = age"),
+    ("concert_singer", "SELECT name FROM stadium WHERE 1000 < (SELECT max(capacity) FROM stadium)"),
 ]
 
 

@@ -363,6 +363,21 @@ def test_wrong_literal_triaged_as_predicted_values(schemas):
     assert verdict.evidence["diff"]["literals"][0]["pred"] == "'lost'"
 
 
+@pytest.mark.parametrize(
+    "flipped, plain, gold",
+    [
+        ("45 < age", "age > 45", "age > 30"),
+        ("'us' != country", "country != 'us'", "country != 'fr'"),
+    ],
+)
+def test_literal_first_comparison_triaged_as_predicted_values(schemas, flipped, plain, gold):
+    schema = schemas["concert_singer"]
+    pred, plain, gold = (f"SELECT name FROM singer WHERE {w}" for w in (flipped, plain, gold))
+    verdict = run_triage(pred, gold, schema)
+    assert (verdict.category, verdict.subtag) == (Category.PREDICTED_VALUES, None)
+    assert verdict.evidence["diff"] == run_triage(plain, gold, schema).evidence["diff"]
+
+
 def test_aggregate_choice_detected_without_table_evidence(schemas):
     schema = schemas["dog_kennels"]
     pred = (
