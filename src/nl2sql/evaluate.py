@@ -3,9 +3,12 @@
 Correctness of a transcript is decided from its final SQL alone (stage
 history never affects the score): the final SQL and the gold SQL are both
 executed and their tables compared, except for an in-process transcript
-whose pipeline already found them equivalent on the same database file
-(its ``judgment`` names this gold SQL, this final SQL and the file's
-identity now), which counts as correct without executing. Examples are
+whose pipeline already compared them on the same database file (its
+``judgment`` names this gold SQL, this final SQL and the file's identity
+now). Such a transcript counts as correct without executing when the
+pipeline found them equivalent; otherwise it is triaged from the two
+outcomes the pipeline kept, which hold at most two tables of at most
+``MEMO_MAX_ROWS`` rows per failed example until the report. Examples are
 scored in groups that share a database and gold SQL, each with one
 ``OutcomeMemo``, so each distinct query (gold, prediction or triage probe)
 runs once per group; a timeout is never reused. The report does not depend
@@ -165,17 +168,21 @@ def _score_one(
         and judgment.final_sql == transcript.final_sql
         and judgment.file_key == _file_key(schema)
     ):
-        return True, None
-    gold_outcome = memo.run(execute_for_comparison, example.gold_sql, schema)
-    if gold_outcome.table is None:
-        return False, None
-    pred_outcome = memo.run(execute_for_comparison, transcript.final_sql, schema)
-    pred_table = pred_outcome.table
-    correct = False
-    if pred_table is not None:
-        correct = tables_equivalent(pred_table, gold_outcome.table).equivalent
+        if judgment.equivalent:
+            return True, None
+        # The pipeline compared these very outcomes, and the comparison is pure.
+        gold_outcome, pred_outcome, correct = judgment.gold, judgment.final, False
+    else:
+        gold_outcome = memo.run(execute_for_comparison, example.gold_sql, schema)
+        if gold_outcome.table is None:
+            return False, None
+        pred_outcome = memo.run(execute_for_comparison, transcript.final_sql, schema)
+        correct = pred_outcome.table is not None and (
+            tables_equivalent(pred_outcome.table, gold_outcome.table).equivalent
+        )
     if correct or not with_triage:
         return correct, None
+    pred_table = pred_outcome.table
     try:
         pred_ast = parse(transcript.final_sql, schema)
         gold_ast = parse(example.gold_sql, schema)

@@ -251,9 +251,10 @@ class OutcomeMemo:
     """The execution outcomes of one unit of work, by database file and SQL text.
 
     Not thread-safe: each unit of work owns its memo and drops it at the end.
-    Nothing outlives it but the file identity ``run_keyed`` hands out, which
-    the pipeline keeps with an equivalent verdict so that ``evaluate`` can
-    tell the verdict is about the file it would read.
+    Nothing outlives it but the file identity ``run_keyed`` hands out and,
+    for a failed example, the two outcomes the pipeline compared, which it
+    keeps with its verdict so that ``evaluate`` can tell the verdict is
+    about the file it would read.
     """
 
     __slots__ = ("_outcomes",)
@@ -279,12 +280,16 @@ class OutcomeMemo:
         if outcome is None:
             # A missing file has no key; the executor raises for it.
             outcome = execute(sql, schema)
-            table = outcome.table
-            if key[0] is not None and not outcome.timed_out and (
-                table is None or len(table.rows) <= MEMO_MAX_ROWS
-            ):
+            if key[0] is not None and reusable(outcome):
                 self._outcomes[key] = outcome
         return key[0], outcome
+
+
+def reusable(outcome: ExecOutcome) -> bool:
+    """Whether an outcome may outlive its execution: no timeout, as that
+    depends on host load, and no table past ``MEMO_MAX_ROWS`` rows."""
+    table = outcome.table
+    return not outcome.timed_out and (table is None or len(table.rows) <= MEMO_MAX_ROWS)
 
 
 # --------------------------------------------------------------------------- equivalence

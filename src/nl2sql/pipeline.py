@@ -25,11 +25,16 @@ database and gold SQL and passes one memo per group, so a gold shared by
 several questions runs once; a group runs inside one task, so no memo is
 shared between threads.
 
-When the final SQL's table is equivalent to the gold's, and both came from
-the same database file, the transcript keeps that judgment in memory
-(``PipelineTranscript.judgment``: the file's identity and both SQL texts,
-no table). ``evaluate`` reuses it instead of executing both queries again.
-It is never written out, so a transcript read from a file is judged afresh.
+When the final SQL and the gold ran on the same database file, the
+transcript keeps the pipeline's judgment of them in memory
+(``PipelineTranscript.judgment``: the file's identity, both SQL texts and
+whether their tables were equivalent). When they were not, the judgment
+also holds the two outcomes the pipeline compared, and it is kept only if
+neither timed out or holds more than ``MEMO_MAX_ROWS`` rows, so a failed
+example holds at most two tables of at most that many rows until the
+report. ``evaluate`` reuses the judgment instead of executing and
+comparing both queries again, and triages a failure from its outcomes. It
+is never written out, so a transcript read from a file is judged afresh.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ from .errors import Nl2SqlError, NoSqlFoundError
 from .execution import (
     ExecOutcome,
     OutcomeMemo,
-    ResultTable,
     TableComparison,
     execute_for_comparison,
+    reusable,
     tables_equivalent,
 )
 from .llm import Message, ModelEndpoint
@@ -114,12 +119,16 @@ class StageRecord:
 
 
 class Judgment(NamedTuple):
-    """The pipeline found ``final_sql``'s table equivalent to ``gold_sql``'s,
-    both executed on the database file whose identity is ``file_key``."""
+    """Whether the pipeline found ``final_sql``'s table equivalent to
+    ``gold_sql``'s, both executed on the database file whose identity is
+    ``file_key``; when it did not, the two outcomes it compared."""
 
     file_key: tuple[int, ...]
     gold_sql: str
     final_sql: str
+    equivalent: bool
+    gold: ExecOutcome | None = None
+    final: ExecOutcome | None = None
 
 
 @dataclass
@@ -132,8 +141,8 @@ class PipelineTranscript:
     final_sql: str | None
     final_verdict: Verdict
     fault: str | None = None
-    # Set in memory by the stage that found final_sql equivalent; neither
-    # written by to_json nor read by from_json, and invisible to == and repr.
+    # Set in memory by the stage that produced final_sql; neither written by
+    # to_json nor read by from_json, and invisible to == and repr.
     judgment: Judgment | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -247,7 +256,7 @@ def _run_model_stage(
     schema: DatabaseSchema,
     memo: OutcomeMemo,
     gold_key: tuple[int, ...] | None,
-    gold_table: ResultTable,
+    gold_outcome: ExecOutcome,
     stage: str,
     success: Verdict,
     endpoint: ModelEndpoint,
@@ -255,11 +264,12 @@ def _run_model_stage(
 ) -> StageRecord:
     """Call the model, execute and judge its SQL, and record the stage.
 
-    The one place that appends a stage, moves ``final_sql`` to the stage's
-    SQL when it has any, and sets ``success`` as the verdict when that SQL's
-    table is equivalent to the gold. It records the ``judgment`` when that
-    table and the gold's (``gold_key``) came from the same file, and clears
-    it otherwise.
+    The one place that appends a stage, and, when the stage has SQL, moves
+    ``final_sql`` to it, replaces the ``judgment`` and sets ``success`` as the
+    verdict when that SQL's table is equivalent to the gold. The judgment is
+    kept when that SQL and the gold (``gold_key``) ran on the same file and,
+    if they are not equivalent, both outcomes are ``reusable``; otherwise it
+    is cleared.
     """
     reply, digest = endpoint.complete(messages)
     sql: str | None = None
@@ -274,7 +284,7 @@ def _run_model_stage(
     if sql is not None:
         file_key, outcome = memo.run_keyed(execute_for_comparison, sql, schema)
         if outcome.table is not None:
-            comparison = tables_equivalent(outcome.table, gold_table)
+            comparison = tables_equivalent(outcome.table, gold_outcome.table)
     record = StageRecord(
         stage=stage,
         model=endpoint.model_name,
@@ -287,13 +297,20 @@ def _run_model_stage(
         comparison=vars(comparison).copy() if comparison is not None else None,
     )
     transcript.stages.append(record)
-    if sql is not None:
-        transcript.final_sql = sql
+    if sql is None:
+        return record
+    transcript.final_sql = sql
     transcript.judgment = None
-    if comparison is not None and comparison.equivalent:
+    equivalent = comparison is not None and comparison.equivalent
+    if equivalent:
         transcript.final_verdict = success
-        if file_key is not None and file_key == gold_key:
-            transcript.judgment = Judgment(file_key, transcript.gold_sql, sql)
+    if file_key is not None and file_key == gold_key:
+        if equivalent:
+            transcript.judgment = Judgment(file_key, transcript.gold_sql, sql, True)
+        elif reusable(outcome) and reusable(gold_outcome):
+            transcript.judgment = Judgment(
+                file_key, transcript.gold_sql, sql, False, gold_outcome, outcome
+            )
     return record
 
 
@@ -330,13 +347,12 @@ def run_pipeline(
         transcript.final_verdict = Verdict.FAULT
         transcript.fault = f"gold execution unusable: {_execution_summary(gold_outcome)}"
         return transcript
-    gold_table = gold_outcome.table
 
     messages: list[Message] = [
         {"role": "system", "content": SYSTEM_PROMPT},
         {"role": "user", "content": zero_shot_user_prompt(example.question, schema)},
     ]
-    run_stage = partial(_run_model_stage, transcript, schema, memo, gold_key, gold_table)
+    run_stage = partial(_run_model_stage, transcript, schema, memo, gold_key, gold_outcome)
     last = run_stage("zero_shot", Verdict.CORRECT_FIRST_SHOT, generator, messages)
 
     # Example-driven rounds continue the same conversation.
@@ -345,7 +361,7 @@ def run_pipeline(
         if transcript.final_verdict is not Verdict.FAILED or last.sql is None:
             break  # solved, or nothing to revise in-conversation
         if gold_markdown is None:
-            gold_markdown = render_markdown(gold_table)
+            gold_markdown = render_markdown(gold_outcome.table)
         messages = messages + [
             {"role": "assistant", "content": last.reply},
             {"role": "user", "content": example_correction_prompt(gold_markdown)},

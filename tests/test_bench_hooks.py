@@ -132,7 +132,13 @@ def test_two_golds_call_each_hook_once_per_example_and_execute_once_per_group(
     assert resolved == executed
     executed.clear()
     resolved.clear()
+    # In process, every failure is scored from the outcomes the pipeline kept.
     evaluate.score(transcripts, examples, schemas)
+    assert Counter(score_calls) == Counter(range(5))
+    assert executed == resolved == []
+    score_calls.clear()
+    read_back = [pipeline.PipelineTranscript.from_json(t.to_json()) for t in transcripts]
+    evaluate.score(read_back, examples, schemas)
     assert Counter(score_calls) == Counter(range(5))
     assert Counter(executed) == Counter({GOLD: 1, other: 1, WRONG: 2})
     assert resolved == executed

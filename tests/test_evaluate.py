@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from nl2sql import execution
+from nl2sql import evaluate, execution
 from nl2sql.dataset import SpiderExample
 from nl2sql.errors import DatasetError
 from nl2sql.evaluate import (
@@ -282,20 +282,20 @@ def test_in_process_correct_transcript_scores_without_executing(schemas, monkeyp
     schema = schemas["battle_death"]
     correct = run_example(schema, GOLD_BELOW_100)
     failed = run_example(schema, WRONG)
-    assert correct.judgment is not None and failed.judgment is None
+    assert correct.judgment.equivalent and not failed.judgment.equivalent
     calls = counting_executions(monkeypatch)
 
     report = score([correct], [ship_example(0)], schemas)
     assert report.overall == 1.0
     assert calls == []
 
-    score(round_tripped([failed]), [ship_example(0)], schemas)
-    expected = list(calls)
-    calls.clear()
+    # A failure is triaged from the outcomes the pipeline kept.
     report = score([failed], [ship_example(0)], schemas)
     assert report.overall == 0.0
-    assert calls == expected
-    assert ("battle_death", GOLD) in calls and ("battle_death", WRONG) in calls
+    assert calls == []
+
+    score(round_tripped([failed]), [ship_example(0)], schemas)
+    assert calls == [("battle_death", GOLD), ("battle_death", WRONG)]
 
 
 def test_transcripts_read_back_or_changed_execute_as_before(schemas, monkeypatch):
@@ -354,8 +354,10 @@ def test_report_with_judgments_equals_report_without_them(loaded, monkeypatch):
         ModelEndpoint(role, ScriptedTransport(reply), role) for role in ("generator", "corrector")
     )
     transcripts = run_many(loaded.examples, loaded.schemas, PipelineConfig(), generator, corrector)
-    judged = sum(t.judgment is not None for t in transcripts)
-    assert 0 < judged < len(transcripts)
+    # Every non-fault transcript carries a judgment, equivalent or not.
+    assert all(t.judgment is not None for t in transcripts if t.final_verdict is not Verdict.FAULT)
+    equivalent = sum(t.judgment is not None and t.judgment.equivalent for t in transcripts)
+    assert 0 < equivalent < len(transcripts)
 
     calls = counting_executions(monkeypatch)
     fresh = score(round_tripped(transcripts), loaded.examples, loaded.schemas)
@@ -365,13 +367,146 @@ def test_report_with_judgments_equals_report_without_them(loaded, monkeypatch):
     assert json.dumps(reused.results_payload()) == json.dumps(fresh.results_payload())
     assert 0 < fresh.overall < 1
     assert len(calls) < fresh_calls
+    # Only triage probes execute: no gold and no final SQL of a judged transcript.
+    judged = {(t.db_id, sql) for t in transcripts for sql in (t.gold_sql, t.final_sql)}
+    assert not judged & set(calls)
 
 
 def test_judgment_is_invisible_to_equality_repr_and_json(schemas):
-    correct = run_example(schemas["battle_death"], GOLD_BELOW_100)
-    (read_back,) = round_tripped([correct])
-    assert correct.judgment is not None and read_back.judgment is None
-    assert correct == read_back
-    assert repr(correct) == repr(read_back)
-    assert json.dumps(correct.to_json()) == json.dumps(read_back.to_json())
-    assert "judgment" not in correct.to_json()
+    for final_sql, equivalent in ((GOLD_BELOW_100, True), (WRONG, False)):
+        in_process = run_example(schemas["battle_death"], final_sql)
+        (read_back,) = round_tripped([in_process])
+        assert in_process.judgment.equivalent is equivalent and read_back.judgment is None
+        assert in_process == read_back
+        assert repr(in_process) == repr(read_back)
+        assert json.dumps(in_process.to_json()) == json.dumps(read_back.to_json())
+        assert "judgment" not in in_process.to_json()
+
+
+# --------------------------------------------------------------------------- handed-over failures
+
+# Four ships are not sunk, one more than GOLD returns.
+NOT_SUNK = "SELECT name FROM ship WHERE disposition_of_ship != 'sank'"
+
+
+def run_stages(schema, script, example=None):
+    """The in-process transcript of one example, one reply per stage."""
+    generator, corrector = scripted_endpoints(script)
+    return run_pipeline(example or ship_example(0), schema, PipelineConfig(), generator, corrector)
+
+
+def test_in_process_failure_is_triaged_from_the_pipeline_outcomes(schemas, monkeypatch):
+    example = student_example(0)
+    failed = run_example(schemas["student_course"], GROUPED_BY_ID_SQL, example)
+    assert failed.final_verdict is Verdict.FAILED and not failed.judgment.equivalent
+    calls = counting_executions(monkeypatch)
+    fresh = score(round_tripped([failed]), [example], schemas)
+    own = [("student_course", GROUPED_BY_NAME_SQL), ("student_course", GROUPED_BY_ID_SQL)]
+    assert calls[:2] == own
+    probes = calls[2:]
+    assert probes and not set(probes) & set(own)
+
+    calls.clear()
+    compared = []
+    monkeypatch.setattr(evaluate, "tables_equivalent", lambda *tables: compared.append(tables))
+    handed = score([failed], [example], schemas)
+    assert calls == probes  # the tie probe still runs, through the group memo
+    assert compared == []
+    assert handed.verdicts[0].subtag == "TieAmbiguity"
+    assert handed.verdicts[0].to_json() == fresh.verdicts[0].to_json()
+    assert json.dumps(handed.results_payload()) == json.dumps(fresh.results_payload())
+
+
+def test_failure_with_changed_sql_executes_as_before(schemas, monkeypatch):
+    failed = run_example(schemas["battle_death"], WRONG)
+    calls = counting_executions(monkeypatch)
+
+    other_gold = dataclasses.replace(ship_example(0), gold_sql=WRONG)
+    assert score([failed], [other_gold], schemas, with_triage=False).overall == 1.0
+    assert calls == [("battle_death", WRONG)]  # one memo entry serves both texts
+
+    calls.clear()
+    failed.final_sql = GOLD_BELOW_100
+    assert score([failed], [ship_example(0)], schemas, with_triage=False).overall == 1.0
+    assert calls == [("battle_death", GOLD), ("battle_death", GOLD_BELOW_100)]
+
+
+def test_failure_on_a_rewritten_database_is_judged_again(tmp_path, monkeypatch):
+    path = tmp_path / "battle_death.sqlite"
+    schema = schema_from_tables_entry(build_ships_db(path), db_path=path)
+    failed = run_example(schema, WRONG)
+    assert not failed.judgment.equivalent
+    before = path.stat()
+    conn = sqlite3.connect(path)
+    conn.execute("DELETE FROM ship WHERE disposition_of_ship IN ('sank', 'captured')")
+    conn.execute(
+        "INSERT INTO ship VALUES (200, 200, ?, '1', 'brig', 'baltic', 'lost')", ("x" * 8000,)
+    )
+    conn.commit()
+    conn.close()
+    after = path.stat()
+    assert (after.st_mtime_ns, after.st_size) != (before.st_mtime_ns, before.st_size)
+
+    calls = counting_executions(monkeypatch)
+    report = score([failed], [ship_example(0)], {"battle_death": schema}, with_triage=False)
+    assert report.overall == 1.0  # both queries now return no row
+    assert calls == [("battle_death", GOLD), ("battle_death", WRONG)]
+
+
+def test_timed_out_final_sql_is_not_handed_over(schemas, monkeypatch):
+    from nl2sql import pipeline
+
+    original = pipeline.execute_for_comparison
+
+    def timing_out(sql, schema):
+        return execution.ExecOutcome(timed_out=True) if sql == WRONG else original(sql, schema)
+
+    monkeypatch.setattr(pipeline, "execute_for_comparison", timing_out)
+    failed = run_example(schemas["battle_death"], WRONG)
+    assert failed.stages[-1].execution == {"kind": "timeout"}
+    assert failed.judgment is None
+
+    calls = counting_executions(monkeypatch)
+    report = score([failed], [ship_example(0)], schemas)
+    assert report.verdicts[0].category.value == "PredictedValues"  # from the table it returns now
+    assert calls == [("battle_death", GOLD), ("battle_death", WRONG)]
+
+
+@pytest.mark.parametrize(
+    "final_sql, memo_max_rows", [(WRONG, 2), (NOT_SUNK, 3)], ids=["gold", "final"]
+)
+def test_table_above_memo_max_rows_is_not_handed_over(
+    schemas, monkeypatch, final_sql, memo_max_rows
+):
+    # GOLD returns 3 rows, WRONG 2 and NOT_SUNK 4.
+    monkeypatch.setattr(execution, "MEMO_MAX_ROWS", memo_max_rows)
+    failed = run_example(schemas["battle_death"], final_sql)
+    assert failed.final_verdict is Verdict.FAILED and failed.judgment is None
+
+    calls = counting_executions(monkeypatch)
+    score([failed], [ship_example(0)], schemas, with_triage=False)
+    assert calls == [("battle_death", GOLD), ("battle_death", final_sql)]
+
+
+def test_later_stage_with_sql_replaces_the_judgment_and_without_sql_keeps_it(
+    schemas, monkeypatch
+):
+    schema = schemas["battle_death"]
+    replaced = run_stages(schema, {"zero_shot": WRONG, "example_1": NOT_SUNK, "error": "No."})
+    kept = run_stages(schema, {"zero_shot": WRONG, "example_1": "No.", "error": "Sorry."})
+    assert [s.sql for s in replaced.stages] == [WRONG, NOT_SUNK, None]
+    assert [s.sql for s in kept.stages] == [WRONG, None, None]
+    assert (replaced.judgment.final_sql, kept.judgment.final_sql) == (NOT_SUNK, WRONG)
+    assert len(replaced.judgment.final.table.rows) == 4
+
+    # A later table too large to keep drops the earlier judgment with it.
+    monkeypatch.setattr(execution, "MEMO_MAX_ROWS", 3)
+    dropped = run_stages(schema, {"zero_shot": WRONG, "example_1": NOT_SUNK, "error": "No."})
+    assert dropped.final_sql == NOT_SUNK and dropped.judgment is None
+    monkeypatch.undo()
+
+    calls = counting_executions(monkeypatch)
+    report = score([replaced], [ship_example(0)], schemas)
+    assert (report.overall, calls) == (0.0, [])
+    report = score([kept], [ship_example(0)], schemas)
+    assert (report.overall, calls) == (0.0, [])
