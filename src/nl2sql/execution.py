@@ -13,14 +13,20 @@ so no state reaches the next query. Outcomes are a tagged union: a table, an
 engine error (message kept verbatim: correction prompts quote it), or a
 timeout. A missing database file is a harness fault and raises instead.
 
-An ``OutcomeMemo`` lets one unit of work run each distinct query once: one
-example in ``run`` (its gold and every stage), one gold group in
+An ``OutcomeMemo`` lets one unit of work run each distinct statement once:
+one example in ``run`` (its gold and every stage), one gold group in
 ``evaluate``, ``triage`` and ``report`` (the gold, each prediction and the
-triage probes). It is keyed on the database file's identity and the SQL
-text, so a replaced or rewritten file is read again; a hit returns the very
-outcome the first execution produced. A timeout is never reused, as it
-depends on host load, and a table past ``MEMO_MAX_ROWS`` (10,000) rows is
-not kept, so a memo holds at most one unit's small tables.
+triage probes). It is keyed on the database file's identity, so a replaced
+or rewritten file is read again, and on the statement: a table is kept
+under the ``statement_key`` of its SQL, which texts that differ only in
+ASCII case and in the kind or length of their whitespace gaps share
+outside string literals, and an engine error under the exact text, as
+SQLite quotes the spelling in its message. A hit returns the very outcome
+the first execution produced, so a shared table carries the column names
+of the text that ran first (``count(*)`` and ``COUNT(*)`` name a column
+differently). A timeout is never reused, as it depends on host load, and a
+table past ``MEMO_MAX_ROWS`` (10,000) rows is not kept, so a memo holds at
+most one unit's small tables.
 
 Equivalence compares cell contents only: column names are ignored (gold
 and predictions alias columns differently), rows compare as sequences when
@@ -55,6 +61,7 @@ from __future__ import annotations
 import marshal
 import math
 import os
+import re
 import sqlite3
 import stat
 import time
@@ -76,6 +83,12 @@ MEMO_MAX_ROWS = 10_000
 SIGNIFICANT_DIGITS = 7
 # SQLite VM steps between two deadline checks.
 PROGRESS_STEPS = 10_000
+# SQLite's whitespace; str.split() and \s also take \x1c-\x1f and more.
+_GAP = re.compile(r"[ \t\n\f\r]+")
+# Text holding a gap of anything but one space, which statement_key respaces.
+_SPACING = ("\t", "\n", "\f", "\r", "  ")
+# Quoted identifiers and comments, which statement_key leaves to the exact text.
+_UNFOLDED = ('"', "`", "[", "--", "/*")
 # Authorizer actions a plain query needs; any other leaves the connection
 # in a state the next query must not see, so it is closed after the call.
 _READ_ACTIONS = frozenset(
@@ -139,6 +152,29 @@ def query_is_ordered(sql: str) -> bool:
     return False
 
 
+def statement_key(sql: str) -> str:
+    """The key under which texts SQLite reads as one statement share a table.
+
+    Outside string literals, ASCII letters are lower-cased and each run of
+    SQLite whitespace becomes one space; the literals are kept as they are
+    and the ends are stripped. SQLite folds ASCII case in keywords,
+    identifiers, function, type and collation names, and a gap stays a gap,
+    so the token sequence is the same (``0x1g`` and ``0x1 g``, or ``x'ab'``
+    and ``x 'ab'``, keep different keys), and so is ``query_is_ordered``.
+    Text this cannot read by splitting on ``'`` is its own key: non-ASCII
+    text, an odd number of ``'``, an identifier quoted in double quotes,
+    backticks or brackets, or a comment.
+    """
+    if not sql.isascii() or sql.count("'") % 2 or any(mark in sql for mark in _UNFOLDED):
+        return sql
+    parts = sql.split("'")
+    if any(space in sql for space in _SPACING):
+        parts[::2] = [_GAP.sub(" ", part.lower()) for part in parts[::2]]
+    else:
+        parts[::2] = [part.lower() for part in parts[::2]]
+    return "'".join(parts).strip(" ")
+
+
 class _CachedConnection:
     """A read-only connection and the identity of the file it was opened on."""
 
@@ -176,10 +212,16 @@ def _file_key(schema: DatabaseSchema) -> tuple[int, ...] | None:
 
 
 def _connection(schema: DatabaseSchema) -> _CachedConnection:
-    """This thread's connection to the schema's database, reopened if the file changed."""
+    """This thread's connection to the schema's database, reopened if the file changed.
+
+    The file's identity is the one ``OutcomeMemo.run_keyed`` took on this
+    thread for the execution it asked for, if any, and is read afresh
+    otherwise. It is handed over on the connection cache, not as an
+    argument, because the executors callers resolve take ``(sql, schema)``.
+    """
     cache = schema._connections
     cached = getattr(cache, "entry", None)
-    file_key = _file_key(schema)
+    file_key = getattr(cache, "taken_key", None) or _file_key(schema)
     if file_key is None:
         if cached is not None:
             _drop(schema)
@@ -248,7 +290,15 @@ def execute_for_comparison(sql: str, schema: DatabaseSchema) -> ExecOutcome:
 
 
 class OutcomeMemo:
-    """The execution outcomes of one unit of work, by database file and SQL text.
+    """The execution outcomes of one unit of work, by database file and statement.
+
+    A table is kept under the ``statement_key`` of the SQL that produced it
+    and found by any text with that key; an engine error is kept and found
+    under its exact text only. A text that finds another spelling's table
+    gets that very table, with the column names of the text that ran first.
+    Only a gold's names are ever read (the correction prompt renders its
+    table), and the gold runs first in every memo, so a prompt shows the
+    gold's own spelling.
 
     Not thread-safe: each unit of work owns its memo and drops it at the end.
     Nothing outlives it but the file identity ``run_keyed`` hands out and,
@@ -257,10 +307,11 @@ class OutcomeMemo:
     about the file it would read.
     """
 
-    __slots__ = ("_outcomes",)
+    __slots__ = ("_tables", "_errors")
 
     def __init__(self) -> None:
-        self._outcomes: dict[tuple, ExecOutcome] = {}
+        self._tables: dict[tuple, ExecOutcome] = {}
+        self._errors: dict[tuple, ExecOutcome] = {}
 
     def run(self, execute, sql: str, schema: DatabaseSchema) -> ExecOutcome:
         """The outcome of ``execute(sql, schema)``, executing only on a miss.
@@ -274,15 +325,27 @@ class OutcomeMemo:
         self, execute, sql: str, schema: DatabaseSchema
     ) -> tuple[tuple[int, ...] | None, ExecOutcome]:
         """``run``, with the identity of the database file the outcome belongs
-        to: the key this lookup took, so a caller learns it without a stat."""
-        key = (_file_key(schema), sql)
-        outcome = self._outcomes.get(key)
+        to: the key this lookup took, so a caller learns it without a stat,
+        and so does the connection the execution on a miss opens or reuses."""
+        file_key = _file_key(schema)
+        statement = (file_key, statement_key(sql))
+        outcome = self._tables.get(statement)
+        if outcome is None:
+            outcome = self._errors.get((file_key, sql))
         if outcome is None:
             # A missing file has no key; the executor raises for it.
-            outcome = execute(sql, schema)
-            if key[0] is not None and reusable(outcome):
-                self._outcomes[key] = outcome
-        return key[0], outcome
+            cache = schema._connections
+            cache.taken_key = file_key
+            try:
+                outcome = execute(sql, schema)
+            finally:
+                cache.taken_key = None
+            if file_key is not None and reusable(outcome):
+                if outcome.table is not None:
+                    self._tables[statement] = outcome
+                else:
+                    self._errors[file_key, sql] = outcome
+        return file_key, outcome
 
 
 def reusable(outcome: ExecOutcome) -> bool:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
+import re
 import sqlite3
 import sys
 import threading
@@ -9,6 +11,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nl2sql
 from nl2sql import evaluate, execution
@@ -26,13 +29,15 @@ from nl2sql.execution import (
     execute_for_comparison,
     normalize_cell,
     query_is_ordered,
+    statement_key,
     tables_equivalent,
 )
 from nl2sql.hardness import Hardness
 from nl2sql.pipeline import PipelineTranscript, Verdict
 from nl2sql.schema import DatabaseSchema
 
-from conftest import BELOW_AVERAGE_CARS_SQL, EXTRA_JOIN_CARS_SQL
+from conftest import BELOW_AVERAGE_CARS_SQL, DEV_EXAMPLES, EXTRA_JOIN_CARS_SQL
+from helpers import generate_corpus
 
 
 def table(rows, columns=None, ordered=False, truncated=False):
@@ -313,6 +318,164 @@ def test_timeout_while_fetching_rows_reported_as_timeout(schemas, monkeypatch):
     assert execute(sql, schemas["car_1"]).table.truncated
     monkeypatch.setattr(execution, "MAX_ROWS", 10**8)
     assert execute(sql, schemas["car_1"]).kind == "timeout"
+
+
+def test_memo_executes_once_and_stats_the_file_once_per_lookup(schemas, monkeypatch):
+    schema = schemas["battle_death"]
+    db_path = os.fspath(schema.db_path)
+    execute("SELECT 1", schema)  # this thread's connection is open
+    stats = []
+    real_stat = os.stat
+
+    def counting_stat(path, *args, **kwargs):
+        if os.fspath(path) == db_path:
+            stats.append(path)
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", counting_stat)
+    memo = OutcomeMemo()
+    memo.run(execute_for_comparison, "SELECT name FROM ship", schema)
+    assert len(stats) == 1  # a miss: the memo's stat serves the connection
+    memo.run(execute_for_comparison, "SELECT name FROM ship", schema)
+    assert len(stats) == 2  # a hit
+    execute("SELECT id FROM ship", schema)
+    assert len(stats) == 3  # a direct call stats for itself
+    # An executor that never reaches the connection leaves no identity behind.
+    memo.run(lambda sql, schema: ExecOutcome(timed_out=True), "SELECT 2", schema)
+    assert len(stats) == 4
+    execute("SELECT 3", schema)
+    assert len(stats) == 5
+
+
+# --------------------------------------------------------------------------- statement key
+
+SQLITE_SPACE = " \t\n\f\r"
+# Mixed-case literals, doubled quotes, blobs and whitespace inside literals,
+# which the corpus and the golds hardly hold.
+RESPELLABLE_EXTRA = [
+    ("battle_death", "SELECT Name FROM ship WHERE disposition_of_ship = 'Sank' OR name = 'ship 1'"),
+    ("battle_death", "SELECT 'it''s  A' || name, X'aB', 0xfF, 1E1 FROM ship ORDER BY name DESC"),
+    ("battle_death", "SELECT name FROM ship WHERE name LIKE 'SHIP%' AND name GLOB 'ship [1-3]'"),
+    ("battle_death", "SELECT CAST(id AS TEXT) COLLATE NOCASE AS Id, upper(name) FROM ship "
+                     "WHERE id IN (SELECT id FROM ship WHERE lost_in_battle >= 3) ORDER BY Id"),
+]
+
+
+def _foldable(sql: str) -> bool:
+    return (sql.isascii() and sql.count("'") % 2 == 0
+            and not any(mark in sql for mark in ('"', "`", "[", "--", "/*")))
+
+
+def _respelled(sql: str, rng: random.Random) -> str:
+    """``sql`` with each ASCII letter outside string literals in either case
+    and each whitespace run there of another length and kind, still a gap."""
+
+    def respell(match: re.Match) -> str:
+        if match[0].isalpha():
+            return rng.choice([str.upper, str.lower])(match[0])
+        return "".join(rng.choice(SQLITE_SPACE) for _ in range(rng.randint(1, 3)))
+
+    parts = sql.split("'")
+    parts[::2] = [re.sub(r"[ \t\n\f\r]+|[A-Za-z]", respell, part) for part in parts[::2]]
+    ends = ["", " ", "\n", "\t\r\f"]
+    return rng.choice(ends) + "'".join(parts) + rng.choice(ends)
+
+
+@pytest.fixture(scope="module")
+def respellable(schemas):
+    queries = generate_corpus(schemas) + RESPELLABLE_EXTRA + [
+        (ex["db_id"], ex["query"]) for ex in DEV_EXAMPLES
+    ]
+    return [(db_id, sql) for db_id, sql in queries if _foldable(sql)]
+
+
+@pytest.fixture(scope="module")
+def plain_connections(schemas):
+    conns = {
+        db_id: sqlite3.connect(f"file:{schema.db_path}?mode=ro", uri=True)
+        for db_id, schema in schemas.items()
+    }
+    yield conns
+    for conn in conns.values():
+        conn.close()
+
+
+def test_nearly_every_query_is_respellable(respellable):
+    assert len(respellable) >= 200
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pick=st.integers(min_value=0), seed=st.integers(min_value=0, max_value=2**32))
+def test_a_respelled_query_keeps_its_key_rows_and_order(
+    respellable, plain_connections, pick, seed
+):
+    db_id, sql = respellable[pick % len(respellable)]
+    variant = _respelled(sql, random.Random(seed))
+    assert statement_key(variant) == statement_key(sql)
+    assert query_is_ordered(variant) == query_is_ordered(sql)
+    conn = plain_connections[db_id]
+    assert conn.execute(variant).fetchall() == conn.execute(sql).fetchall()
+
+
+@pytest.mark.parametrize(
+    "one, other",
+    [
+        ("SELECT 0x1g", "SELECT 0x1 g"),  # one token or two
+        ("SELECT x'ab' FROM t", "SELECT x 'ab' FROM t"),  # a blob or an alias
+        ("SELECT 'A'", "SELECT 'a'"),
+        ('SELECT "a" FROM t', "SELECT [a] FROM t"),
+        ('SELECT "A"', 'SELECT "a"'),  # a string where no column has the name
+        ("SELECT \u00e9 FROM t", "SELECT \u00c9 FROM t"),  # SQLite folds ASCII only
+        ("SELECT 1\u00a0FROM t", "SELECT 1 FROM t"),  # NBSP is no SQLite whitespace
+        ("SELECT\t1\x1cFROM t", "SELECT 1 FROM t"),  # nor is \x1c, which str.split takes
+        ("SELECT 1 WHERE 'k' LI\u212aE 'k'", "SELECT 1 WHERE 'k' LIKE 'k'"),  # Kelvin sign
+        ("SELECT a FROM t -- A", "select a from t -- a"),
+        ("SELECT a /* A */ FROM t", "select a /* a */ from t"),
+        ("SELECT 'A", "select 'A"),
+    ],
+)
+def test_texts_sqlite_may_read_apart_get_different_keys(one, other):
+    assert statement_key(one) != statement_key(other)
+    for sql in (one, other):
+        if not _foldable(sql):
+            assert statement_key(sql) == sql
+
+
+def test_statement_key_folds_case_and_gaps_outside_literals_only():
+    assert statement_key("\n SELECT  Name\tFROM\r\n Ship WHERE a = 'It''s  A' ") == (
+        "select name from ship where a = 'It''s  A'"
+    )
+
+
+def _counting_executor(calls):
+    def counting(sql, schema):
+        calls.append(sql)
+        return execute_for_comparison(sql, schema)
+
+    return counting
+
+
+def test_a_statement_hit_returns_the_table_and_names_of_the_first_text(schemas):
+    schema = schemas["battle_death"]
+    for first, second in (("SELECT count(*) FROM ship", "select COUNT(*)\nfrom  Ship"),
+                          ("SELECT COUNT(*) FROM ship", "SELECT count(*) FROM ship")):
+        calls = []
+        memo = OutcomeMemo()
+        outcome = memo.run(_counting_executor(calls), first, schema)
+        assert memo.run(_counting_executor(calls), second, schema) is outcome
+        assert calls == [first]
+        assert outcome.table.columns == (first.split()[1],)
+
+
+def test_an_error_is_kept_for_its_exact_text_only(schemas):
+    schema = schemas["battle_death"]
+    calls = []
+    memo = OutcomeMemo()
+    lower = memo.run(_counting_executor(calls), "select name from from ship", schema)
+    upper = memo.run(_counting_executor(calls), "SELECT name FROM FROM ship", schema)
+    assert 'near "from"' in lower.error and 'near "FROM"' in upper.error
+    assert memo.run(_counting_executor(calls), "SELECT name FROM FROM ship", schema) is upper
+    assert calls == ["select name from from ship", "SELECT name FROM FROM ship"]
 
 
 # --------------------------------------------------------------------------- equivalence

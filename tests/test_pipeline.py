@@ -403,6 +403,54 @@ def test_a_resubmitted_sql_runs_once_per_example_unless_it_timed_out(schemas, mo
         assert calls.count(WRONG) == (3 if times_out else 1)
 
 
+def test_an_engine_error_is_not_shared_across_spellings(schemas, monkeypatch):
+    import nl2sql.pipeline as pipeline
+
+    original = pipeline.execute_for_comparison
+    calls = []
+
+    def counting(sql, schema):
+        calls.append(sql)
+        return original(sql, schema)
+
+    monkeypatch.setattr(pipeline, "execute_for_comparison", counting)
+    lower, upper = "select name from from ship", "SELECT name FROM FROM ship"
+    generator, corrector = scripted_endpoints(
+        {"zero_shot": lower, "example_1": upper, "error": upper}
+    )
+    transcript = run_pipeline(
+        example(), schemas["battle_death"], PipelineConfig(), generator, corrector
+    )
+    errors = [stage.execution["error"] for stage in transcript.stages]
+    assert [s.stage for s in transcript.stages] == [
+        "zero_shot", "example_correction_1", "error_correction"
+    ]
+    assert 'near "from"' in errors[0]
+    assert 'near "FROM"' in errors[1] and errors[2] == errors[1]
+    assert 'near "FROM"' in transcript.stages[2].messages[-1]["content"]
+    # The exact resubmission is found; the other spelling runs on its own.
+    assert calls == [GOLD, lower, upper]
+
+
+def test_each_correction_prompt_shows_its_own_golds_column_names(schemas):
+    golds = ["SELECT count(*) FROM ship", "SELECT COUNT(*) FROM ship"]
+    examples = [
+        SpiderExample(id=i, question=f"Q{i}?", db_id="battle_death", gold_sql=gold,
+                      hardness=Hardness.EASY)
+        for i, gold in enumerate(golds)
+    ]
+    generator, corrector = scripted_endpoints(
+        {"zero_shot": WRONG, "example_1": WRONG, "error": WRONG}
+    )
+    for workers in (1, 2):
+        transcripts = run_many(
+            examples, schemas, PipelineConfig(), generator, corrector, workers=workers
+        )
+        for transcript, gold in zip(transcripts, golds):
+            prompt = transcript.stages[1].messages[-1]["content"]
+            assert f"| {gold.split()[1]} |" in prompt, (workers, gold)
+
+
 # --------------------------------------------------------------------------- transcripts
 
 def test_transcript_json_round_trip(schemas, tmp_path):
