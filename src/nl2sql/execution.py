@@ -83,10 +83,10 @@ MEMO_MAX_ROWS = 10_000
 SIGNIFICANT_DIGITS = 7
 # SQLite VM steps between two deadline checks.
 PROGRESS_STEPS = 10_000
-# SQLite's whitespace; str.split() and \s also take \x1c-\x1f and more.
-_GAP = re.compile(r"[ \t\n\f\r]+")
-# Text holding a gap of anything but one space, which statement_key respaces.
-_SPACING = ("\t", "\n", "\f", "\r", "  ")
+# statement_key's respacing: SQLite's other whitespace becomes a space, then
+# a run of spaces one space (str.split() and \s would take \x1c-\x1f too).
+_TO_SPACE = bytes.maketrans(b"\t\n\f\r", b"    ")
+_SPACES = re.compile(b"  +")
 # Quoted identifiers and comments, which statement_key leaves to the exact text.
 _UNFOLDED = ('"', "`", "[", "--", "/*")
 # Authorizer actions a plain query needs; any other leaves the connection
@@ -167,12 +167,10 @@ def statement_key(sql: str) -> str:
     """
     if not sql.isascii() or sql.count("'") % 2 or any(mark in sql for mark in _UNFOLDED):
         return sql
-    parts = sql.split("'")
-    if any(space in sql for space in _SPACING):
-        parts[::2] = [_GAP.sub(" ", part.lower()) for part in parts[::2]]
-    else:
-        parts[::2] = [part.lower() for part in parts[::2]]
-    return "'".join(parts).strip(" ")
+    # On the ASCII bytes, lower-casing and respacing are table look-ups.
+    parts = sql.encode().split(b"'")
+    parts[::2] = [_SPACES.sub(b" ", part.lower().translate(_TO_SPACE)) for part in parts[::2]]
+    return b"'".join(parts).strip(b" ").decode()
 
 
 class _CachedConnection:
@@ -218,6 +216,11 @@ def _connection(schema: DatabaseSchema) -> _CachedConnection:
     thread for the execution it asked for, if any, and is read afresh
     otherwise. It is handed over on the connection cache, not as an
     argument, because the executors callers resolve take ``(sql, schema)``.
+    So a file changed between the memo's stat and the query is read on the
+    connection kept for the identity that stat saw, and the outcome is kept
+    under that identity. A second stat here would narrow that window, not
+    close it, since the file may change after it too; the next lookup
+    stats afresh and reopens.
     """
     cache = schema._connections
     cached = getattr(cache, "entry", None)
@@ -335,11 +338,12 @@ class OutcomeMemo:
         if outcome is None:
             # A missing file has no key; the executor raises for it.
             cache = schema._connections
+            outer = getattr(cache, "taken_key", None)
             cache.taken_key = file_key
             try:
                 outcome = execute(sql, schema)
             finally:
-                cache.taken_key = None
+                cache.taken_key = outer
             if file_key is not None and reusable(outcome):
                 if outcome.table is not None:
                     self._tables[statement] = outcome

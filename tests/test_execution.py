@@ -345,6 +345,15 @@ def test_memo_executes_once_and_stats_the_file_once_per_lookup(schemas, monkeypa
     assert len(stats) == 4
     execute("SELECT 3", schema)
     assert len(stats) == 5
+    # A lookup inside an execution hands the outer lookup's identity back.
+    inner = OutcomeMemo()
+
+    def nested(sql, schema):
+        inner.run(execute_for_comparison, "SELECT 4", schema)
+        return execute(sql, schema)
+
+    memo.run(nested, "SELECT 5", schema)
+    assert len(stats) == 7  # one stat per lookup; neither execution stats again
 
 
 # --------------------------------------------------------------------------- statement key
