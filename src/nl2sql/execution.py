@@ -24,9 +24,14 @@ outside string literals, and an engine error under the exact text, as
 SQLite quotes the spelling in its message. A hit returns the very outcome
 the first execution produced, so a shared table carries the column names
 of the text that ran first (``count(*)`` and ``COUNT(*)`` name a column
-differently). A timeout is never reused, as it depends on host load, and a
-table past ``MEMO_MAX_ROWS`` (10,000) rows is not kept, so a memo holds at
-most one unit's small tables.
+differently). A timeout is never reused, as it depends on host load. The
+first table a memo receives is kept whatever its size; a later one past
+``MEMO_MAX_ROWS`` (10,000) rows is not. Every unit runs its gold first, and
+``run`` holds the gold's outcome for the whole example anyway, so a memo
+holds its unit's small tables plus that first table, of at most
+``MAX_ROWS`` rows: N workers hold at most N such tables beyond what their
+pipelines already hold. A prediction that respells a gold past the bound
+then gets the gold's own table, and a gold group runs such a gold once.
 
 Equivalence compares cell contents only: column names are ignored (gold
 and predictions alias columns differently), rows compare as sequences when
@@ -174,19 +179,33 @@ def statement_key(sql: str) -> str:
 
 
 class _CachedConnection:
-    """A read-only connection and the identity of the file it was opened on."""
+    """A read-only connection and the identity of the file it was opened on.
+
+    The connection is closed when this wrapper is dropped. It sits in a
+    reference cycle with its own statement cache, so without the close its
+    file handle and page cache would wait for the cyclic collector; the
+    wrapper is in no cycle and goes at once. Each connection is used only by
+    the thread that opened it, but the last reference may go on another
+    thread (a schema dropped there), hence ``check_same_thread=False``.
+    """
 
     __slots__ = ("conn", "file_key", "other_actions")
 
     def __init__(self, db_path: Path, file_key: tuple[int, ...]) -> None:
         uri_path = quote(str(Path(db_path).resolve()))
-        self.conn = sqlite3.connect(f"file:{uri_path}?mode=ro", uri=True, isolation_level=None)
+        self.conn = sqlite3.connect(
+            f"file:{uri_path}?mode=ro", uri=True, isolation_level=None, check_same_thread=False
+        )
         self.file_key = file_key
         self.other_actions: set[int] = set()
         # The authorizer allows everything; it only records what a statement
         # does. It holds the set, not self, so no reference cycle keeps the
         # connection open after its schema is gone.
         self.conn.set_authorizer(_recorder(self.other_actions))
+
+    def __del__(self) -> None:
+        if hasattr(self, "conn"):  # absent when connect() raised in __init__
+            self.conn.close()
 
 
 def _recorder(other_actions: set[int]):
@@ -301,7 +320,9 @@ class OutcomeMemo:
     gets that very table, with the column names of the text that ran first.
     Only a gold's names are ever read (the correction prompt renders its
     table), and the gold runs first in every memo, so a prompt shows the
-    gold's own spelling.
+    gold's own spelling. The first table is kept whatever its row count,
+    which is the gold's wherever a gold runs; a later table is kept only
+    when ``reusable``, and a timeout never is.
 
     Not thread-safe: each unit of work owns its memo and drops it at the end.
     Nothing outlives it but the file identity ``run_keyed`` hands out and,
@@ -344,17 +365,19 @@ class OutcomeMemo:
                 outcome = execute(sql, schema)
             finally:
                 cache.taken_key = outer
-            if file_key is not None and reusable(outcome):
-                if outcome.table is not None:
-                    self._tables[statement] = outcome
-                else:
+            if file_key is not None and not outcome.timed_out:
+                if outcome.table is None:
                     self._errors[file_key, sql] = outcome
+                elif not self._tables or reusable(outcome):
+                    self._tables[statement] = outcome
         return file_key, outcome
 
 
 def reusable(outcome: ExecOutcome) -> bool:
-    """Whether an outcome may outlive its execution: no timeout, as that
-    depends on host load, and no table past ``MEMO_MAX_ROWS`` rows."""
+    """Whether an outcome may outlive its unit of work, or be kept as a
+    memo's second or later table: no timeout, as that depends on host load,
+    and no table past ``MEMO_MAX_ROWS`` rows. A memo keeps its first table
+    whatever its size (see ``OutcomeMemo``)."""
     table = outcome.table
     return not outcome.timed_out and (table is None or len(table.rows) <= MEMO_MAX_ROWS)
 

@@ -23,7 +23,12 @@ gold and every stage, so a model that resubmits its SQL is not re-executed
 (a timeout is, as it is never reused). ``run_many`` groups examples by
 database and gold SQL and passes one memo per group, so a gold shared by
 several questions runs once; a group runs inside one task, so no memo is
-shared between threads.
+shared between threads. The gold runs first, so its table is the memo's
+first and is kept whatever its size: a reply that respells a gold past
+``MEMO_MAX_ROWS`` rows gets the gold's own table, and such a gold runs once
+per group. The pipeline holds the gold's outcome for the whole example
+anyway, so each worker's memo holds at most that one table beyond its small
+ones.
 
 When the final SQL and the gold ran on the same database file, the
 transcript keeps the pipeline's judgment of them in memory

@@ -1,13 +1,18 @@
-"""Tokenizer for the SQLite-flavored SELECT dialect.
+r"""Tokenizer for the SQLite-flavored SELECT dialect.
 
 One compiled master pattern, after "Writing a Tokenizer" in the Python
-``re`` documentation, with SQLite's lexical rules: a number is ASCII
-digits with an optional fraction and exponent (``1``, ``1.``, ``.5``,
-``1e5``), or ``0x`` followed by hex digits (``0x1F``); any other word
-character, ``²`` and ``٣`` included, starts an identifier, and every word
-character continues one. A decimal number that runs straight into word
-characters (``1abc``, ``0x``, ``1e5x``, ``1_000``) is an error, as in
-SQLite; a hex number may be followed by one (``0x1g`` is ``0x1`` and ``g``).
+``re`` documentation, with SQLite's lexical rules. Whitespace is space,
+``\t``, ``\n``, ``\f`` and ``\r`` only; any other control character
+(``\x0b``, ``\x1c``, ``\x7f``) is an error. A number is ASCII digits with
+an optional fraction and exponent (``1``, ``1.``, ``.5``, ``1e5``), or
+``0x`` followed by hex digits (``0x1F``). An identifier character is an
+ASCII letter, digit or ``_``, or any non-ASCII character, as SQLite reads
+every byte of a multi-byte character as one: ``²``, ``٣``, NBSP and U+3000
+included, so ``name\xa0FROM`` is one identifier. Any such character but an
+ASCII digit starts an identifier. A decimal number that runs straight into
+identifier characters (``1abc``, ``0x``, ``1e5x``, ``1_000``, ``1\xa0``)
+is an error, as in SQLite; a hex number may be followed by one (``0x1g``
+is ``0x1`` and ``g``).
 """
 
 from __future__ import annotations
@@ -31,24 +36,28 @@ FORBIDDEN_LEADS = frozenset(
     "insert update delete create drop alter replace pragma attach detach vacuum".split()
 )
 
+# SQLite's identifier characters: ASCII letters, digits and ``_``, and every
+# non-ASCII character.
+_ID = r"0-9A-Za-z_\x80-\U0010ffff"
+
 # Alternatives are tried in order, after the whitespace in front of them;
 # ``skip`` takes comments and the whitespace at the end, and ``ident``, the
-# most frequent token, comes next: no other form starts with a word
+# most frequent token, comes next: no other form starts with an identifier
 # character other than an ASCII digit. A quoted form may
 # not close on a quote that starts a doubled-quote escape, so ``'abc''`` is
 # unterminated; the bare openers after the full forms match only what
-# failed to close. A decimal ``number`` matches only when no word character
-# follows its longest reading (a shorter one would leave a digit, ``.``,
-# ``e`` or the rest of the exponent next); ``bad_number`` takes the rest.
+# failed to close. A decimal ``number`` matches only when no identifier
+# character follows its longest reading (a shorter one would leave a digit,
+# ``.``, ``e`` or the rest of the exponent next); ``bad_number`` takes the rest.
 _MASTER = re.compile(
-    r"""\s*(?:
-      (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
-    | (?P<ident>[^\W0-9]\w*)
+    rf"""[ \t\n\f\r]*(?:
+      (?P<skip>[ \t\n\f\r]+|--[^\n]*|/\*.*?\*/)
+    | (?P<ident>[A-Za-z_\x80-\U0010ffff][{_ID}]*)
     | (?P<string>'[^']*(?:''[^']*)*'(?!'))
     | (?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
     | (?P<number>0[xX][0-9a-fA-F]+
-        | (?:[0-9]+(?:\.[0-9]*|(?!\.))|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?!\w))
-    | (?P<bad_number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\w+)
+        | (?:[0-9]+(?:\.[0-9]*|(?!\.))|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?![{_ID}]))
+    | (?P<bad_number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[{_ID}]+)
     | (?P<open_comment>/\*)
     | (?P<op><=|>=|<>|!=|==|\|\||[-=<>+*/%])
     | (?P<punct>[(),.;])

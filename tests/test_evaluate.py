@@ -19,7 +19,15 @@ from nl2sql.evaluate import (
 )
 from nl2sql.hardness import Hardness
 from nl2sql.llm import ModelEndpoint
-from nl2sql.pipeline import PipelineConfig, PipelineTranscript, Verdict, run_many, run_pipeline
+from nl2sql.pipeline import (
+    PipelineConfig,
+    PipelineTranscript,
+    Verdict,
+    read_transcripts,
+    run_many,
+    run_pipeline,
+    write_transcripts,
+)
 from nl2sql.schema import schema_from_tables_entry
 
 from conftest import GROUPED_BY_ID_SQL, GROUPED_BY_NAME_SQL, build_ships_db
@@ -486,6 +494,23 @@ def test_table_above_memo_max_rows_is_not_handed_over(
     calls = counting_executions(monkeypatch)
     score([failed], [ship_example(0)], schemas, with_triage=False)
     assert calls == [("battle_death", GOLD), ("battle_death", final_sql)]
+
+
+def test_read_back_transcripts_run_a_gold_past_the_memo_bound_once_with_its_respelling(
+    schemas, monkeypatch, tmp_path
+):
+    from test_pipeline import RESPELLED_GOLD
+
+    monkeypatch.setattr(execution, "MEMO_MAX_ROWS", 2)  # GOLD returns 3 rows
+    path = tmp_path / "transcripts.jsonl"
+    write_transcripts([transcript(i, RESPELLED_GOLD) for i in range(2)], path)
+    read_back = read_transcripts(path)
+    assert [t.judgment for t in read_back] == [None, None]
+
+    calls = counting_executions(monkeypatch)
+    report = score(read_back, [ship_example(0), ship_example(1)], schemas)
+    assert report.overall == 1.0
+    assert calls == [("battle_death", GOLD)]
 
 
 def test_later_stage_with_sql_replaces_the_judgment_and_without_sql_keeps_it(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import random
@@ -33,7 +34,7 @@ from nl2sql.execution import (
     tables_equivalent,
 )
 from nl2sql.hardness import Hardness
-from nl2sql.pipeline import PipelineTranscript, Verdict
+from nl2sql.pipeline import PipelineConfig, PipelineTranscript, Verdict, run_many
 from nl2sql.schema import DatabaseSchema
 
 from conftest import BELOW_AVERAGE_CARS_SQL, DEV_EXAMPLES, EXTRA_JOIN_CARS_SQL
@@ -241,6 +242,49 @@ def test_memo_keeps_tables_and_errors_but_not_timeouts_or_tables_past_max_rows(s
         assert calls.count(sql) == (1 if kept else 2)
 
 
+def test_memo_keeps_its_first_table_past_max_rows_and_no_later_one(schemas):
+    big, bigger = _count_to(MEMO_MAX_ROWS + 1), _count_to(MEMO_MAX_ROWS + 2)
+    calls = []
+
+    def counting(sql, schema):
+        calls.append(sql)
+        return execute_for_comparison(sql, schema)
+
+    schema = schemas["battle_death"]
+    memo = OutcomeMemo()
+    first = memo.run(counting, big, schema)
+    assert len(first.table.rows) == MEMO_MAX_ROWS + 1
+    # Another spelling of the same statement gets that very table.
+    assert memo.run(counting, "  " + big.lower(), schema) is first
+    assert calls == [big]
+    # A second table past the bound runs again; a small one is still kept.
+    for sql, kept in ((bigger, False), ("SELECT name FROM ship", True)):
+        again = memo.run(counting, sql, schema)
+        assert (memo.run(counting, sql, schema) is again) is kept
+        assert calls.count(sql) == (1 if kept else 2)
+
+
+def test_memo_never_keeps_a_timed_out_first_outcome(schemas):
+    big = _count_to(MEMO_MAX_ROWS + 1)
+    calls = []
+
+    def counting(sql, schema):
+        calls.append(sql)
+        if sql == "slow":
+            return ExecOutcome(timed_out=True)
+        return execute_for_comparison(sql, schema)
+
+    schema = schemas["battle_death"]
+    memo = OutcomeMemo()
+    assert memo.run(counting, "slow", schema).timed_out
+    assert memo.run(counting, "slow", schema).timed_out
+    assert calls == ["slow", "slow"]
+    # The first table comes after the timeout, and is kept whatever its size.
+    first = memo.run(counting, big, schema)
+    assert memo.run(counting, big, schema) is first
+    assert calls.count(big) == 1
+
+
 def test_memo_rereads_a_database_replaced_between_two_examples_of_one_group(
     tmp_path, monkeypatch
 ):
@@ -280,6 +324,49 @@ def test_memo_still_raises_for_a_deleted_database(tmp_path):
     os.remove(tmp_path / "n.sqlite")
     with pytest.raises(DatabaseMissingError):
         memo.run(execute_for_comparison, "SELECT n FROM t", schema)
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["this-thread", "run-many-2-workers"])
+def test_a_dropped_schema_closes_every_connection_it_opened_at_once(
+    tmp_path, monkeypatch, workers
+):
+    from test_pipeline import scripted_endpoints
+
+    schema = _numbers_db(tmp_path / "n.sqlite", [1, 2, 3])
+    opened = []
+    connect = sqlite3.connect
+
+    def recording(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", recording)
+    enabled = gc.isenabled()
+    gc.disable()  # the connections must close without the cyclic collector
+    try:
+        if workers:
+            examples = [
+                SpiderExample(id=i, question=f"q{i}", db_id="numbers",
+                              gold_sql=f"SELECT n FROM t WHERE n > {i}", hardness=Hardness.EASY)
+                for i in range(4)
+            ]
+            generator, corrector = scripted_endpoints(
+                {stage: "SELECT n FROM t" for stage in ("zero_shot", "example_1", "error")}
+            )
+            run_many(examples, {"numbers": schema}, PipelineConfig(), generator, corrector,
+                     workers=workers)
+        else:
+            execute("SELECT n FROM t", schema)
+            execute("PRAGMA user_version", schema)  # closes; the next query reopens
+            OutcomeMemo().run(execute_for_comparison, "SELECT n FROM t", schema)
+        assert opened
+        del schema
+        for conn in opened:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed database"):
+                conn.execute("SELECT 1")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_threads_sharing_a_schema_each_get_correct_tables(schemas):

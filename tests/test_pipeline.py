@@ -403,7 +403,11 @@ def test_a_resubmitted_sql_runs_once_per_example_unless_it_timed_out(schemas, mo
         assert calls.count(WRONG) == (3 if times_out else 1)
 
 
-def test_an_engine_error_is_not_shared_across_spellings(schemas, monkeypatch):
+# GOLD as a model may spell it: the same statement, another text.
+RESPELLED_GOLD = "select name\nFROM ship where disposition_of_ship = 'sank'"
+
+
+def counting_executions(monkeypatch) -> list[str]:
     import nl2sql.pipeline as pipeline
 
     original = pipeline.execute_for_comparison
@@ -414,6 +418,39 @@ def test_an_engine_error_is_not_shared_across_spellings(schemas, monkeypatch):
         return original(sql, schema)
 
     monkeypatch.setattr(pipeline, "execute_for_comparison", counting)
+    return calls
+
+
+def test_a_respelled_gold_past_the_memo_bound_reuses_the_golds_table(schemas, monkeypatch):
+    from nl2sql import execution
+
+    monkeypatch.setattr(execution, "MEMO_MAX_ROWS", 2)  # GOLD returns 3 rows
+    calls = counting_executions(monkeypatch)
+    generator, corrector = scripted_endpoints({"zero_shot": RESPELLED_GOLD})
+    transcript = run_pipeline(
+        example(), schemas["battle_death"], PipelineConfig(), generator, corrector
+    )
+    assert transcript.final_verdict is Verdict.CORRECT_FIRST_SHOT
+    assert calls == [GOLD]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_gold_past_the_memo_bound_runs_once_per_group(schemas, monkeypatch, workers):
+    from nl2sql import execution
+
+    monkeypatch.setattr(execution, "MEMO_MAX_ROWS", 2)
+    calls = counting_executions(monkeypatch)
+    generator, corrector = scripted_endpoints({"zero_shot": RESPELLED_GOLD})
+    examples = [example(f"Q{i}?", id=i) for i in range(2)]
+    transcripts = run_many(
+        examples, schemas, PipelineConfig(), generator, corrector, workers=workers
+    )
+    assert [t.final_verdict for t in transcripts] == [Verdict.CORRECT_FIRST_SHOT] * 2
+    assert calls == [GOLD]
+
+
+def test_an_engine_error_is_not_shared_across_spellings(schemas, monkeypatch):
+    calls = counting_executions(monkeypatch)
     lower, upper = "select name from from ship", "SELECT name FROM FROM ship"
     generator, corrector = scripted_endpoints(
         {"zero_shot": lower, "example_1": upper, "error": upper}

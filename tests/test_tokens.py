@@ -5,12 +5,18 @@ replaced, kept as an oracle. The two agree, token for token and error for
 error, on every input without a numeric character outside ASCII 0-9: the
 reference started a number on any ``str.isdigit`` character, whereas
 SQLite, and the tokenizer, read only ASCII digits as a number and any other
-word character as part of an identifier. Both read ``0x`` followed by hex
+identifier character as part of an identifier. Both skip only SQLite's
+whitespace (space, tab, newline, form feed, carriage return), take every
+non-ASCII character as an identifier character, read ``0x`` followed by hex
 digits as one number, as SQLite does, and reject a decimal number that runs
-into identifier characters (``1abc``, ``0x``) with SQLite's message.
+into identifier characters (``1abc``, ``0x``) with SQLite's message. A last
+test checks the tokenizer against ``sqlite3`` itself on the characters that
+Python's whitespace and word classes read otherwise than SQLite.
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,13 +32,17 @@ from helpers import generate_corpus
 HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
+def is_id_char(ch: str) -> bool:
+    return not ch.isascii() or ch.isalnum() or ch == "_"
+
+
 def reference_tokenize(sql: str) -> list[tuple[str, str, int]]:
     tokens = []
     i, n = 0, len(sql)
     while i < n:
         ch = sql[i]
         start = i
-        if ch.isspace():
+        if ch in " \t\n\f\r":
             i += 1
         elif sql.startswith("--", i):
             nl = sql.find("\n", i)
@@ -80,13 +90,13 @@ def reference_tokenize(sql: str) -> list[tuple[str, str, int]]:
                     i = j
                     while i < n and sql[i].isdigit():
                         i += 1
-            if i < n and (sql[i].isalnum() or sql[i] == "_"):
-                while i < n and (sql[i].isalnum() or sql[i] == "_"):
+            if i < n and is_id_char(sql[i]):
+                while i < n and is_id_char(sql[i]):
                     i += 1
                 raise ParseError(f'unrecognized token: "{sql[start:i]}"', start)
             tokens.append(("number", sql[start:i], start))
-        elif ch.isalpha() or ch == "_":
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
+        elif is_id_char(ch):
+            while i < n and is_id_char(sql[i]):
                 i += 1
             tokens.append(("ident", sql[start:i], start))
         elif sql[i : i + 2] in ("<=", ">=", "<>", "!=", "==", "||"):
@@ -126,7 +136,8 @@ sql_pieces = st.sampled_from(
      "..", "'it''s'", "''", "'", "'a''", '"q""x"', '"', "`b``c`", "`", "[x y]",
      "[", "]", "-- note\n", "--", "/* c */", "/*/", "/*", "*/", "<=", ">=", "<>", "!=", "==",
      "||", "|", "!", "=", "<", ">", "+", "-", "*", "/", "%", "(", ")", ",", ".", ";", " ",
-     "\t", "\n", " ", "#", "@", "$", "?"]
+     "\t", "\n", " ", "#", "@", "$", "?",
+     "\x0b", "\x1c", "\x7f", "\x85", "\u3000"]
 )
 sql_like_texts = st.one_of(
     st.lists(sql_pieces, max_size=12).map("".join),
@@ -195,3 +206,49 @@ def test_a_non_ascii_digit_is_a_parse_error(schemas, sql, message):
     with pytest.raises(ParseError) as err:
         parse(sql, schemas["battle_death"])
     assert str(err.value) == message
+
+
+# C0 controls but NUL, DEL, NEL, NBSP, EM SPACE and IDEOGRAPHIC SPACE: Python's
+# ``\s`` and ``\w`` read these otherwise than SQLite, which skips only space,
+# tab, newline, form feed and carriage return and reads every non-ASCII
+# character as part of an identifier.
+ODD_CHARACTERS = [chr(c) for c in range(1, 0x20)] + ["\x7f", "\x85", "\xa0", "\u2003", "\u3000"]
+PLACES = [
+    "{}SELECT name FROM ship", "SELECT name{}FROM ship", "SELECT na{}me FROM ship",
+    "SELECT name FROM ship{}", "SELECT 1{} FROM ship", "SELECT 1.5e3{}", "SELECT 0x1{}",
+    "SELECT name FROM ship WHERE name = 'a{}b'", "SELECT \"na{}me\" FROM ship",
+    "SELECT name /* {} */ FROM ship", "SELECT name{}, 1 FROM ship",
+]
+
+
+@pytest.fixture(scope="module")
+def ships():
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE ship (name TEXT)")
+    yield conn
+    conn.close()
+
+
+@pytest.mark.parametrize("char", ODD_CHARACTERS, ids=lambda char: f"U+{ord(char):04X}")
+def test_tokenize_raises_exactly_where_sqlite_finds_an_unrecognized_token(ships, char):
+    for place in PLACES:
+        sql = place.format(char)
+        try:
+            ships.execute(sql)
+            unrecognized = False
+        except sqlite3.OperationalError as exc:
+            unrecognized = str(exc).startswith("unrecognized token")
+        try:
+            tokenize(sql)
+            raised = False
+        except ParseError:
+            raised = True
+        assert raised is unrecognized, sql
+
+
+def test_a_nul_is_refused_as_the_sqlite3_module_refuses_it(ships):
+    # The module refuses the text before SQLite reads it.
+    with pytest.raises(sqlite3.ProgrammingError, match="null character"):
+        ships.execute("SELECT name\x00FROM ship")
+    with pytest.raises(ParseError):
+        tokenize("SELECT name\x00FROM ship")
