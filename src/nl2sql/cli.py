@@ -16,7 +16,9 @@ Exit codes are stable so scripts can branch on failure class:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -178,6 +180,21 @@ def _own_file(verb: str, path: Path):
         raise Nl2SqlError(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
 
 
+def _check_writable(path: Path) -> None:
+    """Fail as writing ``path`` would, before any work is paid for, creating
+    no file and truncating none."""
+    if path.is_dir():
+        code = errno.EISDIR
+    elif path.exists():
+        code = None if os.access(path, os.W_OK) else errno.EACCES
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        code = None if os.access(path.parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code is not None:
+        raise Nl2SqlError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def cmd_ingest(args) -> int:
     loaded = load_dataset(args.dataset, args.split)
     profile = loaded.hardness_profile()
@@ -251,6 +268,9 @@ def cmd_run(args) -> int:
     examples = list(loaded.examples)
     if args.limit is not None:
         examples = examples[: args.limit]
+    for path in (args.out, args.report):
+        if path is not None:
+            _check_writable(path)
     generator = _endpoint("generator", config["generator"], args)
     corrector = _endpoint("corrector", config["corrector"], args)
     pipeline_config = PipelineConfig(

@@ -9,21 +9,28 @@ Expected directory layout (the public distribution's):
 
 Entries whose gold SQL does not parse, or whose db_id has no schema, are
 quarantined with a reason instead of being dropped: loaded + quarantined
-always reconciles with the raw entry count.
+always reconciles with the raw entry count. A split file whose top level is
+not a list, or with an entry that is not an object or whose ``question``,
+``query`` or ``db_id`` is not a string, is a ``DatasetError``.
+
+Each distinct ``(db_id, gold_sql)`` is parsed and classified once. Every
+example with that gold carries the one bound tree (``gold_ast``), which
+triage reuses instead of parsing the gold again; the trees stay in memory
+as long as the examples do (about 2 KB per distinct gold).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .errors import DatasetError, Nl2SqlError, SchemaError
 from .hardness import Hardness, classify_hardness
 from .schema import DatabaseSchema, schema_from_tables_entry
-from .sqlast import parse
+from .sqlast import Select, parse
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +44,9 @@ class SpiderExample:
     db_id: str
     gold_sql: str
     hardness: Hardness
+    # The gold's bound tree, shared by every example with this gold; None for
+    # an example built without one, whose gold triage then parses itself.
+    gold_ast: Select | None = field(default=None, compare=False, repr=False)
 
 
 def gold_groups(examples: Iterable[SpiderExample]) -> list[list[SpiderExample]]:
@@ -117,32 +127,45 @@ def load_dataset(dataset_dir: Path | str, split: str) -> LoadedDataset:
     except json.JSONDecodeError as exc:
         raise DatasetError(f"unreadable split file {split_path}: {exc}") from exc
 
+    if not isinstance(raw, list):
+        raise DatasetError(f"malformed split file {split_path}: top level is not a list")
     examples: list[SpiderExample] = []
     quarantined: list[QuarantinedExample] = []
+    # (db_id, gold_sql) -> (tree, hardness), or the quarantine reason.
+    golds: dict[tuple[str, str], tuple[Select, Hardness] | str] = {}
     for idx, entry in enumerate(raw):
-        db_id = entry.get("db_id", "")
-        gold_sql = entry.get("query", "")
-        question = entry.get("question", "")
+        if not isinstance(entry, dict):
+            raise DatasetError(f"malformed split entry at index {idx}: not an object")
+        db_id = _text_field(entry, "db_id", idx)
+        gold_sql = _text_field(entry, "query", idx)
+        question = _text_field(entry, "question", idx)
         schema = schemas.get(db_id)
         if schema is None:
             quarantined.append(
                 QuarantinedExample(idx, db_id, gold_sql, reason=f"unknown db_id {db_id!r}")
             )
             continue
-        try:
-            ast = parse(gold_sql, schema)
-        except Nl2SqlError as exc:
-            quarantined.append(
-                QuarantinedExample(idx, db_id, gold_sql, reason=f"gold SQL does not parse: {exc}")
-            )
+        gold = golds.get((db_id, gold_sql))
+        if gold is None:
+            try:
+                ast = parse(gold_sql, schema)
+            except Nl2SqlError as exc:
+                gold = f"gold SQL does not parse: {exc}"
+            else:
+                gold = (ast, classify_hardness(ast))
+            golds[db_id, gold_sql] = gold
+        if isinstance(gold, str):
+            quarantined.append(QuarantinedExample(idx, db_id, gold_sql, reason=gold))
             continue
+        ast, hardness = gold
         examples.append(
             SpiderExample(
                 id=idx,
                 question=question,
                 db_id=db_id,
                 gold_sql=gold_sql,
-                hardness=classify_hardness(ast),
+                hardness=hardness,
+                gold_ast=ast,
             )
         )
     if quarantined:
@@ -154,3 +177,14 @@ def load_dataset(dataset_dir: Path | str, split: str) -> LoadedDataset:
     return LoadedDataset(
         examples=tuple(examples), schemas=schemas, quarantined=tuple(quarantined)
     )
+
+
+def _text_field(entry: dict, key: str, idx: int) -> str:
+    """The entry's string field, "" when it is missing."""
+    value = entry.get(key, "")
+    if not isinstance(value, str):
+        raise DatasetError(
+            f"malformed split entry at index {idx}: field {key!r}: "
+            f"expected str, got {type(value).__name__}"
+        )
+    return value

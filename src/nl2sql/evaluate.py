@@ -12,8 +12,11 @@ outcomes the pipeline kept, which hold at most two tables of at most
 scored in groups that share a database and gold SQL, each with one
 ``OutcomeMemo``, so each distinct query (gold, prediction or triage probe)
 runs once per group; a timeout is never reused. The report does not depend
-on that order. Bucket accuracies combine into the overall number as the
-count-weighted average
+on that order. Triage takes the gold's bound tree that ``load_dataset`` kept
+on the example (each distinct gold is parsed once, at load, and its tree
+stays in memory with the examples) and parses only the final SQL; an
+example built without a tree has its gold parsed here. Bucket accuracies
+combine into the overall number as the count-weighted average
 
     overall = sum(count_b * accuracy_b) / sum(count_b)
 
@@ -185,7 +188,7 @@ def _score_one(
     pred_table = pred_outcome.table
     try:
         pred_ast = parse(transcript.final_sql, schema)
-        gold_ast = parse(example.gold_sql, schema)
+        gold_ast = example.gold_ast or parse(example.gold_sql, schema)
     except Nl2SqlError as exc:
         verdict = TriageVerdict(
             category=Category.UNCLASSIFIABLE,

@@ -6,13 +6,14 @@ One compiled master pattern, after "Writing a Tokenizer" in the Python
 (``\x0b``, ``\x1c``, ``\x7f``) is an error. A number is ASCII digits with
 an optional fraction and exponent (``1``, ``1.``, ``.5``, ``1e5``), or
 ``0x`` followed by hex digits (``0x1F``). An identifier character is an
-ASCII letter, digit or ``_``, or any non-ASCII character, as SQLite reads
-every byte of a multi-byte character as one: ``²``, ``٣``, NBSP and U+3000
-included, so ``name\xa0FROM`` is one identifier. Any such character but an
-ASCII digit starts an identifier. A decimal number that runs straight into
-identifier characters (``1abc``, ``0x``, ``1e5x``, ``1_000``, ``1\xa0``)
-is an error, as in SQLite; a hex number may be followed by one (``0x1g``
-is ``0x1`` and ``g``).
+ASCII letter, digit, ``_`` or ``$``, or any non-ASCII character, as SQLite
+reads every byte of a multi-byte character as one: ``²``, ``٣``, NBSP and
+U+3000 included, so ``name\xa0FROM`` is one identifier. Any such character
+but an ASCII digit or ``$`` starts an identifier (``s$1`` is one name; a
+``$`` that starts a token is an error). A decimal number that runs straight into
+identifier characters (``1abc``, ``0x``, ``1e5x``, ``1_000``, ``1\xa0``,
+``1$``) is an error, as in SQLite; a hex number may be followed by one
+(``0x1g`` is ``0x1`` and ``g``).
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ FORBIDDEN_LEADS = frozenset(
     "insert update delete create drop alter replace pragma attach detach vacuum".split()
 )
 
-# SQLite's identifier characters: ASCII letters, digits and ``_``, and every
-# non-ASCII character.
-_ID = r"0-9A-Za-z_\x80-\U0010ffff"
+# SQLite's identifier characters: ASCII letters, digits, ``_`` and ``$``, and
+# every non-ASCII character.
+_ID = r"$0-9A-Za-z_\x80-\U0010ffff"
 
 # Alternatives are tried in order, after the whitespace in front of them;
 # ``skip`` takes comments and the whitespace at the end, and ``ident``, the
 # most frequent token, comes next: no other form starts with an identifier
-# character other than an ASCII digit. A quoted form may
+# character other than an ASCII digit or ``$``. A quoted form may
 # not close on a quote that starts a doubled-quote escape, so ``'abc''`` is
 # unterminated; the bare openers after the full forms match only what
 # failed to close. A decimal ``number`` matches only when no identifier

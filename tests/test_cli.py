@@ -560,20 +560,57 @@ def test_evaluate_output_in_a_missing_directory_is_one_error_line(
     one_error_line(capsys, "write", target)
 
 
+def counting_model_calls(monkeypatch):
+    calls = []
+    complete = ModelEndpoint.complete
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.role)
+        return complete(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelEndpoint, "complete", counting)
+    return calls
+
+
 @pytest.mark.parametrize("option", ["--out", "--report"])
 def test_run_output_in_a_missing_directory_is_one_error_line(
-    dataset_dir, tmp_path, capsys, option
+    dataset_dir, tmp_path, monkeypatch, capsys, option
 ):
+    # The paths are checked before the first model call, and the run
+    # creates no file and truncates none.
     store = tmp_path / "store"
     build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
+    calls = counting_model_calls(monkeypatch)
     transcripts, target = tmp_path / "t.jsonl", tmp_path / "no-such-dir" / "file"
     outputs = ["--out", str(target)]
     if option == "--report":
+        transcripts.write_text("earlier run\n")
         outputs = ["--out", str(transcripts), "--report", str(target)]
     code = main([
         "run", "--dataset", str(dataset_dir), "--replay", str(store), "--limit", "2", *outputs
     ])
     assert code == 1
     one_error_line(capsys, "write", target)
+    assert calls == []
+    assert not target.parent.exists()
     if option == "--report":
-        assert len(transcripts.read_text().splitlines()) == 2
+        assert transcripts.read_text() == "earlier run\n"
+
+
+@pytest.mark.parametrize("where", ["directory", "file-as-parent"])
+def test_run_output_that_cannot_be_a_file_fails_before_the_run(
+    dataset_dir, tmp_path, monkeypatch, capsys, where
+):
+    calls = counting_model_calls(monkeypatch)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    target, reason = tmp_path, "Is a directory"
+    if where == "file-as-parent":
+        target, reason = plain / "file", "Not a directory"
+    code = main([
+        "run", "--dataset", str(dataset_dir), "--replay", str(tmp_path / "store"),
+        "--out", str(tmp_path / "t.jsonl"), "--report", str(target),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot write {target}: {reason}\n"
+    assert calls == [] and not (tmp_path / "t.jsonl").exists()

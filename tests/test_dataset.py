@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 
 import pytest
 
+from nl2sql import dataset
+from nl2sql.cli import main
 from nl2sql.dataset import load_dataset
 from nl2sql.errors import DatasetError
-from nl2sql.hardness import Hardness
+from nl2sql.hardness import Hardness, classify_hardness
+from nl2sql.sqlast import parse
 
 from conftest import DEV_EXAMPLES, make_dataset
 
@@ -94,9 +99,105 @@ def test_train_split_file_name(tmp_path):
 
 
 def test_recomputing_hardness_is_stable(loaded):
-    from nl2sql.hardness import classify_hardness
-    from nl2sql.sqlast import parse
-
     for ex in loaded.examples:
         ast = parse(ex.gold_sql, loaded.schemas[ex.db_id])
         assert classify_hardness(ast) is ex.hardness
+
+
+SANK = "SELECT name FROM ship WHERE disposition_of_ship = 'sank'"
+COUNT = "SELECT count(*) FROM ship"
+
+
+def shared_gold_dataset(tmp_path):
+    """Seven entries over three distinct golds on one database, and one gold
+    text that is its own gold on each of two databases."""
+    entries = [
+        {"db_id": "battle_death", "question": f"q{i}", "query": query}
+        for i, query in enumerate([SANK, COUNT, SANK, "SELECT FROM", SANK, COUNT, "SELECT FROM"])
+    ]
+    entries += [
+        {"db_id": db_id, "question": "one", "query": "SELECT 1"}
+        for db_id in ("battle_death", "concert_singer")
+    ]
+    return make_dataset(tmp_path / "ds", entries, db_ids=["battle_death", "concert_singer"])
+
+
+def test_each_distinct_gold_is_parsed_once(tmp_path, monkeypatch):
+    root = shared_gold_dataset(tmp_path)
+    parsed = []
+
+    def counting_parse(sql, schema):
+        parsed.append((schema.db_id, sql))
+        return parse(sql, schema)
+
+    monkeypatch.setattr(dataset, "parse", counting_parse)
+    loaded = load_dataset(root, "dev")
+    assert sorted(parsed) == sorted([
+        ("battle_death", SANK), ("battle_death", COUNT), ("battle_death", "SELECT FROM"),
+        ("battle_death", "SELECT 1"), ("concert_singer", "SELECT 1"),
+    ])
+    # A gold that does not parse quarantines every entry that names it, alike.
+    assert [q.id for q in loaded.quarantined] == [3, 6]
+    assert loaded.quarantined[0].reason == loaded.quarantined[1].reason
+    assert loaded.quarantined[0].reason.startswith("gold SQL does not parse: ")
+
+
+def test_examples_with_one_gold_share_its_bound_tree(tmp_path):
+    loaded = load_dataset(shared_gold_dataset(tmp_path), "dev")
+    by_id = {ex.id: ex for ex in loaded.examples}
+    assert by_id[0].gold_ast is by_id[2].gold_ast is by_id[4].gold_ast
+    assert by_id[1].gold_ast is by_id[5].gold_ast
+    assert by_id[0].gold_ast is not by_id[1].gold_ast
+    one = [ex for ex in loaded.examples if ex.gold_sql == "SELECT 1"]
+    assert one[0].gold_ast is not one[1].gold_ast
+    for ex in loaded.examples:
+        assert ex.gold_ast == parse(ex.gold_sql, loaded.schemas[ex.db_id])
+        assert ex.hardness is classify_hardness(ex.gold_ast)
+    # The tree takes no part in equality or repr.
+    assert by_id[0] == dataclasses.replace(by_id[0], gold_ast=None)
+    assert "gold_ast" not in repr(by_id[0])
+
+
+def write_split(tmp_path, raw):
+    root = make_dataset(tmp_path / "ds", [], db_ids=["battle_death"])
+    (root / "dev.json").write_text(json.dumps(raw), encoding="utf-8")
+    return root
+
+
+GOOD_ENTRY = {"db_id": "battle_death", "question": "q", "query": "SELECT name FROM ship"}
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (5, "top level is not a list"),
+        ({"entries": []}, "top level is not a list"),
+        ([1, 2], "entry at index 0: not an object"),
+        ([GOOD_ENTRY, 5], "entry at index 1: not an object"),
+        ([GOOD_ENTRY, {**GOOD_ENTRY, "query": 5}],
+         "entry at index 1: field 'query': expected str, got int"),
+        ([{**GOOD_ENTRY, "question": 7}],
+         "entry at index 0: field 'question': expected str, got int"),
+        ([{**GOOD_ENTRY, "db_id": None}],
+         "entry at index 0: field 'db_id': expected str, got NoneType"),
+    ],
+)
+def test_a_malformed_split_file_is_a_dataset_error(tmp_path, capsys, raw, message):
+    root = write_split(tmp_path, raw)
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        load_dataset(root, "dev")
+    assert main(["ingest", "--dataset", str(root)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dataset error: malformed split ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_a_missing_key_is_still_quarantined(tmp_path):
+    no_query = {k: v for k, v in GOOD_ENTRY.items() if k != "query"}
+    no_db = {k: v for k, v in GOOD_ENTRY.items() if k != "db_id"}
+    no_question = {k: v for k, v in GOOD_ENTRY.items() if k != "question"}
+    loaded = load_dataset(write_split(tmp_path, [no_query, no_db, no_question]), "dev")
+    assert [q.id for q in loaded.quarantined] == [0, 1]
+    assert loaded.quarantined[0].reason.startswith("gold SQL does not parse")
+    assert loaded.quarantined[1].reason == "unknown db_id ''"
+    assert [(ex.id, ex.question) for ex in loaded.examples] == [(2, "")]

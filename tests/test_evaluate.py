@@ -380,6 +380,49 @@ def test_report_with_judgments_equals_report_without_them(loaded, monkeypatch):
     assert not judged & set(calls)
 
 
+def test_score_parses_only_final_sql_and_reports_as_without_gold_trees(loaded, monkeypatch):
+    golds_by_db: dict[str, list[str]] = {}
+    for ex in loaded.examples:
+        golds_by_db.setdefault(ex.db_id, []).append(ex.gold_sql)
+
+    def final_sql(i, ex):
+        golds = golds_by_db[ex.db_id]
+        if i % 3 == 0:
+            return ex.gold_sql
+        if i % 3 == 1:  # another gold of the same database
+            return golds[(golds.index(ex.gold_sql) + 1) % len(golds)]
+        return ex.gold_sql + " WHERE"  # does not parse
+
+    transcripts = [
+        PipelineTranscript(
+            example_id=ex.id, db_id=ex.db_id, question=ex.question, gold_sql=ex.gold_sql,
+            stages=[], final_sql=final_sql(i, ex), final_verdict=Verdict.CORRECT_FIRST_SHOT,
+        )
+        for i, ex in enumerate(loaded.examples)
+    ]
+    parsed = []
+    real_parse = evaluate.parse
+
+    def counting_parse(sql, schema):
+        parsed.append(sql)
+        return real_parse(sql, schema)
+
+    monkeypatch.setattr(evaluate, "parse", counting_parse)
+    report = score(transcripts, loaded.examples, loaded.schemas)
+    by_id = {t.example_id: t for t in transcripts}
+    assert sorted(parsed) == sorted(by_id[i].final_sql for i in report.verdicts)
+    categories = {v.subtag for v in report.verdicts.values()}
+    assert "ParseError" in categories and len(categories) > 1
+
+    bare = [dataclasses.replace(ex, gold_ast=None) for ex in loaded.examples]
+    assert all(ex.gold_ast is not None for ex in loaded.examples)
+    rebuilt = score(transcripts, bare, loaded.schemas)
+    assert json.dumps(rebuilt.results_payload()) == json.dumps(report.results_payload())
+    assert [(i, v.to_json()) for i, v in rebuilt.verdicts.items()] == [
+        (i, v.to_json()) for i, v in report.verdicts.items()
+    ]
+
+
 def test_judgment_is_invisible_to_equality_repr_and_json(schemas):
     for final_sql, equivalent in ((GOLD_BELOW_100, True), (WRONG, False)):
         in_process = run_example(schemas["battle_death"], final_sql)

@@ -7,10 +7,11 @@ reference started a number on any ``str.isdigit`` character, whereas
 SQLite, and the tokenizer, read only ASCII digits as a number and any other
 identifier character as part of an identifier. Both skip only SQLite's
 whitespace (space, tab, newline, form feed, carriage return), take every
-non-ASCII character as an identifier character, read ``0x`` followed by hex
-digits as one number, as SQLite does, and reject a decimal number that runs
-into identifier characters (``1abc``, ``0x``) with SQLite's message. A last
-test checks the tokenizer against ``sqlite3`` itself on the characters that
+non-ASCII character and ``$`` as an identifier character (``$`` starts
+none), read ``0x`` followed by hex digits as one number, as SQLite does,
+and reject a decimal number that runs into identifier characters
+(``1abc``, ``0x``, ``1$``) with SQLite's message. A last test checks the
+tokenizer against ``sqlite3`` itself on ``$`` and on the characters that
 Python's whitespace and word classes read otherwise than SQLite.
 """
 
@@ -22,7 +23,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nl2sql.errors import ParseError
-from nl2sql.sqlast import parse
+from nl2sql.execution import execute
+from nl2sql.pipeline import extract_sql
+from nl2sql.sqlast import parse, to_sql
 from nl2sql.sqlast.tokens import tokenize
 
 from conftest import DEV_EXAMPLES
@@ -33,7 +36,7 @@ HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def is_id_char(ch: str) -> bool:
-    return not ch.isascii() or ch.isalnum() or ch == "_"
+    return not ch.isascii() or ch.isalnum() or ch in "_$"
 
 
 def reference_tokenize(sql: str) -> list[tuple[str, str, int]]:
@@ -95,7 +98,7 @@ def reference_tokenize(sql: str) -> list[tuple[str, str, int]]:
                     i += 1
                 raise ParseError(f'unrecognized token: "{sql[start:i]}"', start)
             tokens.append(("number", sql[start:i], start))
-        elif is_id_char(ch):
+        elif is_id_char(ch) and ch != "$":
             while i < n and is_id_char(sql[i]):
                 i += 1
             tokens.append(("ident", sql[start:i], start))
@@ -179,12 +182,32 @@ def test_hex_integers_are_one_number_token():
         )
 
 
-@pytest.mark.parametrize("run", ["1abc", "0x", "00x1", "1e5x", "1.5e", ".5a", "1_000", "1é"])
+@pytest.mark.parametrize(
+    "run", ["1abc", "0x", "00x1", "1e5x", "1.5e", ".5a", "1_000", "1é", "1$", "0x$"]
+)
 def test_a_decimal_number_running_into_a_name_is_rejected_as_sqlite_does(run):
     # Each is sqlite3 3.40.1's "unrecognized token" for ``SELECT <run>``.
     assert outcome(tokenize, f"SELECT {run} FROM t") == (
         "error", f'unrecognized token: "{run}" (at offset 7)', 7
     )
+
+
+def test_a_dollar_continues_a_name_but_starts_none():
+    assert outcome(tokenize, "s$1 a$ _$") == [
+        ("ident", "s$1", 0), ("ident", "a$", 4), ("ident", "_$", 7), ("end", "", 9),
+    ]
+    assert outcome(tokenize, "0x1$") == ("error", "unexpected character '$' (at offset 3)", 3)
+    assert outcome(tokenize, "a $b") == ("error", "unexpected character '$' (at offset 2)", 2)
+
+
+def test_a_name_with_a_dollar_runs_and_prints_back_to_itself(schemas):
+    sql = "SELECT s$1.name FROM ship AS s$1 WHERE s$1.id > 0"
+    assert extract_sql(sql) == sql
+    assert execute(sql, schemas["battle_death"]).table is not None
+    ast = parse(sql, schemas["battle_death"])
+    printed = to_sql(ast)
+    assert '"s$1"' in printed
+    assert parse(printed, schemas["battle_death"]) == ast
 
 
 def test_non_ascii_digits_are_identifier_characters():
@@ -229,7 +252,9 @@ def ships():
     conn.close()
 
 
-@pytest.mark.parametrize("char", ODD_CHARACTERS, ids=lambda char: f"U+{ord(char):04X}")
+@pytest.mark.parametrize(
+    "char", [*ODD_CHARACTERS, "$"], ids=lambda char: f"U+{ord(char):04X}"
+)
 def test_tokenize_raises_exactly_where_sqlite_finds_an_unrecognized_token(ships, char):
     for place in PLACES:
         sql = place.format(char)
@@ -238,6 +263,11 @@ def test_tokenize_raises_exactly_where_sqlite_finds_an_unrecognized_token(ships,
             unrecognized = False
         except sqlite3.OperationalError as exc:
             unrecognized = str(exc).startswith("unrecognized token")
+            # SQLite reads ``$SELECT`` as a bind parameter, which the dialect
+            # does not have; both refuse it, SQLite with a syntax error.
+            if sql.startswith("$"):
+                assert str(exc) == 'near "$SELECT": syntax error'
+                unrecognized = True
         try:
             tokenize(sql)
             raised = False
