@@ -65,9 +65,19 @@ DEFAULT_CONFIG = {
 }
 
 
+# The options that name a file a command reads or writes. Two of one command
+# that name one file would lose the first's contents to the second.
+_FILE_OPTIONS = ("transcripts", "out", "report", "markdown")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    named: dict[Path, str] = {}
+    for option in _FILE_OPTIONS:
+        path = getattr(args, option, None)
+        if path is not None and named.setdefault(path.resolve(), option) != option:
+            parser.error(f"--{named[path.resolve()]} and --{option} name one file: {path}")
     try:
         return args.func(args)
     except DatabaseMissingError as exc:
@@ -292,7 +302,7 @@ def cmd_run(args) -> int:
         report = score(
             transcripts, examples, loaded.schemas, quarantined=len(loaded.quarantined)
         )
-        report.metadata = _metadata(transcripts, timestamp=True)
+        report.metadata = run_metadata(transcripts)
         with _own_file("write", args.report):
             write_report(report, args.report)
         print(f"wrote report to {args.report}")
@@ -302,12 +312,6 @@ def cmd_run(args) -> int:
 def _read_transcripts(path: Path) -> list[PipelineTranscript]:
     with _own_file("read", path):
         return read_transcripts(path)
-
-
-def _metadata(transcripts: list[PipelineTranscript], timestamp: bool) -> dict:
-    return run_metadata(
-        endpoints=sorted({s.model for t in transcripts for s in t.stages}), timestamp=timestamp
-    )
 
 
 def _score_transcripts(args, **options) -> tuple[list[PipelineTranscript], EvalReport]:
@@ -324,7 +328,7 @@ def _score_transcripts(args, **options) -> tuple[list[PipelineTranscript], EvalR
 
 def cmd_evaluate(args) -> int:
     transcripts, report = _score_transcripts(args, with_triage=not args.no_triage)
-    report.metadata = _metadata(transcripts, timestamp=not args.no_timestamp)
+    report.metadata = run_metadata(transcripts, timestamp=not args.no_timestamp)
     if args.out:
         with _own_file("write", args.out):
             write_report(report, args.out)

@@ -202,15 +202,16 @@ def _score_one(
 
 # --------------------------------------------------------------------------- rendering
 
-def run_metadata(endpoints: list[str], timestamp: bool = True) -> dict:
-    meta: dict = {"endpoints": endpoints}
+def run_metadata(transcripts: list[PipelineTranscript], timestamp: bool = True) -> dict:
+    """The report's ``metadata``: the models the transcripts name, and when."""
+    meta: dict = {"endpoints": sorted({s.model for t in transcripts for s in t.stages})}
     if timestamp:
         meta["generated_at"] = datetime.now(timezone.utc).isoformat()
     return meta
 
 
 def render_report_markdown(report: EvalReport) -> str:
-    """Human-readable report: accuracy by difficulty plus the triage table."""
+    """Human-readable report: accuracy by difficulty plus the triage tables."""
     results = report.results_payload()
     lines = ["# Execution accuracy report", ""]
     header = ["", *[h.value.capitalize() for h in BUCKET_ORDER], "All"]
@@ -231,20 +232,16 @@ def render_report_markdown(report: EvalReport) -> str:
         lines.append(f"- {verdict}: {count}")
     lines.append("")
     lines.append("## Failure triage")
-    lines.append("")
     triage_dist = report.triage_distribution
-    if triage_dist.get("total", 0) == 0:
-        lines.append("No failures to triage.")
-    else:
-        lines.append("| Category | Count | Fraction |")
-        lines.append("|---|---|---|")
-        for name, row in triage_dist["categories"].items():
-            lines.append(f"| {name} | {row['count']} | {row['fraction']:.3f} |")
-        lines.append("")
-        lines.append("| Subtag | Count | Fraction |")
-        lines.append("|---|---|---|")
-        for name, row in triage_dist["subtags"].items():
-            lines.append(f"| {name} | {row['count']} | {row['fraction']:.3f} |")
+    if not triage_dist["total"]:
+        lines += ["", "No failures to triage."]
+    for title, key in (("Category", "categories"), ("Subtag", "subtags")):
+        if triage_dist[key]:  # empty exactly when nothing was triaged
+            lines += ["", f"| {title} | Count | Fraction |", "|---|---|---|"]
+            lines += [
+                f"| {name} | {row['count']} | {row['fraction']:.3f} |"
+                for name, row in triage_dist[key].items()
+            ]
     if report.metadata:
         lines.append("")
         lines.append("## Metadata")

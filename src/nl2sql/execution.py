@@ -5,13 +5,15 @@ connection under one rule for every caller: a ``TIMEOUT_SECONDS`` (30 s)
 deadline and a ``MAX_ROWS`` (100,000) row cap past which the table is
 ``truncated``, both read at call time. Each thread keeps one connection per
 database, cached on the ``DatabaseSchema`` and reopened when the file
-changes; the deadline is checked by SQLite's progress handler every
-``PROGRESS_STEPS`` VM steps, so no call opens a connection or starts a timer
-thread. Any statement that is not a plain read (a PRAGMA, a TEMP table,
-ATTACH, a transaction, a refused write) closes the connection afterwards,
-so no state reaches the next query. Outcomes are a tagged union: a table, an
-engine error (message kept verbatim: correction prompts quote it), or a
-timeout. A missing database file is a harness fault and raises instead.
+changes. Its hooks are set once, when it opens, and read this thread's
+record of its running statement: SQLite's progress handler checks the
+deadline every ``PROGRESS_STEPS`` VM steps, so no call starts a timer
+thread, and a statement it stops (``SQLITE_INTERRUPT``) is a timeout. Any
+statement that is not a plain read (a PRAGMA, a TEMP table, ATTACH, a
+transaction, a refused write) closes the connection afterwards, so no state
+reaches the next query. Outcomes are a tagged union: a table, an engine
+error (message kept verbatim: correction prompts quote it), or a timeout. A
+missing database file is a harness fault and raises instead.
 
 An ``OutcomeMemo`` lets one unit of work run each distinct statement once:
 one example in ``run`` (its gold and every stage), one gold group in
@@ -69,6 +71,7 @@ import os
 import re
 import sqlite3
 import stat
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -186,10 +189,11 @@ class _CachedConnection:
     file handle and page cache would wait for the cyclic collector; the
     wrapper is in no cycle and goes at once. Each connection is used only by
     the thread that opened it, but the last reference may go on another
-    thread (a schema dropped there), hence ``check_same_thread=False``.
+    thread (a schema dropped there), hence ``check_same_thread=False``. Its
+    hooks hold no reference to the wrapper, and ``PROGRESS_STEPS`` is read here.
     """
 
-    __slots__ = ("conn", "file_key", "other_actions")
+    __slots__ = ("conn", "file_key")
 
     def __init__(self, db_path: Path, file_key: tuple[int, ...]) -> None:
         uri_path = quote(str(Path(db_path).resolve()))
@@ -197,24 +201,31 @@ class _CachedConnection:
             f"file:{uri_path}?mode=ro", uri=True, isolation_level=None, check_same_thread=False
         )
         self.file_key = file_key
-        self.other_actions: set[int] = set()
-        # The authorizer allows everything; it only records what a statement
-        # does. It holds the set, not self, so no reference cycle keeps the
-        # connection open after its schema is gone.
-        self.conn.set_authorizer(_recorder(self.other_actions))
+        self.conn.set_authorizer(_authorize)
+        self.conn.set_progress_handler(_past_deadline, PROGRESS_STEPS)
 
     def __del__(self) -> None:
         if hasattr(self, "conn"):  # absent when connect() raised in __init__
             self.conn.close()
 
 
-def _recorder(other_actions: set[int]):
-    def authorize(action: int, *_args: object) -> int:
-        if action not in _READ_ACTIONS:
-            other_actions.add(action)
-        return sqlite3.SQLITE_OK
+# The statement running on this thread, which uses its connections alone and
+# runs one statement at a time: its ``deadline``, and ``other_action``, set
+# when it takes an action outside ``_READ_ACTIONS``. ``execute`` sets both
+# before the statement starts, so the hooks never read a missing field.
+_statement = threading.local()
 
-    return authorize
+
+def _authorize(action: int, *_args: object) -> int:
+    """Allow everything; only record a statement that is not a plain read."""
+    if action not in _READ_ACTIONS:
+        _statement.other_action = True
+    return sqlite3.SQLITE_OK
+
+
+def _past_deadline() -> bool:
+    """SQLite's progress handler: a true value interrupts the statement."""
+    return time.monotonic() > _statement.deadline
 
 
 def _file_key(schema: DatabaseSchema) -> tuple[int, ...] | None:
@@ -267,19 +278,10 @@ def _drop(schema: DatabaseSchema) -> None:
 def execute(sql: str, schema: DatabaseSchema) -> ExecOutcome:
     """Run one SELECT against the schema's database, read-only, under the
     ``TIMEOUT_SECONDS`` deadline and the ``MAX_ROWS`` cap."""
-    cached = _connection(schema)
-    conn = cached.conn
+    cursor = _connection(schema).conn.cursor()
     ordered = query_is_ordered(sql)
-    deadline = time.monotonic() + TIMEOUT_SECONDS
-    timed_out = False
-
-    def past_deadline() -> bool:
-        nonlocal timed_out
-        timed_out = time.monotonic() > deadline
-        return timed_out
-
-    conn.set_progress_handler(past_deadline, PROGRESS_STEPS)
-    cursor = conn.cursor()
+    _statement.deadline = time.monotonic() + TIMEOUT_SECONDS
+    _statement.other_action = False
     try:
         cursor.execute(sql)
         rows = cursor.fetchmany(MAX_ROWS + 1)
@@ -295,14 +297,13 @@ def execute(sql: str, schema: DatabaseSchema) -> ExecOutcome:
         )
         return ExecOutcome(table=table)
     except sqlite3.Error as exc:
-        if timed_out:
+        if str(exc) == "interrupted":  # SQLITE_INTERRUPT, from _past_deadline
             return ExecOutcome(timed_out=True)
         return ExecOutcome(error=str(exc), error_class=type(exc).__name__)
     finally:
         cursor.close()
-        conn.set_progress_handler(None, 0)
         # Closing also rolls back a transaction the statement left open.
-        if cached.other_actions:
+        if _statement.other_action:
             _drop(schema)
 
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .sqlast.nodes import BoolOp, Comparison, Expr, FuncCall, Select
-from .sqlast.walk import clause_exprs, iter_expr_nodes, subquery_nodes
+from .sqlast.nodes import BoolOp, Comparison, Expr, Select
+from .sqlast.walk import clause_exprs, is_aggregate, iter_expr_nodes, subquery_nodes
 
 _CONDITION_CLAUSES = ("join", "where", "having")
 
@@ -117,28 +117,24 @@ def _is_negated(pred: Expr) -> bool:
     return bool(getattr(pred, "negated", False))
 
 
-def _top_level_aggregate(expr: Expr) -> bool:
-    return isinstance(expr, FuncCall) and expr.is_aggregate
-
-
 def _order_by_aggregate_score(ast: Select) -> int:
     # The reference scorer inspects the one or two column operands of each
     # ORDER BY key, so an arithmetic key can contribute two points.
     score = 0
     for item in ast.order_by:
         expr = item.expr
-        if _top_level_aggregate(expr):
+        if is_aggregate(expr):
             score += 1
         elif hasattr(expr, "left") and hasattr(expr, "right"):
-            score += sum(1 for side in (expr.left, expr.right) if _top_level_aggregate(side))
+            score += sum(1 for side in (expr.left, expr.right) if is_aggregate(side))
     return score
 
 
 def _count_others(ast: Select) -> int:
     count = 0
-    agg_score = sum(1 for item in ast.items if _top_level_aggregate(item.expr))
+    agg_score = sum(1 for item in ast.items if is_aggregate(item.expr))
     agg_score += sum(1 for pred in _boolean_spine(ast.where) if _is_negated(pred))
-    agg_score += sum(1 for expr in ast.group_by if _top_level_aggregate(expr))
+    agg_score += sum(1 for expr in ast.group_by if is_aggregate(expr))
     if ast.order_by:
         agg_score += _order_by_aggregate_score(ast)
     having_preds = _boolean_spine(ast.having)

@@ -214,20 +214,6 @@ def _write_fixture(store_dir: Path, digest: str, body: dict) -> None:
         raise
 
 
-def store_reply(store_dir: Path | str, request: dict, text: str) -> str:
-    """Write a minimal response body for ``request``; returns the digest.
-
-    This is the fixture-building primitive: tests script assistant replies
-    and persist them in the exact layout ReplayTransport reads.
-    """
-    store_dir = Path(store_dir)
-    store_dir.mkdir(parents=True, exist_ok=True)
-    digest = request_digest(request)
-    body = {"choices": [{"message": {"role": "assistant", "content": text}}]}
-    _write_fixture(store_dir, digest, body)
-    return digest
-
-
 @dataclass
 class ModelEndpoint:
     """One model in the pipeline: who it is and how to reach it."""

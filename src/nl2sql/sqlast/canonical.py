@@ -17,8 +17,10 @@ symmetric and the left operand's collation wins only when both are columns.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .nodes import (
     AliasRef,
@@ -54,25 +56,15 @@ class CanonicalAst:
 
 
 def canonicalize(select: Select) -> CanonicalAst:
-    counter = _Counter()
-    return CanonicalAst(query=_canon_select(select, {}, counter))
+    return CanonicalAst(query=_canon_select(select, {}, itertools.count(1)))
 
 
-class _Counter:
-    def __init__(self) -> None:
-        self.n = 0
-
-    def next_alias(self) -> str:
-        self.n += 1
-        return f"t{self.n}"
-
-
-def _canon_select(s: Select, outer_map: dict[str, str], counter: _Counter) -> Select:
+def _canon_select(s: Select, outer_map: dict[str, str], counter: Iterator[int]) -> Select:
     # Assign canonical aliases to this scope's sources first, left to right.
     mapping = dict(outer_map)
     local: list[tuple[FromItem, str]] = []
     for item in s.from_items:
-        canon = counter.next_alias()
+        canon = f"t{next(counter)}"
         mapping[item.source.key] = canon
         local.append((item, canon))
 
@@ -127,7 +119,7 @@ def _deref(expr: Expr, s: Select) -> Expr:
     return expr
 
 
-def _canon_expr(e: Expr, mapping: dict[str, str], counter: _Counter, scope: Select) -> Expr:
+def _canon_expr(e: Expr, mapping: dict[str, str], counter: Iterator[int], scope: Select) -> Expr:
     if isinstance(e, Literal):
         return _canon_literal(e)
     if isinstance(e, ColumnRef):

@@ -14,7 +14,8 @@ expressions are compared as printed re-qualified by resolved *table name*:
 one walk per query maps each source key to its table name (a FROM subquery
 to its alias-neutral text), and the printer qualifies columns through that
 map and drops FROM aliases while printing; joined tables are counted by
-the same names. No re-qualified tree is built.
+the same names, a LEFT-joined source apart from an inner-joined one. No
+re-qualified tree is built.
 Two deliberate lenience rules, both needed so that stylistic differences do
 not register as errors:
 
@@ -37,9 +38,11 @@ from typing import ClassVar, NamedTuple
 
 from .canonical import CanonicalAst
 from .conditionless import scope_conditionless_joins
-from .nodes import Comparison, Expr, FuncCall, Literal, Select, TableSource, map_children
+from .nodes import Comparison, Expr, Literal, Select, TableSource, map_children
 from .printer import expr_sql, to_sql
-from .walk import clause_exprs, flatten_and, is_link_predicate, iter_expr_nodes, subselects
+from .walk import (
+    clause_exprs, flatten_and, is_aggregate, is_link_predicate, iter_expr_nodes, subselects,
+)
 
 _AGG_CLAUSES = ("select", "group_by", "having", "order_by")
 
@@ -328,7 +331,7 @@ def _aggregates_by_clause(select: Select) -> dict[str, tuple[str, ...]]:
             node.name
             for expr in exprs
             for node in iter_expr_nodes(expr)
-            if _is_aggregate(node)
+            if is_aggregate(node)
         ))
         for clause, exprs in clause_exprs(select)
         if clause in _AGG_CLAUSES
@@ -366,8 +369,14 @@ def _condition_key(expr: Expr, query: _Query) -> str:
 def _join_graph(select: Select, links: list[Expr], query: _Query) -> tuple[Counter, Counter]:
     """The joined tables and the pooled join conditions (ON conjuncts and
     WHERE links) of one query. Each FROM source counts by its name in
-    ``query.names``, so a FROM subquery counts by its alias-neutral text."""
-    tables = Counter(query.names[item.source.key] for item in select.from_items)
+    ``query.names``, so a FROM subquery counts by its alias-neutral text; a
+    LEFT-joined source counts apart, as ``left join <name>``, since it keeps
+    rows an inner join drops. JOIN, INNER JOIN, CROSS JOIN and ``,`` are one
+    kind."""
+    tables = Counter(
+        ("left join " if item.join_type == "left" else "") + query.names[item.source.key]
+        for item in select.from_items
+    )
     on = [conj for item in select.from_items for conj in flatten_and(item.condition)]
     return tables, Counter(_condition_key(conj, query) for conj in on + links)
 
@@ -443,10 +452,7 @@ def _diff_predicates(
 def _order_keys(select: Select, query: _Query) -> list[tuple]:
     """ORDER BY keys as compared: an aggregate call by its function name."""
     return [
-        (o.descending, (o.expr.name,) if _is_aggregate(o.expr) else query.sql(o.expr))
+        (o.descending, (o.expr.name,) if is_aggregate(o.expr) else query.sql(o.expr))
         for o in select.order_by
     ]
 
-
-def _is_aggregate(expr: Expr) -> bool:
-    return isinstance(expr, FuncCall) and expr.is_aggregate

@@ -13,6 +13,8 @@ unknown tables or columns raise ParseError.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..errors import ParseError, UnsupportedSqlError
 from ..schema import DatabaseSchema
 from .nodes import (
@@ -42,7 +44,7 @@ from .nodes import (
 )
 from .printer import _quote_string
 from .tokens import FORBIDDEN_LEADS, KEYWORDS, Token, tokenize
-from .walk import iter_expr_nodes
+from .walk import is_aggregate, iter_expr_nodes
 
 _JOIN_INTRO = ("join", "inner", "left", "right", "full", "cross", "natural")
 
@@ -254,24 +256,15 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        terms = [self.parse_and()]
-        while self.accept("or"):
-            terms.append(self.parse_and())
+    def parse_expr(self, op: str = "or") -> Expr:
+        """A flattened n-ary ``op`` (OR over AND over NOT), or its one operand."""
+        operand = partial(self.parse_expr, "and") if op == "or" else self.parse_not
+        terms = [operand()]
+        while self.accept(op):
+            terms.append(operand())
         if len(terms) == 1:
             return terms[0]
-        return BoolOp(op="or", terms=tuple(_flatten("or", terms)))
-
-    def parse_and(self) -> Expr:
-        terms = [self.parse_not()]
-        while self.accept("and"):
-            terms.append(self.parse_not())
-        if len(terms) == 1:
-            return terms[0]
-        return BoolOp(op="and", terms=tuple(_flatten("and", terms)))
+        return BoolOp(op=op, terms=tuple(_flatten(op, terms)))
 
     def parse_not(self) -> Expr:
         if self.accept("not"):
@@ -627,5 +620,5 @@ def _reject_aggregates(expr: Expr) -> None:
     """Aggregates directly inside WHERE are invalid SQL; subqueries are fine
     (``iter_expr_nodes`` does not enter them)."""
     for node in iter_expr_nodes(expr):
-        if isinstance(node, FuncCall) and node.is_aggregate:
+        if is_aggregate(node):
             raise ParseError(f"aggregate function {node.name}() is not allowed in WHERE")

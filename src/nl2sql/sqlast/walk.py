@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .nodes import BoolOp, ColumnRef, Comparison, Expr, Select, SubquerySource, children
+from .nodes import BoolOp, ColumnRef, Comparison, Expr, FuncCall, Select, SubquerySource, children
 
 
 def flatten_and(expr: Expr | None) -> list[Expr]:
@@ -19,6 +19,11 @@ def flatten_and(expr: Expr | None) -> list[Expr]:
     if isinstance(expr, BoolOp) and expr.op == "and":
         return list(expr.terms)
     return [expr]
+
+
+def is_aggregate(expr: Expr) -> bool:
+    """True iff ``expr`` is itself an aggregate call, such as ``count(*)``."""
+    return isinstance(expr, FuncCall) and expr.is_aggregate
 
 
 def is_link_predicate(expr: Expr) -> bool:

@@ -23,6 +23,7 @@ ignores.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -349,20 +350,15 @@ def _qualifier(source: TableSource) -> str:
 def triage_report(verdicts: Collection[TriageVerdict]) -> dict:
     """Counts and fractions per category and subtag."""
     total = len(verdicts)
-    categories: dict[str, int] = {}
-    subtags: dict[str, int] = {}
-    for v in verdicts:
-        categories[v.category.value] = categories.get(v.category.value, 0) + 1
-        key = v.category.value + ("." + v.subtag if v.subtag else "")
-        subtags[key] = subtags.get(key, 0) + 1
+
+    def rows(names) -> dict:
+        return {
+            name: {"count": count, "fraction": count / total if total else 0.0}
+            for name, count in sorted(Counter(names).items())
+        }
+
     return {
         "total": total,
-        "categories": {
-            name: {"count": count, "fraction": count / total if total else 0.0}
-            for name, count in sorted(categories.items())
-        },
-        "subtags": {
-            name: {"count": count, "fraction": count / total if total else 0.0}
-            for name, count in sorted(subtags.items())
-        },
+        "categories": rows(v.category.value for v in verdicts),
+        "subtags": rows(v.category.value + ("." + v.subtag if v.subtag else "") for v in verdicts),
     }

@@ -9,152 +9,70 @@ from dataclasses import replace
 
 from nl2sql.schema import DatabaseSchema
 from nl2sql.sqlast import (
-    AliasRef,
-    Between,
-    Binary,
-    BoolOp,
     ColumnRef,
-    Comparison,
-    Exists,
-    InList,
-    InSubquery,
-    IsNull,
-    Literal,
-    ScalarSubquery,
     Select,
     Star,
     SubquerySource,
     TableSource,
-    Unary,
-    FuncCall,
     parse,
     to_sql,
 )
+from nl2sql.sqlast.nodes import map_children
 
 
 # --------------------------------------------------------------------------- alias permutation
 
-def rename_aliases(select: Select, rng: random.Random, counter=None) -> Select:
+def rename_aliases(select: Select, rng: random.Random, counter=None, outer=None) -> Select:
     """Give every FROM source a fresh alias (adding one where missing) and
-    rewrite the references; optionally flips identifier case. The result
-    prints to SQL that is alias-only different from the input."""
+    rewrite the references; flips the case of table and column names at
+    random. The result prints to SQL that is alias-only different from the
+    input. ``outer`` is the enclosing scope's mapping, given for a subquery
+    nested in an expression: its correlated references keep the outer
+    names, and its own aliases and table names keep their case."""
     if counter is None:
         counter = itertools.count(1)
-    mapping: dict[str, str] = {}
-    new_items = []
+    nested = outer is not None
+    mapping = dict(outer or {})
+    from_items = []
     for item in select.from_items:
         src = item.source
         fresh = f"zz{next(counter)}"
-        if rng.random() < 0.5:
+        if not nested and rng.random() < 0.5:
             fresh = fresh.upper()
         mapping[src.key] = fresh
         if isinstance(src, TableSource):
-            table = _flip_case(src.table, rng)
-            new_items.append(replace(item, source=TableSource(table=table, alias=fresh, key=fresh.lower())))
+            table = src.table if nested else _flip_case(src.table, rng)
+            src = TableSource(table=table, alias=fresh, key=fresh.lower())
         else:
             inner = rename_aliases(src.query, rng, counter)
-            new_items.append(replace(item, source=SubquerySource(query=inner, alias=fresh, key=fresh.lower())))
-    out = replace(select, from_items=tuple(new_items))
-    return _rewrite(out, mapping, rng, counter)
+            src = SubquerySource(query=inner, alias=fresh, key=fresh.lower())
+        from_items.append(replace(item, source=src))
+
+    def rewrite(node):
+        # Any node type but these three is rebuilt through its children.
+        if isinstance(node, Select):
+            return rename_aliases(node, rng, counter, mapping)
+        if isinstance(node, (ColumnRef, Star)) and node.source in mapping:
+            alias = mapping[node.source]
+            if isinstance(node, Star):
+                return Star(table=alias, source=alias.lower())
+            return ColumnRef(table=alias, column=_flip_case(node.column, rng), source=alias.lower())
+        return map_children(node, rewrite)
+
+    return replace(
+        select,
+        items=tuple(replace(i, expr=rewrite(i.expr)) for i in select.items),
+        from_items=tuple(replace(fi, condition=rewrite(fi.condition)) for fi in from_items),
+        where=rewrite(select.where),
+        group_by=tuple(map(rewrite, select.group_by)),
+        having=rewrite(select.having),
+        order_by=tuple(replace(o, expr=rewrite(o.expr)) for o in select.order_by),
+        set_op=select.set_op and (select.set_op[0], rename_aliases(select.set_op[1], rng, counter)),
+    )
 
 
 def _flip_case(name: str, rng: random.Random) -> str:
     return name.upper() if rng.random() < 0.5 else name.lower()
-
-
-def _rewrite(node, mapping, rng, counter):
-    if isinstance(node, Select):
-        items = tuple(
-            replace(i, expr=_rewrite(i.expr, mapping, rng, counter)) for i in node.items
-        )
-        from_items = tuple(
-            replace(fi, condition=_rewrite(fi.condition, mapping, rng, counter))
-            if fi.condition is not None else fi
-            for fi in node.from_items
-        )
-        return replace(
-            node,
-            items=items,
-            from_items=from_items,
-            where=_rewrite(node.where, mapping, rng, counter) if node.where is not None else None,
-            group_by=tuple(_rewrite(e, mapping, rng, counter) for e in node.group_by),
-            having=_rewrite(node.having, mapping, rng, counter) if node.having is not None else None,
-            order_by=tuple(
-                replace(o, expr=_rewrite(o.expr, mapping, rng, counter)) for o in node.order_by
-            ),
-            set_op=(node.set_op[0], rename_aliases(node.set_op[1], rng, counter))
-            if node.set_op is not None else None,
-        )
-    if isinstance(node, ColumnRef):
-        if node.source is not None and node.source in mapping:
-            return ColumnRef(
-                table=mapping[node.source],
-                column=_flip_case(node.column, rng),
-                source=mapping[node.source].lower(),
-            )
-        return node
-    if isinstance(node, Star):
-        if node.source is not None and node.source in mapping:
-            return Star(table=mapping[node.source], source=mapping[node.source].lower())
-        return node
-    if isinstance(node, (Literal, AliasRef)):
-        return node
-    if isinstance(node, FuncCall):
-        return replace(node, args=tuple(_rewrite(a, mapping, rng, counter) for a in node.args))
-    if isinstance(node, Unary):
-        return replace(node, operand=_rewrite(node.operand, mapping, rng, counter))
-    if isinstance(node, (Binary, Comparison)):
-        return replace(
-            node,
-            left=_rewrite(node.left, mapping, rng, counter),
-            right=_rewrite(node.right, mapping, rng, counter),
-        )
-    if isinstance(node, Between):
-        return replace(
-            node,
-            expr=_rewrite(node.expr, mapping, rng, counter),
-            low=_rewrite(node.low, mapping, rng, counter),
-            high=_rewrite(node.high, mapping, rng, counter),
-        )
-    if isinstance(node, InList):
-        return replace(
-            node,
-            expr=_rewrite(node.expr, mapping, rng, counter),
-            items=tuple(_rewrite(i, mapping, rng, counter) for i in node.items),
-        )
-    if isinstance(node, InSubquery):
-        return replace(
-            node,
-            expr=_rewrite(node.expr, mapping, rng, counter),
-            query=_rename_nested(node.query, mapping, rng, counter),
-        )
-    if isinstance(node, Exists):
-        return replace(node, query=_rename_nested(node.query, mapping, rng, counter))
-    if isinstance(node, ScalarSubquery):
-        return replace(node, query=_rename_nested(node.query, mapping, rng, counter))
-    if isinstance(node, IsNull):
-        return replace(node, expr=_rewrite(node.expr, mapping, rng, counter))
-    if isinstance(node, BoolOp):
-        return replace(node, terms=tuple(_rewrite(t, mapping, rng, counter) for t in node.terms))
-    return node
-
-
-def _rename_nested(select: Select, outer_mapping, rng, counter) -> Select:
-    # Correlated references use the outer mapping; the subquery's own
-    # sources get fresh names on top of it.
-    mapping = dict(outer_mapping)
-    new_items = []
-    for item in select.from_items:
-        src = item.source
-        fresh = f"zz{next(counter)}"
-        mapping[src.key] = fresh
-        if isinstance(src, TableSource):
-            new_items.append(replace(item, source=TableSource(table=src.table, alias=fresh, key=fresh.lower())))
-        else:
-            inner = rename_aliases(src.query, rng, counter)
-            new_items.append(replace(item, source=SubquerySource(query=inner, alias=fresh, key=fresh.lower())))
-    out = replace(select, from_items=tuple(new_items))
-    return _rewrite(out, mapping, rng, counter)
 
 
 def alias_permuted_sql(sql: str, schema: DatabaseSchema, seed: int) -> str:

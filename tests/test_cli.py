@@ -172,6 +172,37 @@ def test_run_replay_and_record_together_is_a_usage_error(dataset_dir, tmp_path, 
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, first, second", [
+    ("run", "--out", "--report"),
+    ("evaluate", "--transcripts", "--out"),
+    ("evaluate", "--transcripts", "--markdown"),
+    ("evaluate", "--out", "--markdown"),
+    ("triage", "--transcripts", "--out"),
+    ("report", "--transcripts", "--out"),
+])
+def test_two_file_options_naming_one_file_are_a_usage_error(
+    dataset_dir, tmp_path, capsys, command, first, second
+):
+    # The second option spells the path another way; nothing is read, no
+    # model is called (the replay store is empty) and no file is written.
+    (tmp_path / "store").mkdir()
+    (tmp_path / "sub").mkdir()
+    shared = tmp_path / "shared.jsonl"
+    shared.write_text("kept\n")
+    argv = [command, "--dataset", str(dataset_dir), first, str(shared),
+            second, str(tmp_path / "sub" / ".." / "shared.jsonl")]
+    if command == "run":
+        argv += ["--replay", str(tmp_path / "store")]
+    elif "--transcripts" not in argv:
+        argv += ["--transcripts", str(tmp_path / "t.jsonl")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"{first} and {second} name one file" in capsys.readouterr().err
+    assert shared.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.jsonl", "store", "sub"]
+
+
 def test_fixture_write_failing_partway_leaves_a_replay_miss(
     dataset_dir, tmp_path, monkeypatch, capsys
 ):

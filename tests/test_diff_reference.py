@@ -4,11 +4,12 @@
 moved into the printer: it rebuilds both canonical queries with every
 positional alias replaced by its table name (``_requalify_select``) and
 compares the rebuilt trees, walking the nested SELECTs again at every
-compound level. It is kept as an oracle, with two fixes: a condition-less
-join of a compound query is listed once, and a FROM subquery counts as a
+compound level. It is kept as an oracle, with three fixes: a condition-less
+join of a compound query is listed once, a FROM subquery counts as a
 joined table by its re-qualified text, which does not depend on the
-positional aliases of the sources before it. The rewritten ``diff`` must
-give equal ``AstDiff`` values and equal summaries.
+positional aliases of the sources before it, and a LEFT-joined source
+counts apart from an inner-joined one. The rewritten ``diff`` must give
+equal ``AstDiff`` values and equal summaries.
 """
 
 from __future__ import annotations
@@ -268,11 +269,15 @@ def _condition_key(expr: Expr) -> str:
 
 def _join_graph(select: Select, requalified: Select, links: list[Expr]) -> tuple[Counter, Counter]:
     """The joined tables and the pooled join conditions (ON conjuncts and
-    WHERE links) of one query. A FROM subquery counts by its re-qualified text."""
+    WHERE links) of one query. A FROM subquery counts by its re-qualified
+    text, and a LEFT-joined source apart from an inner-joined one."""
     tables = Counter(
-        item.source.table.lower()
-        if isinstance(item.source, TableSource)
-        else "subquery:" + to_sql(item.source.query)
+        ("left join " if item.join_type == "left" else "")
+        + (
+            item.source.table.lower()
+            if isinstance(item.source, TableSource)
+            else "subquery:" + to_sql(item.source.query)
+        )
         for item in requalified.from_items
     )
     on = [conj for item in requalified.from_items for conj in flatten_and(item.condition)]
@@ -379,8 +384,13 @@ def _is_aggregate(expr: Expr) -> bool:
 
 # Shapes the corpus does not reach: FROM subqueries (aliased, unaliased,
 # nested, joined and in compound arms), compound queries whose arms hold
-# condition-less joins or subqueries, and correlated subqueries.
+# condition-less joins or subqueries, correlated subqueries, and a LEFT join
+# beside the same inner join.
 EXTRA_QUERIES = [
+    ("concert_singer", "SELECT T1.concert_name, T2.singer_id FROM concert AS T1 LEFT JOIN "
+                       "singer_in_concert AS T2 ON T1.concert_id = T2.concert_id"),
+    ("concert_singer", "SELECT T1.concert_name, T2.singer_id FROM concert AS T1 JOIN "
+                       "singer_in_concert AS T2 ON T1.concert_id = T2.concert_id"),
     ("concert_singer", "SELECT s.name FROM (SELECT name, age FROM singer WHERE age > 30) AS s "
                        "WHERE s.age < 50"),
     ("concert_singer", "SELECT name FROM (SELECT T1.name, T2.concert_id FROM singer AS T1 "

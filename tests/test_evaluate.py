@@ -29,6 +29,7 @@ from nl2sql.pipeline import (
     write_transcripts,
 )
 from nl2sql.schema import schema_from_tables_entry
+from nl2sql.triage import Category
 
 from conftest import GROUPED_BY_ID_SQL, GROUPED_BY_NAME_SQL, build_ships_db
 from helpers import ScriptedTransport
@@ -578,3 +579,79 @@ def test_later_stage_with_sql_replaces_the_judgment_and_without_sql_keeps_it(
     assert (report.overall, calls) == (0.0, [])
     report = score([kept], [ship_example(0)], schemas)
     assert (report.overall, calls) == (0.0, [])
+
+
+def test_markdown_report_pins_both_triage_tables_byte_for_byte(schemas):
+    wrong_column = "SELECT id FROM ship WHERE disposition_of_ship = 'sank'"
+    finals = [GOLD, WRONG, WRONG, wrong_column, "SELECT bogus FROM nowhere"]
+    examples = [ship_example(i, Hardness.EASY if i % 2 else Hardness.HARD) for i in range(5)]
+    report = score([transcript(i, sql) for i, sql in enumerate(finals)], examples, schemas)
+    report.metadata = {"endpoints": ["generator"]}
+    assert render_report_markdown(report) == MARKDOWN_REPORT
+    empty = score([transcript(0, GOLD)], [ship_example(0)], schemas)
+    assert render_report_markdown(empty).endswith(
+        "## Failure triage\n\nNo failures to triage.\n"
+    )
+
+
+MARKDOWN_REPORT = """\
+# Execution accuracy report
+
+|  | Easy | Medium | Hard | Extra | All |
+|---|---|---|---|---|---|
+| Count | 2 | 0 | 3 | 0 | 5 |
+| Exec Accuracy | 0.000 | 0.000 | 0.333 | 0.000 | 0.200 |
+
+Quarantined examples: 0
+Harness faults: 0
+
+## Pipeline stage outcomes
+
+- correct_first_shot: 5
+
+## Failure triage
+
+| Category | Count | Fraction |
+|---|---|---|
+| PredictedValues | 2 | 0.500 |
+| SelectColumns | 1 | 0.250 |
+| Unclassifiable | 1 | 0.250 |
+
+| Subtag | Count | Fraction |
+|---|---|---|
+| PredictedValues | 2 | 0.500 |
+| SelectColumns.WrongColumn | 1 | 0.250 |
+| Unclassifiable.ParseError | 1 | 0.250 |
+
+## Metadata
+
+- endpoints: ['generator']
+"""
+
+
+def test_read_back_transcript_whose_gold_errors_at_score_time_counts_wrong(schemas):
+    # The gold of a read-back transcript (no judgment) runs at score time; an
+    # engine error there leaves nothing to compare or triage against.
+    example = dataclasses.replace(ship_example(0), gold_sql="SELECT name FROM nowhere")
+    read_back = dataclasses.replace(transcript(0, GOLD), gold_sql=example.gold_sql)
+    assert read_back.judgment is None
+    report = score([read_back], [example], schemas)
+    assert (report.overall, report.verdicts) == (0.0, {})
+
+
+def test_left_join_against_an_inner_join_gold_scores_wrong_as_join_clauses(schemas):
+    gold = (
+        "SELECT T1.concert_name, T2.singer_id FROM concert AS T1 "
+        "JOIN singer_in_concert AS T2 ON T1.concert_id = T2.concert_id"
+    )
+    example = SpiderExample(
+        id=0, question="q0", db_id="concert_singer", gold_sql=gold, hardness=Hardness.MEDIUM
+    )
+    pred = PipelineTranscript(
+        example_id=0, db_id="concert_singer", question="q0", gold_sql=gold, stages=[],
+        final_sql=gold.replace(" JOIN ", " LEFT JOIN "), final_verdict=Verdict.CORRECT_FIRST_SHOT,
+    )
+    report = score([pred], [example], schemas)
+    assert report.overall == 0.0
+    verdict = report.verdicts[0]
+    assert (verdict.category, verdict.subtag) == (Category.JOIN_CLAUSES, "Extra")

@@ -8,6 +8,7 @@ import re
 import sqlite3
 import sys
 import threading
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -394,6 +395,70 @@ def test_threads_sharing_a_schema_each_get_correct_tables(schemas):
     assert not any(thread.is_alive() for thread in threads)
     for idx in range(workers):
         assert results[idx] == [expected[(i + idx) % 2] for i in range(40)]
+
+
+def test_a_timeout_on_one_thread_does_not_stop_another_threads_query(schemas, monkeypatch):
+    # The other thread's query runs about a second under the 30 s deadline
+    # while this thread's queries keep timing out under a 50 ms one.
+    schema = schemas["battle_death"]
+    counted = (
+        "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r WHERE i < 2000000) "
+        "SELECT count(*) FROM r"
+    )
+    started = threading.Event()
+    results = []
+
+    def other() -> None:
+        started.set()
+        results.append(execute(counted, schema))
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    assert started.wait(timeout=30)
+    time.sleep(0.2)  # the other thread has read the 30 s budget
+    monkeypatch.setattr(execution, "TIMEOUT_SECONDS", 0.05)
+    kinds = []
+    while thread.is_alive() and len(kinds) < 1000:
+        kinds.append(execute(ENDLESS_SQL, schema).kind)
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert kinds and set(kinds) == {"timeout"}
+    assert [outcome.table.rows for outcome in results] == [((2000000,),)]
+
+
+def test_temp_table_on_one_thread_leaves_another_threads_connection_alone(schemas):
+    schema = schemas["battle_death"]
+    sql = "SELECT * FROM ship ORDER BY id"
+    expected = execute(sql, schema)
+    done = threading.Event()
+    seen: dict[str, object] = {}
+
+    def other() -> None:
+        try:
+            outcomes = [execute(sql, schema)]
+            cached = schema._connections.entry
+            for _ in range(100):
+                outcomes.append(execute(sql, schema))
+                kept = getattr(schema._connections, "entry", None) is cached
+                seen["kept"] = seen.get("kept", True) and kept
+            seen["outcomes"] = outcomes
+        finally:
+            done.set()
+
+    thread = threading.Thread(target=other)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread.start()
+        deadline = time.monotonic() + 60
+        while not done.is_set() and time.monotonic() < deadline:
+            assert execute("CREATE TEMP TABLE ship (x)", schema).kind == "table"
+        thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert seen == {"kept": True, "outcomes": [expected] * 101}
+    assert execute(sql, schema) == expected
 
 
 def test_timeout_while_fetching_rows_reported_as_timeout(schemas, monkeypatch):

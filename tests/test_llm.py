@@ -17,7 +17,6 @@ from nl2sql.llm import (
     build_request,
     reply_text,
     request_digest,
-    store_reply,
 )
 
 from helpers import ScriptedTransport
@@ -25,6 +24,12 @@ from helpers import ScriptedTransport
 
 def _request(content="hi"):
     return build_request("m", [{"role": "user", "content": content}], Sampling())
+
+
+def _record_reply(store_dir, request, text) -> str:
+    """Record ``text`` as the reply to ``request``; returns its digest."""
+    RecordingTransport(ScriptedTransport(lambda _: text), store_dir).send(request)
+    return request_digest(request)
 
 
 def test_digest_is_stable_and_content_sensitive():
@@ -70,7 +75,7 @@ def _counting_digests(monkeypatch) -> list[dict]:
 
 def test_endpoint_digests_once_per_call_over_replay(tmp_path, monkeypatch):
     messages = [[{"role": "user", "content": f"q{i}"}] for i in range(3)]
-    stored = [store_reply(tmp_path, build_request("m", m, Sampling()), f"SELECT {i}")
+    stored = [_record_reply(tmp_path, build_request("m", m, Sampling()), f"SELECT {i}")
               for i, m in enumerate(messages)]
     seen = _counting_digests(monkeypatch)
     endpoint = ModelEndpoint(role="generator", transport=ReplayTransport(tmp_path), model_name="m")
@@ -101,7 +106,7 @@ def test_transports_key_on_the_digest_they_are_given(tmp_path):
 
 def test_replay_round_trip(tmp_path):
     request = _request("stored")
-    store_reply(tmp_path, request, "SELECT 1")
+    _record_reply(tmp_path, request, "SELECT 1")
     transport = ReplayTransport(tmp_path)
     assert reply_text(transport.send(request)) == "SELECT 1"
 
@@ -147,7 +152,7 @@ def test_a_missing_store_directory_is_a_miss(tmp_path, store):
 
 def test_non_utf8_replay_fixture_is_a_transport_error_naming_the_file(tmp_path):
     request = _request("stored")
-    digest = store_reply(tmp_path, request, "SELECT 1")
+    digest = _record_reply(tmp_path, request, "SELECT 1")
     path = tmp_path / f"{digest}.json"
     path.write_bytes(b'{"choices": "\xff"}')
     with pytest.raises(TransportError) as err:
@@ -160,7 +165,7 @@ def test_non_utf8_replay_fixture_is_a_transport_error_naming_the_file(tmp_path):
 
 def test_truncated_replay_fixture_is_a_transport_error(tmp_path):
     request = _request("stored")
-    digest = store_reply(tmp_path, request, "SELECT 1")
+    digest = _record_reply(tmp_path, request, "SELECT 1")
     path = tmp_path / f"{digest}.json"
     path.write_bytes(path.read_bytes()[:20])
     with pytest.raises(TransportError, match=f"corrupt replay fixture {re.escape(str(path))}"):
@@ -262,7 +267,7 @@ def test_http_requires_api_key(monkeypatch):
 
 def test_replay_store_files_are_digest_named(tmp_path):
     request = _request("layout")
-    digest = store_reply(tmp_path, request, "x")
+    digest = _record_reply(tmp_path, request, "x")
     assert (tmp_path / f"{digest}.json").is_file()
     body = json.loads((tmp_path / f"{digest}.json").read_text())
     assert reply_text(body) == "x"

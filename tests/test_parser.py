@@ -172,6 +172,21 @@ def test_dml_and_ddl_are_rejected(schemas):
             parse(sql, schemas["concert_singer"])
 
 
+@pytest.mark.parametrize("sql", [
+    "WITH s AS (SELECT name FROM singer) SELECT name FROM s",
+    "SELECT CASE WHEN age > 30 THEN name END FROM singer",
+    "SELECT CAST(age AS TEXT) FROM singer",
+    "SELECT singer.name FROM singer RIGHT JOIN concert",
+    "SELECT singer.name FROM singer FULL OUTER JOIN concert",
+    "SELECT singer.name FROM singer NATURAL JOIN singer_in_concert",
+    "SELECT name FROM singer LIMIT 2 OFFSET 1",
+    "SELECT name FROM singer LIMIT 1, 2",
+])
+def test_dialect_forms_outside_the_subset_are_unsupported(schemas, sql):
+    with pytest.raises(UnsupportedSqlError):
+        parse(sql, schemas["concert_singer"])
+
+
 def test_negative_limit_rejected(schemas):
     with pytest.raises(ParseError):
         parse("SELECT name FROM singer LIMIT -1", schemas["concert_singer"])

@@ -24,6 +24,10 @@ from helpers import generate_corpus
 # the canonicaliser folds into a literal, right-nested "-" and "/", a
 # NOT IN list that excludes existing rows, a nested minus that must not
 # print as the comment opener "--", and literals that overflow to infinity.
+# Then dialect forms README lists and nothing else reaches: every join
+# keyword but a bare JOIN, aliases without AS, second GROUP BY and ORDER BY
+# keys, NULL, a call without arguments, a nested AND, DISTINCT in a call, a
+# prefix NOT and a float literal that is not integral.
 EXTRA_QUERIES = [
     ("concert_singer", "SELECT name FROM singer WHERE age - 40 > -12"),
     ("concert_singer", "SELECT 10 - (3 - 2), 8 / (4 / 2), -5 + 10"),
@@ -40,6 +44,24 @@ EXTRA_QUERIES = [
     ("concert_singer", "SELECT name FROM singer WHERE 'us' != country OR -5 > - age"),
     ("concert_singer", "SELECT name FROM singer WHERE 40 <= age AND 60 > age AND 45 = age"),
     ("concert_singer", "SELECT name FROM stadium WHERE 1000 < (SELECT max(capacity) FROM stadium)"),
+    ("concert_singer", "SELECT T1.name, T2.year FROM stadium AS T1 INNER JOIN concert AS T2 "
+                       "ON T1.stadium_id = T2.stadium_id"),
+    ("concert_singer", "SELECT T1.concert_name, T2.singer_id FROM concert AS T1 LEFT JOIN "
+                       "singer_in_concert AS T2 ON T1.concert_id = T2.concert_id"),
+    ("concert_singer", "SELECT T1.concert_name, T2.singer_id FROM concert AS T1 LEFT OUTER JOIN "
+                       "singer_in_concert AS T2 ON T1.concert_id = T2.concert_id "
+                       "WHERE T2.singer_id IS NULL"),
+    ("concert_singer", "SELECT s.name, c.year FROM singer s CROSS JOIN concert c WHERE c.year > 2014"),
+    ("concert_singer", "SELECT singer.name, concert.theme FROM singer, concert "
+                       "WHERE singer.age > 40"),
+    ("concert_singer", "SELECT country c, age FROM singer ORDER BY country DESC, age"),
+    ("concert_singer", "SELECT country, age > 29, count(*) FROM singer GROUP BY country, age > 29"),
+    ("concert_singer", "SELECT name, NULL FROM singer WHERE country IS NOT NULL"),
+    ("concert_singer", "SELECT name, sqlite_version() = sqlite_version() FROM singer"),
+    ("concert_singer", "SELECT name FROM singer WHERE age > 20 AND (country = 'us' AND age < 40)"),
+    ("concert_singer", "SELECT count(DISTINCT country), count(country) FROM singer"),
+    ("concert_singer", "SELECT name FROM singer WHERE NOT age > 29 OR NOT (country = 'us')"),
+    ("concert_singer", "SELECT name, age * 1.5 FROM singer WHERE age > 29.5"),
 ]
 
 

@@ -546,6 +546,108 @@ def test_suspect_gold_reads_only_the_top_level_from_clause(schemas):
     assert (verdict.category, verdict.subtag) == (Category.QUERY_STRUCTURE, "ShapeDivergence")
 
 
+@pytest.mark.parametrize("gold", [
+    # The flagged source is a FROM subquery, which no foreign key names.
+    "SELECT count(*) FROM singer JOIN (SELECT concert_id FROM concert)",
+    # No foreign key links singer and stadium.
+    "SELECT singer.name FROM singer JOIN stadium",
+    # Repaired, the gold still returns its 3 rows: it does not balloon.
+    "SELECT DISTINCT T1.name FROM stadium AS T1 JOIN concert AS T2",
+])
+def test_suspect_gold_not_flagged_without_a_repair_that_shrinks_it(schemas, gold):
+    schema = schemas["concert_singer"]
+    gold_table = execute(gold, schema).table
+    assert suspect_gold_check(parse(gold, schema), gold_table, schema) is None
+
+
+def test_suspect_gold_not_flagged_when_its_repair_errors(tmp_path):
+    # The schema declares a key column, t.c, that the database file lacks.
+    path = tmp_path / "k.sqlite"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        "CREATE TABLE t (a INTEGER); CREATE TABLE u (b INTEGER);"
+        "INSERT INTO t VALUES (1), (2); INSERT INTO u VALUES (1), (2);"
+    )
+    conn.close()
+    schema = DatabaseSchema(
+        db_id="k",
+        tables=(("t", (("a", "number"), ("c", "number"))), ("u", (("b", "number"),))),
+        foreign_keys=((("t", "c"), ("u", "b")),),
+        db_path=path,
+    )
+    gold = "SELECT t.a FROM t JOIN u"
+    assert execute("SELECT t.a FROM t JOIN u ON t.c = u.b", schema).kind == "error"
+    assert suspect_gold_check(parse(gold, schema), execute(gold, schema).table, schema) is None
+
+
+@pytest.mark.parametrize("gold, repaired_sql, gold_rows", [
+    # The key runs from concert to the flagged stadium.
+    ("SELECT T1.concert_name FROM concert AS T1 JOIN stadium AS T2",
+     "SELECT T1.concert_name FROM concert AS T1 JOIN stadium AS T2 "
+     "ON T1.stadium_id = T2.stadium_id", 12),
+    # The FROM subquery before concert has no key to try.
+    ("SELECT T3.name FROM (SELECT concert_id FROM concert) AS S "
+     "JOIN concert AS T2 ON S.concert_id = T2.concert_id JOIN stadium AS T3",
+     "SELECT T3.name FROM (SELECT concert_id FROM concert) AS S "
+     "JOIN concert AS T2 ON S.concert_id = T2.concert_id "
+     "JOIN stadium AS T3 ON T2.stadium_id = T3.stadium_id", 12),
+])
+def test_suspect_gold_repairs_with_a_key_that_points_at_the_flagged_table(
+    schemas, gold, repaired_sql, gold_rows
+):
+    schema = schemas["concert_singer"]
+    evidence = suspect_gold_check(parse(gold, schema), execute(gold, schema).table, schema)
+    assert evidence == {
+        "conditionless_tables": ["stadium"],
+        "gold_rows": gold_rows,
+        "repaired_rows": 4,
+        "repaired_sql": repaired_sql,
+    }
+
+
+def test_from_order_of_two_inner_joins_alone_is_unclassifiable_without_tables(schemas):
+    # The canonical forms differ (positional aliases follow FROM order) and
+    # the diff ignores FROM order, so no rule fires.
+    schema = schemas["concert_singer"]
+    pred = ("SELECT T1.name FROM singer AS T1 JOIN singer_in_concert AS T2 "
+            "ON T1.singer_id = T2.singer_id")
+    gold = ("SELECT T1.name FROM singer_in_concert AS T2 JOIN singer AS T1 "
+            "ON T1.singer_id = T2.singer_id")
+    verdict = run_triage(pred, gold, schema, with_tables=False)
+    assert verdict == TriageVerdict(
+        category=Category.UNCLASSIFIABLE,
+        subtag=None,
+        confidence="heuristic",
+        evidence={"note": "no rule fired; queries differ only in ignored dimensions"},
+    )
+
+
+INNER_JOIN_GOLD = (
+    "SELECT T1.concert_name, T2.singer_id FROM concert AS T1 "
+    "JOIN singer_in_concert AS T2 ON T1.concert_id = T2.concert_id"
+)
+LEFT_JOIN_PRED = INNER_JOIN_GOLD.replace(" JOIN ", " LEFT JOIN ")
+
+
+def test_left_join_against_an_inner_join_is_join_clauses(schemas):
+    # "Old Gala" has no singer: the LEFT join keeps it as a fifth row.
+    schema = schemas["concert_singer"]
+    verdict = run_triage(LEFT_JOIN_PRED, INNER_JOIN_GOLD, schema)
+    assert (verdict.category, verdict.subtag) == (Category.JOIN_CLAUSES, "Extra")
+    joins = verdict.evidence["diff"]["joins"]
+    assert (joins["extra_tables"], joins["missing_tables"]) == (
+        ["left join singer_in_concert"], ["singer_in_concert"]
+    )
+    assert (verdict.evidence["pred_rows"], verdict.evidence["gold_rows"]) == (5, 4)
+    # JOIN, INNER JOIN, CROSS JOIN and a comma are one kind of join.
+    gold = canonicalize(parse(INNER_JOIN_GOLD, schema))
+    comma = ("SELECT T1.concert_name, T2.singer_id FROM concert AS T1, singer_in_concert AS T2 "
+             "WHERE T1.concert_id = T2.concert_id")
+    for pred in (INNER_JOIN_GOLD.replace(" JOIN ", " INNER JOIN "),
+                 INNER_JOIN_GOLD.replace(" JOIN ", " CROSS JOIN "), comma):
+        assert not diff(canonicalize(parse(pred, schema)), gold), pred
+
+
 def test_every_verdict_carries_evidence(schemas):
     with pytest.raises(ValueError):
         TriageVerdict(
