@@ -17,6 +17,10 @@ response body. ``RecordingTransport`` writes that layout while passing
 through to a live transport, which is how fixture sets are built. A replay
 miss is a digest with no regular file of that name: no file, a directory
 or other non-regular file, or a missing store directory.
+
+``requests`` is imported by ``HttpChatTransport.__init__`` alone, so a
+process that never builds a live transport (ingest, replay runs, evaluate,
+triage, report) never loads an HTTP stack.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from .errors import ConfigError, ReplayMissError, RetriesExhaustedError, TransportError
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "NL2SQL_API_KEY"
 FALLBACK_API_KEY_ENV = "OPENAI_API_KEY"
@@ -80,12 +85,17 @@ class HttpChatTransport:
     """Live transport with a fixed exponential-backoff retry policy (below).
 
     Retries cover connection errors, HTTP 5xx and 429; other statuses fail
-    immediately. ``sleeper`` is injectable so tests do not wait.
+    immediately. A 429 or 503 whose ``Retry-After`` is a number of seconds
+    (RFC 6585 §4, RFC 9110 §10.2.3) waits that long when it is longer than
+    the backoff, up to ``MAX_RETRY_AFTER_SECONDS``; an HTTP-date or a
+    malformed value keeps the backoff. ``sleeper`` is injectable so tests
+    do not wait.
     """
 
     RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
     MAX_RETRIES = 3
     BACKOFF_SECONDS = 1.0  # doubled after each retry
+    MAX_RETRY_AFTER_SECONDS = 60.0
     TIMEOUT_SECONDS = 120.0
 
     def __init__(
@@ -101,26 +111,35 @@ class HttpChatTransport:
             raise ConfigError(
                 f"no API key: set {API_KEY_ENV} (or {FALLBACK_API_KEY_ENV}) or use replay mode"
             )
+        try:
+            import requests
+        except ImportError:
+            raise ConfigError(
+                "live runs need the requests package: install it or use replay mode"
+            ) from None
         self.url = base_url.rstrip("/") + "/chat/completions"
         self.api_key = api_key
         self.sleeper = sleeper
         # No shared Session by default: module-level post is safe under
         # concurrent pipeline workers.
-        self.session = session
+        self._post = session.post if session is not None else requests.post
+        self._request_error = requests.RequestException
 
     def send(self, request: dict, digest: str | None = None) -> dict:
         headers = {
             "Authorization": f"Bearer {self.api_key}",
             "Content-Type": "application/json",
         }
-        post = self.session.post if self.session is not None else requests.post
         last_error: Exception | None = None
         for attempt in range(self.MAX_RETRIES + 1):
             if attempt:
-                self.sleeper(self.BACKOFF_SECONDS * (2 ** (attempt - 1)))
+                self.sleeper(wait)
+            wait = self.BACKOFF_SECONDS * (2 ** attempt)
             try:
-                resp = post(self.url, json=request, headers=headers, timeout=self.TIMEOUT_SECONDS)
-            except requests.RequestException as exc:
+                resp = self._post(
+                    self.url, json=request, headers=headers, timeout=self.TIMEOUT_SECONDS
+                )
+            except self._request_error as exc:
                 last_error = exc
                 continue
             if resp.status_code == 200:
@@ -129,12 +148,22 @@ class HttpChatTransport:
                 except ValueError as exc:
                     raise TransportError(f"non-JSON response body: {exc}") from exc
             if resp.status_code in self.RETRYABLE_STATUSES:
+                if resp.status_code in (429, 503):
+                    wait = self._retry_wait(resp.headers.get("Retry-After"), wait)
                 last_error = TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
                 continue
             raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         raise RetriesExhaustedError(
             f"gave up after {self.MAX_RETRIES + 1} attempts: {last_error}"
         )
+
+    def _retry_wait(self, retry_after: str | None, backoff: float) -> float:
+        """The wait a ``Retry-After`` value asks for: delay-seconds only,
+        never shorter than the backoff nor longer than the cap."""
+        value = (retry_after or "").strip()
+        if not (value.isascii() and value.isdigit()):
+            return backoff
+        return min(self.MAX_RETRY_AFTER_SECONDS, max(backoff, float(value)))
 
 
 # No O_NONBLOCK on Windows, where there are no FIFOs to open either.

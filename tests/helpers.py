@@ -27,8 +27,9 @@ def rename_aliases(select: Select, rng: random.Random, counter=None, outer=None)
     rewrite the references; flips the case of table and column names at
     random. The result prints to SQL that is alias-only different from the
     input. ``outer`` is the enclosing scope's mapping, given for a subquery
-    nested in an expression: its correlated references keep the outer
-    names, and its own aliases and table names keep their case."""
+    nested in an expression and handed on to its compound arms: their
+    correlated references take the renamed outer aliases, and their own
+    aliases and table names keep their case."""
     if counter is None:
         counter = itertools.count(1)
     nested = outer is not None
@@ -67,7 +68,9 @@ def rename_aliases(select: Select, rng: random.Random, counter=None, outer=None)
         group_by=tuple(map(rewrite, select.group_by)),
         having=rewrite(select.having),
         order_by=tuple(replace(o, expr=rewrite(o.expr)) for o in select.order_by),
-        set_op=select.set_op and (select.set_op[0], rename_aliases(select.set_op[1], rng, counter)),
+        set_op=select.set_op and (
+            select.set_op[0], rename_aliases(select.set_op[1], rng, counter, outer)
+        ),
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from nl2sql.execution import execute, tables_equivalent
 from nl2sql.sqlast import canonicalize, diff, parse
 
 from conftest import GROUPED_BY_NAME_SQL
@@ -128,15 +129,27 @@ def test_positional_order_key_substituted(schemas):
 
 
 def test_random_alias_renaming_stability(schemas):
-    # Many seeds over one fixture query: the canonical form never moves.
-    schema = schemas["dog_kennels"]
-    sql = (
-        "SELECT T1.owner_id, T1.last_name FROM Owners AS T1 "
-        "JOIN Dogs AS T2 ON T1.owner_id = T2.owner_id "
-        "JOIN Treatments AS T3 ON T2.dog_id = T3.dog_id "
-        "GROUP BY T1.owner_id ORDER BY count(*) DESC LIMIT 1"
-    )
-    reference = canonicalize(parse(sql, schema))
-    for seed in range(25):
-        variant = alias_permuted_sql(sql, schema, seed=seed)
-        assert canonicalize(parse(variant, schema)) == reference
+    # Many seeds over fixture queries: the canonical form never moves, and
+    # the permuted SQL returns the original's table. The second query's
+    # compound arm sits in an expression subquery and reads the outer alias.
+    queries = [
+        ("dog_kennels",
+         "SELECT T1.owner_id, T1.last_name FROM Owners AS T1 "
+         "JOIN Dogs AS T2 ON T1.owner_id = T2.owner_id "
+         "JOIN Treatments AS T3 ON T2.dog_id = T3.dog_id "
+         "GROUP BY T1.owner_id ORDER BY count(*) DESC LIMIT 1"),
+        ("concert_singer",
+         "SELECT S.name FROM singer AS S WHERE S.age IN (SELECT year - 1980 FROM concert "
+         "WHERE year > S.age UNION SELECT capacity FROM stadium WHERE capacity > S.age)"),
+    ]
+    for db_id, sql in queries:
+        schema = schemas[db_id]
+        reference = canonicalize(parse(sql, schema))
+        expected = execute(sql, schema).table
+        assert expected is not None and expected.rows, sql
+        for seed in range(25):
+            variant = alias_permuted_sql(sql, schema, seed=seed)
+            assert canonicalize(parse(variant, schema)) == reference, variant
+            got = execute(variant, schema)
+            assert got.table is not None, (variant, got.error)
+            assert tables_equivalent(got.table, expected).equivalent, variant

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import errno
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import nl2sql
 from nl2sql import cli
 from nl2sql.cli import main
 from nl2sql.dataset import load_dataset
@@ -89,6 +93,67 @@ def test_run_replay_evaluate_report_flow(dataset_dir, tmp_path, capsys):
     assert set(payload) == {"results", "metadata"}
     assert set(payload["results"]["buckets"]) == {"easy", "medium", "hard", "extra"}
     assert "Exec Accuracy" in report_md.read_text()
+
+
+# Runs each argument list through ``cli.main`` in an interpreter where
+# ``import requests`` raises, and prints the exit codes as JSON.
+_WITHOUT_REQUESTS = """
+import json, sys
+sys.modules["requests"] = None
+from nl2sql.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def _fresh_python(*args: str) -> str:
+    paths = [str(Path(nl2sql.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_offline_flow_runs_without_requests(dataset_dir, tmp_path):
+    gold = gold_reply(dataset_dir)
+    store = tmp_path / "store"
+    # A wrong sort order gives triage failures to classify.
+    build_replay_store(dataset_dir, store, lambda request: gold(request).replace("DESC", "ASC"))
+    transcripts = tmp_path / "t.jsonl"
+    dataset = ["--dataset", str(dataset_dir)]
+    flow = [
+        ["run", *dataset, "--replay", str(store), "--limit", "5", "--out", str(transcripts)],
+        ["evaluate", *dataset, "--transcripts", str(transcripts),
+         "--out", str(tmp_path / "report.json"), "--no-timestamp"],
+        ["triage", *dataset, "--transcripts", str(transcripts),
+         "--out", str(tmp_path / "verdicts.jsonl")],
+        ["report", *dataset, "--transcripts", str(transcripts),
+         "--out", str(tmp_path / "report.md")],
+    ]
+    out = _fresh_python("-c", _WITHOUT_REQUESTS, json.dumps(flow))
+    assert json.loads(out.splitlines()[-1]) == [0, 0, 0, 0]
+    assert len(transcripts.read_text().splitlines()) == 5
+    assert (tmp_path / "verdicts.jsonl").read_text().splitlines()
+    assert "Exec Accuracy" in (tmp_path / "report.md").read_text()
+
+
+def test_importing_the_package_loads_no_http_stack():
+    code = "import sys, nl2sql, nl2sql.cli; print('requests' in sys.modules)"
+    assert _fresh_python("-c", code).strip() == "False"
+
+
+def test_live_run_without_requests_is_a_configuration_error(
+    dataset_dir, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setitem(sys.modules, "requests", None)
+    monkeypatch.setenv("NL2SQL_API_KEY", "k")
+    out = tmp_path / "t.jsonl"
+    code = main(["run", "--dataset", str(dataset_dir), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: live runs need the requests package: "
+        "install it or use replay mode\n"
+    )
+    assert not out.exists()
 
 
 def test_run_with_config_file(dataset_dir, tmp_path, capsys):

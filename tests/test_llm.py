@@ -196,10 +196,11 @@ def test_malformed_response_body_raises():
 
 
 class _FakeResponse:
-    def __init__(self, status_code, body=None, text=""):
+    def __init__(self, status_code, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._body is None:
@@ -238,6 +239,50 @@ def test_http_retries_on_5xx_then_succeeds():
     assert reply_text(transport.send(_request())) == "hi"
     assert session.calls == 3
     assert sleeps == [1.0, 2.0]  # exponential backoff
+
+
+_OK = {"choices": [{"message": {"role": "assistant", "content": "hi"}}]}
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, wait",
+    [
+        (429, "5", 5.0),
+        (503, "7", 7.0),
+        (503, " 12 ", 12.0),
+        (429, "0", 1.0),  # never shorter than the backoff
+        (429, "3600", 60.0),  # the cap
+        pytest.param(503, "9" * 400, 60.0, id="503-huge-60.0"),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 1.0),  # an HTTP-date keeps the backoff
+        (429, "-5", 1.0),
+        (429, "2.5", 1.0),
+        (503, "\uff15", 1.0),  # a fullwidth digit is not delay-seconds
+        (503, "", 1.0),
+        (500, "5", 1.0),  # only 429 and 503 carry a delay
+    ],
+)
+def test_http_retry_after_sets_the_next_wait(status, retry_after, wait):
+    session = _FakeSession([
+        _FakeResponse(status, headers={"Retry-After": retry_after}),
+        _FakeResponse(200, _OK),
+    ])
+    transport, sleeps = _http(session)
+    assert reply_text(transport.send(_request())) == "hi"
+    assert sleeps == [wait]
+
+
+def test_http_retry_after_raises_one_wait_and_the_backoff_goes_on():
+    session = _FakeSession([
+        _FakeResponse(500),
+        _FakeResponse(429, headers={"Retry-After": "30"}),
+        _FakeResponse(503, headers={"Retry-After": "1"}),
+        _FakeResponse(503),
+    ])
+    transport, sleeps = _http(session)
+    with pytest.raises(RetriesExhaustedError):
+        transport.send(_request())
+    assert session.calls == 4
+    assert sleeps == [1.0, 30.0, 4.0]  # no wait after the last attempt
 
 
 def test_http_gives_up_after_budget():
