@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: ingest, emit-corpus, run, evaluate, triage, report, ast.
+Subcommands: ingest, emit-corpus, run, evaluate, ast. ``evaluate`` scores the
+transcripts once and writes every file asked for from that one report: the
+JSON report, the markdown and the triage verdicts.
 Exit codes are stable so scripts can branch on failure class:
 
     0  success
@@ -34,16 +36,17 @@ from .errors import (
     ReplayMissError,
     RetriesExhaustedError,
 )
-from .evaluate import EvalReport, render_report_markdown, run_metadata, score, write_report
+from .evaluate import (
+    EvalReport,
+    render_report_json,
+    render_report_markdown,
+    render_verdicts_jsonl,
+    run_metadata,
+    score,
+)
 from .hardness import Hardness
 from .llm import HttpChatTransport, ModelEndpoint, RecordingTransport, ReplayTransport, Sampling
-from .pipeline import (
-    PipelineConfig,
-    PipelineTranscript,
-    read_transcripts,
-    run_many,
-    write_transcripts,
-)
+from .pipeline import PipelineConfig, read_transcripts, run_many, write_transcripts
 from .sqlast import canonicalize, diff, parse
 
 EXIT_OK = 0
@@ -67,7 +70,7 @@ DEFAULT_CONFIG = {
 
 # The options that name a file a command reads or writes. Two of one command
 # that name one file would lose the first's contents to the second.
-_FILE_OPTIONS = ("transcripts", "out", "report", "markdown")
+_FILE_OPTIONS = ("transcripts", "out", "report", "markdown", "verdicts")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -129,28 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("evaluate", help="score transcripts into a report")
+    p = sub.add_parser("evaluate", help="score transcripts once; write the files asked for")
     _dataset_args(p)
     p.add_argument("--transcripts", type=Path, required=True)
     p.add_argument("--out", type=Path, help="report JSON path")
-    p.add_argument("--markdown", type=Path, help="also write a markdown report")
-    p.add_argument("--no-triage", action="store_true")
+    p.add_argument("--markdown", type=Path, help="markdown report path")
+    p.add_argument("--verdicts", type=Path, help="triage verdicts JSONL path")
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("triage", help="classify every failed transcript")
-    _dataset_args(p)
-    p.add_argument("--transcripts", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True, help="verdicts JSONL path")
-    p.set_defaults(func=cmd_triage)
-
-    p = sub.add_parser("report", help="render a report from transcripts")
-    p.add_argument("--transcripts", type=Path, required=True)
-    p.add_argument("--dataset", type=Path, help="dataset dir (needed to score non-empty transcripts)")
-    p.add_argument("--split", default="dev", choices=["dev", "train"])
-    p.add_argument("--format", default="markdown", choices=["markdown", "json"])
-    p.add_argument("--out", type=Path, help="write to file instead of stdout")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("ast", help="debug: print the AST, canonical form or diff")
     _dataset_args(p)
@@ -190,19 +179,37 @@ def _own_file(verb: str, path: Path):
         raise Nl2SqlError(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
 
 
-def _check_writable(path: Path) -> None:
-    """Fail as writing ``path`` would, before any work is paid for, creating
-    no file and truncating none."""
-    if path.is_dir():
-        code = errno.EISDIR
-    elif path.exists():
-        code = None if os.access(path, os.W_OK) else errno.EACCES
-    elif not path.parent.is_dir():
-        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
-    else:
-        code = None if os.access(path.parent, os.W_OK | os.X_OK) else errno.EACCES
-    if code is not None:
-        raise Nl2SqlError(f"cannot write {path}: {os.strerror(code)}")
+def _check_writable(*paths: Path | None) -> None:
+    """Fail as writing each path given would, before any work is paid for,
+    creating no file and truncating none."""
+    for path in filter(None, paths):
+        if path.is_dir():
+            code = errno.EISDIR
+        elif path.exists():
+            code = None if os.access(path, os.W_OK) else errno.EACCES
+        elif not path.parent.is_dir():
+            code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        else:
+            code = None if os.access(path.parent, os.W_OK | os.X_OK) else errno.EACCES
+        if code is not None:
+            raise Nl2SqlError(f"cannot write {path}: {os.strerror(code)}")
+
+
+def _write_scored(
+    report: EvalReport,
+    json_path: Path | None,
+    markdown: Path | None = None,
+    verdicts: Path | None = None,
+) -> None:
+    """Write each file asked for from one scored report."""
+    for path, render in (
+        (json_path, render_report_json),
+        (markdown, render_report_markdown),
+        (verdicts, render_verdicts_jsonl),
+    ):
+        if path is not None:
+            with _own_file("write", path):
+                path.write_text(render(report), encoding="utf-8")
 
 
 def cmd_ingest(args) -> int:
@@ -278,9 +285,7 @@ def cmd_run(args) -> int:
     examples = list(loaded.examples)
     if args.limit is not None:
         examples = examples[: args.limit]
-    for path in (args.out, args.report):
-        if path is not None:
-            _check_writable(path)
+    _check_writable(args.out, args.report)
     generator = _endpoint("generator", config["generator"], args)
     corrector = _endpoint("corrector", config["corrector"], args)
     pipeline_config = PipelineConfig(
@@ -303,68 +308,22 @@ def cmd_run(args) -> int:
             transcripts, examples, loaded.schemas, quarantined=len(loaded.quarantined)
         )
         report.metadata = run_metadata(transcripts)
-        with _own_file("write", args.report):
-            write_report(report, args.report)
+        _write_scored(report, args.report)
         print(f"wrote report to {args.report}")
     return EXIT_OK
 
 
-def _read_transcripts(path: Path) -> list[PipelineTranscript]:
-    with _own_file("read", path):
-        return read_transcripts(path)
-
-
-def _score_transcripts(args, **options) -> tuple[list[PipelineTranscript], EvalReport]:
-    """Score the transcripts at ``--transcripts`` against the examples they name."""
+def cmd_evaluate(args) -> int:
+    _check_writable(args.out, args.markdown, args.verdicts)
     loaded = load_dataset(args.dataset, args.split)
-    transcripts = _read_transcripts(args.transcripts)
+    with _own_file("read", args.transcripts):
+        transcripts = read_transcripts(args.transcripts)
     ids = {t.example_id for t in transcripts}
     examples = [ex for ex in loaded.examples if ex.id in ids]
-    report = score(
-        transcripts, examples, loaded.schemas, quarantined=len(loaded.quarantined), **options
-    )
-    return transcripts, report
-
-
-def cmd_evaluate(args) -> int:
-    transcripts, report = _score_transcripts(args, with_triage=not args.no_triage)
+    report = score(transcripts, examples, loaded.schemas, quarantined=len(loaded.quarantined))
     report.metadata = run_metadata(transcripts, timestamp=not args.no_timestamp)
-    if args.out:
-        with _own_file("write", args.out):
-            write_report(report, args.out)
-    if args.markdown:
-        with _own_file("write", args.markdown):
-            args.markdown.write_text(render_report_markdown(report), encoding="utf-8")
+    _write_scored(report, args.out, args.markdown, args.verdicts)
     print(json.dumps(report.results_payload(), indent=2, ensure_ascii=False))
-    return EXIT_OK
-
-
-def cmd_triage(args) -> int:
-    _, report = _score_transcripts(args)
-    with _own_file("write", args.out), args.out.open("w", encoding="utf-8") as fh:
-        for example_id, verdict in report.verdicts.items():
-            record = {"example_id": example_id, **verdict.to_json()}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    print(f"wrote {len(report.verdicts)} verdicts to {args.out}")
-    return EXIT_OK
-
-
-def cmd_report(args) -> int:
-    if args.dataset is not None:
-        _, report = _score_transcripts(args)
-    elif _read_transcripts(args.transcripts):
-        raise DatasetError("--dataset is required to score non-empty transcripts")
-    else:
-        report = score([], [], {})
-    if args.format == "markdown":
-        text = render_report_markdown(report)
-    else:
-        text = json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
-    if args.out:
-        with _own_file("write", args.out):
-            args.out.write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
     return EXIT_OK
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from pathlib import Path
 
 from .dataset import SpiderExample, gold_groups
 from .errors import DatasetError, Nl2SqlError
@@ -251,7 +250,13 @@ def render_report_markdown(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: EvalReport, out: Path | str) -> None:
-    Path(out).write_text(
-        json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+def render_report_json(report: EvalReport) -> str:
+    return json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
+
+
+def render_verdicts_jsonl(report: EvalReport) -> str:
+    """One line per triage verdict, in example-id order."""
+    return "".join(
+        json.dumps({"example_id": example_id, **verdict.to_json()}, ensure_ascii=False) + "\n"
+        for example_id, verdict in report.verdicts.items()
     )

@@ -17,9 +17,9 @@ missing database file is a harness fault and raises instead.
 
 An ``OutcomeMemo`` lets one unit of work run each distinct statement once:
 one example in ``run`` (its gold and every stage), one gold group in
-``evaluate``, ``triage`` and ``report`` (the gold, each prediction and the
-triage probes). It is keyed on the database file's identity, so a replaced
-or rewritten file is read again, and on the statement: a table is kept
+``evaluate`` (the gold, each prediction and the triage probes). It is
+keyed on the database file's identity, so a replaced or rewritten file is
+read again, and on the statement: a table is kept
 under the ``statement_key`` of its SQL, which texts that differ only in
 ASCII case and in the kind or length of their whitespace gaps share
 outside string literals, and an engine error under the exact text, as

@@ -19,8 +19,8 @@ miss is a digest with no regular file of that name: no file, a directory
 or other non-regular file, or a missing store directory.
 
 ``requests`` is imported by ``HttpChatTransport.__init__`` alone, so a
-process that never builds a live transport (ingest, replay runs, evaluate,
-triage, report) never loads an HTTP stack.
+process that never builds a live transport (ingest, replay runs, evaluate)
+never loads an HTTP stack.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol
+from urllib.parse import urlsplit
 
 from .errors import ConfigError, ReplayMissError, RetriesExhaustedError, TransportError
 
@@ -81,6 +82,16 @@ class Transport(Protocol):
         ``digest``, when given, is ``request_digest(request)``."""
 
 
+def _is_http_url(url: object) -> bool:
+    if not isinstance(url, str):
+        return False
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # such as an unclosed IPv6 bracket
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 class HttpChatTransport:
     """Live transport with a fixed exponential-backoff retry policy (below).
 
@@ -88,8 +99,9 @@ class HttpChatTransport:
     immediately. A 429 or 503 whose ``Retry-After`` is a number of seconds
     (RFC 6585 §4, RFC 9110 §10.2.3) waits that long when it is longer than
     the backoff, up to ``MAX_RETRY_AFTER_SECONDS``; an HTTP-date or a
-    malformed value keeps the backoff. ``sleeper`` is injectable so tests
-    do not wait.
+    malformed value keeps the backoff. A ``base_url`` that is not an http or
+    https URL with a host is a ``ConfigError`` before any request. ``sleeper``
+    is injectable so tests do not wait.
     """
 
     RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -111,6 +123,8 @@ class HttpChatTransport:
             raise ConfigError(
                 f"no API key: set {API_KEY_ENV} (or {FALLBACK_API_KEY_ENV}) or use replay mode"
             )
+        if not _is_http_url(base_url):
+            raise ConfigError(f"base_url must be an http or https URL with a host: {base_url!r}")
         try:
             import requests
         except ImportError:

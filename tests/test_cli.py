@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from nl2sql.llm import ModelEndpoint, RecordingTransport
 from nl2sql.pipeline import PipelineConfig, PipelineTranscript, run_many
 
 from helpers import ScriptedTransport
+from test_evaluate import counting_executions
 
 def build_replay_store(dataset_dir, store_dir, reply_fn):
     """Record scripted replies for every request the CLI run would make."""
@@ -123,14 +125,11 @@ def test_offline_flow_runs_without_requests(dataset_dir, tmp_path):
     flow = [
         ["run", *dataset, "--replay", str(store), "--limit", "5", "--out", str(transcripts)],
         ["evaluate", *dataset, "--transcripts", str(transcripts),
-         "--out", str(tmp_path / "report.json"), "--no-timestamp"],
-        ["triage", *dataset, "--transcripts", str(transcripts),
-         "--out", str(tmp_path / "verdicts.jsonl")],
-        ["report", *dataset, "--transcripts", str(transcripts),
-         "--out", str(tmp_path / "report.md")],
+         "--out", str(tmp_path / "report.json"), "--markdown", str(tmp_path / "report.md"),
+         "--verdicts", str(tmp_path / "verdicts.jsonl"), "--no-timestamp"],
     ]
     out = _fresh_python("-c", _WITHOUT_REQUESTS, json.dumps(flow))
-    assert json.loads(out.splitlines()[-1]) == [0, 0, 0, 0]
+    assert json.loads(out.splitlines()[-1]) == [0, 0]
     assert len(transcripts.read_text().splitlines()) == 5
     assert (tmp_path / "verdicts.jsonl").read_text().splitlines()
     assert "Exec Accuracy" in (tmp_path / "report.md").read_text()
@@ -152,6 +151,21 @@ def test_live_run_without_requests_is_a_configuration_error(
     assert capsys.readouterr().err == (
         "configuration error: live runs need the requests package: "
         "install it or use replay mode\n"
+    )
+    assert not out.exists()
+
+
+def test_base_url_without_a_scheme_is_a_configuration_error(
+    dataset_dir, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("NL2SQL_API_KEY", "k")
+    config, out = tmp_path / "run.json", tmp_path / "t.jsonl"
+    config.write_text(json.dumps({"generator": {"base_url": "api.example.invalid/v1"}}))
+    code = main(["run", "--dataset", str(dataset_dir), "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: base_url must be an http or https URL with a host: "
+        "'api.example.invalid/v1'\n"
     )
     assert not out.exists()
 
@@ -242,8 +256,8 @@ def test_run_replay_and_record_together_is_a_usage_error(dataset_dir, tmp_path, 
     ("evaluate", "--transcripts", "--out"),
     ("evaluate", "--transcripts", "--markdown"),
     ("evaluate", "--out", "--markdown"),
-    ("triage", "--transcripts", "--out"),
-    ("report", "--transcripts", "--out"),
+    ("evaluate", "--transcripts", "--verdicts"),
+    ("evaluate", "--markdown", "--verdicts"),
 ])
 def test_two_file_options_naming_one_file_are_a_usage_error(
     dataset_dir, tmp_path, capsys, command, first, second
@@ -305,23 +319,30 @@ def test_run_truncated_replay_fixture_exits_1(dataset_dir, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_report_on_empty_transcripts_zero_counts(tmp_path, capsys):
-    empty = tmp_path / "empty.jsonl"
+def test_report_on_empty_transcripts_zero_counts(dataset_dir, tmp_path, capsys):
+    empty, markdown = tmp_path / "empty.jsonl", tmp_path / "report.md"
     empty.write_text("")
-    code = main(["report", "--transcripts", str(empty), "--format", "markdown"])
+    code = main([
+        "evaluate", "--dataset", str(dataset_dir), "--transcripts", str(empty),
+        "--markdown", str(markdown),
+    ])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "| Count | 0 | 0 | 0 | 0 | 0 |" in out
-    assert "No failures to triage." in out
+    text = markdown.read_text()
+    assert "| Count | 0 | 0 | 0 | 0 | 0 |" in text
+    assert "No failures to triage." in text
 
 
-def test_report_json_format(tmp_path, capsys):
-    empty = tmp_path / "empty.jsonl"
+def test_report_json_format(dataset_dir, tmp_path, capsys):
+    empty, report = tmp_path / "empty.jsonl", tmp_path / "report.json"
     empty.write_text("")
-    code = main(["report", "--transcripts", str(empty), "--format", "json"])
+    code = main([
+        "evaluate", "--dataset", str(dataset_dir), "--transcripts", str(empty),
+        "--no-timestamp", "--out", str(report),
+    ])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(report.read_text())
     assert payload["results"]["overall"] == 0.0
+    assert payload["metadata"] == {"endpoints": []}
 
 
 def test_triage_cli_writes_verdicts(dataset_dir, tmp_path, capsys):
@@ -345,7 +366,8 @@ def test_triage_cli_writes_verdicts(dataset_dir, tmp_path, capsys):
     write_transcripts(transcripts, tfile)
     out = tmp_path / "verdicts.jsonl"
     code = main([
-        "triage", "--dataset", str(dataset_dir), "--transcripts", str(tfile), "--out", str(out)
+        "evaluate", "--dataset", str(dataset_dir), "--transcripts", str(tfile),
+        "--verdicts", str(out),
     ])
     assert code == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
@@ -383,54 +405,6 @@ def test_ast_unknown_db_exits_3(dataset_dir, capsys):
     assert code == 3
 
 
-def test_triage_and_evaluate_agree(dataset_dir, tmp_path, capsys):
-    loaded = load_dataset(dataset_dir, "dev")
-    by_question = {ex.question: ex.gold_sql for ex in loaded.examples}
-    replies = {
-        "How many ships ended up being sank?":
-            "SELECT count(*) FROM ship WHERE disposition_of_ship = 'lost'",
-        "What is the name of the stadium with the largest capacity?":
-            "SELECT name FROM stadium ORDER BY",
-        "Show stadium locations with a concert in 2014 or with capacity above 50000.":
-            by_question[
-                "Show stadium locations with a concert in 2014 or with capacity above 50000."
-            ].replace("2014", "2015"),
-    }
-
-    def reply(request):
-        first_user = next(m for m in request["messages"] if m["role"] == "user")
-        question = re.search(r"### Question: (.*)", first_user["content"]).group(1)
-        return replies.get(question, by_question[question])
-
-    generator = ModelEndpoint("generator", ScriptedTransport(reply), "generator")
-    corrector = ModelEndpoint("corrector", ScriptedTransport(reply), "corrector")
-    transcripts = run_many(
-        loaded.examples, loaded.schemas, PipelineConfig(), generator, corrector
-    )
-    from nl2sql.pipeline import write_transcripts
-
-    tfile = tmp_path / "t.jsonl"
-    write_transcripts(transcripts, tfile)
-    verdicts_out = tmp_path / "verdicts.jsonl"
-    report_out = tmp_path / "report.json"
-    dataset = ["--dataset", str(dataset_dir), "--transcripts", str(tfile)]
-    assert main(["triage", *dataset, "--out", str(verdicts_out)]) == 0
-    assert main(["evaluate", *dataset, "--no-timestamp", "--out", str(report_out)]) == 0
-
-    rows = [json.loads(line) for line in verdicts_out.read_text().splitlines()]
-    summary = json.loads(report_out.read_text())["results"]["triage"]
-    assert len(rows) == summary["total"] == 3
-    ids = [row["example_id"] for row in rows]
-    assert ids == sorted(ids)
-    categories = Counter(row["category"] for row in rows)
-    subtags = Counter(
-        row["category"] + ("." + row["subtag"] if row["subtag"] else "") for row in rows
-    )
-    assert categories == {k: v["count"] for k, v in summary["categories"].items()}
-    assert subtags == {k: v["count"] for k, v in summary["subtags"].items()}
-    assert subtags == {"PredictedValues": 2, "Unclassifiable.ParseError": 1}
-
-
 # --------------------------------------------------------------------------- run --report
 
 def mixed_reply(dataset_dir):
@@ -449,6 +423,95 @@ def mixed_reply(dataset_dir):
         return replies.get(question) or gold(request).replace("2014", "2015")
 
     return reply
+
+
+def run_mixed_replies(dataset_dir, tmp_path) -> Path:
+    """Replay ``mixed_reply`` over the dataset; return the transcripts file."""
+    store, transcripts = tmp_path / "store", tmp_path / "t.jsonl"
+    build_replay_store(dataset_dir, store, mixed_reply(dataset_dir))
+    assert main(["run", "--dataset", str(dataset_dir), "--replay", str(store),
+                 "--out", str(transcripts)]) == 0
+    return transcripts
+
+
+# The files one ``evaluate`` call writes from the mixed replies, pinned byte
+# for byte: the wrong value and the wrong year are PredictedValues, and the
+# reply cut short after ORDER BY does not parse.
+MIXED_VERDICTS = (
+    '{"example_id": 2, "category": "PredictedValues", "subtag": null, "confidence": "definite", '
+    '"evidence": {"diff": {"literals": [{"shape": "ship.disposition_of_ship = ?", '
+    '"pred": "\'lost\'", "gold": "\'sank\'"}]}, '
+    '"pred_rows": 1, "pred_columns": 1, "gold_rows": 1, "gold_columns": 1}}\n'
+    '{"example_id": 6, "category": "Unclassifiable", "subtag": "ParseError", '
+    '"confidence": "definite", "evidence": {"error": "unexpected token \'\' (at offset 33)", '
+    '"sql": "SELECT name FROM stadium ORDER BY"}}\n'
+    '{"example_id": 11, "category": "PredictedValues", "subtag": null, "confidence": "definite", '
+    '"evidence": {"diff": {"literals": [{"shape": "concert.year = ?", '
+    '"pred": "2015", "gold": "2014"}]}, '
+    '"pred_rows": 2, "pred_columns": 1, "gold_rows": 3, "gold_columns": 1}}\n'
+)
+MIXED_MARKDOWN = """\
+# Execution accuracy report
+
+|  | Easy | Medium | Hard | Extra | All |
+|---|---|---|---|---|---|
+| Count | 4 | 1 | 2 | 5 | 12 |
+| Exec Accuracy | 0.750 | 0.000 | 0.500 | 1.000 | 0.750 |
+
+Quarantined examples: 0
+Harness faults: 0
+
+## Pipeline stage outcomes
+
+- correct_first_shot: 9
+- failed: 3
+
+## Failure triage
+
+| Category | Count | Fraction |
+|---|---|---|
+| PredictedValues | 2 | 0.667 |
+| Unclassifiable | 1 | 0.333 |
+
+| Subtag | Count | Fraction |
+|---|---|---|
+| PredictedValues | 2 | 0.667 |
+| Unclassifiable.ParseError | 1 | 0.333 |
+
+## Metadata
+
+- endpoints: ['corrector', 'generator']
+"""
+
+
+def test_one_evaluate_call_scores_once_and_writes_every_file(
+    dataset_dir, tmp_path, monkeypatch, capsys
+):
+    transcripts = run_mixed_replies(dataset_dir, tmp_path)
+    calls = counting_executions(monkeypatch)
+    evaluate = ["evaluate", "--dataset", str(dataset_dir), "--transcripts", str(transcripts),
+                "--no-timestamp"]
+    alone, report = tmp_path / "alone.json", tmp_path / "report.json"
+    markdown, verdicts = tmp_path / "report.md", tmp_path / "verdicts.jsonl"
+    assert main([*evaluate, "--out", str(alone)]) == 0
+    executions_alone = len(calls)
+    calls.clear()
+    assert main([*evaluate, "--out", str(report), "--markdown", str(markdown),
+                 "--verdicts", str(verdicts)]) == 0
+    assert executions_alone > 0 and len(calls) == executions_alone
+
+    assert report.read_bytes() == alone.read_bytes()
+    assert markdown.read_text(encoding="utf-8") == MIXED_MARKDOWN
+    assert verdicts.read_text(encoding="utf-8") == MIXED_VERDICTS
+    rows = [json.loads(line) for line in verdicts.read_text().splitlines()]
+    summary = json.loads(report.read_text())["results"]["triage"]
+    assert len(rows) == summary["total"] == 3
+    categories = Counter(row["category"] for row in rows)
+    subtags = Counter(
+        row["category"] + ("." + row["subtag"] if row["subtag"] else "") for row in rows
+    )
+    assert categories == {k: v["count"] for k, v in summary["categories"].items()}
+    assert subtags == {k: v["count"] for k, v in summary["subtags"].items()}
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -473,6 +536,26 @@ def test_run_report_equals_evaluate_on_the_transcripts_run_wrote(
     assert ran["metadata"]["endpoints"] == evaluated["metadata"]["endpoints"]
     assert 0 < ran["results"]["overall"] < 1
     assert ran["results"]["triage"]["total"] > 0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument list of each ``nl2sql`` line in README.md's CLI block,
+    with ``\\`` continuations joined."""
+    block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = block.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("nl2sql ")]
+
+
+def test_readme_cli_block_names_only_commands_and_options_that_exist():
+    commands = readme_commands()
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a usage error exits, which fails the test
 
 
 def test_run_report_database_missing_while_scoring_exits_6_after_writing_transcripts(
@@ -532,8 +615,8 @@ def test_record_key_order_is_the_documented_order(dataset_dir, tmp_path):
     transcripts, verdicts = tmp_path / "t.jsonl", tmp_path / "v.jsonl"
     assert main(["run", "--dataset", str(dataset_dir), "--replay", str(store),
                  "--out", str(transcripts)]) == 0
-    assert main(["triage", "--dataset", str(dataset_dir), "--transcripts", str(transcripts),
-                 "--out", str(verdicts)]) == 0
+    assert main(["evaluate", "--dataset", str(dataset_dir), "--transcripts", str(transcripts),
+                 "--verdicts", str(verdicts)]) == 0
     records = [json.loads(line) for line in transcripts.read_text().splitlines()]
     stages = [stage for record in records for stage in record["stages"]]
     rows = [json.loads(line) for line in verdicts.read_text().splitlines()]
@@ -566,14 +649,14 @@ def one_error_line(capsys, verb, path):
 
 
 def test_missing_transcripts_file_is_one_error_line(dataset_dir, tmp_path, capsys):
-    missing = tmp_path / "nope.jsonl"
-    for command in ("evaluate", "triage"):
-        extra = ["--out", str(tmp_path / "v.jsonl")] if command == "triage" else []
-        code = main([command, "--dataset", str(dataset_dir), "--transcripts", str(missing), *extra])
-        assert code == 1
-        one_error_line(capsys, "read", missing)
-    assert main(["report", "--transcripts", str(missing)]) == 1
+    missing, verdicts = tmp_path / "nope.jsonl", tmp_path / "v.jsonl"
+    code = main([
+        "evaluate", "--dataset", str(dataset_dir), "--transcripts", str(missing),
+        "--verdicts", str(verdicts),
+    ])
+    assert code == 1
     one_error_line(capsys, "read", missing)
+    assert not verdicts.exists()
 
 
 def test_unreadable_transcripts_line_is_one_error_line(dataset_dir, tmp_path, capsys):
@@ -625,35 +708,34 @@ def test_unreadable_transcripts_line_is_one_error_line(dataset_dir, tmp_path, ca
     for name, (content, reason) in cases.items():
         path = tmp_path / name
         path.write_bytes(content)
-        for command in ("evaluate", "triage", "report"):
-            extra = ["--out", str(tmp_path / "v.jsonl")] if command == "triage" else []
-            capsys.readouterr()
-            code = main([
-                command, "--dataset", str(dataset_dir), "--transcripts", str(path), *extra
-            ])
-            assert code == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: cannot read {path}: {reason}")
-            assert err.count("\n") == 1 and err.endswith("\n")
-            if name not in ("cut.jsonl", "not-an-object.jsonl"):
-                assert err == f"error: cannot read {path}: {reason}\n"
-        assert main(["report", "--transcripts", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: {reason}")
+        capsys.readouterr()
+        code = main(["evaluate", "--dataset", str(dataset_dir), "--transcripts", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: {reason}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        if name not in ("cut.jsonl", "not-an-object.jsonl"):
+            assert err == f"error: cannot read {path}: {reason}\n"
 
 
-@pytest.mark.parametrize("option", ["--out", "--markdown"])
+@pytest.mark.parametrize("option", ["--out", "--markdown", "--verdicts"])
 def test_evaluate_output_in_a_missing_directory_is_one_error_line(
-    dataset_dir, tmp_path, capsys, option
+    dataset_dir, tmp_path, monkeypatch, capsys, option
 ):
-    transcripts = tmp_path / "t.jsonl"
-    transcripts.write_text("")
-    target = tmp_path / "no-such-dir" / "report"
+    # Every output is checked before the transcripts are scored, so nothing
+    # executes and no other output is written.
+    transcripts = run_mixed_replies(dataset_dir, tmp_path)
+    calls = counting_executions(monkeypatch)
+    target, report = tmp_path / "no-such-dir" / "file", tmp_path / "report.json"
+    outputs = [option, str(target)]
+    if option != "--out":
+        outputs += ["--out", str(report)]
     code = main([
-        "evaluate", "--dataset", str(dataset_dir), "--transcripts", str(transcripts),
-        option, str(target),
+        "evaluate", "--dataset", str(dataset_dir), "--transcripts", str(transcripts), *outputs
     ])
     assert code == 1
     one_error_line(capsys, "write", target)
+    assert calls == [] and not report.exists()
 
 
 def counting_model_calls(monkeypatch):

@@ -310,6 +310,22 @@ def test_http_requires_api_key(monkeypatch):
         HttpChatTransport(base_url="https://example.invalid/v1")
 
 
+@pytest.mark.parametrize("base_url", [
+    "api.example.invalid/v1",  # no scheme
+    "localhost:8000/v1",  # parses as scheme "localhost"
+    "ftp://example.invalid/v1",
+    "https:///v1",  # no host
+    "http://[::1/v1",  # unclosed IPv6 bracket
+    None,
+])
+def test_http_base_url_without_an_http_scheme_and_host_is_a_config_error(base_url):
+    # Refused when built: no request is posted and no retry waits.
+    session, sleeps = _FakeSession([]), []
+    with pytest.raises(ConfigError, match="base_url must be an http or https URL"):
+        HttpChatTransport(base_url=base_url, api_key="k", sleeper=sleeps.append, session=session)
+    assert (session.calls, sleeps) == (0, [])
+
+
 def test_replay_store_files_are_digest_named(tmp_path):
     request = _request("layout")
     digest = _record_reply(tmp_path, request, "x")
