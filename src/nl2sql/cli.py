@@ -70,7 +70,7 @@ DEFAULT_CONFIG = {
 
 # The options that name a file a command reads or writes. Two of one command
 # that name one file would lose the first's contents to the second.
-_FILE_OPTIONS = ("transcripts", "out", "report", "markdown", "verdicts")
+_FILE_OPTIONS = ("transcripts", "replay", "record", "out", "report", "markdown", "verdicts")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -122,8 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     _dataset_args(p)
     p.add_argument("--config", type=Path, help="JSON run configuration")
     transport = p.add_mutually_exclusive_group()
-    transport.add_argument("--replay", type=Path, help="replay store directory (no network)")
-    transport.add_argument("--record", type=Path, help="record live responses into this dir")
+    transport.add_argument(
+        "--replay", type=Path, help="replay store: one SQLite file of recorded replies (no network)"
+    )
+    transport.add_argument(
+        "--record", type=Path, help="commit each live reply to this replay store file"
+    )
     p.add_argument("--limit", type=_count, help="only the first N examples")
     p.add_argument("--workers", type=_positive, default=1, help="parallel pipeline workers")
     p.add_argument("--out", type=Path, required=True, help="transcripts JSONL path")
@@ -286,6 +290,8 @@ def cmd_run(args) -> int:
     if args.limit is not None:
         examples = examples[: args.limit]
     _check_writable(args.out, args.report)
+    if args.record is not None and not args.record.is_dir():  # RecordingTransport refuses one
+        _check_writable(args.record)
     generator = _endpoint("generator", config["generator"], args)
     corrector = _endpoint("corrector", config["corrector"], args)
     pipeline_config = PipelineConfig(

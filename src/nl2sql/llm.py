@@ -2,21 +2,12 @@
 
 Requests use the de-facto hosted-LLM wire shape: a JSON body with ``model``,
 ``messages`` (role/content pairs) and sampling fields, answered by a body
-whose first choice carries the assistant message. Each request body is
-digested (sha256 of its canonical JSON); the digest keys the replay store,
-so any prompt change invalidates stale fixtures loudly instead of silently
-replaying the wrong answer.
-
-``ModelEndpoint.complete`` computes that digest once per model call and
-hands it to the transport's ``send``; the same value names the fixture
-file and is the transcript's ``request_digest``. A transport called with
-no digest computes its own.
-
-Replay store layout: one ``<digest>.json`` file per request holding the
-response body. ``RecordingTransport`` writes that layout while passing
-through to a live transport, which is how fixture sets are built. A replay
-miss is a digest with no regular file of that name: no file, a directory
-or other non-regular file, or a missing store directory.
+whose first choice carries the assistant message. ``ModelEndpoint.complete``
+digests each request body once (sha256 of its canonical JSON); the digest is
+the transcript's ``request_digest`` and keys the replay store, so any prompt
+change misses loudly instead of replaying the wrong answer. The store is one
+SQLite file, a table ``reply(digest, body)`` that ``RecordingTransport``
+fills from a live transport.
 
 ``requests`` is imported by ``HttpChatTransport.__init__`` alone, so a
 process that never builds a live transport (ingest, replay runs, evaluate)
@@ -25,17 +16,18 @@ never loads an HTTP stack.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
-import stat
+import sqlite3
 import threading
 import time
+import weakref
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit
 
 from .errors import ConfigError, ReplayMissError, RetriesExhaustedError, TransportError
 
@@ -77,8 +69,7 @@ def reply_text(response_body: dict) -> str:
 
 class Transport(Protocol):
     def send(self, request: dict, digest: str | None = None) -> dict:
-        """Return the response body for one chat-completion request.
-
+        """Return the response body for one chat-completion request;
         ``digest``, when given, is ``request_digest(request)``."""
 
 
@@ -95,13 +86,14 @@ def _is_http_url(url: object) -> bool:
 class HttpChatTransport:
     """Live transport with a fixed exponential-backoff retry policy (below).
 
-    Retries cover connection errors, HTTP 5xx and 429; other statuses fail
-    immediately. A 429 or 503 whose ``Retry-After`` is a number of seconds
-    (RFC 6585 §4, RFC 9110 §10.2.3) waits that long when it is longer than
-    the backoff, up to ``MAX_RETRY_AFTER_SECONDS``; an HTTP-date or a
-    malformed value keeps the backoff. A ``base_url`` that is not an http or
-    https URL with a host is a ``ConfigError`` before any request. ``sleeper``
-    is injectable so tests do not wait.
+    Retries cover connection errors, timeouts, bodies cut short, HTTP 5xx and
+    429; other statuses and ``requests`` errors, such as a header refused
+    before connecting, fail at once. A 429 or 503 whose ``Retry-After`` is a
+    number of seconds (RFC 6585 §4, RFC 9110 §10.2.3) waits that long when
+    it is longer than the backoff, up to ``MAX_RETRY_AFTER_SECONDS``; an
+    HTTP-date or a malformed value keeps the backoff. A ``base_url`` that is
+    not an http or https URL with a host is a ``ConfigError`` before any
+    request. ``sleeper`` is injectable so tests do not wait.
     """
 
     RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -132,18 +124,16 @@ class HttpChatTransport:
                 "live runs need the requests package: install it or use replay mode"
             ) from None
         self.url = base_url.rstrip("/") + "/chat/completions"
-        self.api_key = api_key
+        self.headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         self.sleeper = sleeper
         # No shared Session by default: module-level post is safe under
         # concurrent pipeline workers.
         self._post = session.post if session is not None else requests.post
-        self._request_error = requests.RequestException
+        errors = requests.exceptions
+        self._request_error = errors.RequestException
+        self._transient = (errors.ConnectionError, errors.Timeout, errors.ChunkedEncodingError)
 
     def send(self, request: dict, digest: str | None = None) -> dict:
-        headers = {
-            "Authorization": f"Bearer {self.api_key}",
-            "Content-Type": "application/json",
-        }
         last_error: Exception | None = None
         for attempt in range(self.MAX_RETRIES + 1):
             if attempt:
@@ -151,11 +141,13 @@ class HttpChatTransport:
             wait = self.BACKOFF_SECONDS * (2 ** attempt)
             try:
                 resp = self._post(
-                    self.url, json=request, headers=headers, timeout=self.TIMEOUT_SECONDS
+                    self.url, json=request, headers=self.headers, timeout=self.TIMEOUT_SECONDS
                 )
-            except self._request_error as exc:
+            except self._transient as exc:
                 last_error = exc
                 continue
+            except self._request_error as exc:
+                raise TransportError(f"request failed: {exc}") from exc
             if resp.status_code == 200:
                 try:
                     return resp.json()
@@ -167,9 +159,7 @@ class HttpChatTransport:
                 last_error = TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
                 continue
             raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        raise RetriesExhaustedError(
-            f"gave up after {self.MAX_RETRIES + 1} attempts: {last_error}"
-        )
+        raise RetriesExhaustedError(f"gave up after {self.MAX_RETRIES + 1} attempts: {last_error}")
 
     def _retry_wait(self, retry_after: str | None, backoff: float) -> float:
         """The wait a ``Retry-After`` value asks for: delay-seconds only,
@@ -180,81 +170,90 @@ class HttpChatTransport:
         return min(self.MAX_RETRY_AFTER_SECONDS, max(backoff, float(value)))
 
 
-# No O_NONBLOCK on Windows, where there are no FIFOs to open either.
-_READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)
-# What ``Path.is_file()`` reads as "no file", and a UNIX socket's ENXIO.
-_MISS_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO})
+STORE_FORMAT = 1  # the replay store's ``PRAGMA user_version``
+_CREATE_STORE = f"""BEGIN IMMEDIATE;
+CREATE TABLE IF NOT EXISTS reply(digest TEXT PRIMARY KEY, body TEXT NOT NULL) WITHOUT ROWID;
+PRAGMA user_version = {STORE_FORMAT}; COMMIT;"""
+_SELECT_REPLY = "SELECT body FROM reply WHERE digest = ?"
+
+
+def _open_store(path: Path, mode: str) -> sqlite3.Connection:
+    """The replay store at ``path`` opened with URI ``mode``: "ro", or "rwc",
+    which makes an empty database a store and puts the file in WAL mode."""
+    conn = None
+    try:
+        if path.is_dir():
+            raise sqlite3.OperationalError("it is a directory")
+        uri = f"file:{quote(str(path.resolve()))}?mode={mode}"
+        conn = sqlite3.connect(uri, uri=True, isolation_level=None, check_same_thread=False)
+        conn.text_factory = bytes  # so that ``json.loads`` reports bad UTF-8
+        if mode == "rwc" and not conn.execute("SELECT 1 FROM sqlite_master").fetchone():
+            conn.executescript(_CREATE_STORE)
+        if conn.execute("PRAGMA user_version").fetchone()[0] != STORE_FORMAT:
+            raise sqlite3.DatabaseError(f"not format {STORE_FORMAT}")
+        conn.execute(_SELECT_REPLY, ("",))  # the table is there
+        if mode == "rwc":
+            conn.executescript("PRAGMA journal_mode = WAL; PRAGMA synchronous = NORMAL;")
+        return conn
+    except sqlite3.Error as exc:  # such as "file is not a database"
+        if conn is not None:
+            conn.close()
+        reason = f"{path} is not a replay store ({exc}); a replay store is now one SQLite file"
+        raise ConfigError(reason) from None
 
 
 class ReplayTransport:
-    """Offline transport backed by a directory of digest-keyed responses."""
+    """Answers from a replay store, read-only, one call at a time. A finalizer
+    closes the connection, in a cycle with its statement cache, once dropped."""
 
-    def __init__(self, store_dir: Path | str):
-        self.store_dir = Path(store_dir)
-        self._prefix = os.path.join(self.store_dir, "")
+    def __init__(self, store: Path | str):
+        self.store = Path(store)
+        self._conn = _open_store(self.store, "ro")
+        self._conn.execute("BEGIN")  # one snapshot, read with no file lock per send
+        self._lock = threading.Lock()
+        weakref.finalize(self, self._conn.close)
 
     def send(self, request: dict, digest: str | None = None) -> dict:
-        if digest is None:
-            digest = request_digest(request)
-        # One open, fstat, read and close; the fstat stands in for
-        # ``is_file()``, and O_NONBLOCK keeps a FIFO from blocking the open.
+        digest = digest or request_digest(request)
+        with self._lock:
+            row = self._conn.execute(_SELECT_REPLY, (digest,)).fetchone()
+        if row is None:
+            messages = request.get("messages", [])
+            head = repr(messages[-1].get("content", ""))[:120] if messages else ""
+            raise ReplayMissError(digest, hint=f"last message starts {head}")
         try:
-            fd = os.open(f"{self._prefix}{digest}.json", _READ_FLAGS)
-        except OSError as exc:
-            if exc.errno not in _MISS_ERRNOS:
-                raise
-            raise _miss(request, digest) from None
-        try:
-            st = os.fstat(fd)
-            if not stat.S_ISREG(st.st_mode):
-                raise _miss(request, digest)
-            data = os.read(fd, st.st_size)
-        finally:
-            os.close(fd)
-        try:
-            return json.loads(data.decode("utf-8"))
-        except ValueError as exc:  # truncated or not UTF-8
-            path = self.store_dir / f"{digest}.json"
-            raise TransportError(f"corrupt replay fixture {path}: {exc}") from exc
-
-
-def _miss(request: dict, digest: str) -> ReplayMissError:
-    head = ""
-    messages = request.get("messages", [])
-    if messages:
-        head = repr(messages[-1].get("content", ""))[:120]
-    return ReplayMissError(digest, hint=f"last message starts {head}")
+            return json.loads(row[0])
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise TransportError(f"corrupt replay fixture {digest} in {self.store}: {exc}") from exc
 
 
 class RecordingTransport:
-    """Pass-through transport that persists every response for later replay.
+    """Passes each request to ``inner`` alone and commits the response to a
+    replay store on its own, so a killed recording keeps every reply it
+    finished. Threads and other recorders may share the store."""
 
-    The inner transport is called with the request alone."""
-
-    def __init__(self, inner: Transport, store_dir: Path | str):
+    def __init__(self, inner: Transport, store: Path | str):
         self.inner = inner
-        self.store_dir = Path(store_dir)
-        self.store_dir.mkdir(parents=True, exist_ok=True)
+        self.store = Path(store)
+        self._conn = _open_store(self.store, "rwc")
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_recording, self._conn)
 
     def send(self, request: dict, digest: str | None = None) -> dict:
         body = self.inner.send(request)
-        if digest is None:
-            digest = request_digest(request)
-        _write_fixture(self.store_dir, digest, body)
+        digest = digest or request_digest(request)
+        text = json.dumps(body, ensure_ascii=False)
+        with self._lock:
+            self._conn.execute("INSERT OR REPLACE INTO reply VALUES (?, ?)", (digest, text))
         return body
 
 
-def _write_fixture(store_dir: Path, digest: str, body: dict) -> None:
-    """Write ``<digest>.json`` whole or not at all, so a write that fails
-    partway leaves a replay miss: a temporary file, then a rename."""
-    path = store_dir / f"{digest}.json"
-    tmp = store_dir / f"{digest}.json.{os.getpid()}-{threading.get_ident()}.tmp"
-    try:
-        tmp.write_text(json.dumps(body, ensure_ascii=False, indent=1), encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def _close_recording(conn: sqlite3.Connection) -> None:
+    """Put the store back in rollback mode, so that a read-only open leaves no
+    ``-wal`` or ``-shm`` file; SQLite refuses while another recorder is open."""
+    with suppress(sqlite3.OperationalError):  # "database is locked": not the last
+        conn.execute("PRAGMA journal_mode = DELETE")
+    conn.close()
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Test utilities: alias permutation, a deterministic query corpus, and a
-scripted chat transport for pipeline tests."""
+"""Test utilities: alias permutation, a deterministic query corpus, a
+scripted chat transport for pipeline tests and an empty replay store."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import itertools
 import random
 from dataclasses import replace
 
+from nl2sql.llm import RecordingTransport
 from nl2sql.schema import DatabaseSchema
 from nl2sql.sqlast import (
     ColumnRef,
@@ -169,6 +170,12 @@ class ScriptedTransport:
         self.requests.append(request)
         text = self.reply_fn(request)
         return {"choices": [{"message": {"role": "assistant", "content": text}}]}
+
+
+def empty_store(path):
+    """Make ``path`` a replay store holding no reply; returns it."""
+    RecordingTransport(ScriptedTransport(lambda request: ""), path)
+    return path
 
 
 class CountingTransport:

@@ -156,7 +156,8 @@ def test_run_pipeline_over_a_replay_store_sends_once_per_stage(schemas, tmp_path
                 ModelEndpoint("corrector", transport, "fix-model"))
 
     examples = [ship_example(i) for i in range(3)]
-    recording = RecordingTransport(ScriptedTransport(reply), tmp_path)
+    store = tmp_path / "replay"
+    recording = RecordingTransport(ScriptedTransport(reply), store)
     pipeline.run_many(examples, schemas, PipelineConfig(), *endpoints(recording), workers=1)
     sent = []
     send = llm.ReplayTransport.send
@@ -166,7 +167,7 @@ def test_run_pipeline_over_a_replay_store_sends_once_per_stage(schemas, tmp_path
         return send(self, request, *args)
 
     monkeypatch.setattr(llm.ReplayTransport, "send", counting_send)
-    generator, corrector = endpoints(ReplayTransport(tmp_path))
+    generator, corrector = endpoints(ReplayTransport(store))
     for ex in examples:
         sent.clear()
         run = pipeline.run_pipeline(ex, schemas[ex.db_id], PipelineConfig(), generator, corrector)

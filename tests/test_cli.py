@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import errno
 import json
 import os
 import re
 import shlex
 import shutil
+import sqlite3
 import subprocess
 import sys
 from collections import Counter
@@ -20,17 +20,17 @@ from nl2sql.dataset import load_dataset
 from nl2sql.llm import ModelEndpoint, RecordingTransport
 from nl2sql.pipeline import PipelineConfig, PipelineTranscript, run_many
 
-from helpers import ScriptedTransport
+from helpers import ScriptedTransport, empty_store
 from test_evaluate import counting_executions
 
-def build_replay_store(dataset_dir, store_dir, reply_fn):
+def build_replay_store(dataset_dir, store, reply_fn):
     """Record scripted replies for every request the CLI run would make."""
     loaded = load_dataset(dataset_dir, "dev")
     generator = ModelEndpoint(
-        "generator", RecordingTransport(ScriptedTransport(reply_fn), store_dir), "generator"
+        "generator", RecordingTransport(ScriptedTransport(reply_fn), store), "generator"
     )
     corrector = ModelEndpoint(
-        "corrector", RecordingTransport(ScriptedTransport(reply_fn), store_dir), "corrector"
+        "corrector", RecordingTransport(ScriptedTransport(reply_fn), store), "corrector"
     )
     run_many(loaded.examples, loaded.schemas, PipelineConfig(), generator, corrector)
 
@@ -207,13 +207,32 @@ def test_unknown_config_key_exits_2(dataset_dir, tmp_path, capsys):
 
 
 def test_run_replay_miss_exits_5(dataset_dir, tmp_path, capsys):
-    empty_store = tmp_path / "empty"
-    empty_store.mkdir()
     code = main([
-        "run", "--dataset", str(dataset_dir), "--replay", str(empty_store),
+        "run", "--dataset", str(dataset_dir), "--replay", str(empty_store(tmp_path / "empty")),
         "--limit", "1", "--out", str(tmp_path / "t.jsonl"),
     ])
     assert code == 5
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_run_replay_path_that_is_no_store_is_a_configuration_error(
+    dataset_dir, tmp_path, monkeypatch, capsys, where
+):
+    # A store kept from the old layout, a directory of <digest>.json files,
+    # is refused with a message saying the store is now one file.
+    store, out = tmp_path / "store", tmp_path / "t.jsonl"
+    reason = "unable to open database file"
+    if where == "directory":
+        store.mkdir()
+        reason = "it is a directory"
+    calls = counting_model_calls(monkeypatch)
+    code = main(["run", "--dataset", str(dataset_dir), "--replay", str(store), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {store} is not a replay store ({reason}); "
+        "a replay store is now one SQLite file\n"
+    )
+    assert calls == [] and not out.exists()
 
 
 def test_run_negative_limit_is_a_usage_error(dataset_dir, tmp_path, capsys):
@@ -253,6 +272,10 @@ def test_run_replay_and_record_together_is_a_usage_error(dataset_dir, tmp_path, 
 
 @pytest.mark.parametrize("command, first, second", [
     ("run", "--out", "--report"),
+    ("run", "--replay", "--out"),
+    ("run", "--replay", "--report"),
+    ("run", "--record", "--out"),
+    ("run", "--record", "--report"),
     ("evaluate", "--transcripts", "--out"),
     ("evaluate", "--transcripts", "--markdown"),
     ("evaluate", "--out", "--markdown"),
@@ -264,14 +287,17 @@ def test_two_file_options_naming_one_file_are_a_usage_error(
 ):
     # The second option spells the path another way; nothing is read, no
     # model is called (the replay store is empty) and no file is written.
-    (tmp_path / "store").mkdir()
+    empty_store(tmp_path / "store")
     (tmp_path / "sub").mkdir()
     shared = tmp_path / "shared.jsonl"
     shared.write_text("kept\n")
     argv = [command, "--dataset", str(dataset_dir), first, str(shared),
             second, str(tmp_path / "sub" / ".." / "shared.jsonl")]
     if command == "run":
-        argv += ["--replay", str(tmp_path / "store")]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "t.jsonl")]
+        if first not in ("--replay", "--record"):
+            argv += ["--replay", str(tmp_path / "store")]
     elif "--transcripts" not in argv:
         argv += ["--transcripts", str(tmp_path / "t.jsonl")]
     with pytest.raises(SystemExit) as exit_info:
@@ -282,40 +308,20 @@ def test_two_file_options_naming_one_file_are_a_usage_error(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.jsonl", "store", "sub"]
 
 
-def test_fixture_write_failing_partway_leaves_a_replay_miss(
-    dataset_dir, tmp_path, monkeypatch, capsys
-):
-    store = tmp_path / "store"
-
-    def disk_full(path, data, encoding=None):
-        with open(path, "w", encoding=encoding) as fh:
-            fh.write(data[: len(data) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Path, "write_text", disk_full)
-        with pytest.raises(OSError):
-            build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
-    assert list(store.iterdir()) == []
-    code = main([
-        "run", "--dataset", str(dataset_dir), "--replay", str(store),
-        "--limit", "1", "--out", str(tmp_path / "t.jsonl"),
-    ])
-    assert code == 5  # a miss, not a corrupt fixture (exit 1)
-
-
 def test_run_truncated_replay_fixture_exits_1(dataset_dir, tmp_path, capsys):
     store = tmp_path / "store"
     build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
-    for fixture in store.glob("*.json"):
-        fixture.write_bytes(fixture.read_bytes()[:20])
+    conn = sqlite3.connect(store)
+    with conn:
+        conn.execute("UPDATE reply SET body = substr(body, 1, 20)")
+    conn.close()
     code = main([
         "run", "--dataset", str(dataset_dir), "--replay", str(store),
         "--limit", "1", "--out", str(tmp_path / "t.jsonl"),
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: corrupt replay fixture {store}")
+    assert re.match(f"error: corrupt replay fixture [0-9a-f]{{64}} in {re.escape(str(store))}: ", err)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -792,3 +798,62 @@ def test_run_output_that_cannot_be_a_file_fails_before_the_run(
     assert code == 1
     assert capsys.readouterr().err == f"error: cannot write {target}: {reason}\n"
     assert calls == [] and not (tmp_path / "t.jsonl").exists()
+
+
+def _live_run(tmp_path, monkeypatch, reply_fn=None):
+    """Arguments for a live ``run`` whose transport never leaves the process:
+    with ``reply_fn`` it is scripted, without it a model call fails the test."""
+    monkeypatch.setenv("NL2SQL_API_KEY", "k")
+
+    def no_model_call(request):
+        raise AssertionError("a model was called")
+
+    def live(base_url):
+        return ScriptedTransport(reply_fn or no_model_call)
+
+    monkeypatch.setattr(cli, "HttpChatTransport", live)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({role: {"base_url": "http://127.0.0.1:9/v1"}
+                                  for role in ("generator", "corrector")}))
+    return ["--config", str(config)]
+
+
+def test_run_record_then_replay_gives_the_same_transcripts(dataset_dir, tmp_path, monkeypatch):
+    # Two recorders, one per role, share the store under two workers, and
+    # the last to close leaves it one file in rollback mode.
+    store = tmp_path / "store"
+    live = _live_run(tmp_path, monkeypatch, mixed_reply(dataset_dir))
+    dataset = ["run", "--dataset", str(dataset_dir), "--workers", "2"]
+    recorded, replayed = tmp_path / "recorded.jsonl", tmp_path / "replayed.jsonl"
+    assert main([*dataset, *live, "--record", str(store), "--out", str(recorded)]) == 0
+    assert not list(tmp_path.glob("store-*"))
+    before = store.read_bytes()
+    assert main([*dataset, "--replay", str(store), "--out", str(replayed)]) == 0
+    assert replayed.read_bytes() == recorded.read_bytes()
+    assert store.read_bytes() == before and not list(tmp_path.glob("store-*"))
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_run_record_path_is_checked_before_the_first_model_call(
+    dataset_dir, tmp_path, monkeypatch, capsys, where
+):
+    live = _live_run(tmp_path, monkeypatch)
+    out = tmp_path / "t.jsonl"
+    store = tmp_path / "no-such-dir" / "store"
+    if where == "directory":
+        store = tmp_path / "store"
+        store.mkdir()
+    code = main(["run", "--dataset", str(dataset_dir), *live, "--record", str(store),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    if where == "directory":
+        assert code == 2
+        assert err == (
+            f"configuration error: {store} is not a replay store (it is a directory); "
+            "a replay store is now one SQLite file\n"
+        )
+    else:
+        assert code == 1
+        assert err == f"error: cannot write {store}: No such file or directory\n"
+        assert not store.parent.exists()
+    assert not out.exists()

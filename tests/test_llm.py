@@ -3,6 +3,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import signal
+import sqlite3
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,17 +25,35 @@ from nl2sql.llm import (
     request_digest,
 )
 
-from helpers import ScriptedTransport
+from helpers import ScriptedTransport, empty_store
 
 
 def _request(content="hi"):
     return build_request("m", [{"role": "user", "content": content}], Sampling())
 
 
-def _record_reply(store_dir, request, text) -> str:
+def _record_reply(store, request, text) -> str:
     """Record ``text`` as the reply to ``request``; returns its digest."""
-    RecordingTransport(ScriptedTransport(lambda _: text), store_dir).send(request)
+    RecordingTransport(ScriptedTransport(lambda _: text), store).send(request)
     return request_digest(request)
+
+
+def _stored(store) -> dict[str, str]:
+    """The store's rows, digest to body."""
+    conn = sqlite3.connect(store)
+    try:
+        return dict(conn.execute("SELECT digest, body FROM reply"))
+    finally:
+        conn.close()
+
+
+def _set_body(store, digest, body) -> None:
+    conn = sqlite3.connect(store)
+    try:
+        with conn:
+            conn.execute("UPDATE reply SET body = CAST(? AS TEXT) WHERE digest = ?", (body, digest))
+    finally:
+        conn.close()
 
 
 def test_digest_is_stable_and_content_sensitive():
@@ -74,11 +98,12 @@ def _counting_digests(monkeypatch) -> list[dict]:
 
 
 def test_endpoint_digests_once_per_call_over_replay(tmp_path, monkeypatch):
+    store = tmp_path / "replay"
     messages = [[{"role": "user", "content": f"q{i}"}] for i in range(3)]
-    stored = [_record_reply(tmp_path, build_request("m", m, Sampling()), f"SELECT {i}")
+    stored = [_record_reply(store, build_request("m", m, Sampling()), f"SELECT {i}")
               for i, m in enumerate(messages)]
     seen = _counting_digests(monkeypatch)
-    endpoint = ModelEndpoint(role="generator", transport=ReplayTransport(tmp_path), model_name="m")
+    endpoint = ModelEndpoint(role="generator", transport=ReplayTransport(store), model_name="m")
     results = [endpoint.complete(m) for m in messages]
     assert results == [(f"SELECT {i}", d) for i, d in enumerate(stored)]
     assert len(seen) == 3
@@ -87,27 +112,28 @@ def test_endpoint_digests_once_per_call_over_replay(tmp_path, monkeypatch):
 def test_endpoint_digests_once_per_call_while_recording(tmp_path, monkeypatch):
     seen = _counting_digests(monkeypatch)
     scripted = ScriptedTransport(lambda req: "SELECT 4")
+    store = tmp_path / "replay"
     endpoint = ModelEndpoint(
-        role="generator", transport=RecordingTransport(scripted, tmp_path), model_name="m"
+        role="generator", transport=RecordingTransport(scripted, store), model_name="m"
     )
     digests = [endpoint.complete([{"role": "user", "content": f"q{i}"}])[1] for i in range(3)]
     assert len(seen) == 3
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{d}.json" for d in digests)
+    assert sorted(_stored(store)) == sorted(digests)
 
 
 def test_transports_key_on_the_digest_they_are_given(tmp_path):
-    request = _request("keyed")
-    RecordingTransport(ScriptedTransport(lambda req: "SELECT 5"), tmp_path).send(request, "k")
-    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
-    assert reply_text(ReplayTransport(tmp_path).send(request, "k")) == "SELECT 5"
+    request, store = _request("keyed"), tmp_path / "replay"
+    RecordingTransport(ScriptedTransport(lambda req: "SELECT 5"), store).send(request, "k")
+    assert list(_stored(store)) == ["k"]
+    assert reply_text(ReplayTransport(store).send(request, "k")) == "SELECT 5"
     with pytest.raises(ReplayMissError):
-        ReplayTransport(tmp_path).send(request)
+        ReplayTransport(store).send(request)
 
 
 def test_replay_round_trip(tmp_path):
     request = _request("stored")
-    _record_reply(tmp_path, request, "SELECT 1")
-    transport = ReplayTransport(tmp_path)
+    _record_reply(tmp_path / "replay", request, "SELECT 1")
+    transport = ReplayTransport(tmp_path / "replay")
     assert reply_text(transport.send(request)) == "SELECT 1"
 
 
@@ -120,66 +146,247 @@ def _miss_message(request) -> str:
 def test_replay_miss_is_loud(tmp_path):
     request = _request("never stored " * 20)
     with pytest.raises(ReplayMissError) as err:
-        ReplayTransport(tmp_path).send(request)
+        ReplayTransport(empty_store(tmp_path / "replay")).send(request)
     assert str(err.value) == _miss_message(request)
     assert err.value.digest == request_digest(request)
 
 
-def test_a_directory_under_the_digest_name_is_a_miss(tmp_path):
-    request = _request("a directory")
-    (tmp_path / f"{request_digest(request)}.json").mkdir()
-    with pytest.raises(ReplayMissError) as err:
-        ReplayTransport(tmp_path).send(request)
-    assert str(err.value) == _miss_message(request)
+def _sqlite_file(path, *statements):
+    conn = sqlite3.connect(path)
+    for statement in statements:
+        conn.execute(statement)
+    conn.commit()
+    conn.close()
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
-def test_a_fifo_under_the_digest_name_is_a_miss(tmp_path):
-    request = _request("a fifo")
-    os.mkfifo(tmp_path / f"{request_digest(request)}.json")
-    with pytest.raises(ReplayMissError):
-        ReplayTransport(tmp_path).send(request)
+_NO_STORE_REASONS = {
+    "missing": "unable to open database file",
+    "missing/deeper": "unable to open database file",
+    "a-file/below": "unable to open database file",
+    "directory": "it is a directory",
+    "text": "file is not a database",
+    "empty": "not format 1",
+    "other-format": "not format 1",
+    "no-reply-table": "no such table: reply",
+}
 
 
-@pytest.mark.parametrize("store", ["missing", "missing/deeper", "a-file/below"])
-def test_a_missing_store_directory_is_a_miss(tmp_path, store):
+@pytest.mark.parametrize("case", _NO_STORE_REASONS)
+def test_a_store_path_that_is_no_store_is_a_config_error(tmp_path, case):
+    # Refused when either transport is built, before any model call; the
+    # message says a store is one file, for a store kept from the directory
+    # layout of <digest>.json files.
     (tmp_path / "a-file").write_text("", encoding="utf-8")
-    request = _request("no store")
-    with pytest.raises(ReplayMissError) as err:
-        ReplayTransport(tmp_path / store).send(request)
-    assert str(err.value) == _miss_message(request)
+    path = tmp_path / case
+    if case == "directory":
+        path.mkdir()
+        (path / f"{request_digest(_request())}.json").write_text("{}", encoding="utf-8")
+    elif case == "text":
+        path.write_text("not a database\n" * 100, encoding="utf-8")
+    elif case == "empty":
+        path.write_bytes(b"")
+    elif case == "other-format":
+        _sqlite_file(path, "CREATE TABLE reply(digest, body)", "PRAGMA user_version = 7")
+    elif case == "no-reply-table":
+        _sqlite_file(path, "CREATE TABLE other(x)", "PRAGMA user_version = 1")
+    before = _files(tmp_path)
+    reason = _NO_STORE_REASONS[case]
+    message = f"{path} is not a replay store ({reason}); a replay store is now one SQLite file"
+    with pytest.raises(ConfigError) as err:
+        ReplayTransport(path)
+    assert str(err.value) == message
+    if case not in ("missing", "empty"):  # which a recorder makes a new store
+        inner = ScriptedTransport(lambda req: "SELECT 1")
+        with pytest.raises(ConfigError, match=re.escape(f"{path} is not a replay store")):
+            RecordingTransport(inner, path)
+        assert inner.requests == []
+    assert _files(tmp_path) == before
+
+
+def _files(directory) -> dict[str, bytes | None]:
+    """Every path under ``directory``, with its bytes if it is a file."""
+    return {
+        str(p.relative_to(directory)): p.read_bytes() if p.is_file() else None
+        for p in directory.rglob("*")
+    }
 
 
 def test_non_utf8_replay_fixture_is_a_transport_error_naming_the_file(tmp_path):
-    request = _request("stored")
-    digest = _record_reply(tmp_path, request, "SELECT 1")
-    path = tmp_path / f"{digest}.json"
-    path.write_bytes(b'{"choices": "\xff"}')
+    request, store = _request("stored"), tmp_path / "replay"
+    digest = _record_reply(store, request, "SELECT 1")
+    _set_body(store, digest, b'{"choices": "\xff"}')
     with pytest.raises(TransportError) as err:
-        ReplayTransport(tmp_path).send(request)
+        ReplayTransport(store).send(request)
     assert str(err.value) == (
-        f"corrupt replay fixture {path}: 'utf-8' codec can't decode byte 0xff in position 13:"
-        " invalid start byte"
+        f"corrupt replay fixture {digest} in {store}: 'utf-8' codec can't decode byte 0xff"
+        " in position 13: invalid start byte"
     )
 
 
 def test_truncated_replay_fixture_is_a_transport_error(tmp_path):
-    request = _request("stored")
-    digest = _record_reply(tmp_path, request, "SELECT 1")
-    path = tmp_path / f"{digest}.json"
-    path.write_bytes(path.read_bytes()[:20])
-    with pytest.raises(TransportError, match=f"corrupt replay fixture {re.escape(str(path))}"):
-        ReplayTransport(tmp_path).send(request)
+    request, store = _request("stored"), tmp_path / "replay"
+    digest = _record_reply(store, request, "SELECT 1")
+    _set_body(store, digest, _stored(store)[digest][:20])
+    with pytest.raises(
+        TransportError, match=f"corrupt replay fixture {digest} in {re.escape(str(store))}: "
+    ):
+        ReplayTransport(store).send(request)
 
 
 def test_recording_produces_replayable_store(tmp_path):
     scripted = ScriptedTransport(lambda req: "SELECT 2")
-    recorder = RecordingTransport(scripted, tmp_path)
+    recorder = RecordingTransport(scripted, tmp_path / "replay")
     request = _request("record me")
     body = recorder.send(request)
     assert reply_text(body) == "SELECT 2"
-    replay = ReplayTransport(tmp_path)
+    replay = ReplayTransport(tmp_path / "replay")
     assert reply_text(replay.send(request)) == "SELECT 2"
+
+
+def test_threads_share_one_recorder_and_one_replay(tmp_path):
+    # More threads than cores, switching often: every reply is committed and
+    # read back as the one for its own request.
+    store, n = tmp_path / "replay", 8
+    recorder = RecordingTransport(ScriptedTransport(lambda req: req["model"]), store)
+    requests = [build_request(f"SELECT {i}", [], Sampling()) for i in range(400)]
+
+    def each(send, chunk, out):
+        out.extend(reply_text(send(r)) for r in chunk)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for transport in (recorder, ReplayTransport(store)):
+            outs = [[] for _ in range(n)]
+            threads = [
+                threading.Thread(target=each, args=(transport.send, requests[i::n], outs[i]))
+                for i in range(n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert outs == [[r["model"] for r in requests[i::n]] for i in range(n)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(_stored(store).values()) == sorted(json.dumps(
+        {"choices": [{"message": {"role": "assistant", "content": r["model"]}}]}
+    ) for r in requests)
+
+
+@pytest.mark.parametrize("first_dropped", [0, 1])
+def test_two_recorders_on_one_store_leave_one_file_in_rollback_mode(tmp_path, first_dropped):
+    store = tmp_path / "replay"
+    recorders = [RecordingTransport(ScriptedTransport(lambda req: "x"), store) for _ in range(2)]
+    for i in range(2):
+        recorders[i].send(_request(f"from recorder {i}"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["replay", "replay-shm", "replay-wal"]
+    del recorders[first_dropped]
+    assert len(_stored(store)) == 2  # the other recorder holds the file in WAL mode
+    del recorders[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["replay"]
+    conn = sqlite3.connect(store)
+    assert conn.execute("PRAGMA journal_mode").fetchone() == ("delete",)
+    conn.close()
+
+
+def test_a_replay_reads_one_snapshot_from_its_first_reply(tmp_path):
+    store = tmp_path / "replay"
+    recorder = RecordingTransport(ScriptedTransport(lambda req: "SELECT 1"), store)
+    recorder.send(_request("before"))
+    replay = ReplayTransport(store)
+    assert reply_text(replay.send(_request("before"))) == "SELECT 1"
+    recorder.send(_request("after"))
+    with pytest.raises(ReplayMissError):
+        replay.send(_request("after"))
+    assert reply_text(ReplayTransport(store).send(_request("after"))) == "SELECT 1"
+
+
+def test_replay_leaves_the_store_bytes_unchanged_and_adds_no_file(tmp_path):
+    store = tmp_path / "replay"
+    stored = _record_reply(store, _request("stored"), "SELECT 1")
+    before = _files(tmp_path)
+    replay = ReplayTransport(store)
+    assert reply_text(replay.send(_request("stored"), stored)) == "SELECT 1"
+    with pytest.raises(ReplayMissError):
+        replay.send(_request("never stored"))
+    assert _files(tmp_path) == before
+    del replay
+    assert _files(tmp_path) == before
+
+
+# Records ``count`` replies; then, with "kill", prints the count and blocks
+# in the next model call for the parent to kill it, and with "exit", ends
+# the interpreter while the recorder is still referenced.
+_RECORDER_CHILD = """
+import sys
+from nl2sql.llm import RecordingTransport, Sampling, build_request
+
+store, count, mode = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+
+class Inner:
+    sent = 0
+
+    def send(self, request):
+        if self.sent == count:
+            print(count, flush=True)
+            sys.stdin.readline()  # never answered
+        self.sent += 1
+        return {"choices": [{"message": {"role": "assistant", "content": str(self.sent)}}]}
+
+recorder = RecordingTransport(Inner(), store)
+for i in range(count + 5 if mode == "kill" else count):
+    recorder.send(build_request("m", [{"role": "user", "content": f"q{i}"}], Sampling()))
+"""
+
+
+def _recorder_child(store, count, mode) -> int:
+    """Runs ``_RECORDER_CHILD``; returns its exit status."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(llm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")
+    ])))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _RECORDER_CHILD, str(store), str(count), mode],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+    )
+    timer = threading.Timer(60, child.kill)
+    timer.start()
+    try:
+        if mode == "kill":
+            assert child.stdout.readline() == f"{count}\n"
+            child.send_signal(signal.SIGKILL)
+        child.communicate()
+    finally:
+        child.kill()
+        timer.cancel()
+    return child.returncode
+
+
+def _replays_the_first(store, count) -> None:
+    """The store answers the child's first ``count`` requests and misses the rest."""
+    replay = ReplayTransport(store)
+    requests = [build_request("m", [{"role": "user", "content": f"q{i}"}], Sampling())
+                for i in range(count + 5)]
+    assert [reply_text(replay.send(r)) for r in requests[:count]] == [
+        str(i + 1) for i in range(count)
+    ]
+    for request in requests[count:]:
+        with pytest.raises(ReplayMissError):
+            replay.send(request)
+
+
+def test_a_killed_recorder_loses_no_committed_reply(tmp_path):
+    store = tmp_path / "replay"
+    assert _recorder_child(store, 7, "kill") == -signal.SIGKILL
+    _replays_the_first(store, 7)
+
+
+def test_a_recorder_alive_at_exit_leaves_one_file_in_rollback_mode(tmp_path):
+    store = tmp_path / "replay"
+    assert _recorder_child(store, 7, "exit") == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["replay"]
+    _replays_the_first(store, 7)
 
 
 def test_endpoint_complete_returns_text_and_digest(tmp_path):
@@ -295,6 +502,51 @@ def test_http_gives_up_after_budget():
     assert session.calls == 4
 
 
+@pytest.mark.parametrize("error", ["ConnectionError", "ConnectTimeout", "ReadTimeout",
+                                   "ChunkedEncodingError"])
+def test_http_retries_errors_raised_once_a_connection_was_tried(error):
+    import requests
+
+    session = _FakeSession([getattr(requests.exceptions, error)("down"), _FakeResponse(200, _OK)])
+    transport, sleeps = _http(session)
+    assert reply_text(transport.send(_request())) == "hi"
+    assert (session.calls, sleeps) == (2, [1.0])
+
+
+@pytest.mark.parametrize("error", ["InvalidHeader", "InvalidURL", "TooManyRedirects"])
+def test_http_other_request_errors_fail_at_once(error):
+    import requests
+
+    session = _FakeSession([getattr(requests.exceptions, error)("refused")])
+    transport, sleeps = _http(session)
+    with pytest.raises(TransportError) as err:
+        transport.send(_request())
+    assert type(err.value) is TransportError
+    assert str(err.value) == "request failed: refused"
+    assert (session.calls, sleeps) == (1, [])
+
+
+def test_http_api_key_with_a_newline_fails_before_connecting():
+    # requests refuses the header while preparing the request, so the
+    # adapter, which would open the connection, is never reached.
+    import requests
+
+    class Unreachable(requests.adapters.BaseAdapter):
+        def send(self, *args, **kwargs):
+            raise AssertionError("a connection was attempted")
+
+    session = requests.Session()
+    session.mount("https://", Unreachable())
+    sleeps = []
+    transport = HttpChatTransport(
+        base_url="https://example.invalid/v1", api_key="k\n", sleeper=sleeps.append,
+        session=session,
+    )
+    with pytest.raises(TransportError, match="request failed: Invalid leading whitespace"):
+        transport.send(_request())
+    assert sleeps == []
+
+
 def test_http_non_retryable_status_fails_fast():
     session = _FakeSession([_FakeResponse(401, text="bad key")])
     transport, _ = _http(session)
@@ -326,9 +578,14 @@ def test_http_base_url_without_an_http_scheme_and_host_is_a_config_error(base_ur
     assert (session.calls, sleeps) == (0, [])
 
 
-def test_replay_store_files_are_digest_named(tmp_path):
-    request = _request("layout")
-    digest = _record_reply(tmp_path, request, "x")
-    assert (tmp_path / f"{digest}.json").is_file()
-    body = json.loads((tmp_path / f"{digest}.json").read_text())
-    assert reply_text(body) == "x"
+def test_replay_store_rows_are_digest_keyed(tmp_path):
+    store = tmp_path / "replay"
+    digest = _record_reply(store, _request("layout"), "x")
+    conn = sqlite3.connect(store)
+    assert conn.execute("PRAGMA user_version").fetchone() == (llm.STORE_FORMAT,)
+    assert conn.execute("SELECT sql FROM sqlite_master").fetchall() == [(
+        "CREATE TABLE reply(digest TEXT PRIMARY KEY, body TEXT NOT NULL) WITHOUT ROWID",
+    )]
+    (body,) = conn.execute("SELECT body FROM reply WHERE digest = ?", (digest,)).fetchone()
+    conn.close()
+    assert reply_text(json.loads(body)) == "x"
