@@ -29,12 +29,13 @@ report from the same transcripts yields byte-identical results bytes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from .dataset import SpiderExample, gold_groups
 from .errors import DatasetError, Nl2SqlError
-from .execution import OutcomeMemo, _file_key, execute_for_comparison, tables_equivalent
+from .execution import OutcomeMemo, _file_key, tables_equivalent
 from .hardness import Hardness
 from .pipeline import PipelineTranscript, Verdict
 from .schema import DatabaseSchema
@@ -106,13 +107,27 @@ def score(
 ) -> EvalReport:
     """Score transcripts against their examples.
 
-    Raises DatasetError when a transcript is missing for some example, with
-    the offending ids listed.
+    Raises DatasetError, with the offending ids listed, when two transcripts
+    share an example id, when a transcript is missing for some example, or
+    when one names another database or question than its example (it was
+    run on another dataset). A differing gold SQL is allowed: a transcript
+    may be scored again against a corrected gold.
     """
+    twice = [i for i, n in Counter(t.example_id for t in transcripts).items() if n > 1]
+    if twice:
+        raise DatasetError(f"more than one transcript for example ids: {sorted(twice)}")
     by_id = {t.example_id: t for t in transcripts}
     missing = [ex.id for ex in examples if ex.id not in by_id]
     if missing:
         raise DatasetError(f"missing transcripts for example ids: {missing}")
+    foreign = [
+        ex.id for ex in examples
+        if (by_id[ex.id].db_id, by_id[ex.id].question) != (ex.db_id, ex.question)
+    ]
+    if foreign:
+        raise DatasetError(
+            f"transcripts name another database or question for example ids: {foreign}"
+        )
 
     per_bucket: dict[Hardness, list[bool]] = {h: [] for h in Hardness}
     verdict_distribution: dict[str, int] = {}
@@ -175,10 +190,10 @@ def _score_one(
         # The pipeline compared these very outcomes, and the comparison is pure.
         gold_outcome, pred_outcome, correct = judgment.gold, judgment.final, False
     else:
-        gold_outcome = memo.run(execute_for_comparison, example.gold_sql, schema)
+        gold_outcome = memo.run(example.gold_sql, schema)
         if gold_outcome.table is None:
             return False, None
-        pred_outcome = memo.run(execute_for_comparison, transcript.final_sql, schema)
+        pred_outcome = memo.run(transcript.final_sql, schema)
         correct = pred_outcome.table is not None and (
             tables_equivalent(pred_outcome.table, gold_outcome.table).equivalent
         )

@@ -34,6 +34,8 @@ holds its unit's small tables plus that first table, of at most
 ``MAX_ROWS`` rows: N workers hold at most N such tables beyond what their
 pipelines already hold. A prediction that respells a gold past the bound
 then gets the gold's own table, and a gold group runs such a gold once.
+A miss hands ``execute`` the identity the lookup read, so the file is read
+once per lookup.
 
 Equivalence compares cell contents only: column names are ignored (gold
 and predictions alias columns differently), rows compare as sequences when
@@ -239,22 +241,14 @@ def _file_key(schema: DatabaseSchema) -> tuple[int, ...] | None:
     return (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
 
 
-def _connection(schema: DatabaseSchema) -> _CachedConnection:
-    """This thread's connection to the schema's database, reopened if the file changed.
-
-    The file's identity is the one ``OutcomeMemo.run_keyed`` took on this
-    thread for the execution it asked for, if any, and is read afresh
-    otherwise. It is handed over on the connection cache, not as an
-    argument, because the executors callers resolve take ``(sql, schema)``.
-    So a file changed between the memo's stat and the query is read on the
-    connection kept for the identity that stat saw, and the outcome is kept
-    under that identity. A second stat here would narrow that window, not
-    close it, since the file may change after it too; the next lookup
-    stats afresh and reopens.
-    """
+def _connection(schema: DatabaseSchema, file_key: tuple[int, ...] | None) -> _CachedConnection:
+    """This thread's connection to the schema's database, reopened if the
+    file's identity (``_file_key``, read here when the caller has none)
+    changed."""
     cache = schema._connections
     cached = getattr(cache, "entry", None)
-    file_key = getattr(cache, "taken_key", None) or _file_key(schema)
+    if file_key is None:
+        file_key = _file_key(schema)
     if file_key is None:
         if cached is not None:
             _drop(schema)
@@ -275,10 +269,14 @@ def _drop(schema: DatabaseSchema) -> None:
     del cache.entry
 
 
-def execute(sql: str, schema: DatabaseSchema) -> ExecOutcome:
+def execute(
+    sql: str, schema: DatabaseSchema, file_key: tuple[int, ...] | None = None
+) -> ExecOutcome:
     """Run one SELECT against the schema's database, read-only, under the
-    ``TIMEOUT_SECONDS`` deadline and the ``MAX_ROWS`` cap."""
-    cursor = _connection(schema).conn.cursor()
+    ``TIMEOUT_SECONDS`` deadline and the ``MAX_ROWS`` cap. A caller that has
+    just read the file's identity passes it, and the file is not read again:
+    a change after that read is the next lookup's to see."""
+    cursor = _connection(schema, file_key).conn.cursor()
     ordered = query_is_ordered(sql)
     _statement.deadline = time.monotonic() + TIMEOUT_SECONDS
     _statement.other_action = False
@@ -307,11 +305,6 @@ def execute(sql: str, schema: DatabaseSchema) -> ExecOutcome:
             _drop(schema)
 
 
-def execute_for_comparison(sql: str, schema: DatabaseSchema) -> ExecOutcome:
-    """``execute``, under the name the pipeline, scoring and triage resolve."""
-    return execute(sql, schema)
-
-
 class OutcomeMemo:
     """The execution outcomes of one unit of work, by database file and statement.
 
@@ -323,7 +316,9 @@ class OutcomeMemo:
     table), and the gold runs first in every memo, so a prompt shows the
     gold's own spelling. The first table is kept whatever its row count,
     which is the gold's wherever a gold runs; a later table is kept only
-    when ``reusable``, and a timeout never is.
+    when ``reusable``, and a timeout never is. A miss calls this module's
+    ``execute``, looked up at call time, with the file identity the lookup
+    read, so a rebinding of that name sees every real execution and no hit.
 
     Not thread-safe: each unit of work owns its memo and drops it at the end.
     Nothing outlives it but the file identity ``run_keyed`` hands out and,
@@ -338,34 +333,24 @@ class OutcomeMemo:
         self._tables: dict[tuple, ExecOutcome] = {}
         self._errors: dict[tuple, ExecOutcome] = {}
 
-    def run(self, execute, sql: str, schema: DatabaseSchema) -> ExecOutcome:
-        """The outcome of ``execute(sql, schema)``, executing only on a miss.
-
-        Callers pass the executor they resolve themselves, so a rebinding of
-        their module's name sees every real execution and no hit.
-        """
-        return self.run_keyed(execute, sql, schema)[1]
+    def run(self, sql: str, schema: DatabaseSchema) -> ExecOutcome:
+        """The outcome of ``execute(sql, schema)``, executing only on a miss."""
+        return self.run_keyed(sql, schema)[1]
 
     def run_keyed(
-        self, execute, sql: str, schema: DatabaseSchema
+        self, sql: str, schema: DatabaseSchema
     ) -> tuple[tuple[int, ...] | None, ExecOutcome]:
         """``run``, with the identity of the database file the outcome belongs
-        to: the key this lookup took, so a caller learns it without a stat,
-        and so does the connection the execution on a miss opens or reuses."""
+        to: the key this lookup took, so a caller learns it without a stat.
+        A miss hands it to ``execute``, which then does not stat either."""
         file_key = _file_key(schema)
         statement = (file_key, statement_key(sql))
         outcome = self._tables.get(statement)
         if outcome is None:
             outcome = self._errors.get((file_key, sql))
         if outcome is None:
-            # A missing file has no key; the executor raises for it.
-            cache = schema._connections
-            outer = getattr(cache, "taken_key", None)
-            cache.taken_key = file_key
-            try:
-                outcome = execute(sql, schema)
-            finally:
-                cache.taken_key = outer
+            # A missing file has no key; execute raises for it.
+            outcome = execute(sql, schema, file_key)
             if file_key is not None and not outcome.timed_out:
                 if outcome.table is None:
                     self._errors[file_key, sql] = outcome

@@ -60,7 +60,6 @@ from .execution import (
     ExecOutcome,
     OutcomeMemo,
     TableComparison,
-    execute_for_comparison,
     reusable,
     tables_equivalent,
 )
@@ -287,7 +286,7 @@ def _run_model_stage(
     except NoSqlFoundError as exc:
         extraction_error = str(exc)
     if sql is not None:
-        file_key, outcome = memo.run_keyed(execute_for_comparison, sql, schema)
+        file_key, outcome = memo.run_keyed(sql, schema)
         if outcome.table is not None:
             comparison = tables_equivalent(outcome.table, gold_outcome.table)
     record = StageRecord(
@@ -347,7 +346,7 @@ def run_pipeline(
         final_verdict=Verdict.FAILED,
     )
 
-    gold_key, gold_outcome = memo.run_keyed(execute_for_comparison, example.gold_sql, schema)
+    gold_key, gold_outcome = memo.run_keyed(example.gold_sql, schema)
     if gold_outcome.table is None or gold_outcome.table.truncated:
         transcript.final_verdict = Verdict.FAULT
         transcript.fault = f"gold execution unusable: {_execution_summary(gold_outcome)}"

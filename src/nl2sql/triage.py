@@ -31,7 +31,6 @@ from enum import Enum
 from .execution import (
     OutcomeMemo,
     ResultTable,
-    execute_for_comparison,
     normalize_cell,
     tables_equivalent,
 )
@@ -214,7 +213,7 @@ def tie_ambiguity_test(
         memo = OutcomeMemo()
 
     def ordering_values(probe: Select, column: int) -> list | None:
-        outcome = memo.run(execute_for_comparison, to_sql(probe), schema)
+        outcome = memo.run(to_sql(probe), schema)
         if outcome.table is None:
             return None
         return [normalize_cell(row[column]) for row in outcome.table.rows]
@@ -303,7 +302,7 @@ def suspect_gold_check(
     repaired = replace(gold_ast, from_items=tuple(from_items))
     if memo is None:
         memo = OutcomeMemo()
-    outcome = memo.run(execute_for_comparison, to_sql(repaired), schema)
+    outcome = memo.run(to_sql(repaired), schema)
     if outcome.table is None or outcome.table.truncated:
         return None
     gold_rows = len(gold_table.rows)

@@ -20,6 +20,7 @@ from nl2sql.dataset import load_dataset
 from nl2sql.llm import ModelEndpoint, RecordingTransport
 from nl2sql.pipeline import PipelineConfig, PipelineTranscript, run_many
 
+from conftest import DEV_EXAMPLES, make_dataset
 from helpers import ScriptedTransport, empty_store
 from test_evaluate import counting_executions
 
@@ -95,6 +96,49 @@ def test_run_replay_evaluate_report_flow(dataset_dir, tmp_path, capsys):
     assert set(payload) == {"results", "metadata"}
     assert set(payload["results"]["buckets"]) == {"easy", "medium", "hard", "extra"}
     assert "Exec Accuracy" in report_md.read_text()
+
+
+def test_transcripts_of_another_dataset_order_exit_3_without_a_report(
+    dataset_dir, tmp_path, capsys
+):
+    store = tmp_path / "store"
+    build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
+    transcripts = tmp_path / "t.jsonl"
+    run = ["run", "--dataset", str(dataset_dir), "--replay", str(store)]
+    assert main([*run, "--out", str(transcripts)]) == 0
+    # The same examples, numbered from the other end.
+    reversed_dir = make_dataset(tmp_path / "reversed", DEV_EXAMPLES[::-1])
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--dataset", str(reversed_dir), "--transcripts", str(transcripts),
+        "--out", str(report),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dataset error: transcripts name another database or question")
+    assert not report.exists()
+
+
+def test_two_transcripts_for_one_example_exit_3(dataset_dir, tmp_path, capsys):
+    store = tmp_path / "store"
+    build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    run = ["run", "--dataset", str(dataset_dir), "--replay", str(store)]
+    assert main([*run, "--limit", "3", "--out", str(first)]) == 0
+    assert main([*run, "--limit", "2", "--out", str(second)]) == 0
+    both = tmp_path / "both.jsonl"
+    both.write_bytes(first.read_bytes() + second.read_bytes())
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--dataset", str(dataset_dir), "--transcripts", str(both),
+        "--out", str(report),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "dataset error: more than one transcript for example ids: [0, 1]\n"
+    assert not report.exists()
 
 
 # Runs each argument list through ``cli.main`` in an interpreter where

@@ -226,6 +226,7 @@ def test_grouped_scoring_equals_one_example_scoring(schemas, monkeypatch):
         transcript(4, GROUPED_BY_ID_SQL, Verdict.FAILED),
         transcript(5, GOLD),
     ]
+    transcripts = [dataclasses.replace(t, db_id=ex.db_id) for t, ex in zip(transcripts, examples)]
     calls = counting_executions(monkeypatch)
     singles = [score([t], [ex], schemas) for t, ex in zip(transcripts, examples)]
     distinct = set(calls)  # no (db, sql) is shared by the two golds
@@ -506,14 +507,14 @@ def test_failure_on_a_rewritten_database_is_judged_again(tmp_path, monkeypatch):
 
 
 def test_timed_out_final_sql_is_not_handed_over(schemas, monkeypatch):
-    from nl2sql import pipeline
+    original = execution.execute
 
-    original = pipeline.execute_for_comparison
+    def timing_out(sql, schema, *args):
+        if sql == WRONG:
+            return execution.ExecOutcome(timed_out=True)
+        return original(sql, schema, *args)
 
-    def timing_out(sql, schema):
-        return execution.ExecOutcome(timed_out=True) if sql == WRONG else original(sql, schema)
-
-    monkeypatch.setattr(pipeline, "execute_for_comparison", timing_out)
+    monkeypatch.setattr(execution, "execute", timing_out)
     failed = run_example(schemas["battle_death"], WRONG)
     assert failed.stages[-1].execution == {"kind": "timeout"}
     assert failed.judgment is None

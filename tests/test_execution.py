@@ -28,7 +28,6 @@ from nl2sql.execution import (
     ResultTable,
     TableComparison,
     execute,
-    execute_for_comparison,
     normalize_cell,
     query_is_ordered,
     statement_key,
@@ -114,17 +113,17 @@ def test_public_execute_returns_a_table_past_the_memo_bound_whole(schemas):
     assert len(outcome.table.rows) == 10_001
 
 
-def test_execute_for_comparison_returns_a_table_at_max_rows_whole(schemas):
-    outcome = execute_for_comparison("SELECT * FROM cars_data", schemas["car_1"])
+def test_execute_returns_a_table_at_max_rows_whole(schemas):
+    outcome = execute("SELECT * FROM cars_data", schemas["car_1"])
     assert not outcome.table.truncated
     assert len(outcome.table.rows) == 406
-    whole = execute_for_comparison(_count_to(MAX_ROWS), schemas["battle_death"])
+    whole = execute(_count_to(MAX_ROWS), schemas["battle_death"])
     assert not whole.table.truncated
     assert len(whole.table.rows) == MAX_ROWS
 
 
-def test_execute_for_comparison_caps_at_max_rows(schemas):
-    cut = execute_for_comparison(_count_to(MAX_ROWS + 1), schemas["battle_death"])
+def test_execute_caps_at_max_rows(schemas):
+    cut = execute(_count_to(MAX_ROWS + 1), schemas["battle_death"])
     assert cut.table.truncated
     assert [row[0] for row in cut.table.rows] == list(range(1, MAX_ROWS + 1))
 
@@ -222,67 +221,62 @@ def test_deleted_database_file_raises_after_connection_was_cached(tmp_path):
         execute("SELECT n FROM t", schema)
 
 
-def test_memo_keeps_tables_and_errors_but_not_timeouts_or_tables_past_max_rows(schemas):
-    big = _count_to(MEMO_MAX_ROWS + 1)
+def _counting_executions(monkeypatch) -> list[str]:
+    """The SQL of every execution a memo asks for, in order; "slow" times out."""
     calls = []
 
-    def counting(sql, schema):
+    def counting(sql, schema, *args):
         calls.append(sql)
-        if sql == "slow":
-            return ExecOutcome(timed_out=True)
-        return execute_for_comparison(sql, schema)
+        return ExecOutcome(timed_out=True) if sql == "slow" else execute(sql, schema, *args)
 
+    monkeypatch.setattr(execution, "execute", counting)
+    return calls
+
+
+def test_memo_keeps_tables_and_errors_but_not_timeouts_or_tables_past_max_rows(
+    schemas, monkeypatch
+):
+    big = _count_to(MEMO_MAX_ROWS + 1)
+    calls = _counting_executions(monkeypatch)
     schema = schemas["battle_death"]
-    assert len(execute_for_comparison(big, schema).table.rows) == MEMO_MAX_ROWS + 1
+    assert len(execute(big, schema).table.rows) == MEMO_MAX_ROWS + 1
     memo = OutcomeMemo()
     for sql, kept in (("SELECT name FROM ship", True), ("SELECT * FROM nowhere", True),
                       (big, False), ("slow", False)):
-        first = memo.run(counting, sql, schema)
-        again = memo.run(counting, sql, schema)
+        first = memo.run(sql, schema)
+        again = memo.run(sql, schema)
         assert (again is first) is kept
         assert calls.count(sql) == (1 if kept else 2)
 
 
-def test_memo_keeps_its_first_table_past_max_rows_and_no_later_one(schemas):
+def test_memo_keeps_its_first_table_past_max_rows_and_no_later_one(schemas, monkeypatch):
     big, bigger = _count_to(MEMO_MAX_ROWS + 1), _count_to(MEMO_MAX_ROWS + 2)
-    calls = []
-
-    def counting(sql, schema):
-        calls.append(sql)
-        return execute_for_comparison(sql, schema)
-
+    calls = _counting_executions(monkeypatch)
     schema = schemas["battle_death"]
     memo = OutcomeMemo()
-    first = memo.run(counting, big, schema)
+    first = memo.run(big, schema)
     assert len(first.table.rows) == MEMO_MAX_ROWS + 1
     # Another spelling of the same statement gets that very table.
-    assert memo.run(counting, "  " + big.lower(), schema) is first
+    assert memo.run("  " + big.lower(), schema) is first
     assert calls == [big]
     # A second table past the bound runs again; a small one is still kept.
     for sql, kept in ((bigger, False), ("SELECT name FROM ship", True)):
-        again = memo.run(counting, sql, schema)
-        assert (memo.run(counting, sql, schema) is again) is kept
+        again = memo.run(sql, schema)
+        assert (memo.run(sql, schema) is again) is kept
         assert calls.count(sql) == (1 if kept else 2)
 
 
-def test_memo_never_keeps_a_timed_out_first_outcome(schemas):
+def test_memo_never_keeps_a_timed_out_first_outcome(schemas, monkeypatch):
     big = _count_to(MEMO_MAX_ROWS + 1)
-    calls = []
-
-    def counting(sql, schema):
-        calls.append(sql)
-        if sql == "slow":
-            return ExecOutcome(timed_out=True)
-        return execute_for_comparison(sql, schema)
-
+    calls = _counting_executions(monkeypatch)
     schema = schemas["battle_death"]
     memo = OutcomeMemo()
-    assert memo.run(counting, "slow", schema).timed_out
-    assert memo.run(counting, "slow", schema).timed_out
+    assert memo.run("slow", schema).timed_out
+    assert memo.run("slow", schema).timed_out
     assert calls == ["slow", "slow"]
     # The first table comes after the timeout, and is kept whatever its size.
-    first = memo.run(counting, big, schema)
-    assert memo.run(counting, big, schema) is first
+    first = memo.run(big, schema)
+    assert memo.run(big, schema) is first
     assert calls.count(big) == 1
 
 
@@ -321,10 +315,10 @@ def test_memo_rereads_a_database_replaced_between_two_examples_of_one_group(
 def test_memo_still_raises_for_a_deleted_database(tmp_path):
     schema = _numbers_db(tmp_path / "n.sqlite", [1])
     memo = OutcomeMemo()
-    assert memo.run(execute_for_comparison, "SELECT n FROM t", schema).kind == "table"
+    assert memo.run("SELECT n FROM t", schema).kind == "table"
     os.remove(tmp_path / "n.sqlite")
     with pytest.raises(DatabaseMissingError):
-        memo.run(execute_for_comparison, "SELECT n FROM t", schema)
+        memo.run("SELECT n FROM t", schema)
 
 
 @pytest.mark.parametrize("workers", [0, 2], ids=["this-thread", "run-many-2-workers"])
@@ -359,7 +353,7 @@ def test_a_dropped_schema_closes_every_connection_it_opened_at_once(
         else:
             execute("SELECT n FROM t", schema)
             execute("PRAGMA user_version", schema)  # closes; the next query reopens
-            OutcomeMemo().run(execute_for_comparison, "SELECT n FROM t", schema)
+            OutcomeMemo().run("SELECT n FROM t", schema)
         assert opened
         del schema
         for conn in opened:
@@ -476,6 +470,7 @@ def test_memo_executes_once_and_stats_the_file_once_per_lookup(schemas, monkeypa
     schema = schemas["battle_death"]
     db_path = os.fspath(schema.db_path)
     execute("SELECT 1", schema)  # this thread's connection is open
+    file_key = execution._file_key(schema)
     stats = []
     real_stat = os.stat
 
@@ -484,28 +479,23 @@ def test_memo_executes_once_and_stats_the_file_once_per_lookup(schemas, monkeypa
             stats.append(path)
         return real_stat(path, *args, **kwargs)
 
+    keys = []
+
+    def recording(sql, schema, *args):
+        keys.append(args)
+        return execute(sql, schema, *args)
+
     monkeypatch.setattr(os, "stat", counting_stat)
+    monkeypatch.setattr(execution, "execute", recording)
     memo = OutcomeMemo()
-    memo.run(execute_for_comparison, "SELECT name FROM ship", schema)
+    memo.run("SELECT name FROM ship", schema)
     assert len(stats) == 1  # a miss: the memo's stat serves the connection
-    memo.run(execute_for_comparison, "SELECT name FROM ship", schema)
+    assert keys == [(file_key,)]
+    memo.run("SELECT name FROM ship", schema)
     assert len(stats) == 2  # a hit
+    assert len(keys) == 1
     execute("SELECT id FROM ship", schema)
     assert len(stats) == 3  # a direct call stats for itself
-    # An executor that never reaches the connection leaves no identity behind.
-    memo.run(lambda sql, schema: ExecOutcome(timed_out=True), "SELECT 2", schema)
-    assert len(stats) == 4
-    execute("SELECT 3", schema)
-    assert len(stats) == 5
-    # A lookup inside an execution hands the outer lookup's identity back.
-    inner = OutcomeMemo()
-
-    def nested(sql, schema):
-        inner.run(execute_for_comparison, "SELECT 4", schema)
-        return execute(sql, schema)
-
-    memo.run(nested, "SELECT 5", schema)
-    assert len(stats) == 7  # one stat per lookup; neither execution stats again
 
 
 # --------------------------------------------------------------------------- statement key
@@ -608,34 +598,27 @@ def test_statement_key_folds_case_and_gaps_outside_literals_only():
     )
 
 
-def _counting_executor(calls):
-    def counting(sql, schema):
-        calls.append(sql)
-        return execute_for_comparison(sql, schema)
-
-    return counting
-
-
-def test_a_statement_hit_returns_the_table_and_names_of_the_first_text(schemas):
+def test_a_statement_hit_returns_the_table_and_names_of_the_first_text(schemas, monkeypatch):
     schema = schemas["battle_death"]
+    calls = _counting_executions(monkeypatch)
     for first, second in (("SELECT count(*) FROM ship", "select COUNT(*)\nfrom  Ship"),
                           ("SELECT COUNT(*) FROM ship", "SELECT count(*) FROM ship")):
-        calls = []
+        calls.clear()
         memo = OutcomeMemo()
-        outcome = memo.run(_counting_executor(calls), first, schema)
-        assert memo.run(_counting_executor(calls), second, schema) is outcome
+        outcome = memo.run(first, schema)
+        assert memo.run(second, schema) is outcome
         assert calls == [first]
         assert outcome.table.columns == (first.split()[1],)
 
 
-def test_an_error_is_kept_for_its_exact_text_only(schemas):
+def test_an_error_is_kept_for_its_exact_text_only(schemas, monkeypatch):
     schema = schemas["battle_death"]
-    calls = []
+    calls = _counting_executions(monkeypatch)
     memo = OutcomeMemo()
-    lower = memo.run(_counting_executor(calls), "select name from from ship", schema)
-    upper = memo.run(_counting_executor(calls), "SELECT name FROM FROM ship", schema)
+    lower = memo.run("select name from from ship", schema)
+    upper = memo.run("SELECT name FROM FROM ship", schema)
     assert 'near "from"' in lower.error and 'near "FROM"' in upper.error
-    assert memo.run(_counting_executor(calls), "SELECT name FROM FROM ship", schema) is upper
+    assert memo.run("SELECT name FROM FROM ship", schema) is upper
     assert calls == ["select name from from ship", "SELECT name FROM FROM ship"]
 
 

@@ -217,14 +217,12 @@ def test_error_prompt_quotes_the_error_of_the_sql_it_hands_over(schemas):
 
 
 def test_error_prompt_says_a_timed_out_query_did_not_finish(schemas, monkeypatch):
-    import nl2sql.pipeline as pipeline
+    from nl2sql import execution
 
-    original = pipeline.execute_for_comparison
+    def timing_out(sql, schema, *args):
+        return ExecOutcome(timed_out=True) if sql == WRONG else execute(sql, schema, *args)
 
-    def timing_out(sql, schema):
-        return ExecOutcome(timed_out=True) if sql == WRONG else original(sql, schema)
-
-    monkeypatch.setattr(pipeline, "execute_for_comparison", timing_out)
+    monkeypatch.setattr(execution, "execute", timing_out)
     generator, corrector = scripted_endpoints(
         {"zero_shot": WRONG, "example_1": WRONG, "error": GOLD}
     )
@@ -379,19 +377,18 @@ def test_gold_execution_failure_is_a_fault_not_a_failure(schemas):
 
 
 def test_a_resubmitted_sql_runs_once_per_example_unless_it_timed_out(schemas, monkeypatch):
-    import nl2sql.pipeline as pipeline
+    from nl2sql import execution
 
-    original = pipeline.execute_for_comparison
     for times_out in (False, True):
         calls = []
 
-        def counting(sql, schema):
+        def counting(sql, schema, *args):
             calls.append(sql)
             if times_out and sql == WRONG:
                 return ExecOutcome(timed_out=True)
-            return original(sql, schema)
+            return execute(sql, schema, *args)
 
-        monkeypatch.setattr(pipeline, "execute_for_comparison", counting)
+        monkeypatch.setattr(execution, "execute", counting)
         generator, corrector = scripted_endpoints(
             {"zero_shot": WRONG, "example_1": WRONG, "error": WRONG}
         )
@@ -408,16 +405,15 @@ RESPELLED_GOLD = "select name\nFROM ship where disposition_of_ship = 'sank'"
 
 
 def counting_executions(monkeypatch) -> list[str]:
-    import nl2sql.pipeline as pipeline
+    from nl2sql import execution
 
-    original = pipeline.execute_for_comparison
     calls = []
 
-    def counting(sql, schema):
+    def counting(sql, schema, *args):
         calls.append(sql)
-        return original(sql, schema)
+        return execute(sql, schema, *args)
 
-    monkeypatch.setattr(pipeline, "execute_for_comparison", counting)
+    monkeypatch.setattr(execution, "execute", counting)
     return calls
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sqlite3
 
-from nl2sql.execution import execute_for_comparison, tables_equivalent
+from nl2sql.execution import execute, tables_equivalent
 from nl2sql.schema import DatabaseSchema
 from nl2sql.sqlast import canonicalize, parse, to_sql
 from nl2sql.sqlast.printer import SQLITE_KEYWORDS
@@ -73,11 +73,11 @@ def test_printer_and_canonicaliser_preserve_results(loaded):
     mismatches = []
     for db_id, sql in queries:
         schema = loaded.schemas[db_id]
-        expected = execute_for_comparison(sql, schema)
+        expected = execute(sql, schema)
         assert expected.table is not None, (sql, expected)
         ast = parse(sql, schema)
         for rewrite, text in (("to_sql", to_sql(ast)), ("canonicalize", canonicalize(ast).sql)):
-            got = execute_for_comparison(text, schema)
+            got = execute(text, schema)
             checks += 1
             if got.table is None or not tables_equivalent(got.table, expected.table).equivalent:
                 mismatches.append((rewrite, sql, text, got.error))
@@ -115,10 +115,10 @@ def test_keyword_named_tables_and_columns_print_quoted(tmp_path):
     ]
     assert KEYWORDS <= SQLITE_KEYWORDS
     for sql in queries:
-        expected = execute_for_comparison(sql, schema)
+        expected = execute(sql, schema)
         assert expected.table is not None, (sql, expected)
         ast = parse(sql, schema)
         for text in (to_sql(ast), canonicalize(ast).sql):
-            got = execute_for_comparison(text, schema)
+            got = execute(text, schema)
             assert got.table is not None, (text, got.error)
             assert tables_equivalent(got.table, expected.table).equivalent, text

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib
 import sqlite3
 import tempfile
 from dataclasses import replace
@@ -316,14 +315,12 @@ def test_tie_past_the_row_cap_is_found_from_k_plus_one_rows(tmp_path, monkeypatc
     assert full_scan_tie_rule(pred, gold, schema) is False  # the cap hid the tie
     probes = []
 
-    def counting(sql, schema):
-        outcome = execution.execute_for_comparison(sql, schema)
+    def counting(sql, schema, *args):
+        outcome = execute(sql, schema, *args)
         probes.append((sql, len(outcome.table.rows)))
         return outcome
 
-    # The package re-exports the function triage, which shadows the module.
-    triage_module = importlib.import_module("nl2sql.triage")
-    monkeypatch.setattr(triage_module, "execute_for_comparison", counting)
+    monkeypatch.setattr(execution, "execute", counting)
     assert tie_ambiguity_test(pred, gold, schema) is True
     assert len(probes) == 2
     for sql, rows in probes:
