@@ -134,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--report", type=Path, help="also score the transcripts into this evaluate --out report"
     )
+    _timestamp_arg(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("evaluate", help="score transcripts once; write the files asked for")
@@ -142,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, help="report JSON path")
     p.add_argument("--markdown", type=Path, help="markdown report path")
     p.add_argument("--verdicts", type=Path, help="triage verdicts JSONL path")
-    p.add_argument("--no-timestamp", action="store_true")
+    _timestamp_arg(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ast", help="debug: print the AST, canonical form or diff")
@@ -167,6 +168,12 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _timestamp_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--no-timestamp", action="store_true", help="leave metadata.generated_at out of the report"
+    )
 
 
 def _dataset_args(p: argparse.ArgumentParser) -> None:
@@ -313,7 +320,7 @@ def cmd_run(args) -> int:
         report = score(
             transcripts, examples, loaded.schemas, quarantined=len(loaded.quarantined)
         )
-        report.metadata = run_metadata(transcripts)
+        report.metadata = run_metadata(transcripts, timestamp=not args.no_timestamp)
         _write_scored(report, args.report)
         print(f"wrote report to {args.report}")
     return EXIT_OK

@@ -38,6 +38,7 @@ from .schema import DatabaseSchema
 from .sqlast import (
     AliasRef,
     AstDiff,
+    CanonicalAst,
     ColumnRef,
     Comparison,
     Expr,
@@ -51,6 +52,7 @@ from .sqlast import (
     scope_conditionless_joins,
     to_sql,
 )
+from .sqlast.walk import is_aggregate, iter_expr_nodes
 
 
 class Category(str, Enum):
@@ -105,10 +107,11 @@ def triage(
 
     Tables may be None when execution results are unavailable. The
     equivalence check is skipped unless both are given, the suspect-gold
-    check unless the gold's is. The tie probe runs whenever the schema's
-    database file exists, with or without tables; the suspect-gold probe
-    needs that file too. The probes execute through ``memo`` when one is
-    given.
+    check unless the gold's is. Both probes need the schema's database
+    file; the tie probe runs with or without tables. It is handed the
+    prediction's table and both canonical trees, so a prediction that ran
+    and sorts the gold's own rows by the gold's first key costs only the
+    gold's probe. The probes execute through ``memo`` when one is given.
     """
     pred_canon = canonicalize(pred_ast)
     gold_canon = canonicalize(gold_ast)
@@ -132,7 +135,8 @@ def triage(
             return inconsistency("ResultEquivalent", "definite", {"comparison": detail})
 
     if schema.db_path is not None and schema.db_path.is_file():
-        if tie_ambiguity_test(pred_ast, gold_ast, schema, memo) is True:
+        canon = (pred_canon, gold_canon)
+        if tie_ambiguity_test(pred_ast, gold_ast, schema, memo, pred_table, canon) is True:
             tie = {"tie": "ordering key ties at the LIMIT boundary"}
             return inconsistency("TieAmbiguity", "heuristic", tie)
         if gold_table is not None:
@@ -185,7 +189,12 @@ def _diff_cause(delta: AstDiff) -> tuple[Category, str | None] | None:
 # --------------------------------------------------------------------------- tie ambiguity
 
 def tie_ambiguity_test(
-    pred_ast: Select, gold_ast: Select, schema: DatabaseSchema, memo: OutcomeMemo | None = None
+    pred_ast: Select,
+    gold_ast: Select,
+    schema: DatabaseSchema,
+    memo: OutcomeMemo | None = None,
+    pred_table: ResultTable | None = None,
+    canon: tuple[CanonicalAst, CanonicalAst] | None = None,
 ) -> bool | None:
     """Does LIMIT k cut through a tie in the ordering key?
 
@@ -197,6 +206,12 @@ def tie_ambiguity_test(
     its row k. Rows come out sorted on that key, so tied rows are contiguous
     and rows k and k + 1 decide whether the tie runs past the cut. Returns
     None when not applicable.
+
+    A ``pred_table`` says the prediction ran. When it did and it sorts the
+    gold's own rows by the gold's first key (``_sorts_the_gold_rows``), only
+    the gold is re-executed and its key values stand in for the
+    prediction's. ``canon`` holds the canonical trees of (pred, gold) when
+    the caller has them; otherwise that check canonicalizes both.
     """
     if not (pred_ast.order_by and pred_ast.limit is not None):
         return None
@@ -218,8 +233,11 @@ def tie_ambiguity_test(
             return None
         return [normalize_cell(row[column]) for row in outcome.table.rows]
 
-    pred_values = ordering_values(*pred_probe)
-    gold_values = ordering_values(*gold_probe)
+    if pred_table is not None and _sorts_the_gold_rows(pred_ast, gold_ast, canon):
+        pred_values = gold_values = ordering_values(*gold_probe)
+    else:
+        pred_values = ordering_values(*pred_probe)
+        gold_values = ordering_values(*gold_probe)
     if pred_values is None or gold_values is None:
         return False
     if len(pred_values) < k or len(gold_values) < k:
@@ -227,6 +245,50 @@ def tie_ambiguity_test(
     if pred_values[k - 1] != gold_values[k - 1]:
         return False
     return len(gold_values) > k and gold_values[k] == gold_values[k - 1]
+
+
+def _sorts_the_gold_rows(
+    pred_ast: Select, gold_ast: Select, canon: tuple[CanonicalAst, CanonicalAst] | None
+) -> bool:
+    """Does the prediction sort the gold's own rows by the gold's first key?
+
+    True when neither query is compound, DISTINCT, grouped or has an
+    aggregate in its select list or ORDER BY, both first keys are the
+    column SQLite sorts on, in one direction, and the canonical trees have
+    equal FROM items, WHERE and first ORDER BY term. The same FROM and WHERE
+    give both queries the same rows, and the same key column one multiset
+    of first-key values, so the value at rank k and the row count agree:
+    the only two facts the prediction's tie probe is read for. The cheap
+    checks run first; the trees are canonicalized only when ``canon`` is
+    None and those pass.
+    """
+    for ast in (pred_ast, gold_ast):
+        if ast.set_op is not None or ast.distinct or ast.group_by or ast.having is not None:
+            return False
+        if not _is_column_key(ast):
+            return False
+        exprs = [item.expr for item in ast.items] + [order.expr for order in ast.order_by]
+        if any(is_aggregate(node) for expr in exprs for node in iter_expr_nodes(expr)):
+            return False
+    if pred_ast.order_by[0].descending != gold_ast.order_by[0].descending:
+        return False
+    pred_canon, gold_canon = canon or (canonicalize(pred_ast), canonicalize(gold_ast))
+    pred, gold = pred_canon.query, gold_canon.query
+    same_rows = pred.from_items == gold.from_items and pred.where == gold.where
+    return same_rows and pred.order_by[0] == gold.order_by[0]
+
+
+def _is_column_key(ast: Select) -> bool:
+    """Is the first ordering key a column SQLite sorts on? An unqualified
+    key named like an output alias binds to the column, but SQLite sorts
+    on the aliased item."""
+    key = ast.order_by[0].expr
+    if not isinstance(key, ColumnRef):
+        return False
+    if key.table is not None:
+        return True
+    name = key.column.lower()
+    return not any(item.alias is not None and item.alias.lower() == name for item in ast.items)
 
 
 def _one_past_limit_with_key(ast: Select) -> tuple[Select, int] | None:

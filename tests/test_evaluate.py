@@ -470,6 +470,25 @@ def test_in_process_failure_is_triaged_from_the_pipeline_outcomes(schemas, monke
     assert json.dumps(handed.results_payload()) == json.dumps(fresh.results_payload())
 
 
+def test_prediction_that_reorders_the_gold_rows_costs_one_tie_probe(schemas, monkeypatch):
+    # Courses 1 to 5 have four enrolments each, so LIMIT 2 cuts a tie on course_id.
+    gold = "SELECT student_course_id FROM student_enrolment_courses ORDER BY course_id LIMIT 2"
+    pred = (
+        "SELECT student_course_id FROM student_enrolment_courses "
+        "ORDER BY course_id, student_course_id DESC LIMIT 2"
+    )
+    example = dataclasses.replace(student_example(0), gold_sql=gold)
+    failed = dataclasses.replace(
+        transcript(0, pred, Verdict.FAILED), db_id="student_course", gold_sql=gold
+    )
+    calls = counting_executions(monkeypatch)
+    report = score([failed], [example], schemas)
+    assert report.verdicts[0].subtag == "TieAmbiguity"
+    assert calls[:2] == [("student_course", gold), ("student_course", pred)]
+    (probe,) = calls[2:]  # the gold's; the prediction sorts the gold's own rows
+    assert probe[1].endswith("LIMIT 3") and "DESC" not in probe[1]
+
+
 def test_failure_with_changed_sql_executes_as_before(schemas, monkeypatch):
     failed = run_example(schemas["battle_death"], WRONG)
     calls = counting_executions(monkeypatch)

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import sqlite3
 import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -191,6 +193,21 @@ def _gold_sql(form, order, k, split):
     return f"SELECT id FROM t ORDER BY v {order} LIMIT {k}"
 
 
+def _pred_sql(form, key, order, k, pred_min_id):
+    """The prediction of the tie tests: the gold's rows filtered by id, or
+    the gold's own rows with a tie-breaker after the key."""
+    if form == "tie-breaker":
+        return f"SELECT v FROM t ORDER BY {key} {order}, id DESC LIMIT {k}"
+    return f"SELECT v FROM t WHERE id >= {pred_min_id} ORDER BY {key} {order} LIMIT {k}"
+
+
+@contextmanager
+def counted_executions():
+    """Count the real executions made inside the block."""
+    with mock.patch.object(execution, "execute", wraps=execution.execute) as counted:
+        yield counted
+
+
 @settings(max_examples=300)
 @given(
     keys=st.lists(tie_keys, max_size=9),
@@ -199,30 +216,96 @@ def _gold_sql(form, order, k, split):
     pred_min_id=st.integers(min_value=0, max_value=2),
     gold_form=st.sampled_from(["key", "positional", "compound", "alias", "alias after *"]),
     split=st.integers(min_value=0, max_value=9),
+    pred_form=st.sampled_from(["filtered", "tie-breaker"]),
+    with_canon=st.booleans(),
 )
 # A tie that straddles the cut, one that ends exactly at it, one past it.
 @example(
-    keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0, gold_form="key", split=0
+    keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0, gold_form="key", split=0,
+    pred_form="filtered", with_canon=True,
 )
-@example(keys=[1, 2, 2, 3], descending=False, k_offset=2, pred_min_id=0, gold_form="key", split=0)
+@example(
+    keys=[1, 2, 2, 3], descending=False, k_offset=2, pred_min_id=0, gold_form="key", split=0,
+    pred_form="filtered", with_canon=True,
+)
 @example(
     keys=[0.5, 0.5 + 1e-12, "a"], descending=True, k_offset=0, pred_min_id=0, gold_form="key",
-    split=0,
+    split=0, pred_form="filtered", with_canon=True,
+)
+# The gold's own rows with a tie-breaker: the tie at the cut, and none.
+@example(
+    keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0, gold_form="key", split=0,
+    pred_form="tie-breaker", with_canon=True,
+)
+@example(
+    keys=[1, 2, 3], descending=True, k_offset=0, pred_min_id=0, gold_form="key", split=0,
+    pred_form="tie-breaker", with_canon=False,
 )
 def test_tie_rule_agrees_with_the_full_scan_rule(
-    keys, descending, k_offset, pred_min_id, gold_form, split
+    keys, descending, k_offset, pred_min_id, gold_form, split, pred_form, with_canon
 ):
     k = 1 + k_offset % (len(keys) + 1)  # 1 .. len + 1
     order = "DESC" if descending else "ASC"
     gold = _gold_sql(gold_form, order, k, split)
     # A positional gold is paired with a positional prediction.
     key = "1" if gold_form == "positional" else "v"
-    pred = f"SELECT v FROM t WHERE id >= {pred_min_id} ORDER BY {key} {order} LIMIT {k}"
+    pred = _pred_sql(pred_form, key, order, k, pred_min_id)
+    # Only a key-column gold and its own rows re-sorted skip the prediction's probe.
+    probes = 1 if (gold_form, pred_form) == ("key", "tie-breaker") else 2
     with tempfile.TemporaryDirectory() as tmp:
         schema = _keys_db(Path(tmp) / "keys.sqlite", keys)
         pred_ast, gold_ast = parse(pred, schema), parse(gold, schema)
         expected = full_scan_tie_rule(pred_ast, gold_ast, schema)
-        assert tie_ambiguity_test(pred_ast, gold_ast, schema) is expected
+        with counted_executions() as direct:
+            assert tie_ambiguity_test(pred_ast, gold_ast, schema) is expected
+        assert direct.call_count == 2
+        # As ``triage`` calls it: the prediction's table and both canonical trees.
+        pred_table = execute(pred, schema).table
+        canon = (canonicalize(pred_ast), canonicalize(gold_ast)) if with_canon else None
+        with counted_executions() as handed:
+            assert tie_ambiguity_test(pred_ast, gold_ast, schema, None, pred_table, canon) is (
+                expected
+            )
+        assert handed.call_count == probes
+
+
+# Sorted keys 1, 2 | 2, 2, 3: LIMIT 2 cuts through the tie on 2.
+TIED_AT_TWO = [1, 2, 2, 2, 3]
+KEY_GOLD = "SELECT id FROM t ORDER BY v LIMIT 2"
+TIE_BREAKER_PRED = "SELECT v FROM t ORDER BY v, id DESC LIMIT 2"
+# A compound whose left arm alone has the prediction's FROM, WHERE and key.
+DOUBLED_GOLD = "SELECT id, v FROM t UNION ALL SELECT id, v FROM t ORDER BY v LIMIT 2"
+
+
+@pytest.mark.parametrize(
+    "pred, gold, handed_table",
+    [
+        ("SELECT v FROM t WHERE id >= 1 ORDER BY v LIMIT 2", KEY_GOLD, True),
+        ("SELECT DISTINCT v FROM t ORDER BY v LIMIT 2", KEY_GOLD, True),
+        ("SELECT v FROM t GROUP BY v ORDER BY v LIMIT 2", KEY_GOLD, True),
+        ("SELECT v, count(*) FROM t ORDER BY v LIMIT 2", KEY_GOLD, True),
+        ("SELECT v FROM t ORDER BY v + 0 LIMIT 2", KEY_GOLD, True),
+        ("SELECT v FROM t ORDER BY v DESC LIMIT 2", KEY_GOLD, True),
+        # SQLite sorts on the output alias, not on the column it shadows.
+        ("SELECT -v AS v FROM t ORDER BY v LIMIT 2", KEY_GOLD, True),
+        (TIE_BREAKER_PRED, DOUBLED_GOLD, True),
+        # A prediction that failed in the engine hands over no table.
+        (TIE_BREAKER_PRED, KEY_GOLD, False),
+    ],
+    ids=[
+        "other WHERE", "DISTINCT", "GROUP BY", "aggregate item", "expression key",
+        "opposite direction", "alias-shadowed key", "compound gold", "no prediction table",
+    ],
+)
+def test_tie_rule_leaves_other_shapes_to_both_probes(tmp_path, pred, gold, handed_table):
+    schema = _keys_db(tmp_path / "keys.sqlite", TIED_AT_TWO)
+    pred_ast, gold_ast = parse(pred, schema), parse(gold, schema)
+    unhanded = tie_ambiguity_test(pred_ast, gold_ast, schema)
+    pred_table = execute(pred, schema).table if handed_table else None
+    canon = (canonicalize(pred_ast), canonicalize(gold_ast))
+    with counted_executions() as counted:
+        assert tie_ambiguity_test(pred_ast, gold_ast, schema, None, pred_table, canon) is unhanded
+    assert counted.call_count == 2
 
 
 def _tie_test(tmp_path, keys, pred, gold):
