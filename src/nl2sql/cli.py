@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -253,32 +254,56 @@ def cmd_emit_corpus(args) -> int:
     return EXIT_OK
 
 
+# What a config value must be, by the type of its default, and the test of
+# its value once its type is right.
+_VALUE_KINDS = {
+    bool: ("true or false", lambda value: True),
+    int: ("an integer >= 0", lambda value: value >= 0),
+    float: ("a finite number", math.isfinite),
+    str: ("a string", lambda value: True),
+}
+
+
 def _load_config(path: Path | None) -> dict:
-    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    """``DEFAULT_CONFIG`` with the file's values over it. Every key must be
+    one of its keys and every value of its default's type (a JSON integer
+    stands for a float), so the run needs no casts."""
+    user = {}
     if path is not None:
         try:
             user = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
-        for key, value in user.items():
-            if key not in config:
-                raise ConfigError(f"unknown config key {key!r}")
-            if isinstance(config[key], dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config key {key!r} must be an object")
-                config[key].update(value)
-            else:
-                config[key] = value
+    return _merged(DEFAULT_CONFIG, user, "")
+
+
+def _merged(defaults: dict, user: dict, prefix: str) -> dict:
+    unknown = [key for key in user if key not in defaults]
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix + unknown[0]!r}")
+    config = {}
+    for key, default in defaults.items():
+        name = prefix + key
+        value = user.get(key, default)
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {name!r} must be an object")
+            value = _merged(default, value, name + ".")
+        else:
+            kind = type(default)
+            if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+                value = float(value)
+            what, fits = _VALUE_KINDS[kind]
+            if type(value) is not kind or not fits(value):
+                raise ConfigError(f"config key {name!r} must be {what}, got {json.dumps(value)}")
+        config[key] = value
     return config
 
 
 def _endpoint(role: str, spec: dict, args) -> ModelEndpoint:
-    sampling = Sampling(
-        temperature=float(spec["temperature"]),
-        max_tokens=int(spec["max_tokens"]),
-    )
+    sampling = Sampling(temperature=spec["temperature"], max_tokens=spec["max_tokens"])
     if args.replay is not None:
         transport = ReplayTransport(args.replay)
     else:
@@ -302,8 +327,8 @@ def cmd_run(args) -> int:
     generator = _endpoint("generator", config["generator"], args)
     corrector = _endpoint("corrector", config["corrector"], args)
     pipeline_config = PipelineConfig(
-        max_example_correction_rounds=int(config["max_example_correction_rounds"]),
-        enable_error_correction=bool(config["enable_error_correction"]),
+        max_example_correction_rounds=config["max_example_correction_rounds"],
+        enable_error_correction=config["enable_error_correction"],
     )
     transcripts = run_many(
         examples, loaded.schemas, pipeline_config, generator, corrector, workers=args.workers
@@ -332,6 +357,11 @@ def cmd_evaluate(args) -> int:
     with _own_file("read", args.transcripts):
         transcripts = read_transcripts(args.transcripts)
     ids = {t.example_id for t in transcripts}
+    # A quarantined example's transcript is left out: the report counts it there.
+    held = {ex.id for ex in loaded.examples} | {q.id for q in loaded.quarantined}
+    unknown = sorted(ids - held)
+    if unknown:
+        raise DatasetError(f"transcripts for example ids the split does not hold: {unknown}")
     examples = [ex for ex in loaded.examples if ex.id in ids]
     report = score(transcripts, examples, loaded.schemas, quarantined=len(loaded.quarantined))
     report.metadata = run_metadata(transcripts, timestamp=not args.no_timestamp)

@@ -3,8 +3,7 @@
 The exact format (one header row, one separator row of ``---`` cells, one
 line per data row, cells escaped as below) is part of the harness contract:
 correction prompts embed these bytes, and transcripts must reproduce them
-exactly. ``parse_markdown`` inverts the rendering for printable tables and
-exists mainly so tests can round-trip.
+exactly.
 
 Cell text escaping: backslash and pipe are backslash-escaped, newline
 becomes ``\\n``. NULL renders as an empty cell. Floats use ``repr`` so the
@@ -22,21 +21,6 @@ def _escape(text: str) -> str:
     return (
         text.replace("\\", "\\\\").replace("|", "\\|").replace("\n", "\\n")
     )
-
-
-def _unescape(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"n": "\n"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
 
 
 def format_cell(cell: Cell) -> str:
@@ -61,40 +45,3 @@ def render_markdown(table: ResultTable) -> str:
     if len(table.rows) > MAX_PROMPT_ROWS:
         lines.append(f"... ({len(table.rows) - MAX_PROMPT_ROWS} more rows not shown)")
     return "\n".join(lines)
-
-
-def parse_markdown(text: str) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
-    """Inverse of render_markdown for printable tables: returns column names
-    and rows of cell *texts* (types are not recoverable)."""
-    lines = [ln for ln in text.split("\n") if ln.startswith("|")]
-    if len(lines) < 2:
-        raise ValueError("not a markdown table")
-    header = _split_row(lines[0])
-    rows = tuple(_split_row(ln) for ln in lines[2:])
-    return header, rows
-
-
-def _split_row(line: str) -> tuple[str, ...]:
-    body = line.strip()
-    if body.startswith("|"):
-        body = body[1:]
-    if body.endswith("|"):
-        body = body[:-1]
-    cells: list[str] = []
-    current: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            current.append(ch + body[i + 1])
-            i += 2
-            continue
-        if ch == "|":
-            cells.append(_unescape("".join(current)).strip())
-            current = []
-            i += 1
-            continue
-        current.append(ch)
-        i += 1
-    cells.append(_unescape("".join(current)).strip())
-    return tuple(cells)

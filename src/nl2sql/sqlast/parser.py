@@ -516,7 +516,10 @@ class _Binder:
         having = bind(select.having, True)
         order_by = []
         for oi in select.order_by:
-            expr = bind(oi.expr, True)
+            # SQLite sorts a bare name on the output alias it names, before
+            # any column of that name; GROUP BY and HAVING look at columns first.
+            bare = isinstance(oi.expr, _Name) and oi.expr.table is None
+            expr = (bare and _alias_ref(oi.expr, select)) or bind(oi.expr, True)
             order_by.append(oi if expr is oi.expr else OrderItem(expr, oi.descending))
         set_op = select.set_op
         if set_op is not None:
@@ -571,11 +574,10 @@ class _Binder:
             return ColumnRef(None, ref.column, matches[0].key)
         if matches:
             return ColumnRef(None, ref.column, None, True)
-        if alias_ok:
-            for idx, item in enumerate(select.items):
-                if item.alias is not None and item.alias.lower() == column:
-                    return AliasRef(name=ref.column, index=idx)
-        raise ParseError(f"no such column: {ref.column}")
+        alias = _alias_ref(ref, select) if alias_ok else None
+        if alias is None:
+            raise ParseError(f"no such column: {ref.column}")
+        return alias
 
     def _match_unqualified(self, column: str, scope: _Scope) -> list[_SourceInfo]:
         current: _Scope | None = scope
@@ -593,6 +595,16 @@ class _Binder:
                 return current.by_key[key]
             current = current.parent
         return None
+
+
+def _alias_ref(ref: _Name, select: Select) -> AliasRef | None:
+    """A reference to the first select item whose output alias is ``ref``'s
+    column name, or None."""
+    column = ref.column.lower()
+    for idx, item in enumerate(select.items):
+        if item.alias is not None and item.alias.lower() == column:
+            return AliasRef(name=ref.column, index=idx)
+    return None
 
 
 def _output_columns(select: Select, schema: DatabaseSchema) -> tuple[str, ...]:

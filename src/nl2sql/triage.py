@@ -1,11 +1,12 @@
 """Failure triage: classify a wrong (or spuriously wrong) prediction.
 
-Each non-equivalent prediction is assigned exactly one primary category:
+Each prediction that ``score`` finds wrong is assigned exactly one primary
+category:
 
     DatasetInconsistency   the prediction is not actually a model error
-                           (alias-only variant of gold, result-equivalent,
-                           an ORDER BY ... LIMIT tie makes several answers
-                           equally valid, or the gold itself is suspect)
+                           (alias-only variant of gold, an ORDER BY ...
+                           LIMIT tie makes several answers equally valid,
+                           or the gold itself is suspect)
     QueryStructure         fundamentally different query shape
     JoinClauses            extra / missing joined tables or conditions
     GroupBy                different grouping keys
@@ -28,12 +29,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .execution import (
-    OutcomeMemo,
-    ResultTable,
-    normalize_cell,
-    tables_equivalent,
-)
+from .execution import OutcomeMemo, ResultTable, normalize_cell
 from .schema import DatabaseSchema
 from .sqlast import (
     AliasRef,
@@ -84,14 +80,13 @@ class TriageVerdict:
         return {**vars(self), "category": self.category.value}
 
 
-def _table_facts(pred: ResultTable | None, gold: ResultTable | None) -> dict:
+def _table_facts(pred: ResultTable | None, gold: ResultTable) -> dict:
     facts = {}
     if pred is not None:
         facts["pred_rows"] = len(pred.rows)
         facts["pred_columns"] = len(pred.columns)
-    if gold is not None:
-        facts["gold_rows"] = len(gold.rows)
-        facts["gold_columns"] = len(gold.columns)
+    facts["gold_rows"] = len(gold.rows)
+    facts["gold_columns"] = len(gold.columns)
     return facts
 
 
@@ -99,19 +94,18 @@ def triage(
     pred_ast: Select,
     gold_ast: Select,
     pred_table: ResultTable | None,
-    gold_table: ResultTable | None,
+    gold_table: ResultTable,
     schema: DatabaseSchema,
-    memo: OutcomeMemo | None = None,
+    memo: OutcomeMemo,
 ) -> TriageVerdict:
     """Assign the primary category for one prediction/gold pair.
 
-    Tables may be None when execution results are unavailable. The
-    equivalence check is skipped unless both are given, the suspect-gold
-    check unless the gold's is. Both probes need the schema's database
-    file; the tie probe runs with or without tables. It is handed the
+    ``score`` calls this only for a pair whose tables it found not
+    equivalent; ``pred_table`` is None when the prediction did not run to a
+    table. The probes execute through ``memo``. The tie probe is handed the
     prediction's table and both canonical trees, so a prediction that ran
     and sorts the gold's own rows by the gold's first key costs only the
-    gold's probe. The probes execute through ``memo`` when one is given.
+    gold's probe.
     """
     pred_canon = canonicalize(pred_ast)
     gold_canon = canonicalize(gold_ast)
@@ -127,22 +121,13 @@ def triage(
 
     if pred_canon == gold_canon:
         return inconsistency("AliasOnlyEquivalent", "definite", {"canonical_sql": pred_canon.sql})
-
-    if pred_table is not None and gold_table is not None:
-        comparison = tables_equivalent(pred_table, gold_table)
-        if comparison.equivalent:
-            detail = comparison.detail or "tables equivalent"
-            return inconsistency("ResultEquivalent", "definite", {"comparison": detail})
-
-    if schema.db_path is not None and schema.db_path.is_file():
-        canon = (pred_canon, gold_canon)
-        if tie_ambiguity_test(pred_ast, gold_ast, schema, memo, pred_table, canon) is True:
-            tie = {"tie": "ordering key ties at the LIMIT boundary"}
-            return inconsistency("TieAmbiguity", "heuristic", tie)
-        if gold_table is not None:
-            suspect = suspect_gold_check(gold_ast, gold_table, schema, memo)
-            if suspect is not None:
-                return inconsistency("SuspectGold", "heuristic", suspect)
+    canon = (pred_canon, gold_canon)
+    if tie_ambiguity_test(pred_ast, gold_ast, schema, memo, pred_table, canon) is True:
+        tie = {"tie": "ordering key ties at the LIMIT boundary"}
+        return inconsistency("TieAmbiguity", "heuristic", tie)
+    suspect = suspect_gold_check(gold_ast, gold_table, schema, memo)
+    if suspect is not None:
+        return inconsistency("SuspectGold", "heuristic", suspect)
 
     delta = diff(pred_canon, gold_canon)
     cause = _diff_cause(delta)
@@ -192,9 +177,9 @@ def tie_ambiguity_test(
     pred_ast: Select,
     gold_ast: Select,
     schema: DatabaseSchema,
-    memo: OutcomeMemo | None = None,
-    pred_table: ResultTable | None = None,
-    canon: tuple[CanonicalAst, CanonicalAst] | None = None,
+    memo: OutcomeMemo,
+    pred_table: ResultTable | None,
+    canon: tuple[CanonicalAst, CanonicalAst],
 ) -> bool | None:
     """Does LIMIT k cut through a tie in the ordering key?
 
@@ -207,11 +192,11 @@ def tie_ambiguity_test(
     and rows k and k + 1 decide whether the tie runs past the cut. Returns
     None when not applicable.
 
-    A ``pred_table`` says the prediction ran. When it did and it sorts the
-    gold's own rows by the gold's first key (``_sorts_the_gold_rows``), only
-    the gold is re-executed and its key values stand in for the
-    prediction's. ``canon`` holds the canonical trees of (pred, gold) when
-    the caller has them; otherwise that check canonicalizes both.
+    Probes execute through ``memo``. A ``pred_table`` says the prediction
+    ran. When it did and it sorts the gold's own rows by the gold's first
+    key (``_sorts_the_gold_rows``, which reads the canonical trees of
+    (pred, gold) in ``canon``), only the gold is re-executed and its key
+    values stand in for the prediction's.
     """
     if not (pred_ast.order_by and pred_ast.limit is not None):
         return None
@@ -224,8 +209,6 @@ def tie_ambiguity_test(
     gold_probe = _one_past_limit_with_key(gold_ast)
     if pred_probe is None or gold_probe is None:
         return None
-    if memo is None:
-        memo = OutcomeMemo()
 
     def ordering_values(probe: Select, column: int) -> list | None:
         outcome = memo.run(to_sql(probe), schema)
@@ -248,47 +231,32 @@ def tie_ambiguity_test(
 
 
 def _sorts_the_gold_rows(
-    pred_ast: Select, gold_ast: Select, canon: tuple[CanonicalAst, CanonicalAst] | None
+    pred_ast: Select, gold_ast: Select, canon: tuple[CanonicalAst, CanonicalAst]
 ) -> bool:
     """Does the prediction sort the gold's own rows by the gold's first key?
 
     True when neither query is compound, DISTINCT, grouped or has an
-    aggregate in its select list or ORDER BY, both first keys are the
-    column SQLite sorts on, in one direction, and the canonical trees have
+    aggregate in its select list or ORDER BY, both first keys are columns
+    sorted in one direction, and the canonical trees have
     equal FROM items, WHERE and first ORDER BY term. The same FROM and WHERE
     give both queries the same rows, and the same key column one multiset
     of first-key values, so the value at rank k and the row count agree:
     the only two facts the prediction's tie probe is read for. The cheap
-    checks run first; the trees are canonicalized only when ``canon`` is
-    None and those pass.
+    checks run before the trees are compared.
     """
     for ast in (pred_ast, gold_ast):
         if ast.set_op is not None or ast.distinct or ast.group_by or ast.having is not None:
             return False
-        if not _is_column_key(ast):
+        if not isinstance(ast.order_by[0].expr, ColumnRef):
             return False
         exprs = [item.expr for item in ast.items] + [order.expr for order in ast.order_by]
         if any(is_aggregate(node) for expr in exprs for node in iter_expr_nodes(expr)):
             return False
     if pred_ast.order_by[0].descending != gold_ast.order_by[0].descending:
         return False
-    pred_canon, gold_canon = canon or (canonicalize(pred_ast), canonicalize(gold_ast))
-    pred, gold = pred_canon.query, gold_canon.query
+    pred, gold = (tree.query for tree in canon)
     same_rows = pred.from_items == gold.from_items and pred.where == gold.where
     return same_rows and pred.order_by[0] == gold.order_by[0]
-
-
-def _is_column_key(ast: Select) -> bool:
-    """Is the first ordering key a column SQLite sorts on? An unqualified
-    key named like an output alias binds to the column, but SQLite sorts
-    on the aliased item."""
-    key = ast.order_by[0].expr
-    if not isinstance(key, ColumnRef):
-        return False
-    if key.table is not None:
-        return True
-    name = key.column.lower()
-    return not any(item.alias is not None and item.alias.lower() == name for item in ast.items)
 
 
 def _one_past_limit_with_key(ast: Select) -> tuple[Select, int] | None:
@@ -336,7 +304,7 @@ def suspect_gold_check(
     gold_ast: Select,
     gold_table: ResultTable,
     schema: DatabaseSchema,
-    memo: OutcomeMemo | None = None,
+    memo: OutcomeMemo,
 ) -> dict | None:
     """Flag a gold query whose condition-less join balloons its result.
 
@@ -362,8 +330,6 @@ def suspect_gold_check(
         from_items[flag.index] = replace(item, condition=condition, join_type="join")
         repaired_tables.append(item.source.table)
     repaired = replace(gold_ast, from_items=tuple(from_items))
-    if memo is None:
-        memo = OutcomeMemo()
     outcome = memo.run(to_sql(repaired), schema)
     if outcome.table is None or outcome.table.truncated:
         return None

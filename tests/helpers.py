@@ -1,5 +1,6 @@
-"""Test utilities: alias permutation, a deterministic query corpus, a
-scripted chat transport for pipeline tests and an empty replay store."""
+"""Test utilities: alias permutation, a deterministic query corpus, triage
+called as ``score`` calls it, a scripted chat transport for pipeline tests,
+an empty replay store and the inverse of the markdown rendering."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import itertools
 import random
 from dataclasses import replace
 
+from nl2sql.execution import OutcomeMemo, ResultTable
 from nl2sql.llm import RecordingTransport
 from nl2sql.schema import DatabaseSchema
 from nl2sql.sqlast import (
@@ -15,10 +17,12 @@ from nl2sql.sqlast import (
     Star,
     SubquerySource,
     TableSource,
+    canonicalize,
     parse,
     to_sql,
 )
 from nl2sql.sqlast.nodes import map_children
+from nl2sql.triage import TriageVerdict, tie_ambiguity_test, triage
 
 
 # --------------------------------------------------------------------------- alias permutation
@@ -155,6 +159,31 @@ def generate_corpus(schemas: dict[str, DatabaseSchema], minimum: int = 220) -> l
     return out
 
 
+# --------------------------------------------------------------------------- triage calls
+
+def triage_sql(pred_sql: str, gold_sql: str, schema: DatabaseSchema) -> TriageVerdict:
+    """``triage`` of two queries, handed what ``score`` hands it: both
+    tables and the memo both queries ran through, which the probes share."""
+    memo = OutcomeMemo()
+    pred_table = memo.run(pred_sql, schema).table
+    gold_table = memo.run(gold_sql, schema).table
+    pred_ast, gold_ast = parse(pred_sql, schema), parse(gold_sql, schema)
+    return triage(pred_ast, gold_ast, pred_table, gold_table, schema, memo)
+
+
+def tie_test(
+    pred_ast: Select,
+    gold_ast: Select,
+    schema: DatabaseSchema,
+    pred_table: ResultTable | None = None,
+) -> bool | None:
+    """``tie_ambiguity_test`` with a fresh memo and both canonical trees, as
+    ``triage`` calls it. No ``pred_table`` stands for a prediction that did
+    not run to a table, which keeps both probes."""
+    canon = (canonicalize(pred_ast), canonicalize(gold_ast))
+    return tie_ambiguity_test(pred_ast, gold_ast, schema, OutcomeMemo(), pred_table, canon)
+
+
 # --------------------------------------------------------------------------- scripted transport
 
 class ScriptedTransport:
@@ -188,3 +217,57 @@ class CountingTransport:
     def send(self, request: dict, digest: str | None = None) -> dict:
         self.calls += 1
         return self.inner.send(request, digest)
+
+
+# --------------------------------------------------------------------------- markdown
+
+def parse_markdown(text: str) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
+    """Inverse of render_markdown for printable tables: returns column names
+    and rows of cell *texts* (types are not recoverable)."""
+    lines = [ln for ln in text.split("\n") if ln.startswith("|")]
+    if len(lines) < 2:
+        raise ValueError("not a markdown table")
+    header = _split_row(lines[0])
+    rows = tuple(_split_row(ln) for ln in lines[2:])
+    return header, rows
+
+
+def _split_row(line: str) -> tuple[str, ...]:
+    body = line.strip()
+    if body.startswith("|"):
+        body = body[1:]
+    if body.endswith("|"):
+        body = body[:-1]
+    cells: list[str] = []
+    current: list[str] = []
+    i = 0
+    while i < len(body):
+        ch = body[i]
+        if ch == "\\" and i + 1 < len(body):
+            current.append(ch + body[i + 1])
+            i += 2
+            continue
+        if ch == "|":
+            cells.append(_unescape("".join(current)).strip())
+            current = []
+            i += 1
+            continue
+        current.append(ch)
+        i += 1
+    cells.append(_unescape("".join(current)).strip())
+    return tuple(cells)
+
+
+def _unescape(text: str) -> str:
+    out: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            out.append({"n": "\n"}.get(nxt, nxt))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)

@@ -15,7 +15,7 @@ import pytest
 
 from nl2sql.dataset import load_dataset
 from nl2sql.evaluate import score, weighted_execution_accuracy
-from nl2sql.execution import ResultTable, execute, tables_equivalent
+from nl2sql.execution import OutcomeMemo, ResultTable, execute, tables_equivalent
 from nl2sql.hardness import Hardness
 from nl2sql.llm import ModelEndpoint, RecordingTransport, ReplayTransport
 from nl2sql.pipeline import PipelineConfig, run_many, write_transcripts
@@ -30,7 +30,7 @@ from conftest import (
     GROUPED_BY_NAME_SQL,
     make_dataset,
 )
-from helpers import ScriptedTransport, alias_permuted_sql, generate_corpus
+from helpers import ScriptedTransport, alias_permuted_sql, generate_corpus, triage_sql
 from test_properties import oracle_multiset_equal, oracle_sequence_equal
 
 
@@ -80,6 +80,7 @@ def test_criterion_2_reference_query_suite(schemas):
             pred_table,
             gold_table,
             student,
+            OutcomeMemo(),
         )
         assert verdict.category is Category.DATASET_INCONSISTENCY
         assert verdict.subtag == "TieAmbiguity"
@@ -100,6 +101,7 @@ def test_criterion_2_reference_query_suite(schemas):
             extra_join,
             below_avg,
             cars,
+            OutcomeMemo(),
         )
         assert verdict.category is Category.JOIN_CLAUSES
         assert verdict.subtag == "Extra"
@@ -118,7 +120,7 @@ def test_criterion_3_alias_equivalence_over_corpus(schemas):
             if canonicalize(pred_ast) != canonicalize(gold_ast):
                 failures.append((sql, permuted, "canonical mismatch"))
                 continue
-            verdict = triage(pred_ast, gold_ast, None, None, schema)
+            verdict = triage_sql(permuted, sql, schema)
             if (
                 verdict.category is not Category.DATASET_INCONSISTENCY
                 or verdict.subtag != "AliasOnlyEquivalent"

@@ -7,8 +7,10 @@ score phase and ``nl2sql.pipeline.run_pipeline`` to split set-up, where
 calls as ``ReplayTransport.send`` spans. A refactor that drops one of those
 attributes only prints a warning there, so these tests make it fail here
 instead. Every real execution goes through ``nl2sql.execution.execute``,
-which the memo looks up at call time; the bench's targets for the
-pass-through executor the harness no longer has are the only ones missing.
+which the memo looks up at call time. The only targets missing are the
+bench's three for the pass-through executor the harness no longer has, and
+its ``nl2sql.triage.tables_equivalent``: ``triage`` compares no tables, as
+``score`` hands it only pairs whose tables it found not equivalent.
 """
 
 from __future__ import annotations
@@ -42,12 +44,12 @@ def test_every_trace_target_exists():
     tracer.install()
     try:
         # The first of the bench's execution span names is the pass-through
-        # executor each of these modules resolved; its targets go with the
-        # next change to the benchmark.
+        # executor each of these modules resolved. Its targets, and triage's
+        # table comparison, go with the next change to the benchmark.
         passthrough = tracing.EXECUTION[0]
         assert tracer.missing == [
             f"nl2sql.{module}.{passthrough}" for module in ("pipeline", "evaluate", "triage")
-        ]
+        ] + ["nl2sql.triage.tables_equivalent"]
     finally:
         tracer.uninstall()
 

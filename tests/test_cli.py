@@ -120,6 +120,43 @@ def test_transcripts_of_another_dataset_order_exit_3_without_a_report(
     assert not report.exists()
 
 
+def test_transcript_of_an_example_the_split_does_not_hold_exits_3(
+    dataset_dir, tmp_path, capsys
+):
+    store = tmp_path / "store"
+    build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
+    transcripts = tmp_path / "t.jsonl"
+    run = ["run", "--dataset", str(dataset_dir), "--replay", str(store)]
+    assert main([*run, "--limit", "2", "--out", str(transcripts)]) == 0
+    first, second = (json.loads(line) for line in transcripts.read_text().splitlines())
+    stray = tmp_path / "stray.jsonl"
+    stray.write_text(json.dumps(first) + "\n" + json.dumps({**second, "example_id": 9999}) + "\n")
+    outputs = [tmp_path / name for name in ("report.json", "report.md", "verdicts.jsonl")]
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--dataset", str(dataset_dir), "--transcripts", str(stray),
+        *(arg for option, path in zip(("--out", "--markdown", "--verdicts"), outputs)
+          for arg in (option, str(path))),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "dataset error: transcripts for example ids the split does not hold: [9999]\n"
+    )
+    assert not any(path.exists() for path in outputs)
+    # The transcript of a quarantined example is left out, and counted there.
+    broken = [dict(DEV_EXAMPLES[0]), {**DEV_EXAMPLES[1], "query": "SELECT FROM"}]
+    quarantining = make_dataset(tmp_path / "quarantining", broken)
+    report = tmp_path / "quarantined.json"
+    code = main([
+        "evaluate", "--dataset", str(quarantining), "--transcripts", str(transcripts),
+        "--out", str(report),
+    ])
+    assert code == 0
+    results = json.loads(report.read_text())["results"]
+    assert results["quarantined"] == 1
+    assert sum(bucket["count"] for bucket in results["buckets"].values()) == 1
+
+
 def test_two_transcripts_for_one_example_exit_3(dataset_dir, tmp_path, capsys):
     store = tmp_path / "store"
     build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
@@ -248,6 +285,74 @@ def test_unknown_config_key_exits_2(dataset_dir, tmp_path, capsys):
             "--config", str(config), "--out", str(tmp_path / "t.jsonl"),
         ])
         assert code == 2, bad
+
+
+@pytest.mark.parametrize("bad, message", [
+    # bool("false") is true: the string would have turned error correction on.
+    ({"enable_error_correction": "false"},
+     "config key 'enable_error_correction' must be true or false, got \"false\""),
+    ({"max_example_correction_rounds": "many"},
+     "config key 'max_example_correction_rounds' must be an integer >= 0, got \"many\""),
+    ({"max_example_correction_rounds": -1},
+     "config key 'max_example_correction_rounds' must be an integer >= 0, got -1"),
+    ({"max_example_correction_rounds": 1.7},
+     "config key 'max_example_correction_rounds' must be an integer >= 0, got 1.7"),
+    ({"generator": {"max_tokens": True}},
+     "config key 'generator.max_tokens' must be an integer >= 0, got true"),
+    ({"corrector": {"temperature": "hot"}},
+     "config key 'corrector.temperature' must be a finite number, got \"hot\""),
+    # Python's json reads NaN, which no request body may carry.
+    ({"generator": {"temperature": float("nan")}},
+     "config key 'generator.temperature' must be a finite number, got NaN"),
+    ({"generator": {"temperature": 10**400}},
+     f"config key 'generator.temperature' must be a finite number, got {10**400}"),
+    ({"generator": {"model": 7}}, "config key 'generator.model' must be a string, got 7"),
+    ({"generator": {"temprature": 0.7}}, "unknown config key 'generator.temprature'"),
+    ({"corrector": []}, "config key 'corrector' must be an object"),
+])
+def test_mistyped_config_value_is_one_error_line_before_the_dataset_loads(
+    tmp_path, capsys, bad, message
+):
+    config, out = tmp_path / "run.json", tmp_path / "t.jsonl"
+    config.write_text(json.dumps(bad))
+    # The dataset directory does not exist: the config is refused first.
+    code = main([
+        "run", "--dataset", str(tmp_path / "nowhere"), "--replay", str(tmp_path / "store"),
+        "--config", str(config), "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_bytes(b"\xff{}")
+    code = main([
+        "run", "--dataset", str(tmp_path / "nowhere"), "--replay", str(tmp_path / "store"),
+        "--config", str(config), "--out", str(tmp_path / "t.jsonl"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config {config}: ")
+    assert err.count("\n") == 1
+
+
+def test_config_values_keep_their_default_types(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "generator": {"temperature": 1, "max_tokens": 64},
+        "enable_error_correction": False,
+    }))
+    loaded = cli._load_config(config)
+    # An integer temperature is read as the float it stands for, so the
+    # request, and its digest, are those of ``1.0``.
+    assert type(loaded["generator"]["temperature"]) is float
+    assert loaded["generator"] == {**cli.DEFAULT_CONFIG["generator"], "temperature": 1.0,
+                                   "max_tokens": 64}
+    assert loaded["corrector"] == cli.DEFAULT_CONFIG["corrector"]
+    assert loaded["enable_error_correction"] is False
+    assert cli._load_config(None) == cli.DEFAULT_CONFIG
 
 
 def test_run_replay_miss_exits_5(dataset_dir, tmp_path, capsys):

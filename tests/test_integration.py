@@ -5,13 +5,13 @@ from __future__ import annotations
 import json
 
 from nl2sql.dataset import load_dataset
-from nl2sql.execution import execute
+from nl2sql.execution import OutcomeMemo, execute
 from nl2sql.hardness import Hardness
 from nl2sql.sqlast import parse
-from nl2sql.triage import suspect_gold_check, tie_ambiguity_test
+from nl2sql.triage import suspect_gold_check
 
 from conftest import make_dataset
-from helpers import generate_corpus
+from helpers import generate_corpus, tie_test
 
 
 def test_ingesting_a_large_generated_split(tmp_path, schemas):
@@ -67,7 +67,7 @@ def test_suspect_gold_fires_with_aliased_sources(schemas):
     )
     gold_ast = parse(gold, schema)
     gold_table = execute(gold, schema).table
-    evidence = suspect_gold_check(gold_ast, gold_table, schema)
+    evidence = suspect_gold_check(gold_ast, gold_table, schema, OutcomeMemo())
     assert evidence is not None
     assert "T1" in evidence["repaired_sql"] or "t1" in evidence["repaired_sql"].lower()
     repaired_outcome = execute(evidence["repaired_sql"], schema)
@@ -86,7 +86,7 @@ def test_tie_test_at_limit_two_boundary(schemas):
         "SELECT course_id FROM student_enrolment_courses "
         "GROUP BY course_id ORDER BY count(student_course_id) DESC LIMIT 2"
     )
-    assert tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema) is True
+    assert tie_test(parse(pred, schema), parse(gold, schema), schema) is True
 
 
 def test_tie_test_false_when_limit_swallows_the_tie(schemas):
@@ -97,7 +97,7 @@ def test_tie_test_false_when_limit_swallows_the_tie(schemas):
         "GROUP BY course_id ORDER BY count(*) DESC LIMIT 6"
     )
     assert (
-        tie_ambiguity_test(parse(pred, schema), parse(pred, schema), schema) is False
+        tie_test(parse(pred, schema), parse(pred, schema), schema) is False
     )
 
 

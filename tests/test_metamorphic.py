@@ -3,7 +3,8 @@
 Each rewrite below turns a query into one that SQLite reads the same way
 and that returns the same table. Applied to either side of a prediction and
 gold pair on the ``concert_singer`` fixture, it must leave the diff summary
-and the triage category as they were. The pairs take their predictions from
+and what ``score`` makes of the pair as they were: correct when the tables
+are equivalent, else the triage category. The pairs take their predictions from
 the test corpus, the dev golds and a few queries that give each rewrite
 something to change. Each is paired with itself, under every rewrite, and
 with the dev golds, under rewrites Hypothesis picks.
@@ -17,7 +18,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nl2sql.execution import execute
+from nl2sql.execution import OutcomeMemo, tables_equivalent
 from nl2sql.sqlast import (
     BoolOp,
     Comparison,
@@ -237,13 +238,16 @@ def predictions(schemas):
 
 
 def observed(pred_sql: str, gold_sql: str, schema) -> tuple:
-    """The diff summary and the triage category of one pair."""
+    """The diff summary of one pair and what ``score`` makes of it:
+    "correct" when the tables are equivalent, else the triage category."""
     pred, gold = parse(pred_sql, schema), parse(gold_sql, schema)
     summary = diff(canonicalize(pred), canonicalize(gold)).summary()
-    verdict = triage(
-        pred, gold, execute(pred_sql, schema).table, execute(gold_sql, schema).table, schema
-    )
-    return summary, verdict.category
+    memo = OutcomeMemo()
+    pred_table = memo.run(pred_sql, schema).table
+    gold_table = memo.run(gold_sql, schema).table
+    if pred_table is not None and tables_equivalent(pred_table, gold_table).equivalent:
+        return summary, "correct"
+    return summary, triage(pred, gold, pred_table, gold_table, schema, memo).category
 
 
 def test_every_rewrite_changes_some_query(schema, predictions):

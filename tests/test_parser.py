@@ -6,6 +6,7 @@ import pytest
 
 from nl2sql.errors import ParseError, UnsupportedSqlError
 from nl2sql.sqlast import (
+    AliasRef,
     ColumnRef,
     Comparison,
     FuncCall,
@@ -297,6 +298,24 @@ def test_output_alias_usable_in_order_by(schemas):
         schemas["concert_singer"],
     )
     assert to_sql(ast).endswith("ORDER BY n DESC")
+
+
+def test_bare_order_by_name_binds_to_the_output_alias_first(schemas):
+    # SQLite sorts a bare ORDER BY name on the output alias it names, even
+    # when a FROM column has that name: here on -age, so the first row is -45.
+    schema = schemas["concert_singer"]
+    ast = parse("SELECT -age AS age FROM singer ORDER BY age LIMIT 1", schema)
+    assert ast.order_by[0].expr == AliasRef(name="age", index=0)
+    qualified = parse("SELECT -age AS age FROM singer ORDER BY singer.age LIMIT 1", schema)
+    assert isinstance(qualified.order_by[0].expr, ColumnRef)
+    assert canonicalize(ast) != canonicalize(qualified)
+    # GROUP BY, HAVING and a name inside an ORDER BY expression bind the column.
+    grouped = parse(
+        "SELECT -age AS age FROM singer GROUP BY age HAVING age > 0 ORDER BY age + 0", schema
+    )
+    assert isinstance(grouped.group_by[0], ColumnRef)
+    assert isinstance(grouped.having.left, ColumnRef)
+    assert isinstance(grouped.order_by[0].expr.left, ColumnRef)
 
 
 def test_qualified_star(schemas):

@@ -12,11 +12,11 @@ from nl2sql.execution import (
     query_is_ordered,
     tables_equivalent,
 )
-from nl2sql.mdtable import parse_markdown, render_markdown
+from nl2sql.mdtable import render_markdown
 from nl2sql.sqlast import canonicalize, diff, parse
 from nl2sql.sqlast.tokens import tokenize
 
-from helpers import generate_corpus
+from helpers import generate_corpus, parse_markdown
 
 cells = st.one_of(
     st.none(),

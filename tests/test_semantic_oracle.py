@@ -27,7 +27,9 @@ from helpers import generate_corpus
 # Then dialect forms README lists and nothing else reaches: every join
 # keyword but a bare JOIN, aliases without AS, second GROUP BY and ORDER BY
 # keys, NULL, a call without arguments, a nested AND, DISTINCT in a call, a
-# prefix NOT and a float literal that is not integral.
+# prefix NOT and a float literal that is not integral. Last, a bare ORDER BY
+# name that is both an output alias and a column, which SQLite sorts on the
+# aliased item, next to the qualified column.
 EXTRA_QUERIES = [
     ("concert_singer", "SELECT name FROM singer WHERE age - 40 > -12"),
     ("concert_singer", "SELECT 10 - (3 - 2), 8 / (4 / 2), -5 + 10"),
@@ -62,6 +64,8 @@ EXTRA_QUERIES = [
     ("concert_singer", "SELECT count(DISTINCT country), count(country) FROM singer"),
     ("concert_singer", "SELECT name FROM singer WHERE NOT age > 29 OR NOT (country = 'us')"),
     ("concert_singer", "SELECT name, age * 1.5 FROM singer WHERE age > 29.5"),
+    ("concert_singer", "SELECT -age AS age FROM singer ORDER BY age LIMIT 1"),
+    ("concert_singer", "SELECT -age AS age FROM singer ORDER BY singer.age LIMIT 1"),
 ]
 
 

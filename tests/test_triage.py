@@ -11,17 +11,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nl2sql import execution
-from nl2sql.execution import execute, normalize_cell
+from nl2sql.dataset import SpiderExample
+from nl2sql.evaluate import score
+from nl2sql.execution import OutcomeMemo, execute, normalize_cell
+from nl2sql.hardness import Hardness
+from nl2sql.pipeline import PipelineTranscript, Verdict
 from nl2sql.schema import DatabaseSchema
 from nl2sql.sqlast import AliasRef, Literal, SelectItem, canonicalize, diff, parse, to_sql
-from nl2sql.triage import (
-    Category,
-    suspect_gold_check,
-    tie_ambiguity_test,
-    triage,
-    triage_report,
-    TriageVerdict,
-)
+from nl2sql.triage import Category, suspect_gold_check, triage_report, TriageVerdict
 
 from conftest import (
     BELOW_AVERAGE_CARS_SQL,
@@ -30,15 +27,7 @@ from conftest import (
     GROUPED_BY_ID_SQL,
     GROUPED_BY_NAME_SQL,
 )
-from helpers import alias_permuted_sql
-
-
-def run_triage(pred_sql, gold_sql, schema, with_tables=True):
-    pred_table = execute(pred_sql, schema).table if with_tables else None
-    gold_table = execute(gold_sql, schema).table if with_tables else None
-    return triage(
-        parse(pred_sql, schema), parse(gold_sql, schema), pred_table, gold_table, schema
-    )
+from helpers import alias_permuted_sql, tie_test, triage_sql as run_triage
 
 
 def test_alias_only_variant_is_dataset_inconsistency(schemas):
@@ -56,24 +45,6 @@ def test_alias_only_variant_is_dataset_inconsistency(schemas):
     assert verdict.evidence
 
 
-def test_alias_only_fires_even_without_tables(schemas):
-    schema = schemas["battle_death"]
-    gold = "SELECT name FROM ship WHERE id = 3"
-    pred = alias_permuted_sql(gold, schema, seed=1)
-    verdict = run_triage(pred, gold, schema, with_tables=False)
-    assert verdict.subtag == "AliasOnlyEquivalent"
-
-
-def test_result_equivalent_prediction_never_blamed_on_the_model(schemas):
-    schema = schemas["concert_singer"]
-    # different SQL, same result table: filter by an always-true condition
-    gold = "SELECT name FROM singer"
-    pred = "SELECT name FROM singer WHERE age > 0"
-    verdict = run_triage(pred, gold, schema)
-    assert verdict.category is Category.DATASET_INCONSISTENCY
-    assert verdict.subtag == "ResultEquivalent"
-
-
 def test_grouped_queries_triaged_as_tie_ambiguity(schemas):
     schema = schemas["student_course"]
     verdict = run_triage(GROUPED_BY_ID_SQL, GROUPED_BY_NAME_SQL, schema)
@@ -85,9 +56,7 @@ def test_grouped_queries_triaged_as_tie_ambiguity(schemas):
 def test_tie_test_true_on_five_way_tie(schemas):
     schema = schemas["student_course"]
     assert (
-        tie_ambiguity_test(
-            parse(GROUPED_BY_ID_SQL, schema), parse(GROUPED_BY_NAME_SQL, schema), schema
-        )
+        tie_test(parse(GROUPED_BY_ID_SQL, schema), parse(GROUPED_BY_NAME_SQL, schema), schema)
         is True
     )
 
@@ -96,14 +65,14 @@ def test_tie_test_false_on_strict_ordering_keys(schemas):
     schema = schemas["concert_singer"]
     pred = "SELECT name FROM stadium ORDER BY capacity DESC LIMIT 1"
     gold = "SELECT location FROM stadium ORDER BY capacity DESC LIMIT 1"
-    assert tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema) is False
+    assert tie_test(parse(pred, schema), parse(gold, schema), schema) is False
 
 
 def test_tie_test_not_applicable_without_limit(schemas):
     schema = schemas["concert_singer"]
     pred = "SELECT name FROM stadium ORDER BY capacity DESC"
     gold = "SELECT name FROM stadium ORDER BY capacity DESC LIMIT 1"
-    assert tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema) is None
+    assert tie_test(parse(pred, schema), parse(gold, schema), schema) is None
 
 
 def full_scan_tie_rule(pred_ast, gold_ast, schema):
@@ -217,32 +186,31 @@ def counted_executions():
     gold_form=st.sampled_from(["key", "positional", "compound", "alias", "alias after *"]),
     split=st.integers(min_value=0, max_value=9),
     pred_form=st.sampled_from(["filtered", "tie-breaker"]),
-    with_canon=st.booleans(),
 )
 # A tie that straddles the cut, one that ends exactly at it, one past it.
 @example(
     keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0, gold_form="key", split=0,
-    pred_form="filtered", with_canon=True,
+    pred_form="filtered",
 )
 @example(
     keys=[1, 2, 2, 3], descending=False, k_offset=2, pred_min_id=0, gold_form="key", split=0,
-    pred_form="filtered", with_canon=True,
+    pred_form="filtered",
 )
 @example(
     keys=[0.5, 0.5 + 1e-12, "a"], descending=True, k_offset=0, pred_min_id=0, gold_form="key",
-    split=0, pred_form="filtered", with_canon=True,
+    split=0, pred_form="filtered",
 )
 # The gold's own rows with a tie-breaker: the tie at the cut, and none.
 @example(
     keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0, gold_form="key", split=0,
-    pred_form="tie-breaker", with_canon=True,
+    pred_form="tie-breaker",
 )
 @example(
     keys=[1, 2, 3], descending=True, k_offset=0, pred_min_id=0, gold_form="key", split=0,
-    pred_form="tie-breaker", with_canon=False,
+    pred_form="tie-breaker",
 )
 def test_tie_rule_agrees_with_the_full_scan_rule(
-    keys, descending, k_offset, pred_min_id, gold_form, split, pred_form, with_canon
+    keys, descending, k_offset, pred_min_id, gold_form, split, pred_form
 ):
     k = 1 + k_offset % (len(keys) + 1)  # 1 .. len + 1
     order = "DESC" if descending else "ASC"
@@ -256,16 +224,13 @@ def test_tie_rule_agrees_with_the_full_scan_rule(
         schema = _keys_db(Path(tmp) / "keys.sqlite", keys)
         pred_ast, gold_ast = parse(pred, schema), parse(gold, schema)
         expected = full_scan_tie_rule(pred_ast, gold_ast, schema)
-        with counted_executions() as direct:
-            assert tie_ambiguity_test(pred_ast, gold_ast, schema) is expected
-        assert direct.call_count == 2
-        # As ``triage`` calls it: the prediction's table and both canonical trees.
+        # Without the prediction's table, as for a prediction that did not run.
+        with counted_executions() as unhanded:
+            assert tie_test(pred_ast, gold_ast, schema) is expected
+        assert unhanded.call_count == 2
         pred_table = execute(pred, schema).table
-        canon = (canonicalize(pred_ast), canonicalize(gold_ast)) if with_canon else None
         with counted_executions() as handed:
-            assert tie_ambiguity_test(pred_ast, gold_ast, schema, None, pred_table, canon) is (
-                expected
-            )
+            assert tie_test(pred_ast, gold_ast, schema, pred_table) is expected
         assert handed.call_count == probes
 
 
@@ -300,17 +265,16 @@ DOUBLED_GOLD = "SELECT id, v FROM t UNION ALL SELECT id, v FROM t ORDER BY v LIM
 def test_tie_rule_leaves_other_shapes_to_both_probes(tmp_path, pred, gold, handed_table):
     schema = _keys_db(tmp_path / "keys.sqlite", TIED_AT_TWO)
     pred_ast, gold_ast = parse(pred, schema), parse(gold, schema)
-    unhanded = tie_ambiguity_test(pred_ast, gold_ast, schema)
+    unhanded = tie_test(pred_ast, gold_ast, schema)
     pred_table = execute(pred, schema).table if handed_table else None
-    canon = (canonicalize(pred_ast), canonicalize(gold_ast))
     with counted_executions() as counted:
-        assert tie_ambiguity_test(pred_ast, gold_ast, schema, None, pred_table, canon) is unhanded
+        assert tie_test(pred_ast, gold_ast, schema, pred_table) is unhanded
     assert counted.call_count == 2
 
 
 def _tie_test(tmp_path, keys, pred, gold):
     schema = _keys_db(tmp_path / "keys.sqlite", keys)
-    return tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema)
+    return tie_test(parse(pred, schema), parse(gold, schema), schema)
 
 
 def test_tie_across_the_arms_of_a_union_is_found(tmp_path):
@@ -346,6 +310,14 @@ def test_tie_on_a_positional_key_is_found(tmp_path):
     assert _tie_test(tmp_path, [40, 10, 40], pred, gold) is True
 
 
+def test_tie_probe_reads_the_aliased_item_a_bare_key_names(tmp_path):
+    # SQLite sorts the gold on -v, the item its bare key v names, so the
+    # sorted keys are -3, -3, -2, -1 and LIMIT 1 cuts through the tie.
+    gold = "SELECT id, -v AS v FROM t ORDER BY v LIMIT 1"
+    pred = "SELECT -v FROM t ORDER BY 1 LIMIT 1"
+    assert _tie_test(tmp_path, [1, 2, 3, 3], pred, gold) is True
+
+
 def test_tie_probe_appends_no_key_to_a_distinct_query(tmp_path):
     # A key appended to the DISTINCT gold would keep (a, 2) and (b, 2) apart
     # and read the missing DISTINCT in the prediction as a tie at the cut.
@@ -362,14 +334,14 @@ def test_tie_probe_appends_no_key_to_a_distinct_query(tmp_path):
     )
     gold = "SELECT DISTINCT name FROM t ORDER BY v LIMIT 2"
     pred = "SELECT name FROM t ORDER BY v LIMIT 2"
-    assert tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema) is None
-    assert tie_ambiguity_test(parse(gold, schema), parse(pred, schema), schema) is None
+    assert tie_test(parse(pred, schema), parse(gold, schema), schema) is None
+    assert tie_test(parse(gold, schema), parse(pred, schema), schema) is None
     verdict = run_triage(pred, gold, schema)
     assert verdict.category is not Category.DATASET_INCONSISTENCY
     # A key that is an output column is read there, so DISTINCT keeps the test.
     gold = "SELECT DISTINCT name, v FROM t ORDER BY v LIMIT 2"
     pred = "SELECT name, v FROM t ORDER BY v LIMIT 2"
-    assert tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema) is True
+    assert tie_test(parse(pred, schema), parse(gold, schema), schema) is True
 
 
 def test_tie_probe_quotes_a_keyword_named_key(tmp_path):
@@ -386,7 +358,7 @@ def test_tie_probe_quotes_a_keyword_named_key(tmp_path):
     )
     gold = 'SELECT id FROM t ORDER BY "index" LIMIT 1'
     pred = 'SELECT id FROM t WHERE id = 2 ORDER BY "index" LIMIT 1'
-    assert tie_ambiguity_test(parse(pred, schema), parse(gold, schema), schema) is True
+    assert tie_test(parse(pred, schema), parse(gold, schema), schema) is True
 
 
 def test_tie_past_the_row_cap_is_found_from_k_plus_one_rows(tmp_path, monkeypatch):
@@ -404,7 +376,7 @@ def test_tie_past_the_row_cap_is_found_from_k_plus_one_rows(tmp_path, monkeypatc
         return outcome
 
     monkeypatch.setattr(execution, "execute", counting)
-    assert tie_ambiguity_test(pred, gold, schema) is True
+    assert tie_test(pred, gold, schema) is True
     assert len(probes) == 2
     for sql, rows in probes:
         assert sql.endswith(f"LIMIT {k + 1}")
@@ -467,7 +439,8 @@ def test_aggregate_choice_detected_without_table_evidence(schemas):
         "GROUP BY T1.owner_id ORDER BY sum(T3.cost_of_treatment) DESC LIMIT 1"
     )
     gold = pred.replace("sum(T3.cost_of_treatment)", "count(*)")
-    verdict = run_triage(pred, gold, schema, with_tables=False)
+    # The category comes from the diff, not from what the tables hold.
+    verdict = run_triage(pred, gold, schema)
     assert verdict.category is Category.AGGREGATE_CHOICE
     assert verdict.subtag == "order_by"
 
@@ -526,10 +499,10 @@ def test_join_takes_precedence_over_select_symptoms(schemas):
 
 
 def _triage_with_both_deltas(pred, gold, schema, first, second):
-    """Triage a pair whose diff summary has both named entries, without tables."""
+    """Triage a pair whose diff summary has both named entries."""
     delta = diff(canonicalize(parse(pred, schema)), canonicalize(parse(gold, schema)))
     assert {first, second} <= delta.summary().keys()
-    return run_triage(pred, gold, schema, with_tables=False)
+    return run_triage(pred, gold, schema)
 
 
 def test_group_by_takes_precedence_over_aggregate(schemas):
@@ -576,27 +549,25 @@ def test_literals_take_precedence_over_clause_shape(schemas):
     assert (verdict.category, verdict.subtag) == (Category.PREDICTED_VALUES, None)
 
 
+def suspect_gold(gold_sql, schema):
+    """``suspect_gold_check`` of a gold query with its table and a fresh memo."""
+    gold_table = execute(gold_sql, schema).table
+    return suspect_gold_check(parse(gold_sql, schema), gold_table, schema, OutcomeMemo())
+
+
 def test_suspect_gold_flags_cartesian_join(schemas):
-    schema = schemas["dog_kennels"]
-    gold_ast = parse(CARTESIAN_GOLD_SQL, schema)
-    gold_table = execute(CARTESIAN_GOLD_SQL, schema).table
-    evidence = suspect_gold_check(gold_ast, gold_table, schema)
+    evidence = suspect_gold(CARTESIAN_GOLD_SQL, schemas["dog_kennels"])
     assert evidence is not None
     assert evidence["conditionless_tables"] == ["treatments"]
     assert evidence["gold_rows"] >= 2 * evidence["repaired_rows"]
 
 
 def test_suspect_gold_not_flagged_with_proper_join(schemas):
-    schema = schemas["student_course"]
-    gold_ast = parse(GROUPED_BY_NAME_SQL, schema)
-    gold_table = execute(GROUPED_BY_NAME_SQL, schema).table
-    assert suspect_gold_check(gold_ast, gold_table, schema) is None
+    assert suspect_gold(GROUPED_BY_NAME_SQL, schemas["student_course"]) is None
 
 
 def test_suspect_gold_not_flagged_single_table(schemas):
-    schema = schemas["battle_death"]
-    sql = "SELECT name FROM ship"
-    assert suspect_gold_check(parse(sql, schema), execute(sql, schema).table, schema) is None
+    assert suspect_gold("SELECT name FROM ship", schemas["battle_death"]) is None
 
 
 def test_suspect_gold_verdict_via_triage(schemas):
@@ -619,8 +590,7 @@ def test_suspect_gold_reads_only_the_top_level_from_clause(schemas):
         "SELECT concert.concert_name FROM concert JOIN stadium ON concert.year > 2000 "
         "WHERE concert.concert_id IN (SELECT T.concert_id FROM singer_in_concert AS T, stadium)"
     )
-    gold_table = execute(gold, schema).table
-    assert suspect_gold_check(parse(gold, schema), gold_table, schema) is None
+    assert suspect_gold(gold, schema) is None
     pred = "SELECT concert_name FROM concert"
     verdict = run_triage(pred, gold, schema)
     assert (verdict.category, verdict.subtag) == (Category.QUERY_STRUCTURE, "ShapeDivergence")
@@ -635,9 +605,7 @@ def test_suspect_gold_reads_only_the_top_level_from_clause(schemas):
     "SELECT DISTINCT T1.name FROM stadium AS T1 JOIN concert AS T2",
 ])
 def test_suspect_gold_not_flagged_without_a_repair_that_shrinks_it(schemas, gold):
-    schema = schemas["concert_singer"]
-    gold_table = execute(gold, schema).table
-    assert suspect_gold_check(parse(gold, schema), gold_table, schema) is None
+    assert suspect_gold(gold, schemas["concert_singer"]) is None
 
 
 def test_suspect_gold_not_flagged_when_its_repair_errors(tmp_path):
@@ -657,7 +625,7 @@ def test_suspect_gold_not_flagged_when_its_repair_errors(tmp_path):
     )
     gold = "SELECT t.a FROM t JOIN u"
     assert execute("SELECT t.a FROM t JOIN u ON t.c = u.b", schema).kind == "error"
-    assert suspect_gold_check(parse(gold, schema), execute(gold, schema).table, schema) is None
+    assert suspect_gold(gold, schema) is None
 
 
 @pytest.mark.parametrize("gold, repaired_sql, gold_rows", [
@@ -675,8 +643,7 @@ def test_suspect_gold_not_flagged_when_its_repair_errors(tmp_path):
 def test_suspect_gold_repairs_with_a_key_that_points_at_the_flagged_table(
     schemas, gold, repaired_sql, gold_rows
 ):
-    schema = schemas["concert_singer"]
-    evidence = suspect_gold_check(parse(gold, schema), execute(gold, schema).table, schema)
+    evidence = suspect_gold(gold, schemas["concert_singer"])
     assert evidence == {
         "conditionless_tables": ["stadium"],
         "gold_rows": gold_rows,
@@ -685,21 +652,27 @@ def test_suspect_gold_repairs_with_a_key_that_points_at_the_flagged_table(
     }
 
 
-def test_from_order_of_two_inner_joins_alone_is_unclassifiable_without_tables(schemas):
+def test_from_order_of_two_inner_joins_alone_scores_correct(schemas):
     # The canonical forms differ (positional aliases follow FROM order) and
-    # the diff ignores FROM order, so no rule fires.
+    # the diff ignores FROM order, so no triage rule would fire; but the
+    # tables are equivalent, so ``score`` counts the prediction correct and
+    # never triages it.
     schema = schemas["concert_singer"]
     pred = ("SELECT T1.name FROM singer AS T1 JOIN singer_in_concert AS T2 "
             "ON T1.singer_id = T2.singer_id")
     gold = ("SELECT T1.name FROM singer_in_concert AS T2 JOIN singer AS T1 "
             "ON T1.singer_id = T2.singer_id")
-    verdict = run_triage(pred, gold, schema, with_tables=False)
-    assert verdict == TriageVerdict(
-        category=Category.UNCLASSIFIABLE,
-        subtag=None,
-        confidence="heuristic",
-        evidence={"note": "no rule fired; queries differ only in ignored dimensions"},
+    pred_canon, gold_canon = (canonicalize(parse(sql, schema)) for sql in (pred, gold))
+    assert pred_canon != gold_canon and not diff(pred_canon, gold_canon)
+    example = SpiderExample(
+        id=0, question="q0", db_id="concert_singer", gold_sql=gold, hardness=Hardness.MEDIUM
     )
+    transcript = PipelineTranscript(
+        example_id=0, db_id="concert_singer", question="q0", gold_sql=gold, stages=[],
+        final_sql=pred, final_verdict=Verdict.CORRECT_FIRST_SHOT,
+    )
+    report = score([transcript], [example], schemas)
+    assert (report.overall, report.verdicts) == (1.0, {})
 
 
 INNER_JOIN_GOLD = (
