@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from . import execution
 from .dataset import SpiderExample, gold_groups
 from .errors import DatasetError, Nl2SqlError
 from .execution import OutcomeMemo, _file_key, tables_equivalent
@@ -199,6 +200,15 @@ def _score_one(
         )
     if correct or not with_triage:
         return correct, None
+    if pred_outcome.timed_out:
+        # Ran out of time: no table to blame on the model or the dataset.
+        verdict = TriageVerdict(
+            category=Category.UNCLASSIFIABLE,
+            subtag="Timeout",
+            confidence="definite",
+            evidence={"sql": transcript.final_sql, "timeout_seconds": execution.TIMEOUT_SECONDS},
+        )
+        return False, verdict
     pred_table = pred_outcome.table
     try:
         pred_ast = parse(transcript.final_sql, schema)

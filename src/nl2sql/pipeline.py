@@ -55,7 +55,7 @@ from types import UnionType
 from typing import Callable, Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .dataset import SpiderExample, gold_groups
-from .errors import Nl2SqlError, NoSqlFoundError
+from .errors import Nl2SqlError, NoSqlFoundError, ParseError
 from .execution import (
     ExecOutcome,
     OutcomeMemo,
@@ -73,7 +73,7 @@ from .prompts import (
     zero_shot_user_prompt,
 )
 from .schema import DatabaseSchema
-from .sqlast.tokens import tokenize
+from .sqlast.tokens import _MASTER, lexes, tokenize
 
 _FENCE = re.compile(r"```(?:sql)?\s*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
 _SELECT_START = re.compile(r"\bselect\b", re.IGNORECASE)
@@ -216,6 +216,10 @@ def extract_sql(model_reply: str) -> str:
     Handles fenced code blocks, skeleton-then-query replies (the text after
     the last ``|||`` wins), and trailing prose after a semicolon or, outside
     a fenced block, after a blank line, either outside quotes and comments.
+    The extracted text must lex, which one ``lexes`` match checks without
+    building tokens; only text that does not is tokenized, for the error's
+    message. Its first token must be the keyword SELECT. Otherwise this
+    raises ``NoSqlFoundError``.
     """
     candidate = model_reply
     if "|||" in candidate:
@@ -231,11 +235,14 @@ def extract_sql(model_reply: str) -> str:
     cut_at = ";" if block is not None else ";\n"
     cut = next((m.start() for m in _QUOTED_OR_CUT.finditer(sql) if m.group()[0] in cut_at), None)
     sql = sql[:cut].strip()
-    try:
-        tokens = tokenize(sql)
-    except Exception as exc:
-        raise NoSqlFoundError(f"extracted text does not tokenize: {exc}") from exc
-    if not tokens or not tokens[0].is_keyword("select"):
+    if not lexes(sql):
+        try:
+            tokenize(sql)
+        except ParseError as exc:
+            raise NoSqlFoundError(f"extracted text does not tokenize: {exc}") from exc
+    # ``sql`` starts where ``\bselect\b`` matched, so its first match is a token.
+    first = _MASTER.match(sql)
+    if first is None or first.lastgroup != "ident" or first["ident"].lower() != "select":
         raise NoSqlFoundError("extracted text is not a SELECT statement")
     return sql
 

@@ -18,8 +18,8 @@ Precedence runs top to bottom: structural causes subsume their downstream
 symptoms (an extra join also perturbs the select list; the join is the
 story). QueryStructure doubles as the terminal fallback for residual
 clause-shape mismatches, so Unclassifiable is reserved for predictions
-that do not even parse or that differ only in ways the diff deliberately
-ignores.
+that time out, that do not even parse or that differ only in ways the diff
+deliberately ignores. ``score`` gives the first two their verdict itself.
 """
 
 from __future__ import annotations
@@ -101,11 +101,11 @@ def triage(
     """Assign the primary category for one prediction/gold pair.
 
     ``score`` calls this only for a pair whose tables it found not
-    equivalent; ``pred_table`` is None when the prediction did not run to a
-    table. The probes execute through ``memo``. The tie probe is handed the
-    prediction's table and both canonical trees, so a prediction that ran
-    and sorts the gold's own rows by the gold's first key costs only the
-    gold's probe.
+    equivalent; ``pred_table`` is None when the prediction ran into an
+    engine error (one that timed out never gets here). The probes execute
+    through ``memo``. The tie probe is handed the prediction's table and
+    both canonical trees, so a prediction that ran and sorts the gold's own
+    rows by the gold's first key costs only the gold's probe.
     """
     pred_canon = canonicalize(pred_ast)
     gold_canon = canonicalize(gold_ast)

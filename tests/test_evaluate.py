@@ -540,8 +540,34 @@ def test_timed_out_final_sql_is_not_handed_over(schemas, monkeypatch):
 
     calls = counting_executions(monkeypatch)
     report = score([failed], [ship_example(0)], schemas)
-    assert report.verdicts[0].category.value == "PredictedValues"  # from the table it returns now
+    assert report.verdicts[0].subtag == "Timeout"  # it times out again
     assert calls == [("battle_death", GOLD), ("battle_death", WRONG)]
+
+
+@pytest.mark.parametrize(
+    "final_sql",
+    ["SELECT s.name FROM ship AS s WHERE s.disposition_of_ship = 'sank'", WRONG],
+    ids=["gold-with-an-alias", "wrong-literal"],
+)
+def test_a_timed_out_prediction_is_unclassifiable_not_blamed(schemas, monkeypatch, final_sql):
+    # Neither the dataset (the first is the gold up to its alias) nor the
+    # model (the second differs in a literal) is to blame for a timeout.
+    original = execution.execute
+
+    def timing_out(sql, schema, *args):
+        if sql == final_sql:
+            return execution.ExecOutcome(timed_out=True)
+        return original(sql, schema, *args)
+
+    monkeypatch.setattr(execution, "execute", timing_out)
+    failed = transcript(0, final_sql, verdict=Verdict.FAILED)
+    report = score([failed], [ship_example(0)], schemas)
+    assert report.overall == 0.0
+    verdict = report.verdicts[0]
+    assert (verdict.category, verdict.subtag, verdict.confidence) == (
+        Category.UNCLASSIFIABLE, "Timeout", "definite"
+    )
+    assert verdict.evidence == {"sql": final_sql, "timeout_seconds": execution.TIMEOUT_SECONDS}
 
 
 @pytest.mark.parametrize(

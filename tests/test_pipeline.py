@@ -136,6 +136,52 @@ def test_extract_no_sql_raises():
         extract_sql("I am unable to answer that.")
 
 
+_NOT_SELECT = "extracted text is not a SELECT statement"
+_NO_LEX = "extracted text does not tokenize: "
+
+
+@pytest.mark.parametrize(
+    "reply, sql, error",
+    [
+        ("SELECT a FROM t WHERE b = 'x", None,
+         _NO_LEX + "unterminated string literal (at offset 26)"),
+        ('SELECT "a FROM t', None, _NO_LEX + "unterminated quoted identifier (at offset 7)"),
+        ("SELECT a FROM t /* note", None, _NO_LEX + "unterminated block comment (at offset 16)"),
+        ("SELECT 1abc FROM t", None, _NO_LEX + 'unrecognized token: "1abc" (at offset 7)'),
+        ("SELECT a FROM t WHERE b = ?", None,
+         _NO_LEX + "unexpected character '?' (at offset 26)"),
+        # ``\bselect\b`` finds each of these, but the first token is an
+        # identifier: ``$`` and NBSP are identifier characters, and
+        # ``re.IGNORECASE`` reads U+017F as ``s`` where the tokenizer does not.
+        ("select$x FROM t", None, _NOT_SELECT),
+        ("SELECT\xa0a FROM t", None, _NOT_SELECT),
+        ("ſelect a FROM t", None, _NOT_SELECT),
+        ("I cannot answer that.", None, "reply contains no SELECT statement"),
+        ("SELECT a FROM t -- the answer", "SELECT a FROM t -- the answer", None),
+        ("SELECT a FROM t; That is it.", "SELECT a FROM t", None),
+        ("SELECT a FROM t\n\nThis lists every a.", "SELECT a FROM t", None),
+        ("Try this:\n```sql\nSELECT a FROM t WHERE b = 1\n```\nIt filters on b.",
+         "SELECT a FROM t WHERE b = 1", None),
+        ("The select below:\n```\nSELECT a FROM t\n```", "SELECT a FROM t", None),
+        ("SELECT _ FROM _ WHERE _ = _ ||| SELECT a FROM t WHERE b = 1",
+         "SELECT a FROM t WHERE b = 1", None),
+        ("-- note\nSELECT a FROM t", "SELECT a FROM t", None),
+        ("SELECT a FROM t WHERE b = 'it''s'", "SELECT a FROM t WHERE b = 'it''s'", None),
+        ("select", "select", None),
+        # ``str.strip`` takes the trailing vertical tab the tokenizer rejects.
+        ("SELECT a FROM t WHERE b = 'a\x0bb' and c = \x0b",
+         "SELECT a FROM t WHERE b = 'a\x0bb' and c =", None),
+    ],
+)
+def test_extract_gives_the_sql_or_the_exact_error(reply, sql, error):
+    if error is None:
+        assert extract_sql(reply) == sql
+    else:
+        with pytest.raises(NoSqlFoundError) as caught:
+            extract_sql(reply)
+        assert str(caught.value) == error
+
+
 # --------------------------------------------------------------------------- stage flows
 
 def test_correct_first_shot_makes_one_call(schemas):

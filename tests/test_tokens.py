@@ -18,6 +18,7 @@ Python's whitespace and word classes read otherwise than SQLite.
 from __future__ import annotations
 
 import sqlite3
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,7 +27,7 @@ from nl2sql.errors import ParseError
 from nl2sql.execution import execute
 from nl2sql.pipeline import extract_sql
 from nl2sql.sqlast import parse, to_sql
-from nl2sql.sqlast.tokens import tokenize
+from nl2sql.sqlast.tokens import lexes, tokenize
 
 from conftest import DEV_EXAMPLES
 from helpers import generate_corpus
@@ -168,6 +169,43 @@ def test_tokenizer_matches_the_reference_on_queries_and_their_prefixes_and_suffi
         for cut in range(len(sql) + 1):
             assert_same_as_reference(sql[:cut])
             assert_same_as_reference(sql[cut:])
+
+
+def tokenizes(sql: str) -> bool:
+    try:
+        tokenize(sql)
+    except ParseError:
+        return False
+    return True
+
+
+lexes_pieces = st.sampled_from(
+    ["'", '"', "`", "[", "]", "''", "--", "/*", "*/", "*", "/", "-", "0", "1", "9", ".",
+     "e", "E", "x", "0x", "$", "é", "\xa0", "?", "=", "<", ">", "!", "|", "+", "%", "(",
+     ")", ",", ";", " ", "\n", "\t", "\x0b", "a", "SELECT"]
+)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(st.lists(lexes_pieces, max_size=16).map("".join), st.text(max_size=30)))
+@example("/* a */ 1. .5e3 0x1g 'a''b' x$")
+@example("SELECT 1abc FROM t")
+@example("x /*/ y")
+@example(".5a")
+@example("a /")
+def test_lexes_exactly_when_tokenize_raises_nothing(sql):
+    assert lexes(sql) == tokenizes(sql), sql
+
+
+@pytest.mark.parametrize(
+    "sql", [" a" * 20_000 + " ?", "/*" * 5_000, "'" * 10_001], ids=["words", "comments", "quotes"]
+)
+def test_lexes_rejects_long_texts_in_linear_time(sql):
+    # A match that can backtrack into the whitespace before a token takes
+    # exponential time on the first of these.
+    start = time.perf_counter()
+    assert not lexes(sql)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_hex_integers_are_one_number_token():
