@@ -13,7 +13,12 @@ statement that is not a plain read (a PRAGMA, a TEMP table, ATTACH, a
 transaction, a refused write) closes the connection afterwards, so no state
 reaches the next query. Outcomes are a tagged union: a table, an engine
 error (message kept verbatim: correction prompts quote it), or a timeout. A
-missing database file is a harness fault and raises instead.
+missing database file is a harness fault and raises instead. A table is
+``ordered`` when its SQL has a top-level ORDER BY, which
+``query_is_ordered`` reads from the tokenizer's ``_MASTER`` matches without
+building a token. Its rows come from the cursor as they are: ``sqlite3``
+gives every row one cell per column of ``cursor.description``, so the row
+arity check every other ``ResultTable`` gets is skipped.
 
 An ``OutcomeMemo`` lets one unit of work run each distinct statement once:
 one example in ``run`` (its gold and every stage), one gold group in
@@ -83,7 +88,8 @@ from urllib.parse import quote
 
 from .errors import DatabaseMissingError
 from .schema import DatabaseSchema
-from .sqlast.tokens import tokenize
+from .sqlast.tokens import _ERROR_KINDS, _MASTER
+from .sqlast.tokens import tokenize  # unused here; bench/tracing.py rebinds this name
 
 Cell = None | int | float | str | bytes
 
@@ -118,6 +124,24 @@ class ResultTable:
         if not {len(self.columns)}.issuperset(map(len, self.rows)):
             raise ValueError("row arity differs from column count")
 
+    @classmethod
+    def _from_cursor(
+        cls, columns: tuple[str, ...], rows: tuple[tuple[Cell, ...], ...], ordered: bool,
+        truncated: bool,
+    ) -> ResultTable:
+        """A table of rows fetched from a cursor with these ``columns``, built
+        without the row arity check: ``sqlite3`` gives every row exactly one
+        cell per column of ``cursor.description``, so the check would walk
+        every row (up to ``MAX_ROWS``) to learn nothing."""
+        # Set as the frozen dataclass's own __init__ sets them, which keeps the
+        # instance as small as one that __init__ built.
+        table = object.__new__(cls)
+        object.__setattr__(table, "columns", columns)
+        object.__setattr__(table, "rows", rows)
+        object.__setattr__(table, "ordered", ordered)
+        object.__setattr__(table, "truncated", truncated)
+        return table
+
 
 @dataclass(frozen=True)
 class ExecOutcome:
@@ -140,26 +164,32 @@ class ExecOutcome:
 def query_is_ordered(sql: str) -> bool:
     """True iff the statement has a top-level ORDER BY (paren depth zero).
 
-    Token-based on purpose: execution must work even for model output our
-    grammar rejects, so this cannot go through the parser. A keyword token
-    lower-cases a substring of the SQL, so text without "order" is decided
-    without tokenizing.
+    Read from the tokenizer's matches on purpose: execution must work even
+    for model output our grammar rejects, so this cannot go through the
+    parser. It scans ``_MASTER``'s matches without building tokens, counts
+    depth on ``(`` and ``)``, and is False for text ``tokenize`` would reject,
+    so it reads as the keyword ORDER what ``Token.is_keyword`` would. A
+    keyword lower-cases a substring of the SQL, so text without "order" is
+    decided without scanning.
     """
     if "order" not in sql.lower():
         return False
-    try:
-        tokens = tokenize(sql)
-    except Exception:
-        return False
     depth = 0
-    for tok in tokens:
-        if tok.kind == "punct" and tok.text == "(":
-            depth += 1
-        elif tok.kind == "punct" and tok.text == ")":
-            depth -= 1
-        elif depth == 0 and tok.is_keyword("order"):
-            return True
-    return False
+    ordered = False
+    for match in _MASTER.finditer(sql):
+        kind = match.lastgroup
+        if kind == "punct":
+            text = match["punct"]
+            if text == "(":
+                depth += 1
+            elif text == ")":
+                depth -= 1
+        elif kind == "ident":
+            if not depth and match["ident"].lower() == "order":
+                ordered = True
+        elif kind in _ERROR_KINDS:
+            return False
+    return ordered
 
 
 def statement_key(sql: str) -> str:
@@ -275,7 +305,9 @@ def execute(
     """Run one SELECT against the schema's database, read-only, under the
     ``TIMEOUT_SECONDS`` deadline and the ``MAX_ROWS`` cap. A caller that has
     just read the file's identity passes it, and the file is not read again:
-    a change after that read is the next lookup's to see."""
+    a change after that read is the next lookup's to see. ``ordered`` comes
+    from ``query_is_ordered``, which scans ``_MASTER``'s matches, and the
+    rows skip the arity check (see ``ResultTable._from_cursor``)."""
     cursor = _connection(schema, file_key).conn.cursor()
     ordered = query_is_ordered(sql)
     _statement.deadline = time.monotonic() + TIMEOUT_SECONDS
@@ -287,12 +319,8 @@ def execute(
         truncated = len(rows) > MAX_ROWS
         if truncated:
             rows = rows[:MAX_ROWS]
-        table = ResultTable(
-            columns=columns,
-            rows=tuple(rows),  # rows are tuples: no row_factory is set
-            ordered=ordered,
-            truncated=truncated,
-        )
+        # Rows are tuples, as no row_factory is set.
+        table = ResultTable._from_cursor(columns, tuple(rows), ordered, truncated)
         return ExecOutcome(table=table)
     except sqlite3.Error as exc:
         if str(exc) == "interrupted":  # SQLITE_INTERRUPT, from _past_deadline

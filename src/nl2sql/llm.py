@@ -204,14 +204,16 @@ def _open_store(path: Path, mode: str) -> sqlite3.Connection:
 
 class ReplayTransport:
     """Answers from a replay store, read-only, one call at a time. A finalizer
-    closes the connection, in a cycle with its statement cache, once dropped."""
+    closes the connection, in a cycle with its statement cache, once dropped,
+    and then puts a store a recorder left in WAL mode back in rollback mode
+    (see ``_close_replay``)."""
 
     def __init__(self, store: Path | str):
         self.store = Path(store)
         self._conn = _open_store(self.store, "ro")
         self._conn.execute("BEGIN")  # one snapshot, read with no file lock per send
         self._lock = threading.Lock()
-        weakref.finalize(self, self._conn.close)
+        weakref.finalize(self, _close_replay, self._conn, self.store.resolve())
 
     def send(self, request: dict, digest: str | None = None) -> dict:
         digest = digest or request_digest(request)
@@ -250,10 +252,24 @@ class RecordingTransport:
 
 def _close_recording(conn: sqlite3.Connection) -> None:
     """Put the store back in rollback mode, so that a read-only open leaves no
-    ``-wal`` or ``-shm`` file; SQLite refuses while another recorder is open."""
+    ``-wal`` or ``-shm`` file; SQLite refuses while another connection is open."""
     with suppress(sqlite3.OperationalError):  # "database is locked": not the last
         conn.execute("PRAGMA journal_mode = DELETE")
     conn.close()
+
+
+def _close_replay(conn: sqlite3.Connection, path: Path) -> None:
+    """Close a replay's connection, then put the store back in rollback mode
+    if a ``-wal`` file is left: a recorder that closed while the replay was
+    open could not, and a read-only connection cannot. A short read-write
+    open does it, which, as in ``_close_recording``, does nothing while
+    another connection is open, nor when the store cannot be written (SQLite
+    then opens it read-only); it waits for no lock."""
+    conn.close()
+    if os.path.exists(f"{path}-wal"):
+        uri = f"file:{quote(str(path))}?mode=rw"
+        with suppress(sqlite3.OperationalError):  # such as a store since removed
+            _close_recording(sqlite3.connect(uri, uri=True, timeout=0))
 
 
 @dataclass

@@ -78,10 +78,14 @@ from .sqlast.tokens import _MASTER, lexes, tokenize
 _FENCE = re.compile(r"```(?:sql)?\s*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
 _SELECT_START = re.compile(r"\bselect\b", re.IGNORECASE)
 # A quoted string or identifier, or a comment, matched whole so that a ';'
-# or a blank line inside it is skipped, or a statement-ending ';' or blank
-# line. Only the last two start with ';' or a newline.
+# or a blank line inside it is skipped; a statement-ending ';' or blank line;
+# or a line ending in '.', ':', '!' or '?' and the gap after it, up to a
+# ``select`` that begins a later line. Only the cuts start with ';' or a
+# newline, and only the last starts with '.', ':', '!' or '?'.
 _QUOTED_OR_CUT = re.compile(
-    r"'[^']*'|\"[^\"]*\"|`[^`]*`|\[[^\]]*\]|--[^\n]*|/\*.*?\*/|;|\n\s*\n", re.DOTALL
+    r"'[^']*'|\"[^\"]*\"|`[^`]*`|\[[^\]]*\]|--[^\n]*|/\*.*?\*/|;|\n\s*\n"
+    r"|[.:!?][ \t\f\r]*\n\s*(?=(?i:select)\b)",
+    re.DOTALL,
 )
 
 
@@ -216,6 +220,10 @@ def extract_sql(model_reply: str) -> str:
     Handles fenced code blocks, skeleton-then-query replies (the text after
     the last ``|||`` wins), and trailing prose after a semicolon or, outside
     a fenced block, after a blank line, either outside quotes and comments.
+    The statement starts at the first ``select`` word, unless a line that
+    begins with ``select`` follows a line ending in ``.``, ``:``, ``!`` or
+    ``?`` before the statement is cut: then it starts on the last such line,
+    so a sentence that uses the word is left out.
     The extracted text must lex, which one ``lexes`` match checks without
     building tokens; only text that does not is tokenized, for the error's
     message. Its first token must be the keyword SELECT. Otherwise this
@@ -230,11 +238,18 @@ def extract_sql(model_reply: str) -> str:
     match = _SELECT_START.search(candidate)
     if match is None:
         raise NoSqlFoundError("reply contains no SELECT statement")
-    sql = candidate[match.start() :]
-    # A blank line typically separates the statement from an explanation.
+    start, cut = match.start(), None
+    # A blank line typically separates the statement from an explanation,
+    # and a sentence that uses the word ends before the statement's line.
     cut_at = ";" if block is not None else ";\n"
-    cut = next((m.start() for m in _QUOTED_OR_CUT.finditer(sql) if m.group()[0] in cut_at), None)
-    sql = sql[:cut].strip()
+    for m in _QUOTED_OR_CUT.finditer(candidate, start):
+        lead = m.group()[0]
+        if lead in cut_at:
+            cut = m.start()
+            break
+        if lead in ".:!?":
+            start = m.end()
+    sql = candidate[start:cut].strip()
     if not lexes(sql):
         try:
             tokenize(sql)

@@ -2,10 +2,14 @@
 
 Every function here is a pure string builder; given the same inputs the
 bytes are identical, which the replay store and transcript determinism
-rely on.
+rely on. A schema's block is built once and kept while the schema lives:
+the cache holds it weakly, so it keeps no schema, and no connection cached
+on one, alive.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .schema import DatabaseSchema
 
@@ -21,8 +25,19 @@ CORRECTOR_SYSTEM_PROMPT = (
 )
 
 
+# Each live schema's block, built by ``_build_schema_block``.
+_SCHEMA_BLOCKS: weakref.WeakKeyDictionary[DatabaseSchema, str] = weakref.WeakKeyDictionary()
+
+
 def schema_block(schema: DatabaseSchema) -> str:
     """Render the schema in the compact table(column, ...) prompt format."""
+    block = _SCHEMA_BLOCKS.get(schema)
+    if block is None:
+        block = _SCHEMA_BLOCKS[schema] = _build_schema_block(schema)
+    return block
+
+
+def _build_schema_block(schema: DatabaseSchema) -> str:
     lines = ["### SQLite SQL tables, with their properties:", "#"]
     for name, columns in schema.tables:
         cols = ", ".join(col for col, _typ in columns)

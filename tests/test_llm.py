@@ -38,6 +38,12 @@ def _record_reply(store, request, text) -> str:
     return request_digest(request)
 
 
+# A finalizer's exception is printed and ignored; here it fails the test.
+_FINALIZERS_RAISE_NOTHING = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
 def _stored(store) -> dict[str, str]:
     """The store's rows, digest to body."""
     conn = sqlite3.connect(store)
@@ -289,6 +295,56 @@ def test_two_recorders_on_one_store_leave_one_file_in_rollback_mode(tmp_path, fi
     conn = sqlite3.connect(store)
     assert conn.execute("PRAGMA journal_mode").fetchone() == ("delete",)
     conn.close()
+
+
+@_FINALIZERS_RAISE_NOTHING
+def test_a_replay_open_when_the_recorder_closes_leaves_one_file_in_rollback_mode(tmp_path):
+    store = tmp_path / "replay"
+    recorder = RecordingTransport(ScriptedTransport(lambda req: "SELECT 1"), store)
+    recorder.send(_request("stored"))
+    replay = ReplayTransport(store)
+    del recorder  # the replay holds the file, so it stays in WAL mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["replay", "replay-shm", "replay-wal"]
+    assert reply_text(replay.send(_request("stored"))) == "SELECT 1"
+    del replay
+    assert [p.name for p in tmp_path.iterdir()] == ["replay"]
+    conn = sqlite3.connect(store)
+    assert conn.execute("PRAGMA journal_mode").fetchone() == ("delete",)
+    conn.close()
+    assert reply_text(ReplayTransport(store).send(_request("stored"))) == "SELECT 1"
+
+
+@_FINALIZERS_RAISE_NOTHING
+def test_a_replay_closed_before_its_recorder_leaves_the_recorder_in_wal_mode(tmp_path):
+    store = tmp_path / "replay"
+    echo = ScriptedTransport(lambda req: req["messages"][0]["content"])
+    recorder = RecordingTransport(echo, store)
+    recorder.send(_request("before"))
+    replay = ReplayTransport(store)
+    assert reply_text(replay.send(_request("before"))) == "before"
+    del replay  # the recorder's connection is open: the store is left as it is
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["replay", "replay-shm", "replay-wal"]
+    recorder.send(_request("after"))
+    del recorder
+    assert [p.name for p in tmp_path.iterdir()] == ["replay"]
+    assert sorted(_stored(store)) == sorted(request_digest(_request(c)) for c in ("before", "after"))
+
+
+@_FINALIZERS_RAISE_NOTHING
+def test_a_store_that_cannot_be_written_still_replays(tmp_path, monkeypatch):
+    store = tmp_path / "replay"
+    assert _recorder_child(store, 3, "kill") == -signal.SIGKILL  # leaves -wal and -shm
+    # SQLite opens a write-protected store read-only when asked for read-write;
+    # file permissions cannot show that to a superuser, so this does.
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect", lambda database, *args, **kw: connect(
+        database.replace("?mode=rw", "?mode=ro"), *args, **kw
+    ))
+    _replays_the_first(store, 3)  # opens and drops a replay
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["replay", "replay-shm", "replay-wal"]
+    monkeypatch.undo()
+    _replays_the_first(store, 3)
+    assert [p.name for p in tmp_path.iterdir()] == ["replay"]
 
 
 def test_a_replay_reads_one_snapshot_from_its_first_reply(tmp_path):

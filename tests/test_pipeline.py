@@ -171,6 +171,17 @@ _NO_LEX = "extracted text does not tokenize: "
         # ``str.strip`` takes the trailing vertical tab the tokenizer rejects.
         ("SELECT a FROM t WHERE b = 'a\x0bb' and c = \x0b",
          "SELECT a FROM t WHERE b = 'a\x0bb' and c =", None),
+        # A sentence that uses the word ends before the statement's line; a
+        # line that ends in '(' does not end one.
+        ("Select the names.\nSELECT name FROM singer", "SELECT name FROM singer", None),
+        ("We select the names:\nSELECT name FROM singer", "SELECT name FROM singer", None),
+        ("SELECT a\nFROM t\nWHERE x IN (\nSELECT b FROM u)",
+         "SELECT a\nFROM t\nWHERE x IN (\nSELECT b FROM u)", None),
+        ("Select the names.\n\nSELECT name FROM singer", "SELECT name FROM singer", None),
+        ("```sql\n-- Select the names.\nSELECT name FROM singer\n```", "SELECT name FROM singer",
+         None),
+        # Only a sentence before the statement's cut moves its start.
+        ("SELECT a FROM t\n\nIt lists a. Also:\nSELECT b FROM t", "SELECT a FROM t", None),
     ],
 )
 def test_extract_gives_the_sql_or_the_exact_error(reply, sql, error):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import re
+import weakref
 
 from nl2sql.prompts import (
     error_correction_prompt,
@@ -8,6 +10,7 @@ from nl2sql.prompts import (
     schema_block,
     zero_shot_user_prompt,
 )
+from nl2sql.schema import DatabaseSchema
 
 
 def test_schema_block_shape(schemas):
@@ -63,3 +66,17 @@ def test_prompts_are_deterministic(schemas):
     schema = schemas["concert_singer"]
     assert zero_shot_user_prompt("q", schema) == zero_shot_user_prompt("q", schema)
     assert schema_block(schema) == schema_block(schema)
+
+
+def test_the_schema_block_cache_keeps_no_schema_alive():
+    # A cache that held its schemas would hold every set-up's schemas, and
+    # with them their cached SQLite connections, for the life of the process.
+    schema = DatabaseSchema("db", (("singer", (("name", "text"), ("age", "int"))),))
+    prompt = zero_shot_user_prompt("q", schema)
+    assert prompt.startswith(schema_block(schema) + "\n\n")
+    assert "# singer(name, age)" in prompt
+    alive = weakref.ref(schema)
+    del schema
+    gc.collect()
+    assert alive() is None
+

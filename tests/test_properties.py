@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nl2sql.execution import (
     ResultTable,
@@ -12,7 +12,7 @@ from nl2sql.execution import (
     query_is_ordered,
     tables_equivalent,
 )
-from nl2sql.mdtable import render_markdown
+from nl2sql.mdtable import MAX_PROMPT_ROWS, _escape, format_cell, render_markdown
 from nl2sql.sqlast import canonicalize, diff, parse
 from nl2sql.sqlast.tokens import tokenize
 
@@ -290,6 +290,61 @@ def test_markdown_round_trips_cell_texts(texts):
     assert rows == (tuple(t.strip() for t in texts),)
 
 
+def cell_by_cell_markdown(table: ResultTable) -> str:
+    """Reference: ``render_markdown`` with ``format_cell`` applied to each cell."""
+    lines = [
+        "| " + " | ".join(_escape(c) for c in table.columns) + " |",
+        "| " + " | ".join("---" for _ in table.columns) + " |",
+    ]
+    for row in table.rows[:MAX_PROMPT_ROWS]:
+        lines.append("| " + " | ".join(format_cell(c) for c in row) + " |")
+    if len(table.rows) > MAX_PROMPT_ROWS:
+        lines.append(f"... ({len(table.rows) - MAX_PROMPT_ROWS} more rows not shown)")
+    return "\n".join(lines)
+
+
+# Every kind of cell: NULL, bool, bytes, ints past 64 bits, NaN, both
+# infinities and both zeros, and text with the characters markdown escapes.
+markdown_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.binary(max_size=3),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([2**70, -(2**70), float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
+    st.floats(),
+    st.text(alphabet="ab |\\\n\r\xa0", max_size=6),
+)
+
+
+@st.composite
+def markdown_tables(draw):
+    """Tables of 0 to 4 columns and 0 to 60 rows, whose columns hold one kind
+    of cell, so a column-wise shortcut applies, that kind and a near one (a
+    bool is an int, NULL is no text), or any mix."""
+    n_cols = draw(st.integers(min_value=0, max_value=4))
+    n_rows = draw(st.integers(min_value=0, max_value=60))
+    plain_text = st.text(alphabet="ab c", max_size=4)
+    column_kinds = [
+        st.integers(), st.floats(), plain_text, st.text(alphabet="a|\\\n", max_size=3),
+        st.integers() | st.booleans(), st.floats() | st.integers(), plain_text | st.none(),
+        markdown_cells,
+    ]
+    kinds = [draw(st.sampled_from(column_kinds)) for _ in range(n_cols)]
+    rows = tuple(tuple(draw(kind) for kind in kinds) for _ in range(n_rows))
+    columns = tuple(draw(st.text(alphabet="c|\\\n", min_size=1, max_size=3))
+                    for _ in range(n_cols))
+    return ResultTable(columns=columns, rows=rows, ordered=False)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(markdown_tables())
+# Past the row cut, with and without columns to zip.
+@example(ResultTable(columns=(), rows=((),) * 60, ordered=False))
+@example(ResultTable(columns=("n",), rows=tuple((i,) for i in range(60)), ordered=False))
+def test_markdown_renders_by_column_as_the_cell_rule_does_by_cell(table):
+    assert render_markdown(table) == cell_by_cell_markdown(table)
+
+
 def tokenized_query_is_ordered(sql: str) -> bool:
     """Reference: a top-level ORDER BY found by tokenizing alone."""
     try:
@@ -308,13 +363,16 @@ def tokenized_query_is_ordered(sql: str) -> bool:
 
 
 # ORDER as a keyword, in mixed case, inside quotes, brackets, parentheses and
-# comments, as part of longer words, and next to text that does not tokenize.
+# comments, as part of longer words, after numbers, and next to text that does
+# not tokenize.
 sql_fragments = st.sampled_from(
     ["SELECT a FROM t", "ORDER BY a", "order by", "OrDeR", "oRDER BY b DESC", "BY",
      "LIMIT 1", "(", ")", "(SELECT a FROM t ORDER BY a)", "'order by'", "'it''s order'",
      '"order"', "[order]", "[ORDER BY]", "`Order`", "/* order */", "-- order\n",
      "ordered", "reorder", "order_id", "_order", "ORDERS", "'", "[", "/*", "#", "@",
-     "\u0130", "\u212a", "\u03a3", "ß", "ORDER\u0130"]
+     "\u0130", "\u212a", "\u03a3", "ß", "ORDER\u0130",
+     # Numbers: a hex number may run into an identifier, a decimal one may not.
+     "0x1", "0x1order", "1e5", "1.", ".5", "1abc"]
 )
 sql_texts = st.one_of(
     st.lists(sql_fragments, max_size=8).flatmap(
