@@ -232,7 +232,7 @@ def cmd_ingest(args) -> int:
         "loaded": len(loaded.examples),
         "quarantined": len(loaded.quarantined),
         "raw_total": loaded.raw_count,
-        "hardness": {h.value: profile.counts[h] for h in Hardness},
+        "hardness": {h.value: profile[h] for h in Hardness},
         "quarantine_reasons": [
             {"id": q.id, "db_id": q.db_id, "reason": q.reason} for q in loaded.quarantined
         ],

@@ -67,15 +67,6 @@ class QuarantinedExample:
 
 
 @dataclass(frozen=True)
-class HardnessProfile:
-    counts: dict[Hardness, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass(frozen=True)
 class LoadedDataset:
     examples: tuple[SpiderExample, ...]
     schemas: dict[str, DatabaseSchema]
@@ -85,11 +76,11 @@ class LoadedDataset:
     def raw_count(self) -> int:
         return len(self.examples) + len(self.quarantined)
 
-    def hardness_profile(self) -> HardnessProfile:
+    def hardness_profile(self) -> dict[Hardness, int]:
         counts = {h: 0 for h in Hardness}
         for ex in self.examples:
             counts[ex.hardness] += 1
-        return HardnessProfile(counts=counts)
+        return counts
 
 
 def load_schemas(dataset_dir: Path) -> dict[str, DatabaseSchema]:

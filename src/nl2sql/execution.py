@@ -168,7 +168,7 @@ def query_is_ordered(sql: str) -> bool:
     for model output our grammar rejects, so this cannot go through the
     parser. It scans ``_MASTER``'s matches without building tokens, counts
     depth on ``(`` and ``)``, and is False for text ``tokenize`` would reject,
-    so it reads as the keyword ORDER what ``Token.is_keyword`` would. A
+    so it reads as the keyword ORDER what ``Token.keyword`` would. A
     keyword lower-cases a substring of the SQL, so text without "order" is
     decided without scanning.
     """

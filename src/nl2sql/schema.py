@@ -17,8 +17,11 @@ from .errors import SchemaError
 ColumnKey = tuple[str, str]  # (table, column), original casing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatabaseSchema:
+    """A schema hashes and compares by identity: each owns its per-thread
+    connections, so two with equal fields are not interchangeable."""
+
     db_id: str
     tables: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]  # (name, ((col, type), ...))
     primary_keys: tuple[ColumnKey, ...] = ()
@@ -26,12 +29,12 @@ class DatabaseSchema:
     db_path: Path | None = None
     # lower-cased table -> (table, lower-cased column -> column, lower-cased columns)
     _lookup: dict[str, tuple[str, dict[str, str], frozenset[str]]] = field(
-        default=None, repr=False, compare=False, hash=False
+        default=None, repr=False
     )
     # Each thread's cached connection to db_path, managed by execution.py;
     # it closes when this schema is garbage-collected or the thread ends.
     _connections: threading.local = field(
-        default_factory=threading.local, init=False, repr=False, compare=False, hash=False
+        default_factory=threading.local, init=False, repr=False
     )
 
     def __post_init__(self) -> None:

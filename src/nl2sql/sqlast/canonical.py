@@ -5,9 +5,10 @@ canonicalize to equal trees: every FROM source is renamed to a positional
 alias (t1, t2, ... assigned in FROM order, numbering shared across nested
 scopes so correlated references stay unambiguous), identifiers are folded to
 lower case, output aliases are dropped after substituting any references to
-them, positional ORDER BY keys are replaced by the select item they point
-at, and numeric literals get one canonical spelling. String literals keep
-their exact characters: 'Lost' and 'lost' stay different.
+them, and positional ORDER BY keys are replaced by the select item they point
+at, unless a ``*`` at or before it shifts the output columns. Literals keep
+their type and value: 3 and 3.0 stay different, as 7 / 2 and 7 / 2.0 do,
+and 'Lost' and 'lost' stay different.
 
 A comparison between a literal and a non-literal, but not LIKE, puts the
 literal on the right and mirrors the operator, after signs fold: `-5 < age`
@@ -111,11 +112,13 @@ def _canon_select(s: Select, outer_map: dict[str, str], counter: Iterator[int]) 
 
 
 def _deref(expr: Expr, s: Select) -> Expr:
-    """Resolve positional ORDER BY keys to the select item they denote."""
+    """Resolve a positional ORDER BY key to the select item it denotes. A
+    ``*`` at or before that item makes the position count output columns,
+    not items, so the key is kept."""
     if isinstance(expr, Literal) and isinstance(expr.value, int):
-        idx = expr.value - 1
-        if 0 <= idx < len(s.items):
-            return s.items[idx].expr
+        items = s.items[: expr.value]
+        if 0 < expr.value <= len(s.items) and not any(isinstance(i.expr, Star) for i in items):
+            return items[-1].expr
     return expr
 
 
@@ -161,10 +164,6 @@ def _canon_literal(lit: Literal) -> Literal:
         return Literal(value=lit.value, text=str(lit.value))
     if isinstance(lit.value, float):
         value = lit.value
-        if value.is_integer():
-            # 3.0 and 3 compare equal by value; give them one spelling.
-            as_int = int(value)
-            return Literal(value=as_int, text=str(as_int))
         if math.isinf(value):
             # repr's "inf" would read as a column name; 1e999 overflows to it.
             return Literal(value=value, text="1e999" if value > 0 else "-1e999")

@@ -18,7 +18,6 @@ from .walk import flatten_and, is_link_predicate
 @dataclass(frozen=True)
 class ConditionlessJoin:
     table: str  # resolved table name (lower) or subquery alias
-    key: str  # binding key of the flagged source
     index: int  # position in from_items
 
 
@@ -41,5 +40,5 @@ def scope_conditionless_joins(select: Select) -> list[ConditionlessJoin]:
             continue
         src = item.source
         table = src.table.lower() if isinstance(src, TableSource) else key
-        flags.append(ConditionlessJoin(table=table, key=key, index=idx))
+        flags.append(ConditionlessJoin(table=table, index=idx))
     return flags

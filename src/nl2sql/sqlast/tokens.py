@@ -118,10 +118,6 @@ class Token(NamedTuple):
             return self.text.lower()
         return None
 
-    def is_keyword(self, *names: str) -> bool:
-        kw = self.keyword()
-        return kw is not None and kw in names
-
 
 def lexes(sql: str) -> bool:
     """Whether ``tokenize(sql)`` returns tokens rather than raising

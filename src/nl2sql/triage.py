@@ -4,9 +4,8 @@ Each prediction that ``score`` finds wrong is assigned exactly one primary
 category:
 
     DatasetInconsistency   the prediction is not actually a model error
-                           (alias-only variant of gold, an ORDER BY ...
-                           LIMIT tie makes several answers equally valid,
-                           or the gold itself is suspect)
+                           (an ORDER BY ... LIMIT tie makes several answers
+                           equally valid, or the gold itself is suspect)
     QueryStructure         fundamentally different query shape
     JoinClauses            extra / missing joined tables or conditions
     GroupBy                different grouping keys
@@ -20,6 +19,11 @@ story). QueryStructure doubles as the terminal fallback for residual
 clause-shape mismatches, so Unclassifiable is reserved for predictions
 that time out, that do not even parse or that differ only in ways the diff
 deliberately ignores. ``score`` gives the first two their verdict itself.
+
+Only the result tables decide sameness: ``score`` triages a pair only when
+its tables differ, so a pair whose canonical forms are equal shows a
+difference the canonical form missed. It lands in Unclassifiable, never in
+DatasetInconsistency.
 """
 
 from __future__ import annotations
@@ -119,8 +123,6 @@ def triage(
             evidence={**evidence, **facts},
         )
 
-    if pred_canon == gold_canon:
-        return inconsistency("AliasOnlyEquivalent", "definite", {"canonical_sql": pred_canon.sql})
     canon = (pred_canon, gold_canon)
     if tie_ambiguity_test(pred_ast, gold_ast, schema, memo, pred_table, canon) is True:
         tie = {"tie": "ordering key ties at the LIMIT boundary"}

@@ -1,6 +1,7 @@
 """Test utilities: alias permutation, a deterministic query corpus, triage
-called as ``score`` calls it, a scripted chat transport for pipeline tests,
-an empty replay store and the inverse of the markdown rendering."""
+called as ``score`` calls it, ``score`` of bare prediction/gold pairs, a
+scripted chat transport for pipeline tests, an empty replay store and the
+inverse of the markdown rendering."""
 
 from __future__ import annotations
 
@@ -8,8 +9,12 @@ import itertools
 import random
 from dataclasses import replace
 
+from nl2sql.dataset import SpiderExample
+from nl2sql.evaluate import EvalReport, score
 from nl2sql.execution import OutcomeMemo, ResultTable
+from nl2sql.hardness import Hardness
 from nl2sql.llm import RecordingTransport
+from nl2sql.pipeline import PipelineTranscript, Verdict
 from nl2sql.schema import DatabaseSchema
 from nl2sql.sqlast import (
     ColumnRef,
@@ -169,6 +174,24 @@ def triage_sql(pred_sql: str, gold_sql: str, schema: DatabaseSchema) -> TriageVe
     gold_table = memo.run(gold_sql, schema).table
     pred_ast, gold_ast = parse(pred_sql, schema), parse(gold_sql, schema)
     return triage(pred_ast, gold_ast, pred_table, gold_table, schema, memo)
+
+
+def score_pairs(
+    pairs: list[tuple[str, str, str]], schemas: dict[str, DatabaseSchema]
+) -> EvalReport:
+    """``score`` of (db_id, pred_sql, gold_sql) triples, each one example
+    whose transcript ends in the prediction."""
+    examples, transcripts = [], []
+    for i, (db_id, pred, gold) in enumerate(pairs):
+        question = f"q{i}"
+        examples.append(SpiderExample(
+            id=i, question=question, db_id=db_id, gold_sql=gold, hardness=Hardness.MEDIUM
+        ))
+        transcripts.append(PipelineTranscript(
+            example_id=i, db_id=db_id, question=question, gold_sql=gold, stages=[],
+            final_sql=pred, final_verdict=Verdict.CORRECT_FIRST_SHOT,
+        ))
+    return score(transcripts, examples, schemas)
 
 
 def tie_test(

@@ -30,7 +30,7 @@ from conftest import (
     GROUPED_BY_NAME_SQL,
     make_dataset,
 )
-from helpers import ScriptedTransport, alias_permuted_sql, generate_corpus, triage_sql
+from helpers import ScriptedTransport, alias_permuted_sql, generate_corpus, score_pairs
 from test_properties import oracle_multiset_equal, oracle_sequence_equal
 
 
@@ -108,25 +108,21 @@ def test_criterion_2_reference_query_suite(schemas):
 
 
 def test_criterion_3_alias_equivalence_over_corpus(schemas):
-    with criterion(3, "200+ alias-permuted gold queries: equal canonical form, AliasOnlyEquivalent"):
+    with criterion(3, "200+ alias-permuted gold queries: equal canonical form, scored correct"):
         corpus = generate_corpus(schemas, minimum=200)
         assert len(corpus) >= 200
+        pairs = []
         failures = []
         for seed, (db_id, sql) in enumerate(corpus):
             schema = schemas[db_id]
-            gold_ast = parse(sql, schema)
             permuted = alias_permuted_sql(sql, schema, seed=seed)
-            pred_ast = parse(permuted, schema)
-            if canonicalize(pred_ast) != canonicalize(gold_ast):
-                failures.append((sql, permuted, "canonical mismatch"))
-                continue
-            verdict = triage_sql(permuted, sql, schema)
-            if (
-                verdict.category is not Category.DATASET_INCONSISTENCY
-                or verdict.subtag != "AliasOnlyEquivalent"
-            ):
-                failures.append((sql, permuted, f"verdict {verdict.category}"))
+            pairs.append((db_id, permuted, sql))
+            if canonicalize(parse(permuted, schema)) != canonicalize(parse(sql, schema)):
+                failures.append((sql, permuted))
         assert not failures, failures[:3]
+        report = score_pairs(pairs, schemas)
+        assert report.overall == 1.0
+        assert report.verdicts == {}
 
 
 def _random_table(rng: random.Random) -> ResultTable:
@@ -362,7 +358,7 @@ def test_criterion_6_dev_set_hardness_buckets():
         profile = loaded.hardness_profile()
         print(
             "dev buckets:",
-            {h.value: profile.counts[h] for h in Hardness},
+            {h.value: profile[h] for h in Hardness},
             "quarantined:",
             len(loaded.quarantined),
         )
@@ -373,7 +369,7 @@ def test_criterion_6_dev_set_hardness_buckets():
             Hardness.EXTRA: 166,
         }
         for hardness, want in expected.items():
-            got = profile.counts[hardness]
+            got = profile[hardness]
             assert abs(got - want) <= 2, f"{hardness.value}: {got} vs {want}"
 
 

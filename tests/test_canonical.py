@@ -52,11 +52,15 @@ def test_alias_permutation_preserves_canonical_form(schemas):
         rng_seed += 1
 
 
-def test_numeric_literal_spellings_unify(schemas):
+def test_numeric_literal_spellings_keep_their_type(schemas):
+    # 3 and 3.0 canonicalize apart, as 7 / 2 and 7 / 2.0 return apart; the
+    # diff still compares predicate literals by value.
     schema = schemas["concert_singer"]
     a = canonicalize(parse("SELECT name FROM stadium WHERE capacity > 3", schema))
     b = canonicalize(parse("SELECT name FROM stadium WHERE capacity > 3.0", schema))
-    assert a == b
+    assert a != b
+    assert b.sql == "SELECT t1.name FROM stadium AS t1 WHERE t1.capacity > 3.0"
+    assert diff(a, b).empty
 
 
 def test_nested_signs_fold_into_one_literal(schemas):
@@ -65,13 +69,24 @@ def test_nested_signs_fold_into_one_literal(schemas):
     for sql in (
         "SELECT name FROM singer WHERE age > - -30",
         "SELECT name FROM singer WHERE age > + +30",
-        "SELECT name FROM singer WHERE age > - - - -30.0",
     ):
         canon = canonicalize(parse(sql, schema))
         assert canon == plain, sql
         assert diff(canon, plain).empty, sql
+    as_float = canonicalize(parse("SELECT name FROM singer WHERE age > - - - -30.0", schema))
+    assert as_float.sql == "SELECT t1.name FROM singer AS t1 WHERE t1.age > 30.0"
+    assert diff(as_float, plain).empty
     negative = canonicalize(parse("SELECT name FROM singer WHERE age > - - -30", schema))
     assert negative.sql == "SELECT t1.name FROM singer AS t1 WHERE t1.age > -30"
+
+
+def test_positional_order_key_after_a_star_is_kept(schemas):
+    schema = schemas["concert_singer"]
+    named = canonicalize(parse("SELECT name, age FROM singer ORDER BY 2 DESC", schema))
+    assert named.sql.endswith("ORDER BY t1.age DESC")
+    for sql in ("SELECT *, age FROM singer ORDER BY 2 DESC",
+                "SELECT name, * FROM singer ORDER BY 2 DESC"):
+        assert canonicalize(parse(sql, schema)).sql.endswith("ORDER BY 2 DESC"), sql
 
 
 def test_literal_moves_right_of_a_comparison_and_the_operator_mirrors(schemas):

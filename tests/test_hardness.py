@@ -131,4 +131,4 @@ def test_order_direction_does_not_affect_bucket(schemas):
 
 def test_dev_fixture_profile_reconciles(loaded):
     profile = loaded.hardness_profile()
-    assert profile.total == len(loaded.examples)
+    assert sum(profile.values()) == len(loaded.examples)

@@ -32,11 +32,10 @@ def test_ingesting_a_large_generated_split(tmp_path, schemas):
     assert len(loaded.quarantined) == 2
     assert len(loaded.examples) == len(corpus)
     profile = loaded.hardness_profile()
-    assert profile.total == len(corpus)
-    assert sum(profile.counts.values()) == len(corpus)
-    assert profile.counts[Hardness.EASY] > 0
-    assert profile.counts[Hardness.MEDIUM] > 0
-    assert profile.counts[Hardness.HARD] > 0
+    assert sum(profile.values()) == len(corpus)
+    assert profile[Hardness.EASY] > 0
+    assert profile[Hardness.MEDIUM] > 0
+    assert profile[Hardness.HARD] > 0
 
 
 def test_generated_corpus_all_executes(schemas):

@@ -97,7 +97,7 @@ def redundant_parentheses(sql: str, schema, rng: random.Random) -> str:
         if tok.kind == "punct" and tok.text == "(":
             depth += 1
     for i, tok in enumerate(tokens):
-        if not tok.is_keyword("where", "having", "on"):
+        if tok.keyword() not in ("where", "having", "on"):
             continue
         end = next(
             j

@@ -80,3 +80,12 @@ def test_the_schema_block_cache_keeps_no_schema_alive():
     gc.collect()
     assert alive() is None
 
+
+def test_schemas_with_equal_fields_are_distinct_and_cached_apart():
+    # A schema owns its connections, so equal fields do not make it the same.
+    tables = (("singer", (("name", "text"), ("age", "int"))),)
+    a, b = DatabaseSchema("db", tables), DatabaseSchema("db", tables)
+    assert a != b and hash(a) != hash(b)
+    assert schema_block(a) == schema_block(b)
+    assert schema_block(a) is schema_block(a) is not schema_block(b)
+

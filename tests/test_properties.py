@@ -357,7 +357,7 @@ def tokenized_query_is_ordered(sql: str) -> bool:
             depth += 1
         elif tok.kind == "punct" and tok.text == ")":
             depth -= 1
-        elif depth == 0 and tok.is_keyword("order"):
+        elif depth == 0 and tok.keyword() == "order":
             return True
     return False
 

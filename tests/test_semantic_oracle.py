@@ -29,7 +29,9 @@ from helpers import generate_corpus
 # keys, NULL, a call without arguments, a nested AND, DISTINCT in a call, a
 # prefix NOT and a float literal that is not integral. Last, a bare ORDER BY
 # name that is both an output alias and a column, which SQLite sorts on the
-# aliased item, next to the qualified column.
+# aliased item, next to the qualified column. Last of all, a positional
+# ORDER BY key after a ``*``, which counts output columns, not items, and an
+# integral float divisor, which keeps the division from truncating.
 EXTRA_QUERIES = [
     ("concert_singer", "SELECT name FROM singer WHERE age - 40 > -12"),
     ("concert_singer", "SELECT 10 - (3 - 2), 8 / (4 / 2), -5 + 10"),
@@ -66,6 +68,8 @@ EXTRA_QUERIES = [
     ("concert_singer", "SELECT name, age * 1.5 FROM singer WHERE age > 29.5"),
     ("concert_singer", "SELECT -age AS age FROM singer ORDER BY age LIMIT 1"),
     ("concert_singer", "SELECT -age AS age FROM singer ORDER BY singer.age LIMIT 1"),
+    ("concert_singer", "SELECT *, age FROM singer ORDER BY 2 DESC"),
+    ("concert_singer", "SELECT sum(age) / 2.0 FROM singer"),
 ]
 
 
