@@ -38,7 +38,7 @@ from .dataset import SpiderExample, gold_groups
 from .errors import DatasetError, Nl2SqlError
 from .execution import OutcomeMemo, _file_key, tables_equivalent
 from .hardness import Hardness
-from .pipeline import PipelineTranscript, Verdict
+from .pipeline import PipelineTranscript, Verdict, gold_unusable
 from .schema import DatabaseSchema
 from .sqlast import parse
 from .triage import Category, TriageVerdict, triage, triage_report
@@ -192,7 +192,7 @@ def _score_one(
         gold_outcome, pred_outcome, correct = judgment.gold, judgment.final, False
     else:
         gold_outcome = memo.run(example.gold_sql, schema)
-        if gold_outcome.table is None:
+        if gold_unusable(gold_outcome):
             return False, None
         pred_outcome = memo.run(transcript.final_sql, schema)
         correct = pred_outcome.table is not None and (

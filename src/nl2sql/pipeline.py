@@ -264,6 +264,13 @@ def extract_sql(model_reply: str) -> str:
 
 # --------------------------------------------------------------------------- stage helpers
 
+def gold_unusable(outcome: ExecOutcome) -> bool:
+    """Whether a gold outcome can judge no prediction: it has no table (an
+    engine error or a timeout), or its table was cut at the row cap. ``run``
+    makes such an example a FAULT, and ``evaluate`` gives it no verdict."""
+    return outcome.table is None or outcome.table.truncated
+
+
 def _execution_summary(outcome: ExecOutcome) -> dict:
     if outcome.table is not None:
         return {
@@ -369,7 +376,7 @@ def run_pipeline(
     )
 
     gold_key, gold_outcome = memo.run_keyed(example.gold_sql, schema)
-    if gold_outcome.table is None or gold_outcome.table.truncated:
+    if gold_unusable(gold_outcome):
         transcript.final_verdict = Verdict.FAULT
         transcript.fault = f"gold execution unusable: {_execution_summary(gold_outcome)}"
         return transcript

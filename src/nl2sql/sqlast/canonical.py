@@ -5,8 +5,9 @@ canonicalize to equal trees: every FROM source is renamed to a positional
 alias (t1, t2, ... assigned in FROM order, numbering shared across nested
 scopes so correlated references stay unambiguous), identifiers are folded to
 lower case, output aliases are dropped after substituting any references to
-them, and positional ORDER BY keys are replaced by the select item they point
-at, unless a ``*`` at or before it shifts the output columns. Literals keep
+them (a FROM subquery's items keep theirs, lower-cased, as the outer query
+reads its columns by name), and alias and positional ORDER BY keys are
+replaced by the select item they name (see ``_canon_key``). Literals keep
 their type and value: 3 and 3.0 stay different, as 7 / 2 and 7 / 2.0 do,
 and 'Lost' and 'lost' stay different.
 
@@ -60,7 +61,9 @@ def canonicalize(select: Select) -> CanonicalAst:
     return CanonicalAst(query=_canon_select(select, {}, itertools.count(1)))
 
 
-def _canon_select(s: Select, outer_map: dict[str, str], counter: Iterator[int]) -> Select:
+def _canon_select(
+    s: Select, outer_map: dict[str, str], counter: Iterator[int], named: bool = False
+) -> Select:
     # Assign canonical aliases to this scope's sources first, left to right.
     mapping = dict(outer_map)
     local: list[tuple[FromItem, str]] = []
@@ -80,19 +83,23 @@ def _canon_select(s: Select, outer_map: dict[str, str], counter: Iterator[int]) 
             # FROM subqueries are uncorrelated; canonicalize independently of
             # the outer mapping but share the global alias counter.
             new_src = SubquerySource(
-                query=_canon_select(src.query, {}, counter), alias=canon, key=canon
+                query=_canon_select(src.query, {}, counter, named=True), alias=canon, key=canon
             )
         condition = _canon_expr(item.condition, mapping, counter, s) if item.condition else None
         from_items.append(replace(item, source=new_src, condition=condition))
 
     items = tuple(
-        SelectItem(expr=_canon_expr(i.expr, mapping, counter, s), alias=None) for i in s.items
+        SelectItem(
+            expr=_canon_expr(i.expr, mapping, counter, s),
+            alias=i.alias.lower() if named and i.alias is not None else None,
+        )
+        for i in s.items
     )
     where = _canon_expr(s.where, mapping, counter, s) if s.where is not None else None
     group_by = tuple(_canon_expr(e, mapping, counter, s) for e in s.group_by)
     having = _canon_expr(s.having, mapping, counter, s) if s.having is not None else None
     order_by = tuple(
-        OrderItem(expr=_canon_expr(_deref(o.expr, s), mapping, counter, s), descending=o.descending)
+        OrderItem(expr=_canon_key(o.expr, s, mapping, counter), descending=o.descending)
         for o in s.order_by
     )
     set_op = None
@@ -111,15 +118,32 @@ def _canon_select(s: Select, outer_map: dict[str, str], counter: Iterator[int]) 
     )
 
 
-def _deref(expr: Expr, s: Select) -> Expr:
-    """Resolve a positional ORDER BY key to the select item it denotes. A
-    ``*`` at or before that item makes the position count output columns,
-    not items, so the key is kept."""
-    if isinstance(expr, Literal) and isinstance(expr.value, int):
-        items = s.items[: expr.value]
-        if 0 < expr.value <= len(s.items) and not any(isinstance(i.expr, Star) for i in items):
-            return items[-1].expr
-    return expr
+def _canon_key(key: Expr, s: Select, mapping: dict[str, str], counter: Iterator[int]) -> Expr:
+    """The canonical form of an ORDER BY key of ``s``. A key that names a
+    select item, by output alias or by position (after signs fold, as
+    SQLite reads ``+2`` as position 2), is written as that item, with two
+    exceptions. A ``*`` at or before a position makes it count output
+    columns, not items, so the position is kept. An integer-literal item
+    would read as a position: it is written as its own position, or, after
+    a ``*``, as NULL, a constant that ties every row as the integer does."""
+    if isinstance(key, AliasRef):
+        index = key.index
+    else:
+        key = _canon_expr(key, mapping, counter, s)
+        if not (isinstance(key, Literal) and isinstance(key.value, int)):
+            return key
+        if not 0 < key.value <= len(s.items):
+            return key
+        index = key.value - 1
+    starred = any(isinstance(i.expr, Star) for i in s.items[: index + 1])
+    if starred and isinstance(key, Literal):
+        return key
+    item = _canon_expr(s.items[index].expr, mapping, counter, s)
+    if isinstance(item, Literal) and isinstance(item.value, int):
+        if starred:
+            return Literal(value=None, text="NULL")
+        return Literal(value=index + 1, text=str(index + 1))
+    return item
 
 
 def _canon_expr(e: Expr, mapping: dict[str, str], counter: Iterator[int], scope: Select) -> Expr:

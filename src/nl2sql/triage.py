@@ -36,12 +36,10 @@ from enum import Enum
 from .execution import OutcomeMemo, ResultTable, normalize_cell
 from .schema import DatabaseSchema
 from .sqlast import (
-    AliasRef,
     AstDiff,
     CanonicalAst,
     ColumnRef,
     Comparison,
-    Expr,
     Literal,
     Select,
     SelectItem,
@@ -106,13 +104,16 @@ def triage(
 
     ``score`` calls this only for a pair whose tables it found not
     equivalent; ``pred_table`` is None when the prediction ran into an
-    engine error (one that timed out never gets here). The probes execute
-    through ``memo``. The tie probe is handed the prediction's table and
-    both canonical trees, so a prediction that ran and sorts the gold's own
-    rows by the gold's first key costs only the gold's probe.
+    engine error (one that timed out never gets here). Both queries are
+    canonicalised and diffed once; the tie test reads the canonical trees,
+    and runs only when the diff finds the select lists agree, so a
+    prediction that prints other columns is never a tie. The probes execute
+    through ``memo``. The tie probe is handed the prediction's table, so a
+    prediction that ran and sorts the gold's own rows by the gold's first
+    key costs only the gold's probe.
     """
-    pred_canon = canonicalize(pred_ast)
-    gold_canon = canonicalize(gold_ast)
+    canon = (canonicalize(pred_ast), canonicalize(gold_ast))
+    delta = diff(*canon)
     facts = _table_facts(pred_table, gold_table)
 
     def inconsistency(subtag: str, confidence: str, evidence: dict) -> TriageVerdict:
@@ -123,15 +124,13 @@ def triage(
             evidence={**evidence, **facts},
         )
 
-    canon = (pred_canon, gold_canon)
-    if tie_ambiguity_test(pred_ast, gold_ast, schema, memo, pred_table, canon) is True:
+    if not delta.select_delta and tie_ambiguity_test(canon, schema, memo, pred_table) is True:
         tie = {"tie": "ordering key ties at the LIMIT boundary"}
         return inconsistency("TieAmbiguity", "heuristic", tie)
     suspect = suspect_gold_check(gold_ast, gold_table, schema, memo)
     if suspect is not None:
         return inconsistency("SuspectGold", "heuristic", suspect)
 
-    delta = diff(pred_canon, gold_canon)
     cause = _diff_cause(delta)
     if cause is None:
         return TriageVerdict(
@@ -176,39 +175,38 @@ def _diff_cause(delta: AstDiff) -> tuple[Category, str | None] | None:
 # --------------------------------------------------------------------------- tie ambiguity
 
 def tie_ambiguity_test(
-    pred_ast: Select,
-    gold_ast: Select,
+    canon: tuple[CanonicalAst, CanonicalAst],
     schema: DatabaseSchema,
     memo: OutcomeMemo,
     pred_table: ResultTable | None,
-    canon: tuple[CanonicalAst, CanonicalAst],
 ) -> bool | None:
     """Does LIMIT k cut through a tie in the ordering key?
 
-    Applicable only when both queries end in ORDER BY ... LIMIT k, and
-    neither is a SELECT DISTINCT whose ordering key is not an output column.
-    Both are re-executed with LIMIT k + 1 and the first ordering key is read
-    from each row (see ``_one_past_limit_with_key``); the test passes when
-    the boundary values at rank k agree and the gold's row k + 1 ties with
-    its row k. Rows come out sorted on that key, so tied rows are contiguous
-    and rows k and k + 1 decide whether the tie runs past the cut. Returns
-    None when not applicable.
+    ``canon`` holds the canonical trees of (pred, gold). Applicable only when
+    both queries end in ORDER BY ... LIMIT k, and neither is a SELECT
+    DISTINCT whose ordering key is not an output column. Both are
+    re-executed with LIMIT k + 1 and the first ordering key is read from
+    each row (see ``_one_past_limit_with_key``); the test passes when the
+    boundary values at rank k agree and the gold's row k + 1 ties with its
+    row k. Rows come out sorted on that key, so tied rows are contiguous and
+    rows k and k + 1 decide whether the tie runs past the cut. Returns None
+    when not applicable. The test compares ordering keys only; ``triage``
+    runs it only for a pair whose select lists agree.
 
     Probes execute through ``memo``. A ``pred_table`` says the prediction
     ran. When it did and it sorts the gold's own rows by the gold's first
-    key (``_sorts_the_gold_rows``, which reads the canonical trees of
-    (pred, gold) in ``canon``), only the gold is re-executed and its key
+    key (``_sorts_the_gold_rows``), only the gold is re-executed and its key
     values stand in for the prediction's.
     """
-    if not (pred_ast.order_by and pred_ast.limit is not None):
+    pred, gold = (tree.query for tree in canon)
+    for query in (pred, gold):
+        if not (query.order_by and query.limit is not None):
+            return None
+    if pred.limit != gold.limit or pred.limit == 0:
         return None
-    if not (gold_ast.order_by and gold_ast.limit is not None):
-        return None
-    if pred_ast.limit != gold_ast.limit or pred_ast.limit == 0:
-        return None
-    k = gold_ast.limit
-    pred_probe = _one_past_limit_with_key(pred_ast)
-    gold_probe = _one_past_limit_with_key(gold_ast)
+    k = gold.limit
+    pred_probe = _one_past_limit_with_key(pred)
+    gold_probe = _one_past_limit_with_key(gold)
     if pred_probe is None or gold_probe is None:
         return None
 
@@ -218,7 +216,7 @@ def tie_ambiguity_test(
             return None
         return [normalize_cell(row[column]) for row in outcome.table.rows]
 
-    if pred_table is not None and _sorts_the_gold_rows(pred_ast, gold_ast, canon):
+    if pred_table is not None and _sorts_the_gold_rows(pred, gold):
         pred_values = gold_values = ordering_values(*gold_probe)
     else:
         pred_values = ordering_values(*pred_probe)
@@ -232,72 +230,53 @@ def tie_ambiguity_test(
     return len(gold_values) > k and gold_values[k] == gold_values[k - 1]
 
 
-def _sorts_the_gold_rows(
-    pred_ast: Select, gold_ast: Select, canon: tuple[CanonicalAst, CanonicalAst]
-) -> bool:
-    """Does the prediction sort the gold's own rows by the gold's first key?
+def _sorts_the_gold_rows(pred: Select, gold: Select) -> bool:
+    """Does the canonical prediction sort the gold's own rows by the gold's
+    first key?
 
-    True when neither query is compound, DISTINCT, grouped or has an
-    aggregate in its select list or ORDER BY, both first keys are columns
-    sorted in one direction, and the canonical trees have
-    equal FROM items, WHERE and first ORDER BY term. The same FROM and WHERE
-    give both queries the same rows, and the same key column one multiset
-    of first-key values, so the value at rank k and the row count agree:
-    the only two facts the prediction's tie probe is read for. The cheap
-    checks run before the trees are compared.
+    True when neither canonical query is compound, DISTINCT, grouped or has
+    an aggregate in its select list or ORDER BY, both first keys are
+    columns, and the queries have equal FROM items, WHERE and first ORDER BY
+    term, direction included. The same FROM and WHERE give both queries the
+    same rows, and the same key column one multiset of first-key values, so
+    the value at rank k and the row count agree: the only two facts the
+    prediction's tie probe is read for. The cheap checks run before the
+    trees are compared.
     """
-    for ast in (pred_ast, gold_ast):
-        if ast.set_op is not None or ast.distinct or ast.group_by or ast.having is not None:
+    for query in (pred, gold):
+        if query.set_op is not None or query.distinct or query.group_by or query.having is not None:
             return False
-        if not isinstance(ast.order_by[0].expr, ColumnRef):
+        if not isinstance(query.order_by[0].expr, ColumnRef):
             return False
-        exprs = [item.expr for item in ast.items] + [order.expr for order in ast.order_by]
+        exprs = [item.expr for item in query.items] + [order.expr for order in query.order_by]
         if any(is_aggregate(node) for expr in exprs for node in iter_expr_nodes(expr)):
             return False
-    if pred_ast.order_by[0].descending != gold_ast.order_by[0].descending:
-        return False
-    pred, gold = (tree.query for tree in canon)
     same_rows = pred.from_items == gold.from_items and pred.where == gold.where
     return same_rows and pred.order_by[0] == gold.order_by[0]
 
 
-def _one_past_limit_with_key(ast: Select) -> tuple[Select, int] | None:
-    """The tie probe of ``ast`` and the column of its rows that holds the
-    first ordering key. The probe is ``ast`` with LIMIT k + 1. A key that
-    names an output column is read there: a positional key n is column
-    n - 1, an output alias or the item that the key matches (a left-arm item
-    in a compound query) is that item's column. Any other key is appended
-    as a last column, which only a simple SELECT allows. None for a SELECT
-    DISTINCT, whose rows the appended key would make distinct on
-    (columns, key) instead of on its columns."""
-    probe = replace(ast, limit=ast.limit + 1)
-    key = ast.order_by[0].expr
+def _one_past_limit_with_key(query: Select) -> tuple[Select, int] | None:
+    """The tie probe of the canonical ``query`` and the column of its rows
+    that holds the first ordering key. The probe is ``query`` with LIMIT
+    k + 1. The canonical form has already replaced an alias or positional
+    key by the item it names, and keeps a position only after a ``*`` or
+    for an integer-literal item: a positional key n is column n - 1, and a
+    key equal to an item with no ``*`` before it (in a compound query, a
+    left-arm item) is that item's column. Any other key is appended as a
+    last column, which only a simple SELECT allows. None for a SELECT DISTINCT, whose rows the appended key
+    would make distinct on (columns, key) instead of on its columns."""
+    probe = replace(query, limit=query.limit + 1)
+    key = query.order_by[0].expr
     if isinstance(key, Literal) and isinstance(key.value, int):
         return probe, key.value - 1
-    index = _key_item(ast, key)
-    if index is not None:
-        if not any(isinstance(item.expr, Star) for item in ast.items[:index]):
+    for index, item in enumerate(query.items):
+        if isinstance(item.expr, Star):
+            break  # a ``*`` moves the columns of the items after it
+        if item.expr == key:
             return probe, index
-        key = ast.items[index].expr  # a ``*`` before the item moves its column
-    if ast.distinct:
+    if query.distinct:
         return None
-    return replace(probe, items=ast.items + (SelectItem(expr=key, alias="ordering_key"),)), -1
-
-
-def _key_item(ast: Select, key: Expr) -> int | None:
-    """The select item an ordering key names: an output alias, or the item
-    the key matches (in a compound query, a left-arm item)."""
-    if isinstance(key, AliasRef):
-        return key.index
-    for index, item in enumerate(ast.items):
-        expr = item.expr
-        if expr == key or (
-            isinstance(expr, ColumnRef)
-            and isinstance(key, ColumnRef)
-            and (expr.source, expr.column.lower()) == (key.source, key.column.lower())
-        ):
-            return index
-    return None
+    return replace(probe, items=query.items + (SelectItem(expr=key, alias="ordering_key"),)), -1
 
 
 # --------------------------------------------------------------------------- suspect gold

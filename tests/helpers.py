@@ -200,11 +200,11 @@ def tie_test(
     schema: DatabaseSchema,
     pred_table: ResultTable | None = None,
 ) -> bool | None:
-    """``tie_ambiguity_test`` with a fresh memo and both canonical trees, as
-    ``triage`` calls it. No ``pred_table`` stands for a prediction that did
-    not run to a table, which keeps both probes."""
+    """``tie_ambiguity_test`` of the canonical trees of both queries, with a
+    fresh memo, as ``triage`` calls it. No ``pred_table`` stands for a
+    prediction that did not run to a table, which keeps both probes."""
     canon = (canonicalize(pred_ast), canonicalize(gold_ast))
-    return tie_ambiguity_test(pred_ast, gold_ast, schema, OutcomeMemo(), pred_table, canon)
+    return tie_ambiguity_test(canon, schema, OutcomeMemo(), pred_table)
 
 
 # --------------------------------------------------------------------------- scripted transport

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from nl2sql.execution import execute, tables_equivalent
 from nl2sql.sqlast import canonicalize, diff, parse
 
@@ -87,6 +89,37 @@ def test_positional_order_key_after_a_star_is_kept(schemas):
     for sql in ("SELECT *, age FROM singer ORDER BY 2 DESC",
                 "SELECT name, * FROM singer ORDER BY 2 DESC"):
         assert canonicalize(parse(sql, schema)).sql.endswith("ORDER BY 2 DESC"), sql
+
+
+def test_signed_positional_order_key_is_substituted(schemas):
+    # SQLite reads +2 as position 2; the key folds before it is resolved.
+    schema = schemas["concert_singer"]
+    signed = canonicalize(parse("SELECT name, age FROM singer ORDER BY +2 DESC", schema))
+    named = canonicalize(parse("SELECT name, age FROM singer ORDER BY age DESC", schema))
+    assert signed == named
+    assert canonicalize(signed.query) == signed
+
+
+@pytest.mark.parametrize("sql, key", [
+    ("SELECT name, 1 FROM singer ORDER BY 2", "2"),
+    ("SELECT 2 AS x, name FROM singer ORDER BY x", "1"),
+    ("SELECT *, 2 AS x FROM singer ORDER BY x", "NULL"),
+])
+def test_order_key_naming_an_integer_item_sorts_on_a_constant(schemas, sql, key):
+    # The item itself would read as a position; its own position does not
+    # exist after a ``*``, and NULL ties every row as the integer does.
+    canon = canonicalize(parse(sql, schemas["concert_singer"]))
+    assert canon.sql.endswith(f"ORDER BY {key}")
+    assert canonicalize(canon.query) == canon
+
+
+def test_from_subquery_keeps_the_output_names_its_outer_query_reads(schemas):
+    schema = schemas["concert_singer"]
+    canon = canonicalize(parse("SELECT X FROM (SELECT age AS X FROM singer) ORDER BY X", schema))
+    assert canon.sql == (
+        "SELECT t1.x FROM (SELECT t2.age AS x FROM singer AS t2) AS t1 ORDER BY t1.x"
+    )
+    assert canonicalize(canon.query) == canon
 
 
 def test_literal_moves_right_of_a_comparison_and_the_operator_mirrors(schemas):

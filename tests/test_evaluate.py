@@ -32,7 +32,7 @@ from nl2sql.schema import schema_from_tables_entry
 from nl2sql.triage import Category
 
 from conftest import GROUPED_BY_ID_SQL, GROUPED_BY_NAME_SQL, build_ships_db
-from helpers import ScriptedTransport
+from helpers import ScriptedTransport, score_pairs
 from test_pipeline import question_of, scripted_endpoints
 
 GOLD = "SELECT name FROM ship WHERE disposition_of_ship = 'sank'"
@@ -682,6 +682,17 @@ def test_read_back_transcript_whose_gold_errors_at_score_time_counts_wrong(schem
     read_back = dataclasses.replace(transcript(0, GOLD), gold_sql=example.gold_sql)
     assert read_back.judgment is None
     report = score([read_back], [example], schemas)
+    assert (report.overall, report.verdicts) == (0.0, {})
+
+
+def test_read_back_transcript_whose_gold_is_truncated_counts_wrong_without_a_verdict(
+    schemas, monkeypatch
+):
+    # As ``run`` makes such an example a FAULT, a gold cut at the row cap
+    # judges nothing: it is not compared, and the prediction is not triaged.
+    monkeypatch.setattr(execution, "MAX_ROWS", 2)
+    gold = "SELECT name FROM singer"  # 3 rows
+    report = score_pairs([("concert_singer", f"{gold} WHERE age > 29", gold)], schemas)
     assert (report.overall, report.verdicts) == (0.0, {})
 
 

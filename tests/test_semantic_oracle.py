@@ -30,8 +30,14 @@ from helpers import generate_corpus
 # prefix NOT and a float literal that is not integral. Last, a bare ORDER BY
 # name that is both an output alias and a column, which SQLite sorts on the
 # aliased item, next to the qualified column. Last of all, a positional
-# ORDER BY key after a ``*``, which counts output columns, not items, and an
-# integral float divisor, which keeps the division from truncating.
+# ORDER BY key after a ``*``, which counts output columns, not items, an
+# integral float divisor, which keeps the division from truncating, and two
+# keys the canonical form writes as the item they name, which the tie probe
+# runs with LIMIT k + 1: an alias after a ``*``, and a left-arm alias of a
+# compound query. Then an outer key that names a FROM subquery's column by
+# its alias, and keys that name an integer-literal item, which SQLite sorts
+# on as a constant and the canonical form must not write as another
+# position.
 EXTRA_QUERIES = [
     ("concert_singer", "SELECT name FROM singer WHERE age - 40 > -12"),
     ("concert_singer", "SELECT 10 - (3 - 2), 8 / (4 / 2), -5 + 10"),
@@ -70,6 +76,13 @@ EXTRA_QUERIES = [
     ("concert_singer", "SELECT -age AS age FROM singer ORDER BY singer.age LIMIT 1"),
     ("concert_singer", "SELECT *, age FROM singer ORDER BY 2 DESC"),
     ("concert_singer", "SELECT sum(age) / 2.0 FROM singer"),
+    ("concert_singer", "SELECT *, age AS a FROM singer ORDER BY a DESC LIMIT 2"),
+    ("concert_singer", "SELECT name AS n FROM singer UNION SELECT name FROM stadium "
+                       "ORDER BY n DESC LIMIT 2"),
+    ("concert_singer", "SELECT x FROM (SELECT age AS x FROM singer) ORDER BY x DESC LIMIT 1"),
+    ("concert_singer", "SELECT name, 1 FROM singer ORDER BY 2 DESC LIMIT 1"),
+    ("concert_singer", "SELECT 2 AS x, name FROM singer ORDER BY x DESC LIMIT 1"),
+    ("concert_singer", "SELECT *, 2 AS x FROM singer ORDER BY x DESC LIMIT 1"),
 ]
 
 

@@ -65,6 +65,30 @@ def test_grouped_queries_triaged_as_tie_ambiguity(schemas):
     assert verdict.confidence == "heuristic"
 
 
+SINGER_TIE_GOLD = "SELECT name FROM singer ORDER BY country DESC LIMIT 1"
+
+
+@pytest.mark.parametrize("pred, cause", [
+    # Another select list: the key ties, but the rows the cut keeps differ.
+    ("SELECT age FROM singer ORDER BY country DESC LIMIT 1",
+     (Category.SELECT_COLUMNS, "WrongColumn")),
+    ("SELECT name, age FROM singer ORDER BY country DESC LIMIT 1",
+     (Category.SELECT_COLUMNS, "WrongColumn")),
+    ("SELECT country FROM singer GROUP BY country ORDER BY country DESC LIMIT 1",
+     (Category.GROUP_BY, None)),
+    # The gold's select list: a tie on 'us' at the cut makes either row right.
+    ("SELECT name FROM singer WHERE age < 40 ORDER BY country DESC LIMIT 1",
+     (Category.DATASET_INCONSISTENCY, "TieAmbiguity")),
+    ("SELECT name FROM singer ORDER BY country DESC, name DESC LIMIT 1",
+     (Category.DATASET_INCONSISTENCY, "TieAmbiguity")),
+])
+def test_a_tie_is_the_datasets_only_when_the_select_lists_agree(schemas, pred, cause):
+    schema = schemas["concert_singer"]
+    assert tie_test(parse(pred, schema), parse(SINGER_TIE_GOLD, schema), schema) is True
+    verdict = run_triage(pred, SINGER_TIE_GOLD, schema)
+    assert (verdict.category, verdict.subtag) == cause
+
+
 def test_tie_test_true_on_five_way_tie(schemas):
     schema = schemas["student_course"]
     assert (
@@ -212,6 +236,11 @@ def counted_executions():
     keys=[0.5, 0.5 + 1e-12, "a"], descending=True, k_offset=0, pred_min_id=0, gold_form="key",
     split=0, pred_form="filtered",
 )
+# A key aliased after a ``*``, whose column the ``*`` moves.
+@example(
+    keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0,
+    gold_form="alias after *", split=0, pred_form="filtered",
+)
 # The gold's own rows with a tie-breaker: the tie at the cut, and none.
 @example(
     keys=[1, 2, 2, 2, 3], descending=False, k_offset=1, pred_min_id=0, gold_form="key", split=0,
@@ -230,8 +259,9 @@ def test_tie_rule_agrees_with_the_full_scan_rule(
     # A positional gold is paired with a positional prediction.
     key = "1" if gold_form == "positional" else "v"
     pred = _pred_sql(pred_form, key, order, k, pred_min_id)
-    # Only a key-column gold and its own rows re-sorted skip the prediction's probe.
-    probes = 1 if (gold_form, pred_form) == ("key", "tie-breaker") else 2
+    # The gold's own rows re-sorted skip the prediction's probe against any
+    # simple gold: its canonical key is the column v, however it is written.
+    probes = 1 if pred_form == "tie-breaker" and gold_form != "compound" else 2
     with tempfile.TemporaryDirectory() as tmp:
         schema = _keys_db(Path(tmp) / "keys.sqlite", keys)
         pred_ast, gold_ast = parse(pred, schema), parse(gold, schema)
@@ -328,6 +358,28 @@ def test_tie_probe_reads_the_aliased_item_a_bare_key_names(tmp_path):
     gold = "SELECT id, -v AS v FROM t ORDER BY v LIMIT 1"
     pred = "SELECT -v FROM t ORDER BY 1 LIMIT 1"
     assert _tie_test(tmp_path, [1, 2, 3, 3], pred, gold) is True
+
+
+def test_tie_probe_reads_a_from_subquery_column_by_its_alias(tmp_path):
+    # The canonical gold still names the subquery's column w, so its probe
+    # runs, and 40 ties with 40 at the cut.
+    gold = "SELECT w FROM (SELECT v AS w FROM t) ORDER BY w DESC LIMIT 1"
+    pred = "SELECT v FROM t ORDER BY v DESC LIMIT 1"
+    assert _tie_test(tmp_path, [40, 10, 40], pred, gold) is True
+
+
+@pytest.mark.parametrize("gold, pred", [
+    ("SELECT id, 1 FROM t ORDER BY 2 DESC LIMIT 1",
+     "SELECT id, 1 FROM t ORDER BY 2 DESC, id LIMIT 1"),
+    ("SELECT 2 AS c, id FROM t ORDER BY c DESC LIMIT 1",
+     "SELECT 2 AS c, id FROM t ORDER BY c DESC, id LIMIT 1"),
+    ("SELECT *, 2 AS c FROM t ORDER BY c DESC LIMIT 1",
+     "SELECT *, 2 AS c FROM t ORDER BY c DESC, id LIMIT 1"),
+])
+def test_tie_probe_sorts_on_an_integer_item_a_key_names(tmp_path, gold, pred):
+    # SQLite sorts on the constant item, which ties on every row; the
+    # canonical key must not turn it into a position that names id or v.
+    assert _tie_test(tmp_path, [10, 20, 30], pred, gold) is True
 
 
 def test_tie_probe_appends_no_key_to_a_distinct_query(tmp_path):
