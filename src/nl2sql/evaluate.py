@@ -10,8 +10,8 @@ pipeline found them equivalent; otherwise it is triaged from the two
 outcomes the pipeline kept, which hold at most two tables of at most
 ``MEMO_MAX_ROWS`` rows per failed example until the report. Examples are
 scored in groups that share a database and gold SQL, each with one
-``OutcomeMemo``, so each distinct query (gold, prediction or triage probe)
-runs once per group; a timeout is never reused. The report does not depend
+``OutcomeMemo`` of that database, so each distinct query (gold, prediction
+or triage probe) runs once per group; a timeout is never reused. The report does not depend
 on that order. Triage takes the gold's bound tree that ``load_dataset`` kept
 on the example (each distinct gold is parsed once, at load, and its tree
 stays in memory with the examples) and parses only the final SQL; an
@@ -146,10 +146,9 @@ def score(
             scorable.append(ex)
 
     for group in gold_groups(scorable):
-        schema = schemas[group[0].db_id]
-        memo = OutcomeMemo()
+        memo = OutcomeMemo(schemas[group[0].db_id])
         for ex in group:
-            correct, verdict = _score_one(by_id[ex.id], ex, schema, with_triage, memo)
+            correct, verdict = _score_one(by_id[ex.id], ex, with_triage, memo)
             per_bucket[ex.hardness].append(correct)
             if verdict is not None:
                 verdicts[ex.id] = verdict
@@ -173,7 +172,6 @@ def score(
 def _score_one(
     transcript: PipelineTranscript,
     example: SpiderExample,
-    schema: DatabaseSchema,
     with_triage: bool,
     memo: OutcomeMemo,
 ) -> tuple[bool, TriageVerdict | None]:
@@ -184,17 +182,17 @@ def _score_one(
         judgment is not None
         and judgment.gold_sql == example.gold_sql
         and judgment.final_sql == transcript.final_sql
-        and judgment.file_key == _file_key(schema)
+        and judgment.file_key == _file_key(memo.schema)
     ):
         if judgment.equivalent:
             return True, None
         # The pipeline compared these very outcomes, and the comparison is pure.
         gold_outcome, pred_outcome, correct = judgment.gold, judgment.final, False
     else:
-        gold_outcome = memo.run(example.gold_sql, schema)
+        gold_outcome = memo.run(example.gold_sql)
         if gold_unusable(gold_outcome):
             return False, None
-        pred_outcome = memo.run(transcript.final_sql, schema)
+        pred_outcome = memo.run(transcript.final_sql)
         correct = pred_outcome.table is not None and (
             tables_equivalent(pred_outcome.table, gold_outcome.table).equivalent
         )
@@ -211,8 +209,8 @@ def _score_one(
         return False, verdict
     pred_table = pred_outcome.table
     try:
-        pred_ast = parse(transcript.final_sql, schema)
-        gold_ast = example.gold_ast or parse(example.gold_sql, schema)
+        pred_ast = parse(transcript.final_sql, memo.schema)
+        gold_ast = example.gold_ast or parse(example.gold_sql, memo.schema)
     except Nl2SqlError as exc:
         verdict = TriageVerdict(
             category=Category.UNCLASSIFIABLE,
@@ -221,7 +219,7 @@ def _score_one(
             evidence={"error": str(exc), "sql": transcript.final_sql},
         )
         return False, verdict
-    return False, triage(pred_ast, gold_ast, pred_table, gold_outcome.table, schema, memo)
+    return False, triage(pred_ast, gold_ast, pred_table, gold_outcome.table, memo)
 
 
 # --------------------------------------------------------------------------- rendering

@@ -22,24 +22,24 @@ arity check every other ``ResultTable`` gets is skipped.
 
 An ``OutcomeMemo`` lets one unit of work run each distinct statement once:
 one example in ``run`` (its gold and every stage), one gold group in
-``evaluate`` (the gold, each prediction and the triage probes). It is
-keyed on the database file's identity, so a replaced or rewritten file is
-read again, and on the statement: a table is kept
-under the ``statement_key`` of its SQL, which texts that differ only in
-ASCII case and in the kind or length of their whitespace gaps share
+``evaluate`` (the gold, each prediction and the triage probes). A memo is
+one database's: each lookup reads its file's identity and drops every entry
+when that changed, so a replaced or rewritten file is read again. A table
+is kept under the ``statement_key`` of its SQL, which texts that differ
+only in ASCII case and in the kind or length of their whitespace gaps share
 outside string literals, and an engine error under the exact text, as
 SQLite quotes the spelling in its message. A hit returns the very outcome
-the first execution produced, so a shared table carries the column names
-of the text that ran first (``count(*)`` and ``COUNT(*)`` name a column
+the first execution produced, so a shared table carries the column names of
+the text that ran first (``count(*)`` and ``COUNT(*)`` name a column
 differently). A timeout is never reused, as it depends on host load. The
-first table a memo receives is kept whatever its size; a later one past
-``MEMO_MAX_ROWS`` (10,000) rows is not. Every unit runs its gold first, and
-``run`` holds the gold's outcome for the whole example anyway, so a memo
-holds its unit's small tables plus that first table, of at most
+first table a memo receives from a file is kept whatever its size; a later
+one past ``MEMO_MAX_ROWS`` (10,000) rows is not. Every unit runs its gold
+first, and ``run`` holds the gold's outcome for the whole example anyway,
+so a memo holds its unit's small tables plus that first table, of at most
 ``MAX_ROWS`` rows: N workers hold at most N such tables beyond what their
 pipelines already hold. A prediction that respells a gold past the bound
-then gets the gold's own table, and a gold group runs such a gold once.
-A miss hands ``execute`` the identity the lookup read, so the file is read
+then gets the gold's own table, and a gold group runs such a gold once. A
+miss hands ``execute`` the identity the lookup read, so the file is read
 once per lookup.
 
 Equivalence compares cell contents only: column names are ignored (gold
@@ -89,7 +89,6 @@ from urllib.parse import quote
 from .errors import DatabaseMissingError
 from .schema import DatabaseSchema
 from .sqlast.tokens import _ERROR_KINDS, _MASTER
-from .sqlast.tokens import tokenize  # unused here; bench/tracing.py rebinds this name
 
 Cell = None | int | float | str | bytes
 
@@ -334,57 +333,58 @@ def execute(
 
 
 class OutcomeMemo:
-    """The execution outcomes of one unit of work, by database file and statement.
+    """The execution outcomes of one unit of work on ``schema``'s database.
 
-    A table is kept under the ``statement_key`` of the SQL that produced it
-    and found by any text with that key; an engine error is kept and found
-    under its exact text only. A text that finds another spelling's table
-    gets that very table, with the column names of the text that ran first.
-    Only a gold's names are ever read (the correction prompt renders its
-    table), and the gold runs first in every memo, so a prompt shows the
-    gold's own spelling. The first table is kept whatever its row count,
-    which is the gold's wherever a gold runs; a later table is kept only
-    when ``reusable``, and a timeout never is. A miss calls this module's
-    ``execute``, looked up at call time, with the file identity the lookup
-    read, so a rebinding of that name sees every real execution and no hit.
+    Each lookup reads the file's identity into ``file_key`` and, when it
+    changed, drops everything the memo held. A table is kept under the
+    ``statement_key`` of the SQL that produced it and found by any text with
+    that key; an engine error is kept and found under its exact text only. A
+    text that finds another spelling's table gets that very table, with the
+    column names of the text that ran first. Only a gold's names are ever
+    read (the correction prompt renders its table), and the gold runs first
+    in every memo, so a prompt shows the gold's own spelling. The first table
+    of a file is kept whatever its row count, which is the gold's wherever a
+    gold runs; a later table is kept only when ``reusable``, and a timeout
+    never is. A miss calls this module's ``execute``, looked up at call time,
+    with the identity the lookup read, so a rebinding of that name sees every
+    real execution and no hit.
 
     Not thread-safe: each unit of work owns its memo and drops it at the end.
-    Nothing outlives it but the file identity ``run_keyed`` hands out and,
-    for a failed example, the two outcomes the pipeline compared, which it
-    keeps with its verdict so that ``evaluate`` can tell the verdict is
+    Nothing outlives it but the ``file_key`` a caller reads and, for a
+    failed example, the two outcomes the pipeline compared, which
+    it keeps with its verdict so that ``evaluate`` can tell the verdict is
     about the file it would read.
     """
 
-    __slots__ = ("_tables", "_errors")
+    __slots__ = ("schema", "file_key", "_tables", "_errors")
 
-    def __init__(self) -> None:
-        self._tables: dict[tuple, ExecOutcome] = {}
-        self._errors: dict[tuple, ExecOutcome] = {}
+    def __init__(self, schema: DatabaseSchema) -> None:
+        self.schema = schema
+        self.file_key: tuple[int, ...] | None = None
+        self._tables: dict[str, ExecOutcome] = {}
+        self._errors: dict[str, ExecOutcome] = {}
 
-    def run(self, sql: str, schema: DatabaseSchema) -> ExecOutcome:
-        """The outcome of ``execute(sql, schema)``, executing only on a miss."""
-        return self.run_keyed(sql, schema)[1]
-
-    def run_keyed(
-        self, sql: str, schema: DatabaseSchema
-    ) -> tuple[tuple[int, ...] | None, ExecOutcome]:
-        """``run``, with the identity of the database file the outcome belongs
-        to: the key this lookup took, so a caller learns it without a stat.
-        A miss hands it to ``execute``, which then does not stat either."""
-        file_key = _file_key(schema)
-        statement = (file_key, statement_key(sql))
+    def run(self, sql: str) -> ExecOutcome:
+        """The outcome of ``execute(sql, self.schema)``, executing only on a
+        miss, which hands ``execute`` the identity this lookup read."""
+        file_key = _file_key(self.schema)
+        if file_key != self.file_key:
+            self.file_key = file_key
+            self._tables.clear()
+            self._errors.clear()
+        statement = statement_key(sql)
         outcome = self._tables.get(statement)
         if outcome is None:
-            outcome = self._errors.get((file_key, sql))
+            outcome = self._errors.get(sql)
         if outcome is None:
             # A missing file has no key; execute raises for it.
-            outcome = execute(sql, schema, file_key)
+            outcome = execute(sql, self.schema, file_key)
             if file_key is not None and not outcome.timed_out:
                 if outcome.table is None:
-                    self._errors[file_key, sql] = outcome
+                    self._errors[sql] = outcome
                 elif not self._tables or reusable(outcome):
                     self._tables[statement] = outcome
-        return file_key, outcome
+        return outcome
 
 
 def reusable(outcome: ExecOutcome) -> bool:

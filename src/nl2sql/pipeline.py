@@ -18,28 +18,29 @@ Every prompt, reply, extraction, execution and comparison is recorded in a
 PipelineTranscript. Transcripts contain no timestamps: a replay run is
 byte-for-byte reproducible.
 
-Each distinct query runs once per example: one ``OutcomeMemo`` serves the
-gold and every stage, so a model that resubmits its SQL is not re-executed
-(a timeout is, as it is never reused). ``run_many`` groups examples by
-database and gold SQL and passes one memo per group, so a gold shared by
-several questions runs once; a group runs inside one task, so no memo is
-shared between threads. The gold runs first, so its table is the memo's
-first and is kept whatever its size: a reply that respells a gold past
-``MEMO_MAX_ROWS`` rows gets the gold's own table, and such a gold runs once
-per group. The pipeline holds the gold's outcome for the whole example
-anyway, so each worker's memo holds at most that one table beyond its small
-ones.
+Each distinct query runs once per example: one ``OutcomeMemo`` of its
+database serves the gold and every stage, so a model that resubmits its SQL
+is not re-executed (a timeout is, as it is never reused). ``run_many``
+groups examples by database and gold SQL and passes one memo per group, so
+a gold shared by several questions runs once; a group runs inside one task,
+so no memo is shared between threads. The gold runs first, so its table is
+the memo's first and is kept whatever its size: a reply that respells a
+gold past ``MEMO_MAX_ROWS`` rows gets the gold's own table, and such a gold
+runs once per group. The pipeline holds the gold's outcome for the whole
+example anyway, so each worker's memo holds at most that one table beyond
+its small ones.
 
-When the final SQL and the gold ran on the same database file, the
-transcript keeps the pipeline's judgment of them in memory
-(``PipelineTranscript.judgment``: the file's identity, both SQL texts and
-whether their tables were equivalent). When they were not, the judgment
-also holds the two outcomes the pipeline compared, and it is kept only if
-neither timed out or holds more than ``MEMO_MAX_ROWS`` rows, so a failed
-example holds at most two tables of at most that many rows until the
-report. ``evaluate`` reuses the judgment instead of executing and
-comparing both queries again, and triages a failure from its outcomes. It
-is never written out, so a transcript read from a file is judged afresh.
+When the final SQL and the gold ran on the same database file (the memo's
+``file_key`` after each lookup says so), the transcript keeps the
+pipeline's judgment of them in memory (``PipelineTranscript.judgment``: the
+file's identity, both SQL texts and whether their tables were equivalent).
+When they were not, the judgment also holds the two outcomes the pipeline
+compared, and it is kept only if neither timed out or holds more than
+``MEMO_MAX_ROWS`` rows, so a failed example holds at most two tables of at
+most that many rows until the report. ``evaluate`` reuses the judgment
+instead of executing and comparing both queries again, and triages a
+failure from its outcomes. It is never written out, so a transcript read
+from a file is judged afresh.
 """
 
 from __future__ import annotations
@@ -286,7 +287,6 @@ def _execution_summary(outcome: ExecOutcome) -> dict:
 
 def _run_model_stage(
     transcript: PipelineTranscript,
-    schema: DatabaseSchema,
     memo: OutcomeMemo,
     gold_key: tuple[int, ...] | None,
     gold_outcome: ExecOutcome,
@@ -300,22 +300,21 @@ def _run_model_stage(
     The one place that appends a stage, and, when the stage has SQL, moves
     ``final_sql`` to it, replaces the ``judgment`` and sets ``success`` as the
     verdict when that SQL's table is equivalent to the gold. The judgment is
-    kept when that SQL and the gold (``gold_key``) ran on the same file and,
-    if they are not equivalent, both outcomes are ``reusable``; otherwise it
-    is cleared.
+    kept when that SQL ran on the gold's file (``memo.file_key`` is
+    ``gold_key``) and, if they are not equivalent, both outcomes are
+    ``reusable``; otherwise it is cleared.
     """
     reply, digest = endpoint.complete(messages)
     sql: str | None = None
     extraction_error: str | None = None
     outcome: ExecOutcome | None = None
     comparison: TableComparison | None = None
-    file_key = None
     try:
         sql = extract_sql(reply)
     except NoSqlFoundError as exc:
         extraction_error = str(exc)
     if sql is not None:
-        file_key, outcome = memo.run_keyed(sql, schema)
+        outcome = memo.run(sql)
         if outcome.table is not None:
             comparison = tables_equivalent(outcome.table, gold_outcome.table)
     record = StageRecord(
@@ -337,12 +336,12 @@ def _run_model_stage(
     equivalent = comparison is not None and comparison.equivalent
     if equivalent:
         transcript.final_verdict = success
-    if file_key is not None and file_key == gold_key:
+    if gold_key is not None and memo.file_key == gold_key:
         if equivalent:
-            transcript.judgment = Judgment(file_key, transcript.gold_sql, sql, True)
+            transcript.judgment = Judgment(gold_key, transcript.gold_sql, sql, True)
         elif reusable(outcome) and reusable(gold_outcome):
             transcript.judgment = Judgment(
-                file_key, transcript.gold_sql, sql, False, gold_outcome, outcome
+                gold_key, transcript.gold_sql, sql, False, gold_outcome, outcome
             )
     return record
 
@@ -360,11 +359,11 @@ def run_pipeline(
     """Run all stages for one example. Total model calls are bounded by
     1 + max_example_correction_rounds + 1.
 
-    ``memo`` may carry outcomes from other examples with the same gold; by
-    default the example gets its own.
+    ``memo`` may carry outcomes from other examples with the same gold, and
+    must be of ``schema``'s database; by default the example gets its own.
     """
     if memo is None:
-        memo = OutcomeMemo()
+        memo = OutcomeMemo(schema)
     transcript = PipelineTranscript(
         example_id=example.id,
         db_id=example.db_id,
@@ -375,7 +374,8 @@ def run_pipeline(
         final_verdict=Verdict.FAILED,
     )
 
-    gold_key, gold_outcome = memo.run_keyed(example.gold_sql, schema)
+    gold_outcome = memo.run(example.gold_sql)
+    gold_key = memo.file_key
     if gold_unusable(gold_outcome):
         transcript.final_verdict = Verdict.FAULT
         transcript.fault = f"gold execution unusable: {_execution_summary(gold_outcome)}"
@@ -385,7 +385,7 @@ def run_pipeline(
         {"role": "system", "content": SYSTEM_PROMPT},
         {"role": "user", "content": zero_shot_user_prompt(example.question, schema)},
     ]
-    run_stage = partial(_run_model_stage, transcript, schema, memo, gold_key, gold_outcome)
+    run_stage = partial(_run_model_stage, transcript, memo, gold_key, gold_outcome)
     last = run_stage("zero_shot", Verdict.CORRECT_FIRST_SHOT, generator, messages)
 
     # Example-driven rounds continue the same conversation.
@@ -441,15 +441,14 @@ def run_many(
     regardless of worker interleaving.
 
     Examples sharing a database and gold SQL form a group, run in input order
-    by one task with one ``OutcomeMemo``.
+    by one task with one ``OutcomeMemo`` of that database.
     """
     groups = gold_groups(examples)
 
     def one_group(group: list[SpiderExample]) -> list[PipelineTranscript]:
-        memo = OutcomeMemo()
+        memo = OutcomeMemo(schemas[group[0].db_id])
         return [
-            run_pipeline(ex, schemas[ex.db_id], config, generator, corrector, memo)
-            for ex in group
+            run_pipeline(ex, memo.schema, config, generator, corrector, memo) for ex in group
         ]
 
     if workers <= 1:

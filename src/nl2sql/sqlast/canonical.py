@@ -6,10 +6,10 @@ alias (t1, t2, ... assigned in FROM order, numbering shared across nested
 scopes so correlated references stay unambiguous), identifiers are folded to
 lower case, output aliases are dropped after substituting any references to
 them (a FROM subquery's items keep theirs, lower-cased, as the outer query
-reads its columns by name), and alias and positional ORDER BY keys are
-replaced by the select item they name (see ``_canon_key``). Literals keep
-their type and value: 3 and 3.0 stay different, as 7 / 2 and 7 / 2.0 do,
-and 'Lost' and 'lost' stay different.
+reads its columns by name), and alias and positional ORDER BY and GROUP
+BY terms are replaced by the select item they name (see ``_canon_key``).
+Literals keep their type and value: 3 and 3.0 stay different, as 7 / 2 and
+7 / 2.0 do, and 'Lost' and 'lost' stay different.
 
 A comparison between a literal and a non-literal, but not LIKE, puts the
 literal on the right and mirrors the operator, after signs fold: `-5 < age`
@@ -96,7 +96,7 @@ def _canon_select(
         for i in s.items
     )
     where = _canon_expr(s.where, mapping, counter, s) if s.where is not None else None
-    group_by = tuple(_canon_expr(e, mapping, counter, s) for e in s.group_by)
+    group_by = tuple(_canon_key(e, s, mapping, counter) for e in s.group_by)
     having = _canon_expr(s.having, mapping, counter, s) if s.having is not None else None
     order_by = tuple(
         OrderItem(expr=_canon_key(o.expr, s, mapping, counter), descending=o.descending)
@@ -119,7 +119,8 @@ def _canon_select(
 
 
 def _canon_key(key: Expr, s: Select, mapping: dict[str, str], counter: Iterator[int]) -> Expr:
-    """The canonical form of an ORDER BY key of ``s``. A key that names a
+    """The canonical form of an ORDER BY or GROUP BY term of ``s``, as
+    SQLite reads positions and aliases alike in both. A term that names a
     select item, by output alias or by position (after signs fold, as
     SQLite reads ``+2`` as position 2), is written as that item, with two
     exceptions. A ``*`` at or before a position makes it count output

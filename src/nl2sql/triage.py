@@ -97,7 +97,6 @@ def triage(
     gold_ast: Select,
     pred_table: ResultTable | None,
     gold_table: ResultTable,
-    schema: DatabaseSchema,
     memo: OutcomeMemo,
 ) -> TriageVerdict:
     """Assign the primary category for one prediction/gold pair.
@@ -108,9 +107,9 @@ def triage(
     canonicalised and diffed once; the tie test reads the canonical trees,
     and runs only when the diff finds the select lists agree, so a
     prediction that prints other columns is never a tie. The probes execute
-    through ``memo``. The tie probe is handed the prediction's table, so a
-    prediction that ran and sorts the gold's own rows by the gold's first
-    key costs only the gold's probe.
+    through ``memo``, the pair's database. The tie probe is handed the
+    prediction's table, so a prediction that ran and sorts the gold's own
+    rows by the gold's first key costs only the gold's probe.
     """
     canon = (canonicalize(pred_ast), canonicalize(gold_ast))
     delta = diff(*canon)
@@ -124,10 +123,10 @@ def triage(
             evidence={**evidence, **facts},
         )
 
-    if not delta.select_delta and tie_ambiguity_test(canon, schema, memo, pred_table) is True:
+    if not delta.select_delta and tie_ambiguity_test(canon, memo, pred_table) is True:
         tie = {"tie": "ordering key ties at the LIMIT boundary"}
         return inconsistency("TieAmbiguity", "heuristic", tie)
-    suspect = suspect_gold_check(gold_ast, gold_table, schema, memo)
+    suspect = suspect_gold_check(gold_ast, gold_table, memo)
     if suspect is not None:
         return inconsistency("SuspectGold", "heuristic", suspect)
 
@@ -176,7 +175,6 @@ def _diff_cause(delta: AstDiff) -> tuple[Category, str | None] | None:
 
 def tie_ambiguity_test(
     canon: tuple[CanonicalAst, CanonicalAst],
-    schema: DatabaseSchema,
     memo: OutcomeMemo,
     pred_table: ResultTable | None,
 ) -> bool | None:
@@ -211,7 +209,7 @@ def tie_ambiguity_test(
         return None
 
     def ordering_values(probe: Select, column: int) -> list | None:
-        outcome = memo.run(to_sql(probe), schema)
+        outcome = memo.run(to_sql(probe))
         if outcome.table is None:
             return None
         return [normalize_cell(row[column]) for row in outcome.table.rows]
@@ -284,7 +282,6 @@ def _one_past_limit_with_key(query: Select) -> tuple[Select, int] | None:
 def suspect_gold_check(
     gold_ast: Select,
     gold_table: ResultTable,
-    schema: DatabaseSchema,
     memo: OutcomeMemo,
 ) -> dict | None:
     """Flag a gold query whose condition-less join balloons its result.
@@ -292,8 +289,8 @@ def suspect_gold_check(
     Only the top-level FROM clause is inspected, which for a compound query
     is its left arm's. The query is repaired by adding foreign-key ON
     conditions to every flagged join; the gold is suspect when its row count
-    is at least twice the repaired count. No flag is not a proof of
-    correctness.
+    is at least twice the repaired count, run through ``memo``, whose schema
+    gives the foreign keys. No flag is not a proof of correctness.
     """
     flags = scope_conditionless_joins(gold_ast)
     if not flags:
@@ -305,13 +302,13 @@ def suspect_gold_check(
         item = from_items[flag.index]
         if not isinstance(item.source, TableSource):
             return None
-        condition = _fk_condition(item.source, gold_ast, flag.index, schema)
+        condition = _fk_condition(item.source, gold_ast, flag.index, memo.schema)
         if condition is None:
             return None
         from_items[flag.index] = replace(item, condition=condition, join_type="join")
         repaired_tables.append(item.source.table)
     repaired = replace(gold_ast, from_items=tuple(from_items))
-    outcome = memo.run(to_sql(repaired), schema)
+    outcome = memo.run(to_sql(repaired))
     if outcome.table is None or outcome.table.truncated:
         return None
     gold_rows = len(gold_table.rows)

@@ -169,11 +169,11 @@ def generate_corpus(schemas: dict[str, DatabaseSchema], minimum: int = 220) -> l
 def triage_sql(pred_sql: str, gold_sql: str, schema: DatabaseSchema) -> TriageVerdict:
     """``triage`` of two queries, handed what ``score`` hands it: both
     tables and the memo both queries ran through, which the probes share."""
-    memo = OutcomeMemo()
-    pred_table = memo.run(pred_sql, schema).table
-    gold_table = memo.run(gold_sql, schema).table
+    memo = OutcomeMemo(schema)
+    pred_table = memo.run(pred_sql).table
+    gold_table = memo.run(gold_sql).table
     pred_ast, gold_ast = parse(pred_sql, schema), parse(gold_sql, schema)
-    return triage(pred_ast, gold_ast, pred_table, gold_table, schema, memo)
+    return triage(pred_ast, gold_ast, pred_table, gold_table, memo)
 
 
 def score_pairs(
@@ -204,7 +204,7 @@ def tie_test(
     fresh memo, as ``triage`` calls it. No ``pred_table`` stands for a
     prediction that did not run to a table, which keeps both probes."""
     canon = (canonicalize(pred_ast), canonicalize(gold_ast))
-    return tie_ambiguity_test(canon, schema, OutcomeMemo(), pred_table)
+    return tie_ambiguity_test(canon, OutcomeMemo(schema), pred_table)
 
 
 # --------------------------------------------------------------------------- scripted transport

@@ -79,8 +79,7 @@ def test_criterion_2_reference_query_suite(schemas):
             parse(GROUPED_BY_NAME_SQL, student),
             pred_table,
             gold_table,
-            student,
-            OutcomeMemo(),
+            OutcomeMemo(student),
         )
         assert verdict.category is Category.DATASET_INCONSISTENCY
         assert verdict.subtag == "TieAmbiguity"
@@ -100,8 +99,7 @@ def test_criterion_2_reference_query_suite(schemas):
             parse(BELOW_AVERAGE_CARS_SQL, cars),
             extra_join,
             below_avg,
-            cars,
-            OutcomeMemo(),
+            OutcomeMemo(cars),
         )
         assert verdict.category is Category.JOIN_CLAUSES
         assert verdict.subtag == "Extra"

@@ -8,9 +8,11 @@ calls as ``ReplayTransport.send`` spans. A refactor that drops one of those
 attributes only prints a warning there, so these tests make it fail here
 instead. Every real execution goes through ``nl2sql.execution.execute``,
 which the memo looks up at call time. The only targets missing are the
-bench's three for the pass-through executor the harness no longer has, and
-its ``nl2sql.triage.tables_equivalent``: ``triage`` compares no tables, as
-``score`` hands it only pairs whose tables it found not equivalent.
+bench's three for the pass-through executor the harness no longer has, its
+``nl2sql.triage.tables_equivalent``: ``triage`` compares no tables, as
+``score`` hands it only pairs whose tables it found not equivalent, and its
+``nl2sql.execution.tokenize``: ``execution`` tokenizes nothing, and
+``query_is_ordered`` scans the tokenizer's matches without building tokens.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ def test_every_trace_target_exists():
     tracer.install()
     try:
         # The first of the bench's execution span names is the pass-through
-        # executor each of these modules resolved. Its targets, and triage's
-        # table comparison, go with the next change to the benchmark.
+        # executor each of these modules resolved. Its targets, triage's table
+        # comparison and execution's tokenizer, which execution never calls,
+        # go with the next change to the benchmark.
         passthrough = tracing.EXECUTION[0]
         assert tracer.missing == [
             f"nl2sql.{module}.{passthrough}" for module in ("pipeline", "evaluate", "triage")
-        ] + ["nl2sql.triage.tables_equivalent"]
+        ] + ["nl2sql.triage.tables_equivalent", "nl2sql.execution.tokenize"]
     finally:
         tracer.uninstall()
 

@@ -240,11 +240,11 @@ def test_memo_keeps_tables_and_errors_but_not_timeouts_or_tables_past_max_rows(
     calls = _counting_executions(monkeypatch)
     schema = schemas["battle_death"]
     assert len(execute(big, schema).table.rows) == MEMO_MAX_ROWS + 1
-    memo = OutcomeMemo()
+    memo = OutcomeMemo(schema)
     for sql, kept in (("SELECT name FROM ship", True), ("SELECT * FROM nowhere", True),
                       (big, False), ("slow", False)):
-        first = memo.run(sql, schema)
-        again = memo.run(sql, schema)
+        first = memo.run(sql)
+        again = memo.run(sql)
         assert (again is first) is kept
         assert calls.count(sql) == (1 if kept else 2)
 
@@ -253,16 +253,16 @@ def test_memo_keeps_its_first_table_past_max_rows_and_no_later_one(schemas, monk
     big, bigger = _count_to(MEMO_MAX_ROWS + 1), _count_to(MEMO_MAX_ROWS + 2)
     calls = _counting_executions(monkeypatch)
     schema = schemas["battle_death"]
-    memo = OutcomeMemo()
-    first = memo.run(big, schema)
+    memo = OutcomeMemo(schema)
+    first = memo.run(big)
     assert len(first.table.rows) == MEMO_MAX_ROWS + 1
     # Another spelling of the same statement gets that very table.
-    assert memo.run("  " + big.lower(), schema) is first
+    assert memo.run("  " + big.lower()) is first
     assert calls == [big]
     # A second table past the bound runs again; a small one is still kept.
     for sql, kept in ((bigger, False), ("SELECT name FROM ship", True)):
-        again = memo.run(sql, schema)
-        assert (memo.run(sql, schema) is again) is kept
+        again = memo.run(sql)
+        assert (memo.run(sql) is again) is kept
         assert calls.count(sql) == (1 if kept else 2)
 
 
@@ -270,13 +270,13 @@ def test_memo_never_keeps_a_timed_out_first_outcome(schemas, monkeypatch):
     big = _count_to(MEMO_MAX_ROWS + 1)
     calls = _counting_executions(monkeypatch)
     schema = schemas["battle_death"]
-    memo = OutcomeMemo()
-    assert memo.run("slow", schema).timed_out
-    assert memo.run("slow", schema).timed_out
+    memo = OutcomeMemo(schema)
+    assert memo.run("slow").timed_out
+    assert memo.run("slow").timed_out
     assert calls == ["slow", "slow"]
     # The first table comes after the timeout, and is kept whatever its size.
-    first = memo.run(big, schema)
-    assert memo.run(big, schema) is first
+    first = memo.run(big)
+    assert memo.run(big) is first
     assert calls.count(big) == 1
 
 
@@ -314,11 +314,33 @@ def test_memo_rereads_a_database_replaced_between_two_examples_of_one_group(
 
 def test_memo_still_raises_for_a_deleted_database(tmp_path):
     schema = _numbers_db(tmp_path / "n.sqlite", [1])
-    memo = OutcomeMemo()
-    assert memo.run("SELECT n FROM t", schema).kind == "table"
+    memo = OutcomeMemo(schema)
+    assert memo.run("SELECT n FROM t").kind == "table"
     os.remove(tmp_path / "n.sqlite")
     with pytest.raises(DatabaseMissingError):
-        memo.run("SELECT n FROM t", schema)
+        memo.run("SELECT n FROM t")
+
+
+def test_memo_keeps_the_first_table_of_a_database_replaced_partway(tmp_path, monkeypatch):
+    schema = _numbers_db(tmp_path / "n.sqlite", [1])
+    calls = _counting_executions(monkeypatch)
+    monkeypatch.setattr(execution, "MEMO_MAX_ROWS", 2)
+    memo = OutcomeMemo(schema)
+    sql = "SELECT n FROM t"
+    assert len(memo.run(sql).table.rows) == 1
+    _numbers_db(tmp_path / "other.sqlite", [1, 2, 3])
+    os.replace(tmp_path / "other.sqlite", tmp_path / "n.sqlite")
+    # The replacement's first table is kept, though it is past MEMO_MAX_ROWS.
+    first = memo.run(sql)
+    assert len(first.table.rows) == 3
+    assert memo.run(sql) is first
+    assert calls == [sql, sql]
+
+
+def test_a_database_path_that_is_a_directory_raises(tmp_path):
+    schema = DatabaseSchema(db_id="numbers", tables=(("t", (("n", "number"),)),), db_path=tmp_path)
+    with pytest.raises(DatabaseMissingError):
+        execute("SELECT 1", schema)
 
 
 @pytest.mark.parametrize("workers", [0, 2], ids=["this-thread", "run-many-2-workers"])
@@ -353,7 +375,7 @@ def test_a_dropped_schema_closes_every_connection_it_opened_at_once(
         else:
             execute("SELECT n FROM t", schema)
             execute("PRAGMA user_version", schema)  # closes; the next query reopens
-            OutcomeMemo().run("SELECT n FROM t", schema)
+            OutcomeMemo(schema).run("SELECT n FROM t")
         assert opened
         del schema
         for conn in opened:
@@ -487,11 +509,11 @@ def test_memo_executes_once_and_stats_the_file_once_per_lookup(schemas, monkeypa
 
     monkeypatch.setattr(os, "stat", counting_stat)
     monkeypatch.setattr(execution, "execute", recording)
-    memo = OutcomeMemo()
-    memo.run("SELECT name FROM ship", schema)
+    memo = OutcomeMemo(schema)
+    memo.run("SELECT name FROM ship")
     assert len(stats) == 1  # a miss: the memo's stat serves the connection
     assert keys == [(file_key,)]
-    memo.run("SELECT name FROM ship", schema)
+    memo.run("SELECT name FROM ship")
     assert len(stats) == 2  # a hit
     assert len(keys) == 1
     execute("SELECT id FROM ship", schema)
@@ -604,9 +626,9 @@ def test_a_statement_hit_returns_the_table_and_names_of_the_first_text(schemas, 
     for first, second in (("SELECT count(*) FROM ship", "select COUNT(*)\nfrom  Ship"),
                           ("SELECT COUNT(*) FROM ship", "SELECT count(*) FROM ship")):
         calls.clear()
-        memo = OutcomeMemo()
-        outcome = memo.run(first, schema)
-        assert memo.run(second, schema) is outcome
+        memo = OutcomeMemo(schema)
+        outcome = memo.run(first)
+        assert memo.run(second) is outcome
         assert calls == [first]
         assert outcome.table.columns == (first.split()[1],)
 
@@ -614,11 +636,11 @@ def test_a_statement_hit_returns_the_table_and_names_of_the_first_text(schemas, 
 def test_an_error_is_kept_for_its_exact_text_only(schemas, monkeypatch):
     schema = schemas["battle_death"]
     calls = _counting_executions(monkeypatch)
-    memo = OutcomeMemo()
-    lower = memo.run("select name from from ship", schema)
-    upper = memo.run("SELECT name FROM FROM ship", schema)
+    memo = OutcomeMemo(schema)
+    lower = memo.run("select name from from ship")
+    upper = memo.run("SELECT name FROM FROM ship")
     assert 'near "from"' in lower.error and 'near "FROM"' in upper.error
-    assert memo.run("SELECT name FROM FROM ship", schema) is upper
+    assert memo.run("SELECT name FROM FROM ship") is upper
     assert calls == ["select name from from ship", "SELECT name FROM FROM ship"]
 
 

@@ -66,7 +66,7 @@ def test_suspect_gold_fires_with_aliased_sources(schemas):
     )
     gold_ast = parse(gold, schema)
     gold_table = execute(gold, schema).table
-    evidence = suspect_gold_check(gold_ast, gold_table, schema, OutcomeMemo())
+    evidence = suspect_gold_check(gold_ast, gold_table, OutcomeMemo(schema))
     assert evidence is not None
     assert "T1" in evidence["repaired_sql"] or "t1" in evidence["repaired_sql"].lower()
     repaired_outcome = execute(evidence["repaired_sql"], schema)

@@ -242,12 +242,12 @@ def observed(pred_sql: str, gold_sql: str, schema) -> tuple:
     "correct" when the tables are equivalent, else the triage category."""
     pred, gold = parse(pred_sql, schema), parse(gold_sql, schema)
     summary = diff(canonicalize(pred), canonicalize(gold)).summary()
-    memo = OutcomeMemo()
-    pred_table = memo.run(pred_sql, schema).table
-    gold_table = memo.run(gold_sql, schema).table
+    memo = OutcomeMemo(schema)
+    pred_table = memo.run(pred_sql).table
+    gold_table = memo.run(gold_sql).table
     if pred_table is not None and tables_equivalent(pred_table, gold_table).equivalent:
         return summary, "correct"
-    return summary, triage(pred, gold, pred_table, gold_table, schema, memo).category
+    return summary, triage(pred, gold, pred_table, gold_table, memo).category
 
 
 def test_every_rewrite_changes_some_query(schema, predictions):

@@ -83,6 +83,10 @@ EXTRA_QUERIES = [
     ("concert_singer", "SELECT name, 1 FROM singer ORDER BY 2 DESC LIMIT 1"),
     ("concert_singer", "SELECT 2 AS x, name FROM singer ORDER BY x DESC LIMIT 1"),
     ("concert_singer", "SELECT *, 2 AS x FROM singer ORDER BY x DESC LIMIT 1"),
+    ("concert_singer", "SELECT 2 AS two, country FROM singer GROUP BY two"),
+    ("concert_singer", "SELECT 2 AS two, count(*) FROM singer GROUP BY two"),
+    ("concert_singer", "SELECT country, count(*) FROM singer GROUP BY 1"),
+    ("concert_singer", "SELECT country AS c, count(*) AS n FROM singer GROUP BY c HAVING n > 1"),
 ]
 
 

@@ -447,6 +447,30 @@ def test_tie_past_the_row_cap_is_found_from_k_plus_one_rows(tmp_path, monkeypatc
         assert rows <= k + 1
 
 
+def test_a_tie_probe_that_gets_no_table_is_no_tie(schemas):
+    # The prediction's probe is an engine error, as the prediction was.
+    schema = schemas["concert_singer"]
+    gold = "SELECT name FROM singer ORDER BY age DESC LIMIT 1"
+    pred = "SELECT name FROM singer ORDER BY nosuchfn(age) DESC LIMIT 1"
+    assert execute(pred, schema).error is not None
+    assert tie_test(parse(pred, schema), parse(gold, schema), schema) is False
+    verdict = run_triage(pred, gold, schema)
+    assert (verdict.category, verdict.subtag) == (Category.QUERY_STRUCTURE, "ClauseShape")
+    assert "pred_rows" not in verdict.evidence
+
+
+def test_a_pair_that_differs_only_where_the_diff_looks_away_is_unclassifiable(schemas):
+    # The diff compares ORDER BY aggregates by function name only.
+    schema = schemas["concert_singer"]
+    gold = "SELECT country FROM singer GROUP BY country ORDER BY min(age) LIMIT 1"
+    pred = gold.replace("min(age)", "min(singer_id)")
+    verdict = run_triage(pred, gold, schema)
+    assert (verdict.category, verdict.subtag, verdict.confidence) == (
+        Category.UNCLASSIFIABLE, None, "heuristic"
+    )
+    assert verdict.evidence["note"] == "no rule fired; queries differ only in ignored dimensions"
+
+
 def test_extra_join_triaged_as_join_clauses_extra(schemas):
     schema = schemas["car_1"]
     verdict = run_triage(EXTRA_JOIN_CARS_SQL, BELOW_AVERAGE_CARS_SQL, schema)
@@ -468,6 +492,17 @@ def test_group_by_difference_triaged_when_no_tie(schemas):
     gold = "SELECT country, count(*) FROM singer GROUP BY country"
     verdict = run_triage(pred, gold, schema)
     assert verdict.category is Category.GROUP_BY
+
+
+def test_a_positional_group_by_term_groups_by_the_item_it_names(schemas):
+    # ``GROUP BY 1`` is ``GROUP BY country``: only the literal differs.
+    schema = schemas["concert_singer"]
+    gold = "SELECT country, count(*) FROM singer WHERE age > 20 GROUP BY country"
+    pred = "SELECT country, count(*) FROM singer WHERE age > 29 GROUP BY 1"
+    named = pred.replace("GROUP BY 1", "GROUP BY country")
+    verdict = run_triage(pred, gold, schema)
+    assert (verdict.category, verdict.confidence) == (Category.PREDICTED_VALUES, "definite")
+    assert verdict.evidence == run_triage(named, gold, schema).evidence
 
 
 def test_wrong_literal_triaged_as_predicted_values(schemas):
@@ -616,7 +651,7 @@ def test_literals_take_precedence_over_clause_shape(schemas):
 def suspect_gold(gold_sql, schema):
     """``suspect_gold_check`` of a gold query with its table and a fresh memo."""
     gold_table = execute(gold_sql, schema).table
-    return suspect_gold_check(parse(gold_sql, schema), gold_table, schema, OutcomeMemo())
+    return suspect_gold_check(parse(gold_sql, schema), gold_table, OutcomeMemo(schema))
 
 
 def test_suspect_gold_flags_cartesian_join(schemas):
