@@ -33,6 +33,10 @@ class DatabaseMissingError(Nl2SqlError):
     """The backing SQLite file is absent: a harness fault, not a query error."""
 
 
+class DatabaseChangedError(DatabaseMissingError):
+    """The backing SQLite file changed while one example ran on it."""
+
+
 class NoSqlFoundError(Nl2SqlError):
     """A model reply contained nothing extractable as a SQL statement."""
 

@@ -36,7 +36,7 @@ from datetime import datetime, timezone
 from . import execution
 from .dataset import SpiderExample, gold_groups
 from .errors import DatasetError, Nl2SqlError
-from .execution import OutcomeMemo, _file_key, tables_equivalent
+from .execution import OutcomeMemo, tables_equivalent
 from .hardness import Hardness
 from .pipeline import PipelineTranscript, Verdict, gold_unusable
 from .schema import DatabaseSchema
@@ -177,12 +177,13 @@ def _score_one(
 ) -> tuple[bool, TriageVerdict | None]:
     if transcript.final_sql is None:
         return False, None
+    file_key = memo.pin()
     judgment = transcript.judgment
     if (
         judgment is not None
         and judgment.gold_sql == example.gold_sql
         and judgment.final_sql == transcript.final_sql
-        and judgment.file_key == _file_key(memo.schema)
+        and judgment.file_key == file_key
     ):
         if judgment.equivalent:
             return True, None

@@ -4,43 +4,56 @@ Queries run against the example's SQLite file through a read-only
 connection under one rule for every caller: a ``TIMEOUT_SECONDS`` (30 s)
 deadline and a ``MAX_ROWS`` (100,000) row cap past which the table is
 ``truncated``, both read at call time. Each thread keeps one connection per
-database, cached on the ``DatabaseSchema`` and reopened when the file
-changes. Its hooks are set once, when it opens, and read this thread's
-record of its running statement: SQLite's progress handler checks the
-deadline every ``PROGRESS_STEPS`` VM steps, so no call starts a timer
-thread, and a statement it stops (``SQLITE_INTERRUPT``) is a timeout. Any
-statement that is not a plain read (a PRAGMA, a TEMP table, ATTACH, a
-transaction, a refused write) closes the connection afterwards, so no state
-reaches the next query. Outcomes are a tagged union: a table, an engine
-error (message kept verbatim: correction prompts quote it), or a timeout. A
-missing database file is a harness fault and raises instead. A table is
-``ordered`` when its SQL has a top-level ORDER BY, which
-``query_is_ordered`` reads from the tokenizer's ``_MASTER`` matches without
-building a token. Its rows come from the cursor as they are: ``sqlite3``
-gives every row one cell per column of ``cursor.description``, so the row
-arity check every other ``ResultTable`` gets is skipped.
+database, cached on the ``DatabaseSchema`` and keyed by the identity of the
+file it was opened on (device, inode, mtime and size: ``_file_key``); a
+file of another identity gets a new connection. A connection is opened
+``mode=ro&immutable=1``, so SQLite takes no file lock and never checks the
+file for changes: a ``-journal`` or ``-wal`` file beside it is not read, and
+only the identity a caller reads tells a changed file. A file whose header
+says WAL mode (byte 18 is 2) is opened without ``immutable=1``, as its
+``-wal`` file may hold committed pages. Its hooks are set once, when it
+opens, and read this thread's record of its running statement: SQLite's
+progress handler checks the deadline every ``PROGRESS_STEPS`` VM steps, so
+no call starts a timer thread, and a statement it stops
+(``SQLITE_INTERRUPT``) is a timeout. Any statement that is not a plain read
+(a PRAGMA, a TEMP table, ATTACH, a transaction, a refused write) closes the
+connection afterwards, so no state reaches the next query. Outcomes are a
+tagged union: a table, an engine error (message kept verbatim: correction
+prompts quote it), or a timeout. A missing database file is a harness fault
+and raises ``DatabaseMissingError`` instead. A table is ``ordered`` when its
+SQL has a top-level ORDER BY, which ``query_is_ordered`` reads from the
+tokenizer's ``_MASTER`` matches without building a token. Its rows come
+from the cursor as they are: ``sqlite3`` gives every row one cell per
+column of ``cursor.description``, so the row arity check every other
+``ResultTable`` gets is skipped.
 
 An ``OutcomeMemo`` lets one unit of work run each distinct statement once:
 one example in ``run`` (its gold and every stage), one gold group in
 ``evaluate`` (the gold, each prediction and the triage probes). A memo is
-one database's: each lookup reads its file's identity and drops every entry
-when that changed, so a replaced or rewritten file is read again. A table
-is kept under the ``statement_key`` of its SQL, which texts that differ
-only in ASCII case and in the kind or length of their whitespace gaps share
-outside string literals, and an engine error under the exact text, as
-SQLite quotes the spelling in its message. A hit returns the very outcome
-the first execution produced, so a shared table carries the column names of
-the text that ran first (``count(*)`` and ``COUNT(*)`` name a column
-differently). A timeout is never reused, as it depends on host load. The
-first table a memo receives from a file is kept whatever its size; a later
-one past ``MEMO_MAX_ROWS`` (10,000) rows is not. Every unit runs its gold
-first, and ``run`` holds the gold's outcome for the whole example anyway,
-so a memo holds its unit's small tables plus that first table, of at most
+one database's. One example pins the file: ``OutcomeMemo.pin`` reads its
+identity and drops every entry when that changed, and each lookup until
+the next pin runs on that identity's connection and reads no file. ``run``
+pins when an example starts and again when it ends; a file whose identity
+changed in between raises ``DatabaseChangedError`` (a
+``DatabaseMissingError``: exit 6, harness fault), and the end's pin has
+already dropped the example's outcomes, so none of its tables is kept or
+scored. Raising is chosen over running the example again, which would
+repeat its model calls. ``evaluate`` pins once per example it scores, so a
+file replaced between two examples is read again. A table is kept under the
+``statement_key`` of its SQL, which texts that differ only in ASCII case
+and in the kind or length of their whitespace gaps share outside string
+literals, and an engine error under the exact text, as SQLite quotes the
+spelling in its message. A hit returns the very outcome the first execution
+produced, so a shared table carries the column names of the text that ran
+first (``count(*)`` and ``COUNT(*)`` name a column differently). A timeout
+is never reused, as it depends on host load. The first table a memo
+receives from a file is kept whatever its size; a later one past
+``MEMO_MAX_ROWS`` (10,000) rows is not. Every unit runs its gold first, and
+``run`` holds the gold's outcome for the whole example anyway, so a memo
+holds its unit's small tables plus that first table, of at most
 ``MAX_ROWS`` rows: N workers hold at most N such tables beyond what their
 pipelines already hold. A prediction that respells a gold past the bound
-then gets the gold's own table, and a gold group runs such a gold once. A
-miss hands ``execute`` the identity the lookup read, so the file is read
-once per lookup.
+then gets the gold's own table, and a gold group runs such a gold once.
 
 Equivalence compares cell contents only: column names are ignored (gold
 and predictions alias columns differently), rows compare as sequences when
@@ -227,10 +240,12 @@ class _CachedConnection:
     __slots__ = ("conn", "file_key")
 
     def __init__(self, db_path: Path, file_key: tuple[int, ...]) -> None:
-        uri_path = quote(str(Path(db_path).resolve()))
-        self.conn = sqlite3.connect(
-            f"file:{uri_path}?mode=ro", uri=True, isolation_level=None, check_same_thread=False
-        )
+        path = os.path.abspath(db_path)
+        with open(path, "rb") as fh:
+            # Header byte 18 is 2 in WAL mode, whose -wal file immutable=1 skips.
+            immutable = "" if fh.read(19)[18:] == b"\x02" else "&immutable=1"
+        uri = f"file:{quote(path)}?mode=ro{immutable}"
+        self.conn = sqlite3.connect(uri, uri=True, isolation_level=None, check_same_thread=False)
         self.file_key = file_key
         self.conn.set_authorizer(_authorize)
         self.conn.set_progress_handler(_past_deadline, PROGRESS_STEPS)
@@ -259,37 +274,29 @@ def _past_deadline() -> bool:
     return time.monotonic() > _statement.deadline
 
 
-def _file_key(schema: DatabaseSchema) -> tuple[int, ...] | None:
-    """The identity of the schema's database file, or None when it is no regular file."""
+def _file_key(schema: DatabaseSchema) -> tuple[int, ...]:
+    """The identity of the schema's database file; raises
+    ``DatabaseMissingError`` when it is no regular file."""
     try:
         st = os.stat(schema.db_path) if schema.db_path is not None else None
     except OSError:
-        return None
+        st = None
     if st is None or not stat.S_ISREG(st.st_mode):
-        return None
+        raise DatabaseMissingError(f"database file missing for {schema.db_id}: {schema.db_path}")
     return (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
 
 
 def _connection(schema: DatabaseSchema, file_key: tuple[int, ...] | None) -> _CachedConnection:
-    """This thread's connection to the schema's database, reopened if the
-    file's identity (``_file_key``, read here when the caller has none)
-    changed."""
-    cache = schema._connections
-    cached = getattr(cache, "entry", None)
+    """This thread's connection to the schema's database file of identity
+    ``file_key`` (read here when the caller has none), opened anew when the
+    cached one is of another identity; dropping that one closes it."""
     if file_key is None:
         file_key = _file_key(schema)
-    if file_key is None:
-        if cached is not None:
-            _drop(schema)
-        raise DatabaseMissingError(
-            f"database file missing for {schema.db_id}: {schema.db_path}"
-        )
-    if cached is not None:
-        if cached.file_key == file_key:
-            return cached
-        _drop(schema)
-    cache.entry = _CachedConnection(schema.db_path, file_key)
-    return cache.entry
+    cache = schema._connections
+    cached = getattr(cache, "entry", None)
+    if cached is None or cached.file_key != file_key:
+        cache.entry = cached = _CachedConnection(schema.db_path, file_key)
+    return cached
 
 
 def _drop(schema: DatabaseSchema) -> None:
@@ -302,11 +309,11 @@ def execute(
     sql: str, schema: DatabaseSchema, file_key: tuple[int, ...] | None = None
 ) -> ExecOutcome:
     """Run one SELECT against the schema's database, read-only, under the
-    ``TIMEOUT_SECONDS`` deadline and the ``MAX_ROWS`` cap. A caller that has
-    just read the file's identity passes it, and the file is not read again:
-    a change after that read is the next lookup's to see. ``ordered`` comes
-    from ``query_is_ordered``, which scans ``_MASTER``'s matches, and the
-    rows skip the arity check (see ``ResultTable._from_cursor``)."""
+    ``TIMEOUT_SECONDS`` deadline and the ``MAX_ROWS`` cap. A direct call
+    reads the file's identity itself; an ``OutcomeMemo`` passes the one it
+    pinned, and the file is not read again. ``ordered`` comes from
+    ``query_is_ordered``, which scans ``_MASTER``'s matches, and the rows
+    skip the arity check (see ``ResultTable._from_cursor``)."""
     cursor = _connection(schema, file_key).conn.cursor()
     ordered = query_is_ordered(sql)
     _statement.deadline = time.monotonic() + TIMEOUT_SECONDS
@@ -335,8 +342,9 @@ def execute(
 class OutcomeMemo:
     """The execution outcomes of one unit of work on ``schema``'s database.
 
-    Each lookup reads the file's identity into ``file_key`` and, when it
-    changed, drops everything the memo held. A table is kept under the
+    ``pin`` reads the file's identity into ``file_key`` and, when it
+    changed, drops everything the memo held; a lookup reads nothing, and a
+    memo never pinned pins at its first lookup. A table is kept under the
     ``statement_key`` of the SQL that produced it and found by any text with
     that key; an engine error is kept and found under its exact text only. A
     text that finds another spelling's table gets that very table, with the
@@ -346,8 +354,8 @@ class OutcomeMemo:
     of a file is kept whatever its row count, which is the gold's wherever a
     gold runs; a later table is kept only when ``reusable``, and a timeout
     never is. A miss calls this module's ``execute``, looked up at call time,
-    with the identity the lookup read, so a rebinding of that name sees every
-    real execution and no hit.
+    with the pinned identity, so a rebinding of that name sees every real
+    execution and no hit.
 
     Not thread-safe: each unit of work owns its memo and drops it at the end.
     Nothing outlives it but the ``file_key`` a caller reads and, for a
@@ -364,22 +372,29 @@ class OutcomeMemo:
         self._tables: dict[str, ExecOutcome] = {}
         self._errors: dict[str, ExecOutcome] = {}
 
-    def run(self, sql: str) -> ExecOutcome:
-        """The outcome of ``execute(sql, self.schema)``, executing only on a
-        miss, which hands ``execute`` the identity this lookup read."""
+    def pin(self) -> tuple[int, ...]:
+        """Read the file's identity, the one every later lookup runs on, and
+        return it; drop everything the memo held when it changed. Raises
+        ``DatabaseMissingError`` when there is no file."""
         file_key = _file_key(self.schema)
         if file_key != self.file_key:
             self.file_key = file_key
             self._tables.clear()
             self._errors.clear()
+        return file_key
+
+    def run(self, sql: str) -> ExecOutcome:
+        """The outcome of ``execute(sql, self.schema)`` on the pinned file,
+        executing only on a miss."""
+        if self.file_key is None:
+            self.pin()
         statement = statement_key(sql)
         outcome = self._tables.get(statement)
         if outcome is None:
             outcome = self._errors.get(sql)
         if outcome is None:
-            # A missing file has no key; execute raises for it.
-            outcome = execute(sql, self.schema, file_key)
-            if file_key is not None and not outcome.timed_out:
+            outcome = execute(sql, self.schema, self.file_key)
+            if not outcome.timed_out:
                 if outcome.table is None:
                     self._errors[sql] = outcome
                 elif not self._tables or reusable(outcome):

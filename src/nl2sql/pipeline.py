@@ -30,12 +30,15 @@ runs once per group. The pipeline holds the gold's outcome for the whole
 example anyway, so each worker's memo holds at most that one table beyond
 its small ones.
 
-When the final SQL and the gold ran on the same database file (the memo's
-``file_key`` after each lookup says so), the transcript keeps the
-pipeline's judgment of them in memory (``PipelineTranscript.judgment``: the
-file's identity, both SQL texts and whether their tables were equivalent).
-When they were not, the judgment also holds the two outcomes the pipeline
-compared, and it is kept only if neither timed out or holds more than
+The memo pins the database file when an example starts and again when it
+ends (``OutcomeMemo.pin``); a file whose identity changed in between raises
+``DatabaseChangedError``, so no transcript of that example is returned.
+The final SQL and the gold thus always ran on the pinned file, and the
+transcript keeps the pipeline's judgment of them in memory
+(``PipelineTranscript.judgment``: the file's identity, both SQL texts and
+whether their tables were equivalent). When they were not, the judgment
+also holds the two outcomes the pipeline compared, and it is kept only if
+neither timed out or holds more than
 ``MEMO_MAX_ROWS`` rows, so a failed example holds at most two tables of at
 most that many rows until the report. ``evaluate`` reuses the judgment
 instead of executing and comparing both queries again, and triages a
@@ -56,7 +59,7 @@ from types import UnionType
 from typing import Callable, Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .dataset import SpiderExample, gold_groups
-from .errors import Nl2SqlError, NoSqlFoundError, ParseError
+from .errors import DatabaseChangedError, Nl2SqlError, NoSqlFoundError, ParseError
 from .execution import (
     ExecOutcome,
     OutcomeMemo,
@@ -288,7 +291,6 @@ def _execution_summary(outcome: ExecOutcome) -> dict:
 def _run_model_stage(
     transcript: PipelineTranscript,
     memo: OutcomeMemo,
-    gold_key: tuple[int, ...] | None,
     gold_outcome: ExecOutcome,
     stage: str,
     success: Verdict,
@@ -299,10 +301,9 @@ def _run_model_stage(
 
     The one place that appends a stage, and, when the stage has SQL, moves
     ``final_sql`` to it, replaces the ``judgment`` and sets ``success`` as the
-    verdict when that SQL's table is equivalent to the gold. The judgment is
-    kept when that SQL ran on the gold's file (``memo.file_key`` is
-    ``gold_key``) and, if they are not equivalent, both outcomes are
-    ``reusable``; otherwise it is cleared.
+    verdict when that SQL's table is equivalent to the gold. The judgment,
+    made on the memo's pinned file, is kept when they are equivalent or
+    both outcomes are ``reusable``; otherwise it is cleared.
     """
     reply, digest = endpoint.complete(messages)
     sql: str | None = None
@@ -333,16 +334,13 @@ def _run_model_stage(
         return record
     transcript.final_sql = sql
     transcript.judgment = None
-    equivalent = comparison is not None and comparison.equivalent
-    if equivalent:
+    if comparison is not None and comparison.equivalent:
         transcript.final_verdict = success
-    if gold_key is not None and memo.file_key == gold_key:
-        if equivalent:
-            transcript.judgment = Judgment(gold_key, transcript.gold_sql, sql, True)
-        elif reusable(outcome) and reusable(gold_outcome):
-            transcript.judgment = Judgment(
-                gold_key, transcript.gold_sql, sql, False, gold_outcome, outcome
-            )
+        transcript.judgment = Judgment(memo.file_key, transcript.gold_sql, sql, True)
+    elif reusable(outcome) and reusable(gold_outcome):
+        transcript.judgment = Judgment(
+            memo.file_key, transcript.gold_sql, sql, False, gold_outcome, outcome
+        )
     return record
 
 
@@ -361,9 +359,24 @@ def run_pipeline(
 
     ``memo`` may carry outcomes from other examples with the same gold, and
     must be of ``schema``'s database; by default the example gets its own.
+    It is pinned when the example starts and again when it ends: a file
+    changed in between raises ``DatabaseChangedError``.
     """
     if memo is None:
         memo = OutcomeMemo(schema)
+    file_key = memo.pin()
+    transcript = _run_stages(example, schema, config, generator, corrector, memo)
+    if memo.pin() != file_key:
+        raise DatabaseChangedError(
+            f"database file changed while example {example.id} ran: {schema.db_path}"
+        )
+    return transcript
+
+
+def _run_stages(
+    example: SpiderExample, schema: DatabaseSchema, config: PipelineConfig,
+    generator: ModelEndpoint, corrector: ModelEndpoint, memo: OutcomeMemo,
+) -> PipelineTranscript:
     transcript = PipelineTranscript(
         example_id=example.id,
         db_id=example.db_id,
@@ -375,7 +388,6 @@ def run_pipeline(
     )
 
     gold_outcome = memo.run(example.gold_sql)
-    gold_key = memo.file_key
     if gold_unusable(gold_outcome):
         transcript.final_verdict = Verdict.FAULT
         transcript.fault = f"gold execution unusable: {_execution_summary(gold_outcome)}"
@@ -385,7 +397,7 @@ def run_pipeline(
         {"role": "system", "content": SYSTEM_PROMPT},
         {"role": "user", "content": zero_shot_user_prompt(example.question, schema)},
     ]
-    run_stage = partial(_run_model_stage, transcript, memo, gold_key, gold_outcome)
+    run_stage = partial(_run_model_stage, transcript, memo, gold_outcome)
     last = run_stage("zero_shot", Verdict.CORRECT_FIRST_SHOT, generator, messages)
 
     # Example-driven rounds continue the same conversation.

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import nl2sql
-from nl2sql import cli
+from nl2sql import cli, pipeline
 from nl2sql.cli import main
 from nl2sql.dataset import load_dataset
 from nl2sql.llm import ModelEndpoint, RecordingTransport
@@ -96,6 +96,36 @@ def test_run_replay_evaluate_report_flow(dataset_dir, tmp_path, capsys):
     assert set(payload) == {"results", "metadata"}
     assert set(payload["results"]["buckets"]) == {"easy", "medium", "hard", "extra"}
     assert "Exec Accuracy" in report_md.read_text()
+
+
+def test_a_database_rewritten_in_place_partway_through_an_example_exits_6(
+    tmp_path, monkeypatch, capsys
+):
+    dataset = make_dataset(tmp_path / "dataset", DEV_EXAMPLES)
+    store = tmp_path / "store"
+    build_replay_store(dataset, store, gold_reply(dataset))
+    db_id = load_dataset(dataset, "dev").examples[0].db_id
+    db_path = dataset / "database" / db_id / f"{db_id}.sqlite"
+    run_stage = pipeline._run_model_stage
+
+    def rewriting(transcript, *args):
+        if not transcript.stages:  # the gold ran, the first stage has not
+            conn = sqlite3.connect(db_path)
+            conn.execute("CREATE TABLE pad (x)")  # same inode, one page more
+            conn.commit()
+            conn.close()
+        return run_stage(transcript, *args)
+
+    monkeypatch.setattr(pipeline, "_run_model_stage", rewriting)
+    out, report = tmp_path / "t.jsonl", tmp_path / "report.json"
+    code = main([
+        "run", "--dataset", str(dataset), "--replay", str(store), "--limit", "1",
+        "--out", str(out), "--report", str(report),
+    ])
+    assert code == 6
+    assert "harness fault: database file changed while example 0 ran" in capsys.readouterr().err
+    # No transcript and no score comes from the example's mixed reads.
+    assert not out.exists() and not report.exists()
 
 
 def test_transcripts_of_another_dataset_order_exit_3_without_a_report(

@@ -5,6 +5,7 @@ import hashlib
 import os
 import random
 import re
+import shutil
 import sqlite3
 import sys
 import threading
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import nl2sql
 from nl2sql import evaluate, execution
 from nl2sql.dataset import SpiderExample
-from nl2sql.errors import DatabaseMissingError
+from nl2sql.errors import DatabaseChangedError, DatabaseMissingError
 from nl2sql.execution import (
     MAX_ROWS,
     MEMO_MAX_ROWS,
@@ -34,11 +35,12 @@ from nl2sql.execution import (
     tables_equivalent,
 )
 from nl2sql.hardness import Hardness
-from nl2sql.pipeline import PipelineConfig, PipelineTranscript, Verdict, run_many
+from nl2sql.llm import ModelEndpoint
+from nl2sql.pipeline import PipelineConfig, PipelineTranscript, Verdict, run_many, run_pipeline
 from nl2sql.schema import DatabaseSchema
 
 from conftest import BELOW_AVERAGE_CARS_SQL, DEV_EXAMPLES, EXTRA_JOIN_CARS_SQL
-from helpers import generate_corpus
+from helpers import ScriptedTransport, generate_corpus
 
 
 def table(rows, columns=None, ordered=False, truncated=False):
@@ -317,8 +319,11 @@ def test_memo_still_raises_for_a_deleted_database(tmp_path):
     memo = OutcomeMemo(schema)
     assert memo.run("SELECT n FROM t").kind == "table"
     os.remove(tmp_path / "n.sqlite")
+    # The next example's pin finds no file.
     with pytest.raises(DatabaseMissingError):
-        memo.run("SELECT n FROM t")
+        memo.pin()
+    with pytest.raises(DatabaseMissingError):
+        OutcomeMemo(schema).run("SELECT n FROM t")
 
 
 def test_memo_keeps_the_first_table_of_a_database_replaced_partway(tmp_path, monkeypatch):
@@ -327,14 +332,72 @@ def test_memo_keeps_the_first_table_of_a_database_replaced_partway(tmp_path, mon
     monkeypatch.setattr(execution, "MEMO_MAX_ROWS", 2)
     memo = OutcomeMemo(schema)
     sql = "SELECT n FROM t"
-    assert len(memo.run(sql).table.rows) == 1
+    pinned = memo.run(sql)
+    assert len(pinned.table.rows) == 1
     _numbers_db(tmp_path / "other.sqlite", [1, 2, 3])
     os.replace(tmp_path / "other.sqlite", tmp_path / "n.sqlite")
-    # The replacement's first table is kept, though it is past MEMO_MAX_ROWS.
+    # Until the next pin, lookups read the pinned file: a hit, and a miss
+    # on the connection still open on the replaced file.
+    assert memo.run(sql) is pinned
+    assert memo.run("SELECT count(*) FROM t").table.rows == ((1,),)
+    # The pin drops the old entries; the replacement's first table is kept,
+    # though it is past MEMO_MAX_ROWS.
+    memo.pin()
     first = memo.run(sql)
     assert len(first.table.rows) == 3
     assert memo.run(sql) is first
-    assert calls == [sql, sql]
+    assert calls == [sql, "SELECT count(*) FROM t", sql]
+
+
+def _rewrite_in_place(path) -> None:
+    """Change every row of ``t`` and grow the file, keeping its inode."""
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE t SET n = n + 10")
+    conn.execute("CREATE TABLE pad (x)")
+    conn.commit()
+    conn.close()
+
+
+def test_an_example_whose_file_changes_partway_raises_and_keeps_no_table(
+    tmp_path, monkeypatch
+):
+    schema = _numbers_db(tmp_path / "n.sqlite", [1, 2])
+    gold = "SELECT n FROM t ORDER BY n"
+    example = SpiderExample(id=0, question="q", db_id="numbers", gold_sql=gold,
+                            hardness=Hardness.EASY)
+
+    def reply(request):
+        _rewrite_in_place(tmp_path / "n.sqlite")  # after the gold ran
+        return "SELECT n FROM t"
+
+    endpoint = ModelEndpoint("generator", ScriptedTransport(reply), "gen-model")
+    calls = _counting_executions(monkeypatch)
+    memo = OutcomeMemo(schema)
+    with pytest.raises(DatabaseChangedError, match="changed while example 0 ran"):
+        run_pipeline(example, schema, PipelineConfig(enable_error_correction=False),
+                     endpoint, endpoint, memo)
+    assert calls[:2] == [gold, "SELECT n FROM t"]
+    ran = len(calls)
+    # The example's outcomes are gone: its gold runs again, on the new file.
+    assert memo.run(gold).table.rows == ((11,), (12,))
+    assert calls[ran:] == [gold]
+
+
+def test_a_wal_mode_database_is_read_with_its_wal_file(tmp_path):
+    writer = sqlite3.connect(tmp_path / "w.sqlite")
+    writer.execute("PRAGMA journal_mode = WAL")
+    writer.execute("CREATE TABLE t (n INTEGER)")
+    writer.executemany("INSERT INTO t VALUES (?)", [(1,), (2,), (3,)])
+    writer.commit()
+    # Copied before any checkpoint: the rows are in the -wal file alone.
+    (tmp_path / "copy").mkdir()
+    for suffix in ("", "-wal", "-shm"):
+        shutil.copy(tmp_path / f"w.sqlite{suffix}", tmp_path / "copy" / f"n.sqlite{suffix}")
+    writer.close()
+    schema = DatabaseSchema(db_id="numbers", tables=(("t", (("n", "number"),)),),
+                            db_path=tmp_path / "copy" / "n.sqlite")
+    assert execute("SELECT n FROM t ORDER BY n", schema).table.rows == ((1,), (2,), (3,))
+    assert len(OutcomeMemo(schema).run("SELECT n FROM t").table.rows) == 3
 
 
 def test_a_database_path_that_is_a_directory_raises(tmp_path):
@@ -488,36 +551,90 @@ def test_timeout_while_fetching_rows_reported_as_timeout(schemas, monkeypatch):
     assert execute(sql, schemas["car_1"]).kind == "timeout"
 
 
-def test_memo_executes_once_and_stats_the_file_once_per_lookup(schemas, monkeypatch):
-    schema = schemas["battle_death"]
-    db_path = os.fspath(schema.db_path)
-    execute("SELECT 1", schema)  # this thread's connection is open
-    file_key = execution._file_key(schema)
+def _counting_stats(monkeypatch, paths) -> list:
+    """Every ``os.stat`` of one of ``paths``, which is how a file's identity is read."""
+    paths = {os.fspath(path) for path in paths}
     stats = []
     real_stat = os.stat
 
     def counting_stat(path, *args, **kwargs):
-        if os.fspath(path) == db_path:
+        if os.fspath(path) in paths:
             stats.append(path)
         return real_stat(path, *args, **kwargs)
 
+    monkeypatch.setattr(os, "stat", counting_stat)
+    return stats
+
+
+def test_memo_executes_once_and_stats_the_file_once_per_pin(schemas, monkeypatch):
+    schema = schemas["battle_death"]
+    execute("SELECT 1", schema)  # this thread's connection is open
+    file_key = execution._file_key(schema)
     keys = []
 
     def recording(sql, schema, *args):
         keys.append(args)
         return execute(sql, schema, *args)
 
-    monkeypatch.setattr(os, "stat", counting_stat)
+    stats = _counting_stats(monkeypatch, [schema.db_path])
     monkeypatch.setattr(execution, "execute", recording)
     memo = OutcomeMemo(schema)
     memo.run("SELECT name FROM ship")
-    assert len(stats) == 1  # a miss: the memo's stat serves the connection
+    assert len(stats) == 1  # the first lookup pins; the pin serves the connection
     assert keys == [(file_key,)]
     memo.run("SELECT name FROM ship")
-    assert len(stats) == 2  # a hit
-    assert len(keys) == 1
+    memo.run("SELECT id FROM ship")
+    assert len(stats) == 1  # a hit and a miss read nothing
+    assert keys == [(file_key,)] * 2
+    assert memo.pin() == file_key
+    assert len(stats) == 2
     execute("SELECT id FROM ship", schema)
     assert len(stats) == 3  # a direct call stats for itself
+
+
+def _wrong_then_right(loaded):
+    """Endpoints that answer each question wrong, then with an engine error,
+    and last with the gold for every other question, so every stage, every
+    judgment and the triage probes run."""
+    from test_pipeline import question_of, stage_of
+
+    golds = {ex.question: ex.gold_sql for ex in loaded.examples}
+    right = set(list(golds)[::2])
+
+    def reply(request):
+        stage, question = stage_of(request), question_of(request)
+        if stage == "error" and question in right:
+            return golds[question]
+        return "SELECT 1" if stage == "zero_shot" else "SELECT nothing FROM nowhere"
+
+    return (ModelEndpoint("generator", ScriptedTransport(reply), "gen-model"),
+            ModelEndpoint("corrector", ScriptedTransport(reply), "fix-model"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_example_reads_the_file_identity_at_most_twice_to_run_and_once_to_score(
+    loaded, monkeypatch, workers
+):
+    examples, schemas = loaded.examples, loaded.schemas
+    generator, corrector = _wrong_then_right(loaded)
+    stats = _counting_stats(monkeypatch, [schema.db_path for schema in schemas.values()])
+    transcripts = run_many(examples, schemas, PipelineConfig(), generator, corrector,
+                           workers=workers)
+    assert 0 < len(stats) <= 2 * len(examples)
+    assert {t.final_verdict for t in transcripts} == {Verdict.FAILED, Verdict.CORRECTED_BY_ERROR}
+    for transcript in transcripts:
+        assert transcript.judgment is not None
+    for fresh in (False, True):  # judged in memory, then read from a file
+        if fresh:
+            transcripts = [PipelineTranscript.from_json(t.to_json()) for t in transcripts]
+        stats.clear()
+        report = evaluate.score(transcripts, examples, schemas, with_triage=True)
+        assert 0 < len(stats) <= len(examples)
+        assert report.verdicts
+    for ex in examples:
+        stats.clear()
+        run_pipeline(ex, schemas[ex.db_id], PipelineConfig(), generator, corrector)
+        assert 0 < len(stats) <= 2
 
 
 # --------------------------------------------------------------------------- statement key
