@@ -9,7 +9,9 @@ them (a FROM subquery's items keep theirs, lower-cased, as the outer query
 reads its columns by name), and alias and positional ORDER BY and GROUP
 BY terms are replaced by the select item they name (see ``_canon_key``).
 Literals keep their type and value: 3 and 3.0 stay different, as 7 / 2 and
-7 / 2.0 do, and 'Lost' and 'lost' stay different.
+7 / 2.0 do, and 'Lost' and 'lost' stay different. A literal already
+spelled canonically, as most that the parser makes are, is kept, not
+copied.
 
 A comparison between a literal and a non-literal, but not LIKE, puts the
 literal on the right and mirrors the operator, after signs fold: `-5 < age`
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from .nodes import (
@@ -76,22 +78,18 @@ def _canon_select(
     for item, canon in local:
         src = item.source
         if isinstance(src, TableSource):
-            new_src: TableSource | SubquerySource = TableSource(
-                table=src.table.lower(), alias=canon, key=canon
-            )
+            new_src: TableSource | SubquerySource = TableSource(src.table.lower(), canon, canon)
         else:
             # FROM subqueries are uncorrelated; canonicalize independently of
             # the outer mapping but share the global alias counter.
-            new_src = SubquerySource(
-                query=_canon_select(src.query, {}, counter, named=True), alias=canon, key=canon
-            )
+            new_src = SubquerySource(_canon_select(src.query, {}, counter, named=True), canon, canon)
         condition = _canon_expr(item.condition, mapping, counter, s) if item.condition else None
-        from_items.append(replace(item, source=new_src, condition=condition))
+        from_items.append(FromItem(new_src, item.join_type, condition))
 
     items = tuple(
         SelectItem(
-            expr=_canon_expr(i.expr, mapping, counter, s),
-            alias=i.alias.lower() if named and i.alias is not None else None,
+            _canon_expr(i.expr, mapping, counter, s),
+            i.alias.lower() if named and i.alias is not None else None,
         )
         for i in s.items
     )
@@ -99,22 +97,13 @@ def _canon_select(
     group_by = tuple(_canon_key(e, s, mapping, counter) for e in s.group_by)
     having = _canon_expr(s.having, mapping, counter, s) if s.having is not None else None
     order_by = tuple(
-        OrderItem(expr=_canon_key(o.expr, s, mapping, counter), descending=o.descending)
-        for o in s.order_by
+        OrderItem(_canon_key(o.expr, s, mapping, counter), o.descending) for o in s.order_by
     )
     set_op = None
     if s.set_op is not None:
         set_op = (s.set_op[0], _canon_select(s.set_op[1], outer_map, counter))
     return Select(
-        items=items,
-        from_items=tuple(from_items),
-        where=where,
-        group_by=group_by,
-        having=having,
-        order_by=order_by,
-        limit=s.limit,
-        distinct=s.distinct,
-        set_op=set_op,
+        items, tuple(from_items), where, group_by, having, order_by, s.limit, s.distinct, set_op
     )
 
 
@@ -148,13 +137,13 @@ def _canon_key(key: Expr, s: Select, mapping: dict[str, str], counter: Iterator[
 
 
 def _canon_expr(e: Expr, mapping: dict[str, str], counter: Iterator[int], scope: Select) -> Expr:
+    if isinstance(e, ColumnRef):
+        alias = mapping.get(e.source)
+        if alias is not None:
+            return ColumnRef(alias, e.column.lower(), alias)
+        return ColumnRef(None, e.column.lower(), None, e.ambiguous)
     if isinstance(e, Literal):
         return _canon_literal(e)
-    if isinstance(e, ColumnRef):
-        if e.source is not None and e.source in mapping:
-            alias = mapping[e.source]
-            return ColumnRef(table=alias, column=e.column.lower(), source=alias)
-        return ColumnRef(table=None, column=e.column.lower(), source=None, ambiguous=e.ambiguous)
     if isinstance(e, AliasRef):
         # Replace the output-alias reference with the expression it names.
         target = scope.items[e.index].expr
@@ -183,17 +172,18 @@ def _canon_expr(e: Expr, mapping: dict[str, str], counter: Iterator[int], scope:
 
 
 def _canon_literal(lit: Literal) -> Literal:
-    if lit.value is None:
-        return Literal(value=None, text="NULL")
-    if isinstance(lit.value, int):
-        return Literal(value=lit.value, text=str(lit.value))
-    if isinstance(lit.value, float):
-        value = lit.value
-        if math.isinf(value):
-            # repr's "inf" would read as a column name; 1e999 overflows to it.
-            return Literal(value=value, text="1e999" if value > 0 else "-1e999")
-        return Literal(value=value, text=repr(value))
-    return Literal(value=lit.value, text=_quote_string(lit.value))
+    """``lit`` spelled canonically; ``lit`` itself when it already is."""
+    value = lit.value
+    if value is None:
+        text = "NULL"
+    elif isinstance(value, int):
+        text = str(value)
+    elif isinstance(value, float):
+        # repr's "inf" would read as a column name; 1e999 overflows to it.
+        text = ("1e999" if value > 0 else "-1e999") if math.isinf(value) else repr(value)
+    else:
+        text = _quote_string(value)
+    return lit if lit.text == text else Literal(value=value, text=text)
 
 
 def _fold_signed_number(e: Unary) -> Literal | None:

@@ -10,12 +10,21 @@ diffed pairwise and their deltas merged.
 
 Cross-query comparison cannot use the positional t1/t2 aliases (two queries
 joining the same tables in a different order would never match), so
-expressions are compared as printed re-qualified by resolved *table name*:
-one walk per query maps each source key to its table name (a FROM subquery
-to its alias-neutral text), and the printer qualifies columns through that
-map and drops FROM aliases while printing; joined tables are counted by
-the same names, a LEFT-joined source apart from an inner-joined one. No
-re-qualified tree is built.
+expressions are compared as printed re-qualified by resolved *table name*.
+One walk per query (``_Query``) gathers all that the comparison reads: it
+maps each source key to its table name (a FROM subquery to its alias-neutral
+text), counts nested SELECTs, lists condition-less joins, names the
+aggregates of each clause, and prints each clause's expressions through that
+map, which qualifies columns by table name and drops FROM aliases. Joined
+tables are counted by the same names, a LEFT-joined source apart from an
+inner-joined one. No re-qualified tree is built.
+
+WHERE and HAVING conjuncts are matched exactly first, by printed text. Only
+the conjuncts left over are printed again with the literals of their own
+scope masked, and matched by that shape, so literal differences are
+reported at matched positions; a pair whose conjuncts all agree masks
+nothing.
+
 Two deliberate lenience rules, both needed so that stylistic differences do
 not register as errors:
 
@@ -32,17 +41,17 @@ two rules; any other canonical difference surfaces in at least one field.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
-from typing import ClassVar, NamedTuple
+from typing import Callable, NamedTuple
 
 from .canonical import CanonicalAst
 from .conditionless import scope_conditionless_joins
-from .nodes import Comparison, Expr, Literal, Select, TableSource, map_children
-from .printer import expr_sql, to_sql
-from .walk import (
-    clause_exprs, flatten_and, is_aggregate, is_link_predicate, iter_expr_nodes, subselects,
+from .nodes import (
+    AGGREGATE_FUNCTIONS, LEAF_TYPES, Comparison, Expr, FuncCall, Literal, Select, TableSource,
+    children, map_children,
 )
+from .printer import expr_sql, to_sql
+from .walk import flatten_and, is_aggregate, is_link_predicate, iter_expr_nodes
 
 _AGG_CLAUSES = ("select", "group_by", "having", "order_by")
 
@@ -50,21 +59,16 @@ _AGG_CLAUSES = ("select", "group_by", "having", "order_by")
 # --------------------------------------------------------------------------- delta types
 
 class _Delta:
-    """Emptiness, truth, the compound-arm merge and the JSON view of a delta,
+    """Truth, emptiness, the compound-arm merge and the JSON view of a delta,
     all derived from its dataclass fields. A frozen dataclass's ``vars``
     holds its fields in declaration order."""
 
-    # Fields that inform the summary but do not make the delta non-empty.
-    INFORMATIONAL: ClassVar[tuple[str, ...]] = ()
-
     @property
     def empty(self) -> bool:
-        return not any(
-            value for name, value in vars(self).items() if name not in self.INFORMATIONAL
-        )
+        return not self
 
     def __bool__(self) -> bool:
-        return not self.empty
+        return any(vars(self).values())
 
     def merge(self, other):
         """This arm's delta followed by the other arm's."""
@@ -131,14 +135,19 @@ class AggregateDelta(_Delta):
 
 @dataclass(frozen=True)
 class JoinDelta(_Delta):
-    INFORMATIONAL = ("pred_conditionless", "gold_conditionless")
-
     extra_tables: tuple[str, ...] = ()
     missing_tables: tuple[str, ...] = ()
     extra_conditions: tuple[str, ...] = ()
     missing_conditions: tuple[str, ...] = ()
+    # They inform the summary but do not make the delta non-empty.
     pred_conditionless: tuple[str, ...] = ()
     gold_conditionless: tuple[str, ...] = ()
+
+    def __bool__(self) -> bool:
+        return bool(
+            self.extra_tables or self.missing_tables
+            or self.extra_conditions or self.missing_conditions
+        )
 
 
 @dataclass(frozen=True)
@@ -156,14 +165,21 @@ _SUMMARY_KEYS = {
     "clause_delta": "clauses",
 }
 
+# The empty deltas, shared by every diff that finds nothing in a field.
+_NO_SELECT = SelectDelta()
+_NO_GROUP_BY = GroupByDelta()
+_NO_AGGREGATES = AggregateDelta()
+_NO_JOINS = JoinDelta()
+_NO_LITERALS = LiteralDelta()
+
 
 @dataclass(frozen=True)
 class AstDiff(_Delta):
-    select_delta: SelectDelta = SelectDelta()
-    group_by_delta: GroupByDelta = GroupByDelta()
-    aggregate_delta: AggregateDelta = AggregateDelta()
-    join_delta: JoinDelta = JoinDelta()
-    literal_delta: LiteralDelta = LiteralDelta()
+    select_delta: SelectDelta = _NO_SELECT
+    group_by_delta: GroupByDelta = _NO_GROUP_BY
+    aggregate_delta: AggregateDelta = _NO_AGGREGATES
+    join_delta: JoinDelta = _NO_JOINS
+    literal_delta: LiteralDelta = _NO_LITERALS
     structure_delta: tuple[str, ...] = ()  # fundamental shape divergence
     clause_delta: tuple[str, ...] = ()  # residual clause mismatches
 
@@ -181,63 +197,49 @@ class AstDiff(_Delta):
 
 def diff(pred: CanonicalAst, gold: CanonicalAst) -> AstDiff:
     """Compare two canonical queries; fields are labeled from pred's side."""
-    return _diff_select(pred.query, gold.query, _Query(pred.query), _Query(gold.query))
+    return _diff_levels(_Query(pred.query).top, _Query(gold.query).top)
 
 
-def _diff_select(pred: Select, gold: Select, pq: "_Query", gq: "_Query") -> AstDiff:
-    """Diff one level; ``pq`` and ``gq`` describe the whole queries."""
-    pred_op = pred.set_op[0] if pred.set_op else None
-    gold_op = gold.set_op[0] if gold.set_op else None
-    paired = pred.set_op is not None and pred_op == gold_op
-    structure = [
+def _diff_levels(pred: "_Level", gold: "_Level") -> AstDiff:
+    """Diff one level: a whole query, or the set-operation arms of two."""
+    paired = pred.set_op is not None and pred.set_op == gold.set_op
+    structure = tuple(
         name
         for name, differs in (
-            ("subquery_shape", pq.subqueries[id(pred)] != gq.subqueries[id(gold)]),
-            ("set_op", pred_op != gold_op),
+            ("subquery_shape", pred.subqueries != gold.subqueries),
+            ("set_op", pred.set_op != gold.set_op),
         )
         if differs
-    ]
-    pred_where, pred_links = _split_links(pred)
-    gold_where, gold_links = _split_links(gold)
-    where_literals, where_mismatch = _diff_predicates(pred_where, gold_where, pq, gq)
-    having_literals, having_mismatch = _diff_predicates(
-        flatten_and(pred.having), flatten_and(gold.having), pq, gq
     )
-    clause = [
+    names = (pred.names, gold.names)
+    where_literals, where_mismatch = _diff_predicates(pred.where, gold.where, *names)
+    having_literals, having_mismatch = _diff_predicates(pred.having, gold.having, *names)
+    clause = tuple(
         name
         for name, differs in (
             ("where", where_mismatch),
             ("having", having_mismatch),
-            ("order_by", _order_keys(pred, pq) != _order_keys(gold, gq)),
+            ("order_by", pred.order_by != gold.order_by),
             ("limit", pred.limit != gold.limit),
             ("distinct", pred.distinct != gold.distinct),
         )
         if differs
-    ]
-    pred_tables, pred_conds = _join_graph(pred, pred_links, pq)
-    gold_tables, gold_conds = _join_graph(gold, gold_links, gq)
+    )
+    literals = where_literals + having_literals
     out = AstDiff(
-        select_delta=_diff_items(
-            [pq.sql(i.expr) for i in pred.items], [gq.sql(i.expr) for i in gold.items]
+        select_delta=_diff_items(pred.items, gold.items),
+        group_by_delta=(
+            _NO_GROUP_BY if pred.group_by == gold.group_by
+            else GroupByDelta(pred=tuple(pred.group_by), gold=tuple(gold.group_by))
         ),
-        group_by_delta=_diff_group_by(
-            sorted(map(pq.sql, pred.group_by)), sorted(map(gq.sql, gold.group_by))
-        ),
-        aggregate_delta=_diff_aggregates(pred, gold),
-        join_delta=JoinDelta(
-            extra_tables=_surplus(pred_tables, gold_tables),
-            missing_tables=_surplus(gold_tables, pred_tables),
-            extra_conditions=_surplus(pred_conds, gold_conds),
-            missing_conditions=_surplus(gold_conds, pred_conds),
-            pred_conditionless=pq.conditionless[id(pred)][paired],
-            gold_conditionless=gq.conditionless[id(gold)][paired],
-        ),
-        literal_delta=LiteralDelta(entries=tuple(where_literals + having_literals)),
-        structure_delta=tuple(structure),
-        clause_delta=tuple(clause),
+        aggregate_delta=_diff_aggregates(pred.aggregates, gold.aggregates),
+        join_delta=_diff_joins(pred, gold, paired),
+        literal_delta=LiteralDelta(entries=tuple(literals)) if literals else _NO_LITERALS,
+        structure_delta=structure,
+        clause_delta=clause,
     )
     if paired:
-        out = out.merge(_diff_select(pred.set_op[1], gold.set_op[1], pq, gq))
+        out = out.merge(_diff_levels(pred.arm, gold.arm))
         out = replace(
             out,
             structure_delta=tuple(dict.fromkeys(out.structure_delta)),
@@ -248,137 +250,206 @@ def _diff_select(pred: Select, gold: Select, pq: "_Query", gq: "_Query") -> AstD
 
 # --------------------------------------------------------------------------- one walk per query
 
+class _Level:
+    """What diffing reads from one SELECT it compares level by level: a
+    whole query, or the set-operation arm of one. Clause expressions are
+    printed through ``names``: select items in order, GROUP BY terms and
+    the pooled join conditions sorted, WHERE conjuncts that link no two
+    sources and HAVING conjuncts as (text, conjunct) pairs. ``aggregates``
+    holds the sorted aggregate names of each of ``_AGG_CLAUSES``.
+    ``subqueries`` counts the SELECTs nested in this one, set-operation arm
+    included, and ``conditionless`` holds its condition-less joined tables
+    with and without those of its arm, indexed by whether the arms are
+    diffed pairwise (the arm's own delta then lists them)."""
+
+    __slots__ = (
+        "names", "items", "group_by", "order_by", "tables", "conditions", "where", "having",
+        "aggregates", "limit", "distinct", "set_op", "arm", "subqueries", "conditionless",
+    )
+
+    def __init__(
+        self,
+        select: Select,
+        names: dict[str, str],
+        aggregates: tuple[tuple[str, ...], ...],
+        subqueries: int,
+        conditionless: tuple[tuple[str, ...], tuple[str, ...]],
+        arm: "_Level | None",
+    ) -> None:
+        def sql(expr: Expr) -> str:
+            return expr_sql(expr, names)
+
+        self.names = names
+        self.items = [sql(item.expr) for item in select.items]
+        self.group_by = sorted(map(sql, select.group_by))
+        self.order_by = [
+            (o.descending, (o.expr.name,) if is_aggregate(o.expr) else sql(o.expr))
+            for o in select.order_by
+        ]
+        self.tables = sorted(
+            ("left join " if item.join_type == "left" else "") + names[item.source.key]
+            for item in select.from_items
+        )
+        # WHERE links pool with the ON conjuncts. Links are found on the
+        # canonical tree, where two sources of one table still have two aliases.
+        conditions = [
+            _condition_key(conj, sql)
+            for item in select.from_items
+            for conj in flatten_and(item.condition)
+        ]
+        self.where = []
+        for conj in flatten_and(select.where):
+            if is_link_predicate(conj):
+                conditions.append(_condition_key(conj, sql))
+            else:
+                self.where.append((sql(conj), conj))
+        self.conditions = sorted(conditions)
+        self.having = [(sql(conj), conj) for conj in flatten_and(select.having)]
+        self.aggregates = aggregates
+        self.limit = select.limit
+        self.distinct = select.distinct
+        self.set_op = select.set_op[0] if select.set_op is not None else None
+        self.arm = arm
+        self.subqueries = subqueries
+        self.conditionless = conditionless
+
+
 class _Query:
-    """What diffing needs from every SELECT of one canonical query, gathered
-    in one walk over its nested SELECTs.
+    """One walk over a canonical query and every SELECT nested in it.
 
     ``names`` maps each source key to the name comparison prints for it: a
-    table's name, or for a FROM subquery its alias-neutral text, so that
-    printing with it (``sql``) compares across queries whose positional
+    table's name, or for a FROM subquery ``subquery:`` and its alias-neutral
+    text, so that printing with it compares across queries whose positional
     aliases differ. Canonical aliases are unique within one query, so one
-    flat map serves every scope. Per SELECT, by ``id``: ``subqueries``, the
-    number of SELECTs nested in it, set-operation arm included, and
-    ``conditionless``, its condition-less joined tables with and without
-    those of its set-operation arm, indexed by whether the arms are diffed
-    pairwise (the arm's own delta then lists them).
+    flat map serves every scope. ``top`` is the ``_Level`` of the query.
     """
 
     def __init__(self, select: Select) -> None:
         self.names: dict[str, str] = {}
-        self.subqueries: dict[int, int] = {}
-        self.conditionless: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        self._visit(select)
+        self.top: _Level = self._visit(select, True)[2]
 
-    def sql(self, expr: Expr) -> str:
-        return expr_sql(expr, self.names)
+    def _visit(self, select: Select, compared: bool) -> tuple[int, list[str], _Level | None]:
+        """Visit ``select`` and the SELECTs nested in it, in ``walk.subselects``
+        order; returns its subquery count, its condition-less joins (its
+        set-operation arm's included) and, when ``compared``, its ``_Level``.
 
-    def _visit(self, select: Select) -> tuple[int, list[str]]:
-        """Visit ``select`` after the SELECTs nested in it, so the sources a
-        FROM subquery reads are named before it is; returns its subquery
-        count and its condition-less joins, set-operation arm included."""
-        nested = list(subselects(select))
-        arm = [nested.pop()] if select.set_op is not None else []
+        A scope's table sources are named on entry and each FROM subquery
+        right after its own visit, before any expression subquery is
+        visited, so every source a printed expression can reach is named by
+        then: a FROM subquery reads no outer source."""
+        names = self.names
+        for item in select.from_items:
+            if isinstance(item.source, TableSource):
+                names[item.source.key] = item.source.table.lower()
         count = 0
         flags = [flag.table for flag in scope_conditionless_joins(select)]
+        for item in select.from_items:
+            src = item.source
+            if not isinstance(src, TableSource):
+                sub_count, sub_flags, _ = self._visit(src.query, False)
+                count += 1 + sub_count
+                flags += sub_flags
+                names[src.key] = "subquery:" + to_sql(src.query, names)
+        nested: list[Select] = []
+        on = [item.condition for item in select.from_items if item.condition is not None]
+        select_aggs = _scan([item.expr for item in select.items], nested)
+        if on:
+            _scan(on, nested)
+        if select.where is not None:
+            _scan((select.where,), nested)
+        group_aggs = _scan(select.group_by, nested) if select.group_by else ()
+        having_aggs = _scan((select.having,), nested) if select.having is not None else ()
+        order_aggs = _scan([o.expr for o in select.order_by], nested) if select.order_by else ()
         for sub in nested:
-            sub_count, sub_flags = self._visit(sub)
+            sub_count, sub_flags, _ = self._visit(sub, False)
             count += 1 + sub_count
             flags += sub_flags
         own = tuple(flags)
-        for sub in arm:
-            sub_count, sub_flags = self._visit(sub)
+        arm = None
+        if select.set_op is not None:
+            sub_count, sub_flags, arm = self._visit(select.set_op[1], compared)
             count += 1 + sub_count
             flags += sub_flags
-        self.subqueries[id(select)] = count
-        self.conditionless[id(select)] = (tuple(flags), own)
-        for item in select.from_items:
-            src = item.source
-            if isinstance(src, TableSource):
-                self.names[src.key] = src.table.lower()
-            else:
-                self.names[src.key] = "subquery:" + to_sql(src.query, self.names)
-        return count, flags
+        if not compared:
+            return count, flags, None
+        aggregates = (select_aggs, group_aggs, having_aggs, order_aggs)
+        level = _Level(select, names, aggregates, count, (tuple(flags), own), arm)
+        return count, flags, level
+
+
+def _scan(exprs, nested: list[Select]) -> tuple[str, ...]:
+    """The sorted names of the aggregate calls in ``exprs``, nested SELECTs
+    not entered. Each SELECT nested directly in them is appended to ``nested``,
+    in the order ``walk.subquery_nodes`` gives."""
+    found: list[str] = []
+    for expr in exprs:
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, FuncCall) and node.name in AGGREGATE_FUNCTIONS:
+                found.append(node.name)
+            for child in children(node):
+                if isinstance(child, Select):
+                    nested.append(child)
+                elif not isinstance(child, LEAF_TYPES):
+                    stack.append(child)
+    return tuple(sorted(found)) if found else ()
 
 
 # --------------------------------------------------------------------------- per-clause diffs
 
-def _surplus(a: Counter, b: Counter) -> tuple[str, ...]:
+def _surplus(a: list[str], b: list[str]) -> tuple[str, ...]:
     """The entries of ``a`` beyond those of ``b``, sorted."""
-    return tuple(sorted((a - b).elements()))
+    if a == b:
+        return ()
+    rest = sorted(a)
+    for entry in b:
+        if entry in rest:
+            rest.remove(entry)
+    return tuple(rest)
 
 
 def _diff_items(pred_keys: list[str], gold_keys: list[str]) -> SelectDelta:
     if pred_keys == gold_keys:
-        return SelectDelta()
-    pred_count = Counter(pred_keys)
-    gold_count = Counter(gold_keys)
-    if pred_count == gold_count:
+        return _NO_SELECT
+    if sorted(pred_keys) == sorted(gold_keys):
         return SelectDelta(reordered=True)
     return SelectDelta(
-        missing=_surplus(gold_count, pred_count), extra=_surplus(pred_count, gold_count)
+        missing=_surplus(gold_keys, pred_keys), extra=_surplus(pred_keys, gold_keys)
     )
 
 
-def _diff_group_by(pred_keys: list[str], gold_keys: list[str]) -> GroupByDelta:
-    if pred_keys == gold_keys:
-        return GroupByDelta()
-    return GroupByDelta(pred=tuple(pred_keys), gold=tuple(gold_keys))
+def _diff_aggregates(pred: tuple, gold: tuple) -> AggregateDelta:
+    if pred == gold:
+        return _NO_AGGREGATES
+    return AggregateDelta(clauses=tuple(
+        AggregateRow(clause, p, g) for clause, p, g in zip(_AGG_CLAUSES, pred, gold) if p != g
+    ))
 
 
-def _aggregates_by_clause(select: Select) -> dict[str, tuple[str, ...]]:
-    return {
-        clause: tuple(sorted(
-            node.name
-            for expr in exprs
-            for node in iter_expr_nodes(expr)
-            if is_aggregate(node)
-        ))
-        for clause, exprs in clause_exprs(select)
-        if clause in _AGG_CLAUSES
-    }
-
-
-def _diff_aggregates(pred: Select, gold: Select) -> AggregateDelta:
-    pred_aggs = _aggregates_by_clause(pred)
-    gold_aggs = _aggregates_by_clause(gold)
-    rows = (
-        AggregateRow(clause, pred_aggs.get(clause, ()), gold_aggs.get(clause, ()))
-        for clause in _AGG_CLAUSES
+def _diff_joins(pred: _Level, gold: _Level, paired: bool) -> JoinDelta:
+    pred_conditionless = pred.conditionless[paired]
+    gold_conditionless = gold.conditionless[paired]
+    if (
+        pred.tables == gold.tables and pred.conditions == gold.conditions
+        and not pred_conditionless and not gold_conditionless
+    ):
+        return _NO_JOINS
+    return JoinDelta(
+        extra_tables=_surplus(pred.tables, gold.tables),
+        missing_tables=_surplus(gold.tables, pred.tables),
+        extra_conditions=_surplus(pred.conditions, gold.conditions),
+        missing_conditions=_surplus(gold.conditions, pred.conditions),
+        pred_conditionless=pred_conditionless,
+        gold_conditionless=gold_conditionless,
     )
-    return AggregateDelta(clauses=tuple(row for row in rows if row.pred != row.gold))
 
 
-def _split_links(select: Select) -> tuple[list[Expr], list[Expr]]:
-    """The WHERE conjuncts that do not link two sources, and those that do
-    (``walk.is_link_predicate``). Links are found on the canonical tree,
-    where two sources of one table still have two aliases."""
-    rest: list[Expr] = []
-    links: list[Expr] = []
-    for conj in flatten_and(select.where):
-        (links if is_link_predicate(conj) else rest).append(conj)
-    return rest, links
-
-
-def _condition_key(expr: Expr, query: _Query) -> str:
+def _condition_key(expr: Expr, sql: Callable[[Expr], str]) -> str:
     if isinstance(expr, Comparison) and expr.op == "=":
-        lo, hi = sorted((query.sql(expr.left), query.sql(expr.right)))
+        lo, hi = sorted((sql(expr.left), sql(expr.right)))
         return f"{lo} = {hi}"
-    return query.sql(expr)
-
-
-def _join_graph(select: Select, links: list[Expr], query: _Query) -> tuple[Counter, Counter]:
-    """The joined tables and the pooled join conditions (ON conjuncts and
-    WHERE links) of one query. Each FROM source counts by its name in
-    ``query.names``, so a FROM subquery counts by its alias-neutral text; a
-    LEFT-joined source counts apart, as ``left join <name>``, since it keeps
-    rows an inner join drops. JOIN, INNER JOIN, CROSS JOIN and ``,`` are one
-    kind."""
-    tables = Counter(
-        ("left join " if item.join_type == "left" else "") + query.names[item.source.key]
-        for item in select.from_items
-    )
-    on = [conj for item in select.from_items for conj in flatten_and(item.condition)]
-    return tables, Counter(_condition_key(conj, query) for conj in on + links)
+    return sql(expr)
 
 
 def _mask_literals(expr: Expr) -> Expr:
@@ -396,63 +467,50 @@ def _literals_of(expr: Expr) -> list[Literal]:
     return [node for node in iter_expr_nodes(expr) if isinstance(node, Literal)]
 
 
-def _literal_equal(a: Literal, b: Literal) -> bool:
-    if a.value is None or b.value is None:
-        return a.value is None and b.value is None
-    if a.is_number and b.is_number:
-        return float(a.value) == float(b.value)
-    return a.value == b.value
-
-
 def _diff_predicates(
-    pred_conjs: list[Expr], gold_conjs: list[Expr], pq: _Query, gq: _Query
+    pred_conjs: list[tuple[str, Expr]],
+    gold_conjs: list[tuple[str, Expr]],
+    pred_names: dict[str, str],
+    gold_names: dict[str, str],
 ) -> tuple[list[LiteralRow], bool]:
-    """Match conjuncts, printed re-qualified, by literal-masked shape; report
-    literal differences at matched positions. Returns (literal rows,
-    unexplained mismatch?)."""
-
-    def describe(conjs, query):
-        return [(query.sql(_mask_literals(c)), query.sql(c), c) for c in conjs]
-
-    # Exact matches first.
-    gold_left = describe(gold_conjs, gq)
+    """Match conjuncts, given as (printed text, conjunct), exactly and then
+    by literal-masked shape, printed through each query's names; report
+    literal differences at the positions matched by shape. Returns (literal
+    rows, unexplained mismatch?)."""
+    gold_left = list(gold_conjs)
     pred_left = []
-    for entry in describe(pred_conjs, pq):
-        match = next((g for g in gold_left if g[1] == entry[1]), None)
-        if match is not None:
-            gold_left.remove(match)
+    for entry in pred_conjs:
+        for i, candidate in enumerate(gold_left):
+            if candidate[0] == entry[0]:
+                del gold_left[i]
+                break
         else:
             pred_left.append(entry)
+    if not (pred_left and gold_left):
+        return [], bool(pred_left or gold_left)
 
+    def shaped(entries, names):
+        return [(expr_sql(_mask_literals(conj), names), text, conj) for text, conj in entries]
+
+    gold_shaped = shaped(gold_left, gold_names)
     rows: list[LiteralRow] = []
     mismatch = False
-    for entry in sorted(pred_left, key=lambda e: (e[0], e[1])):
-        shape = entry[0]
-        candidates = sorted(
-            (g for g in gold_left if g[0] == shape), key=lambda e: e[1]
-        )
+    for shape, _, conj in sorted(shaped(pred_left, pred_names), key=lambda e: (e[0], e[1])):
+        candidates = sorted((g for g in gold_shaped if g[0] == shape), key=lambda g: g[1])
         if not candidates:
             mismatch = True
             continue
         match = candidates[0]
-        gold_left.remove(match)
-        pred_lits = _literals_of(entry[2])
+        gold_shaped.remove(match)
+        pred_lits = _literals_of(conj)
         gold_lits = _literals_of(match[2])
         if len(pred_lits) != len(gold_lits):
             mismatch = True
             continue
         for p_lit, g_lit in zip(pred_lits, gold_lits):
-            if not _literal_equal(p_lit, g_lit):
+            # Python compares int and float exactly, and 3 == 3.0.
+            if p_lit.value != g_lit.value:
                 rows.append(LiteralRow(shape, p_lit.text, g_lit.text))
-    if gold_left:
+    if gold_shaped:
         mismatch = True
     return rows, mismatch
-
-
-def _order_keys(select: Select, query: _Query) -> list[tuple]:
-    """ORDER BY keys as compared: an aggregate call by its function name."""
-    return [
-        (o.descending, (o.expr.name,) if is_aggregate(o.expr) else query.sql(o.expr))
-        for o in select.order_by
-    ]
-

@@ -9,11 +9,15 @@ functions are rejected with an explicit UnsupportedSqlError.
 ``parse`` returns a fully bound tree: every column reference is resolved to
 exactly one FROM-clause source (case-insensitively) or flagged ambiguous;
 unknown tables or columns raise ParseError.
+
+The grammar reads each token as a word, looked up once per parse (see
+``_Parser``). The expression ladder, OR over AND over NOT over a predicate
+over sums, products, signs and primaries, has one method per level and
+tests the next word against that level's operators directly, so an operand
+that uses none of them costs each level one lookup.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from ..errors import ParseError, UnsupportedSqlError
 from ..schema import DatabaseSchema
@@ -47,6 +51,10 @@ from .tokens import FORBIDDEN_LEADS, KEYWORDS, Token, tokenize
 from .walk import is_aggregate, iter_expr_nodes
 
 _JOIN_INTRO = ("join", "inner", "left", "right", "full", "cross", "natural")
+# Each comparison operator mapped to the one the tree stores.
+_COMPARISONS = {
+    "=": "=", "==": "=", "!=": "!=", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+}
 
 
 def parse(sql: str, schema: DatabaseSchema) -> Select:
@@ -88,8 +96,15 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def accept(self, *words: str) -> str | None:
-        """Consume the next token if its word is one of ``words``."""
+    def accept(self, word: str) -> bool:
+        """Consume the next token if its word is ``word``."""
+        if self.words[self.pos] == word:
+            self.pos += 1
+            return True
+        return False
+
+    def accept_any(self, words: tuple[str, ...]) -> str | None:
+        """Consume the next token if its word is in ``words``; return the word."""
         word = self.words[self.pos]
         if word in words:
             self.pos += 1
@@ -97,12 +112,12 @@ class _Parser:
         return None
 
     def expect_keyword(self, name: str) -> None:
-        if self.accept(name) is None:
+        if not self.accept(name):
             tok = self.peek()
             raise ParseError(f"expected {name.upper()}, found {tok.text!r}", tok.pos)
 
     def expect_punct(self, text: str) -> None:
-        if self.accept(text) is None:
+        if not self.accept(text):
             tok = self.peek()
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.pos)
 
@@ -124,7 +139,7 @@ class _Parser:
     def parse_select(self) -> Select:
         core = self.parse_select_core()
         set_op: tuple[str, Select] | None = None
-        op = self.accept("union", "intersect", "except")
+        op = self.accept_any(("union", "intersect", "except"))
         if op is not None:
             if op == "union" and self.accept("all"):
                 op = "union all"
@@ -141,7 +156,7 @@ class _Parser:
     def parse_select_core(self) -> dict:
         """The fields of a SELECT up to HAVING, by name."""
         self.expect_keyword("select")
-        distinct = self.accept("distinct", "all") == "distinct"
+        distinct = self.accept_any(("distinct", "all")) == "distinct"
         items = [self.parse_select_item()]
         while self.accept(","):
             items.append(self.parse_select_item())
@@ -176,12 +191,12 @@ class _Parser:
 
     def parse_order_item(self) -> OrderItem:
         expr = self.parse_expr()
-        return OrderItem(expr, self.accept("desc", "asc") == "desc")
+        return OrderItem(expr, self.accept_any(("desc", "asc")) == "desc")
 
     def parse_limit(self) -> int | None:
         if not self.accept("limit"):
             return None
-        negative = self.accept("-") is not None
+        negative = self.accept("-")
         tok = self.advance()
         value = _number_value(tok) if tok.kind == "number" else None
         if not isinstance(value, int):
@@ -212,7 +227,7 @@ class _Parser:
 
     def parse_join_type(self) -> str:
         tok = self.peek()
-        kw = self.accept(*_JOIN_INTRO)
+        kw = self.accept_any(_JOIN_INTRO)
         if kw == "join":
             return "join"
         if kw == "inner":
@@ -256,22 +271,35 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def parse_expr(self, op: str = "or") -> Expr:
-        """A flattened n-ary ``op`` (OR over AND over NOT), or its one operand."""
-        operand = partial(self.parse_expr, "and") if op == "or" else self.parse_not
-        terms = [operand()]
-        while self.accept(op):
-            terms.append(operand())
-        if len(terms) == 1:
-            return terms[0]
-        return BoolOp(op=op, terms=tuple(_flatten(op, terms)))
+    def parse_expr(self) -> Expr:
+        """A flattened n-ary OR of ANDs, or its one operand."""
+        term = self.parse_and()
+        if self.words[self.pos] != "or":
+            return term
+        terms = [term]
+        while self.accept("or"):
+            terms.append(self.parse_and())
+        return BoolOp(op="or", terms=tuple(_flatten("or", terms)))
+
+    def parse_and(self) -> Expr:
+        """A flattened n-ary AND of NOTs, or its one operand."""
+        term = self.parse_not()
+        if self.words[self.pos] != "and":
+            return term
+        terms = [term]
+        while self.accept("and"):
+            terms.append(self.parse_not())
+        return BoolOp(op="and", terms=tuple(_flatten("and", terms)))
 
     def parse_not(self) -> Expr:
-        if self.accept("not"):
+        word = self.words[self.pos]
+        if word == "not":
+            self.pos += 1
             if self.accept("exists"):
                 return Exists(query=self.parse_parenthesized_select(), negated=True)
             return Unary(op="not", operand=self.parse_not())
-        if self.accept("exists"):
+        if word == "exists":
+            self.pos += 1
             return Exists(query=self.parse_parenthesized_select())
         return self.parse_predicate()
 
@@ -283,14 +311,14 @@ class _Parser:
 
     def parse_predicate(self) -> Expr:
         left = self.parse_additive()
-        op = self.accept("=", "==", "!=", "<>", "<", "<=", ">", ">=")
-        if op is not None:
-            op = {"==": "=", "<>": "!="}.get(op, op)
-            return Comparison(op, left, self.parse_additive())
-        negated = self.word() == "not" and self.word(1) in ("like", "in", "between")
+        word = self.words[self.pos]
+        if word in _COMPARISONS:
+            self.pos += 1
+            return Comparison(_COMPARISONS[word], left, self.parse_additive())
+        negated = word == "not" and self.word(1) in ("like", "in", "between")
         if negated:
             self.pos += 1
-        word = self.word()
+            word = self.words[self.pos]
         if word == "like":
             self.pos += 1
             return Comparison(op="like", left=left, right=self.parse_additive(), negated=negated)
@@ -312,9 +340,10 @@ class _Parser:
                 items.append(self.parse_expr())
             self.expect_punct(")")
             return InList(expr=left, items=tuple(items), negated=negated)
-        if self.accept("is"):
-            is_not = self.accept("not") is not None
-            if self.accept("null") is None:
+        if word == "is":
+            self.pos += 1
+            is_not = self.accept("not")
+            if not self.accept("null"):
                 tok = self.peek()
                 raise ParseError(f"expected NULL after IS, found {tok.text!r}", tok.pos)
             return IsNull(expr=left, negated=is_not)
@@ -322,21 +351,24 @@ class _Parser:
 
     def parse_additive(self) -> Expr:
         left = self.parse_multiplicative()
-        while op := self.accept("+", "-", "||"):
+        while (op := self.words[self.pos]) in ("+", "-", "||"):
+            self.pos += 1
             left = Binary(op, left, self.parse_multiplicative())
         return left
 
     def parse_multiplicative(self) -> Expr:
         left = self.parse_unary()
-        while op := self.accept("*", "/", "%"):
+        while (op := self.words[self.pos]) in ("*", "/", "%"):
+            self.pos += 1
             left = Binary(op, left, self.parse_unary())
         return left
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
-        op = self.accept("-", "+")
-        if op is None:
+        op = self.words[self.pos]
+        if op not in ("-", "+"):
             return self.parse_primary()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         operand = self.parse_unary()
         if op == "-" and isinstance(operand, Literal) and operand.value == _INT64_MIN:
             # Only a hex literal reads as -2**63, and SQLite will not negate it.
@@ -386,9 +418,12 @@ class _Parser:
             # Bare keywords (other than overloadable ones) cannot start a name.
             raise ParseError(f"unexpected keyword {name!r}", tok.pos)
         self.pos += 1
-        if self.accept("("):
+        word = self.words[self.pos]
+        if word == "(":
+            self.pos += 1
             return self.parse_call(name.lower())
-        if self.accept("."):
+        if word == ".":
+            self.pos += 1
             if self.accept("*"):
                 return Star(table=name)
             nxt = self.advance()
@@ -398,7 +433,7 @@ class _Parser:
         return _Name(None, name, quoted=tok.kind == "qident")
 
     def parse_call(self, name: str) -> FuncCall:
-        distinct = self.accept("distinct") is not None
+        distinct = self.accept("distinct")
         if self.accept("*"):
             self.expect_punct(")")
             return FuncCall(name=name, args=(), distinct=distinct, star=True)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
-from nl2sql.sqlast import canonicalize, diff, parse, scope_conditionless_joins
+import importlib
+
+from nl2sql.sqlast import Literal, canonicalize, diff, parse, scope_conditionless_joins
+from nl2sql.sqlast.walk import iter_expr_nodes
 
 from conftest import (
     BELOW_AVERAGE_CARS_SQL,
@@ -10,6 +13,9 @@ from conftest import (
     GROUPED_BY_NAME_SQL,
 )
 from helpers import generate_corpus
+
+# The module, which the package's ``diff`` function shadows.
+diff_module = importlib.import_module("nl2sql.sqlast.diff")
 
 
 def _diff(pred_sql, gold_sql, schema):
@@ -396,3 +402,42 @@ def test_a_from_subquery_counts_as_one_table_whatever_comes_before_it(schemas):
         assert joins.extra_tables == ("stadium",)
         assert joins.missing_tables == ()
         assert _diff(gold, pred, schema).join_delta.missing_tables == ("stadium",)
+
+
+def _printed_by_diff(monkeypatch, pred_sql, gold_sql, schema):
+    """The expressions ``diff`` prints for one pair."""
+    printed = []
+    original = diff_module.expr_sql
+
+    def recording(expr, names=None):
+        printed.append(expr)
+        return original(expr, names)
+
+    monkeypatch.setattr(diff_module, "expr_sql", recording)
+    _diff(pred_sql, gold_sql, schema)
+    monkeypatch.undo()
+    return printed
+
+
+def _masked(expr) -> bool:
+    return any(node == Literal(value="?", text="?") for node in iter_expr_nodes(expr))
+
+
+def test_conjuncts_that_all_match_exactly_are_never_masked(schemas, monkeypatch):
+    # Work, not time: masking every conjunct before matching would show here.
+    schema = schemas["concert_singer"]
+    gold = (
+        "SELECT name FROM singer WHERE age > 30 AND country = 'France' "
+        "GROUP BY country HAVING count(*) > 1"
+    )
+    printed = _printed_by_diff(
+        monkeypatch,
+        "SELECT country FROM singer WHERE country = 'France' AND age > 30 "
+        "GROUP BY country HAVING count(*) > 1",
+        gold,
+        schema,
+    )
+    assert printed and not any(map(_masked, printed))
+    # A conjunct that differs in a literal is masked, on both sides.
+    printed = _printed_by_diff(monkeypatch, gold.replace("30", "31"), gold, schema)
+    assert sum(map(_masked, printed)) == 2

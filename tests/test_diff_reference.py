@@ -4,12 +4,15 @@
 moved into the printer: it rebuilds both canonical queries with every
 positional alias replaced by its table name (``_requalify_select``) and
 compares the rebuilt trees, walking the nested SELECTs again at every
-compound level. It is kept as an oracle, with three fixes: a condition-less
-join of a compound query is listed once, a FROM subquery counts as a
-joined table by its re-qualified text, which does not depend on the
-positional aliases of the sources before it, and a LEFT-joined source
-counts apart from an inner-joined one. The rewritten ``diff`` must give
-equal ``AstDiff`` values and equal summaries.
+compound level, and it masks the literals of every conjunct before it
+looks for exact matches. It is kept as an oracle, with four fixes: a
+condition-less join of a compound query is listed once, a FROM subquery
+counts as a joined table by its re-qualified text, which does not depend
+on the positional aliases of the sources before it, a LEFT-joined source
+counts apart from an inner-joined one, and two numeric literals are equal
+only when their values are, not when their floats are (two integers apart
+past 2**53 read as one float). The rewritten ``diff`` must give equal
+``AstDiff`` values and equal summaries.
 """
 
 from __future__ import annotations
@@ -316,10 +319,7 @@ def _literals_of(expr: Expr) -> list[Literal]:
 
 
 def _literal_equal(a: Literal, b: Literal) -> bool:
-    if a.value is None or b.value is None:
-        return a.value is None and b.value is None
-    if a.is_number and b.is_number:
-        return float(a.value) == float(b.value)
+    # Python compares int and float exactly, and 3 == 3.0.
     return a.value == b.value
 
 
@@ -462,6 +462,55 @@ def test_diff_matches_reference_on_corpus_and_gold_pairs(schemas):
                 assert_same_as_reference(*((tree, gold) if i % 2 else (gold, tree)))
                 pairs += 1
     assert pairs >= 1900
+
+
+# One pair per short path of ``diff``, with the summary it must give.
+FAST_PATH_PAIRS = [
+    # WHERE conjuncts equal but in another order: all match exactly.
+    ("SELECT name FROM singer WHERE age > 30 AND country = 'France'",
+     "SELECT name FROM singer WHERE country = 'France' AND age > 30",
+     {}),
+    # One conjunct differs only in a literal: only it is masked.
+    ("SELECT name FROM singer WHERE age > 30 AND country = 'France'",
+     "SELECT name FROM singer WHERE age > 31 AND country = 'France'",
+     {"literals": [{"shape": "singer.age > ?", "pred": "30", "gold": "31"}]}),
+    # A literal that differs only inside a nested SELECT: masking is
+    # scope-local, so the shapes differ and the WHERE clause does.
+    ("SELECT name FROM singer WHERE singer_id IN (SELECT singer_id FROM singer_in_concert "
+     "WHERE concert_id > 1)",
+     "SELECT name FROM singer WHERE singer_id IN (SELECT singer_id FROM singer_in_concert "
+     "WHERE concert_id > 2)",
+     {"clauses": ["where"]}),
+    # A conjunct repeated on one side is one left over.
+    ("SELECT name FROM singer WHERE age > 30 AND age > 30",
+     "SELECT name FROM singer WHERE age > 30",
+     {"clauses": ["where"]}),
+    # One join graph in another FROM order.
+    ("SELECT T1.name FROM singer AS T1 JOIN singer_in_concert AS T2 "
+     "ON T1.singer_id = T2.singer_id",
+     "SELECT T2.name FROM singer_in_concert AS T1 JOIN singer AS T2 "
+     "ON T2.singer_id = T1.singer_id",
+     {}),
+    # One join graph written as ON and as a WHERE link.
+    ("SELECT T1.name FROM singer AS T1 JOIN singer_in_concert AS T2 "
+     "ON T1.singer_id = T2.singer_id WHERE T1.age > 30",
+     "SELECT singer.name FROM singer, singer_in_concert "
+     "WHERE singer.age > 30 AND singer_in_concert.singer_id = singer.singer_id",
+     {}),
+    # HAVING literals.
+    ("SELECT country FROM singer GROUP BY country HAVING count(*) > 1 AND avg(age) < 40",
+     "SELECT country FROM singer GROUP BY country HAVING avg(age) < 50 AND count(*) > 1",
+     {"literals": [{"shape": "avg(singer.age) < ?", "pred": "40", "gold": "50"}]}),
+]
+
+
+def test_diff_matches_reference_on_each_fast_path(schemas):
+    schema = schemas["concert_singer"]
+    for pred_sql, gold_sql, summary in FAST_PATH_PAIRS:
+        pred = canonicalize(parse(pred_sql, schema))
+        gold = canonicalize(parse(gold_sql, schema))
+        assert_same_as_reference(pred, gold)
+        assert diff(pred, gold).summary() == summary, pred_sql
 
 
 _SET_OPS = ("UNION", "UNION ALL", "INTERSECT", "EXCEPT")

@@ -514,6 +514,20 @@ def test_wrong_literal_triaged_as_predicted_values(schemas):
     assert verdict.evidence["diff"]["literals"][0]["pred"] == "'lost'"
 
 
+def test_integers_apart_past_2_to_the_53_are_predicted_values(schemas):
+    # Both literals read as the same float, but SQLite adds integers exactly.
+    schema = schemas["concert_singer"]
+    gold = "SELECT name FROM singer WHERE age + 9007199254740992 > 9007199254741022"
+    pred = gold.replace("9007199254740992", "9007199254740993")
+    memo = OutcomeMemo(schema)
+    assert memo.run(pred).table.rows != memo.run(gold).table.rows
+    verdict = run_triage(pred, gold, schema)
+    assert (verdict.category, verdict.confidence) == (Category.PREDICTED_VALUES, "definite")
+    assert verdict.evidence["diff"]["literals"] == [{
+        "shape": "singer.age + ? > ?", "pred": "9007199254740993", "gold": "9007199254740992",
+    }]
+
+
 @pytest.mark.parametrize(
     "flipped, plain, gold",
     [
