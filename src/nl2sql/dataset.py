@@ -9,9 +9,10 @@ Expected directory layout (the public distribution's):
 
 Entries whose gold SQL does not parse, or whose db_id has no schema, are
 quarantined with a reason instead of being dropped: loaded + quarantined
-always reconciles with the raw entry count. A split file whose top level is
-not a list, or with an entry that is not an object or whose ``question``,
-``query`` or ``db_id`` is not a string, is a ``DatasetError``.
+always reconciles with the raw entry count. A schema or split file that is
+not UTF-8 JSON or whose top level is not a list, or a split entry that is
+not an object or whose ``question``, ``query`` or ``db_id`` is not a
+string, is a ``DatasetError``.
 
 Each distinct ``(db_id, gold_sql)`` is parsed and classified once. Every
 example with that gold carries the one bound tree (``gold_ast``), which
@@ -89,8 +90,10 @@ def load_schemas(dataset_dir: Path) -> dict[str, DatabaseSchema]:
         raise DatasetError(f"missing schema file: {tables_path}")
     try:
         entries = json.loads(tables_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise DatasetError(f"unreadable schema file {tables_path}: {exc}") from exc
+    if not isinstance(entries, list):
+        raise DatasetError(f"malformed schema file {tables_path}: top level is not a list")
     schemas: dict[str, DatabaseSchema] = {}
     for idx, entry in enumerate(entries):
         try:
@@ -115,7 +118,7 @@ def load_dataset(dataset_dir: Path | str, split: str) -> LoadedDataset:
 
     try:
         raw = json.loads(split_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise DatasetError(f"unreadable split file {split_path}: {exc}") from exc
 
     if not isinstance(raw, list):

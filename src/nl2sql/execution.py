@@ -19,12 +19,13 @@ no call starts a timer thread, and a statement it stops
 (a PRAGMA, a TEMP table, ATTACH, a transaction, a refused write) closes the
 connection afterwards, so no state reaches the next query. Outcomes are a
 tagged union: a table, an engine error (message kept verbatim: correction
-prompts quote it), or a timeout. A missing database file is a harness fault
-and raises ``DatabaseMissingError`` instead. A table is ``ordered`` when its
-SQL has a top-level ORDER BY, which ``query_is_ordered`` reads from the
-tokenizer's ``_MASTER`` matches without building a token. Its rows come
-from the cursor as they are: ``sqlite3`` gives every row one cell per
-column of ``cursor.description``, so the row arity check every other
+prompts quote it), or a timeout. A database file that is missing or cannot
+be opened is a harness fault and raises ``DatabaseMissingError`` instead.
+A table is ``ordered`` when its SQL has a top-level ORDER BY, which
+``query_is_ordered`` reads from the tokenizer's ``_MASTER`` matches
+without building a token. Its rows come from the cursor as they are:
+``sqlite3`` gives every row one cell per column of
+``cursor.description``, so the row arity check every other
 ``ResultTable`` gets is skipped.
 
 An ``OutcomeMemo`` lets one unit of work run each distinct statement once:
@@ -71,21 +72,18 @@ transitivity. A NaN and each infinity become a marker equal only to
 itself, so NaN equals NaN and no text, such as 'nan' or 'inf', equals
 either.
 
-Tables equal cell for cell with the same cell types are equivalent without
-normalising: their rows compare equal and ``marshal`` writes them to the
-same bytes. Equal bytes mean the same type and the same bits in every cell,
-and normalisation reads nothing else, so every cell normalises the same and
-equivalence stays the relation the rule above defines. Every other pair (an
-int next to an equal float, ``-0.0`` next to ``0.0``, a bool, rows in
-another order, a cell marshal cannot write) takes the normalising path,
-where only columns holding a float or bool are normalised. Equal row
-sequences are equal multisets, so they are decided before any multiset is
-built.
+The same table object, which the memo hands out when two SQL texts share
+a statement key, is equivalent without normalising. Otherwise each table
+is normalised on its own: only its columns holding a float, a bool or
+another type the rule may change are normalised, and a table with none
+is compared as it is. This decides as normalising both tables in full
+would, since the rule reads each cell alone and leaves an int, a text, a
+blob and NULL unchanged. Equal rows (equal sequences, so equal multisets
+too) are decided before any multiset is built.
 """
 
 from __future__ import annotations
 
-import marshal
 import math
 import os
 import re
@@ -289,13 +287,21 @@ def _file_key(schema: DatabaseSchema) -> tuple[int, ...]:
 def _connection(schema: DatabaseSchema, file_key: tuple[int, ...] | None) -> _CachedConnection:
     """This thread's connection to the schema's database file of identity
     ``file_key`` (read here when the caller has none), opened anew when the
-    cached one is of another identity; dropping that one closes it."""
+    cached one is of another identity; dropping that one closes it. A file
+    that cannot be opened, such as one unreadable or removed since its
+    identity was read, raises ``DatabaseMissingError`` and is not cached."""
     if file_key is None:
         file_key = _file_key(schema)
     cache = schema._connections
     cached = getattr(cache, "entry", None)
     if cached is None or cached.file_key != file_key:
-        cache.entry = cached = _CachedConnection(schema.db_path, file_key)
+        try:
+            cached = _CachedConnection(schema.db_path, file_key)
+        except (OSError, sqlite3.Error) as exc:
+            raise DatabaseMissingError(
+                f"cannot open database file for {schema.db_id}: {schema.db_path}: {exc}"
+            ) from exc
+        cache.entry = cached
     return cached
 
 
@@ -461,35 +467,19 @@ def _counts(rows) -> dict:
     return dict(Counter(rows))
 
 
-def _same_cells(pred_rows, gold_rows) -> bool:
-    """True when the rows are equal cell for cell, with the same cell types.
-
-    ``==`` stops at the first differing row, so unequal tables pay little.
-    Equal marshal bytes mean the same type and the same bits in every cell:
-    marshal raises ``ValueError`` for a type it cannot write, and writes
-    every other bytes-like cell as bytes, which normalise unchanged. Equal
-    values may still differ in bytes, for instance where one table shares
-    a cell object the other does not, and then take the normalising path.
-    """
-    if pred_rows != gold_rows:
-        return False
-    try:
-        return marshal.dumps(pred_rows) == marshal.dumps(gold_rows)
-    except ValueError:
-        return False
-
-
-def _normalized_rows(columns: list[tuple[Cell, ...]], column_types: list[set]):
-    """The rows again, with normalize_cell applied to columns that need it.
-
-    Needs at least one column: with none, ``zip(*columns)`` loses the row
-    count. Tables without columns never get here, as their raw rows are equal.
-    """
-    columns = [
-        column if types <= _EXACT_TYPES else [normalize_cell(c) for c in column]
-        for column, types in zip(columns, column_types)
-    ]
-    return list(zip(*columns))
+def _normalized(rows: tuple[tuple[Cell, ...], ...]) -> tuple[tuple, ...]:
+    """The rows with normalize_cell applied to each column holding a type it
+    may change (a float, a bool or any type outside ``_EXACT_TYPES``); the
+    rows themselves when no column does. A tuple either way, so that ``==``
+    between two results is row equality. A table without columns comes back
+    as it is, so ``zip(*columns)`` never drops its row count."""
+    columns = list(zip(*rows))
+    changed = False
+    for i, column in enumerate(columns):
+        if not _EXACT_TYPES.issuperset(map(type, column)):
+            columns[i] = [normalize_cell(c) for c in column]
+            changed = True
+    return tuple(zip(*columns)) if changed else rows
 
 
 def tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
@@ -497,9 +487,9 @@ def tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
 
     Ordered (sequence) comparison applies when both tables came from
     ORDER BY queries. Truncated inputs are inconclusive by construction.
-    Tables equal cell for cell with the same cell types (the same object,
-    as the memo serves when the SQL texts match, or equal marshal bytes)
-    are equivalent without normalising; every other pair is normalised.
+    The same table object (as the memo serves when two SQL texts share a
+    statement key) is equivalent to itself; otherwise each table's rows are
+    normalised on their own and compared.
     """
     if pred.truncated or gold.truncated:
         return TableComparison("inconclusive", "a table was truncated by the row cap")
@@ -514,30 +504,18 @@ def tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
     note = ""
     if not as_sequences and pred.ordered != gold.ordered:
         note = " (exactly one side is ordered; compared as multisets)"
-    if pred is gold or _same_cells(pred.rows, gold.rows):
+    if pred is gold:
         return TableComparison("equivalent", detail=note.strip())
-    pred_columns = list(zip(*pred.rows))
-    gold_columns = list(zip(*gold.rows))
-    column_types = [
-        set(map(type, p)).union(map(type, g)) for p, g in zip(pred_columns, gold_columns)
-    ]
-
-    pred_rows, gold_rows = pred.rows, gold.rows
-    if not all(types <= _EXACT_TYPES for types in column_types):
-        pred_rows = _normalized_rows(pred_columns, column_types)
-        gold_rows = _normalized_rows(gold_columns, column_types)
-
+    pred_rows = _normalized(pred.rows)
+    gold_rows = _normalized(gold.rows)
+    # Equal sequences are equal multisets: no counts are built for them.
+    if pred_rows == gold_rows:
+        return TableComparison("equivalent", detail=note.strip())
     if as_sequences:
-        if pred_rows == gold_rows:
-            return TableComparison("equivalent")
         idx, p, g = next(
             (idx, p, g) for idx, (p, g) in enumerate(zip(pred_rows, gold_rows)) if p != g
         )
         return TableComparison("different", f"row {idx} differs: {p!r} != {g!r}")
-
-    # Equal sequences are equal multisets: no counts are built for them.
-    if pred_rows == gold_rows:
-        return TableComparison("equivalent", detail=note.strip())
     pred_count = _counts(pred_rows)
     gold_count = _counts(gold_rows)
     if pred_count == gold_count:

@@ -329,9 +329,11 @@ class _Query:
         self.top: _Level = self._visit(select, True)[2]
 
     def _visit(self, select: Select, compared: bool) -> tuple[int, list[str], _Level | None]:
-        """Visit ``select`` and the SELECTs nested in it, in ``walk.subselects``
-        order; returns its subquery count, its condition-less joins (its
-        set-operation arm's included) and, when ``compared``, its ``_Level``.
+        """Visit ``select`` and the SELECTs nested in it: FROM subqueries,
+        then those in expressions in clause order (select items, ON, WHERE,
+        GROUP BY, HAVING, ORDER BY), then the set-operation arm. Returns its
+        subquery count, its condition-less joins (its set-operation arm's
+        included) and, when ``compared``, its ``_Level``.
 
         A scope's table sources are named on entry and each FROM subquery
         right after its own visit, before any expression subquery is

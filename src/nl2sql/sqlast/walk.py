@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .nodes import BoolOp, ColumnRef, Comparison, Expr, FuncCall, Select, SubquerySource, children
+from .nodes import BoolOp, ColumnRef, Comparison, Expr, FuncCall, Select, children
 
 
 def flatten_and(expr: Expr | None) -> list[Expr]:
@@ -77,16 +77,3 @@ def subquery_nodes(expr: Expr) -> list[Select]:
         for child in children(stack.pop()):
             (out if isinstance(child, Select) else stack).append(child)
     return out
-
-
-def subselects(select: Select) -> Iterator[Select]:
-    """The SELECTs nested directly in this one: FROM sources, then expression
-    operands in clause order, then the set-operation branch."""
-    for item in select.from_items:
-        if isinstance(item.source, SubquerySource):
-            yield item.source.query
-    for _, exprs in clause_exprs(select):
-        for expr in exprs:
-            yield from subquery_nodes(expr)
-    if select.set_op is not None:
-        yield select.set_op[1]

@@ -192,6 +192,25 @@ def test_a_malformed_split_file_is_a_dataset_error(tmp_path, capsys, raw, messag
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("tables.json", b"5", "malformed schema file"),
+        ("tables.json", b'{"db_id": "battle_death"}', "malformed schema file"),
+        ("tables.json", b"[\xff]", "unreadable schema file"),
+        ("dev.json", b'[{"question": "caf\xe9"}]', "unreadable split file"),
+    ],
+)
+def test_a_dataset_file_not_utf8_or_not_a_list_exits_3(tmp_path, capsys, name, content, message):
+    root = write_split(tmp_path, [GOOD_ENTRY])
+    (root / name).write_bytes(content)
+    with pytest.raises(DatasetError, match=message):
+        load_dataset(root, "dev")
+    assert main(["ingest", "--dataset", str(root)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"dataset error: {message} ") and err.count("\n") == 1
+
+
 def test_a_missing_key_is_still_quarantined(tmp_path):
     no_query = {k: v for k, v in GOOD_ENTRY.items() if k != "query"}
     no_db = {k: v for k, v in GOOD_ENTRY.items() if k != "db_id"}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
+from typing import Iterator
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -44,6 +45,7 @@ from nl2sql.sqlast.nodes import (
     Literal,
     Select,
     Star,
+    SubquerySource,
     TableSource,
     map_children,
 )
@@ -53,7 +55,7 @@ from nl2sql.sqlast.walk import (
     flatten_and,
     is_link_predicate,
     iter_expr_nodes,
-    subselects,
+    subquery_nodes,
 )
 
 from conftest import DEV_EXAMPLES
@@ -132,6 +134,19 @@ def _diff_select(pred: Select, gold: Select, rpred: Select, rgold: Select) -> As
 
 
 # --------------------------------------------------------------------------- re-qualification
+
+def subselects(select: Select) -> Iterator[Select]:
+    """The SELECTs nested directly in this one: FROM sources, then expression
+    operands in clause order, then the set-operation branch."""
+    for item in select.from_items:
+        if isinstance(item.source, SubquerySource):
+            yield item.source.query
+    for _, exprs in clause_exprs(select):
+        for expr in exprs:
+            yield from subquery_nodes(expr)
+    if select.set_op is not None:
+        yield select.set_op[1]
+
 
 def _table_map(select: Select) -> dict[str, str]:
     """Canonical alias -> resolved table name, over every scope. Canonical

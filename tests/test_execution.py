@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import os
@@ -83,6 +84,27 @@ def test_missing_database_file_is_harness_fault(schemas, tmp_path):
     )
     with pytest.raises(DatabaseMissingError):
         execute("SELECT 1", broken)
+
+
+def test_database_file_removed_before_it_opens_is_harness_fault(schemas, tmp_path, monkeypatch):
+    db_path = tmp_path / "car_1.sqlite"
+    shutil.copyfile(schemas["car_1"].db_path, db_path)
+    schema = dataclasses.replace(schemas["car_1"], db_path=db_path)
+    file_key = execution._file_key
+
+    def unlinked_after_stat(schema):
+        key = file_key(schema)
+        db_path.unlink()
+        return key
+
+    monkeypatch.setattr(execution, "_file_key", unlinked_after_stat)
+    message = f"cannot open database file for car_1: {db_path}: "
+    with pytest.raises(DatabaseMissingError, match=re.escape(message)):
+        execute("SELECT 1", schema)
+    assert getattr(schema._connections, "entry", None) is None
+    monkeypatch.setattr(execution, "_file_key", file_key)
+    shutil.copyfile(schemas["car_1"].db_path, db_path)
+    assert execute("SELECT count(*) FROM cars_data", schema).table.rows == ((406,),)
 
 
 def test_execution_is_read_only(schemas):
@@ -958,14 +980,10 @@ def _fetched(conn, sql, ordered):
     return ResultTable(columns=columns, rows=tuple(cursor.fetchall()), ordered=ordered)
 
 
-def test_tables_equal_cell_for_cell_are_decided_without_normalising(monkeypatch):
-    def no_normalising(cell):
-        raise AssertionError("normalised a cell of two identical tables")
-
-    monkeypatch.setattr(execution, "normalize_cell", no_normalising)
+def test_tables_equal_cell_for_cell_are_equivalent():
     conn = sqlite3.connect(":memory:")
-    # A NUMERIC column holds both ints and floats, which the normalising
-    # path would normalise.
+    # A NUMERIC column holds both ints and floats, so that column is
+    # normalised and the others are compared as they are.
     conn.execute("CREATE TABLE t (i INTEGER, r REAL, s TEXT, b BLOB, n INTEGER, m NUMERIC)")
     conn.executemany(
         "INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)",
@@ -986,15 +1004,7 @@ def test_tables_equal_cell_for_cell_are_decided_without_normalising(monkeypatch)
         assert tables_equivalent(pred, gold) == TableComparison("equivalent", detail)
 
 
-def test_cells_of_another_type_or_bits_take_the_normalising_path(monkeypatch):
-    same_cells = execution._same_cells
-    verdicts = []
-
-    def recording(pred_rows, gold_rows):
-        verdicts.append(same_cells(pred_rows, gold_rows))
-        return verdicts[-1]
-
-    monkeypatch.setattr(execution, "_same_cells", recording)
+def test_cells_of_another_type_or_bits_take_the_normalising_path():
     pairs = {
         (2**53, 2.0**53): "different",
         (3, 3.0): "equivalent",
@@ -1006,14 +1016,13 @@ def test_cells_of_another_type_or_bits_take_the_normalising_path(monkeypatch):
             pred = table([["x", a], ["y", 2.5]], ordered=ordered)
             gold = table([["x", b], ["y", 2.5]], ordered=ordered)
             assert tables_equivalent(pred, gold).status == status, (a, b, ordered)
-    assert verdicts == [False] * 8
     nan = float("nan")
     same = table([[nan, "a"]])
     assert tables_equivalent(same, same) == TableComparison("equivalent")
 
 
-def test_cells_marshal_cannot_write_compare_as_before():
-    # marshal cannot write a Decimal, so these pairs take the normalising path.
+def test_cells_of_a_type_sqlite_never_returns_compare_normalised():
+    # A Decimal is outside the exact types, so its column is normalised.
     pred = table([[Decimal("2.5"), 1], [Decimal("1"), 2]])
     gold = table([[Decimal("2.5"), 1], [Decimal("1"), 2]])
     assert tables_equivalent(pred, gold) == TableComparison("equivalent")

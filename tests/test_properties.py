@@ -100,8 +100,9 @@ def table_pairs(draw):
     )
 
 
-# Objects drawn from a fixed pool are shared between cells, so marshal flags
-# them as references; a rebuilt copy holds fresh objects of the same values.
+# Objects drawn from a fixed pool are shared between cells, and a rebuilt
+# copy holds fresh objects of the same values: equal cell for cell, yet not
+# the same table object, so the pair is decided on normalised rows.
 _SHARED = ["alpha", "beta gamma", 10**12, -(2**40), 2.5, -0.0, b"blob"]
 realistic_cells = st.one_of(
     edge_cells,
