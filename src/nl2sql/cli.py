@@ -384,11 +384,13 @@ def cmd_ast(args) -> int:
     if args.canonical:
         print(canonicalize(ast).sql)
         return EXIT_OK
-    print(json.dumps(_ast_json(ast), indent=2, ensure_ascii=False))
+    print(json.dumps(_ast_json(ast), indent=2, ensure_ascii=False, allow_nan=False))
     return EXIT_OK
 
 
 def _ast_json(node) -> object:
+    """``node`` as JSON data; a float that is not finite (``9e999``) becomes
+    its ``repr`` string, as RFC 8259 has no token for it."""
     from dataclasses import fields, is_dataclass
 
     if is_dataclass(node):
@@ -398,6 +400,8 @@ def _ast_json(node) -> object:
         return out
     if isinstance(node, tuple):
         return [_ast_json(v) for v in node]
+    if isinstance(node, float) and not math.isfinite(node):
+        return repr(node)
     return node
 
 

@@ -11,7 +11,15 @@ outcomes the pipeline kept, which hold at most two tables of at most
 ``MEMO_MAX_ROWS`` rows per failed example until the report. Examples are
 scored in groups that share a database and gold SQL, each with one
 ``OutcomeMemo`` of that database, so each distinct query (gold, prediction
-or triage probe) runs once per group; a timeout is never reused. The report does not depend
+or triage probe) runs once per group; a timeout is never reused. Each
+distinct failing final SQL is triaged once per group too: a failure whose
+exact final SQL text an earlier failure of the group had takes that
+verdict, a ``ParseError`` one included, without being parsed or triaged
+again. Triage reads only the two queries, their tables and the group's
+memo, and the memo hands a repeated text the same outcome. Correctness and
+the ``Timeout`` verdict stay per example. SQL whose result changes from run
+to run (``random()``) thus gets the verdict of the group's first such
+failure, as it gets the first outcome from the memo. The report does not depend
 on that order. Triage takes the gold's bound tree that ``load_dataset`` kept
 on the example (each distinct gold is parsed once, at load, and its tree
 stays in memory with the examples) and parses only the final SQL; an
@@ -147,8 +155,9 @@ def score(
 
     for group in gold_groups(scorable):
         memo = OutcomeMemo(schemas[group[0].db_id])
+        triaged: dict[str, TriageVerdict] = {}
         for ex in group:
-            correct, verdict = _score_one(by_id[ex.id], ex, with_triage, memo)
+            correct, verdict = _score_one(by_id[ex.id], ex, with_triage, memo, triaged)
             per_bucket[ex.hardness].append(correct)
             if verdict is not None:
                 verdicts[ex.id] = verdict
@@ -174,7 +183,13 @@ def _score_one(
     example: SpiderExample,
     with_triage: bool,
     memo: OutcomeMemo,
+    triaged: dict[str, TriageVerdict],
 ) -> tuple[bool, TriageVerdict | None]:
+    """Whether ``transcript`` is correct, and the triage verdict of a failure.
+
+    ``triaged`` holds the verdicts of the group's earlier failures, keyed by
+    the exact final SQL text; a failure whose text is there takes that
+    verdict without being parsed or triaged again."""
     if transcript.final_sql is None:
         return False, None
     file_key = memo.pin()
@@ -208,7 +223,9 @@ def _score_one(
             evidence={"sql": transcript.final_sql, "timeout_seconds": execution.TIMEOUT_SECONDS},
         )
         return False, verdict
-    pred_table = pred_outcome.table
+    verdict = triaged.get(transcript.final_sql)
+    if verdict is not None:
+        return False, verdict
     try:
         pred_ast = parse(transcript.final_sql, memo.schema)
         gold_ast = example.gold_ast or parse(example.gold_sql, memo.schema)
@@ -219,8 +236,10 @@ def _score_one(
             confidence="definite",
             evidence={"error": str(exc), "sql": transcript.final_sql},
         )
-        return False, verdict
-    return False, triage(pred_ast, gold_ast, pred_table, gold_outcome.table, memo)
+    else:
+        verdict = triage(pred_ast, gold_ast, pred_outcome.table, gold_outcome.table, memo)
+    triaged[transcript.final_sql] = verdict
+    return False, verdict
 
 
 # --------------------------------------------------------------------------- rendering

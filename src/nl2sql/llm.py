@@ -55,9 +55,13 @@ def build_request(model: str, messages: list[Message], sampling: Sampling) -> di
     }
 
 
+# ``json.dumps`` with these arguments builds an encoder per call; this one
+# writes the same text.
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def request_digest(request: dict) -> str:
-    canonical = json.dumps(request, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_CANONICAL.encode(request).encode("utf-8")).hexdigest()
 
 
 def reply_text(response_body: dict) -> str:

@@ -1,9 +1,19 @@
 """Immutable AST node types for the supported SELECT dialect.
 
-Every node is a frozen dataclass holding tuples, so a parsed query can be
-shared freely across threads. Column references carry their binding: the
-``source`` field names the FROM-clause entry (alias or table, lower-cased)
-the reference resolved to, or None when the reference is ambiguous.
+Every node is a frozen, slotted dataclass holding tuples, so a parsed query
+can be shared freely across threads. Column references carry their
+binding: the ``source`` field names the FROM-clause entry (alias or table,
+lower-cased) the reference resolved to, or None when the reference is
+ambiguous.
+
+Parsing, canonicalising and literal masking build nodes by the thousand, so
+``_node`` replaces the ``__init__`` that ``dataclass`` generates, which
+stores each field through ``object.__setattr__``, with one generated the
+same way at import that stores each field through its slot's member
+descriptor, whose ``__set__`` skips the frozen ``__setattr__``. The
+signature, defaults, ``==``, ``hash``, ``fields()`` and
+``dataclasses.replace`` are the dataclass's own, and assignment still
+raises ``FrozenInstanceError``. A node has no ``__dict__``.
 """
 
 from __future__ import annotations
@@ -15,9 +25,27 @@ from typing import Callable, Union
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max", "total", "group_concat"})
 
 
+def _node(cls: type) -> type:
+    """``cls`` as a frozen, slotted dataclass whose ``__init__`` sets each
+    slot through its member descriptor."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    generated = cls.__init__
+    names = [f.name for f in fields(cls)]
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = generated.__defaults__
+    init.__annotations__ = generated.__annotations__
+    init.__qualname__ = generated.__qualname__
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
 # --------------------------------------------------------------------------- expressions
 
-@dataclass(frozen=True)
+@_node
 class Literal:
     value: Union[int, float, str, None]
     text: str  # verbatim source spelling, used when printing
@@ -27,7 +55,7 @@ class Literal:
         return isinstance(self.value, (int, float))
 
 
-@dataclass(frozen=True)
+@_node
 class ColumnRef:
     table: str | None  # qualifier as written, None when unqualified
     column: str  # as written
@@ -35,7 +63,7 @@ class ColumnRef:
     ambiguous: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class AliasRef:
     """A GROUP BY / HAVING / ORDER BY reference to a select-item output alias."""
 
@@ -43,13 +71,13 @@ class AliasRef:
     index: int  # position of the aliased select item
 
 
-@dataclass(frozen=True)
+@_node
 class Star:
     table: str | None = None  # t.* carries the qualifier
     source: str | None = None
 
 
-@dataclass(frozen=True)
+@_node
 class FuncCall:
     name: str  # stored lower-cased; SQL function names are case-insensitive
     args: tuple["Expr", ...]
@@ -61,20 +89,20 @@ class FuncCall:
         return self.name in AGGREGATE_FUNCTIONS
 
 
-@dataclass(frozen=True)
+@_node
 class Unary:
     op: str  # "-" | "+" | "not"
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Binary:
     op: str  # arithmetic / concat: + - * / % ||
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Comparison:
     op: str  # = != < <= > >= like  (<> and == are normalized at parse)
     left: "Expr"
@@ -82,7 +110,7 @@ class Comparison:
     negated: bool = False  # NOT LIKE
 
 
-@dataclass(frozen=True)
+@_node
 class Between:
     expr: "Expr"
     low: "Expr"
@@ -90,39 +118,39 @@ class Between:
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class InList:
     expr: "Expr"
     items: tuple["Expr", ...]
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class InSubquery:
     expr: "Expr"
     query: "Select"
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class Exists:
     query: "Select"
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class IsNull:
     expr: "Expr"
     negated: bool = False  # IS NOT NULL
 
 
-@dataclass(frozen=True)
+@_node
 class BoolOp:
     op: str  # "and" | "or", n-ary and flattened
     terms: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@_node
 class ScalarSubquery:
     query: "Select"
 
@@ -203,14 +231,14 @@ def map_children(node: Expr, fn: Callable) -> Expr:
 
 # --------------------------------------------------------------------------- sources
 
-@dataclass(frozen=True)
+@_node
 class TableSource:
     table: str  # as written
     alias: str | None = None
     key: str = ""  # binding key: (alias or table).lower()
 
 
-@dataclass(frozen=True)
+@_node
 class SubquerySource:
     query: "Select"
     alias: str | None = None
@@ -220,7 +248,7 @@ class SubquerySource:
 Source = Union[TableSource, SubquerySource]
 
 
-@dataclass(frozen=True)
+@_node
 class FromItem:
     """One FROM-clause entry: the first has join_type None, the rest carry
     how they were joined in ("join", "left", "cross", ",") and an optional
@@ -234,19 +262,19 @@ class FromItem:
 
 # --------------------------------------------------------------------------- select
 
-@dataclass(frozen=True)
+@_node
 class SelectItem:
     expr: Expr
     alias: str | None = None
 
 
-@dataclass(frozen=True)
+@_node
 class OrderItem:
     expr: Expr
     descending: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class Select:
     items: tuple[SelectItem, ...]
     from_items: tuple[FromItem, ...] = ()

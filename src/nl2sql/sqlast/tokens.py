@@ -126,17 +126,22 @@ def lexes(sql: str) -> bool:
 
 
 def tokenize(sql: str) -> list[Token]:
-    """Split SQL text into tokens, raising ParseError on malformed input."""
+    """Split SQL text into tokens, raising ParseError on malformed input.
+
+    Each ``Token`` is built by ``tuple.__new__``, which skips the
+    NamedTuple's Python-level ``__new__``; the result is the same."""
     tokens: list[Token] = []
+    new = tuple.__new__
     for match in _MASTER.finditer(sql):
         kind = match.lastgroup
         text = match[kind]
         pos = match.start(kind)
         if kind in _AS_IS:
-            tokens.append(Token(kind, text, pos))
+            tokens.append(new(Token, (kind, text, pos)))
         elif kind in ("string", "qident"):
             # A doubled closing quote is one; a bracketed name holds no ``]``.
-            tokens.append(Token(kind, text[1:-1].replace(text[-1] * 2, text[-1]), pos))
+            text = text[1:-1].replace(text[-1] * 2, text[-1])
+            tokens.append(new(Token, (kind, text, pos)))
         elif kind == "bad_number":
             raise ParseError(f'unrecognized token: "{text}"', pos)
         elif kind != "skip":

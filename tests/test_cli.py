@@ -570,6 +570,22 @@ def test_ast_debug_command(dataset_dir, capsys):
     assert payload["node"] == "Select"
 
 
+def test_ast_of_an_infinite_literal_is_strict_json(dataset_dir, capsys):
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    code = main([
+        "ast", "--dataset", str(dataset_dir), "--db", "concert_singer",
+        "SELECT 9e999, -9e999 FROM singer",
+    ])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    positive, negative = (item["expr"] for item in payload["items"])
+    assert positive["node"] == "Literal"
+    assert (positive["value"], positive["text"]) == ("inf", "9e999")
+    assert negative["operand"]["value"] == "inf"  # the minus sign is a Unary
+
+
 def test_ast_canonical_and_diff(dataset_dir, capsys):
     code = main([
         "ast", "--dataset", str(dataset_dir), "--db", "battle_death",

@@ -712,3 +712,97 @@ def test_left_join_against_an_inner_join_gold_scores_wrong_as_join_clauses(schem
     assert report.overall == 0.0
     verdict = report.verdicts[0]
     assert (verdict.category, verdict.subtag) == (Category.JOIN_CLAUSES, "Extra")
+
+
+# --------------------------------------------------------------------------- reused verdicts
+
+def spying(monkeypatch, name) -> list[tuple]:
+    """Record the arguments of every call to ``evaluate.<name>``."""
+    calls = []
+    original = getattr(evaluate, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evaluate, name, spy)
+    return calls
+
+
+def verdict_lines(report) -> list[str]:
+    """The report's verdicts JSONL lines, each without its example id."""
+    return [
+        json.dumps({**json.loads(line), "example_id": None})
+        for line in evaluate.render_verdicts_jsonl(report).splitlines()
+    ]
+
+
+def test_a_repeated_failure_is_triaged_once_per_gold_group(schemas, monkeypatch):
+    triaged = spying(monkeypatch, "triage")
+    examples = [ship_example(0), ship_example(1)]
+    transcripts = [transcript(i, WRONG, Verdict.FAILED) for i in range(2)]
+    report = score(transcripts, examples, schemas)
+    assert len(triaged) == 1
+    first, second = verdict_lines(report)
+    assert first == second
+    assert report.triage_distribution["total"] == 2
+
+
+def test_different_failures_in_a_group_are_triaged_apart(schemas, monkeypatch):
+    triaged = spying(monkeypatch, "triage")
+    examples = [ship_example(0), ship_example(1)]
+    transcripts = [transcript(0, WRONG, Verdict.FAILED), transcript(1, NOT_SUNK, Verdict.FAILED)]
+    score(transcripts, examples, schemas)
+    assert len(triaged) == 2
+
+
+def test_a_repeated_unparseable_failure_is_parsed_once(schemas, monkeypatch):
+    bogus = "SELECT bogus FROM nowhere"
+    parsed = spying(monkeypatch, "parse")
+    examples = [ship_example(i) for i in range(3)]
+    transcripts = [transcript(i, bogus, Verdict.FAILED) for i in range(3)]
+    report = score(transcripts, examples, schemas)
+    assert [args[0] for args in parsed] == [bogus]
+    assert {v.subtag for v in report.verdicts.values()} == {"ParseError"}
+    assert len(set(verdict_lines(report))) == 1
+
+
+def test_a_timed_out_failure_keeps_its_own_verdict(schemas, monkeypatch):
+    # The first run of WRONG times out; the memo keeps no timeout, so the
+    # second example runs it again, is triaged, and the third reuses that.
+    original = execution.execute
+    timeouts = [WRONG]
+
+    def timing_out_once(sql, schema, *args):
+        if sql in timeouts:
+            timeouts.remove(sql)
+            return execution.ExecOutcome(timed_out=True)
+        return original(sql, schema, *args)
+
+    monkeypatch.setattr(execution, "execute", timing_out_once)
+    triaged = spying(monkeypatch, "triage")
+    examples = [ship_example(i) for i in range(3)]
+    transcripts = [transcript(i, WRONG, Verdict.FAILED) for i in range(3)]
+    report = score(transcripts, examples, schemas)
+    assert [(v.category.value, v.subtag) for v in report.verdicts.values()] == [
+        ("Unclassifiable", "Timeout"), ("PredictedValues", None), ("PredictedValues", None)
+    ]
+    assert len(triaged) == 1
+
+
+@pytest.mark.parametrize("in_process_first", [True, False], ids=["in-process", "read-back"])
+def test_in_process_and_read_back_failures_give_the_same_verdict_bytes(
+    schemas, tmp_path, in_process_first
+):
+    in_process = run_example(schemas["battle_death"], WRONG, ship_example(0))
+    assert not in_process.judgment.equivalent
+    path = tmp_path / "transcripts.jsonl"
+    write_transcripts([run_example(schemas["battle_death"], WRONG, ship_example(1))], path)
+    (read_back,) = read_transcripts(path)
+    assert read_back.judgment is None and read_back.final_sql == WRONG
+    pair = [in_process, read_back] if in_process_first else [read_back, in_process]
+    together = score(pair, [ship_example(0), ship_example(1)], schemas)
+    alone = [score([t], [ship_example(t.example_id)], schemas) for t in pair]
+    lines = verdict_lines(together)
+    assert lines[0] == lines[1]
+    assert lines == [line for report in alone for line in verdict_lines(report)]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nl2sql import llm
 from nl2sql.errors import ConfigError, ReplayMissError, RetriesExhaustedError, TransportError
@@ -89,6 +91,31 @@ def test_digest_of_a_fixed_request_is_pinned():
     assert request_digest(request) == (
         "1f1255e897efde2e7b5b109980857b8a403e0761eddba1c4afe50f566f39994d"
     )
+
+
+# Text with non-ASCII characters, control characters, quotes and backslashes.
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(), st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "é", " "])
+    ),
+    max_size=30,
+)
+_MESSAGES = st.lists(st.fixed_dictionaries({"role": _TEXT, "content": _TEXT}), max_size=4)
+_REQUESTS = st.fixed_dictionaries(
+    {
+        "model": _TEXT,
+        "messages": _MESSAGES,
+        "temperature": st.floats(allow_nan=False, allow_infinity=False),
+        "max_tokens": st.integers(),
+    },
+    optional={"extra": st.dictionaries(_TEXT, st.one_of(_TEXT, _MESSAGES), max_size=3)},
+)
+
+
+@given(_REQUESTS)
+def test_digest_hashes_the_json_dumps_text(payload):
+    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    assert request_digest(payload) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _counting_digests(monkeypatch) -> list[dict]:

@@ -27,7 +27,7 @@ from nl2sql.errors import ParseError
 from nl2sql.execution import execute
 from nl2sql.pipeline import extract_sql
 from nl2sql.sqlast import parse, to_sql
-from nl2sql.sqlast.tokens import lexes, tokenize
+from nl2sql.sqlast.tokens import Token, lexes, tokenize
 
 from conftest import DEV_EXAMPLES
 from helpers import generate_corpus
@@ -206,6 +206,19 @@ def test_lexes_rejects_long_texts_in_linear_time(sql):
     start = time.perf_counter()
     assert not lexes(sql)
     assert time.perf_counter() - start < 0.5
+
+
+def test_tokens_are_token_named_tuples():
+    sql = "SELECT \"a\"\"b\", 'it''s' FROM t"
+    tokens = tokenize(sql)
+    assert all(type(token) is Token for token in tokens)
+    select, name, comma, string = tokens[:4]
+    assert tuple(select) == ("ident", "SELECT", 0) and select.keyword() == "select"
+    assert (name.kind, name.text, name.pos, name.keyword()) == ("qident", 'a"b', 7, None)
+    assert (string.kind, string.text, string.pos) == ("string", "it's", 15)
+    assert comma == Token("punct", ",", 13)
+    assert comma._asdict() == {"kind": "punct", "text": ",", "pos": 13}
+    assert tokens[-1] == Token(kind="end", text="", pos=len(sql))
 
 
 def test_hex_integers_are_one_number_token():
