@@ -13,11 +13,13 @@ scored in groups that share a database and gold SQL, each with one
 ``OutcomeMemo`` of that database, so each distinct query (gold, prediction
 or triage probe) runs once per group; a timeout is never reused. Each
 distinct failing final SQL is triaged once per group too: a failure whose
-exact final SQL text an earlier failure of the group had takes that
-verdict, a ``ParseError`` one included, without being parsed or triaged
-again. Triage reads only the two queries, their tables and the group's
-memo, and the memo hands a repeated text the same outcome. Correctness and
-the ``Timeout`` verdict stay per example. SQL whose result changes from run
+exact final SQL text an earlier failure of the group had, on the same
+database file, takes that verdict, a ``ParseError`` one included, without
+being parsed or triaged again. Triage reads only the two queries, their
+tables and the group's memo, and the memo hands a repeated text the same
+outcome. A verdict whose triage ran into a probe timeout is not kept, so
+the next such failure is triaged again. Correctness and the ``Timeout``
+verdict stay per example. SQL whose result changes from run
 to run (``random()``) thus gets the verdict of the group's first such
 failure, as it gets the first outcome from the memo. The report does not depend
 on that order. Triage takes the gold's bound tree that ``load_dataset`` kept
@@ -155,7 +157,7 @@ def score(
 
     for group in gold_groups(scorable):
         memo = OutcomeMemo(schemas[group[0].db_id])
-        triaged: dict[str, TriageVerdict] = {}
+        triaged: dict[tuple[tuple[int, ...], str], TriageVerdict] = {}
         for ex in group:
             correct, verdict = _score_one(by_id[ex.id], ex, with_triage, memo, triaged)
             per_bucket[ex.hardness].append(correct)
@@ -183,13 +185,15 @@ def _score_one(
     example: SpiderExample,
     with_triage: bool,
     memo: OutcomeMemo,
-    triaged: dict[str, TriageVerdict],
+    triaged: dict[tuple[tuple[int, ...], str], TriageVerdict],
 ) -> tuple[bool, TriageVerdict | None]:
     """Whether ``transcript`` is correct, and the triage verdict of a failure.
 
     ``triaged`` holds the verdicts of the group's earlier failures, keyed by
-    the exact final SQL text; a failure whose text is there takes that
-    verdict without being parsed or triaged again."""
+    the database file's identity and the exact final SQL text; a failure
+    whose key is there takes that verdict without being parsed or triaged
+    again. A verdict is kept only when no probe timed out while it was
+    triaged."""
     if transcript.final_sql is None:
         return False, None
     file_key = memo.pin()
@@ -223,9 +227,11 @@ def _score_one(
             evidence={"sql": transcript.final_sql, "timeout_seconds": execution.TIMEOUT_SECONDS},
         )
         return False, verdict
-    verdict = triaged.get(transcript.final_sql)
+    key = (file_key, transcript.final_sql)
+    verdict = triaged.get(key)
     if verdict is not None:
         return False, verdict
+    timeouts = memo.timeouts
     try:
         pred_ast = parse(transcript.final_sql, memo.schema)
         gold_ast = example.gold_ast or parse(example.gold_sql, memo.schema)
@@ -238,7 +244,8 @@ def _score_one(
         )
     else:
         verdict = triage(pred_ast, gold_ast, pred_outcome.table, gold_outcome.table, memo)
-    triaged[transcript.final_sql] = verdict
+    if memo.timeouts == timeouts:
+        triaged[key] = verdict
     return False, verdict
 
 

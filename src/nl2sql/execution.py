@@ -359,9 +359,10 @@ class OutcomeMemo:
     in every memo, so a prompt shows the gold's own spelling. The first table
     of a file is kept whatever its row count, which is the gold's wherever a
     gold runs; a later table is kept only when ``reusable``, and a timeout
-    never is. A miss calls this module's ``execute``, looked up at call time,
-    with the pinned identity, so a rebinding of that name sees every real
-    execution and no hit.
+    never is: ``timeouts`` counts the lookups that timed out, so a caller
+    can tell whether what it derived rests on one. A miss calls this
+    module's ``execute``, looked up at call time, with the pinned identity,
+    so a rebinding of that name sees every real execution and no hit.
 
     Not thread-safe: each unit of work owns its memo and drops it at the end.
     Nothing outlives it but the ``file_key`` a caller reads and, for a
@@ -370,11 +371,12 @@ class OutcomeMemo:
     about the file it would read.
     """
 
-    __slots__ = ("schema", "file_key", "_tables", "_errors")
+    __slots__ = ("schema", "file_key", "timeouts", "_tables", "_errors")
 
     def __init__(self, schema: DatabaseSchema) -> None:
         self.schema = schema
         self.file_key: tuple[int, ...] | None = None
+        self.timeouts = 0
         self._tables: dict[str, ExecOutcome] = {}
         self._errors: dict[str, ExecOutcome] = {}
 
@@ -400,11 +402,12 @@ class OutcomeMemo:
             outcome = self._errors.get(sql)
         if outcome is None:
             outcome = execute(sql, self.schema, self.file_key)
-            if not outcome.timed_out:
-                if outcome.table is None:
-                    self._errors[sql] = outcome
-                elif not self._tables or reusable(outcome):
-                    self._tables[statement] = outcome
+            if outcome.timed_out:
+                self.timeouts += 1
+            elif outcome.table is None:
+                self._errors[sql] = outcome
+            elif not self._tables or reusable(outcome):
+                self._tables[statement] = outcome
         return outcome
 
 

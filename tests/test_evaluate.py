@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sqlite3
 from collections import Counter
 
@@ -33,6 +34,7 @@ from nl2sql.triage import Category
 
 from conftest import GROUPED_BY_ID_SQL, GROUPED_BY_NAME_SQL, build_ships_db
 from helpers import ScriptedTransport, score_pairs
+from test_execution import _numbers_db
 from test_pipeline import question_of, scripted_endpoints
 
 GOLD = "SELECT name FROM ship WHERE disposition_of_ship = 'sank'"
@@ -788,6 +790,75 @@ def test_a_timed_out_failure_keeps_its_own_verdict(schemas, monkeypatch):
         ("Unclassifiable", "Timeout"), ("PredictedValues", None), ("PredictedValues", None)
     ]
     assert len(triaged) == 1
+
+
+def test_a_failure_after_its_database_was_replaced_is_triaged_again(tmp_path, monkeypatch):
+    schema = _numbers_db(tmp_path / "n.sqlite", [1, 2])
+    gold, wrong = "SELECT n FROM t ORDER BY n", "SELECT n FROM t WHERE n > 1 ORDER BY n"
+    examples = [
+        SpiderExample(id=i, question=f"q{i}", db_id="numbers", gold_sql=gold,
+                      hardness=Hardness.EASY)
+        for i in range(2)
+    ]
+    transcripts = [
+        PipelineTranscript(
+            example_id=i, db_id="numbers", question=f"q{i}", gold_sql=gold, stages=[],
+            final_sql=wrong, final_verdict=Verdict.FAILED,
+        )
+        for i in range(2)
+    ]
+    original = evaluate._score_one
+
+    def replacing(transcript, *args):
+        if transcript.example_id == 1:
+            _numbers_db(tmp_path / "other.sqlite", [1, 1, 5, 9])
+            os.replace(tmp_path / "other.sqlite", tmp_path / "n.sqlite")
+        return original(transcript, *args)
+
+    monkeypatch.setattr(evaluate, "_score_one", replacing)
+    triaged = spying(monkeypatch, "triage")
+    report = evaluate.score(transcripts, examples, {"numbers": schema})
+    assert len(triaged) == 2
+    rows = [(v.evidence["pred_rows"], v.evidence["gold_rows"]) for v in report.verdicts.values()]
+    assert rows == [(1, 2), (2, 4)]
+
+
+SINGER_TIE_GOLD = "SELECT name FROM singer ORDER BY country DESC LIMIT 1"
+SINGER_TIE_PRED = "SELECT name FROM singer WHERE age < 40 ORDER BY country DESC LIMIT 1"
+
+
+def test_a_verdict_a_probe_timeout_shaped_is_triaged_again(schemas, monkeypatch):
+    # The first tie probe times out, so the first triage finds no tie; the
+    # second example is triaged again and the third reuses its verdict.
+    original = execution.execute
+    timed_out = []
+
+    def timing_out_once(sql, schema, *args):
+        if "LIMIT 2" in sql and not timed_out:
+            timed_out.append(sql)
+            return execution.ExecOutcome(timed_out=True)
+        return original(sql, schema, *args)
+
+    monkeypatch.setattr(execution, "execute", timing_out_once)
+    triaged = spying(monkeypatch, "triage")
+    examples = [
+        SpiderExample(id=i, question=f"q{i}", db_id="concert_singer",
+                      gold_sql=SINGER_TIE_GOLD, hardness=Hardness.HARD)
+        for i in range(3)
+    ]
+    transcripts = [
+        PipelineTranscript(
+            example_id=i, db_id="concert_singer", question=f"q{i}", gold_sql=SINGER_TIE_GOLD,
+            stages=[], final_sql=SINGER_TIE_PRED, final_verdict=Verdict.FAILED,
+        )
+        for i in range(3)
+    ]
+    report = score(transcripts, examples, schemas)
+    assert len(timed_out) == 1
+    assert len(triaged) == 2
+    subtags = [v.subtag for v in report.verdicts.values()]
+    assert subtags[0] != "TieAmbiguity"
+    assert subtags[1:] == ["TieAmbiguity", "TieAmbiguity"]
 
 
 @pytest.mark.parametrize("in_process_first", [True, False], ids=["in-process", "read-back"])
