@@ -12,7 +12,11 @@ Exit codes are stable so scripts can branch on failure class:
     5  replay fixture miss
     6  harness fault (database file missing)
     1  any other error, such as a file of the CLI's own it cannot read or
-       write: ``error: cannot read|write <path>: <reason>``
+       write: ``error: cannot read|write <path>: <reason>``, or a standard
+       output whose reader has gone (a closed pipe):
+       ``error: cannot write standard output: Broken pipe``
+
+Each error prints one line to standard error: ``<prefix>: <message>``.
 """
 
 from __future__ import annotations
@@ -69,6 +73,17 @@ DEFAULT_CONFIG = {
 }
 
 
+# The line and exit code of each error class, most specific class first: an
+# error is reported by the first row whose class it is an instance of.
+_EXIT_CODES = (
+    (DatabaseMissingError, "harness fault", EXIT_FAULT),
+    (ReplayMissError, "replay miss", EXIT_REPLAY),
+    (RetriesExhaustedError, "network failure", EXIT_NETWORK),
+    (ConfigError, "configuration error", EXIT_USAGE),
+    (DatasetError, "dataset error", EXIT_DATASET),
+    (Nl2SqlError, "error", EXIT_OTHER),
+)
+
 # The options that name a file a command reads or writes. Two of one command
 # that name one file would lose the first's contents to the second.
 _FILE_OPTIONS = ("transcripts", "replay", "record", "out", "report", "markdown", "verdicts")
@@ -83,24 +98,18 @@ def main(argv: list[str] | None = None) -> int:
         if path is not None and named.setdefault(path.resolve(), option) != option:
             parser.error(f"--{named[path.resolve()]} and --{option} name one file: {path}")
     try:
-        return args.func(args)
-    except DatabaseMissingError as exc:
-        print(f"harness fault: {exc}", file=sys.stderr)
-        return EXIT_FAULT
-    except ReplayMissError as exc:
-        print(f"replay miss: {exc}", file=sys.stderr)
-        return EXIT_REPLAY
-    except RetriesExhaustedError as exc:
-        print(f"network failure: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
-    except (ConfigError,) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DatasetError as exc:
-        print(f"dataset error: {exc}", file=sys.stderr)
-        return EXIT_DATASET
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except Nl2SqlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        prefix, code = next((p, c) for cls, p, c in _EXIT_CODES if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    except BrokenPipeError as exc:
+        # The reader is gone: send what is still buffered to /dev/null, so
+        # that the interpreter's flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
         return EXIT_OTHER
 
 

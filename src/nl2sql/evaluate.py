@@ -25,7 +25,9 @@ failure, as it gets the first outcome from the memo. The report does not depend
 on that order. Triage takes the gold's bound tree that ``load_dataset`` kept
 on the example (each distinct gold is parsed once, at load, and its tree
 stays in memory with the examples) and parses only the final SQL; an
-example built without a tree has its gold parsed here. Bucket accuracies
+example built without a tree has its gold parsed here, after the final
+SQL, and a failure whose gold the parser rejects gets no verdict, as one
+whose gold cannot run gets none. Bucket accuracies
 combine into the overall number as the count-weighted average
 
     overall = sum(count_b * accuracy_b) / sum(count_b)
@@ -141,25 +143,18 @@ def score(
         )
 
     per_bucket: dict[Hardness, list[bool]] = {h: [] for h in Hardness}
-    verdict_distribution: dict[str, int] = {}
+    final_verdicts: Counter[Verdict] = Counter()
     verdicts: dict[int, TriageVerdict] = {}
-    scorable: list[SpiderExample] = []
 
-    for ex in examples:
-        transcript = by_id[ex.id]
-        verdict_distribution[transcript.final_verdict.value] = (
-            verdict_distribution.get(transcript.final_verdict.value, 0) + 1
-        )
-        if transcript.final_verdict is Verdict.FAULT:
-            per_bucket[ex.hardness].append(False)
-        else:
-            scorable.append(ex)
-
-    for group in gold_groups(scorable):
+    for group in gold_groups(examples):
         memo = OutcomeMemo(schemas[group[0].db_id])
         triaged: dict[tuple[tuple[int, ...], str], TriageVerdict] = {}
         for ex in group:
-            correct, verdict = _score_one(by_id[ex.id], ex, with_triage, memo, triaged)
+            transcript = by_id[ex.id]
+            final_verdicts[transcript.final_verdict] += 1
+            correct, verdict = False, None
+            if transcript.final_verdict is not Verdict.FAULT:
+                correct, verdict = _score_one(transcript, ex, with_triage, memo, triaged)
             per_bucket[ex.hardness].append(correct)
             if verdict is not None:
                 verdicts[ex.id] = verdict
@@ -174,9 +169,9 @@ def score(
         buckets=buckets,
         overall=overall,
         quarantined=quarantined,
-        verdict_distribution=verdict_distribution,
+        verdict_distribution={v.value: n for v, n in final_verdicts.items()},
         verdicts=dict(sorted(verdicts.items())),
-        faults=len(examples) - len(scorable),
+        faults=final_verdicts[Verdict.FAULT],
     )
 
 
@@ -234,7 +229,6 @@ def _score_one(
     timeouts = memo.timeouts
     try:
         pred_ast = parse(transcript.final_sql, memo.schema)
-        gold_ast = example.gold_ast or parse(example.gold_sql, memo.schema)
     except Nl2SqlError as exc:
         verdict = TriageVerdict(
             category=Category.UNCLASSIFIABLE,
@@ -243,6 +237,12 @@ def _score_one(
             evidence={"error": str(exc), "sql": transcript.final_sql},
         )
     else:
+        gold_ast = example.gold_ast
+        if gold_ast is None:
+            try:
+                gold_ast = parse(example.gold_sql, memo.schema)
+            except Nl2SqlError:
+                return False, None  # a gold the parser rejects cannot judge
         verdict = triage(pred_ast, gold_ast, pred_outcome.table, gold_outcome.table, memo)
     if memo.timeouts == timeouts:
         triaged[key] = verdict

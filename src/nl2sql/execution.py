@@ -23,10 +23,7 @@ prompts quote it), or a timeout. A database file that is missing or cannot
 be opened is a harness fault and raises ``DatabaseMissingError`` instead.
 A table is ``ordered`` when its SQL has a top-level ORDER BY, which
 ``query_is_ordered`` reads from the tokenizer's ``_MASTER`` matches
-without building a token. Its rows come from the cursor as they are:
-``sqlite3`` gives every row one cell per column of
-``cursor.description``, so the row arity check every other
-``ResultTable`` gets is skipped.
+without building a token. Its rows come from the cursor as they are.
 
 An ``OutcomeMemo`` lets one unit of work run each distinct statement once:
 one example in ``run`` (its gold and every stage), one gold group in
@@ -130,28 +127,6 @@ class ResultTable:
     ordered: bool  # the producing query has a top-level ORDER BY
     truncated: bool = False
 
-    def __post_init__(self) -> None:
-        if not {len(self.columns)}.issuperset(map(len, self.rows)):
-            raise ValueError("row arity differs from column count")
-
-    @classmethod
-    def _from_cursor(
-        cls, columns: tuple[str, ...], rows: tuple[tuple[Cell, ...], ...], ordered: bool,
-        truncated: bool,
-    ) -> ResultTable:
-        """A table of rows fetched from a cursor with these ``columns``, built
-        without the row arity check: ``sqlite3`` gives every row exactly one
-        cell per column of ``cursor.description``, so the check would walk
-        every row (up to ``MAX_ROWS``) to learn nothing."""
-        # Set as the frozen dataclass's own __init__ sets them, which keeps the
-        # instance as small as one that __init__ built.
-        table = object.__new__(cls)
-        object.__setattr__(table, "columns", columns)
-        object.__setattr__(table, "rows", rows)
-        object.__setattr__(table, "ordered", ordered)
-        object.__setattr__(table, "truncated", truncated)
-        return table
-
 
 @dataclass(frozen=True)
 class ExecOutcome:
@@ -161,14 +136,6 @@ class ExecOutcome:
     error: str | None = None
     error_class: str | None = None
     timed_out: bool = False
-
-    @property
-    def kind(self) -> str:
-        if self.table is not None:
-            return "table"
-        if self.timed_out:
-            return "timeout"
-        return "error"
 
 
 def query_is_ordered(sql: str) -> bool:
@@ -305,12 +272,6 @@ def _connection(schema: DatabaseSchema, file_key: tuple[int, ...] | None) -> _Ca
     return cached
 
 
-def _drop(schema: DatabaseSchema) -> None:
-    cache = schema._connections
-    cache.entry.conn.close()
-    del cache.entry
-
-
 def execute(
     sql: str, schema: DatabaseSchema, file_key: tuple[int, ...] | None = None
 ) -> ExecOutcome:
@@ -318,8 +279,7 @@ def execute(
     ``TIMEOUT_SECONDS`` deadline and the ``MAX_ROWS`` cap. A direct call
     reads the file's identity itself; an ``OutcomeMemo`` passes the one it
     pinned, and the file is not read again. ``ordered`` comes from
-    ``query_is_ordered``, which scans ``_MASTER``'s matches, and the rows
-    skip the arity check (see ``ResultTable._from_cursor``)."""
+    ``query_is_ordered``, which scans ``_MASTER``'s matches."""
     cursor = _connection(schema, file_key).conn.cursor()
     ordered = query_is_ordered(sql)
     _statement.deadline = time.monotonic() + TIMEOUT_SECONDS
@@ -332,17 +292,17 @@ def execute(
         if truncated:
             rows = rows[:MAX_ROWS]
         # Rows are tuples, as no row_factory is set.
-        table = ResultTable._from_cursor(columns, tuple(rows), ordered, truncated)
-        return ExecOutcome(table=table)
+        return ExecOutcome(table=ResultTable(columns, tuple(rows), ordered, truncated))
     except sqlite3.Error as exc:
         if str(exc) == "interrupted":  # SQLITE_INTERRUPT, from _past_deadline
             return ExecOutcome(timed_out=True)
         return ExecOutcome(error=str(exc), error_class=type(exc).__name__)
     finally:
         cursor.close()
-        # Closing also rolls back a transaction the statement left open.
+        # Dropping the wrapper closes the connection, which also rolls back a
+        # transaction the statement left open.
         if _statement.other_action:
-            _drop(schema)
+            del schema._connections.entry
 
 
 class OutcomeMemo:

@@ -36,9 +36,6 @@ class Hardness(str, Enum):
     HARD = "hard"
     EXTRA = "extra"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 def classify_hardness(ast: Select) -> Hardness:
     """Deterministic difficulty bucket; a pure function of the AST."""

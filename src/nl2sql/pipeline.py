@@ -100,9 +100,6 @@ class Verdict(str, Enum):
     FAILED = "failed"
     FAULT = "fault"  # harness fault (e.g. gold would not execute), not a model failure
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(frozen=True)
 class PipelineConfig:

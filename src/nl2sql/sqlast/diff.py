@@ -59,13 +59,9 @@ _AGG_CLAUSES = ("select", "group_by", "having", "order_by")
 # --------------------------------------------------------------------------- delta types
 
 class _Delta:
-    """Truth, emptiness, the compound-arm merge and the JSON view of a delta,
-    all derived from its dataclass fields. A frozen dataclass's ``vars``
-    holds its fields in declaration order."""
-
-    @property
-    def empty(self) -> bool:
-        return not self
+    """Truth, the compound-arm merge and the JSON view of a delta, all
+    derived from its dataclass fields. A frozen dataclass's ``vars`` holds
+    its fields in declaration order."""
 
     def __bool__(self) -> bool:
         return any(vars(self).values())
@@ -77,10 +73,8 @@ class _Delta:
             name: _merged(value, theirs[name]) for name, value in vars(self).items()
         })
 
-    def summary(self):
-        parts = {name: _json(value) for name, value in vars(self).items()}
-        # A one-field delta is just its rows.
-        return next(iter(parts.values())) if len(parts) == 1 else parts
+    def summary(self) -> dict:
+        return {name: _json(value) for name, value in vars(self).items()}
 
 
 def _merged(a, b):
@@ -129,11 +123,6 @@ class GroupByDelta(_Delta):
 
 
 @dataclass(frozen=True)
-class AggregateDelta(_Delta):
-    clauses: tuple[AggregateRow, ...] = ()
-
-
-@dataclass(frozen=True)
 class JoinDelta(_Delta):
     extra_tables: tuple[str, ...] = ()
     missing_tables: tuple[str, ...] = ()
@@ -150,11 +139,6 @@ class JoinDelta(_Delta):
         )
 
 
-@dataclass(frozen=True)
-class LiteralDelta(_Delta):
-    entries: tuple[LiteralRow, ...] = ()
-
-
 _SUMMARY_KEYS = {
     "select_delta": "select",
     "group_by_delta": "group_by",
@@ -168,18 +152,16 @@ _SUMMARY_KEYS = {
 # The empty deltas, shared by every diff that finds nothing in a field.
 _NO_SELECT = SelectDelta()
 _NO_GROUP_BY = GroupByDelta()
-_NO_AGGREGATES = AggregateDelta()
 _NO_JOINS = JoinDelta()
-_NO_LITERALS = LiteralDelta()
 
 
 @dataclass(frozen=True)
 class AstDiff(_Delta):
     select_delta: SelectDelta = _NO_SELECT
     group_by_delta: GroupByDelta = _NO_GROUP_BY
-    aggregate_delta: AggregateDelta = _NO_AGGREGATES
+    aggregate_delta: tuple[AggregateRow, ...] = ()
     join_delta: JoinDelta = _NO_JOINS
-    literal_delta: LiteralDelta = _NO_LITERALS
+    literal_delta: tuple[LiteralRow, ...] = ()
     structure_delta: tuple[str, ...] = ()  # fundamental shape divergence
     clause_delta: tuple[str, ...] = ()  # residual clause mismatches
 
@@ -225,7 +207,6 @@ def _diff_levels(pred: "_Level", gold: "_Level") -> AstDiff:
         )
         if differs
     )
-    literals = where_literals + having_literals
     out = AstDiff(
         select_delta=_diff_items(pred.items, gold.items),
         group_by_delta=(
@@ -234,7 +215,7 @@ def _diff_levels(pred: "_Level", gold: "_Level") -> AstDiff:
         ),
         aggregate_delta=_diff_aggregates(pred.aggregates, gold.aggregates),
         join_delta=_diff_joins(pred, gold, paired),
-        literal_delta=LiteralDelta(entries=tuple(literals)) if literals else _NO_LITERALS,
+        literal_delta=tuple(where_literals + having_literals),
         structure_delta=structure,
         clause_delta=clause,
     )
@@ -421,12 +402,12 @@ def _diff_items(pred_keys: list[str], gold_keys: list[str]) -> SelectDelta:
     )
 
 
-def _diff_aggregates(pred: tuple, gold: tuple) -> AggregateDelta:
+def _diff_aggregates(pred: tuple, gold: tuple) -> tuple[AggregateRow, ...]:
     if pred == gold:
-        return _NO_AGGREGATES
-    return AggregateDelta(clauses=tuple(
+        return ()
+    return tuple(
         AggregateRow(clause, p, g) for clause, p, g in zip(_AGG_CLAUSES, pred, gold) if p != g
-    ))
+    )
 
 
 def _diff_joins(pred: _Level, gold: _Level, paired: bool) -> JoinDelta:

@@ -63,9 +63,6 @@ class Category(str, Enum):
     QUERY_STRUCTURE = "QueryStructure"
     UNCLASSIFIABLE = "Unclassifiable"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(frozen=True)
 class TriageVerdict:
@@ -161,7 +158,7 @@ def _diff_cause(delta: AstDiff) -> tuple[Category, str | None] | None:
     if delta.group_by_delta:
         return Category.GROUP_BY, None
     if delta.aggregate_delta:
-        return Category.AGGREGATE_CHOICE, delta.aggregate_delta.clauses[0].clause
+        return Category.AGGREGATE_CHOICE, delta.aggregate_delta[0].clause
     if select:
         return Category.SELECT_COLUMNS, "WrongOrder" if select.reordered else "WrongColumn"
     if delta.literal_delta:

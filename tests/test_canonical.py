@@ -62,7 +62,7 @@ def test_numeric_literal_spellings_keep_their_type(schemas):
     b = canonicalize(parse("SELECT name FROM stadium WHERE capacity > 3.0", schema))
     assert a != b
     assert b.sql == "SELECT t1.name FROM stadium AS t1 WHERE t1.capacity > 3.0"
-    assert diff(a, b).empty
+    assert not diff(a, b)
 
 
 def test_nested_signs_fold_into_one_literal(schemas):
@@ -74,10 +74,10 @@ def test_nested_signs_fold_into_one_literal(schemas):
     ):
         canon = canonicalize(parse(sql, schema))
         assert canon == plain, sql
-        assert diff(canon, plain).empty, sql
+        assert not diff(canon, plain), sql
     as_float = canonicalize(parse("SELECT name FROM singer WHERE age > - - - -30.0", schema))
     assert as_float.sql == "SELECT t1.name FROM singer AS t1 WHERE t1.age > 30.0"
-    assert diff(as_float, plain).empty
+    assert not diff(as_float, plain)
     negative = canonicalize(parse("SELECT name FROM singer WHERE age > - - -30", schema))
     assert negative.sql == "SELECT t1.name FROM singer AS t1 WHERE t1.age > -30"
 

@@ -17,6 +17,18 @@ import nl2sql
 from nl2sql import cli, pipeline
 from nl2sql.cli import main
 from nl2sql.dataset import load_dataset
+from nl2sql.errors import (
+    ConfigError,
+    DatabaseChangedError,
+    DatabaseMissingError,
+    DatasetError,
+    Nl2SqlError,
+    ParseError,
+    ReplayMissError,
+    RetriesExhaustedError,
+    SchemaError,
+    TransportError,
+)
 from nl2sql.llm import ModelEndpoint, RecordingTransport
 from nl2sql.pipeline import PipelineConfig, PipelineTranscript, run_many
 
@@ -55,6 +67,12 @@ def test_ingest_reports_counts_and_histogram(dataset_dir, capsys):
     assert summary["loaded"] == 12
     assert summary["quarantined"] == 0
     assert set(summary["hardness"]) == {"easy", "medium", "hard", "extra"}
+
+
+def test_ingest_out_writes_the_summary_it_prints(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    assert main(["ingest", "--dataset", str(dataset_dir), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 def test_ingest_missing_dataset_exits_3(tmp_path, capsys):
@@ -218,10 +236,16 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
-def _fresh_python(*args: str) -> str:
+def _child_env() -> dict[str, str]:
+    """The environment of a child Python that imports this ``nl2sql``."""
     paths = [str(Path(nl2sql.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def _fresh_python(*args: str) -> str:
+    done = subprocess.run(
+        [sys.executable, *args], env=_child_env(), capture_output=True, text=True
+    )
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -339,6 +363,7 @@ def test_unknown_config_key_exits_2(dataset_dir, tmp_path, capsys):
     ({"generator": {"model": 7}}, "config key 'generator.model' must be a string, got 7"),
     ({"generator": {"temprature": 0.7}}, "unknown config key 'generator.temprature'"),
     ({"corrector": []}, "config key 'corrector' must be an object"),
+    ([1], "config root must be a JSON object"),
 ])
 def test_mistyped_config_value_is_one_error_line_before_the_dataset_loads(
     tmp_path, capsys, bad, message
@@ -604,6 +629,48 @@ def test_ast_canonical_and_diff(dataset_dir, capsys):
 def test_ast_unknown_db_exits_3(dataset_dir, capsys):
     code = main(["ast", "--dataset", str(dataset_dir), "--db", "nope", "SELECT 1"])
     assert code == 3
+
+
+@pytest.mark.parametrize("error, line, code", [
+    (DatabaseMissingError("no file"), "harness fault: no file", 6),
+    (DatabaseChangedError("file changed"), "harness fault: file changed", 6),
+    (ReplayMissError("ab12"), "replay miss: no replay fixture for request digest ab12", 5),
+    (RetriesExhaustedError("gave up"), "network failure: gave up", 4),
+    (ConfigError("bad key"), "configuration error: bad key", 2),
+    (DatasetError("no split"), "dataset error: no split", 3),
+    (SchemaError("bad entry"), "dataset error: bad entry", 3),
+    (TransportError("refused"), "error: refused", 1),
+    (ParseError("bad sql"), "error: bad sql", 1),
+    (Nl2SqlError("other"), "error: other", 1),
+])
+def test_each_error_class_is_one_line_and_its_exit_code(
+    dataset_dir, monkeypatch, capsys, error, line, code
+):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_ingest", failing)
+    assert main(["ingest", "--dataset", str(dataset_dir)]) == code
+    assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("command", ["ingest", "ast"])
+def test_a_closed_standard_output_is_one_error_line(dataset_dir, command):
+    argv = ["ingest", "--dataset", str(dataset_dir)]
+    if command == "ast":  # an output far larger than a pipe's buffer
+        sql = "SELECT " + ", ".join(["name"] * 400) + " FROM singer"
+        argv = ["ast", "--dataset", str(dataset_dir), "--db", "concert_singer", sql]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "nl2sql.cli", *argv], env=_child_env(),
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write standard output: Broken pipe\n"
 
 
 # --------------------------------------------------------------------------- run --report

@@ -9,8 +9,9 @@ import pytest
 from nl2sql import dataset
 from nl2sql.cli import main
 from nl2sql.dataset import load_dataset
-from nl2sql.errors import DatasetError
+from nl2sql.errors import DatasetError, SchemaError
 from nl2sql.hardness import Hardness, classify_hardness
+from nl2sql.schema import DatabaseSchema
 from nl2sql.sqlast import parse
 
 from conftest import DEV_EXAMPLES, make_dataset
@@ -209,6 +210,54 @@ def test_a_dataset_file_not_utf8_or_not_a_list_exits_3(tmp_path, capsys, name, c
     assert main(["ingest", "--dataset", str(root)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"dataset error: {message} ") and err.count("\n") == 1
+
+
+def test_a_dataset_without_tables_json_exits_3(tmp_path, capsys):
+    root = write_split(tmp_path, [GOOD_ENTRY])
+    (root / "tables.json").unlink()
+    assert main(["ingest", "--dataset", str(root)]) == 3
+    assert capsys.readouterr().err == f"dataset error: missing schema file: {root / 'tables.json'}\n"
+
+
+# battle_death has one table, ship, whose columns are at indexes 1 to 7.
+@pytest.mark.parametrize(
+    "added, message",
+    [
+        ({"table_names_original": ["Ship"]}, "duplicate table name 'Ship'"),
+        ({"column_names_original": [[0, "NAME"]], "column_types": ["text"]},
+         "duplicate column ship.NAME"),
+        ({"column_names_original": [[1, "x"]], "column_types": ["text"]},
+         "column 'x' references table index 1"),
+        ({"primary_keys": [8]}, "key references column index 8"),
+        ({"foreign_keys": [[2, 0]]}, "key references column index 0"),
+    ],
+)
+def test_a_schema_entry_that_breaks_an_invariant_exits_3(tmp_path, capsys, added, message):
+    root = write_split(tmp_path, [GOOD_ENTRY])
+    entries = json.loads((root / "tables.json").read_text(encoding="utf-8"))
+    broken = {**entries[0], "db_id": "broken"}
+    for key, values in added.items():
+        broken[key] = broken[key] + values
+    (root / "tables.json").write_text(json.dumps([*entries, broken]), encoding="utf-8")
+    assert main(["ingest", "--dataset", str(root)]) == 3
+    assert capsys.readouterr().err == (
+        f"dataset error: malformed schema entry at index 1: broken: {message}\n"
+    )
+
+
+# A key index of tables.json always names a column of the schema it builds,
+# so only a schema built directly can hold a key on a column it lacks.
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"primary_keys": (("ship", "nope"),)}, "x: primary key ship.nope not in schema"),
+        ({"foreign_keys": ((("ship", "id"), ("fleet", "id")),)},
+         "x: foreign key fleet.id not in schema"),
+    ],
+)
+def test_a_key_on_a_column_outside_the_schema_is_refused(keys, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        DatabaseSchema("x", (("ship", (("id", "number"),)),), **keys)
 
 
 def test_a_missing_key_is_still_quarantined(tmp_path):

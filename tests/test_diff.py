@@ -24,13 +24,13 @@ def _diff(pred_sql, gold_sql, schema):
 
 def test_grouping_difference_is_the_only_delta(schemas):
     d = _diff(GROUPED_BY_ID_SQL, GROUPED_BY_NAME_SQL, schemas["student_course"])
-    assert not d.group_by_delta.empty
+    assert d.group_by_delta
     assert d.group_by_delta.pred == ("student_enrolment_courses.course_id",)
     assert d.group_by_delta.gold == ("courses.course_name",)
-    assert d.select_delta.empty
-    assert d.aggregate_delta.empty
-    assert d.join_delta.empty
-    assert d.literal_delta.empty
+    assert not d.select_delta
+    assert not d.aggregate_delta
+    assert not d.join_delta
+    assert not d.literal_delta
     assert not d.structure_delta
     assert not d.clause_delta
 
@@ -45,14 +45,14 @@ def test_extra_join_reported_from_pred_side(schemas):
 def test_identical_queries_diff_empty(schemas):
     for db_id, sql in generate_corpus(schemas):
         d = _diff(sql, sql, schemas[db_id])
-        assert d.empty, sql
+        assert not d, sql
 
 
 def test_alias_only_variants_diff_empty(schemas):
     schema = schemas["concert_singer"]
     a = "SELECT T1.name FROM singer AS T1 WHERE T1.age > 30"
     b = "SELECT singer.name FROM singer WHERE singer.age > 30"
-    assert _diff(a, b, schema).empty
+    assert not _diff(a, b, schema)
 
 
 def test_literal_only_difference(schemas):
@@ -62,10 +62,10 @@ def test_literal_only_difference(schemas):
         "SELECT count(*) FROM ship WHERE disposition_of_ship = 'sank'",
         schema,
     )
-    assert d.literal_delta.entries == (
+    assert d.literal_delta == (
         ("ship.disposition_of_ship = ?", "'lost'", "'sank'"),
     )
-    assert d.select_delta.empty and d.join_delta.empty and d.group_by_delta.empty
+    assert not (d.select_delta or d.join_delta or d.group_by_delta)
     assert not d.structure_delta and not d.clause_delta
 
 
@@ -76,7 +76,7 @@ def test_between_bounds_pair_positionally(schemas):
         "SELECT name FROM singer WHERE age BETWEEN 1 AND 12",
         schema,
     )
-    assert d.literal_delta.entries == (
+    assert d.literal_delta == (
         ("singer.age BETWEEN ? AND ?", "10", "12"),
     )
 
@@ -88,7 +88,7 @@ def test_in_list_literals_pair_positionally(schemas):
         "SELECT name FROM singer WHERE age IN (1, 3)",
         schema,
     )
-    assert d.literal_delta.entries == (("singer.age IN (?, ?)", "2", "3"),)
+    assert d.literal_delta == (("singer.age IN (?, ?)", "2", "3"),)
 
 
 def test_numeric_literonly_compared_by_value(schemas):
@@ -98,7 +98,7 @@ def test_numeric_literonly_compared_by_value(schemas):
         "SELECT name FROM stadium WHERE capacity > 3.0",
         schema,
     )
-    assert d.empty
+    assert not d
 
 
 def test_select_reorder_detected(schemas):
@@ -129,8 +129,8 @@ def test_aggregate_function_difference_in_order_by(schemas):
     )
     gold = pred.replace("sum(T3.cost_of_treatment)", "count(*)")
     d = _diff(pred, gold, schema)
-    assert d.aggregate_delta.clauses == (("order_by", ("sum",), ("count",)),)
-    assert d.select_delta.empty and d.join_delta.empty and d.group_by_delta.empty
+    assert d.aggregate_delta == (("order_by", ("sum",), ("count",)),)
+    assert not (d.select_delta or d.join_delta or d.group_by_delta)
 
 
 def test_count_argument_difference_in_order_by_is_not_a_delta(schemas):
@@ -139,7 +139,7 @@ def test_count_argument_difference_in_order_by_is_not_a_delta(schemas):
         GROUPED_BY_NAME_SQL,
         schemas["student_course"],
     )
-    assert d.empty
+    assert not d
 
 
 def test_subquery_vs_join_shape_divergence(schemas):
@@ -175,7 +175,7 @@ def test_where_vs_on_join_condition_styles_agree(schemas):
         "JOIN singer AS T2 ON T1.singer_id = T2.singer_id",
         schema,
     )
-    assert d.empty
+    assert not d
 
 
 def test_self_join_where_vs_on_condition_styles_agree(schemas):
@@ -188,7 +188,7 @@ def test_self_join_where_vs_on_condition_styles_agree(schemas):
         "WHERE T1.singer_id > 1",
         schema,
     )
-    assert d.empty
+    assert not d
     assert d.summary() == {}
 
 
@@ -200,7 +200,7 @@ def test_extra_where_condition_is_residual_clause_delta(schemas):
         schema,
     )
     assert "where" in d.clause_delta
-    assert d.literal_delta.empty
+    assert not d.literal_delta
 
 
 def test_limit_difference_is_residual(schemas):
@@ -350,7 +350,7 @@ def test_only_a_pred_side_conditionless_join_shows_the_joins_entry(schemas):
         "JOIN concert AS T2 ON T1.concert_id = T2.concert_id)"
     )
     d = _diff(conditionless, joined, schema)
-    assert d.join_delta.empty
+    assert not d.join_delta
     assert d.summary() == {
         "joins": {
             "extra_tables": [],

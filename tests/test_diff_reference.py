@@ -28,12 +28,10 @@ from nl2sql.sqlast import canonicalize, diff, parse
 from nl2sql.sqlast.canonical import CanonicalAst
 from nl2sql.sqlast.conditionless import ConditionlessJoin, scope_conditionless_joins
 from nl2sql.sqlast.diff import (
-    AggregateDelta,
     AggregateRow,
     AstDiff,
     GroupByDelta,
     JoinDelta,
-    LiteralDelta,
     LiteralRow,
     SelectDelta,
 )
@@ -118,7 +116,7 @@ def _diff_select(pred: Select, gold: Select, rpred: Select, rgold: Select) -> As
             pred_conditionless=_conditionless(pred, paired),
             gold_conditionless=_conditionless(gold, paired),
         ),
-        literal_delta=LiteralDelta(entries=tuple(where_literals + having_literals)),
+        literal_delta=tuple(where_literals + having_literals),
         structure_delta=tuple(structure),
         clause_delta=tuple(clause),
     )
@@ -256,14 +254,14 @@ def _aggregates_by_clause(select: Select) -> dict[str, tuple[str, ...]]:
     }
 
 
-def _diff_aggregates(pred: Select, gold: Select) -> AggregateDelta:
+def _diff_aggregates(pred: Select, gold: Select) -> tuple[AggregateRow, ...]:
     pred_aggs = _aggregates_by_clause(pred)
     gold_aggs = _aggregates_by_clause(gold)
     rows = (
         AggregateRow(clause, pred_aggs.get(clause, ()), gold_aggs.get(clause, ()))
         for clause in _AGG_CLAUSES
     )
-    return AggregateDelta(clauses=tuple(row for row in rows if row.pred != row.gold))
+    return tuple(row for row in rows if row.pred != row.gold)
 
 
 def _split_links(select: Select, requalified: Select) -> tuple[list[Expr], list[Expr]]:

@@ -123,6 +123,21 @@ def test_unparseable_final_sql_counts_wrong_and_unclassifiable(schemas):
     assert report.triage_distribution["categories"]["Unclassifiable"]["count"] == 1
 
 
+def test_a_gold_the_parser_rejects_gives_the_failure_no_verdict(schemas):
+    # SQLite runs this gold, but CASE is outside the parser's dialect.
+    gold = "SELECT CASE WHEN age > 30 THEN name ELSE 'young' END FROM singer"
+    example = SpiderExample(
+        id=0, question="q0", db_id="concert_singer", gold_sql=gold, hardness=Hardness.EASY,
+    )
+    final = dataclasses.replace(
+        transcript(0, "SELECT name FROM singer", Verdict.FAILED),
+        db_id="concert_singer", gold_sql=gold,
+    )
+    report = score([final], [example], schemas)
+    assert report.overall == 0.0
+    assert report.verdicts == {}
+
+
 def counting_executions(monkeypatch) -> list[tuple[str, str]]:
     """Record the (db_id, sql) of every real execution."""
     calls = []

@@ -161,6 +161,19 @@ def test_unknown_table_raises(schemas):
         parse("SELECT * FROM nowhere", schemas["concert_singer"])
 
 
+@pytest.mark.parametrize("sql, message", [
+    ("SELECT count(name FROM singer", "expected ')', found 'FROM' (at offset 18)"),
+    ("SELECT name FROM 5", "expected table name, found '5' (at offset 17)"),
+    ("SELECT name FROM singer AS 5", "expected alias after AS, found '5' (at offset 27)"),
+    ("SELECT name FROM singer WHERE age IS 5", "expected NULL after IS, found '5' (at offset 37)"),
+    ("SELECT singer.'x' FROM singer", "expected column after '.', found 'x' (at offset 14)"),
+    ("SELECT nowhere.* FROM singer", "no such table: nowhere"),
+    ("SELECT nowhere.name FROM singer", "no such table: nowhere"),
+])
+def test_each_parse_error_names_what_it_expected(schemas, sql, message):
+    assert _parse_error(sql, schemas["concert_singer"]) == message
+
+
 def test_syntax_error_carries_position(schemas):
     with pytest.raises(ParseError) as err:
         parse("SELECT FROM singer", schemas["concert_singer"])

@@ -393,7 +393,7 @@ def test_query_is_ordered_agrees_with_the_tokenizer(sql):
 def test_diff_of_query_with_itself_is_empty_for_whole_corpus(schemas):
     for db_id, sql in generate_corpus(schemas):
         canon = canonicalize(parse(sql, schemas[db_id]))
-        assert diff(canon, canon).empty, sql
+        assert not diff(canon, canon), sql
 
 
 def test_print_of_canonical_form_reparses_to_same_canonical(schemas):

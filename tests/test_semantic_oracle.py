@@ -69,6 +69,9 @@ EXTRA_QUERIES = [
     ("concert_singer", "SELECT name, NULL FROM singer WHERE country IS NOT NULL"),
     ("concert_singer", "SELECT name, sqlite_version() = sqlite_version() FROM singer"),
     ("concert_singer", "SELECT name FROM singer WHERE age > 20 AND (country = 'us' AND age < 40)"),
+    # A * over a FROM subquery inside a FROM subquery.
+    ("concert_singer", "SELECT name FROM (SELECT * FROM (SELECT name, age FROM singer) "
+                       "WHERE age > 30)"),
     ("concert_singer", "SELECT count(DISTINCT country), count(country) FROM singer"),
     ("concert_singer", "SELECT name FROM singer WHERE NOT age > 29 OR NOT (country = 'us')"),
     ("concert_singer", "SELECT name, age * 1.5 FROM singer WHERE age > 29.5"),

@@ -737,7 +737,7 @@ def test_suspect_gold_not_flagged_when_its_repair_errors(tmp_path):
         db_path=path,
     )
     gold = "SELECT t.a FROM t JOIN u"
-    assert execute("SELECT t.a FROM t JOIN u ON t.c = u.b", schema).kind == "error"
+    assert execute("SELECT t.a FROM t JOIN u ON t.c = u.b", schema).error is not None
     assert suspect_gold(gold, schema) is None
 
 
