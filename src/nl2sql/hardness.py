@@ -24,10 +24,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .sqlast.nodes import BoolOp, Comparison, Expr, Select
-from .sqlast.walk import clause_exprs, is_aggregate, iter_expr_nodes, subquery_nodes
-
-_CONDITION_CLAUSES = ("join", "where", "having")
+from .sqlast.nodes import BoolOp, Comparison, Expr, Select, children
+from .sqlast.walk import is_aggregate, iter_expr_nodes
 
 
 class Hardness(str, Enum):
@@ -73,12 +71,8 @@ def _boolean_spine(expr: Expr | None) -> list[Expr]:
 
 def _conditions(ast: Select) -> list[Expr]:
     """Join-ON, WHERE and HAVING predicates of the top scope."""
-    return [
-        expr
-        for clause, exprs in clause_exprs(ast)
-        if clause in _CONDITION_CLAUSES
-        for expr in exprs
-    ]
+    on = [item.condition for item in ast.from_items if item.condition is not None]
+    return on + [expr for expr in (ast.where, ast.having) if expr is not None]
 
 
 def _count_component1(ast: Select, conditions: list[Expr]) -> int:
@@ -104,7 +98,12 @@ def _count_component1(ast: Select, conditions: list[Expr]) -> int:
 
 
 def _count_component2(ast: Select, conditions: list[Expr]) -> int:
-    nested = sum(len(subquery_nodes(expr)) for expr in conditions)
+    nested = sum(
+        isinstance(child, Select)
+        for expr in conditions
+        for node in iter_expr_nodes(expr)
+        for child in children(node)
+    )
     if ast.set_op is not None:
         nested += 1
     return nested

@@ -89,6 +89,11 @@ class DatabaseSchema:
         ]
 
 
+def _pair(value: Any) -> bool:
+    """True iff ``value`` is a two-item list whose first item is an int."""
+    return type(value) is list and len(value) == 2 and type(value[0]) is int
+
+
 def schema_from_tables_entry(entry: dict[str, Any], db_path: Path | None = None) -> DatabaseSchema:
     """Build a DatabaseSchema from one element of a tables.json array."""
     try:
@@ -100,6 +105,22 @@ def schema_from_tables_entry(entry: dict[str, Any], db_path: Path | None = None)
         fk_pairs = entry.get("foreign_keys", [])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed schema entry: missing {exc}") from exc
+    # ``type(x) is int`` refuses a bool, which JSON keeps apart from a number.
+    for key, values, what, ok in (
+        ("table_names_original", table_names, "strings", lambda v: type(v) is str),
+        ("column_names_original", column_names, "[table index, name] pairs",
+         lambda v: _pair(v) and type(v[1]) is str),
+        ("column_types", column_types, "strings", lambda v: type(v) is str),
+        ("primary_keys", pk_indexes, "column indexes", lambda v: type(v) is int),
+        ("foreign_keys", fk_pairs, "[column index, column index] pairs",
+         lambda v: _pair(v) and type(v[1]) is int),
+    ):
+        if type(values) is not list or not all(map(ok, values)):
+            raise SchemaError(f"{db_id}: {key} is not a list of {what}")
+    if len(column_types) != len(column_names):
+        raise SchemaError(
+            f"{db_id}: {len(column_types)} column types for {len(column_names)} columns"
+        )
 
     per_table: list[list[tuple[str, str]]] = [[] for _ in table_names]
     flat: list[ColumnKey | None] = []

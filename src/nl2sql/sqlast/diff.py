@@ -2,11 +2,12 @@
 
 The diff is organized around the error families the triage classifier
 assigns: select items, grouping, aggregate choice, join graph, predicate
-literals, plus two shape buckets (``structure_delta`` for fundamental shape
+literals, plus two shape buckets (``structure`` for fundamental shape
 divergence such as subquery-vs-join or set-operation mismatch, and
-``clause_delta`` for residual clause differences nothing more specific
-explains). The arms of two compound queries with the same set operation are
-diffed pairwise and their deltas merged.
+``clauses`` for residual clause differences nothing more specific
+explains). Each ``AstDiff`` field is named as its key in ``summary()``,
+the ``diff`` evidence of a triage verdict. The arms of two compound queries
+with the same set operation are diffed pairwise and their deltas merged.
 
 Cross-query comparison cannot use the positional t1/t2 aliases (two queries
 joining the same tables in a different order would never match), so
@@ -45,13 +46,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .canonical import CanonicalAst
-from .conditionless import scope_conditionless_joins
 from .nodes import (
-    AGGREGATE_FUNCTIONS, LEAF_TYPES, Comparison, Expr, FuncCall, Literal, Select, TableSource,
-    children, map_children,
+    LEAF_TYPES, Comparison, Expr, Literal, Select, TableSource, children, map_children,
 )
 from .printer import expr_sql, to_sql
-from .walk import flatten_and, is_aggregate, is_link_predicate, iter_expr_nodes
+from .walk import (
+    flatten_and, is_aggregate, is_link_predicate, iter_expr_nodes, scope_conditionless_joins,
+)
 
 _AGG_CLAUSES = ("select", "group_by", "having", "order_by")
 
@@ -139,16 +140,6 @@ class JoinDelta(_Delta):
         )
 
 
-_SUMMARY_KEYS = {
-    "select_delta": "select",
-    "group_by_delta": "group_by",
-    "aggregate_delta": "aggregates",
-    "join_delta": "joins",
-    "literal_delta": "literals",
-    "structure_delta": "structure",
-    "clause_delta": "clauses",
-}
-
 # The empty deltas, shared by every diff that finds nothing in a field.
 _NO_SELECT = SelectDelta()
 _NO_GROUP_BY = GroupByDelta()
@@ -157,21 +148,21 @@ _NO_JOINS = JoinDelta()
 
 @dataclass(frozen=True)
 class AstDiff(_Delta):
-    select_delta: SelectDelta = _NO_SELECT
-    group_by_delta: GroupByDelta = _NO_GROUP_BY
-    aggregate_delta: tuple[AggregateRow, ...] = ()
-    join_delta: JoinDelta = _NO_JOINS
-    literal_delta: tuple[LiteralRow, ...] = ()
-    structure_delta: tuple[str, ...] = ()  # fundamental shape divergence
-    clause_delta: tuple[str, ...] = ()  # residual clause mismatches
+    select: SelectDelta = _NO_SELECT
+    group_by: GroupByDelta = _NO_GROUP_BY
+    aggregates: tuple[AggregateRow, ...] = ()
+    joins: JoinDelta = _NO_JOINS
+    literals: tuple[LiteralRow, ...] = ()
+    structure: tuple[str, ...] = ()  # fundamental shape divergence
+    clauses: tuple[str, ...] = ()  # residual clause mismatches
 
     def summary(self) -> dict:
         """JSON-friendly view used as triage evidence: the non-empty deltas,
         and the joins whenever the prediction has a condition-less join."""
         return {
-            _SUMMARY_KEYS[name]: _json(value)
+            name: _json(value)
             for name, value in vars(self).items()
-            if value or (name == "join_delta" and value.pred_conditionless)
+            if value or (name == "joins" and value.pred_conditionless)
         }
 
 
@@ -208,23 +199,23 @@ def _diff_levels(pred: "_Level", gold: "_Level") -> AstDiff:
         if differs
     )
     out = AstDiff(
-        select_delta=_diff_items(pred.items, gold.items),
-        group_by_delta=(
+        select=_diff_items(pred.items, gold.items),
+        group_by=(
             _NO_GROUP_BY if pred.group_by == gold.group_by
             else GroupByDelta(pred=tuple(pred.group_by), gold=tuple(gold.group_by))
         ),
-        aggregate_delta=_diff_aggregates(pred.aggregates, gold.aggregates),
-        join_delta=_diff_joins(pred, gold, paired),
-        literal_delta=tuple(where_literals + having_literals),
-        structure_delta=structure,
-        clause_delta=clause,
+        aggregates=_diff_aggregates(pred.aggregates, gold.aggregates),
+        joins=_diff_joins(pred, gold, paired),
+        literals=tuple(where_literals + having_literals),
+        structure=structure,
+        clauses=clause,
     )
     if paired:
         out = out.merge(_diff_levels(pred.arm, gold.arm))
         out = replace(
             out,
-            structure_delta=tuple(dict.fromkeys(out.structure_delta)),
-            clause_delta=tuple(dict.fromkeys(out.clause_delta)),
+            structure=tuple(dict.fromkeys(out.structure)),
+            clauses=tuple(dict.fromkeys(out.clauses)),
         )
     return out
 
@@ -363,13 +354,13 @@ class _Query:
 def _scan(exprs, nested: list[Select]) -> tuple[str, ...]:
     """The sorted names of the aggregate calls in ``exprs``, nested SELECTs
     not entered. Each SELECT nested directly in them is appended to ``nested``,
-    in the order ``walk.subquery_nodes`` gives."""
+    in the order ``walk.iter_expr_nodes`` reaches the nodes holding them."""
     found: list[str] = []
     for expr in exprs:
         stack = [expr]
         while stack:
             node = stack.pop()
-            if isinstance(node, FuncCall) and node.name in AGGREGATE_FUNCTIONS:
+            if is_aggregate(node):
                 found.append(node.name)
             for child in children(node):
                 if isinstance(child, Select):
@@ -485,12 +476,9 @@ def _diff_predicates(
             continue
         match = candidates[0]
         gold_shaped.remove(match)
-        pred_lits = _literals_of(conj)
-        gold_lits = _literals_of(match[2])
-        if len(pred_lits) != len(gold_lits):
-            mismatch = True
-            continue
-        for p_lit, g_lit in zip(pred_lits, gold_lits):
+        # A masked literal is the only node that prints as a bare ``?``, so
+        # conjuncts of one shape hold equally many literals.
+        for p_lit, g_lit in zip(_literals_of(conj), _literals_of(match[2])):
             # Python compares int and float exactly, and 3 == 3.0.
             if p_lit.value != g_lit.value:
                 rows.append(LiteralRow(shape, p_lit.text, g_lit.text))

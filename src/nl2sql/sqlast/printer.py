@@ -59,10 +59,6 @@ SQLITE_KEYWORDS = frozenset(
 )
 
 
-def to_sql(select: Select, names: dict[str, str] | None = None) -> str:
-    return _select_sql(select, names)
-
-
 def expr_sql(expr: Expr, names: dict[str, str] | None = None) -> str:
     return _expr(expr, 0, names)
 
@@ -80,7 +76,7 @@ def _quote_string(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
-def _select_sql(s: Select, names: dict[str, str] | None) -> str:
+def to_sql(s: Select, names: dict[str, str] | None = None) -> str:
     parts = ["SELECT"]
     if s.distinct:
         parts.append("DISTINCT")
@@ -97,7 +93,7 @@ def _select_sql(s: Select, names: dict[str, str] | None) -> str:
     if s.set_op is not None:
         op, right = s.set_op
         # Right-hand sides of set operations never carry ORDER BY / LIMIT.
-        body = f"{body} {op.upper()} {_select_sql(right, names)}"
+        body = f"{body} {op.upper()} {to_sql(right, names)}"
     if s.order_by:
         keys = ", ".join(
             _expr(o.expr, 0, names) + (" DESC" if o.descending else "") for o in s.order_by
@@ -134,7 +130,7 @@ def _source(src, names: dict[str, str] | None) -> str:
         text = _name(src.table)
     else:
         assert isinstance(src, SubquerySource)
-        text = f"({_select_sql(src.query, names)})"
+        text = f"({to_sql(src.query, names)})"
     if src.alias is not None and names is None:
         text += f" AS {_name(src.alias)}"
     return text
@@ -207,7 +203,7 @@ def _expr_prec(e: Expr, names: dict[str, str] | None) -> tuple[str, int]:
     if isinstance(e, InSubquery):
         prec = _PRECEDENCE["cmp"]
         kw = "NOT IN" if e.negated else "IN"
-        return f"{_expr(e.expr, prec + 1, names)} {kw} ({_select_sql(e.query, names)})", prec
+        return f"{_expr(e.expr, prec + 1, names)} {kw} ({to_sql(e.query, names)})", prec
     if isinstance(e, InList):
         prec = _PRECEDENCE["cmp"]
         kw = "NOT IN" if e.negated else "IN"
@@ -224,9 +220,9 @@ def _expr_prec(e: Expr, names: dict[str, str] | None) -> tuple[str, int]:
         return f"{_expr(e.expr, prec + 1, names)} {kw}", prec
     if isinstance(e, Exists):
         kw = "NOT EXISTS" if e.negated else "EXISTS"
-        return f"{kw} ({_select_sql(e.query, names)})", _PRECEDENCE["cmp"]
+        return f"{kw} ({to_sql(e.query, names)})", _PRECEDENCE["cmp"]
     if isinstance(e, ScalarSubquery):
-        return f"({_select_sql(e.query, names)})", 99
+        return f"({to_sql(e.query, names)})", 99
     if isinstance(e, AliasRef):
         return _name(e.name), 99
     raise TypeError(f"cannot print {type(e).__name__}")

@@ -1,5 +1,6 @@
 """Small tree-walking helpers shared by the parser's WHERE aggregate check,
-diffing, hardness, triage and the condition-less join check.
+diffing, hardness and triage, and the condition-less join check that
+diffing and triage's suspect-gold check run.
 
 They reach children only through ``nodes.CHILD_FIELDS``, as do the parser's
 binder, ``canonicalize`` and the diff's rewrites.
@@ -7,9 +8,10 @@ binder, ``canonicalize`` and the diff's rewrites.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
-from .nodes import BoolOp, ColumnRef, Comparison, Expr, FuncCall, Select, children
+from .nodes import BoolOp, ColumnRef, Comparison, Expr, FuncCall, Select, TableSource, children
 
 
 def flatten_and(expr: Expr | None) -> list[Expr]:
@@ -52,28 +54,36 @@ def iter_expr_nodes(expr: Expr) -> Iterator[Expr]:
                 stack.append(child)
 
 
-def clause_exprs(select: Select) -> list[tuple[str, list[Expr]]]:
-    out: list[tuple[str, list[Expr]]] = [("select", [i.expr for i in select.items])]
-    conds = [fi.condition for fi in select.from_items if fi.condition is not None]
-    if conds:
-        out.append(("join", conds))
-    if select.where is not None:
-        out.append(("where", [select.where]))
-    if select.group_by:
-        out.append(("group_by", list(select.group_by)))
-    if select.having is not None:
-        out.append(("having", [select.having]))
-    if select.order_by:
-        out.append(("order_by", [o.expr for o in select.order_by]))
-    return out
+@dataclass(frozen=True)
+class ConditionlessJoin:
+    table: str  # resolved table name (lower) or subquery alias
+    index: int  # position in from_items
 
 
-def subquery_nodes(expr: Expr) -> list[Select]:
-    """Nested SELECTs appearing as operands of the given scope-level expression,
-    in the order ``iter_expr_nodes`` reaches the nodes holding them."""
-    out: list[Select] = []
-    stack: list[Expr] = [expr]
-    while stack:
-        for child in children(stack.pop()):
-            (out if isinstance(child, Select) else stack).append(child)
-    return out
+def scope_conditionless_joins(select: Select) -> list[ConditionlessJoin]:
+    """Flag condition-less joins in this query's own FROM clause only.
+
+    A join is flagged when it has no ON clause and no WHERE equality
+    predicate links the joined source to any other source in the same scope.
+    Such joins degenerate into cartesian products, which is how a broken gold
+    query shows itself: the result set balloons with rows that should have
+    been filtered by the missing key equality."""
+    if len(select.from_items) < 2:
+        return []
+    linked = {
+        column.source
+        for conj in flatten_and(select.where)
+        if is_link_predicate(conj)
+        for column in (conj.left, conj.right)
+    }
+    flags = []
+    for idx, item in enumerate(select.from_items):
+        if idx == 0 or item.condition is not None:
+            continue
+        key = item.source.key
+        if key in linked:
+            continue
+        src = item.source
+        table = src.table.lower() if isinstance(src, TableSource) else key
+        flags.append(ConditionlessJoin(table=table, index=idx))
+    return flags

@@ -120,7 +120,7 @@ def triage(
             evidence={**evidence, **facts},
         )
 
-    if not delta.select_delta and tie_ambiguity_test(canon, memo, pred_table) is True:
+    if not delta.select and tie_ambiguity_test(canon, memo, pred_table) is True:
         tie = {"tie": "ordering key ties at the LIMIT boundary"}
         return inconsistency("TieAmbiguity", "heuristic", tie)
     suspect = suspect_gold_check(gold_ast, gold_table, memo)
@@ -147,23 +147,21 @@ def triage(
 def _diff_cause(delta: AstDiff) -> tuple[Category, str | None] | None:
     """The category and subtag of the first delta in precedence order, or
     None when the diff is empty."""
-    joins = delta.join_delta
-    select = delta.select_delta
-    if delta.structure_delta:
+    if delta.structure:
         return Category.QUERY_STRUCTURE, "ShapeDivergence"
-    if joins:
-        if joins.extra_tables:
+    if delta.joins:
+        if delta.joins.extra_tables:
             return Category.JOIN_CLAUSES, "Extra"
-        return Category.JOIN_CLAUSES, "Missing" if joins.missing_tables else "Condition"
-    if delta.group_by_delta:
+        return Category.JOIN_CLAUSES, "Missing" if delta.joins.missing_tables else "Condition"
+    if delta.group_by:
         return Category.GROUP_BY, None
-    if delta.aggregate_delta:
-        return Category.AGGREGATE_CHOICE, delta.aggregate_delta[0].clause
-    if select:
-        return Category.SELECT_COLUMNS, "WrongOrder" if select.reordered else "WrongColumn"
-    if delta.literal_delta:
+    if delta.aggregates:
+        return Category.AGGREGATE_CHOICE, delta.aggregates[0].clause
+    if delta.select:
+        return Category.SELECT_COLUMNS, "WrongOrder" if delta.select.reordered else "WrongColumn"
+    if delta.literals:
         return Category.PREDICTED_VALUES, None
-    if delta.clause_delta:
+    if delta.clauses:
         return Category.QUERY_STRUCTURE, "ClauseShape"
     return None
 

@@ -93,7 +93,7 @@ def test_criterion_2_reference_query_suite(schemas):
             canonicalize(parse(EXTRA_JOIN_CARS_SQL, cars)),
             canonicalize(parse(BELOW_AVERAGE_CARS_SQL, cars)),
         )
-        assert delta.join_delta.extra_tables == ("model_list",)
+        assert delta.joins.extra_tables == ("model_list",)
         verdict = triage(
             parse(EXTRA_JOIN_CARS_SQL, cars),
             parse(BELOW_AVERAGE_CARS_SQL, cars),

@@ -91,6 +91,14 @@ def test_positional_order_key_after_a_star_is_kept(schemas):
         assert canonicalize(parse(sql, schema)).sql.endswith("ORDER BY 2 DESC"), sql
 
 
+def test_positional_order_key_out_of_range_is_kept_as_written(schemas):
+    # No select item is at position 0 or 3, so there is nothing to write in.
+    schema = schemas["concert_singer"]
+    for key in ("0", "3"):
+        sql = f"SELECT name, age FROM singer ORDER BY {key}"
+        assert canonicalize(parse(sql, schema)).sql.endswith(f"ORDER BY {key}"), sql
+
+
 def test_signed_positional_order_key_is_substituted(schemas):
     # SQLite reads +2 as position 2; the key folds before it is resolved.
     schema = schemas["concert_singer"]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import logging
 
 import pytest
 
@@ -18,6 +20,7 @@ from conftest import GROUPED_BY_NAME_SQL
         ("SELECT T1.x FROM t AS T1", "SELECT _ FROM _ AS _"),
         ("SELECT x FROM t WHERE y IN (1, 2)", "SELECT _ FROM _ WHERE _ IN (_, _)"),
         ("SELECT x FROM t WHERE n = 'a b'", "SELECT _ FROM _ WHERE _ = _"),
+        ("SELECT name FROM t;", "SELECT _ FROM _"),
     ],
 )
 def test_skeleton_rule(sql, expected):
@@ -66,6 +69,19 @@ def test_skeleton_corpus_has_header_and_records(tmp_path, loaded):
     assert "_" in skeleton
     assert sql == loaded.examples[0].gold_sql
     assert loaded.examples[0].question in first["prompt"]
+
+
+def test_a_gold_that_does_not_tokenize_is_skipped_with_a_warning(tmp_path, loaded, caplog):
+    good = loaded.examples[0]
+    bad = dataclasses.replace(good, id=99, gold_sql="SELECT 'x")
+    out = tmp_path / "skeleton.jsonl"
+    with caplog.at_level(logging.WARNING, logger="nl2sql.corpus"):
+        assert emit_skeleton_corpus([bad, good], loaded.schemas, out) == 1
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [r["id"] for r in records] == [good.id]
+    assert caplog.messages == [
+        "skipping example 99: unterminated string literal (at offset 7)"
+    ]
 
 
 def test_empty_skeleton_corpus_is_header_only(tmp_path, loaded):

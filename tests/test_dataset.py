@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nl2sql import dataset
 from nl2sql.cli import main
@@ -245,6 +248,113 @@ def test_a_schema_entry_that_breaks_an_invariant_exits_3(tmp_path, capsys, added
     )
 
 
+_NOT_COLUMNS = "column_names_original is not a list of [table index, name] pairs"
+_NOT_FOREIGN_KEYS = "foreign_keys is not a list of [column index, column index] pairs"
+
+
+# Each edit replaces one list of battle_death's entry.
+@pytest.mark.parametrize(
+    "key, edit, message",
+    [
+        ("table_names_original", lambda v: [5], "table_names_original is not a list of strings"),
+        ("table_names_original", lambda v: "t", "table_names_original is not a list of strings"),
+        ("column_names_original", lambda v: v + [[0, 5]], _NOT_COLUMNS),
+        ("column_names_original", lambda v: v + [[0, "a", 1]], _NOT_COLUMNS),
+        ("column_names_original", lambda v: v + [[0]], _NOT_COLUMNS),
+        ("column_types", lambda v: v[:-1], "7 column types for 8 columns"),
+        ("primary_keys", lambda v: [True], "primary_keys is not a list of column indexes"),
+        ("foreign_keys", lambda v: [[1]], _NOT_FOREIGN_KEYS),
+        ("foreign_keys", lambda v: [[1, 1, 1]], _NOT_FOREIGN_KEYS),
+    ],
+    ids=[
+        "table-name-int", "table-names-str", "column-name-int", "column-triple", "column-single",
+        "types-short", "primary-key-bool", "foreign-key-single", "foreign-key-triple",
+    ],
+)
+def test_a_schema_entry_of_the_wrong_shape_exits_3(tmp_path, capsys, key, edit, message):
+    root = write_split(tmp_path, [GOOD_ENTRY])
+    entries = json.loads((root / "tables.json").read_text(encoding="utf-8"))
+    broken = {**entries[0], "db_id": "broken", key: edit(entries[0][key])}
+    (root / "tables.json").write_text(json.dumps([*entries, broken]), encoding="utf-8")
+    assert main(["ingest", "--dataset", str(root)]) == 3
+    assert capsys.readouterr().err == (
+        f"dataset error: malformed schema entry at index 1: broken: {message}\n"
+    )
+
+
+# A value of each JSON type, drawn in place of a value of another type.
+_JSON_VALUES = {
+    int: st.integers(-2, 9),
+    float: st.floats(-10, 10),
+    bool: st.booleans(),
+    type(None): st.none(),
+    str: st.text(max_size=4),
+    list: st.lists(st.integers(-2, 9) | st.text(max_size=3), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(-2, 9), max_size=2),
+}
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of every value inside it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(item, path + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    battle_death = [ex for ex in [GOOD_ENTRY, *DEV_EXAMPLES] if ex["db_id"] == "battle_death"]
+    return make_dataset(tmp_path_factory.mktemp("fuzz"), battle_death)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ingest_of_a_broken_tables_entry_exits_0_or_3(fuzz_root, data):
+    """battle_death's valid entry broken one way: a value of another JSON
+    type at any path, a key dropped, or a pair one item longer or shorter."""
+    tables = fuzz_root / "tables.json"
+    valid = tables.read_text(encoding="utf-8")
+    entries = json.loads(valid)  # the entry itself is at path (0,)
+    paths = list(_paths(entries))[1:]
+    how = data.draw(st.sampled_from(["retype", "drop", "resize"]))
+    if how == "retype":
+        path = data.draw(st.sampled_from(paths))
+        kinds = [kind for kind in _JSON_VALUES if kind is not type(_at(entries, path))]
+        _at(entries, path[:-1])[path[-1]] = data.draw(
+            st.sampled_from(kinds).flatmap(_JSON_VALUES.get)
+        )
+    elif how == "drop":
+        path = data.draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
+        del _at(entries, path[:-1])[path[-1]]
+    else:
+        values = [_at(entries, p) for p in paths]
+        pair = data.draw(st.sampled_from(
+            [v for v in values if isinstance(v, list) and len(v) == 2]
+        ))
+        if data.draw(st.booleans()):
+            pair.append(data.draw(st.integers(-2, 9) | st.text(max_size=3)))
+        else:
+            pair.pop()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        tables.write_text(json.dumps(entries), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["ingest", "--dataset", str(fuzz_root)])
+    finally:
+        tables.write_text(valid, encoding="utf-8")
+    assert code in (0, 3)
+    if code == 3:
+        assert err.getvalue().startswith("dataset error: ")
+        assert err.getvalue().count("\n") == 1
+
+
 # A key index of tables.json always names a column of the schema it builds,
 # so only a schema built directly can hold a key on a column it lacks.
 @pytest.mark.parametrize(
@@ -258,6 +368,11 @@ def test_a_schema_entry_that_breaks_an_invariant_exits_3(tmp_path, capsys, added
 def test_a_key_on_a_column_outside_the_schema_is_refused(keys, message):
     with pytest.raises(SchemaError, match=re.escape(message)):
         DatabaseSchema("x", (("ship", (("id", "number"),)),), **keys)
+
+
+def test_columns_of_an_unknown_table_are_empty(schemas):
+    assert schemas["concert_singer"].columns_of("nope") == ()
+    assert schemas["concert_singer"].columns_of("SINGER") == ("singer_id", "name", "country", "age")
 
 
 def test_a_missing_key_is_still_quarantined(tmp_path):

@@ -24,22 +24,22 @@ def _diff(pred_sql, gold_sql, schema):
 
 def test_grouping_difference_is_the_only_delta(schemas):
     d = _diff(GROUPED_BY_ID_SQL, GROUPED_BY_NAME_SQL, schemas["student_course"])
-    assert d.group_by_delta
-    assert d.group_by_delta.pred == ("student_enrolment_courses.course_id",)
-    assert d.group_by_delta.gold == ("courses.course_name",)
-    assert not d.select_delta
-    assert not d.aggregate_delta
-    assert not d.join_delta
-    assert not d.literal_delta
-    assert not d.structure_delta
-    assert not d.clause_delta
+    assert d.group_by
+    assert d.group_by.pred == ("student_enrolment_courses.course_id",)
+    assert d.group_by.gold == ("courses.course_name",)
+    assert not d.select
+    assert not d.aggregates
+    assert not d.joins
+    assert not d.literals
+    assert not d.structure
+    assert not d.clauses
 
 
 def test_extra_join_reported_from_pred_side(schemas):
     d = _diff(EXTRA_JOIN_CARS_SQL, BELOW_AVERAGE_CARS_SQL, schemas["car_1"])
-    assert d.join_delta.extra_tables == ("model_list",)
-    assert d.join_delta.missing_tables == ()
-    assert d.join_delta.extra_conditions == ("car_names.model = model_list.modelid",)
+    assert d.joins.extra_tables == ("model_list",)
+    assert d.joins.missing_tables == ()
+    assert d.joins.extra_conditions == ("car_names.model = model_list.modelid",)
 
 
 def test_identical_queries_diff_empty(schemas):
@@ -62,11 +62,11 @@ def test_literal_only_difference(schemas):
         "SELECT count(*) FROM ship WHERE disposition_of_ship = 'sank'",
         schema,
     )
-    assert d.literal_delta == (
+    assert d.literals == (
         ("ship.disposition_of_ship = ?", "'lost'", "'sank'"),
     )
-    assert not (d.select_delta or d.join_delta or d.group_by_delta)
-    assert not d.structure_delta and not d.clause_delta
+    assert not (d.select or d.joins or d.group_by)
+    assert not d.structure and not d.clauses
 
 
 def test_between_bounds_pair_positionally(schemas):
@@ -76,7 +76,7 @@ def test_between_bounds_pair_positionally(schemas):
         "SELECT name FROM singer WHERE age BETWEEN 1 AND 12",
         schema,
     )
-    assert d.literal_delta == (
+    assert d.literals == (
         ("singer.age BETWEEN ? AND ?", "10", "12"),
     )
 
@@ -88,7 +88,7 @@ def test_in_list_literals_pair_positionally(schemas):
         "SELECT name FROM singer WHERE age IN (1, 3)",
         schema,
     )
-    assert d.literal_delta == (("singer.age IN (?, ?)", "2", "3"),)
+    assert d.literals == (("singer.age IN (?, ?)", "2", "3"),)
 
 
 def test_numeric_literonly_compared_by_value(schemas):
@@ -108,15 +108,15 @@ def test_select_reorder_detected(schemas):
         "SELECT name, capacity FROM stadium",
         schema,
     )
-    assert d.select_delta.reordered
-    assert d.select_delta.missing == () and d.select_delta.extra == ()
+    assert d.select.reordered
+    assert d.select.missing == () and d.select.extra == ()
 
 
 def test_wrong_select_column_detected(schemas):
     schema = schemas["concert_singer"]
     d = _diff("SELECT location FROM stadium", "SELECT name FROM stadium", schema)
-    assert d.select_delta.extra == ("stadium.location",)
-    assert d.select_delta.missing == ("stadium.name",)
+    assert d.select.extra == ("stadium.location",)
+    assert d.select.missing == ("stadium.name",)
 
 
 def test_aggregate_function_difference_in_order_by(schemas):
@@ -129,8 +129,8 @@ def test_aggregate_function_difference_in_order_by(schemas):
     )
     gold = pred.replace("sum(T3.cost_of_treatment)", "count(*)")
     d = _diff(pred, gold, schema)
-    assert d.aggregate_delta == (("order_by", ("sum",), ("count",)),)
-    assert not (d.select_delta or d.join_delta or d.group_by_delta)
+    assert d.aggregates == (("order_by", ("sum",), ("count",)),)
+    assert not (d.select or d.joins or d.group_by)
 
 
 def test_count_argument_difference_in_order_by_is_not_a_delta(schemas):
@@ -153,7 +153,7 @@ def test_subquery_vs_join_shape_divergence(schemas):
         "JOIN singer AS T2 ON T1.singer_id = T2.singer_id"
     )
     d = _diff(pred, gold, schema)
-    assert "subquery_shape" in d.structure_delta
+    assert "subquery_shape" in d.structure
 
 
 def test_set_op_mismatch_is_structural(schemas):
@@ -163,7 +163,7 @@ def test_set_op_mismatch_is_structural(schemas):
         "SELECT name FROM singer",
         schema,
     )
-    assert "set_op" in d.structure_delta
+    assert "set_op" in d.structure
 
 
 def test_where_vs_on_join_condition_styles_agree(schemas):
@@ -199,8 +199,8 @@ def test_extra_where_condition_is_residual_clause_delta(schemas):
         "SELECT name FROM stadium WHERE capacity > 10",
         schema,
     )
-    assert "where" in d.clause_delta
-    assert not d.literal_delta
+    assert "where" in d.clauses
+    assert not d.literals
 
 
 def test_limit_difference_is_residual(schemas):
@@ -210,7 +210,7 @@ def test_limit_difference_is_residual(schemas):
         "SELECT name FROM stadium ORDER BY capacity DESC LIMIT 1",
         schema,
     )
-    assert "limit" in d.clause_delta
+    assert "limit" in d.clauses
 
 
 def test_conditionless_join_flagged_and_recoverable_not(schemas):
@@ -249,8 +249,8 @@ def test_conditionless_flags_surface_in_join_delta(schemas):
         "WHERE cost_of_treatment < (SELECT avg(cost_of_treatment) FROM Treatments)"
     )
     d = _diff(CARTESIAN_GOLD_SQL, repaired, schema)
-    assert d.join_delta.pred_conditionless == ("treatments",)
-    assert d.join_delta.missing_conditions == (
+    assert d.joins.pred_conditionless == ("treatments",)
+    assert d.joins.missing_conditions == (
         "professionals.professional_id = treatments.professional_id",
     )
 
@@ -350,7 +350,7 @@ def test_only_a_pred_side_conditionless_join_shows_the_joins_entry(schemas):
         "JOIN concert AS T2 ON T1.concert_id = T2.concert_id)"
     )
     d = _diff(conditionless, joined, schema)
-    assert not d.join_delta
+    assert not d.joins
     assert d.summary() == {
         "joins": {
             "extra_tables": [],
@@ -379,10 +379,10 @@ def test_a_conditionless_join_in_a_compound_is_listed_once(schemas):
         "ON stadium.stadium_id = concert.stadium_id"
     )
     # One flag per arm, whether the arms are diffed pairwise or not.
-    assert _diff(pred, gold, schema).join_delta.pred_conditionless == ("concert", "concert")
-    assert _diff(gold, pred, schema).join_delta.gold_conditionless == ("concert", "concert")
+    assert _diff(pred, gold, schema).joins.pred_conditionless == ("concert", "concert")
+    assert _diff(gold, pred, schema).joins.gold_conditionless == ("concert", "concert")
     single_arm_gold = "SELECT singer.name FROM singer"
-    assert _diff(pred, single_arm_gold, schema).join_delta.pred_conditionless == (
+    assert _diff(pred, single_arm_gold, schema).joins.pred_conditionless == (
         "concert", "concert",
     )
 
@@ -398,10 +398,10 @@ def test_a_from_subquery_counts_as_one_table_whatever_comes_before_it(schemas):
         f"JOIN {subquery}",
     ]
     for pred in preds:
-        joins = _diff(pred, gold, schema).join_delta
+        joins = _diff(pred, gold, schema).joins
         assert joins.extra_tables == ("stadium",)
         assert joins.missing_tables == ()
-        assert _diff(gold, pred, schema).join_delta.missing_tables == ("stadium",)
+        assert _diff(gold, pred, schema).joins.missing_tables == ("stadium",)
 
 
 def _printed_by_diff(monkeypatch, pred_sql, gold_sql, schema):

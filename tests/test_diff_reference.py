@@ -26,7 +26,6 @@ from hypothesis import assume, given, settings, strategies as st
 from nl2sql.errors import ParseError
 from nl2sql.sqlast import canonicalize, diff, parse
 from nl2sql.sqlast.canonical import CanonicalAst
-from nl2sql.sqlast.conditionless import ConditionlessJoin, scope_conditionless_joins
 from nl2sql.sqlast.diff import (
     AggregateRow,
     AstDiff,
@@ -45,15 +44,16 @@ from nl2sql.sqlast.nodes import (
     Star,
     SubquerySource,
     TableSource,
+    children,
     map_children,
 )
 from nl2sql.sqlast.printer import expr_sql, to_sql
 from nl2sql.sqlast.walk import (
-    clause_exprs,
+    ConditionlessJoin,
     flatten_and,
     is_link_predicate,
     iter_expr_nodes,
-    subquery_nodes,
+    scope_conditionless_joins,
 )
 
 from conftest import DEV_EXAMPLES
@@ -105,10 +105,10 @@ def _diff_select(pred: Select, gold: Select, rpred: Select, rgold: Select) -> As
     gold_tables, gold_conds = _join_graph(gold, rgold, gold_links)
     paired = pred.set_op is not None and pred_op == gold_op
     out = AstDiff(
-        select_delta=_diff_items(rpred, rgold),
-        group_by_delta=_diff_group_by(rpred, rgold),
-        aggregate_delta=_diff_aggregates(pred, gold),
-        join_delta=JoinDelta(
+        select=_diff_items(rpred, rgold),
+        group_by=_diff_group_by(rpred, rgold),
+        aggregates=_diff_aggregates(pred, gold),
+        joins=JoinDelta(
             extra_tables=_surplus(pred_tables, gold_tables),
             missing_tables=_surplus(gold_tables, pred_tables),
             extra_conditions=_surplus(pred_conds, gold_conds),
@@ -116,22 +116,49 @@ def _diff_select(pred: Select, gold: Select, rpred: Select, rgold: Select) -> As
             pred_conditionless=_conditionless(pred, paired),
             gold_conditionless=_conditionless(gold, paired),
         ),
-        literal_delta=tuple(where_literals + having_literals),
-        structure_delta=tuple(structure),
-        clause_delta=tuple(clause),
+        literals=tuple(where_literals + having_literals),
+        structure=tuple(structure),
+        clauses=tuple(clause),
     )
     if paired:
         arms = (pred.set_op[1], gold.set_op[1], rpred.set_op[1], rgold.set_op[1])
         out = out.merge(_diff_select(*arms))
         out = replace(
             out,
-            structure_delta=tuple(dict.fromkeys(out.structure_delta)),
-            clause_delta=tuple(dict.fromkeys(out.clause_delta)),
+            structure=tuple(dict.fromkeys(out.structure)),
+            clauses=tuple(dict.fromkeys(out.clauses)),
         )
     return out
 
 
 # --------------------------------------------------------------------------- re-qualification
+
+def clause_exprs(select: Select) -> list[tuple[str, list[Expr]]]:
+    out: list[tuple[str, list[Expr]]] = [("select", [i.expr for i in select.items])]
+    conds = [fi.condition for fi in select.from_items if fi.condition is not None]
+    if conds:
+        out.append(("join", conds))
+    if select.where is not None:
+        out.append(("where", [select.where]))
+    if select.group_by:
+        out.append(("group_by", list(select.group_by)))
+    if select.having is not None:
+        out.append(("having", [select.having]))
+    if select.order_by:
+        out.append(("order_by", [o.expr for o in select.order_by]))
+    return out
+
+
+def subquery_nodes(expr: Expr) -> list[Select]:
+    """Nested SELECTs appearing as operands of the given scope-level expression,
+    in the order ``iter_expr_nodes`` reaches the nodes holding them."""
+    out: list[Select] = []
+    stack: list[Expr] = [expr]
+    while stack:
+        for child in children(stack.pop()):
+            (out if isinstance(child, Select) else stack).append(child)
+    return out
+
 
 def subselects(select: Select) -> Iterator[Select]:
     """The SELECTs nested directly in this one: FROM sources, then expression

@@ -50,6 +50,11 @@ HAND_SCORED = [
     ),
     # set operation -> comp2=1
     ("concert_singer", "SELECT name FROM singer UNION SELECT name FROM stadium", Hardness.HARD),
+    # an ORDER BY key that is arithmetic on two aggregates scores both:
+    # comp1=1, others=1 (agg score 2); ORDER BY max(age) alone is easy
+    ("concert_singer", "SELECT name FROM singer ORDER BY max(age) - min(age)", Hardness.MEDIUM),
+    # two GROUP BY keys -> comp1=1, others=1; one key is easy
+    ("concert_singer", "SELECT name FROM singer GROUP BY name, country", Hardness.MEDIUM),
     # two aggregates in select -> others=1 (agg score 2)
     ("concert_singer", "SELECT max(capacity), min(capacity) FROM stadium", Hardness.MEDIUM),
     # NOT IN subquery: comp1=1 (WHERE), comp2=1; the NOT quirk scores one

@@ -630,6 +630,14 @@ def test_http_api_key_with_a_newline_fails_before_connecting():
     assert sleeps == []
 
 
+def test_http_200_with_a_body_that_is_not_json_fails_fast():
+    session = _FakeSession([_FakeResponse(200, text="<html>")])
+    transport, sleeps = _http(session)
+    with pytest.raises(TransportError, match=r"^non-JSON response body: no body$"):
+        transport.send(_request())
+    assert session.calls == 1 and sleeps == []
+
+
 def test_http_non_retryable_status_fails_fast():
     session = _FakeSession([_FakeResponse(401, text="bad key")])
     transport, _ = _http(session)

@@ -402,6 +402,11 @@ def test_zero_rounds_goes_straight_to_error_stage(schemas):
     assert [s.stage for s in transcript.stages] == ["zero_shot", "error_correction"]
 
 
+def test_negative_round_count_is_refused():
+    with pytest.raises(ValueError, match="max_example_correction_rounds must be >= 0"):
+        PipelineConfig(max_example_correction_rounds=-1)
+
+
 def test_error_stage_disabled_by_config(schemas):
     generator, corrector = scripted_endpoints({"zero_shot": WRONG, "example_1": WRONG})
     config = PipelineConfig(enable_error_correction=False)
