@@ -281,7 +281,7 @@ def _load_config(path: Path | None) -> dict:
     if path is not None:
         try:
             user = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")

@@ -10,9 +10,10 @@ Expected directory layout (the public distribution's):
 Entries whose gold SQL does not parse, or whose db_id has no schema, are
 quarantined with a reason instead of being dropped: loaded + quarantined
 always reconciles with the raw entry count. A schema or split file that is
-not UTF-8 JSON or whose top level is not a list, or a split entry that is
-not an object or whose ``question``, ``query`` or ``db_id`` is not a
-string, is a ``DatasetError``.
+not UTF-8 JSON or whose top level is not a list, a schema entry that
+``schema_from_tables_entry`` refuses or whose ``db_id`` an earlier entry
+has, or a split entry that is not an object or whose ``question``,
+``query`` or ``db_id`` is not a string, is a ``DatasetError``.
 
 Each distinct ``(db_id, gold_sql)`` is parsed and classified once. Every
 example with that gold carries the one bound tree (``gold_ast``), which
@@ -90,18 +91,19 @@ def load_schemas(dataset_dir: Path) -> dict[str, DatabaseSchema]:
         raise DatasetError(f"missing schema file: {tables_path}")
     try:
         entries = json.loads(tables_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise DatasetError(f"unreadable schema file {tables_path}: {exc}") from exc
     if not isinstance(entries, list):
         raise DatasetError(f"malformed schema file {tables_path}: top level is not a list")
     schemas: dict[str, DatabaseSchema] = {}
     for idx, entry in enumerate(entries):
         try:
-            db_id = entry["db_id"]
-            db_path = dataset_dir / "database" / db_id / f"{db_id}.sqlite"
-            schemas[db_id] = schema_from_tables_entry(entry, db_path=db_path)
-        except (SchemaError, KeyError, TypeError) as exc:
+            schema = schema_from_tables_entry(entry, dataset_dir / "database")
+            if schema.db_id in schemas:
+                raise SchemaError(f"duplicate db_id {schema.db_id!r}")
+        except SchemaError as exc:
             raise DatasetError(f"malformed schema entry at index {idx}: {exc}") from exc
+        schemas[schema.db_id] = schema
     return schemas
 
 
@@ -118,7 +120,7 @@ def load_dataset(dataset_dir: Path | str, split: str) -> LoadedDataset:
 
     try:
         raw = json.loads(split_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise DatasetError(f"unreadable split file {split_path}: {exc}") from exc
 
     if not isinstance(raw, list):

@@ -155,7 +155,7 @@ class HttpChatTransport:
             if resp.status_code == 200:
                 try:
                     return resp.json()
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise TransportError(f"non-JSON response body: {exc}") from exc
             if resp.status_code in self.RETRYABLE_STATUSES:
                 if resp.status_code in (429, 503):
@@ -229,7 +229,7 @@ class ReplayTransport:
             raise ReplayMissError(digest, hint=f"last message starts {head}")
         try:
             return json.loads(row[0])
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise TransportError(f"corrupt replay fixture {digest} in {self.store}: {exc}") from exc
 
 

@@ -51,12 +51,11 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
-from types import UnionType
-from typing import Callable, Iterable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Iterable, NamedTuple
 
 from .dataset import SpiderExample, gold_groups
 from .errors import DatabaseChangedError, Nl2SqlError, NoSqlFoundError, ParseError
@@ -76,7 +75,7 @@ from .prompts import (
     example_correction_prompt,
     zero_shot_user_prompt,
 )
-from .schema import DatabaseSchema
+from .schema import DatabaseSchema, _json_reader
 from .sqlast.tokens import _MASTER, lexes, tokenize
 
 _FENCE = re.compile(r"```(?:sql)?\s*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
@@ -168,49 +167,6 @@ class PipelineTranscript:
     @classmethod
     def from_json(cls, data: dict) -> "PipelineTranscript":
         return _json_reader(cls)(data)
-
-
-@cache
-def _json_reader(hint: object) -> Callable[[object], object]:
-    """A function that checks a JSON value against the declared type ``hint``
-    and returns it as that type: ``str``, ``int`` (``bool`` is no ``int``),
-    ``dict`` (items unchecked), ``list[X]``, an enum, ``X | None``, or a
-    dataclass, whose ``init`` fields must all be present. A value of the
-    wrong type raises ``TypeError`` naming its field; any other declared
-    type raises ``TypeError`` here."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType and len(args) == 2 and type(None) in args:
-        read = _json_reader(next(a for a in args if a is not type(None)))
-        return lambda value: None if value is None else read(value)
-    if origin is list:
-        read_item = _json_reader(args[0])
-        return lambda value: [read_item(item) for item in _checked(value, list)]
-    if (origin or hint) in (str, int, dict):
-        return partial(_checked, want=origin or hint)
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return hint
-    if not is_dataclass(hint):
-        raise TypeError(f"no JSON reading for declared type {hint!r}")
-    hints = get_type_hints(hint)
-    readers = [(f.name, _json_reader(hints[f.name])) for f in fields(hint) if f.init]
-
-    def read_record(data: dict) -> object:
-        values = {}
-        for name, read_field in readers:
-            value = data[name]
-            try:
-                values[name] = read_field(value)
-            except (TypeError, ValueError) as exc:
-                raise TypeError(f"field {name!r}: {exc}") from None
-        return hint(**values)
-
-    return read_record
-
-
-def _checked(value: object, want: type) -> object:
-    if type(value) is not want:
-        raise TypeError(f"expected {want.__name__}, got {type(value).__name__}")
-    return value
 
 
 # --------------------------------------------------------------------------- SQL extraction
@@ -485,7 +441,6 @@ def read_transcripts(path: Path | str) -> list[PipelineTranscript]:
                 continue
             try:
                 out.append(PipelineTranscript.from_json(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise Nl2SqlError(f"cannot read {path}: line {number}: {reason}") from exc
+            except (ValueError, TypeError, RecursionError) as exc:
+                raise Nl2SqlError(f"cannot read {path}: line {number}: {exc}") from exc
     return out

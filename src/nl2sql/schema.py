@@ -3,14 +3,20 @@
 Schemas come from a Spider-layout ``tables.json`` file. Names keep their
 original casing for display; lookups are case-insensitive, matching how
 SQLite resolves identifiers.
+
+``_json_reader`` checks a JSON record against a declared dataclass: each
+``tables.json`` entry here, and each transcript line ``pipeline`` reads.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
+from functools import cache, partial
 from pathlib import Path
-from typing import Any
+from types import UnionType
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from .errors import SchemaError
 
@@ -50,13 +56,6 @@ class DatabaseSchema:
                 colmap[col.lower()] = col
             lookup[low] = (name, colmap, frozenset(colmap))
         object.__setattr__(self, "_lookup", lookup)
-        for table, column in self.primary_keys:
-            if not self.has_column(table, column):
-                raise SchemaError(f"{self.db_id}: primary key {table}.{column} not in schema")
-        for src, dst in self.foreign_keys:
-            for table, column in (src, dst):
-                if not self.has_column(table, column):
-                    raise SchemaError(f"{self.db_id}: foreign key {table}.{column} not in schema")
 
     # -- case-insensitive lookups ------------------------------------------
 
@@ -75,10 +74,6 @@ class DatabaseSchema:
         entry = self._lookup.get(table.lower())
         return entry[2] if entry else frozenset()
 
-    def has_column(self, table: str, column: str) -> bool:
-        entry = self._lookup.get(table.lower())
-        return entry is not None and column.lower() in entry[1]
-
     def foreign_keys_between(self, a: str, b: str) -> list[tuple[ColumnKey, ColumnKey]]:
         """Foreign keys linking tables a and b, in either direction."""
         pair = {a.lower(), b.lower()}
@@ -89,34 +84,28 @@ class DatabaseSchema:
         ]
 
 
-def _pair(value: Any) -> bool:
-    """True iff ``value`` is a two-item list whose first item is an int."""
-    return type(value) is list and len(value) == 2 and type(value[0]) is int
+@dataclass(frozen=True)
+class _TablesEntry:
+    """The fields of a ``tables.json`` entry that a schema is built from."""
+
+    db_id: str
+    table_names_original: list[str]
+    column_names_original: list[tuple[int, str]]  # (table index, name); -1 for "*"
+    column_types: list[str]
+    primary_keys: list[int]  # column indexes
+    foreign_keys: list[tuple[int, int]]  # (column index, column index)
 
 
-def schema_from_tables_entry(entry: dict[str, Any], db_path: Path | None = None) -> DatabaseSchema:
-    """Build a DatabaseSchema from one element of a tables.json array."""
+def schema_from_tables_entry(entry: object, database: Path) -> DatabaseSchema:
+    """Build a DatabaseSchema from one element of a tables.json array, whose
+    database file is ``database/<db_id>/<db_id>.sqlite``. An entry of the
+    wrong shape, or one whose fields disagree, raises ``SchemaError``."""
     try:
-        db_id = entry["db_id"]
-        table_names = entry["table_names_original"]
-        column_names = entry["column_names_original"]
-        column_types = entry["column_types"]
-        pk_indexes = entry.get("primary_keys", [])
-        fk_pairs = entry.get("foreign_keys", [])
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed schema entry: missing {exc}") from exc
-    # ``type(x) is int`` refuses a bool, which JSON keeps apart from a number.
-    for key, values, what, ok in (
-        ("table_names_original", table_names, "strings", lambda v: type(v) is str),
-        ("column_names_original", column_names, "[table index, name] pairs",
-         lambda v: _pair(v) and type(v[1]) is str),
-        ("column_types", column_types, "strings", lambda v: type(v) is str),
-        ("primary_keys", pk_indexes, "column indexes", lambda v: type(v) is int),
-        ("foreign_keys", fk_pairs, "[column index, column index] pairs",
-         lambda v: _pair(v) and type(v[1]) is int),
-    ):
-        if type(values) is not list or not all(map(ok, values)):
-            raise SchemaError(f"{db_id}: {key} is not a list of {what}")
+        checked = _json_reader(_TablesEntry)(entry)
+    except TypeError as exc:
+        raise SchemaError(str(exc)) from None
+    db_id, table_names = checked.db_id, checked.table_names_original
+    column_names, column_types = checked.column_names_original, checked.column_types
     if len(column_types) != len(column_names):
         raise SchemaError(
             f"{db_id}: {len(column_types)} column types for {len(column_names)} columns"
@@ -138,13 +127,68 @@ def schema_from_tables_entry(entry: dict[str, Any], db_path: Path | None = None)
             raise SchemaError(f"{db_id}: key references column index {idx}")
         return flat[idx]
 
-    primary = tuple(col_at(i) for i in pk_indexes)
-    foreign = tuple((col_at(a), col_at(b)) for a, b in fk_pairs)
+    primary = tuple(col_at(i) for i in checked.primary_keys)
+    foreign = tuple((col_at(a), col_at(b)) for a, b in checked.foreign_keys)
     tables = tuple((name, tuple(cols)) for name, cols in zip(table_names, per_table))
     return DatabaseSchema(
         db_id=db_id,
         tables=tables,
         primary_keys=primary,
         foreign_keys=foreign,
-        db_path=db_path,
+        db_path=database / db_id / f"{db_id}.sqlite",
     )
+
+
+@cache
+def _json_reader(hint: object) -> Callable[[object], object]:
+    """A function that checks a JSON value against the declared type ``hint``
+    and returns it as that type: ``str``, ``int`` (``bool`` is no ``int``),
+    ``dict`` (items unchecked), ``list[X]``, ``tuple[X, Y, ...]`` (from a
+    list of exactly that length), an enum, ``X | None``, or a dataclass,
+    read from an object that must hold all its ``init`` fields. A value of
+    the wrong shape raises ``TypeError`` naming the path of fields to it;
+    any other declared type raises ``TypeError`` here."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType and len(args) == 2 and type(None) in args:
+        read = _json_reader(next(a for a in args if a is not type(None)))
+        return lambda value: None if value is None else read(value)
+    if origin is list:
+        read_item = _json_reader(args[0])
+        return lambda value: [read_item(item) for item in _checked(value, list)]
+    if origin is tuple and ... not in args:
+        read_items = tuple(map(_json_reader, args))
+
+        def read_tuple(value: object) -> tuple:
+            if len(_checked(value, list)) != len(read_items):
+                raise TypeError(f"expected {len(read_items)} items, got {len(value)}")
+            return tuple(read(item) for read, item in zip(read_items, value))
+
+        return read_tuple
+    if (origin or hint) in (str, int, dict):
+        return partial(_checked, want=origin or hint)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint
+    if not is_dataclass(hint):
+        raise TypeError(f"no JSON reading for declared type {hint!r}")
+    hints = get_type_hints(hint)
+    readers = [(f.name, _json_reader(hints[f.name])) for f in fields(hint) if f.init]
+
+    def read_record(data: object) -> object:
+        _checked(data, dict)
+        values = {}
+        for name, read_field in readers:
+            if name not in data:
+                raise TypeError(f"missing field {name!r}")
+            try:
+                values[name] = read_field(data[name])
+            except (TypeError, ValueError) as exc:
+                raise TypeError(f"field {name!r}: {exc}") from None
+        return hint(**values)
+
+    return read_record
+
+
+def _checked(value: object, want: type) -> object:
+    if type(value) is not want:
+        raise TypeError(f"expected {want.__name__}, got {type(value).__name__}")
+    return value

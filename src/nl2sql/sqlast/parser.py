@@ -15,6 +15,9 @@ The grammar reads each token as a word, looked up once per parse (see
 over sums, products, signs and primaries, has one method per level and
 tests the next word against that level's operators directly, so an operand
 that uses none of them costs each level one lookup.
+
+A query may nest at most ``MAX_DEPTH`` levels; past that it is a
+ParseError, so no walk of the tree can exhaust Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -50,6 +53,12 @@ from .printer import _quote_string
 from .tokens import FORBIDDEN_LEADS, KEYWORDS, Token, tokenize
 from .walk import is_aggregate, iter_expr_nodes
 
+# Each SELECT, expression, call's argument list, sign, NOT and operator of a
+# +, -, ||, *, / or % chain opens one level, so ``SELECT ((1))`` takes four.
+# The bound admits what SQLite 3.40.1's parser takes at most: 93 nested
+# parentheses, 94 signs or NOTs, 31 nested calls, 18 nested scalar subqueries.
+MAX_DEPTH = 100
+
 _JOIN_INTRO = ("join", "inner", "left", "right", "full", "cross", "natural")
 # Each comparison operator mapped to the one the tree stores.
 _COMPARISONS = {
@@ -81,6 +90,7 @@ class _Parser:
         ]
         self.words.append(None)
         self.pos = 0
+        self.depth = 0  # levels open; see MAX_DEPTH
 
     # -- token plumbing -----------------------------------------------------
 
@@ -111,6 +121,14 @@ class _Parser:
             return word
         return None
 
+    def deeper(self) -> None:
+        """Open one more level; a level past ``MAX_DEPTH`` is a ParseError.
+        The caller closes it (``self.depth -= 1``) when it returns; a
+        ParseError ends the parse, so it closes none."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"query nests deeper than {MAX_DEPTH} levels", self.peek().pos)
+
     def expect_keyword(self, name: str) -> None:
         if not self.accept(name):
             tok = self.peek()
@@ -137,6 +155,7 @@ class _Parser:
         return select
 
     def parse_select(self) -> Select:
+        self.deeper()
         core = self.parse_select_core()
         set_op: tuple[str, Select] | None = None
         op = self.accept_any(("union", "intersect", "except"))
@@ -151,6 +170,7 @@ class _Parser:
             set_op = (op, right)
         order_by = self.parse_order_by()
         limit = self.parse_limit()
+        self.depth -= 1
         return Select(**core, order_by=order_by, limit=limit, set_op=set_op)
 
     def parse_select_core(self) -> dict:
@@ -273,13 +293,15 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         """A flattened n-ary OR of ANDs, or its one operand."""
+        self.deeper()
         term = self.parse_and()
-        if self.words[self.pos] != "or":
-            return term
-        terms = [term]
-        while self.accept("or"):
-            terms.append(self.parse_and())
-        return BoolOp(op="or", terms=tuple(_flatten("or", terms)))
+        if self.words[self.pos] == "or":
+            terms = [term]
+            while self.accept("or"):
+                terms.append(self.parse_and())
+            term = BoolOp(op="or", terms=tuple(_flatten("or", terms)))
+        self.depth -= 1
+        return term
 
     def parse_and(self) -> Expr:
         """A flattened n-ary AND of NOTs, or its one operand."""
@@ -297,7 +319,10 @@ class _Parser:
             self.pos += 1
             if self.accept("exists"):
                 return Exists(query=self.parse_parenthesized_select(), negated=True)
-            return Unary(op="not", operand=self.parse_not())
+            self.deeper()
+            operand = self.parse_not()
+            self.depth -= 1
+            return Unary(op="not", operand=operand)
         if word == "exists":
             self.pos += 1
             return Exists(query=self.parse_parenthesized_select())
@@ -351,16 +376,22 @@ class _Parser:
 
     def parse_additive(self) -> Expr:
         left = self.parse_multiplicative()
+        depth = self.depth
         while (op := self.words[self.pos]) in ("+", "-", "||"):
             self.pos += 1
+            self.deeper()
             left = Binary(op, left, self.parse_multiplicative())
+        self.depth = depth
         return left
 
     def parse_multiplicative(self) -> Expr:
         left = self.parse_unary()
+        depth = self.depth
         while (op := self.words[self.pos]) in ("*", "/", "%"):
             self.pos += 1
+            self.deeper()
             left = Binary(op, left, self.parse_unary())
+        self.depth = depth
         return left
 
     def parse_unary(self) -> Expr:
@@ -369,7 +400,9 @@ class _Parser:
             return self.parse_primary()
         tok = self.tokens[self.pos]
         self.pos += 1
+        self.deeper()
         operand = self.parse_unary()
+        self.depth -= 1
         if op == "-" and isinstance(operand, Literal) and operand.value == _INT64_MIN:
             # Only a hex literal reads as -2**63, and SQLite will not negate it.
             raise ParseError(f"hex literal too big: -{operand.text}", tok.pos)
@@ -439,10 +472,12 @@ class _Parser:
             return FuncCall(name=name, args=(), distinct=distinct, star=True)
         if self.accept(")"):
             return FuncCall(name=name, args=(), distinct=distinct)
+        self.deeper()  # a call's own level, besides each argument's
         args = [self.parse_expr()]
         while self.accept(","):
             args.append(self.parse_expr())
         self.expect_punct(")")
+        self.depth -= 1
         return FuncCall(name=name, args=tuple(args), distinct=distinct)
 
 

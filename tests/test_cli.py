@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nl2sql
 from nl2sql import cli, pipeline
@@ -34,6 +35,7 @@ from nl2sql.pipeline import PipelineConfig, PipelineTranscript, run_many
 
 from conftest import DEV_EXAMPLES, make_dataset
 from helpers import ScriptedTransport, empty_store
+from test_dataset import assert_one_documented_line, broken_json, cli_result
 from test_evaluate import counting_executions
 
 def build_replay_store(dataset_dir, store, reply_fn):
@@ -391,6 +393,35 @@ def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: cannot read config {config}: ")
     assert err.count("\n") == 1
+
+
+def test_a_deeply_nested_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code = main([
+        "run", "--dataset", str(tmp_path / "nowhere"), "--replay", str(tmp_path / "store"),
+        "--config", str(config), "--out", str(tmp_path / "t.jsonl"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config {config}: maximum recursion")
+    assert err.count("\n") == 1
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_run_with_a_broken_config_file_exits_2(dataset_dir, tmp_path_factory, data):
+    """A full config file broken one way; the ``--replay`` path is no store,
+    so a config that still reads stops there, before any model call."""
+    scratch = tmp_path_factory.mktemp("config")
+    config = scratch / "run.json"
+    config.write_bytes(broken_json(data, cli.DEFAULT_CONFIG))
+    code, err = cli_result([
+        "run", "--dataset", str(dataset_dir), "--replay", str(scratch / "store"),
+        "--config", str(config), "--out", str(scratch / "t.jsonl"),
+    ])
+    assert_one_documented_line(code, err, {2: "configuration error: "})
+    assert not (scratch / "t.jsonl").exists()
 
 
 def test_config_values_keep_their_default_types(tmp_path):
@@ -953,7 +984,8 @@ def test_unreadable_transcripts_line_is_one_error_line(dataset_dir, tmp_path, ca
             lines[0] + b"\n" + json.dumps(no_stages).encode() + b"\n",
             "line 3: missing field 'stages'",
         ),
-        "not-an-object.jsonl": (b"[1, 2]\n", "line 1: list indices must be integers"),
+        "not-an-object.jsonl": (b"[1, 2]\n", "line 1: expected dict, got list"),
+        "deep.jsonl": (b"[" * 100_000 + b"]" * 100_000 + b"\n", "line 1: maximum recursion depth"),
         "int-sql.jsonl": (
             second_line_edited(lambda r: r.update(final_sql=5)),
             "line 2: field 'final_sql': expected str, got int",
@@ -984,8 +1016,34 @@ def test_unreadable_transcripts_line_is_one_error_line(dataset_dir, tmp_path, ca
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {path}: {reason}")
         assert err.count("\n") == 1 and err.endswith("\n")
-        if name not in ("cut.jsonl", "not-an-object.jsonl"):
+        if name not in ("cut.jsonl", "deep.jsonl"):
             assert err == f"error: cannot read {path}: {reason}\n"
+
+
+@pytest.fixture(scope="module")
+def two_transcripts(dataset_dir, tmp_path_factory):
+    scratch = tmp_path_factory.mktemp("transcripts")
+    store, out = scratch / "store", scratch / "t.jsonl"
+    build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
+    run = ["run", "--dataset", str(dataset_dir), "--replay", str(store), "--limit", "2"]
+    assert main([*run, "--out", str(out)]) == 0
+    return out.read_bytes().splitlines(keepends=True)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_evaluate_of_a_broken_transcripts_line_exits_0_1_or_3(
+    dataset_dir, two_transcripts, tmp_path_factory, data
+):
+    lines = list(two_transcripts)
+    at = data.draw(st.sampled_from(range(len(lines))))
+    lines[at] = broken_json(data, json.loads(lines[at])) + b"\n"
+    path = tmp_path_factory.mktemp("broken") / "t.jsonl"
+    path.write_bytes(b"".join(lines))
+    code, err = cli_result(["evaluate", "--dataset", str(dataset_dir), "--transcripts", str(path)])
+    assert_one_documented_line(
+        code, err, {0: None, 1: f"error: cannot read {path}: line ", 3: "dataset error: "}
+    )
 
 
 @pytest.mark.parametrize("option", ["--out", "--markdown", "--verdicts"])

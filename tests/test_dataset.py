@@ -1,20 +1,21 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
+import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from nl2sql import dataset
 from nl2sql.cli import main
 from nl2sql.dataset import load_dataset
-from nl2sql.errors import DatasetError, SchemaError
+from nl2sql.errors import DatasetError
 from nl2sql.hardness import Hardness, classify_hardness
-from nl2sql.schema import DatabaseSchema
 from nl2sql.sqlast import parse
 
 from conftest import DEV_EXAMPLES, make_dataset
@@ -248,23 +249,24 @@ def test_a_schema_entry_that_breaks_an_invariant_exits_3(tmp_path, capsys, added
     )
 
 
-_NOT_COLUMNS = "column_names_original is not a list of [table index, name] pairs"
-_NOT_FOREIGN_KEYS = "foreign_keys is not a list of [column index, column index] pairs"
-
-
 # Each edit replaces one list of battle_death's entry.
 @pytest.mark.parametrize(
     "key, edit, message",
     [
-        ("table_names_original", lambda v: [5], "table_names_original is not a list of strings"),
-        ("table_names_original", lambda v: "t", "table_names_original is not a list of strings"),
-        ("column_names_original", lambda v: v + [[0, 5]], _NOT_COLUMNS),
-        ("column_names_original", lambda v: v + [[0, "a", 1]], _NOT_COLUMNS),
-        ("column_names_original", lambda v: v + [[0]], _NOT_COLUMNS),
-        ("column_types", lambda v: v[:-1], "7 column types for 8 columns"),
-        ("primary_keys", lambda v: [True], "primary_keys is not a list of column indexes"),
-        ("foreign_keys", lambda v: [[1]], _NOT_FOREIGN_KEYS),
-        ("foreign_keys", lambda v: [[1, 1, 1]], _NOT_FOREIGN_KEYS),
+        ("table_names_original", lambda v: [5],
+         "field 'table_names_original': expected str, got int"),
+        ("table_names_original", lambda v: "t",
+         "field 'table_names_original': expected list, got str"),
+        ("column_names_original", lambda v: v + [[0, 5]],
+         "field 'column_names_original': expected str, got int"),
+        ("column_names_original", lambda v: v + [[0, "a", 1]],
+         "field 'column_names_original': expected 2 items, got 3"),
+        ("column_names_original", lambda v: v + [[0]],
+         "field 'column_names_original': expected 2 items, got 1"),
+        ("column_types", lambda v: v[:-1], "broken: 7 column types for 8 columns"),
+        ("primary_keys", lambda v: [True], "field 'primary_keys': expected int, got bool"),
+        ("foreign_keys", lambda v: [[1]], "field 'foreign_keys': expected 2 items, got 1"),
+        ("foreign_keys", lambda v: [[1, 1, 1]], "field 'foreign_keys': expected 2 items, got 3"),
     ],
     ids=[
         "table-name-int", "table-names-str", "column-name-int", "column-triple", "column-single",
@@ -278,8 +280,61 @@ def test_a_schema_entry_of_the_wrong_shape_exits_3(tmp_path, capsys, key, edit, 
     (root / "tables.json").write_text(json.dumps([*entries, broken]), encoding="utf-8")
     assert main(["ingest", "--dataset", str(root)]) == 3
     assert capsys.readouterr().err == (
-        f"dataset error: malformed schema entry at index 1: broken: {message}\n"
+        f"dataset error: malformed schema entry at index 1: {message}\n"
     )
+
+
+# Each edit replaces battle_death's entry, the only one.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda entry: 5, "expected dict, got int"),
+        (lambda entry: {**entry, "db_id": 7}, "field 'db_id': expected str, got int"),
+        (lambda entry: {k: v for k, v in entry.items() if k != "column_types"},
+         "missing field 'column_types'"),
+    ],
+    ids=["not-an-object", "int-db-id", "no-column-types"],
+)
+def test_a_schema_entry_error_names_the_index_and_the_field(tmp_path, capsys, edit, message):
+    root = write_split(tmp_path, [GOOD_ENTRY])
+    entries = json.loads((root / "tables.json").read_text(encoding="utf-8"))
+    (root / "tables.json").write_text(json.dumps([edit(entries[0])]), encoding="utf-8")
+    assert main(["ingest", "--dataset", str(root)]) == 3
+    assert capsys.readouterr().err == (
+        f"dataset error: malformed schema entry at index 0: {message}\n"
+    )
+
+
+def test_two_schema_entries_with_one_db_id_exit_3(tmp_path, capsys):
+    root = write_split(tmp_path, [GOOD_ENTRY])
+    entries = json.loads((root / "tables.json").read_text(encoding="utf-8"))
+    renamed = {**entries[0], "table_names_original": ["vessel"]}
+    (root / "tables.json").write_text(json.dumps([*entries, renamed]), encoding="utf-8")
+    assert main(["ingest", "--dataset", str(root)]) == 3
+    assert capsys.readouterr().err == (
+        "dataset error: malformed schema entry at index 1: duplicate db_id 'battle_death'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [("tables.json", "unreadable schema file"), ("dev.json", "unreadable split file")],
+)
+def test_a_deeply_nested_dataset_file_exits_3(tmp_path, capsys, name, message):
+    root = write_split(tmp_path, [GOOD_ENTRY])
+    (root / name).write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["ingest", "--dataset", str(root)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"dataset error: {message} {root / name}: maximum recursion depth")
+    assert err.count("\n") == 1
+
+
+def test_a_gold_nested_past_the_parser_bound_is_quarantined(tmp_path):
+    deep = {**GOOD_ENTRY, "query": "SELECT " + "(" * 10_000 + "1" + ")" * 10_000}
+    loaded = load_dataset(write_split(tmp_path, [GOOD_ENTRY, deep]), "dev")
+    assert [ex.id for ex in loaded.examples] == [0]
+    assert [q.id for q in loaded.quarantined] == [1]
+    assert "query nests deeper than 100 levels" in loaded.quarantined[0].reason
 
 
 # A value of each JSON type, drawn in place of a value of another type.
@@ -306,6 +361,59 @@ def _at(value, path):
     for key in path:
         value = value[key]
     return value
+
+
+_DEEP = "\0deep"  # stands for a value nested far past json's recursion limit
+
+
+def broken_json(data, value) -> bytes:
+    """``value`` as JSON text, broken one way drawn from ``data``: a value of
+    another JSON type, NaN or Infinity, or a deeply nested list in place of
+    ``value`` or a value inside it; a key dropped; a byte that is not UTF-8
+    inserted; or the text cut short."""
+    box = [copy.deepcopy(value)]
+    paths = list(_paths(box))[1:]
+    how = data.draw(st.sampled_from(["retype", "nan", "deep", "drop", "bytes", "cut"]))
+    event(how)
+    if how == "drop":
+        path = data.draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
+        del _at(box, path[:-1])[path[-1]]
+    elif how in ("retype", "nan", "deep"):
+        path = data.draw(st.sampled_from(paths))
+        if how == "retype":
+            kinds = [kind for kind in _JSON_VALUES if kind is not type(_at(box, path))]
+            new = data.draw(st.sampled_from(kinds).flatmap(_JSON_VALUES.get))
+        elif how == "nan":
+            new = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        else:
+            new = _DEEP
+        _at(box, path[:-1])[path[-1]] = new
+    text = json.dumps(box[0]).replace(json.dumps(_DEEP), "[" * 100_000 + "]" * 100_000).encode()
+    if how == "bytes":
+        cut = data.draw(st.integers(0, len(text)))
+        return text[:cut] + b"\xff" + text[cut:]
+    if how == "cut":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def cli_result(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and what it wrote to standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_one_documented_line(code, err, prefixes):
+    """``code`` is one of ``prefixes``' exit codes; a code with a prefix
+    wrote one stderr line that starts with it, a code without one wrote
+    nothing."""
+    assert code in prefixes, err
+    if prefixes[code] is None:
+        assert err == ""
+    else:
+        assert err.startswith(prefixes[code]) and err.count("\n") == 1, err
 
 
 @pytest.fixture(scope="module")
@@ -355,19 +463,35 @@ def test_ingest_of_a_broken_tables_entry_exits_0_or_3(fuzz_root, data):
         assert err.getvalue().count("\n") == 1
 
 
-# A key index of tables.json always names a column of the schema it builds,
-# so only a schema built directly can hold a key on a column it lacks.
-@pytest.mark.parametrize(
-    "keys, message",
-    [
-        ({"primary_keys": (("ship", "nope"),)}, "x: primary key ship.nope not in schema"),
-        ({"foreign_keys": ((("ship", "id"), ("fleet", "id")),)},
-         "x: foreign key fleet.id not in schema"),
-    ],
-)
-def test_a_key_on_a_column_outside_the_schema_is_refused(keys, message):
-    with pytest.raises(SchemaError, match=re.escape(message)):
-        DatabaseSchema("x", (("ship", (("id", "number"),)),), **keys)
+_INGEST_EXITS = {0: None, 3: "dataset error: "}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ingest_of_a_broken_tables_file_exits_0_or_3(fuzz_root, data):
+    """The fuzz above plus what it leaves out: NaN, deep nesting, bytes that
+    are not UTF-8 and truncation, each anywhere in the file."""
+    tables = fuzz_root / "tables.json"
+    valid = tables.read_bytes()
+    try:
+        tables.write_bytes(broken_json(data, json.loads(valid)))
+        code, err = cli_result(["ingest", "--dataset", str(fuzz_root)])
+    finally:
+        tables.write_bytes(valid)
+    assert_one_documented_line(code, err, _INGEST_EXITS)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ingest_of_a_broken_split_file_exits_0_or_3(fuzz_root, data):
+    split = fuzz_root / "dev.json"
+    valid = split.read_bytes()
+    try:
+        split.write_bytes(broken_json(data, json.loads(valid)))
+        code, err = cli_result(["ingest", "--dataset", str(fuzz_root)])
+    finally:
+        split.write_bytes(valid)
+    assert_one_documented_line(code, err, _INGEST_EXITS)
 
 
 def test_columns_of_an_unknown_table_are_empty(schemas):

@@ -286,6 +286,15 @@ def test_prediction_with_a_non_ascii_digit_is_triaged_as_a_parse_error(schemas):
     assert (verdict.category.value, verdict.subtag) == ("Unclassifiable", "ParseError")
 
 
+
+def test_prediction_nested_past_the_bound_is_triaged_as_a_parse_error(schemas):
+    deep = "SELECT name FROM ship WHERE id = " + "(" * 10_000 + "1" + ")" * 10_000
+    report = score([transcript(0, deep, Verdict.FAILED)], [ship_example(0)], schemas)
+    verdict = report.verdicts[0]
+    assert (verdict.category.value, verdict.subtag) == ("Unclassifiable", "ParseError")
+    assert "query nests deeper than" in verdict.evidence["error"]
+
+
 # --------------------------------------------------------------------------- reused judgments
 
 # Equivalent to GOLD on the fixture ships, whose ids run from 1 to 7.
@@ -349,8 +358,9 @@ def test_transcripts_read_back_or_changed_execute_as_before(schemas, monkeypatch
 
 
 def test_database_rewritten_between_run_and_score_is_judged_again(tmp_path, monkeypatch):
-    path = tmp_path / "battle_death.sqlite"
-    schema = schema_from_tables_entry(build_ships_db(path), db_path=path)
+    path = tmp_path / "battle_death" / "battle_death.sqlite"
+    path.parent.mkdir()
+    schema = schema_from_tables_entry(build_ships_db(path), tmp_path)
     correct = run_example(schema, GOLD_BELOW_100)
     assert correct.judgment is not None
     before = path.stat()
@@ -521,8 +531,9 @@ def test_failure_with_changed_sql_executes_as_before(schemas, monkeypatch):
 
 
 def test_failure_on_a_rewritten_database_is_judged_again(tmp_path, monkeypatch):
-    path = tmp_path / "battle_death.sqlite"
-    schema = schema_from_tables_entry(build_ships_db(path), db_path=path)
+    path = tmp_path / "battle_death" / "battle_death.sqlite"
+    path.parent.mkdir()
+    schema = schema_from_tables_entry(build_ships_db(path), tmp_path)
     failed = run_example(schema, WRONG)
     assert not failed.judgment.equivalent
     before = path.stat()

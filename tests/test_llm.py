@@ -266,6 +266,17 @@ def test_truncated_replay_fixture_is_a_transport_error(tmp_path):
         ReplayTransport(store).send(request)
 
 
+def test_deeply_nested_replay_fixture_is_a_transport_error(tmp_path):
+    request, store = _request("stored"), tmp_path / "replay"
+    digest = _record_reply(store, request, "SELECT 1")
+    _set_body(store, digest, b"[" * 100_000 + b"]" * 100_000)
+    with pytest.raises(
+        TransportError,
+        match=f"corrupt replay fixture {digest} in {re.escape(str(store))}: maximum recursion",
+    ):
+        ReplayTransport(store).send(request)
+
+
 def test_recording_produces_replayable_store(tmp_path):
     scripted = ScriptedTransport(lambda req: "SELECT 2")
     recorder = RecordingTransport(scripted, tmp_path / "replay")
@@ -628,6 +639,18 @@ def test_http_api_key_with_a_newline_fails_before_connecting():
     with pytest.raises(TransportError, match="request failed: Invalid leading whitespace"):
         transport.send(_request())
     assert sleeps == []
+
+
+def test_http_200_with_a_deeply_nested_body_fails_fast():
+    import requests
+
+    response = requests.Response()
+    response.status_code, response._content = 200, b"[" * 100_000 + b"]" * 100_000
+    session = _FakeSession([response])
+    transport, sleeps = _http(session)
+    with pytest.raises(TransportError, match=r"^non-JSON response body: maximum recursion"):
+        transport.send(_request())
+    assert session.calls == 1 and sleeps == []
 
 
 def test_http_200_with_a_body_that_is_not_json_fails_fast():

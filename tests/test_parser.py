@@ -5,6 +5,7 @@ import sqlite3
 import pytest
 
 from nl2sql.errors import ParseError, UnsupportedSqlError
+from nl2sql.sqlast.parser import MAX_DEPTH
 from nl2sql.sqlast import (
     AliasRef,
     ColumnRef,
@@ -374,3 +375,41 @@ def test_grouped_by_id_and_name_round_trip(schemas):
     for sql in (GROUPED_BY_ID_SQL, GROUPED_BY_NAME_SQL):
         ast = parse(sql, schemas["student_course"])
         assert parse(to_sql(ast), schemas["student_course"]) == ast
+
+
+# Each shape nested n levels deep.
+NESTED = {
+    "parentheses": lambda n: "SELECT " + "(" * n + "1" + ")" * n,
+    "signs": lambda n: "SELECT " + "- " * n + "1",
+    "nots": lambda n: "SELECT " + "NOT " * n + "1",
+    "scalar-subqueries": lambda n: "SELECT " + "(SELECT " * n + "1" + ")" * n,
+    "calls": lambda n: "SELECT " + "abs(" * n + "1" + ")" * n,
+    "from-subqueries": lambda n: "SELECT * FROM " + "(SELECT * FROM " * n + "singer" + ")" * n,
+    "sums": lambda n: "SELECT " + "1 + " * n + "1",
+    "products": lambda n: "SELECT " + "2 * " * n + "1",
+}
+# The deepest of each shape that SQLite 3.40.1 runs ("parser stack overflow"
+# past it).
+SQLITE_DEEPEST = {"parentheses": 93, "signs": 94, "nots": 94, "scalar-subqueries": 18}
+
+
+@pytest.mark.parametrize("shape, depth", SQLITE_DEEPEST.items())
+def test_the_deepest_query_sqlite_runs_parses_and_prints(schemas, shape, depth):
+    schema = schemas["concert_singer"]
+    ast = parse(NESTED[shape](depth), schema)
+    assert parse(to_sql(ast), schema) == ast
+    assert parse(canonicalize(ast).sql, schema) is not None
+
+
+def test_one_level_past_the_bound_is_a_parse_error(schemas):
+    # The SELECT and its item take two levels, each parenthesis one more.
+    schema = schemas["concert_singer"]
+    parse(NESTED["parentheses"](MAX_DEPTH - 2), schema)
+    with pytest.raises(ParseError, match=f"query nests deeper than {MAX_DEPTH} levels"):
+        parse(NESTED["parentheses"](MAX_DEPTH - 1), schema)
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_ten_thousand_levels_are_a_parse_error(schemas, shape):
+    with pytest.raises(ParseError, match="query nests deeper than"):
+        parse(NESTED[shape](10_000), schemas["concert_singer"])

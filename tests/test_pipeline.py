@@ -17,7 +17,6 @@ from nl2sql.pipeline import (
     PipelineTranscript,
     StageRecord,
     Verdict,
-    _json_reader,
     extract_sql,
     read_transcripts,
     run_many,
@@ -25,6 +24,7 @@ from nl2sql.pipeline import (
     write_transcripts,
 )
 from nl2sql.prompts import CORRECTOR_SYSTEM_PROMPT
+from nl2sql.schema import _json_reader
 
 from helpers import CountingTransport, ScriptedTransport
 
@@ -574,6 +574,33 @@ class Scored:
 def test_reader_refuses_a_declared_type_it_cannot_map(hint):
     with pytest.raises(TypeError, match="no JSON reading for declared type"):
         _json_reader(hint)
+
+
+@dataclass
+class Located:
+    at: tuple[int, str]
+
+
+@dataclass
+class Route:
+    stops: list[Located]
+
+
+def test_reader_checks_fixed_length_tuples_objects_and_nested_fields():
+    read = _json_reader(Route)
+    assert read({"stops": [{"at": [1, "a"]}]}) == Route([Located((1, "a"))])
+    for data, message in [
+        ({"stops": [{"at": [1, "a", 2]}]}, "field 'stops': field 'at': expected 2 items, got 3"),
+        ({"stops": [{"at": [1, 2]}]}, "field 'stops': field 'at': expected str, got int"),
+        ({"stops": [{"at": {}}]}, "field 'stops': field 'at': expected list, got dict"),
+        ({"stops": [{}]}, "field 'stops': missing field 'at'"),
+        ({"stops": [[1, "a"]]}, "field 'stops': expected dict, got list"),
+        ({}, "missing field 'stops'"),
+        (None, "expected dict, got NoneType"),
+    ]:
+        with pytest.raises(TypeError) as err:
+            read(data)
+        assert str(err.value) == message
 
 
 def test_reader_maps_every_declared_transcript_field():
