@@ -11,7 +11,9 @@ outcomes the pipeline kept, which hold at most two tables of at most
 ``MEMO_MAX_ROWS`` rows per failed example until the report. Examples are
 scored in groups that share a database and gold SQL, each with one
 ``OutcomeMemo`` of that database, so each distinct query (gold, prediction
-or triage probe) runs once per group; a timeout is never reused. Each
+or triage probe) runs once per group; a timeout is never reused. A failure
+whose prediction sorts the gold's own rows and keeps other rows tied at
+the LIMIT runs no tie probe: triage reads the tie from the two tables. Each
 distinct failing final SQL is triaged once per group too: a failure whose
 exact final SQL text an earlier failure of the group had, on the same
 database file, takes that verdict, a ``ParseError`` one included, without

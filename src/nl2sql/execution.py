@@ -445,6 +445,12 @@ def _normalized(rows: tuple[tuple[Cell, ...], ...]) -> tuple[tuple, ...]:
     return tuple(zip(*columns)) if changed else rows
 
 
+def normalized_row_counts(rows: tuple[tuple[Cell, ...], ...]) -> dict:
+    """How often each row occurs, its cells in the form under which
+    ``tables_equivalent`` decides equality."""
+    return _counts(_normalized(rows))
+
+
 def tables_equivalent(pred: ResultTable, gold: ResultTable) -> TableComparison:
     """Decide result equivalence; the report names the first divergence.
 

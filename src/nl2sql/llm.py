@@ -56,8 +56,11 @@ def build_request(model: str, messages: list[Message], sampling: Sampling) -> di
 
 
 # ``json.dumps`` with these arguments builds an encoder per call; this one
-# writes the same text.
-_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+# writes the same text. ``build_request`` builds no cycle, so the encoder
+# need not look for one.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",", ":"), check_circular=False
+)
 
 
 def request_digest(request: dict) -> str:
@@ -65,10 +68,19 @@ def request_digest(request: dict) -> str:
 
 
 def reply_text(response_body: dict) -> str:
+    """The first choice's message text. A body without one, or whose
+    content is not a string (APIs answer a refusal or a tool call with
+    ``null``), is a ``TransportError``."""
     try:
-        return response_body["choices"][0]["message"]["content"]
+        content = response_body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"malformed chat-completion response: {exc}") from exc
+    if not isinstance(content, str):
+        raise TransportError(
+            f"malformed chat-completion response: content is {json.dumps(content)[:40]}, "
+            "not a string"
+        )
+    return content
 
 
 class Transport(Protocol):

@@ -33,7 +33,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .execution import OutcomeMemo, ResultTable, normalize_cell
+from .execution import OutcomeMemo, ResultTable, normalize_cell, normalized_row_counts
 from .schema import DatabaseSchema
 from .sqlast import (
     AstDiff,
@@ -104,9 +104,10 @@ def triage(
     canonicalised and diffed once; the tie test reads the canonical trees,
     and runs only when the diff finds the select lists agree, so a
     prediction that prints other columns is never a tie. The probes execute
-    through ``memo``, the pair's database. The tie probe is handed the
-    prediction's table, so a prediction that ran and sorts the gold's own
-    rows by the gold's first key costs only the gold's probe.
+    through ``memo``, the pair's database. The tie test is handed both
+    tables: a prediction that ran and sorts the gold's own rows by the
+    gold's first key costs no tie probe when the two tables keep different
+    rows of the same count, and only the gold's probe otherwise.
     """
     canon = (canonicalize(pred_ast), canonicalize(gold_ast))
     delta = diff(*canon)
@@ -120,7 +121,7 @@ def triage(
             evidence={**evidence, **facts},
         )
 
-    if not delta.select and tie_ambiguity_test(canon, memo, pred_table) is True:
+    if not delta.select and tie_ambiguity_test(canon, memo, pred_table, gold_table) is True:
         tie = {"tie": "ordering key ties at the LIMIT boundary"}
         return inconsistency("TieAmbiguity", "heuristic", tie)
     suspect = suspect_gold_check(gold_ast, gold_table, memo)
@@ -172,6 +173,7 @@ def tie_ambiguity_test(
     canon: tuple[CanonicalAst, CanonicalAst],
     memo: OutcomeMemo,
     pred_table: ResultTable | None,
+    gold_table: ResultTable,
 ) -> bool | None:
     """Does LIMIT k cut through a tie in the ordering key?
 
@@ -188,8 +190,10 @@ def tie_ambiguity_test(
 
     Probes execute through ``memo``. A ``pred_table`` says the prediction
     ran. When it did and it sorts the gold's own rows by the gold's first
-    key (``_sorts_the_gold_rows``), only the gold is re-executed and its key
-    values stand in for the prediction's.
+    key (``_sorts_the_gold_rows``), the prediction's probe is skipped: its
+    key values are the gold's. With the gold's select list too, the two
+    tables settle the test without any probe when both hold k rows, neither
+    truncated, and they differ as multisets (``_keeps_other_tied_rows``).
     """
     pred, gold = (tree.query for tree in canon)
     for query in (pred, gold):
@@ -198,6 +202,10 @@ def tie_ambiguity_test(
     if pred.limit != gold.limit or pred.limit == 0:
         return None
     k = gold.limit
+    # Neither query is DISTINCT when it sorts the gold's rows, so the test applies.
+    sorts_the_gold_rows = pred_table is not None and _sorts_the_gold_rows(pred, gold)
+    if sorts_the_gold_rows and _keeps_other_tied_rows(pred, gold, pred_table, gold_table, k):
+        return True
     pred_probe = _one_past_limit_with_key(pred)
     gold_probe = _one_past_limit_with_key(gold)
     if pred_probe is None or gold_probe is None:
@@ -209,7 +217,7 @@ def tie_ambiguity_test(
             return None
         return [normalize_cell(row[column]) for row in outcome.table.rows]
 
-    if pred_table is not None and _sorts_the_gold_rows(pred, gold):
+    if sorts_the_gold_rows:
         pred_values = gold_values = ordering_values(*gold_probe)
     else:
         pred_values = ordering_values(*pred_probe)
@@ -221,6 +229,28 @@ def tie_ambiguity_test(
     if pred_values[k - 1] != gold_values[k - 1]:
         return False
     return len(gold_values) > k and gold_values[k] == gold_values[k - 1]
+
+
+def _keeps_other_tied_rows(
+    pred: Select, gold: Select, pred_table: ResultTable, gold_table: ResultTable, k: int
+) -> bool:
+    """Do two queries that sort the gold's rows by one first key keep other
+    rows past a tie at the cut?
+
+    True when the canonical select items are equal, both tables hold k rows,
+    neither truncated, and they differ as multisets of normalised rows. Both
+    queries then sort the same rows by the same first key and keep k of
+    them, and print the same columns of each: they keep different rows only
+    when SQLite found rows k and k + 1 of that key equal, so the tie runs
+    past the cut. Equal multisets (a tie inside the cut, or none) leave the
+    test to the probe.
+    """
+    if pred.items != gold.items:
+        return False
+    for table in (pred_table, gold_table):
+        if table.truncated or len(table.rows) != k:
+            return False
+    return normalized_row_counts(pred_table.rows) != normalized_row_counts(gold_table.rows)
 
 
 def _sorts_the_gold_rows(pred: Select, gold: Select) -> bool:

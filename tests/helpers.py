@@ -199,12 +199,18 @@ def tie_test(
     gold_ast: Select,
     schema: DatabaseSchema,
     pred_table: ResultTable | None = None,
+    gold_table: ResultTable | None = None,
 ) -> bool | None:
     """``tie_ambiguity_test`` of the canonical trees of both queries, with a
     fresh memo, as ``triage`` calls it. No ``pred_table`` stands for a
-    prediction that did not run to a table, which keeps both probes."""
+    prediction that did not run to a table, which keeps both probes. The
+    gold's table runs through the memo first unless it is given, as a test
+    that counts the probes' executions gives it."""
+    memo = OutcomeMemo(schema)
+    if gold_table is None:
+        gold_table = memo.run(to_sql(gold_ast)).table
     canon = (canonicalize(pred_ast), canonicalize(gold_ast))
-    return tie_ambiguity_test(canon, OutcomeMemo(schema), pred_table)
+    return tie_ambiguity_test(canon, memo, pred_table, gold_table)
 
 
 # --------------------------------------------------------------------------- scripted transport

@@ -560,6 +560,26 @@ def test_run_truncated_replay_fixture_exits_1(dataset_dir, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("content, shown", [("null", "null"), ("5", "5")])
+def test_run_reply_whose_content_is_no_string_exits_1(
+    dataset_dir, tmp_path, capsys, content, shown
+):
+    # A refusal or a tool call comes back with null content.
+    store = tmp_path / "store"
+    build_replay_store(dataset_dir, store, gold_reply(dataset_dir))
+    conn = sqlite3.connect(store)
+    with conn:
+        conn.execute(f"UPDATE reply SET body = json_set(body, '$.choices[0].message.content', "
+                     f"json('{content}'))")
+    conn.close()
+    out = tmp_path / "t.jsonl"
+    code = main(["run", "--dataset", str(dataset_dir), "--replay", str(store), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: malformed chat-completion response: content is {shown}, not a string\n"
+    )
+
+
 def test_report_on_empty_transcripts_zero_counts(dataset_dir, tmp_path, capsys):
     empty, markdown = tmp_path / "empty.jsonl", tmp_path / "report.md"
     empty.write_text("")

@@ -497,23 +497,42 @@ def test_in_process_failure_is_triaged_from_the_pipeline_outcomes(schemas, monke
     assert json.dumps(handed.results_payload()) == json.dumps(fresh.results_payload())
 
 
-def test_prediction_that_reorders_the_gold_rows_costs_one_tie_probe(schemas, monkeypatch):
-    # Courses 1 to 5 have four enrolments each, so LIMIT 2 cuts a tie on course_id.
-    gold = "SELECT student_course_id FROM student_enrolment_courses ORDER BY course_id LIMIT 2"
-    pred = (
-        "SELECT student_course_id FROM student_enrolment_courses "
-        "ORDER BY course_id, student_course_id DESC LIMIT 2"
-    )
+def _score_student_pair(schemas, monkeypatch, pred, gold):
+    """``score`` of one failed student_course example, and the executions."""
     example = dataclasses.replace(student_example(0), gold_sql=gold)
     failed = dataclasses.replace(
         transcript(0, pred, Verdict.FAILED), db_id="student_course", gold_sql=gold
     )
     calls = counting_executions(monkeypatch)
-    report = score([failed], [example], schemas)
+    return score([failed], [example], schemas), calls
+
+
+ENROLMENTS_BY_COURSE = "SELECT student_course_id FROM student_enrolment_courses ORDER BY course_id"
+
+
+def test_prediction_that_keeps_other_tied_rows_costs_no_tie_probe(schemas, monkeypatch):
+    # Courses 1 to 5 have four enrolments each, so LIMIT 2 cuts a tie on course_id.
+    gold = f"{ENROLMENTS_BY_COURSE} LIMIT 2"
+    pred = f"{ENROLMENTS_BY_COURSE}, student_course_id DESC LIMIT 2"
+    report, calls = _score_student_pair(schemas, monkeypatch, pred, gold)
     assert report.verdicts[0].subtag == "TieAmbiguity"
+    # The prediction sorts the gold's own rows and keeps others: the tie is
+    # read from the two tables.
+    assert calls == [("student_course", gold), ("student_course", pred)]
+
+
+def test_prediction_that_reorders_a_tie_inside_the_cut_costs_the_golds_probe(
+    schemas, monkeypatch
+):
+    # Course 1's four enrolments fill LIMIT 4: both queries keep those rows,
+    # in other orders, and the tie ends at the cut.
+    gold = f"{ENROLMENTS_BY_COURSE} LIMIT 4"
+    pred = f"{ENROLMENTS_BY_COURSE}, student_course_id DESC LIMIT 4"
+    report, calls = _score_student_pair(schemas, monkeypatch, pred, gold)
+    assert report.verdicts[0].category is not Category.DATASET_INCONSISTENCY
     assert calls[:2] == [("student_course", gold), ("student_course", pred)]
     (probe,) = calls[2:]  # the gold's; the prediction sorts the gold's own rows
-    assert probe[1].endswith("LIMIT 3") and "DESC" not in probe[1]
+    assert probe[1].endswith("LIMIT 5") and "DESC" not in probe[1]
 
 
 def test_failure_with_changed_sql_executes_as_before(schemas, monkeypatch):

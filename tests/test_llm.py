@@ -496,6 +496,13 @@ def test_malformed_response_body_raises():
         reply_text({"choices": []})
 
 
+@pytest.mark.parametrize("content, shown", [(None, "null"), (5, "5"), (["SELECT 1"], '["SELECT 1"]')])
+def test_reply_whose_content_is_no_string_raises(content, shown):
+    with pytest.raises(TransportError) as err:
+        reply_text({"choices": [{"message": {"content": content}}]})
+    assert str(err.value) == f"malformed chat-completion response: content is {shown}, not a string"
+
+
 class _FakeResponse:
     def __init__(self, status_code, body=None, text="", headers=None):
         self.status_code = status_code

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
@@ -67,3 +68,39 @@ def test_any_failed_or_missing_run_fails_the_comparison():
     assert not pairs.compare([good], [{}], {})[1]  # a run that crashed
     assert not pairs.compare([good, good], [good], {})[1]
     assert not pairs.compare([], [], {})[1]
+
+
+def finished(returncode, stdout="", stderr=""):
+    return subprocess.CompletedProcess([], returncode, stdout, stderr)
+
+
+def test_a_run_without_a_result_is_named_with_its_exit_code_and_last_error_line():
+    crashed = finished(1, stderr="Traceback ...\nValueError: boom\n\n")
+    assert pairs.outcome(crashed, "change", 3) == ({}, "pair 3 change: exit 1: ValueError: boom")
+    silent = finished(0, stdout="environment: {}\n")
+    assert pairs.outcome(silent, "parent", 1) == ({}, "pair 1 parent: exit 0: no standard error")
+    good = finished(0, stdout=run_output(line(a=1.0)))
+    assert pairs.outcome(good, "parent", 2) == (json.loads(line(a=1.0)), None)
+
+
+def test_each_workload_gets_its_own_table(monkeypatch, tmp_path, capsys):
+    values = {("one", "parent"): 2.0, ("one", "change"): 1.0, ("two", "parent"): 5.0}
+
+    def canned(tree, workload, args):
+        value = values.get((workload, tree.name))
+        if value is None:
+            return finished(1, stderr="no such workload: two\n")
+        return finished(0, stdout=run_output(line(a=value)))
+
+    monkeypatch.setattr(pairs, "extract", lambda rev, into: into)
+    monkeypatch.setattr(pairs, "run", canned)
+    argv = ["--workload", "one", "--workload", "two", "--seed", "1", "--pairs", "2",
+            "--change", "HEAD"]
+    assert pairs.main(argv) == 1
+    out, err = capsys.readouterr()
+    one, two = out.split("\n\n")
+    assert one.splitlines()[0] == "workload one"
+    assert rows_by_metric(one.splitlines()[1:])["a"][-3:] == ["2/2", "1", "yes"]
+    assert two.splitlines()[0] == "workload two" and len(two.splitlines()) == 2
+    assert "two pair 1 change: exit 1: no such workload: two" in err.splitlines()
+    assert "two pair 2 change: exit 1: no such workload: two" in err.splitlines()

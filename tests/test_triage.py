@@ -266,13 +266,13 @@ def test_tie_rule_agrees_with_the_full_scan_rule(
         schema = _keys_db(Path(tmp) / "keys.sqlite", keys)
         pred_ast, gold_ast = parse(pred, schema), parse(gold, schema)
         expected = full_scan_tie_rule(pred_ast, gold_ast, schema)
+        pred_table, gold_table = (execute(sql, schema).table for sql in (pred, gold))
         # Without the prediction's table, as for a prediction that did not run.
         with counted_executions() as unhanded:
-            assert tie_test(pred_ast, gold_ast, schema) is expected
+            assert tie_test(pred_ast, gold_ast, schema, None, gold_table) is expected
         assert unhanded.call_count == 2
-        pred_table = execute(pred, schema).table
         with counted_executions() as handed:
-            assert tie_test(pred_ast, gold_ast, schema, pred_table) is expected
+            assert tie_test(pred_ast, gold_ast, schema, pred_table, gold_table) is expected
         assert handed.call_count == probes
 
 
@@ -309,9 +309,94 @@ def test_tie_rule_leaves_other_shapes_to_both_probes(tmp_path, pred, gold, hande
     pred_ast, gold_ast = parse(pred, schema), parse(gold, schema)
     unhanded = tie_test(pred_ast, gold_ast, schema)
     pred_table = execute(pred, schema).table if handed_table else None
+    gold_table = execute(gold, schema).table
     with counted_executions() as counted:
-        assert tie_test(pred_ast, gold_ast, schema, pred_table) is unhanded
+        assert tie_test(pred_ast, gold_ast, schema, pred_table, gold_table) is unhanded
     assert counted.call_count == 2
+
+
+def _rows_db(path, rows, key_type=""):
+    """A table t(id, v, w) holding the (v, w) pairs of ``rows``, with id
+    counting from 0; ``key_type`` declares the key column v."""
+    conn = sqlite3.connect(path)
+    conn.execute(f"CREATE TABLE t (id INTEGER, v {key_type}, w)")
+    conn.executemany("INSERT INTO t VALUES (?, ?, ?)", [(i, *row) for i, row in enumerate(rows)])
+    conn.commit()
+    conn.close()
+    return DatabaseSchema(
+        db_id="rows",
+        tables=(("t", (("id", "number"), ("v", "text"), ("w", "number"))),),
+        db_path=path,
+    )
+
+
+def _tables_and_probe_answers(schema, pred, gold):
+    """The tie test handed both tables, whether it ran no execution, and
+    the test with both probes forced, as for a prediction with no table."""
+    pred_ast, gold_ast = parse(pred, schema), parse(gold, schema)
+    pred_table, gold_table = (execute(sql, schema).table for sql in (pred, gold))
+    with counted_executions() as counted:
+        handed = tie_test(pred_ast, gold_ast, schema, pred_table, gold_table)
+    probed = tie_test(pred_ast, gold_ast, schema, None, gold_table)
+    return handed, counted.call_count == 0, probed
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    rows=st.lists(st.tuples(tie_keys, st.sampled_from([0, 1, None])), max_size=8),
+    k_offset=st.integers(min_value=0, max_value=9),
+    descending=st.booleans(),
+    items=st.sampled_from(["w", "v, w", "id", "w, id"]),
+    where=st.sampled_from(["", "WHERE id >= 1"]),
+    gold_tail=st.sampled_from(["", ", w", ", id"]),
+    breaker=st.sampled_from(["id DESC", "w DESC", "w DESC, id DESC"]),
+)
+# Keys 1, 2 | 2, 2, 3 at LIMIT 2: the tie runs past the cut, and the rows kept differ.
+@example(
+    rows=[(1, 0), (2, 0), (2, 1), (2, 1), (3, 0)], k_offset=1, descending=False, items="w",
+    where="", gold_tail="", breaker="w DESC",
+)
+# The same tie, whose tied rows print alike: both keep equal rows.
+@example(
+    rows=[(1, 0), (2, 1), (2, 1), (2, 1), (3, 0)], k_offset=1, descending=False, items="w",
+    where="", gold_tail="", breaker="id DESC",
+)
+# Keys 1, 1 | 2: a tie inside the cut, kept in other orders.
+@example(
+    rows=[(1, 0), (1, 1), (2, 0)], k_offset=1, descending=False, items="w", where="",
+    gold_tail="", breaker="w DESC",
+)
+# NULL keys tie at the cut, and fewer rows than k.
+@example(
+    rows=[(None, 0), (None, 1), (None, 0)], k_offset=0, descending=True, items="id",
+    where="", gold_tail="", breaker="id DESC",
+)
+@example(
+    rows=[(1, 0), (1, 1)], k_offset=2, descending=False, items="w", where="", gold_tail="",
+    breaker="w DESC",
+)
+def test_tables_settle_a_tie_as_the_probes_do(
+    rows, k_offset, descending, items, where, gold_tail, breaker
+):
+    k = 1 + k_offset % (len(rows) + 1)  # 1 .. len + 1
+    order = "DESC" if descending else "ASC"
+    select = f"SELECT {items} FROM t {where} ORDER BY v {order}"
+    gold = f"{select}{gold_tail} LIMIT {k}"
+    pred = f"{select}, {breaker} LIMIT {k}"
+    with tempfile.TemporaryDirectory() as tmp:
+        schema = _rows_db(Path(tmp) / "rows.sqlite", rows)
+        handed, decided, probed = _tables_and_probe_answers(schema, pred, gold)
+    assert handed is probed
+    assert not decided or handed is True
+
+
+def test_tables_settle_a_nocase_tie_as_sqlite_sorts_it(tmp_path):
+    # SQLite ties 'a' and 'A' under NOCASE, so the gold keeps id 0 and the
+    # prediction id 1; the probe reads two keys that differ in case.
+    schema = _rows_db(tmp_path / "rows.sqlite", [("a", 0), ("A", 0), ("b", 0)], "COLLATE NOCASE")
+    gold = "SELECT id FROM t ORDER BY v LIMIT 1"
+    pred = "SELECT id FROM t ORDER BY v, id DESC LIMIT 1"
+    assert _tables_and_probe_answers(schema, pred, gold) == (True, True, False)
 
 
 def _tie_test(tmp_path, keys, pred, gold):
@@ -432,6 +517,7 @@ def test_tie_past_the_row_cap_is_found_from_k_plus_one_rows(tmp_path, monkeypatc
     pred = parse(f"SELECT v FROM t ORDER BY v LIMIT {k}", schema)
     monkeypatch.setattr(execution, "MAX_ROWS", 10)
     assert full_scan_tie_rule(pred, gold, schema) is False  # the cap hid the tie
+    gold_table = execute(to_sql(gold), schema).table
     probes = []
 
     def counting(sql, schema, *args):
@@ -440,7 +526,7 @@ def test_tie_past_the_row_cap_is_found_from_k_plus_one_rows(tmp_path, monkeypatc
         return outcome
 
     monkeypatch.setattr(execution, "execute", counting)
-    assert tie_test(pred, gold, schema) is True
+    assert tie_test(pred, gold, schema, None, gold_table) is True
     assert len(probes) == 2
     for sql, rows in probes:
         assert sql.endswith(f"LIMIT {k + 1}")

@@ -1,16 +1,19 @@
 """Paired benchmark runs of a parent and a change, as a claimed gain needs.
 
-    python3 tools/pairs.py --workload replay-mixed --seed 1 [--seconds 20] [--pairs 10] \\
-        [--base HEAD] [--change REV]
+    python3 tools/pairs.py --workload replay-mixed [--workload large-results] --seed 1 \\
+        [--seconds 20] [--pairs 10] [--base HEAD] [--change REV]
 
 Each side is a revision extracted with ``git archive``; without ``--change``
 the change side is the working tree. Each pair runs ``bench/run.py`` once
 per side, alternating which side runs first, and reads the result on the
-last line of its output. Per metric it prints each side's quartiles and
-median, the pairs the change won (ties win for neither; the direction is the
-metric's ``better`` in BENCHMARK.json, else lower), the median gap in the
-change's favour and whether it exceeds the parent's interquartile range.
-It exits 1 when any run failed or reported a failure.
+last line of its output; a run that fails, or prints no result, is reported
+on standard error with its side, pair, exit code and last line of standard
+error. Per workload, in the order given, it prints a table: per metric each
+side's quartiles and median, the pairs the change won (ties win for
+neither; the direction is the metric's ``better`` in BENCHMARK.json, else
+lower), the median gap in the change's favour and whether it exceeds the
+parent's interquartile range. It exits 1 when any run failed or reported a
+failure.
 """
 
 from __future__ import annotations
@@ -72,16 +75,24 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
-def run(tree: Path, args: argparse.Namespace) -> dict:
-    command = [sys.executable, "bench/run.py", "--workload", args.workload,
+def run(tree: Path, workload: str, args: argparse.Namespace) -> subprocess.CompletedProcess:
+    command = [sys.executable, "bench/run.py", "--workload", workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds)]
-    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
-    return result(proc.stdout) if proc.returncode == 0 else {}
+    return subprocess.run(command, cwd=tree, capture_output=True, text=True)
+
+
+def outcome(proc: subprocess.CompletedProcess, side: str, pair: int) -> tuple[dict, str | None]:
+    """A run's result, and a line naming the run when it gave none."""
+    found = result(proc.stdout) if proc.returncode == 0 else {}
+    if found:
+        return found, None
+    last = next((line for line in reversed(proc.stderr.splitlines()) if line.strip()), "")
+    return {}, f"pair {pair} {side}: exit {proc.returncode}: {last.strip() or 'no standard error'}"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--pairs", type=int, default=10)
@@ -90,17 +101,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    tables, all_ok = [], True
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": extract(args.base, Path(tmp, "parent")),
                  "change": extract(args.change, Path(tmp, "change")) if args.change else ROOT}
-        for i in range(args.pairs):
-            for side in ("parent", "change")[:: 1 if i % 2 == 0 else -1]:
-                runs[side].append(run(trees[side], args))
-                print(f"pair {i + 1} {side}: {json.dumps(runs[side][-1])}", file=sys.stderr)
-    rows, ok = compare(runs["parent"], runs["change"], better)
-    print("\n".join(rows))
-    return 0 if ok else 1
+        for workload in args.workload:
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                for side in ("parent", "change")[:: 1 if i % 2 == 0 else -1]:
+                    found, failure = outcome(run(trees[side], workload, args), side, i + 1)
+                    runs[side].append(found)
+                    report = failure or f"pair {i + 1} {side}: {json.dumps(found)}"
+                    print(f"{workload} {report}", file=sys.stderr)
+            rows, ok = compare(runs["parent"], runs["change"], better)
+            tables.append("\n".join([f"workload {workload}", *rows]))
+            all_ok = all_ok and ok
+    print("\n\n".join(tables))
+    return 0 if all_ok else 1
 
 
 if __name__ == "__main__":
