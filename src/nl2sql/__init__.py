@@ -4,7 +4,7 @@ from .dataset import LoadedDataset, SpiderExample, load_dataset
 from .execution import ExecOutcome, ResultTable, execute, tables_equivalent
 from .hardness import Hardness, classify_hardness
 from .llm import HttpChatTransport, ModelEndpoint, ReplayTransport, Sampling
-from .mdtable import render_markdown
+from .prompts import render_markdown
 from .pipeline import PipelineConfig, PipelineTranscript, Verdict, run_many, run_pipeline
 from .schema import DatabaseSchema
 from .sqlast import canonicalize, diff, parse, to_sql

@@ -30,6 +30,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 from .corpus import emit_chat_corpus, emit_skeleton_corpus
 from .dataset import load_dataset
@@ -138,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     transport.add_argument(
         "--record", type=Path, help="commit each live reply to this replay store file"
     )
-    p.add_argument("--limit", type=_count, help="only the first N examples")
-    p.add_argument("--workers", type=_positive, default=1, help="parallel pipeline workers")
+    p.add_argument("--limit", type=_at_least(0), help="only the first N examples")
+    p.add_argument("--workers", type=_at_least(1), default=1, help="parallel pipeline workers")
     p.add_argument("--out", type=Path, required=True, help="transcripts JSONL path")
     p.add_argument(
         "--report", type=Path, help="also score the transcripts into this evaluate --out report"
@@ -166,18 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(floor: int) -> Callable[[str], int]:
+    """Argument type of an integer >= ``floor``, "integer" in argparse's errors."""
 
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return integer
 
 
 def _timestamp_arg(p: argparse.ArgumentParser) -> None:

@@ -4,26 +4,28 @@ Queries run against the example's SQLite file through a read-only
 connection under one rule for every caller: a ``TIMEOUT_SECONDS`` (30 s)
 deadline and a ``MAX_ROWS`` (100,000) row cap past which the table is
 ``truncated``, both read at call time. Each thread keeps one connection per
-database, cached on the ``DatabaseSchema`` and keyed by the identity of the
-file it was opened on (device, inode, mtime and size: ``_file_key``); a
-file of another identity gets a new connection. A connection is opened
-``mode=ro&immutable=1``, so SQLite takes no file lock and never checks the
-file for changes: a ``-journal`` or ``-wal`` file beside it is not read, and
-only the identity a caller reads tells a changed file. A file whose header
-says WAL mode (byte 18 is 2) is opened without ``immutable=1``, as its
-``-wal`` file may hold committed pages. Its hooks are set once, when it
-opens, and read this thread's record of its running statement: SQLite's
-progress handler checks the deadline every ``PROGRESS_STEPS`` VM steps, so
-no call starts a timer thread, and a statement it stops
-(``SQLITE_INTERRUPT``) is a timeout. Any statement that is not a plain read
-(a PRAGMA, a TEMP table, ATTACH, a transaction, a refused write) closes the
-connection afterwards, so no state reaches the next query. Outcomes are a
-tagged union: a table, an engine error (message kept verbatim: correction
-prompts quote it), or a timeout. A database file that is missing or cannot
-be opened is a harness fault and raises ``DatabaseMissingError`` instead.
-A table is ``ordered`` when its SQL has a top-level ORDER BY, which
-``query_is_ordered`` reads from the tokenizer's ``_MASTER`` matches
-without building a token. Its rows come from the cursor as they are.
+database, cached here per ``DatabaseSchema`` (held weakly, so a dropped
+schema closes its connections at once and a schema stays plain data) and
+keyed by the identity of the file it was opened on (device, inode, mtime
+and size: ``_file_key``); a file of another identity gets a new connection.
+A connection is opened ``mode=ro&immutable=1``, so SQLite takes no file
+lock and never checks the file for changes: a ``-journal`` or ``-wal`` file
+beside it is not read, and only the identity a caller reads tells a changed
+file. A file whose header says WAL mode (byte 18 is 2) is opened without
+``immutable=1``, as its ``-wal`` file may hold committed pages. Its hooks
+are set once, when it opens, and read this thread's record of its running
+statement: SQLite's progress handler checks the deadline every
+``PROGRESS_STEPS`` VM steps, so no call starts a timer thread, and a
+statement it stops (``SQLITE_INTERRUPT``) is a timeout. Any statement that
+is not a plain read (a PRAGMA, a TEMP table, ATTACH, a transaction, a
+refused write) closes the connection afterwards, so no state reaches the
+next query. Outcomes are a tagged union: a table, an engine error (message
+kept verbatim: correction prompts quote it), or a timeout. A database file
+that is missing or cannot be opened is a harness fault and raises
+``DatabaseMissingError`` instead. A table is ``ordered`` when its SQL has a
+top-level ORDER BY, which ``query_is_ordered`` reads from the tokenizer's
+``_MASTER`` matches without building a token. Its rows come from the cursor
+as they are.
 
 An ``OutcomeMemo`` lets one unit of work run each distinct statement once:
 one example in ``run`` (its gold and every stage), one gold group in
@@ -88,6 +90,7 @@ import sqlite3
 import stat
 import threading
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -226,6 +229,9 @@ class _CachedConnection:
 # before the statement starts, so the hooks never read a missing field.
 _statement = threading.local()
 
+# Each live schema's per-thread connection (``entry``), set by ``_connection``.
+_CONNECTIONS: weakref.WeakKeyDictionary[DatabaseSchema, threading.local] = weakref.WeakKeyDictionary()
+
 
 def _authorize(action: int, *_args: object) -> int:
     """Allow everything; only record a statement that is not a plain read."""
@@ -259,7 +265,8 @@ def _connection(schema: DatabaseSchema, file_key: tuple[int, ...] | None) -> _Ca
     identity was read, raises ``DatabaseMissingError`` and is not cached."""
     if file_key is None:
         file_key = _file_key(schema)
-    cache = schema._connections
+    # setdefault, so that two threads' first calls share one local
+    cache = _CONNECTIONS.get(schema) or _CONNECTIONS.setdefault(schema, threading.local())
     cached = getattr(cache, "entry", None)
     if cached is None or cached.file_key != file_key:
         try:
@@ -302,7 +309,7 @@ def execute(
         # Dropping the wrapper closes the connection, which also rolls back a
         # transaction the statement left open.
         if _statement.other_action:
-            del schema._connections.entry
+            del _CONNECTIONS[schema].entry
 
 
 class OutcomeMemo:

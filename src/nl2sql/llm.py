@@ -233,8 +233,11 @@ class ReplayTransport:
 
     def send(self, request: dict, digest: str | None = None) -> dict:
         digest = digest or request_digest(request)
-        with self._lock:
-            row = self._conn.execute(_SELECT_REPLY, (digest,)).fetchone()
+        try:
+            with self._lock:
+                row = self._conn.execute(_SELECT_REPLY, (digest,)).fetchone()
+        except sqlite3.Error as exc:  # such as a store overwritten since it opened
+            raise TransportError(f"cannot read reply {digest} in {self.store}: {exc}") from exc
         if row is None:
             messages = request.get("messages", [])
             head = repr(messages[-1].get("content", ""))[:120] if messages else ""
@@ -261,8 +264,11 @@ class RecordingTransport:
         body = self.inner.send(request)
         digest = digest or request_digest(request)
         text = json.dumps(body, ensure_ascii=False)
-        with self._lock:
-            self._conn.execute("INSERT OR REPLACE INTO reply VALUES (?, ?)", (digest, text))
+        try:
+            with self._lock:
+                self._conn.execute("INSERT OR REPLACE INTO reply VALUES (?, ?)", (digest, text))
+        except sqlite3.Error as exc:  # such as "database is locked"
+            raise TransportError(f"cannot record reply {digest} in {self.store}: {exc}") from exc
         return body
 
 
@@ -270,6 +276,7 @@ def _close_recording(conn: sqlite3.Connection) -> None:
     """Put the store back in rollback mode, so that a read-only open leaves no
     ``-wal`` or ``-shm`` file; SQLite refuses while another connection is open."""
     with suppress(sqlite3.OperationalError):  # "database is locked": not the last
+        conn.execute("PRAGMA busy_timeout = 0")  # a wait cannot help (5 s after a failed write)
         conn.execute("PRAGMA journal_mode = DELETE")
     conn.close()
 

@@ -67,12 +67,12 @@ from .execution import (
     tables_equivalent,
 )
 from .llm import Message, ModelEndpoint
-from .mdtable import render_markdown
 from .prompts import (
     CORRECTOR_SYSTEM_PROMPT,
     SYSTEM_PROMPT,
     error_correction_prompt,
     example_correction_prompt,
+    render_markdown,
     zero_shot_user_prompt,
 )
 from .schema import DatabaseSchema, _json_reader

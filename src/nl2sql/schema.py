@@ -10,7 +10,6 @@ SQLite resolves identifiers.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache, partial
@@ -25,8 +24,8 @@ ColumnKey = tuple[str, str]  # (table, column), original casing
 
 @dataclass(frozen=True, eq=False)
 class DatabaseSchema:
-    """A schema hashes and compares by identity: each owns its per-thread
-    connections, so two with equal fields are not interchangeable."""
+    """Plain data, hashed and compared by identity: the weak caches keyed by
+    it in ``execution`` and ``prompts`` then read none of its fields."""
 
     db_id: str
     tables: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]  # (name, ((col, type), ...))
@@ -36,11 +35,6 @@ class DatabaseSchema:
     # lower-cased table -> (table, lower-cased column -> column, lower-cased columns)
     _lookup: dict[str, tuple[str, dict[str, str], frozenset[str]]] = field(
         default=None, repr=False
-    )
-    # Each thread's cached connection to db_path, managed by execution.py;
-    # it closes when this schema is garbage-collected or the thread ends.
-    _connections: threading.local = field(
-        default_factory=threading.local, init=False, repr=False
     )
 
     def __post_init__(self) -> None:

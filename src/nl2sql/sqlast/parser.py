@@ -129,15 +129,13 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             raise ParseError(f"query nests deeper than {MAX_DEPTH} levels", self.peek().pos)
 
-    def expect_keyword(self, name: str) -> None:
-        if not self.accept(name):
+    def expect(self, word: str) -> None:
+        """Consume ``word`` or raise a ParseError naming it: a keyword
+        upper-cased, punctuation quoted."""
+        if not self.accept(word):
             tok = self.peek()
-            raise ParseError(f"expected {name.upper()}, found {tok.text!r}", tok.pos)
-
-    def expect_punct(self, text: str) -> None:
-        if not self.accept(text):
-            tok = self.peek()
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.pos)
+            shown = word.upper() if word.isalpha() else repr(word)
+            raise ParseError(f"expected {shown}, found {tok.text!r}", tok.pos)
 
     # -- statements ----------------------------------------------------------
 
@@ -175,7 +173,7 @@ class _Parser:
 
     def parse_select_core(self) -> dict:
         """The fields of a SELECT up to HAVING, by name."""
-        self.expect_keyword("select")
+        self.expect("select")
         distinct = self.accept_any(("distinct", "all")) == "distinct"
         items = [self.parse_select_item()]
         while self.accept(","):
@@ -187,7 +185,7 @@ class _Parser:
         group_by: tuple[Expr, ...] = ()
         having: Expr | None = None
         if self.accept("group"):
-            self.expect_keyword("by")
+            self.expect("by")
             exprs = [self.parse_expr()]
             while self.accept(","):
                 exprs.append(self.parse_expr())
@@ -203,7 +201,7 @@ class _Parser:
     def parse_order_by(self) -> tuple[OrderItem, ...]:
         if not self.accept("order"):
             return ()
-        self.expect_keyword("by")
+        self.expect("by")
         out = [self.parse_order_item()]
         while self.accept(","):
             out.append(self.parse_order_item())
@@ -251,23 +249,23 @@ class _Parser:
         if kw == "join":
             return "join"
         if kw == "inner":
-            self.expect_keyword("join")
+            self.expect("join")
             return "join"
         if kw in ("left", "right", "full"):
             if kw in ("right", "full"):
                 raise UnsupportedSqlError(f"{kw.upper()} JOIN is not supported", tok.pos)
             self.accept("outer")
-            self.expect_keyword("join")
+            self.expect("join")
             return "left"
         if kw == "cross":
-            self.expect_keyword("join")
+            self.expect("join")
             return "cross"
         raise UnsupportedSqlError("NATURAL joins are not supported", tok.pos)
 
     def parse_source(self) -> TableSource | SubquerySource:
         if self.accept("("):
             query = self.parse_select()
-            self.expect_punct(")")
+            self.expect(")")
             alias = self.parse_alias()
             return SubquerySource(query=query, alias=alias)
         tok = self.peek()
@@ -329,9 +327,9 @@ class _Parser:
         return self.parse_predicate()
 
     def parse_parenthesized_select(self) -> Select:
-        self.expect_punct("(")
+        self.expect("(")
         query = self.parse_select()
-        self.expect_punct(")")
+        self.expect(")")
         return query
 
     def parse_predicate(self) -> Expr:
@@ -350,20 +348,20 @@ class _Parser:
         if word == "between":
             self.pos += 1
             low = self.parse_additive()
-            self.expect_keyword("and")
+            self.expect("and")
             high = self.parse_additive()
             return Between(expr=left, low=low, high=high, negated=negated)
         if word == "in":
             self.pos += 1
-            self.expect_punct("(")
+            self.expect("(")
             if self.word() == "select":
                 query = self.parse_select()
-                self.expect_punct(")")
+                self.expect(")")
                 return InSubquery(expr=left, query=query, negated=negated)
             items = [self.parse_expr()]
             while self.accept(","):
                 items.append(self.parse_expr())
-            self.expect_punct(")")
+            self.expect(")")
             return InList(expr=left, items=tuple(items), negated=negated)
         if word == "is":
             self.pos += 1
@@ -431,10 +429,10 @@ class _Parser:
             self.pos += 1
             if self.word() == "select":
                 query = self.parse_select()
-                self.expect_punct(")")
+                self.expect(")")
                 return ScalarSubquery(query=query)
             inner = self.parse_expr()
-            self.expect_punct(")")
+            self.expect(")")
             return inner
         if word == "*":
             self.pos += 1
@@ -468,7 +466,7 @@ class _Parser:
     def parse_call(self, name: str) -> FuncCall:
         distinct = self.accept("distinct")
         if self.accept("*"):
-            self.expect_punct(")")
+            self.expect(")")
             return FuncCall(name=name, args=(), distinct=distinct, star=True)
         if self.accept(")"):
             return FuncCall(name=name, args=(), distinct=distinct)
@@ -476,7 +474,7 @@ class _Parser:
         args = [self.parse_expr()]
         while self.accept(","):
             args.append(self.parse_expr())
-        self.expect_punct(")")
+        self.expect(")")
         self.depth -= 1
         return FuncCall(name=name, args=tuple(args), distinct=distinct)
 

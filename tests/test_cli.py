@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nl2sql
-from nl2sql import cli, pipeline
+from nl2sql import cli, llm, pipeline
 from nl2sql.cli import main
 from nl2sql.dataset import load_dataset
 from nl2sql.errors import (
@@ -493,6 +493,19 @@ def test_run_workers_below_one_is_a_usage_error(dataset_dir, tmp_path, capsys, w
     assert exit_info.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--limit", "--workers"])
+def test_run_count_that_is_no_integer_names_no_private_function(
+    dataset_dir, tmp_path, capsys, option
+):
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "run", "--dataset", str(dataset_dir), "--replay", str(tmp_path),
+            option, "x", "--out", str(tmp_path / "t.jsonl"),
+        ])
+    assert exit_info.value.code == 2
+    assert f"argument {option}: invalid integer value: 'x'" in capsys.readouterr().err
 
 
 def test_run_replay_and_record_together_is_a_usage_error(dataset_dir, tmp_path, capsys):
@@ -1173,6 +1186,32 @@ def test_run_record_then_replay_gives_the_same_transcripts(dataset_dir, tmp_path
     assert main([*dataset, "--replay", str(store), "--out", str(replayed)]) == 0
     assert replayed.read_bytes() == recorded.read_bytes()
     assert store.read_bytes() == before and not list(tmp_path.glob("store-*"))
+
+
+def test_run_record_that_cannot_write_the_store_exits_1(
+    dataset_dir, tmp_path, monkeypatch, capsys
+):
+    # A store another connection holds locked fails the write after a wait;
+    # a query-only connection fails it at once.
+    live = _live_run(tmp_path, monkeypatch, gold_reply(dataset_dir))
+    open_store = llm._open_store
+
+    def query_only(path, mode):
+        conn = open_store(path, mode)
+        conn.execute("PRAGMA query_only = 1")
+        return conn
+
+    monkeypatch.setattr(llm, "_open_store", query_only)
+    store = tmp_path / "store"
+    code = main(["run", "--dataset", str(dataset_dir), *live, "--record", str(store),
+                 "--out", str(tmp_path / "t.jsonl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        f"error: cannot record reply [0-9a-f]+ in {re.escape(str(store))}: "
+        "attempt to write a readonly database\n",
+        err,
+    ), err
 
 
 @pytest.mark.parametrize("where", ["missing-parent", "directory"])

@@ -3,13 +3,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
 import sqlite3
 from collections import Counter
 
 import pytest
 
 from nl2sql import evaluate, execution
-from nl2sql.dataset import SpiderExample
+from nl2sql.dataset import SpiderExample, load_dataset
 from nl2sql.errors import DatasetError
 from nl2sql.evaluate import (
     BucketScore,
@@ -407,6 +408,33 @@ def test_report_with_judgments_equals_report_without_them(loaded, monkeypatch):
     # Only triage probes execute: no gold and no final SQL of a judged transcript.
     judged = {(t.db_id, sql) for t in transcripts for sql in (t.gold_sql, t.final_sql)}
     assert not judged & set(calls)
+
+
+def test_unpickled_dataset_runs_and_scores_as_the_original(dataset_dir):
+    # A loaded dataset is plain data: a process pool can send it to workers.
+    original = load_dataset(dataset_dir, "dev")
+    copy = pickle.loads(pickle.dumps(original))
+    by_question = {ex.question: ex.gold_sql for ex in original.examples}
+    wrong = {ex.question for ex in original.examples[::3]}
+
+    def reply(request):
+        question = question_of(request)
+        return WRONG if question in wrong else by_question[question]
+
+    def run_and_score(loaded):
+        generator, corrector = (
+            ModelEndpoint(role, ScriptedTransport(reply), role)
+            for role in ("generator", "corrector")
+        )
+        transcripts = run_many(
+            loaded.examples, loaded.schemas, PipelineConfig(), generator, corrector
+        )
+        report = score(transcripts, loaded.examples, loaded.schemas)
+        lines = [json.dumps(t.to_json(), ensure_ascii=False) for t in transcripts]
+        return lines, json.dumps(report.results_payload())
+
+    assert copy.schemas["car_1"] is not original.schemas["car_1"]
+    assert run_and_score(copy) == run_and_score(original)
 
 
 def test_score_parses_only_final_sql_and_reports_as_without_gold_trees(loaded, monkeypatch):

@@ -101,7 +101,7 @@ def test_database_file_removed_before_it_opens_is_harness_fault(schemas, tmp_pat
     message = f"cannot open database file for car_1: {db_path}: "
     with pytest.raises(DatabaseMissingError, match=re.escape(message)):
         execute("SELECT 1", schema)
-    assert getattr(schema._connections, "entry", None) is None
+    assert getattr(execution._CONNECTIONS.get(schema), "entry", None) is None
     monkeypatch.setattr(execution, "_file_key", file_key)
     shutil.copyfile(schemas["car_1"].db_path, db_path)
     assert execute("SELECT count(*) FROM cars_data", schema).table.rows == ((406,),)
@@ -537,10 +537,10 @@ def test_temp_table_on_one_thread_leaves_another_threads_connection_alone(schema
     def other() -> None:
         try:
             outcomes = [execute(sql, schema)]
-            cached = schema._connections.entry
+            cached = execution._CONNECTIONS[schema].entry
             for _ in range(100):
                 outcomes.append(execute(sql, schema))
-                kept = getattr(schema._connections, "entry", None) is cached
+                kept = getattr(execution._CONNECTIONS[schema], "entry", None) is cached
                 seen["kept"] = seen.get("kept", True) and kept
             seen["outcomes"] = outcomes
         finally:

@@ -256,6 +256,18 @@ def test_non_utf8_replay_fixture_is_a_transport_error_naming_the_file(tmp_path):
     )
 
 
+def test_store_overwritten_after_replay_opened_it_is_a_transport_error(tmp_path):
+    request, store = _request("stored"), tmp_path / "replay"
+    digest = _record_reply(store, request, "SELECT 1")
+    transport = ReplayTransport(store)
+    store.write_bytes(b"not a database" * 1000)
+    with pytest.raises(TransportError) as err:
+        transport.send(request)
+    assert str(err.value) == (
+        f"cannot read reply {digest} in {store}: file is not a database"
+    )
+
+
 def test_truncated_replay_fixture_is_a_transport_error(tmp_path):
     request, store = _request("stored"), tmp_path / "replay"
     digest = _record_reply(store, request, "SELECT 1")

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from nl2sql.execution import ResultTable
-from nl2sql.mdtable import MAX_PROMPT_ROWS, render_markdown
+from nl2sql.prompts import MAX_PROMPT_ROWS, render_markdown
 
 from helpers import parse_markdown
 

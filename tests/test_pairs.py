@@ -104,3 +104,49 @@ def test_each_workload_gets_its_own_table(monkeypatch, tmp_path, capsys):
     assert two.splitlines()[0] == "workload two" and len(two.splitlines()) == 2
     assert "two pair 1 change: exit 1: no such workload: two" in err.splitlines()
     assert "two pair 2 change: exit 1: no such workload: two" in err.splitlines()
+
+
+def gates(base_values, change_values, better=None, bound=0.25):
+    base = [json.loads(line(a=v, b=v)) for v in base_values]
+    change = [json.loads(line(a=v, b=v)) for v in change_values]
+    rows, ok = pairs.compare(base, change, {"a": better or "lower"}, {"a": bound})
+    by_metric = rows_by_metric(rows)
+    return by_metric["a"][1], by_metric["b"][1], ok
+
+
+def test_gate_applies_the_bound_to_the_parents_median():
+    # Parent median 1.0 and bound 0.25: the change may be worse by 0.25.
+    assert gates([1.0, 1.0, 1.01], [1.2, 1.24, 1.22]) == ("ok", "-", True)
+    assert gates([1.0, 1.0, 1.01], [1.3, 1.26, 1.3]) == ("worse", "-", False)
+    # In the higher-is-better direction the same drop is worse.
+    assert gates([1.0, 1.0, 1.01], [0.7, 0.7, 0.7], better="higher")[0] == "worse"
+    assert gates([1.0, 1.0, 1.01], [0.7, 0.7, 0.7], better="lower")[0] == "ok"
+
+
+def test_gate_is_unresolved_when_the_parent_spreads_wider_than_the_margin():
+    # Parent median 1.25, IQR 0.75, margin 0.3125.
+    spread = [0.5, 1.0, 1.5, 2.0]
+    assert gates(spread, [1.3, 1.3, 1.3, 1.3])[0] == "unresolved"
+    assert gates(spread, [1.0, 1.0, 1.0, 1.0])[0] == "unresolved"
+    # ... unless every change run beats every parent run.
+    assert gates(spread, [0.4, 0.45, 0.4, 0.3])[0] == "ok"
+    assert gates(spread, [2.0, 2.0, 2.0, 2.0])[0] == "worse"
+
+
+def test_a_worse_end_to_end_metric_exits_1(monkeypatch, capsys):
+    values = {"parent": 1.0, "change": 2.0}
+
+    def canned(tree, workload, args):
+        value = values[tree.name]
+        return finished(0, stdout=run_output(line(run_ms_per_example=value, **{
+            "execution.us_p50": value})))
+
+    monkeypatch.setattr(pairs, "extract", lambda rev, into: into)
+    monkeypatch.setattr(pairs, "run", canned)
+    argv = ["--workload", "one", "--seed", "1", "--pairs", "2", "--change", "HEAD"]
+    assert pairs.main(argv) == 1
+    rows = rows_by_metric(capsys.readouterr().out.splitlines()[1:])
+    assert rows["run_ms_per_example"][1] == "worse" and rows["execution.us_p50"][1] == "-"
+    values["change"] = 1.1
+    assert pairs.main(argv) == 0
+    assert rows_by_metric(capsys.readouterr().out.splitlines()[1:])["run_ms_per_example"][1] == "ok"

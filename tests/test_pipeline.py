@@ -11,7 +11,7 @@ from nl2sql.errors import NoSqlFoundError
 from nl2sql.execution import ExecOutcome, execute
 from nl2sql.hardness import Hardness
 from nl2sql.llm import ModelEndpoint, ReplayTransport, RecordingTransport
-from nl2sql.mdtable import render_markdown
+from nl2sql.prompts import render_markdown
 from nl2sql.pipeline import (
     PipelineConfig,
     PipelineTranscript,

@@ -12,7 +12,7 @@ from nl2sql.execution import (
     query_is_ordered,
     tables_equivalent,
 )
-from nl2sql.mdtable import MAX_PROMPT_ROWS, _escape, format_cell, render_markdown
+from nl2sql.prompts import MAX_PROMPT_ROWS, _escape, format_cell, render_markdown
 from nl2sql.sqlast import canonicalize, diff, parse
 from nl2sql.sqlast.tokens import tokenize
 

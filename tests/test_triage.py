@@ -399,6 +399,31 @@ def test_tables_settle_a_nocase_tie_as_sqlite_sorts_it(tmp_path):
     assert _tables_and_probe_answers(schema, pred, gold) == (True, True, False)
 
 
+def test_skipped_prediction_probe_reads_only_the_golds_rows_k_and_k_plus_1(tmp_path):
+    # NOCASE ties 'A' and 'a': the gold keeps ids 1, 2 and the prediction
+    # 2, 1, one multiset, so the gold's probe decides. It reads 'a' at rows
+    # 2 and 3, a tie; the prediction's own probe would read 'A' at row 2,
+    # which does not agree with the gold's 'a'.
+    path = tmp_path / "nocase.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (id INTEGER, v TEXT COLLATE NOCASE)")
+    conn.executemany("INSERT INTO t VALUES (?, ?)", [(1, "A"), (2, "a"), (3, "a"), (4, "b")])
+    conn.commit()
+    conn.close()
+    schema = DatabaseSchema(
+        db_id="nocase", tables=(("t", (("id", "number"), ("v", "text"))),), db_path=path
+    )
+    gold = "SELECT id FROM t ORDER BY v LIMIT 2"
+    pred = "SELECT id FROM t ORDER BY v, id = 2 DESC LIMIT 2"
+    pred_ast, gold_ast = parse(pred, schema), parse(gold, schema)
+    pred_table = execute(pred, schema).table
+    assert (execute(gold, schema).table.rows, pred_table.rows) == (((1,), (2,)), ((2,), (1,)))
+    assert tie_test(pred_ast, gold_ast, schema, pred_table) is True
+    assert tie_test(pred_ast, gold_ast, schema) is False
+    verdict = run_triage(pred, gold, schema)
+    assert (verdict.category, verdict.subtag) == (Category.DATASET_INCONSISTENCY, "TieAmbiguity")
+
+
 def _tie_test(tmp_path, keys, pred, gold):
     schema = _keys_db(tmp_path / "keys.sqlite", keys)
     return tie_test(parse(pred, schema), parse(gold, schema), schema)

@@ -12,8 +12,15 @@ error. Per workload, in the order given, it prints a table: per metric each
 side's quartiles and median, the pairs the change won (ties win for
 neither; the direction is the metric's ``better`` in BENCHMARK.json, else
 lower), the median gap in the change's favour and whether it exceeds the
-parent's interquartile range. It exits 1 when any run failed or reported a
-failure.
+parent's interquartile range.
+
+Its ``gate`` column applies the no-regression rule to each end-to-end
+metric, whose ``bound`` in BENCHMARK.json is a share of the parent's median:
+``worse`` when the change's median is worse than the parent's by more than
+that margin; else ``unresolved`` when the parent's interquartile range is
+wider than the margin, unless every change run beats every parent run; else
+``ok``. A per-layer metric reads ``-``. It exits 1 when any run failed or
+reported a failure, or any metric is ``worse``.
 """
 
 from __future__ import annotations
@@ -44,12 +51,30 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
-def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> tuple[list[str], bool]:
-    """Table rows for paired results, and whether every run succeeded."""
+def gate(b_q: list[float], c_q: list[float], pairs: list[tuple[float, float]], sign: int,
+         bound: float | None) -> str:
+    """The no-regression verdict on one metric from each side's quartiles and
+    the (parent, change) values; ``sign`` is 1 when lower is better, else -1."""
+    if bound is None:
+        return "-"
+    margin = bound * abs(b_q[1])
+    if sign * (c_q[1] - b_q[1]) > margin:
+        return "worse"
+    beaten = max(sign * c for _, c in pairs) < min(sign * b for b, _ in pairs)
+    return "unresolved" if b_q[2] - b_q[0] > margin and not beaten else "ok"
+
+
+def compare(
+    base: list[dict], change: list[dict], better: dict[str, str],
+    bounds: dict[str, float] | None = None,
+) -> tuple[list[str], bool]:
+    """Table rows for paired results, and whether every run succeeded and
+    no metric's ``gate`` (from ``bounds``, the end-to-end bounds) is worse."""
+    bounds = bounds or {}
     ok = bool(base) and len(base) == len(change)
     ok = ok and all(r.get("correct") is True and r.get("failed") == 0 for r in base + change)
-    rows = [f"{'metric':32s} {'parent q1 / median / q3':>32s} {'change q1 / median / q3':>32s}"
-            f" {'wins':>6s} {'gap':>10s} gap>IQR"]
+    rows = [f"{'metric':32s} {'gate':10s} {'parent q1 / median / q3':>32s}"
+            f" {'change q1 / median / q3':>32s} {'wins':>6s} {'gap':>10s} gap>IQR"]
     for name in sorted({name for r in base + change for name in r.get("metrics", {})}):
         try:
             pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -61,7 +86,9 @@ def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> tup
         b_q, c_q = (quartiles(sorted(side)) for side in zip(*pairs))
         wins = sum(sign * (c - b) < 0 for b, c in pairs)
         gap = sign * (b_q[1] - c_q[1])
-        rows.append(f"{name:32s} {' / '.join(f'{v:.4g}' for v in b_q):>32s}"
+        verdict = gate(b_q, c_q, pairs, sign, bounds.get(name))
+        ok = ok and verdict != "worse"
+        rows.append(f"{name:32s} {verdict:10s} {' / '.join(f'{v:.4g}' for v in b_q):>32s}"
                     f" {' / '.join(f'{v:.4g}' for v in c_q):>32s} {f'{wins}/{len(pairs)}':>6s}"
                     f" {gap:10.4g} {'yes' if gap > b_q[2] - b_q[0] else 'no'}")
     return rows, ok
@@ -101,6 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     tables, all_ok = [], True
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": extract(args.base, Path(tmp, "parent")),
@@ -113,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
                     runs[side].append(found)
                     report = failure or f"pair {i + 1} {side}: {json.dumps(found)}"
                     print(f"{workload} {report}", file=sys.stderr)
-            rows, ok = compare(runs["parent"], runs["change"], better)
+            rows, ok = compare(runs["parent"], runs["change"], better, bounds)
             tables.append("\n".join([f"workload {workload}", *rows]))
             all_ok = all_ok and ok
     print("\n\n".join(tables))
